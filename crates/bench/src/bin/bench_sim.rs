@@ -3,8 +3,8 @@
 //! Two sweeps:
 //!
 //! * **instrumentation sweep** — the canonical perf workload (a
-//!   32-switch irregular paper network under uniform traffic, serial
-//!   engine) a few times per event-queue backend, in four
+//!   32-switch irregular paper network under uniform traffic, one
+//!   shard) a few times per event-queue backend, in four
 //!   instrumentation modes: everything off (the default, and the number
 //!   the performance work in this repository is measured by), the
 //!   telemetry probes armed at the default 1 µs cadence, the flight
@@ -13,12 +13,12 @@
 //!   corruption hook (bounding each hook family's overhead separately —
 //!   the armed-but-empty fault row must match the bare row), and the
 //!   metrics plane armed (engine profiling + post-run registry fill).
-//!   These rows carry `"shards": 1` and are the serial regression
-//!   baseline; the everything-off row (`"metrics": "disabled"`) is the
+//!   These rows carry `"shards": 1` and are the single-shard
+//!   regression baseline; the everything-off row (`"metrics": "disabled"`) is the
 //!   one perf work is gated on.
 //!
 //! * **scaling sweep** — fabric sizes 32/64/128/256 crossed with shard
-//!   counts 1/2/4/8 on the parallel engine (threads = shards, capped at
+//!   counts 1/2/4/8 (threads = shards, capped at
 //!   the host's available parallelism), bare instrumentation,
 //!   binary-heap backend. `"threads"` records the cap actually applied:
 //!   on a single-core host the rows measure the conservative window
@@ -39,7 +39,7 @@ const SWITCHES: usize = 32;
 const TOPOLOGY_SEED: u64 = 1;
 const RUNS: usize = 5;
 /// Fabric sizes of the shard-scaling sweep (the first doubles as the
-/// serial baseline size above).
+/// single-shard baseline size above).
 const SCALE_SWITCHES: [usize; 4] = [32, 64, 128, 256];
 const SCALE_SHARDS: [usize; 4] = [1, 2, 4, 8];
 const SCALE_RUNS: usize = 3;

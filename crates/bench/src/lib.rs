@@ -51,10 +51,10 @@ impl BenchFixture {
             .run()
     }
 
-    /// Run one simulation on the parallel engine: the fabric split into
-    /// `shards` partitions advanced in conservative lookahead windows by
-    /// `threads` worker threads (`shards = 1` routes through the serial
-    /// engine).
+    /// Run one simulation with the fabric split into `shards` partitions
+    /// advanced in conservative lookahead windows by `threads` workers.
+    /// Every shard count runs the same machine and returns the same
+    /// result; `shards = 1` is what [`Self::simulate`] runs.
     pub fn simulate_sharded(
         &self,
         spec: WorkloadSpec,

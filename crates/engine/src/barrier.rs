@@ -1,6 +1,6 @@
-//! A reusable spin barrier for the sharded parallel engine.
+//! A reusable spin barrier for the sharded engine.
 //!
-//! The parallel simulation loop synchronizes its worker threads twice
+//! The simulation loop synchronizes its worker threads twice
 //! per lookahead window (once after event execution, once after mailbox
 //! exchange). Windows are short — often a handful of microseconds of
 //! simulated time, tens of events — so the synchronization cost is on

@@ -21,7 +21,7 @@
 //!   (exponential inter-arrival times for Poisson-like injection), built on
 //!   the sanctioned `rand` crate only;
 //! * [`shard`] and [`barrier`] — the substrate of the sharded
-//!   conservative-parallel engine: canonical event-ordering keys,
+//!   conservative engine: canonical event-ordering keys,
 //!   lookahead-window arithmetic, and a reusable spin barrier for the
 //!   per-window worker synchronization.
 //!

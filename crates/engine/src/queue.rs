@@ -8,21 +8,19 @@
 //! min/max/avg-over-topologies methodology depends on, and that the
 //! test suite exploits heavily.
 //!
-//! The *key* flavor exists for the sharded parallel engine: shards
-//! ingest cross-shard messages in nondeterministic mailbox order, so
-//! FIFO sequence alone would leak thread timing into the event order.
+//! The *key* flavor exists for the sharded simulator: shards ingest
+//! cross-shard messages in nondeterministic mailbox order, so FIFO
+//! sequence alone would leak thread timing into the event order.
 //! [`EventQueue::schedule_keyed`] orders by a caller-supplied canonical
-//! key instead; the parallel engine assigns every event a globally
-//! unique `(time, key)` so insertion order never decides.
+//! key instead; `iba-sim` assigns every event a globally unique
+//! `(time, key)` so insertion order never decides.
 //!
 //! Within any one queue the two flavors must not be mixed: an entry
 //! carries a single `ord` rank that is the FIFO sequence for plain
 //! [`EventQueue::schedule`] and the canonical key for
-//! [`EventQueue::schedule_keyed`] — one `u64` per entry instead of two,
-//! which keeps the plain (serial-engine) entry at its original size.
-//! The simulator upholds the contract structurally (a shard's queue is
-//! all-plain in the serial engine, all-keyed in the parallel one), and
-//! debug builds assert it.
+//! [`EventQueue::schedule_keyed`] — one `u64` per entry instead of two.
+//! The simulator upholds the contract structurally (every schedule of a
+//! shard's queue is keyed), and debug builds assert it.
 
 use iba_core::SimTime;
 use std::cmp::Ordering;
@@ -157,8 +155,8 @@ impl<E> EventQueue<E> {
     /// in `(time, key)` order. The caller must assign globally unique
     /// `(time, key)` pairs — there is no insertion-order tie-break — and
     /// must not mix this with [`EventQueue::schedule`] on the same queue
-    /// (checked in debug builds). The parallel engine's canonical event
-    /// keys satisfy both, so mailbox ingest timing never decides.
+    /// (checked in debug builds). The simulator's canonical event keys
+    /// satisfy both, so mailbox ingest timing never decides.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
         debug_assert!(
             at >= self.now,

@@ -1,8 +1,8 @@
 //! Ordering keys and window arithmetic for the sharded conservative
-//! parallel engine.
+//! simulation engine.
 //!
-//! The parallel simulation partitions the fabric into shards, each with
-//! a private event queue, synchronized by the classic conservative
+//! The simulation partitions the fabric into one or more shards, each
+//! with a private event queue, synchronized by the classic conservative
 //! rule: with every cross-shard interaction carrying at least the link
 //! propagation latency `L`, a shard may execute every event strictly
 //! before `W + L`, where `W` is the global minimum pending timestamp.
@@ -16,9 +16,10 @@
 //! fix is a canonical *event key* — `(class, entity, counter)` packed
 //! into a `u64` — assigned at schedule time from purely simulation-
 //! deterministic inputs, and made globally unique per `(time, key)` by
-//! the per-entity counter. Queues then order by `(time, key, seq)` and
-//! the insertion sequence never tie-breaks. Serial runs keep key 0
-//! everywhere, preserving the original pure-FIFO order bit for bit.
+//! the per-entity counter. Queues then order by `(time, key)` and the
+//! insertion sequence never tie-breaks. Every schedule is keyed, at
+//! every shard count: a single shard pops its events in exactly the
+//! order the same events would pop in spread over many.
 
 /// Bits of the per-entity schedule counter (low bits of the key).
 pub const KEY_COUNTER_BITS: u32 = 40;

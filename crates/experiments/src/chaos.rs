@@ -41,7 +41,6 @@ use iba_sim::{
 use iba_sm::{ManagedFabric, RetryPolicy, SubnetManager};
 use iba_topology::{IrregularConfig, Topology};
 use iba_workloads::{FaultEvent, FaultSchedule, WorkloadSpec};
-use rayon::prelude::*;
 
 /// One point in the fault-mix space the campaign samples from.
 #[derive(Clone, Copy, Debug)]
@@ -430,28 +429,6 @@ pub fn run_one_with(
         sm_retransmits: up.report.retransmits,
         violations,
     })
-}
-
-/// The whole campaign: `sizes` × [`MIXES`] × `seeds` runs, fanned out
-/// with rayon (each run stays single-threaded and deterministic in its
-/// seed).
-pub fn run_campaign(
-    sizes: &[usize],
-    seeds: u64,
-    base_seed: u64,
-) -> Result<Vec<ChaosRun>, IbaError> {
-    let mut cells: Vec<(usize, usize, u64)> = Vec::new();
-    for &size in sizes {
-        for (mi, _) in MIXES.iter().enumerate() {
-            for s in 0..seeds {
-                cells.push((size, mi, base_seed + s));
-            }
-        }
-    }
-    cells
-        .into_par_iter()
-        .map(|(size, mi, seed)| run_one(size, &MIXES[mi], mi as u64, seed))
-        .collect()
 }
 
 /// Total invariant violations across the campaign.

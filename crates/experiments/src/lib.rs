@@ -10,8 +10,8 @@
 //! | Table 2 (routing-option distribution) | `table2` | [`table2::run`] |
 //! | §5.2.2 claims + design ablations | `ablation` | [`ablation`] |
 //! | link-fault recovery sweep (DESIGN.md §8) | `faults` | [`faults::sweep`] |
-//! | recovery scaling: full rebuild vs incremental re-sweep (DESIGN.md §13) | `recovery_scaling` | [`recovery::sweep`] |
-//! | chaos campaign: sampled fault schedules × invariant checks (DESIGN.md §11) | `chaos` | [`chaos::run_campaign`] |
+//! | recovery scaling: full rebuild vs incremental re-sweep (DESIGN.md §13) | `recovery_scaling` | [`campaigns::recovery_campaign`] |
+//! | chaos campaign: sampled fault schedules × invariant checks (DESIGN.md §11) | `chaos` | [`campaigns::chaos_campaign`] |
 //! | telemetry load sweep (occupancy / stalls vs load, DESIGN.md §9) | `telemetry` | [`telemetry::run_sweep`] |
 //! | flight-recorder demo run + dump artifacts (DESIGN.md §10) | `flightrec` | [`flightrec::run_recorded`] |
 //! | flight-dump queries: slice / causal chain / stall causes | `iba-trace` | [`tracequery`] |

@@ -16,9 +16,9 @@
 //!
 //! The experiment doubles as an end-to-end determinism check: the
 //! digest of the sim-time registry must be identical for every shard
-//! count above 1 (the parallel engine is one deterministic machine
-//! regardless of partitioning), and [`verify`] hard-errors when it is
-//! not, or when a profiling series leaks into the digest.
+//! count (there is one deterministic machine regardless of
+//! partitioning), and [`verify`] hard-errors when it is not, or when a
+//! profiling series leaks into the digest.
 
 use crate::fidelity::Fidelity;
 use iba_core::{IbaError, Json};
@@ -135,19 +135,18 @@ pub fn run(cfg: &MetricsConfig) -> Result<MetricsRun, IbaError> {
     }
 
     // The fabric-wide registry: data plane of the first point merged
-    // over the control plane. (All points above 1 shard carry the same
-    // sim-time content by construction; `verify` checks that.)
+    // over the control plane. (All points carry the same sim-time
+    // content by construction; `verify` checks that.)
     if let Some(p) = points.first() {
         registry.merge(&p.registry);
     }
     Ok(MetricsRun { points, registry })
 }
 
-/// Hard gates: every shard count above 1 must produce the same
-/// sim-time digest, and no `profiling_` series may be digested.
+/// Hard gates: every shard count must produce the same sim-time
+/// digest, and no `profiling_` series may be digested.
 pub fn verify(run: &MetricsRun) -> Result<(), String> {
-    let parallel: Vec<&ShardPoint> = run.points.iter().filter(|p| p.shards > 1).collect();
-    for w in parallel.windows(2) {
+    for w in run.points.windows(2) {
         if w[0].digest != w[1].digest {
             return Err(format!(
                 "sim-time metrics diverged across shard counts: {} shards digests {:#018x}, {} shards {:#018x}",

@@ -25,7 +25,6 @@ use iba_core::{IbaError, Json, Lid, SwitchId};
 use iba_routing::{check_escape_routes, FaRouting, RoutingConfig};
 use iba_sm::{Discoverer, ManagedFabric, Programmer, SubnetManager};
 use iba_topology::{IrregularConfig, Topology};
-use rayon::prelude::*;
 
 /// One point of the recovery-scaling curve.
 #[derive(Debug, Clone)]
@@ -203,19 +202,6 @@ pub fn run_size(
         escape_acyclic: escape_acyclic(&resweep.bringup.topology, &resweep.bringup.routing),
     };
     Ok((full, incremental))
-}
-
-/// The whole curve: both policies at every size, full before
-/// incremental per size.
-pub fn sweep(sizes: &[usize], seed: u64, per_smp_ns: u64) -> Result<Vec<RecoveryPoint>, IbaError> {
-    let pairs: Vec<_> = sizes
-        .par_iter()
-        .map(|&size| run_size(size, seed, per_smp_ns))
-        .collect::<Result<_, _>>()?;
-    Ok(pairs
-        .into_iter()
-        .flat_map(|(full, inc)| [full, inc])
-        .collect())
 }
 
 /// The experiment's hard gates: per size, the incremental path must end

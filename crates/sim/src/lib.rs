@@ -11,7 +11,8 @@
 //!   [`SimConfig::paper`]);
 //! * [`network`] — the event-driven subnet model: hosts, switches, serial
 //!   links, per-VL credit flow control, virtual cut-through forwarding
-//!   and the §4.3 arbitration-time output selection;
+//!   and the §4.3 arbitration-time output selection, run as one or more
+//!   shards of one machine (results never depend on the shard count);
 //! * [`stats`] — latency and accepted-traffic measurement, including
 //!   the per-workload-class log-linear latency histograms behind the
 //!   p50/p90/p99/p999 fields of [`RunResult`];

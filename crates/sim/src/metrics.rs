@@ -3,7 +3,7 @@
 //! Two pieces live here:
 //!
 //! * [`EngineProfile`] / [`WorkerProfile`] — wall-clock profiling of
-//!   the parallel engine: where each worker's time goes (running
+//!   the window loop: where each worker's time goes (running
 //!   windows, waiting at the two barriers, ingesting mailboxes), how
 //!   wide the conservative windows are, and how many events each
 //!   window carries. Collected only when the builder armed
@@ -20,8 +20,7 @@
 //!
 //! Everything recorded from simulated time (delivery counts, drop
 //! causes, latency histograms, VL occupancy) is bit-identical across
-//! queue backends and — for the parallel engine — across shard counts
-//! above 1. Everything recorded from host time (barrier waits, run
+//! queue backends and shard counts. Everything recorded from host time (barrier waits, run
 //! times) and from the engine's *execution shape* (window widths,
 //! events per window, mailbox traffic — which legitimately change with
 //! the shard count) goes under [`iba_stats::PROFILING_PREFIX`].
@@ -30,8 +29,7 @@ use crate::stats::{latency_class_label, RunResult, StatsCollector};
 use iba_core::Json;
 use iba_stats::{LogHistogram, MetricsRegistry};
 
-/// Wall-clock breakdown of one parallel worker thread (one chunk of
-/// shards) across the whole run. All fields are host-time nanoseconds
+/// Wall-clock breakdown of one worker (one chunk of shards) across the whole run. All fields are host-time nanoseconds
 /// or plain tallies; none participates in determinism digests.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerProfile {
@@ -83,15 +81,14 @@ impl WorkerProfile {
 /// Wall-clock and execution-shape profile of an engine run, collected
 /// when the builder armed `.metrics()`.
 ///
-/// For the serial engine this degenerates to a single worker with zero
-/// windows and zero barrier time (there are no windows or barriers to
-/// profile); the parallel engine fills every field. Successive runs on
-/// the same network accumulate.
+/// A single shard runs one window per engine invocation on one worker
+/// with (next to) zero barrier time. Successive runs on the same
+/// network accumulate.
 #[derive(Clone, Debug, Default)]
 pub struct EngineProfile {
     /// Shard count of the run.
     pub shards: usize,
-    /// Worker threads actually spawned (1 = inline/serial).
+    /// Workers driving the shards (1 = the calling thread alone).
     pub workers: usize,
     /// Conservative windows executed.
     pub windows: u64,

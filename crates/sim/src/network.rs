@@ -23,47 +23,42 @@
 //! sink buffers (the paper measures fabric performance, not end-node
 //! limits).
 //!
-//! ## Serial and parallel execution
+//! ## Execution
 //!
 //! The event-handling machinery lives in the (private) `shard` module:
 //! a `Shard` owns a connected group of switches, their attached hosts,
-//! and a private event queue. This module is the coordinator around it:
+//! and a private event queue. This module is the coordinator around it.
+//! [`Partition::contiguous`] splits the fabric into `shards(n)`
+//! connected regions (one region by default), and the shards
+//! synchronize conservatively: every pending-event timestamp is
+//! collected, the global minimum plus the link propagation delay bounds
+//! a window, and each shard drains its queue up to (and excluding) the
+//! window end before any cross-shard message is exchanged. Since every
+//! cross-shard effect travels over a physical link (≥ one propagation
+//! delay in the future), no shard can receive an event earlier than the
+//! window it just executed — classic conservative link-latency
+//! lookahead. A lone shard has no peer to wait for, so its single
+//! window reaches the run limit.
 //!
-//! * **serial engine** (the default, `shards(1)`): one shard owns the
-//!   whole fabric and the coordinator steps its queue directly —
-//!   byte-identical to the historical single-queue engine;
-//! * **parallel engine** (`shards(n)`, n > 1): the fabric is split by
-//!   [`Partition::contiguous`] into `n` connected regions. Shards
-//!   synchronize conservatively: every pending-event timestamp is
-//!   collected, the global minimum plus the link propagation delay
-//!   bounds a window, and each shard drains its queue up to (and
-//!   excluding) the window end before any cross-shard message is
-//!   exchanged. Since every cross-shard effect travels over a physical
-//!   link (≥ one propagation delay in the future), no shard can receive
-//!   an event earlier than the window it just executed — classic
-//!   conservative link-latency lookahead.
+//! Every event carries a canonical `(class, entity, counter)` key, each
+//! switch draws from its own RNG substreams and packet ids are
+//! source-local, so each shard's queue order — and therefore the whole
+//! simulation — is independent of thread interleaving and of the shard
+//! count: for a fixed fabric, `shards(1)`, `shards(2)` and `shards(8)`
+//! produce identical results, on any `threads(..)` setting and any
+//! event-queue backend.
 //!
-//! Cross-shard events carry canonical `(class, entity, counter)` keys so
-//! each shard's queue order — and therefore the whole simulation — is
-//! independent of thread interleaving and of the shard count: for a
-//! fixed fabric, `shards(2)` and `shards(8)` produce identical results,
-//! on any `threads(..)` setting and any event-queue backend. The
-//! parallel engine uses per-switch RNG substreams and source-local
-//! packet ids (the serial engine keeps its historical shared streams),
-//! so serial and parallel results are each internally deterministic but
-//! not numerically identical to each other.
-//!
-//! Three subsystems require the serial engine and are rejected by
-//! `build()` when combined with `shards(n > 1)`: trace-driven replay
-//! (a global script cursor), the flight recorder (globally ordered
-//! rings), and [`RecoveryPolicy::SmResweep`] (a fabric-wide atomic
-//! table swap).
+//! Three subsystems still need the whole fabric in one shard and are
+//! rejected by `build()` when combined with `shards(n > 1)`:
+//! trace-driven replay (a global script cursor), the flight recorder
+//! (globally ordered rings), and [`RecoveryPolicy::SmResweep`] (a
+//! fabric-wide atomic table swap).
 
 use crate::config::{RecoveryPolicy, SimConfig};
 use crate::fib::FibCache;
 use crate::metrics::{fill_run_metrics, EngineProfile, WorkerProfile};
 use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts};
-use crate::shard::{Mailbox, OutMsg, Shard};
+use crate::shard::{check_key_capacity, Mailbox, Shard};
 use crate::stats::{RunResult, StatsCollector};
 use crate::telemetry::{
     MemorySink, SwitchTelemetry, TelemetryOpts, TelemetryReport, TelemetrySample, TelemetrySink,
@@ -73,33 +68,31 @@ use crate::trace::{PacketTrace, TraceOpts, TraceStep, Tracer};
 use iba_core::{HostId, IbaError, PacketId, PortIndex, SimTime, SwitchId};
 use iba_engine::{conservative_window, SpinBarrier};
 use iba_routing::{EscapeEngine, FaRouting, UpDownRouting};
-use iba_stats::{LogHistogram, MetricsRegistry};
+use iba_stats::MetricsRegistry;
 use iba_topology::{Partition, Topology};
 use iba_workloads::{FaultSchedule, TrafficScript, WorkloadSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::Instant;
 
-/// An IBA subnet simulation: one shard stepping serially, or several
-/// shards advancing in conservative lookahead windows (see the module
-/// docs for the execution model).
+/// An IBA subnet simulation: one or more shards advancing in
+/// conservative lookahead windows (see the module docs for the
+/// execution model).
 pub struct Network<'a, E: EscapeEngine = UpDownRouting> {
     topo: &'a Topology,
-    routing: &'a FaRouting<E>,
     config: SimConfig,
-    /// `None` selects the serial engine; `Some` the parallel engine.
-    partition: Option<Arc<Partition>>,
-    /// Worker threads for the parallel engine (1 = run windows inline).
+    partition: Arc<Partition>,
+    /// Worker threads driving the shards (1 = the calling thread only).
     threads: usize,
     shards: Vec<Shard<'a, E>>,
-    /// Whether the one-shot parallel observer merge has run.
+    /// Whether the one-shot observer merge has run.
     finalized: bool,
-    /// The user's telemetry sink in parallel mode (shards record into
-    /// private `MemorySink`s; the merge feeds this one).
-    par_sink: Option<Box<dyn TelemetrySink>>,
-    /// The merged journey recorder in parallel mode (built by the
-    /// observer merge from the shard-local tracers).
+    /// The user's telemetry sink (shards record into private
+    /// `MemorySink`s; the observer merge feeds this one).
+    user_sink: Option<Box<dyn TelemetrySink>>,
+    /// The merged journey recorder (built by the observer merge from
+    /// the shard-local tracers).
     merged_tracer: Option<Tracer>,
     trace_opts: Option<TraceOpts>,
     /// Whether engine profiling (the `.metrics()` builder option) is
@@ -148,22 +141,6 @@ pub struct NetworkBuilder<'a, E: EscapeEngine = UpDownRouting> {
     shards: Option<usize>,
     threads: Option<usize>,
     metrics: bool,
-}
-
-/// The single serial-only guard for [`RecoveryPolicy::SmResweep`]: the
-/// re-sweep installs tables fabric-atomically, which the conservative
-/// windows of the parallel engine cannot express. [`NetworkBuilder::build`]
-/// routes through this one predicate for every engine instantiation, so
-/// the check cannot drift.
-fn check_resweep_serial(parallel: bool, policy: RecoveryPolicy) -> Result<(), IbaError> {
-    if parallel && policy == RecoveryPolicy::SmResweep {
-        return Err(IbaError::InvalidConfig(
-            "SmResweep recovery requires the serial engine (shards = 1): \
-             the re-sweep installs tables fabric-atomically"
-                .into(),
-        ));
-    }
-    Ok(())
 }
 
 impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
@@ -237,7 +214,7 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
     /// Arm the flight recorder: bounded per-switch event rings, anomaly
     /// triggers, and the stall watchdog (see [`crate::FlightRecorder`]).
     /// Retrieve the dump after the run through [`Network::flight_dump`].
-    /// Requires the serial engine (the default [`Self::shards`] of 1).
+    /// Requires a single shard (the default [`Self::shards`] of 1).
     pub fn recorder(mut self, opts: RecorderOpts) -> Self {
         self.recorder = Some(opts);
         self
@@ -258,19 +235,17 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
     }
 
     /// Partition the fabric into `n` shards for parallel execution
-    /// (default 1 = the serial engine). Results are deterministic for a
-    /// fixed `n` regardless of [`Self::threads`] and the event-queue
-    /// backend, and identical across every `n > 1`; `n = 1` is
-    /// byte-identical to the historical serial engine. See the module
+    /// (default 1). Results are identical for every `n`, regardless of
+    /// [`Self::threads`] and the event-queue backend. See the module
     /// docs for the subsystems that require `n = 1`.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n);
         self
     }
 
-    /// Worker threads driving the shards (default 1 = execute windows
-    /// inline on the calling thread). Only meaningful with
-    /// [`Self::shards`] above 1; never affects results.
+    /// Worker threads driving the shards (default 1 = the calling
+    /// thread alone). Only meaningful with [`Self::shards`] above 1;
+    /// never affects results.
     pub fn threads(mut self, t: usize) -> Self {
         self.threads = Some(t);
         self
@@ -291,8 +266,9 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
     }
 
     /// Assemble the simulation. Fails on a missing config or traffic
-    /// source, on both traffic sources at once, on a parallel request
-    /// combined with a serial-only subsystem, and on every
+    /// source, on both traffic sources at once, on more than one shard
+    /// combined with a single-shard subsystem, on a fabric with more
+    /// entities than an event key can name, and on every
     /// inconsistency the individual subsystems check (workload vs
     /// routing tables, fault schedule vs topology, config invariants).
     pub fn build(self) -> Result<Network<'a, E>, IbaError> {
@@ -334,14 +310,17 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
                 )));
             }
         }
-        // One boolean decides the engine; the partition exists iff it is
-        // set, so `Network::parallel_mode` and these builder checks can
-        // never disagree.
-        let parallel = num_shards > 1;
-        if let Some((_, policy, _)) = self.faults {
-            check_resweep_serial(parallel, policy)?;
-        }
-        let partition = if parallel {
+        if num_shards > 1 {
+            if self
+                .faults
+                .is_some_and(|(_, policy, _)| policy == RecoveryPolicy::SmResweep)
+            {
+                return Err(IbaError::InvalidConfig(
+                    "SmResweep recovery requires the serial engine (shards = 1): \
+                     the re-sweep installs tables fabric-atomically"
+                        .into(),
+                ));
+            }
             if script.is_some() {
                 return Err(IbaError::InvalidConfig(
                     "trace-driven replay requires the serial engine (shards = 1): \
@@ -356,10 +335,9 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
                         .into(),
                 ));
             }
-            Some(Arc::new(Partition::contiguous(self.topo, num_shards)?))
-        } else {
-            None
-        };
+        }
+        check_key_capacity(self.topo.num_switches(), self.topo.num_hosts())?;
+        let partition = Arc::new(Partition::contiguous(self.topo, num_shards)?);
 
         let mut shards = Vec::with_capacity(num_shards);
         for id in 0..num_shards {
@@ -389,29 +367,15 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
 
         let num_switches = self.topo.num_switches();
         let ports = self.topo.ports_per_switch() as usize;
-        let mut par_sink = None;
+        let mut user_sink = None;
         if let Some((opts, sink)) = self.telemetry {
-            if partition.is_some() {
-                // Each shard samples only its own switches into a
-                // private memory sink; the end-of-run merge splices the
-                // slices and feeds the user's sink.
-                for sh in shards.iter_mut() {
-                    sh.telemetry = Some(Box::new(TelemetryState::new(
-                        opts,
-                        Box::new(MemorySink::new()),
-                        num_switches,
-                        ports,
-                    )));
-                }
-                par_sink = Some(sink);
-            } else {
-                shards[0].telemetry = Some(Box::new(TelemetryState::new(
-                    opts,
-                    sink,
-                    num_switches,
-                    ports,
-                )));
+            // Each shard samples only its own switches into a private
+            // memory sink; the end-of-run merge splices the slices and
+            // feeds the user's sink.
+            for sh in shards.iter_mut() {
+                sh.telemetry = Some(Box::new(TelemetryState::new(opts, num_switches, ports)));
             }
+            user_sink = Some(sink);
         }
         if let Some(opts) = self.recorder {
             shards[0].recorder = Some(Box::new(FlightRecorder::new(
@@ -424,13 +388,12 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
 
         Ok(Network {
             topo: self.topo,
-            routing: self.routing,
             config,
             partition,
             threads,
             shards,
             finalized: false,
-            par_sink,
+            user_sink,
             merged_tracer: None,
             trace_opts: self.trace,
             metrics_enabled: self.metrics,
@@ -507,6 +470,108 @@ fn step_rank(s: &TraceStep) -> u8 {
     }
 }
 
+/// What the workers of one [`Network::execute_windows`] call share.
+struct WindowCtx {
+    /// Minimum cross-shard latency: how far past the global minimum
+    /// timestamp a shard may run before it must exchange messages.
+    lookahead_ns: u64,
+    limit_ns: u64,
+    max_total: u64,
+    mailboxes: Vec<Mailbox>,
+    /// Each shard's next pending timestamp and counted events, published
+    /// by its worker after every ingest.
+    next_times: Vec<AtomicU64>,
+    counted: Vec<AtomicU64>,
+    barrier: SpinBarrier,
+    hit_budget: AtomicBool,
+    /// Workers fold their profile fragments in here at exit (`None` =
+    /// profiling off; the window loop then only tests a bool).
+    profile: Option<Mutex<EngineProfile>>,
+}
+
+impl WindowCtx {
+    /// One worker's window loop over its chunk of shards (`base` is the
+    /// chunk's first shard index).
+    fn run_worker<E: EscapeEngine>(&self, wi: usize, base: usize, shards: &mut [Shard<'_, E>]) {
+        let metrics = self.profile.is_some();
+        let clock = || metrics.then(Instant::now);
+        let since = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let mut wp = WorkerProfile {
+            worker: wi,
+            shards: shards.len(),
+            ..WorkerProfile::default()
+        };
+        // Window-shape observations are identical in every worker (all
+        // compute the same window), so worker 0 records them for the
+        // fabric.
+        let mut shape = (metrics && wi == 0).then(EngineProfile::default);
+        let mut prev_total: Option<u64> = None;
+        loop {
+            // Decide: every worker reads the same published values
+            // (stores precede barrier B, reads follow it), computes the
+            // same window, and therefore takes the same branch — no
+            // worker can strand another at a barrier.
+            let total: u64 = self.counted.iter().map(|c| c.load(Ordering::Acquire)).sum();
+            if let Some(shape) = shape.as_mut() {
+                if let Some(prev) = prev_total {
+                    shape.events_per_window.record(total - prev);
+                }
+                prev_total = Some(total);
+            }
+            if total >= self.max_total {
+                self.hit_budget.store(true, Ordering::Release);
+                break;
+            }
+            let next: Vec<u64> = self
+                .next_times
+                .iter()
+                .map(|t| t.load(Ordering::Acquire))
+                .collect();
+            let Some(w) = conservative_window(&next, self.lookahead_ns) else {
+                break;
+            };
+            if w.start_ns > self.limit_ns {
+                break;
+            }
+            // `pop_until` is inclusive; the window end is exclusive.
+            let exec = SimTime::from_ns((w.end_ns - 1).min(self.limit_ns));
+            if let Some(shape) = shape.as_mut() {
+                shape.windows += 1;
+                shape.window_width_ns.record(exec.as_ns() + 1 - w.start_ns);
+            }
+            let t = clock();
+            for sh in shards.iter_mut() {
+                sh.run_window(exec, self.max_total);
+                sh.flush_outbox(&self.mailboxes);
+            }
+            wp.run_ns += since(t);
+            let t = clock();
+            self.barrier.wait(); // A: every outbox flushed
+            wp.barrier_a_wait_ns += since(t);
+            let t = clock();
+            for (i, sh) in shards.iter_mut().enumerate() {
+                let msgs = std::mem::take(
+                    &mut *self.mailboxes[base + i].lock().expect("mailbox poisoned"),
+                );
+                wp.mailbox_msgs += msgs.len() as u64;
+                sh.ingest(msgs);
+                self.next_times[base + i].store(sh.next_time_ns(), Ordering::Release);
+                self.counted[base + i].store(sh.counted_events(), Ordering::Release);
+            }
+            wp.ingest_ns += since(t);
+            let t = clock();
+            self.barrier.wait(); // B: every ingest published
+            wp.barrier_b_wait_ns += since(t);
+        }
+        if let Some(pc) = self.profile.as_ref() {
+            let mut frag = shape.unwrap_or_default();
+            frag.mailbox_msgs = wp.mailbox_msgs;
+            frag.worker_profiles = vec![wp];
+            pc.lock().expect("profile poisoned").absorb(&frag);
+        }
+    }
+}
+
 impl<'a, E: EscapeEngine> Network<'a, E> {
     /// Start building a simulation over `topo` with `routing` tables —
     /// see [`NetworkBuilder`] for the options.
@@ -539,9 +604,8 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         &self.config
     }
 
-    /// Current simulated time (in the parallel engine: the furthest
-    /// shard clock — shard clocks never differ by more than one
-    /// conservative window).
+    /// Current simulated time: the furthest shard clock (shard clocks
+    /// never differ by more than one conservative window).
     pub fn now(&self) -> SimTime {
         self.shards
             .iter()
@@ -550,16 +614,9 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
             .expect("at least one shard")
     }
 
-    /// Number of shards the fabric is partitioned into (1 = serial).
+    /// Number of shards the fabric is partitioned into.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether the parallel engine is driving the run — the predicate
-    /// every serial-only guard keys on (`partition` exists iff the
-    /// builder saw `shards(n > 1)`).
-    pub fn parallel_mode(&self) -> bool {
-        self.partition.is_some()
     }
 
     /// Whether the hot-entry FIB cache is armed.
@@ -580,14 +637,10 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         self.shards[0].recovery_routing.is_some()
     }
 
-    /// Recorded journeys (empty unless tracing was enabled; in the
-    /// parallel engine, available after the run has finished).
+    /// Recorded journeys (`None` unless tracing was enabled; available
+    /// after the run has finished).
     pub fn tracer(&self) -> Option<&Tracer> {
-        if self.partition.is_none() {
-            self.shards[0].tracer.as_ref()
-        } else {
-            self.merged_tracer.as_ref()
-        }
+        self.merged_tracer.as_ref()
     }
 
     /// Whether the telemetry probes are armed.
@@ -600,11 +653,7 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// [`MemorySink`], downcast through
     /// [`TelemetrySink::as_memory`] to read the recorded samples.
     pub fn telemetry_sink(&self) -> Option<&dyn TelemetrySink> {
-        if self.partition.is_none() {
-            self.shards[0].telemetry.as_deref().map(|t| t.sink())
-        } else {
-            self.par_sink.as_deref()
-        }
+        self.user_sink.as_deref()
     }
 
     /// Whether the flight recorder is armed.
@@ -629,20 +678,16 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         })
     }
 
-    /// The shard owning switch `si` (0 in the serial engine).
+    /// The shard owning switch `si`.
     #[inline]
     fn shard_for_switch(&self, si: usize) -> usize {
-        self.partition
-            .as_deref()
-            .map_or(0, |p| p.shard_of_switch(SwitchId(si as u16)))
+        self.partition.shard_of_switch(SwitchId(si as u16))
     }
 
-    /// The shard owning host `hi` (0 in the serial engine).
+    /// The shard owning host `hi`.
     #[inline]
     fn shard_for_host(&self, hi: usize) -> usize {
-        self.partition
-            .as_deref()
-            .map_or(0, |p| p.shard_of_host(HostId(hi as u16)))
+        self.partition.shard_of_host(HostId(hi as u16))
     }
 
     /// Test hook: zero the sender-side credit counters of one output
@@ -668,35 +713,7 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
 
     /// Run until the measurement horizon, returning the per-run result.
     pub fn run(&mut self) -> RunResult {
-        let horizon = self.config.horizon();
-        for sh in self.shards.iter_mut() {
-            sh.prime();
-        }
-        let wall_start = std::time::Instant::now();
-        if self.partition.is_none() {
-            let max_events = self.config.max_events;
-            let num_switches = self.topo.num_switches();
-            let sh = &mut self.shards[0];
-            while sh.queue.events_processed() < max_events {
-                if !sh.step_until(horizon) {
-                    break;
-                }
-            }
-            if let Some(t) = sh.telemetry.as_deref_mut() {
-                t.flush();
-            }
-            let result = sh.stats.finish(
-                num_switches,
-                sh.queue.events_processed(),
-                wall_start.elapsed(),
-            );
-            self.note_serial_profile(wall_start.elapsed());
-            return result;
-        }
-        self.execute_windows(horizon, self.config.max_events);
-        self.finalize_observers();
-        let events = self.total_events();
-        self.merged_result(events, wall_start.elapsed())
+        self.drive(self.config.horizon()).0
     }
 
     /// Run with generation stopped at `stop_generation`, continuing until
@@ -710,38 +727,9 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     ) -> (RunResult, bool) {
         for sh in self.shards.iter_mut() {
             sh.gen_deadline = stop_generation;
-            sh.prime();
         }
-        let wall_start = std::time::Instant::now();
-        let (result, drained) = if self.partition.is_none() {
-            let max_events = self.config.max_events;
-            let num_switches = self.topo.num_switches();
-            let sh = &mut self.shards[0];
-            let mut drained = true;
-            while sh.step_until(hard_deadline) {
-                if sh.queue.events_processed() >= max_events {
-                    drained = false;
-                    break;
-                }
-            }
-            drained &= sh.queue.is_empty();
-            if let Some(t) = sh.telemetry.as_deref_mut() {
-                t.flush();
-            }
-            let result = sh.stats.finish(
-                num_switches,
-                sh.queue.events_processed(),
-                wall_start.elapsed(),
-            );
-            self.note_serial_profile(wall_start.elapsed());
-            (result, drained)
-        } else {
-            let hit_budget = self.execute_windows(hard_deadline, self.config.max_events);
-            let drained = !hit_budget && self.shards.iter().all(|s| s.queue.is_empty());
-            self.finalize_observers();
-            let events = self.total_events();
-            (self.merged_result(events, wall_start.elapsed()), drained)
-        };
+        let (result, hit_budget) = self.drive(hard_deadline);
+        let drained = !hit_budget && self.shards.iter().all(|s| s.queue.is_empty());
         // Packets dropped at full source queues never entered the fabric,
         // and packets lost on a failed link are resolved, not in flight —
         // every other generated packet must have been delivered.
@@ -750,31 +738,42 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         (result, fully_drained)
     }
 
+    /// The one measurement drive: prime, run windows up to `limit` under
+    /// the configured event budget, merge observers and statistics.
+    /// Returns the result and whether the budget stopped the run. The
+    /// wall clock covers all of it (priming and both merges included),
+    /// so `events_per_sec` is what a caller timing `run()` from outside
+    /// would compute.
+    fn drive(&mut self, limit: SimTime) -> (RunResult, bool) {
+        let wall_start = Instant::now();
+        for sh in self.shards.iter_mut() {
+            sh.prime();
+        }
+        let hit_budget = self.execute_windows(limit, self.config.max_events);
+        self.finalize_observers();
+        let events = self.total_events();
+        let num_switches = self.topo.num_switches();
+        let stats = self.merge_stats();
+        (
+            stats.finish(num_switches, events, wall_start.elapsed()),
+            hit_budget,
+        )
+    }
+
     /// Process up to `max_events` further events (priming the generators
     /// on first use), stopping early at the configured horizon. Returns
     /// the number of events actually processed. A stepping hook for
     /// benchmarks and diagnostics; [`Self::run`] and
     /// [`Self::run_until_drained`] remain the measurement entry points.
-    /// The parallel engine steps whole conservative windows, so it may
-    /// overshoot `max_events` by up to one window's worth of events.
+    /// With more than one shard the budget binds between conservative
+    /// windows, so the run may overshoot `max_events` by up to one
+    /// window's worth of events.
     pub fn advance(&mut self, max_events: u64) -> u64 {
-        let horizon = self.config.horizon();
         for sh in self.shards.iter_mut() {
             sh.prime();
         }
-        if self.partition.is_none() {
-            let sh = &mut self.shards[0];
-            let mut n = 0;
-            while n < max_events {
-                if !sh.step_until(horizon) {
-                    break;
-                }
-                n += 1;
-            }
-            return n;
-        }
         let before = self.total_events();
-        self.execute_windows(horizon, before.saturating_add(max_events));
+        self.execute_windows(self.config.horizon(), before.saturating_add(max_events));
         self.total_events() - before
     }
 
@@ -787,9 +786,8 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         self.shards.iter_mut().map(|s| s.arbitrate_pass()).sum()
     }
 
-    /// Events processed fabric-wide, with parallel-replicated events
-    /// (faults, telemetry ticks) counted once — invariant in the shard
-    /// count.
+    /// Events processed fabric-wide, with replicated events (faults,
+    /// telemetry ticks) counted once — invariant in the shard count.
     fn total_events(&self) -> u64 {
         self.shards.iter().map(|s| s.counted_events()).sum()
     }
@@ -797,240 +795,65 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// Run conservative lookahead windows until every queue is drained,
     /// `limit` is passed, or `max_total` fabric-wide events have been
     /// processed. Returns whether the event budget stopped the run.
+    ///
+    /// Shards are split into contiguous chunks, one worker per chunk;
+    /// worker 0 runs on the calling thread, so a single worker spawns
+    /// nothing. `workers` is recomputed from the chunk size so the
+    /// barrier matches the number of workers actually started (e.g. 4
+    /// shards over 3 requested threads → chunks of 2 → 2 workers).
     fn execute_windows(&mut self, limit: SimTime, max_total: u64) -> bool {
-        let lookahead = self.config.phys.propagation_ns;
-        let limit_ns = limit.as_ns();
         let nshards = self.shards.len();
-        let workers_req = self.threads.min(nshards).max(1);
-
-        if workers_req == 1 {
-            // Inline execution: same window protocol, no threads.
-            let mut prof = self.metrics_enabled.then(|| EngineProfile {
-                shards: nshards,
-                workers: 1,
-                ..EngineProfile::default()
-            });
-            let started = std::time::Instant::now();
-            let mut prev_total: Option<u64> = None;
-            let hit_budget = loop {
-                let total = self.total_events();
-                if let (Some(p), Some(prev)) = (prof.as_mut(), prev_total) {
-                    p.events_per_window.record(total - prev);
-                }
-                prev_total = Some(total);
-                if total >= max_total {
-                    break true;
-                }
-                let next: Vec<u64> = self.shards.iter().map(|s| s.next_time_ns()).collect();
-                let Some(w) = conservative_window(&next, lookahead) else {
-                    break false;
-                };
-                if w.start_ns > limit_ns {
-                    break false;
-                }
-                if let Some(p) = prof.as_mut() {
-                    p.windows += 1;
-                    p.window_width_ns.record(w.end_ns - w.start_ns);
-                }
-                // `pop_until` is inclusive; the window end is exclusive.
-                let exec = SimTime::from_ns((w.end_ns - 1).min(limit_ns));
-                let mut msgs: Vec<OutMsg> = Vec::new();
-                for sh in self.shards.iter_mut() {
-                    sh.run_window(exec);
-                    msgs.append(&mut sh.take_outbox());
-                }
-                if let Some(p) = prof.as_mut() {
-                    p.mailbox_msgs += msgs.len() as u64;
-                }
-                for m in msgs {
-                    self.shards[m.dst].enqueue_remote(m.at, m.key, m.ev);
-                }
-            };
-            if let Some(mut p) = prof {
-                p.wall_ns = started.elapsed().as_nanos() as u64;
-                p.worker_profiles.push(WorkerProfile {
-                    worker: 0,
-                    shards: nshards,
-                    run_ns: p.wall_ns,
-                    mailbox_msgs: p.mailbox_msgs,
-                    ..WorkerProfile::default()
-                });
-                self.absorb_profile(p);
-            }
-            return hit_budget;
-        }
-
-        // Threaded execution. Shards are split into contiguous chunks,
-        // one worker per chunk; `workers` is recomputed from the chunk
-        // size so the barrier matches the number of threads actually
-        // spawned (e.g. 4 shards over 3 requested threads → chunks of 2
-        // → 2 workers).
-        let chunk = nshards.div_ceil(workers_req);
+        let chunk = nshards.div_ceil(self.threads.clamp(1, nshards));
         let workers = nshards.div_ceil(chunk);
-        let mailboxes: Vec<Mailbox> = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
-        let next_times: Vec<AtomicU64> = self
-            .shards
-            .iter()
-            .map(|s| AtomicU64::new(s.next_time_ns()))
-            .collect();
-        let counted: Vec<AtomicU64> = self
-            .shards
-            .iter()
-            .map(|s| AtomicU64::new(s.counted_events()))
-            .collect();
-        let barrier = SpinBarrier::new(workers);
-        let hit_budget = AtomicBool::new(false);
-        // Shared profile the workers fold their fragments into at exit
-        // (None = profiling off; the hot loop then only tests a bool).
-        let prof_collect: Option<Mutex<EngineProfile>> = self.metrics_enabled.then(|| {
-            Mutex::new(EngineProfile {
-                shards: nshards,
-                workers,
-                ..EngineProfile::default()
-            })
-        });
-        let started = std::time::Instant::now();
-
+        let ctx = WindowCtx {
+            // A lone shard has no peer whose messages it must wait for.
+            lookahead_ns: if nshards == 1 {
+                u64::MAX
+            } else {
+                self.config.phys.propagation_ns
+            },
+            limit_ns: limit.as_ns(),
+            max_total,
+            mailboxes: (0..nshards).map(|_| Mutex::new(Vec::new())).collect(),
+            next_times: self
+                .shards
+                .iter()
+                .map(|s| AtomicU64::new(s.next_time_ns()))
+                .collect(),
+            counted: self
+                .shards
+                .iter()
+                .map(|s| AtomicU64::new(s.counted_events()))
+                .collect(),
+            barrier: SpinBarrier::new(workers),
+            hit_budget: AtomicBool::new(false),
+            profile: self.metrics_enabled.then(|| {
+                Mutex::new(EngineProfile {
+                    shards: nshards,
+                    workers,
+                    ..EngineProfile::default()
+                })
+            }),
+        };
+        let started = Instant::now();
+        let mut chunks = self.shards.chunks_mut(chunk).enumerate();
+        let (_, first) = chunks.next().expect("at least one shard");
         std::thread::scope(|scope| {
-            for (wi, chunk_shards) in self.shards.chunks_mut(chunk).enumerate() {
-                let mailboxes = &mailboxes;
-                let next_times = &next_times;
-                let counted = &counted;
-                let barrier = &barrier;
-                let hit_budget = &hit_budget;
-                let prof_collect = &prof_collect;
-                let base = wi * chunk;
-                scope.spawn(move || {
-                    let metrics = prof_collect.is_some();
-                    let mut wp = WorkerProfile {
-                        worker: wi,
-                        shards: chunk_shards.len(),
-                        ..WorkerProfile::default()
-                    };
-                    // Window-shape observations are identical in every
-                    // worker (all compute the same window), so worker 0
-                    // records them for the fabric.
-                    let mut windows = 0u64;
-                    let mut width_hist = LogHistogram::new();
-                    let mut epw_hist = LogHistogram::new();
-                    let mut prev_total: Option<u64> = None;
-                    loop {
-                        // Decide: every worker reads the same published
-                        // values (stores precede barrier B, reads follow
-                        // it), computes the same window, and therefore
-                        // takes the same branch — no worker can strand
-                        // another at a barrier.
-                        let total: u64 = counted.iter().map(|c| c.load(Ordering::Acquire)).sum();
-                        if metrics && wi == 0 {
-                            if let Some(prev) = prev_total {
-                                epw_hist.record(total - prev);
-                            }
-                            prev_total = Some(total);
-                        }
-                        if total >= max_total {
-                            hit_budget.store(true, Ordering::Release);
-                            break;
-                        }
-                        let next: Vec<u64> = next_times
-                            .iter()
-                            .map(|t| t.load(Ordering::Acquire))
-                            .collect();
-                        let Some(w) = conservative_window(&next, lookahead) else {
-                            break;
-                        };
-                        if w.start_ns > limit_ns {
-                            break;
-                        }
-                        if metrics && wi == 0 {
-                            windows += 1;
-                            width_hist.record(w.end_ns - w.start_ns);
-                        }
-                        let exec = SimTime::from_ns((w.end_ns - 1).min(limit_ns));
-                        let t_run = metrics.then(std::time::Instant::now);
-                        for sh in chunk_shards.iter_mut() {
-                            sh.run_window(exec);
-                            sh.flush_outbox(mailboxes);
-                        }
-                        if let Some(t) = t_run {
-                            wp.run_ns += t.elapsed().as_nanos() as u64;
-                        }
-                        let t_a = metrics.then(std::time::Instant::now);
-                        barrier.wait(); // A: every outbox flushed
-                        if let Some(t) = t_a {
-                            wp.barrier_a_wait_ns += t.elapsed().as_nanos() as u64;
-                        }
-                        let t_ingest = metrics.then(std::time::Instant::now);
-                        for (i, sh) in chunk_shards.iter_mut().enumerate() {
-                            let msgs = std::mem::take(
-                                &mut *mailboxes[base + i].lock().expect("mailbox poisoned"),
-                            );
-                            if metrics {
-                                wp.mailbox_msgs += msgs.len() as u64;
-                            }
-                            sh.ingest(msgs);
-                            next_times[base + i].store(sh.next_time_ns(), Ordering::Release);
-                            counted[base + i].store(sh.counted_events(), Ordering::Release);
-                        }
-                        if let Some(t) = t_ingest {
-                            wp.ingest_ns += t.elapsed().as_nanos() as u64;
-                        }
-                        let t_b = metrics.then(std::time::Instant::now);
-                        barrier.wait(); // B: every ingest published
-                        if let Some(t) = t_b {
-                            wp.barrier_b_wait_ns += t.elapsed().as_nanos() as u64;
-                        }
-                    }
-                    if let Some(pc) = prof_collect.as_ref() {
-                        let frag = EngineProfile {
-                            windows,
-                            window_width_ns: width_hist,
-                            events_per_window: epw_hist,
-                            mailbox_msgs: wp.mailbox_msgs,
-                            worker_profiles: vec![wp],
-                            ..EngineProfile::default()
-                        };
-                        pc.lock().expect("profile poisoned").absorb(&frag);
-                    }
-                });
+            let ctx = &ctx;
+            for (wi, chunk_shards) in chunks {
+                scope.spawn(move || ctx.run_worker(wi, wi * chunk, chunk_shards));
             }
+            ctx.run_worker(0, 0, first);
         });
-        if let Some(pc) = prof_collect {
-            let mut p = pc.into_inner().expect("profile poisoned");
-            p.wall_ns = started.elapsed().as_nanos() as u64;
-            self.absorb_profile(p);
+        if let Some(pc) = ctx.profile {
+            let mut frag = pc.into_inner().expect("profile poisoned");
+            frag.wall_ns = started.elapsed().as_nanos() as u64;
+            match self.profile.as_deref_mut() {
+                Some(p) => p.absorb(&frag),
+                None => self.profile = Some(Box::new(frag)),
+            }
         }
-        hit_budget.load(Ordering::Acquire)
-    }
-
-    /// Fold a profile fragment from one engine invocation into the
-    /// network's accumulated profile.
-    fn absorb_profile(&mut self, frag: EngineProfile) {
-        match self.profile.as_deref_mut() {
-            Some(p) => p.absorb(&frag),
-            None => self.profile = Some(Box::new(frag)),
-        }
-    }
-
-    /// Record a serial run into the profile (when `.metrics()` is
-    /// armed): one worker, no windows, no barriers — the whole wall
-    /// time is window execution.
-    fn note_serial_profile(&mut self, wall: Duration) {
-        if !self.metrics_enabled {
-            return;
-        }
-        let wall_ns = wall.as_nanos() as u64;
-        self.absorb_profile(EngineProfile {
-            shards: 1,
-            workers: 1,
-            wall_ns,
-            worker_profiles: vec![WorkerProfile {
-                worker: 0,
-                shards: 1,
-                run_ns: wall_ns,
-                ..WorkerProfile::default()
-            }],
-            ..EngineProfile::default()
-        });
+        ctx.hit_budget.into_inner()
     }
 
     /// The accumulated engine profile (`None` unless `.metrics()` was
@@ -1046,31 +869,19 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
 
     /// Build the fabric-wide [`MetricsRegistry`] for a finished run:
     /// deterministic outcome counters and latency histograms from
-    /// `result` and the (merged) collectors, per-VL occupancy gauges
-    /// from the last telemetry snapshot (when telemetry was armed with
-    /// a memory sink), and — when `.metrics()` was armed — the engine
+    /// `result` and the merged collector, per-VL occupancy gauges from
+    /// the last telemetry snapshot (when telemetry was armed with a
+    /// memory sink), and — when `.metrics()` was armed — the engine
     /// profile under the non-deterministic `profiling_` namespace.
     ///
     /// Everything outside that namespace is bit-identical across
-    /// event-queue backends and (for the parallel engine) shard counts;
+    /// event-queue backends and shard counts;
     /// [`MetricsRegistry::digest`] covers exactly that deterministic
     /// half.
     pub fn metrics_registry(&self, result: &RunResult) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        if self.partition.is_none() {
-            fill_run_metrics(&mut reg, result, &self.shards[0].stats);
-        } else {
-            let mut merged = StatsCollector::new(
-                self.config.warmup,
-                self.config.horizon(),
-                self.topo.num_hosts(),
-                self.routing.lid_map().table_len(),
-            );
-            for sh in &self.shards {
-                merged.merge(&sh.stats);
-            }
-            fill_run_metrics(&mut reg, result, &merged);
-        }
+        // The run's merge left the fabric-wide collector in shard 0.
+        fill_run_metrics(&mut reg, result, &self.shards[0].stats);
         if let Some(mem) = self.telemetry_sink().and_then(|s| s.as_memory()) {
             if let Some(sample) = mem.samples().last() {
                 for o in &sample.occupancy {
@@ -1100,31 +911,22 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         reg
     }
 
-    /// Flush shard telemetry and, in the parallel engine, run the
-    /// one-shot observer merge: splice per-shard occupancy samples into
-    /// fabric-wide samples for the user's sink, absorb per-shard switch
-    /// accumulations into one report, and union the shard tracers.
+    /// Flush shard telemetry and run the one-shot observer merge: splice
+    /// per-shard occupancy samples into fabric-wide samples for the
+    /// user's sink, absorb per-shard switch accumulations into one
+    /// report, and union the shard tracers.
     fn finalize_observers(&mut self) {
-        for sh in self.shards.iter_mut() {
-            if let Some(t) = sh.telemetry.as_deref_mut() {
-                t.flush();
-            }
-        }
-        if self.partition.is_none() || self.finalized {
+        if self.finalized {
             return;
         }
         self.finalized = true;
 
-        if let Some(sink) = self.par_sink.as_deref_mut() {
+        if let Some(sink) = self.user_sink.as_deref_mut() {
             let shard_sinks: Vec<&MemorySink> = self
                 .shards
-                .iter()
-                .filter_map(|s| s.telemetry.as_deref())
-                .map(|t| {
-                    t.sink()
-                        .as_memory()
-                        .expect("parallel shards use memory sinks")
-                })
+                .iter_mut()
+                .filter_map(|s| s.telemetry.as_deref_mut())
+                .map(|t| t.flush())
                 .collect();
             let n_samples = shard_sinks
                 .iter()
@@ -1194,25 +996,16 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         }
     }
 
-    /// The run result: shard 0's collector in the serial engine, the
-    /// deterministic merge of every shard's collector in the parallel
-    /// engine.
-    fn merged_result(&self, events: u64, wall: Duration) -> RunResult {
-        if self.partition.is_none() {
-            return self.shards[0]
-                .stats
-                .finish(self.topo.num_switches(), events, wall);
+    /// Fold every other shard's collector into shard 0's, in place, and
+    /// return it as the fabric-wide collector (with one shard there is
+    /// nothing to fold). The fold drains what it absorbs, so repeating
+    /// it — a second run, `advance` between runs — never double-counts.
+    fn merge_stats(&mut self) -> &StatsCollector {
+        let (first, rest) = self.shards.split_first_mut().expect("at least one shard");
+        for sh in rest {
+            first.stats.absorb(&mut sh.stats);
         }
-        let mut merged = StatsCollector::new(
-            self.config.warmup,
-            self.config.horizon(),
-            self.topo.num_hosts(),
-            self.routing.lid_map().table_len(),
-        );
-        for sh in &self.shards {
-            merged.merge(&sh.stats);
-        }
-        merged.finish(self.topo.num_switches(), events, wall)
+        &first.stats
     }
 
     /// Whether every buffer is empty, every credit counter restored to

@@ -1,37 +1,37 @@
 //! One shard of the fabric simulation: the event core of the network
-//! model, shared by the serial and the conservative-parallel engines.
+//! model.
 //!
 //! A [`Shard`] owns a private event queue over the run-time selected
 //! [`DesQueue`] backend plus the *full-size* fabric state vectors
-//! (switches, hosts, fault masks). In serial mode there is exactly one
-//! shard that owns every entity and schedules with plain FIFO keys —
-//! byte-identical to the pre-shard engine. In parallel mode each shard
-//! executes only the events of the switches and hosts its
-//! [`Partition`] region owns, exchanges cross-shard link messages
+//! (switches, hosts, fault masks). It executes only the events of the
+//! switches and hosts its [`Partition`] region owns — the whole fabric
+//! when it is the only shard — exchanges cross-shard link messages
 //! through per-shard mailboxes, and tags every schedule with a
-//! canonical `(class, entity, counter)` key so the pop order within a
-//! timestamp is partition- and thread-count-independent.
+//! canonical `(class, entity, counter)` key, so the pop order within a
+//! timestamp is the same for every partition, thread count and queue
+//! backend. There is one machine: `shards(1)` runs exactly this code
+//! with a partition of one region and an always-empty outbox.
 //!
-//! Mode divergences are deliberate and few, each gated on
-//! `self.part.is_some()`:
+//! What makes a run independent of the partition:
 //!
-//! * **Event keys** — serial schedules keep key 0 (pure FIFO); parallel
-//!   schedules pack [`event_key`] from the *acting* entity's counter.
-//! * **RNG discipline** — serial keeps the single shared arbitration
-//!   and corruption streams; parallel derives one stream per switch
-//!   (`derive_indexed`), so draw order is partition-independent.
-//! * **Packet ids** — serial numbers packets globally in generation
-//!   order; parallel packs `(source host, per-host sequence)` so ids
-//!   never depend on the interleaving of other hosts' generators.
+//! * **Event keys** — every schedule goes through [`Shard::sched`],
+//!   which packs [`event_key`] from the *acting* entity's counter.
+//! * **RNG discipline** — one arbitration and one corruption stream per
+//!   switch (`derive_indexed`), so draw order never depends on which
+//!   other switches share the shard.
+//! * **Packet ids** — `(source host, per-host sequence)`, so ids never
+//!   depend on the interleaving of other hosts' generators.
 //! * **Fault masks** — every shard executes every fault event and
 //!   applies the port masks globally (reads are hot-path); behavioral
 //!   side effects (stats, credit resync, arbitration kicks) run only in
 //!   the owning shard.
-//! * **Credit resync** — serial re-synchronizes sender counters from
-//!   receiver free space instantly at link-up; parallel runs a
-//!   two-phase snapshot protocol ([`Event::CreditResync`]) that crosses
-//!   the shard boundary with the link propagation delay and discards
-//!   stale in-flight returns, conserving credits exactly.
+//! * **Credit resync** — a two-phase snapshot protocol
+//!   ([`Event::CreditResync`]) that crosses the link with its
+//!   propagation delay and discards stale in-flight returns, conserving
+//!   credits exactly.
+//!
+//! The partition is consulted for *ownership* only (`owns_switch`,
+//! `owns_host`, `dst_shard`); nothing branches on how many shards exist.
 
 use crate::buffer::{ReadPoint, SlotHandle, VlBuffer};
 use crate::config::{RecoveryPolicy, SelectionPolicy, SimConfig};
@@ -46,6 +46,7 @@ use iba_core::{
     VirtualLane, MAX_PORTS,
 };
 use iba_engine::rng::{StreamKind, StreamRng};
+use iba_engine::shard::{KEY_MAX_CLASS, KEY_MAX_ENTITY};
 use iba_engine::{event_key, DesQueue};
 use iba_routing::{check_escape_routes, EscapeEngine, FaRouting, SlToVlTable};
 use iba_topology::{Partition, Topology, TopologyBuilder};
@@ -57,20 +58,58 @@ use std::sync::{Arc, Mutex};
 
 /// Event-class ranks for the canonical ordering key: ties at one
 /// timestamp execute in class order, chosen so state mutations land
-/// before the events that observe them (fault masks before packet
-/// events, credit snapshots before credit returns, credit returns
-/// before injection retries).
+/// before the events that observe them (fault masks and table swaps
+/// before packet events, credit snapshots before credit returns, credit
+/// returns before injection retries, freed buffer slots before the
+/// arbitration pass that may refill them). Arbitration is the last
+/// per-switch action of a timestamp, so one pass sees everything the
+/// timestamp changed.
 pub(crate) const CLASS_FAULT: u8 = 0;
-pub(crate) const CLASS_TELEMETRY: u8 = 1;
+/// The sampling probes: telemetry tick and stall watchdog.
+pub(crate) const CLASS_PROBE: u8 = 1;
 pub(crate) const CLASS_CREDIT_RESYNC: u8 = 2;
 pub(crate) const CLASS_CREDIT_RETURN: u8 = 3;
 pub(crate) const CLASS_GENERATE: u8 = 4;
 pub(crate) const CLASS_TRY_INJECT: u8 = 5;
 pub(crate) const CLASS_HEADER_ARRIVE: u8 = 6;
 pub(crate) const CLASS_ROUTE_DONE: u8 = 7;
-pub(crate) const CLASS_ARBITRATE: u8 = 8;
-pub(crate) const CLASS_TX_DONE: u8 = 9;
+pub(crate) const CLASS_TX_DONE: u8 = 8;
+pub(crate) const CLASS_ARBITRATE: u8 = 9;
 pub(crate) const CLASS_DELIVER: u8 = 10;
+
+const _: () = {
+    let classes = [
+        CLASS_FAULT,
+        CLASS_PROBE,
+        CLASS_CREDIT_RESYNC,
+        CLASS_CREDIT_RETURN,
+        CLASS_GENERATE,
+        CLASS_TRY_INJECT,
+        CLASS_HEADER_ARRIVE,
+        CLASS_ROUTE_DONE,
+        CLASS_TX_DONE,
+        CLASS_ARBITRATE,
+        CLASS_DELIVER,
+    ];
+    let mut i = 0;
+    while i < classes.len() {
+        assert!(classes[i] <= KEY_MAX_CLASS, "event class overflows the key");
+        i += 1;
+    }
+};
+
+/// Every switch, every host and the coordinator pseudo-entity need an
+/// id in the event key's entity field; a fabric beyond that would wrap
+/// into another entity's key space and silently reorder events.
+pub(crate) fn check_key_capacity(switches: usize, hosts: usize) -> Result<(), IbaError> {
+    if (switches + hosts + 1) as u64 > KEY_MAX_ENTITY {
+        return Err(IbaError::InvalidConfig(format!(
+            "{switches} switches + {hosts} hosts + the coordinator exceed the \
+             {KEY_MAX_ENTITY} entities an event key can name"
+        )));
+    }
+    Ok(())
+}
 
 /// Discrete events of the network model.
 #[derive(Debug)]
@@ -114,11 +153,10 @@ pub(crate) enum Event {
         credits: Credits,
     },
     /// Link-retraining credit snapshot from the receiver side of a
-    /// revived link (parallel engine only; the serial engine
-    /// re-synchronizes sender counters instantly at link-up). `free` is
-    /// the receiver's per-VL free space at snapshot time; it reaches
-    /// the sender-side switch `sw`/`port` with the link propagation
-    /// delay, and in-flight credit returns that raced it are discarded.
+    /// revived link. `free` is the receiver's per-VL free space at
+    /// snapshot time; it reaches the sender-side switch `sw`/`port` with
+    /// the link propagation delay, and in-flight credit returns that
+    /// raced it are discarded.
     CreditResync {
         sw: SwitchId,
         port: PortIndex,
@@ -252,24 +290,23 @@ struct Decision {
     read_point: ReadPoint,
 }
 
-/// One shard of the simulation (the whole simulation in serial mode).
+/// One shard of the simulation.
 pub(crate) struct Shard<'a, E: EscapeEngine> {
-    /// This shard's index in the partition (0 in serial mode).
+    /// This shard's index in the partition.
     pub(crate) id: usize,
     topo: &'a Topology,
     routing: &'a FaRouting<E>,
     pub(crate) spec: WorkloadSpec,
     config: SimConfig,
-    /// `None` in serial mode; the shared fabric partition otherwise.
-    part: Option<Arc<Partition>>,
+    /// The shared fabric partition (one region when this is the only
+    /// shard).
+    part: Arc<Partition>,
     pub(crate) queue: DesQueue<Event>,
     switches: Vec<SwitchState>,
     hosts: Vec<HostState>,
     pub(crate) stats: StatsCollector,
-    next_packet_id: u64,
-    arb_rng: StreamRng,
-    /// Parallel mode: one arbitration stream per switch, so draw order
-    /// is partition-independent. Empty in serial mode.
+    /// One arbitration stream per switch, so draw order is
+    /// partition-independent.
     switch_arb_rngs: Vec<StreamRng>,
     /// No packets are generated at or after this time.
     pub(crate) gen_deadline: SimTime,
@@ -295,23 +332,17 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// probability at the receiving input port; 0.0 (the default) keeps
     /// the hot-path hook a single float compare.
     pub(crate) corrupt_prob: f64,
-    /// Dedicated substream for corruption draws, so armed corruption
+    /// One dedicated corruption stream per switch, so armed corruption
     /// never perturbs arbitration tie-breaks or generator schedules.
-    corrupt_rng: StreamRng,
-    /// Parallel mode: one corruption stream per switch. Empty in serial.
     switch_corrupt_rngs: Vec<StreamRng>,
-    /// Whether the APM alternate escape tables have been certified
-    /// acyclic (lazily at the first migration in serial mode; eagerly at
-    /// prime in parallel mode).
-    apm_certified: bool,
     /// Recovery tables installed by the last completed re-sweep; `None`
     /// while the primary tables are live.
     pub(crate) recovery_routing: Option<FaRouting<E>>,
     /// Telemetry probe state; `None` (the default) keeps every hook a
     /// single pointer-null check and schedules no sampling events.
     pub(crate) telemetry: Option<Box<TelemetryState>>,
-    /// Flight-recorder state; `None` (the default, and always in
-    /// parallel mode) keeps every hook a single pointer-null check.
+    /// Flight-recorder state; `None` (the default, and always with more
+    /// than one shard) keeps every hook a single pointer-null check.
     pub(crate) recorder: Option<Box<FlightRecorder>>,
     /// Hot-entry FIB cache over the forwarding path; `None` (the
     /// default) keeps the routing hook a single pointer-null check.
@@ -329,32 +360,30 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// Only the owning shard advances an entity's counter, except the
     /// coordinator's, which every shard advances in lockstep.
     key_counters: Vec<u64>,
-    /// Parallel mode: `(switch, port)` flags set while a credit-resync
-    /// snapshot is on the wire; credit returns arriving at a pending
-    /// port are stale (their space is already counted in the snapshot)
-    /// and discarded. Empty in serial mode.
+    /// `(switch, port)` flags set while a credit-resync snapshot is on
+    /// the wire; credit returns arriving at a pending port are stale
+    /// (their space is already counted in the snapshot) and discarded.
     resync_pending: Vec<bool>,
     /// Cross-shard events produced by the current window, drained into
     /// the per-shard mailboxes at the window boundary.
     outbox: Vec<OutMsg>,
-    /// Events this shard popped that every shard replicates (fault and
-    /// telemetry ticks); subtracted from the aggregate event count on
-    /// all shards but shard 0 so totals are shard-count-invariant.
+    /// Replicated events (fault and telemetry ticks, which every shard
+    /// executes) popped by a shard other than shard 0; subtracted from
+    /// the aggregate event count so totals are shard-count-invariant.
     replicated: u64,
 }
 
 impl<'a, E: EscapeEngine> Shard<'a, E> {
-    /// Assemble one shard. `part == None` builds the serial engine
-    /// (shard 0 owns everything, plain FIFO keys); otherwise the shard
-    /// owns the switches and hosts `part` assigns to `id`, while state
-    /// vectors stay full-size (fault masks are applied globally).
+    /// Assemble one shard: it owns the switches and hosts `part` assigns
+    /// to `id`, while state vectors stay full-size (fault masks are
+    /// applied globally).
     pub(crate) fn new(
         topo: &'a Topology,
         routing: &'a FaRouting<E>,
         spec: WorkloadSpec,
         config: SimConfig,
         id: usize,
-        part: Option<Arc<Partition>>,
+        part: Arc<Partition>,
     ) -> Result<Shard<'a, E>, IbaError> {
         spec.validate()?;
         config.validate(spec.packet_bytes)?;
@@ -372,7 +401,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let root = StreamRng::from_seed(config.seed);
         let vls = config.data_vls as usize;
         let cap = config.vl_buffer_credits;
-        let parallel = part.is_some();
 
         let switches = topo
             .switch_ids()
@@ -471,15 +499,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 topo.num_hosts(),
                 routing.lid_map().table_len(),
             ),
-            next_packet_id: 0,
-            arb_rng: root.derive(StreamKind::Arbiter),
-            switch_arb_rngs: if parallel {
-                (0..nsw)
-                    .map(|s| root.derive_indexed(StreamKind::Arbiter, s as u64))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            switch_arb_rngs: (0..nsw)
+                .map(|s| root.derive_indexed(StreamKind::Arbiter, s as u64))
+                .collect(),
             gen_deadline: horizon,
             primed: false,
             tracer: None,
@@ -490,26 +512,16 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             active_faults: 0,
             dead_switches: vec![false; nsw],
             corrupt_prob: 0.0,
-            corrupt_rng: root.derive(StreamKind::Custom(0xC0DE)),
-            switch_corrupt_rngs: if parallel {
-                (0..nsw)
-                    .map(|s| root.derive_indexed(StreamKind::Custom(0xC0DE), s as u64))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            apm_certified: false,
+            switch_corrupt_rngs: (0..nsw)
+                .map(|s| root.derive_indexed(StreamKind::Custom(0xC0DE), s as u64))
+                .collect(),
             recovery_routing: None,
             telemetry: None,
             recorder: None,
             fib: None,
             decision_options: OptionOutcomes::new(),
             key_counters: vec![0; nsw + nh + 1],
-            resync_pending: if parallel {
-                vec![false; nsw * ports]
-            } else {
-                Vec::new()
-            },
+            resync_pending: vec![false; nsw * ports],
             outbox: Vec::new(),
             replicated: 0,
         })
@@ -604,25 +616,22 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         (self.topo.num_switches() + self.topo.num_hosts()) as u64
     }
 
-    /// Whether this shard executes switch `s`'s events (always, serially).
+    /// Whether this shard executes switch `s`'s events.
     #[inline]
     fn owns_switch(&self, s: SwitchId) -> bool {
-        self.part
-            .as_deref()
-            .is_none_or(|p| p.shard_of_switch(s) == self.id)
+        self.part.shard_of_switch(s) == self.id
     }
 
-    /// Whether this shard executes host `h`'s events (always, serially).
+    /// Whether this shard executes host `h`'s events.
     #[inline]
     fn owns_host(&self, h: HostId) -> bool {
-        self.part
-            .as_deref()
-            .is_none_or(|p| p.shard_of_host(h) == self.id)
+        self.part.shard_of_host(h) == self.id
     }
 
-    /// The shard that must execute `ev`. Parallel mode only.
+    /// The shard that must execute `ev`.
+    #[inline]
     fn dst_shard(&self, ev: &Event) -> usize {
-        let p = self.part.as_deref().expect("parallel mode");
+        let p = &*self.part;
         match ev {
             Event::Generate { host } | Event::TryInject { host } | Event::Deliver { host, .. } => {
                 p.shard_of_host(*host)
@@ -636,7 +645,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 NodeRef::Switch(s) => p.shard_of_switch(*s),
                 NodeRef::Host(h) => p.shard_of_host(*h),
             },
-            // Replicated or serial-only events stay local.
+            // Replicated and single-shard-only events stay local.
             Event::Fault { .. }
             | Event::ResweepDone
             | Event::TelemetrySample
@@ -645,17 +654,12 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// The one schedule point. Serial mode: plain FIFO scheduling,
-    /// byte-identical to the pre-shard engine. Parallel mode: stamp the
-    /// canonical `(class, entity, counter)` key and route the event to
-    /// its owning shard — locally into the queue, or into the outbox
-    /// when it crosses the partition (which the conservative lookahead
-    /// guarantees is at least one propagation delay in the future).
+    /// The one schedule point: stamp the canonical `(class, entity,
+    /// counter)` key and route the event to its owning shard — locally
+    /// into the queue, or into the outbox when it crosses the partition
+    /// (which the conservative lookahead guarantees is at least one
+    /// propagation delay in the future).
     fn sched(&mut self, at: SimTime, class: u8, entity: u64, ev: Event) {
-        if self.part.is_none() {
-            self.queue.schedule(at, ev);
-            return;
-        }
         let c = self.key_counters[entity as usize];
         self.key_counters[entity as usize] = c + 1;
         let key = event_key(class, entity, c);
@@ -695,26 +699,19 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             return;
         }
         self.primed = true;
-        // Parallel APM migration certifies the alternate escape set up
-        // front: the serial engine does it lazily at the first
-        // migration, but that point is owner-local, and the verdict must
-        // land in exactly one shard's stats. Every shard flips the flag
-        // (so the lazy branch never fires); shard 0 records the verdict.
-        if self.part.is_some()
-            && self.recovery == RecoveryPolicy::ApmMigrate
-            && !self.faults.is_empty()
-            && !self.apm_certified
-        {
-            self.apm_certified = true;
-            if self.id == 0 {
-                self.certify_escape(true);
-            }
+        // APM migration certifies the alternate escape set acyclic up
+        // front, before any packet can address it (the tables never
+        // change, so once per run). The first migration is owner-local
+        // and the verdict must land in exactly one shard's stats, so
+        // shard 0 records it.
+        if self.id == 0 && self.recovery == RecoveryPolicy::ApmMigrate && !self.faults.is_empty() {
+            self.certify_escape(true);
         }
         // Faults are plain events in the queue, so their application is
         // serialized with packet events at deterministic points — a
-        // fault-driven run stays bit-identical across queue backends. In
-        // parallel mode every shard schedules (and executes) every fault
-        // so the port masks stay globally consistent.
+        // fault-driven run stays bit-identical across queue backends.
+        // Every shard schedules (and executes) every fault so the port
+        // masks stay globally consistent.
         for idx in 0..self.faults.len() {
             let (at, ent) = (self.faults[idx].at, self.ent_coord());
             self.sched(at, CLASS_FAULT, ent, Event::Fault { idx });
@@ -726,25 +723,33 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             let at = SimTime::from_ns(t.cadence_ns());
             if at <= self.config.horizon() {
                 let ent = self.ent_coord();
-                self.sched(at, CLASS_TELEMETRY, ent, Event::TelemetrySample);
+                self.sched(at, CLASS_PROBE, ent, Event::TelemetrySample);
             }
         }
         // Likewise the stall watchdog: its checks are ordinary events at
         // deterministic times, so recorded runs stay bit-identical across
-        // queue backends. (Serial-only: the builder rejects the recorder
-        // in parallel mode.)
+        // queue backends. (The builder rejects the recorder on more than
+        // one shard.)
         if let Some(wd) = self.recorder.as_deref().and_then(|r| r.opts().watchdog) {
             let at = SimTime::from_ns(wd.check_every_ns);
             if at <= self.config.horizon() {
-                self.queue.schedule(at, Event::WatchdogCheck);
+                let ent = self.ent_coord();
+                self.sched(at, CLASS_PROBE, ent, Event::WatchdogCheck);
             }
         }
         if let Some(script) = self.script {
-            // Serial-only: the builder rejects scripts in parallel mode.
+            // The script cursor is one global sequence, so it rides the
+            // coordinator entity (the builder rejects scripts on more
+            // than one shard).
             if let Some(first) = script.packets().first() {
                 if first.at < self.gen_deadline {
-                    self.queue
-                        .schedule(first.at, Event::GenerateScripted { idx: 0 });
+                    let ent = self.ent_coord();
+                    self.sched(
+                        first.at,
+                        CLASS_GENERATE,
+                        ent,
+                        Event::GenerateScripted { idx: 0 },
+                    );
                 }
             }
             return;
@@ -821,42 +826,33 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 self.stats.on_delivered(&packet, now);
             }
             Event::Fault { idx } => {
-                if self.part.is_some() {
-                    self.replicated += 1;
-                }
+                self.replicated += u64::from(self.id != 0);
                 self.on_fault(now, idx)
             }
             Event::ResweepDone => self.on_resweep_done(now),
             Event::TelemetrySample => {
-                if self.part.is_some() {
-                    self.replicated += 1;
-                }
+                self.replicated += u64::from(self.id != 0);
                 self.on_telemetry_sample(now)
             }
             Event::WatchdogCheck => self.on_watchdog_check(now),
         }
     }
 
-    /// Pop and dispatch one event at or before `limit`. Returns whether
-    /// an event was executed — the serial engine's stepping primitive.
-    pub(crate) fn step_until(&mut self, limit: SimTime) -> bool {
-        let Some((now, ev)) = self.queue.pop_until(limit) else {
-            return false;
-        };
-        self.dispatch(now, ev);
-        true
-    }
-
     /// Drain every event at or before `limit` — one conservative
-    /// execution window of the parallel engine.
-    pub(crate) fn run_window(&mut self, limit: SimTime) {
-        while let Some((now, ev)) = self.queue.pop_until(limit) {
+    /// execution window — stopping early once this shard alone has
+    /// counted `budget` events (a lone shard's window spans the whole
+    /// run, so the run's event budget must bind inside it).
+    pub(crate) fn run_window(&mut self, limit: SimTime, budget: u64) {
+        while self.counted_events() < budget {
+            let Some((now, ev)) = self.queue.pop_until(limit) else {
+                break;
+            };
             self.dispatch(now, ev);
         }
     }
 
     /// Move this window's cross-shard events into the per-shard
-    /// mailboxes (threaded execution).
+    /// mailboxes.
     pub(crate) fn flush_outbox(&mut self, mailboxes: &[Mailbox]) {
         for m in self.outbox.drain(..) {
             mailboxes[m.dst]
@@ -866,22 +862,12 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// Take this window's cross-shard events (inline execution).
-    pub(crate) fn take_outbox(&mut self) -> Vec<OutMsg> {
-        std::mem::take(&mut self.outbox)
-    }
-
     /// Ingest cross-shard events delivered by other shards. The
     /// canonical keys make the queue order independent of ingest order.
     pub(crate) fn ingest(&mut self, msgs: Vec<(SimTime, u64, Event)>) {
         for (at, key, ev) in msgs {
             self.queue.schedule_keyed(at, key, ev);
         }
-    }
-
-    /// Ingest one cross-shard event (inline execution).
-    pub(crate) fn enqueue_remote(&mut self, at: SimTime, key: u64, ev: Event) {
-        self.queue.schedule_keyed(at, key, ev);
     }
 
     /// Timestamp of this shard's next pending event in ns (`u64::MAX`
@@ -893,24 +879,20 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// Events processed, with replicated fault/telemetry pops counted
     /// exactly once fabric-wide (on shard 0) — so the aggregate over
     /// shards is invariant in the shard count.
+    #[inline]
     pub(crate) fn counted_events(&self) -> u64 {
-        let n = self.queue.events_processed();
-        if self.id == 0 {
-            n
-        } else {
-            n - self.replicated
-        }
+        self.queue.events_processed() - self.replicated
     }
 
     /// Take one telemetry sample, hand it to the sink, and reschedule
-    /// the probe one cadence later (while the horizon allows). Serial
-    /// mode samples every switch; parallel mode samples only owned
-    /// switches (the merge concatenates the shards' slices).
+    /// the probe one cadence later (while the horizon allows). A shard
+    /// samples only the switches it owns (the merge concatenates the
+    /// shards' slices).
     fn on_telemetry_sample(&mut self, now: SimTime) {
         let nvls = self.config.data_vls as usize;
         let nports = self.topo.ports_per_switch() as usize;
         let nsw = self.switches.len();
-        let part = self.part.clone();
+        let part = &*self.part;
         let id = self.id;
         let horizon = self.config.horizon();
         let Some(t) = self.telemetry.as_deref_mut() else {
@@ -923,23 +905,20 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             |s, p, v| &switches[s].inputs[p].vls[v],
             nsw,
             nports,
-            |s| {
-                part.as_deref()
-                    .is_none_or(|p| p.shard_of_switch(SwitchId(s as u16)) == id)
-            },
+            |s| part.shard_of_switch(SwitchId(s as u16)) == id,
         );
         let next = now.plus_ns(t.cadence_ns());
         if next <= horizon {
             let ent = self.ent_coord();
-            self.sched(next, CLASS_TELEMETRY, ent, Event::TelemetrySample);
+            self.sched(next, CLASS_PROBE, ent, Event::TelemetrySample);
         }
     }
 
     /// One stall-watchdog pass: check every (switch, input port, VL)
     /// buffer for forward progress, classify stalled buffers by the
     /// liveness of their escape path, and reschedule one cadence later
-    /// (while the horizon allows). Serial-only (the builder rejects the
-    /// recorder in parallel mode).
+    /// (while the horizon allows). Sweeps every switch: the builder
+    /// rejects the recorder on more than one shard.
     fn on_watchdog_check(&mut self, now: SimTime) {
         let Some(wd) = self.recorder.as_deref().and_then(|r| r.opts().watchdog) else {
             return;
@@ -963,7 +942,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
         let next = now.plus_ns(wd.check_every_ns);
         if next <= self.config.horizon() {
-            self.queue.schedule(next, Event::WatchdogCheck);
+            let ent = self.ent_coord();
+            self.sched(next, CLASS_PROBE, ent, Event::WatchdogCheck);
         }
     }
 
@@ -1078,11 +1058,10 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// link retraining (flow-control reset); space held by residencies
     /// still draining comes back through their normal CreditReturns.
     ///
-    /// Serial mode snapshots the receiver's free space instantly.
-    /// Parallel mode may have `s` and `peer` in different shards, so it
-    /// runs a two-phase protocol: the receiver's owner snapshots free
-    /// space and sends it with the link propagation delay; the sender's
-    /// owner zeroes the counters and discards credit returns until the
+    /// `s` and `peer` may live in different shards, so this is a
+    /// two-phase protocol: the receiver's owner snapshots free space and
+    /// sends it with the link propagation delay; the sender's owner
+    /// zeroes the counters and discards credit returns until the
     /// snapshot lands (their space is already counted in it). Class
     /// order Fault < CreditResync < CreditReturn makes the handoff
     /// exact at every timestamp.
@@ -1094,54 +1073,39 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         peer: SwitchId,
         pp: PortIndex,
     ) {
-        if self.part.is_some() {
-            if self.owns_switch(peer) {
-                let free: Box<InlineVec<Credits, 16>> = Box::new(
-                    self.switches[peer.index()].inputs[pp.index()]
-                        .vls
-                        .iter()
-                        .map(|b| b.free())
-                        .collect(),
-                );
-                let at = now.plus_ns(self.config.phys.propagation_ns);
-                let ent = self.ent_switch(peer);
-                self.sched(
-                    at,
-                    CLASS_CREDIT_RESYNC,
-                    ent,
-                    Event::CreditResync {
-                        sw: s,
-                        port: p,
-                        free,
-                    },
-                );
-            }
-            if self.owns_switch(s) {
-                if let Some(cs) = self.switches[s.index()].outputs[p.index()].credits.as_mut() {
-                    for c in cs.iter_mut() {
-                        *c = Credits::ZERO;
-                    }
+        if self.owns_switch(peer) {
+            let free: Box<InlineVec<Credits, 16>> = Box::new(
+                self.switches[peer.index()].inputs[pp.index()]
+                    .vls
+                    .iter()
+                    .map(|b| b.free())
+                    .collect(),
+            );
+            let at = now.plus_ns(self.config.phys.propagation_ns);
+            let ent = self.ent_switch(peer);
+            self.sched(
+                at,
+                CLASS_CREDIT_RESYNC,
+                ent,
+                Event::CreditResync {
+                    sw: s,
+                    port: p,
+                    free,
+                },
+            );
+        }
+        if self.owns_switch(s) {
+            if let Some(cs) = self.switches[s.index()].outputs[p.index()].credits.as_mut() {
+                for c in cs.iter_mut() {
+                    *c = Credits::ZERO;
                 }
-                let ports = self.topo.ports_per_switch() as usize;
-                self.resync_pending[s.index() * ports + p.index()] = true;
             }
-            return;
+            let ports = self.topo.ports_per_switch() as usize;
+            self.resync_pending[s.index() * ports + p.index()] = true;
         }
-        let free: InlineVec<Credits, 16> = self.switches[peer.index()].inputs[pp.index()]
-            .vls
-            .iter()
-            .map(|b| b.free())
-            .collect();
-        if let Some(cs) = self.switches[s.index()].outputs[p.index()].credits.as_mut() {
-            for (c, f) in cs.iter_mut().zip(free.iter()) {
-                *c = *f;
-            }
-        }
-        self.schedule_arbitrate(now, s);
     }
 
-    /// The receiver's credit snapshot lands at the sender (parallel
-    /// engine only): install it, lift the stale-return discard, and give
+    /// The receiver's credit snapshot lands at the sender: install it, lift the stale-return discard, and give
     /// the revived output a chance to arbitrate. Applying a snapshot to
     /// a port that died again while it was on the wire is harmless —
     /// arbitration re-checks `link_up`, and the next link-up restarts
@@ -1174,9 +1138,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// buffer residencies stay valid). The matching up event restores the
     /// ports and re-synchronizes sender-side credit counters from the
     /// receiver buffers. Redundant events (downing a dead link, upping a
-    /// live one) are ignored. In parallel mode every shard executes every
-    /// fault (masks are global); the stats count is taken by the shard
-    /// owning the first-named switch.
+    /// live one) are ignored. Every shard executes every fault (masks
+    /// are global); the stats count is taken by the shard owning the
+    /// first-named switch.
     fn on_fault(&mut self, now: SimTime, idx: usize) {
         let f = self.faults[idx];
         match f.kind {
@@ -1214,10 +1178,11 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             FaultKind::SwitchUp => self.apply_switch_fault(now, f.a, false),
         }
         if self.recovery == RecoveryPolicy::SmResweep {
-            // Serial-only: the builder rejects SmResweep in parallel mode
-            // (a re-sweep rebuilds global routing mid-run).
-            self.queue
-                .schedule(now.plus_ns(self.resweep_latency_ns), Event::ResweepDone);
+            // A re-sweep rebuilds global routing mid-run, so it is a
+            // fabric state mutation like the fault that triggered it
+            // (the builder rejects SmResweep on more than one shard).
+            let (at, ent) = (now.plus_ns(self.resweep_latency_ns), self.ent_coord());
+            self.sched(at, CLASS_FAULT, ent, Event::ResweepDone);
         }
     }
 
@@ -1228,8 +1193,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// credit counters rebuilt from the receiver's free space — credits
     /// they spent on packets that died at the masked port never return,
     /// and without the resync they would be leaked forever. (Hosts are
-    /// co-located with their switch, so the host rebuild stays instant
-    /// in both modes.)
+    /// co-located with their switch, so the host rebuild is instant.)
     fn apply_switch_fault(&mut self, now: SimTime, s: SwitchId, down: bool) {
         if self.dead_switches[s.index()] == down {
             return; // redundant (already in the requested state)
@@ -1301,7 +1265,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// *current* degraded topology and re-route already-buffered packets
     /// against it. If every link is back up the primary tables are
     /// reinstated; if the degraded fabric is disconnected the sweep
-    /// fails and the old tables stay live. Serial-only.
+    /// fails and the old tables stay live.
     fn on_resweep_done(&mut self, now: SimTime) {
         if self.active_faults == 0 {
             self.recovery_routing = None;
@@ -1420,15 +1384,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // alternate path set, steering them off the primary tree without
         // waiting for the SM.
         let migrate = self.recovery == RecoveryPolicy::ApmMigrate && self.active_faults > 0;
-        if migrate && !self.apm_certified {
-            // First migration onto the alternate path set: certify its
-            // escape chains acyclic before any packet addresses them
-            // (once per run — the APM tables never change). Parallel
-            // runs certify eagerly at prime instead, so this branch is
-            // serial-only.
-            self.apm_certified = true;
-            self.certify_escape(true);
-        }
         let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
         let h = &mut self.hosts[host.index()];
         let gp = h.gen.as_mut().expect("synthetic mode").generate();
@@ -1469,7 +1424,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         self.try_inject(now, host);
     }
 
-    /// Serial-only (the builder rejects scripts in parallel mode).
+    /// The next scripted injection (the builder rejects scripts on more
+    /// than one shard).
     fn on_generate_scripted(&mut self, now: SimTime, idx: usize) {
         let script = self.script.expect("scripted mode");
         let entry = script.packets()[idx];
@@ -1497,18 +1453,22 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         self.enqueue_generated(now, entry.src, entry.dst, dlid, entry.sl, entry.size_bytes);
         if let Some(next) = script.packets().get(idx + 1) {
             if next.at < self.gen_deadline {
-                self.queue
-                    .schedule(next.at, Event::GenerateScripted { idx: idx + 1 });
+                let ent = self.ent_coord();
+                self.sched(
+                    next.at,
+                    CLASS_GENERATE,
+                    ent,
+                    Event::GenerateScripted { idx: idx + 1 },
+                );
             }
         }
         self.try_inject(now, entry.src);
     }
 
     /// Create the packet and place it in the source queue (or drop it at
-    /// a full finite queue). Serial mode numbers packets from a single
-    /// global counter (generation order); parallel mode packs
-    /// `(source host, per-host sequence)` so ids are independent of the
-    /// interleaving of other hosts' generators across shards.
+    /// a full finite queue). The id packs `(source host, per-host
+    /// sequence)`, so it is independent of the interleaving of other
+    /// hosts' generators across shards.
     fn enqueue_generated(
         &mut self,
         now: SimTime,
@@ -1518,14 +1478,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         sl: iba_core::ServiceLevel,
         size_bytes: u32,
     ) {
-        let id = if self.part.is_some() {
-            PacketId(((host.0 as u64) << 40) | self.hosts[host.index()].next_seq)
-        } else {
-            let id = PacketId(self.next_packet_id);
-            self.next_packet_id += 1;
-            id
-        };
         let h = &mut self.hosts[host.index()];
+        let id = PacketId(((host.0 as u64) << 40) | h.next_seq);
         let packet = Packet {
             id,
             src: host,
@@ -1667,11 +1621,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             return;
         }
         let corrupted = self.corrupt_prob > 0.0
-            && if self.part.is_some() {
-                self.switch_corrupt_rngs[sw.index()].chance(self.corrupt_prob)
-            } else {
-                self.corrupt_rng.chance(self.corrupt_prob)
-            };
+            && self.switch_corrupt_rngs[sw.index()].chance(self.corrupt_prob);
         if corrupted {
             // CRC failure at the receiver. The link is healthy, so the
             // space the packet would have occupied must still be
@@ -1825,14 +1775,12 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 if !self.switches[s.index()].link_up[port.index()] {
                     return; // the return was on the wire of a dead link
                 }
-                if self.part.is_some() {
-                    // A credit-resync snapshot is on the wire: this
-                    // return's space is already counted in it, so
-                    // applying both would double-count.
-                    let ports = self.topo.ports_per_switch() as usize;
-                    if self.resync_pending[s.index() * ports + port.index()] {
-                        return;
-                    }
+                // A credit-resync snapshot is on the wire: this return's
+                // space is already counted in it, so applying both would
+                // double-count.
+                let ports = self.topo.ports_per_switch() as usize;
+                if self.resync_pending[s.index() * ports + port.index()] {
+                    return;
                 }
                 let st = &mut self.switches[s.index()];
                 let cap = self.config.vl_buffer_credits;
@@ -2005,7 +1953,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         mut rec: Option<&mut OptionOutcomes>,
     ) -> Option<Decision> {
         let cap = self.config.vl_buffer_credits;
-        let parallel = self.part.is_some();
         let st = &self.switches[sw.index()];
         let bp = st.inputs[ip].vls[vl].get(idx);
         let need = bp.packet.credits();
@@ -2089,22 +2036,11 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 feasible.iter().map(|f| f.2).max().map(|best| {
                     let ties: InlineVec<_, MAX_PORTS> =
                         feasible.iter().filter(|f| f.2 == best).copied().collect();
-                    let k = if parallel {
-                        self.switch_arb_rngs[sw.index()].below(ties.len())
-                    } else {
-                        self.arb_rng.below(ties.len())
-                    };
-                    ties[k]
+                    ties[self.switch_arb_rngs[sw.index()].below(ties.len())]
                 })
             }
-            SelectionPolicy::RandomAdaptive => (!feasible.is_empty()).then(|| {
-                let k = if parallel {
-                    self.switch_arb_rngs[sw.index()].below(feasible.len())
-                } else {
-                    self.arb_rng.below(feasible.len())
-                };
-                feasible[k]
-            }),
+            SelectionPolicy::RandomAdaptive => (!feasible.is_empty())
+                .then(|| feasible[self.switch_arb_rngs[sw.index()].below(feasible.len())]),
             SelectionPolicy::FirstFeasible => feasible.iter().min_by_key(|f| f.0).copied(),
         };
 
@@ -2480,5 +2416,19 @@ mod tests {
             "Event grew to {} bytes; box the new payload",
             std::mem::size_of::<Event>()
         );
+    }
+
+    #[test]
+    fn first_fabric_past_the_key_entity_field_is_rejected() {
+        // `SwitchId`/`HostId` are 16-bit today, so no `Topology` can be
+        // this large yet; the guard is what keeps a later widening of
+        // the ids from silently wrapping entities into each other's key
+        // space. Probe it at the boundary: the last size that fits and
+        // the first that does not.
+        let max = KEY_MAX_ENTITY as usize;
+        let switches = max / 5;
+        assert!(check_key_capacity(switches, max - 1 - switches).is_ok());
+        let err = check_key_capacity(switches, max - switches).unwrap_err();
+        assert!(matches!(err, IbaError::InvalidConfig(_)), "{err:?}");
     }
 }

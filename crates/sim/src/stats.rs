@@ -340,31 +340,35 @@ impl StatsCollector {
     }
 
     /// Fold another collector (same window and tracker dimensions) into
-    /// this one — how the parallel engine combines shard-local
-    /// statistics. Counters sum; extrema take the max; first-occurrence
+    /// this one, draining it — how the run combines shard-local
+    /// statistics into shard 0's collector. Counters move over (the
+    /// source is left at zero, so folding again after a further run
+    /// never double-counts); extrema take the max; first-occurrence
     /// times take the min; the order trackers merge elementwise (each
     /// flow's delivered-through watermark lives in exactly one shard, so
-    /// elementwise max is exact).
-    pub(crate) fn merge(&mut self, other: &StatsCollector) {
+    /// elementwise max is exact, and the source keeps its own watermarks
+    /// to go on checking its flows).
+    pub(crate) fn absorb(&mut self, other: &mut StatsCollector) {
+        use std::mem::take;
         debug_assert_eq!(self.window_start, other.window_start);
         debug_assert_eq!(self.window_end, other.window_end);
-        self.generated += other.generated;
-        self.generated_window += other.generated_window;
-        self.injected += other.injected;
-        self.delivered += other.delivered;
-        self.delivered_bytes_window += other.delivered_bytes_window;
-        self.latency_sum_ns += other.latency_sum_ns;
+        self.generated += take(&mut other.generated);
+        self.generated_window += take(&mut other.generated_window);
+        self.injected += take(&mut other.injected);
+        self.delivered += take(&mut other.delivered);
+        self.delivered_bytes_window += take(&mut other.delivered_bytes_window);
+        self.latency_sum_ns += take(&mut other.latency_sum_ns);
         self.latency_max_ns = self.latency_max_ns.max(other.latency_max_ns);
-        self.latency_count += other.latency_count;
-        self.latency_hist.merge(&other.latency_hist);
-        for (mine, theirs) in self.class_hists.iter_mut().zip(&other.class_hists) {
-            mine.merge(theirs);
+        self.latency_count += take(&mut other.latency_count);
+        self.latency_hist.merge(&take(&mut other.latency_hist));
+        for (mine, theirs) in self.class_hists.iter_mut().zip(&mut other.class_hists) {
+            mine.merge(&take(theirs));
         }
-        self.hops_sum += other.hops_sum;
-        self.escape_forwards += other.escape_forwards;
-        self.adaptive_forwards += other.adaptive_forwards;
+        self.hops_sum += take(&mut other.hops_sum);
+        self.escape_forwards += take(&mut other.escape_forwards);
+        self.adaptive_forwards += take(&mut other.adaptive_forwards);
         self.max_host_queue = self.max_host_queue.max(other.max_host_queue);
-        self.source_drops += other.source_drops;
+        self.source_drops += take(&mut other.source_drops);
         if self.last_det_seq.last.len() < other.last_det_seq.last.len() {
             self.last_det_seq
                 .last
@@ -378,9 +382,9 @@ impl StatsCollector {
         {
             *mine = (*mine).max(*theirs);
         }
-        self.order_violations += other.order_violations;
-        self.duplicate_deliveries += other.duplicate_deliveries;
-        self.faults += other.faults;
+        self.order_violations += take(&mut other.order_violations);
+        self.duplicate_deliveries += take(&mut other.duplicate_deliveries);
+        self.faults += take(&mut other.faults);
         self.first_fault_at = match (self.first_fault_at, other.first_fault_at) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -390,21 +394,21 @@ impl StatsCollector {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        self.resweeps += other.resweeps;
-        self.resweeps_failed += other.resweeps_failed;
-        self.transit_drops += other.transit_drops;
-        self.transit_drops_after_recovery += other.transit_drops_after_recovery;
-        self.drops_link_down += other.drops_link_down;
-        self.drops_switch_down += other.drops_switch_down;
-        self.drops_corrupted += other.drops_corrupted;
-        self.escape_certifications += other.escape_certifications;
-        self.escape_cert_failures += other.escape_cert_failures;
+        self.resweeps += take(&mut other.resweeps);
+        self.resweeps_failed += take(&mut other.resweeps_failed);
+        self.transit_drops += take(&mut other.transit_drops);
+        self.transit_drops_after_recovery += take(&mut other.transit_drops_after_recovery);
+        self.drops_link_down += take(&mut other.drops_link_down);
+        self.drops_switch_down += take(&mut other.drops_switch_down);
+        self.drops_corrupted += take(&mut other.drops_corrupted);
+        self.escape_certifications += take(&mut other.escape_certifications);
+        self.escape_cert_failures += take(&mut other.escape_cert_failures);
         self.recovery_ns = match (self.recovery_ns, other.recovery_ns) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        self.fib_hits += other.fib_hits;
-        self.fib_misses += other.fib_misses;
+        self.fib_hits += take(&mut other.fib_hits);
+        self.fib_misses += take(&mut other.fib_misses);
     }
 
     /// Finalize into a [`RunResult`], given the number of switches, the
@@ -1152,7 +1156,9 @@ mod tests {
         let mut b = collector();
         b.fib_hits = 5;
         b.fib_misses = 1;
-        a.merge(&b);
+        a.absorb(&mut b);
+        // The fold drains its source: folding again adds nothing.
+        a.absorb(&mut b);
         let r = a.finish(4, 0, Duration::ZERO);
         assert_eq!(r.fib_hits, 15);
         assert_eq!(r.fib_misses, 4);

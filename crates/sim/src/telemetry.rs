@@ -252,7 +252,7 @@ impl SwitchTelemetry {
     }
 
     /// Fold another accumulation of the *same* switch into this one —
-    /// how the parallel engine merges shard-local telemetry. Counters
+    /// how the observer merge combines shard-local telemetry. Counters
     /// sum, per-port stalls sum positionally, histograms merge.
     pub(crate) fn absorb(&mut self, other: &SwitchTelemetry) {
         debug_assert_eq!(self.sw, other.sw);
@@ -344,7 +344,7 @@ impl TelemetryReport {
 /// the run.
 ///
 /// Sinks are `Send` so an instrumented simulation can hand its
-/// shard-local sinks to the parallel engine's worker threads.
+/// shard-local sinks to the window loop's worker threads.
 pub trait TelemetrySink: Send {
     /// An occupancy snapshot was taken.
     fn on_sample(&mut self, sample: &TelemetrySample);
@@ -450,7 +450,9 @@ impl<W: std::io::Write + Send> TelemetrySink for JsonLinesSink<W> {
 /// allocation.
 pub(crate) struct TelemetryState {
     opts: TelemetryOpts,
-    sink: Box<dyn TelemetrySink>,
+    /// Shard-private: the end-of-run observer merge splices every
+    /// shard's slice into the user's sink.
+    sink: MemorySink,
     samples_taken: u64,
     samples_dropped: u64,
     switches: Vec<SwitchTelemetry>,
@@ -458,15 +460,10 @@ pub(crate) struct TelemetryState {
 }
 
 impl TelemetryState {
-    pub(crate) fn new(
-        opts: TelemetryOpts,
-        sink: Box<dyn TelemetrySink>,
-        num_switches: usize,
-        ports: usize,
-    ) -> TelemetryState {
+    pub(crate) fn new(opts: TelemetryOpts, num_switches: usize, ports: usize) -> TelemetryState {
         TelemetryState {
             opts,
-            sink,
+            sink: MemorySink::new(),
             samples_taken: 0,
             samples_dropped: 0,
             switches: (0..num_switches)
@@ -506,9 +503,9 @@ impl TelemetryState {
     }
 
     /// Take one occupancy snapshot at `at` over the switches `filter`
-    /// admits (the serial engine admits all) — a parallel-engine shard
-    /// snapshots only the switches it owns, and the coordinator splices
-    /// the shard samples back together in switch order. `buffers` maps
+    /// admits — a shard snapshots only the switches it owns, and the
+    /// coordinator splices the shard samples back together in switch
+    /// order. `buffers` maps
     /// `(switch, port, vl)` to that input port's VL buffer.
     pub(crate) fn record_sample_filtered<'b>(
         &mut self,
@@ -553,25 +550,22 @@ impl TelemetryState {
         self.sink.on_sample(&sample);
     }
 
-    /// Build the report and hand it to the sink. Idempotent — only the
-    /// first call flushes.
-    pub(crate) fn flush(&mut self) {
-        if self.flushed {
-            return;
+    /// Build the report, hand it to the shard's sink and return that
+    /// sink for the observer merge. Idempotent — only the first call
+    /// builds the report.
+    pub(crate) fn flush(&mut self) -> &MemorySink {
+        if !self.flushed {
+            self.flushed = true;
+            let report = TelemetryReport {
+                schema_version: TELEMETRY_SCHEMA_VERSION,
+                sample_every_ns: self.cadence_ns(),
+                samples_taken: self.samples_taken,
+                samples_dropped: self.samples_dropped,
+                switches: self.switches.clone(),
+            };
+            self.sink.on_report(&report);
         }
-        self.flushed = true;
-        let report = TelemetryReport {
-            schema_version: TELEMETRY_SCHEMA_VERSION,
-            sample_every_ns: self.cadence_ns(),
-            samples_taken: self.samples_taken,
-            samples_dropped: self.samples_dropped,
-            switches: self.switches.clone(),
-        };
-        self.sink.on_report(&report);
-    }
-
-    pub(crate) fn sink(&self) -> &dyn TelemetrySink {
-        self.sink.as_ref()
+        &self.sink
     }
 }
 
@@ -668,13 +662,12 @@ mod tests {
             sample_every_ns: 10,
             max_samples: 2,
         };
-        let mut st = TelemetryState::new(opts, Box::new(MemorySink::new()), 1, 1);
+        let mut st = TelemetryState::new(opts, 1, 1);
         for i in 0..4u64 {
             st.record_sample_filtered(SimTime::from_ns(i * 10), 1, |_, _, _| &buf, 1, 1, |_| true);
         }
         st.flush();
-        st.flush(); // idempotent
-        let mem = st.sink().as_memory().unwrap();
+        let mem = st.flush(); // idempotent
         assert_eq!(mem.samples().len(), 2);
         let report = mem.report().unwrap();
         assert_eq!(report.samples_taken, 2);

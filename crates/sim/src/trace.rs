@@ -343,7 +343,7 @@ impl Tracer {
     }
 
     /// Install a fully assembled journey, bypassing sampling and the
-    /// cap — the parallel engine merges shard-local tracers with this
+    /// cap — the observer merge unions shard-local tracers with this
     /// (each shard already applied the sampling rule, and the union of
     /// shard admissions may exceed a single tracer's cap mid-merge).
     pub(crate) fn insert(&mut self, id: PacketId, trace: PacketTrace) {

@@ -1,4 +1,4 @@
-//! The hot-entry FIB cache and the unified serial-only fault guards.
+//! The hot-entry FIB cache and the single-shard guard on SmResweep.
 //!
 //! The cache is purely observational: entries are `Arc`-shared decodes
 //! of the live forwarding tables, so a cached run must be bit-identical
@@ -110,14 +110,14 @@ fn fib_cache_flushes_across_sm_resweep() {
 }
 
 #[test]
-fn sm_resweep_guard_keys_on_the_engine() {
+fn sm_resweep_guard_keys_on_the_shard_count() {
     let topo = IrregularConfig::paper(16, 5).generate().unwrap();
     let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
     let a = topo.switch_ids().next().unwrap();
     let (_, b, _) = topo.switch_neighbors(a).next().unwrap();
     let schedule = FaultSchedule::single(SimTime::from_us(20), a, b).unwrap();
 
-    // Parallel engine: rejected.
+    // More than one shard: rejected.
     let built = Network::builder(&topo, &fa)
         .workload(WorkloadSpec::uniform32(0.02))
         .config(SimConfig::test(5))
@@ -126,12 +126,12 @@ fn sm_resweep_guard_keys_on_the_engine() {
         .build();
     assert!(built.is_err(), "builder must reject SmResweep on shards(2)");
 
-    // Serial engine: accepted.
-    let serial_built = Network::builder(&topo, &fa)
+    // One shard: accepted.
+    let one_shard_built = Network::builder(&topo, &fa)
         .workload(WorkloadSpec::uniform32(0.02))
         .config(SimConfig::test(5))
         .faults(&schedule, RecoveryPolicy::SmResweep, 2_000)
         .shards(1)
         .build();
-    assert!(serial_built.is_ok());
+    assert!(one_shard_built.is_ok());
 }

@@ -4,12 +4,8 @@
 //! counts, while the wall-clock `profiling_` namespace is excluded
 //! from the digest by construction.
 //!
-//! The determinism contract (PR 6): for a fixed shard count the run is
-//! identical across queue backends and thread counts; every shard
-//! count above 1 produces the same (parallel) run; `shards(1)` is
-//! byte-identical to the historical serial engine. Serial and parallel
-//! use different RNG substreams, so the comparison across shard counts
-//! is 2-vs-4, not 1-vs-2.
+//! The determinism contract: one run is the same run on every shard
+//! count, thread count and queue backend.
 
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{MemorySink, Network, QueueBackend, RunResult, SimConfig, TelemetryOpts};
@@ -45,38 +41,33 @@ fn run_metered(
 }
 
 #[test]
-fn sim_metrics_identical_across_queue_backends_serial() {
-    let (rh, mh) = run_metered(QueueBackend::BinaryHeap, 1, 1);
-    let (rc, mc) = run_metered(QueueBackend::Calendar, 1, 1);
-    assert_eq!(rh, rc);
-    assert_eq!(mh.digest(), mc.digest());
-    // The percentiles derive from the same histograms the registry
-    // digests — equal digests must come with equal percentiles.
-    assert_eq!(rh.p50_latency_ns, rc.p50_latency_ns);
-    assert_eq!(rh.p90_latency_ns, rc.p90_latency_ns);
-    assert_eq!(rh.p99_latency_ns, rc.p99_latency_ns);
-    assert_eq!(rh.p999_latency_ns, rc.p999_latency_ns);
-    assert!(rh.p50_latency_ns.is_some(), "run must deliver packets");
-}
-
-#[test]
-fn sim_metrics_identical_across_queue_backends_parallel() {
-    for shards in [2usize, 4] {
-        let (rh, mh) = run_metered(QueueBackend::BinaryHeap, shards, 2);
-        let (rc, mc) = run_metered(QueueBackend::Calendar, shards, 2);
+fn sim_metrics_identical_across_queue_backends() {
+    for (shards, threads) in [(1usize, 1usize), (2, 2), (4, 2)] {
+        let (rh, mh) = run_metered(QueueBackend::BinaryHeap, shards, threads);
+        let (rc, mc) = run_metered(QueueBackend::Calendar, shards, threads);
         assert_eq!(rh, rc, "shards={shards}");
         assert_eq!(mh.digest(), mc.digest(), "shards={shards}");
+        // The percentiles derive from the same histograms the registry
+        // digests — equal digests must come with equal percentiles.
+        assert_eq!(rh.p50_latency_ns, rc.p50_latency_ns);
+        assert_eq!(rh.p90_latency_ns, rc.p90_latency_ns);
+        assert_eq!(rh.p99_latency_ns, rc.p99_latency_ns);
+        assert_eq!(rh.p999_latency_ns, rc.p999_latency_ns);
+        assert!(rh.p50_latency_ns.is_some(), "run must deliver packets");
     }
 }
 
 #[test]
 fn sim_metrics_identical_across_shard_counts() {
-    // The parallel run is one deterministic outcome for every shard
-    // count > 1 — including every metric outside the profiling
-    // namespace, even though the *window structure* (and therefore the
-    // profiling namespace) differs between 2 and 4 shards.
+    // A run is one deterministic outcome for every shard count —
+    // including every metric outside the profiling namespace, even
+    // though the *window structure* (and therefore the profiling
+    // namespace) differs between 1, 2 and 4 shards.
+    let (r1, m1) = run_metered(QueueBackend::BinaryHeap, 1, 1);
     let (r2, m2) = run_metered(QueueBackend::BinaryHeap, 2, 2);
     let (r4, m4) = run_metered(QueueBackend::BinaryHeap, 4, 4);
+    assert_eq!(r1, r2);
+    assert_eq!(m1.digest(), m2.digest());
     assert_eq!(r2, r4);
     assert_eq!(m2.digest(), m4.digest());
     assert_eq!(r2.p999_latency_ns, r4.p999_latency_ns);

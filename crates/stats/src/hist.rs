@@ -10,8 +10,8 @@
 //!
 //! Histograms with equal precision **merge associatively and
 //! commutatively** (bucket-wise `u64` sums), which is what lets the
-//! parallel engine's shards accumulate latency locally and fold their
-//! histograms in any order — the same contract `StatsCollector::merge`
+//! simulator's shards accumulate latency locally and fold their
+//! histograms in any order — the same contract `StatsCollector::absorb`
 //! relies on for its scalar counters.
 //!
 //! The JSON round-trip ([`LogHistogram::to_json`] /
