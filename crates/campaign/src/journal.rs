@@ -361,7 +361,10 @@ mod tests {
         let rp = replay(&path).unwrap();
         assert_eq!(rp.records, recs, "torn tail must not hide complete records");
         assert!(rp.torn_tail);
-        assert_eq!(rp.valid_len, intact_len, "valid prefix excludes the torn tail");
+        assert_eq!(
+            rp.valid_len, intact_len,
+            "valid prefix excludes the torn tail"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

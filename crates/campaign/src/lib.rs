@@ -25,6 +25,11 @@
 //! The runner is generic: an executor closure maps a [`RunSpec`] to a
 //! result [`iba_core::Json`] document. The experiment crates own the
 //! spec vocabulary; this crate owns supervision and durability.
+//!
+//! Sweeps too short to journal (the paper bins: a hundred-odd points of
+//! 5–40 ms each) share the cores through [`par_map`] instead — the same
+//! worker count, no sacrificial thread and no fsync per point. The two
+//! never stack: inside a campaign run `par_map` runs inline.
 
 #![warn(missing_docs)]
 
@@ -32,6 +37,7 @@ pub mod cache;
 pub mod digest;
 pub mod fsio;
 pub mod journal;
+pub mod par;
 pub mod runner;
 pub mod spec;
 
@@ -39,5 +45,6 @@ pub use cache::{ArtifactCache, FabricKey};
 pub use digest::{digest_hex, fnv1a64};
 pub use fsio::write_atomic;
 pub use journal::{replay, truncate_torn_tail, Journal, Replay, RunRecord, RunStatus};
+pub use par::{default_workers, par_map};
 pub use runner::{run_campaign, CampaignOutcome, Executor, RunnerOpts};
 pub use spec::{Campaign, RunSpec};

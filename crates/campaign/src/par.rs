@@ -1,0 +1,220 @@
+//! The ordered parallel map the paper sweeps run on.
+//!
+//! A sweep is a list of independent simulations whose costs differ by
+//! ~50× between an idle and a deeply saturated load point, so the
+//! workers share one atomic cursor over the item indices instead of a
+//! static split. The calling thread is worker 0 — one item or one core
+//! spawns nothing — and results come back in item order, so a caller
+//! cannot observe the thread schedule.
+//!
+//! One level only: a thread that is already a pool worker (here, or an
+//! attempt thread of the supervised [`crate::runner`]) runs a nested
+//! call inline, so a campaign cell that sweeps a curve stays on the one
+//! thread its worker gave it.
+
+use std::cell::Cell;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Restores the thread's "inside a pool" flag when dropped.
+pub(crate) struct PoolGuard(bool);
+
+/// Mark the current thread as a pool worker until the guard drops.
+pub(crate) fn enter_pool() -> PoolGuard {
+    PoolGuard(IN_POOL.replace(true))
+}
+
+impl Drop for PoolGuard {
+    fn drop(&mut self) {
+        IN_POOL.set(self.0);
+    }
+}
+
+/// Worker threads a pool starts by default: the host's cores, at most
+/// 8. Both [`par_map`] and [`crate::RunnerOpts::default`] read it.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get().min(8))
+        .unwrap_or(2)
+}
+
+/// `items.iter().map(f).collect()`, on every core.
+///
+/// Results are in item order whatever order the items finished in, so
+/// collecting a `Vec<Result<_, _>>` yields the lowest-index error just
+/// as the sequential collect would. A panic in `f` is re-raised in the
+/// caller once every worker has stopped. Called from a pool worker the
+/// map runs inline on that thread.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    par_map_on(default_workers(), items, f)
+}
+
+fn par_map_on<T: Sync, R: Send>(workers: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = workers.min(items.len());
+    if workers <= 1 || IN_POOL.get() {
+        return items.iter().map(f).collect();
+    }
+    // Relaxed: the cursor only hands out indices; the results reach the
+    // caller through `join`.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let _in_pool = enter_pool();
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            done.push((i, f(item)));
+        }
+        done
+    };
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        // Should this panic, the scope still joins every worker first.
+        let mut done = work();
+        for handle in spawned {
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{run_campaign, Campaign, Executor, RunSpec, RunnerOpts};
+    use iba_core::Json;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Arc, Barrier, Mutex};
+    use std::thread::{self, ThreadId};
+
+    /// A few hundred to a few thousand multiply-adds, by item.
+    fn uneven(i: &u64) -> u64 {
+        (0..(i % 13) * 300).fold(*i, |h, k| h.wrapping_mul(0x0100_0000_01b3) ^ k)
+    }
+
+    #[test]
+    fn equals_the_sequential_map_at_every_worker_count() {
+        for workers in [1usize, 2, 4] {
+            for len in [0, 1, workers - 1, 1_000] {
+                let items: Vec<u64> = (0..len as u64).collect();
+                let sequential: Vec<u64> = items.iter().map(uneven).collect();
+                assert_eq!(
+                    par_map_on(workers, &items, uneven),
+                    sequential,
+                    "{workers} workers, {len} items"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lowest_index_error_wins_whatever_finishes_first() {
+        // Item 0 fails last: it waits for item 4, which the other
+        // worker reaches only after item 3 has failed and returned.
+        let gate = Barrier::new(2);
+        let items: Vec<u32> = (0..6).collect();
+        let collected: Result<Vec<u32>, String> = par_map_on(2, &items, |&i| match i {
+            0 => {
+                gate.wait();
+                Err("item 0".to_string())
+            }
+            3 => Err("item 3".to_string()),
+            4 => {
+                gate.wait();
+                Ok(i)
+            }
+            _ => Ok(i),
+        })
+        .into_iter()
+        .collect();
+        assert_eq!(collected, Err("item 0".to_string()));
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller_after_every_worker_stopped() {
+        struct Running<'a>(&'a AtomicUsize);
+        impl Drop for Running<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let running = AtomicUsize::new(0);
+        let items: Vec<u64> = (0..1_000).collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            par_map_on(4, &items, |i| {
+                running.fetch_add(1, Ordering::SeqCst);
+                let _running = Running(&running);
+                assert!(*i != 7, "item seven");
+                uneven(i)
+            })
+        }))
+        .expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item seven"));
+        assert_eq!(
+            running.load(Ordering::SeqCst),
+            0,
+            "a worker outlived the call"
+        );
+        assert!(
+            !IN_POOL.get(),
+            "the caller must not stay marked as a worker"
+        );
+    }
+
+    /// Whether an 8-item, 4-worker map called here stays on this thread.
+    fn runs_inline() -> bool {
+        let me = thread::current().id();
+        let ids: Vec<ThreadId> = par_map_on(4, &[0u8; 8], |_| thread::current().id());
+        ids.iter().all(|&id| id == me)
+    }
+
+    #[test]
+    fn a_nested_call_runs_inline() {
+        // Both outer items are in flight at once, one per thread.
+        let both = Barrier::new(2);
+        let outer = par_map_on(2, &[0u8; 2], |_| {
+            both.wait();
+            (thread::current().id(), runs_inline())
+        });
+        assert_ne!(outer[0].0, outer[1].0, "the outer map must have spawned");
+        assert!(outer.iter().all(|&(_, inline)| inline));
+    }
+
+    #[test]
+    fn a_call_inside_a_campaign_run_is_inline() {
+        let journal = std::env::temp_dir().join(format!("iba-par-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&journal);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let executor: Executor = {
+            let seen = seen.clone();
+            Arc::new(move |_: &RunSpec| {
+                seen.lock().expect("no panic under it").push(runs_inline());
+                Ok(Json::Null)
+            })
+        };
+        let campaign = Campaign {
+            name: "par".into(),
+            specs: (0..3)
+                .map(|i| RunSpec::new(format!("cell{i}"), "test", Json::Null))
+                .collect(),
+        };
+        let opts = RunnerOpts {
+            workers: 2,
+            quiet: true,
+            ..RunnerOpts::default()
+        };
+        run_campaign(&campaign, executor, &journal, &opts, false).unwrap();
+        std::fs::remove_file(&journal).unwrap();
+        assert_eq!(*seen.lock().unwrap(), [true; 3]);
+    }
+}

@@ -50,9 +50,7 @@ pub struct RunnerOpts {
 impl Default for RunnerOpts {
     fn default() -> RunnerOpts {
         RunnerOpts {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(2),
+            workers: crate::par::default_workers(),
             max_attempts: 3,
             backoff_base_ms: 100,
             backoff_cap_ms: 5_000,
@@ -130,6 +128,9 @@ fn attempt(executor: &Executor, spec: &RunSpec, timeout: Duration) -> Result<Jso
     let spawned = std::thread::Builder::new()
         .name(format!("campaign-run-{}", sp.id))
         .spawn(move || {
+            // The campaign's workers are the parallel level: a sweep
+            // inside a run stays on this thread.
+            let _in_pool = crate::par::enter_pool();
             let verdict = catch_unwind(AssertUnwindSafe(|| ex(&sp)));
             let _ = tx.send(verdict);
         });

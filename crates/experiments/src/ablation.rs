@@ -14,13 +14,13 @@
 
 use crate::fidelity::Fidelity;
 use crate::harness::{build_ensemble, find_saturation, EnsembleMember};
+use iba_campaign::par_map;
 use iba_core::{Credits, IbaError};
 use iba_routing::RoutingConfig;
 use iba_sim::{EscapeOrderPolicy, SelectionPolicy, SimConfig};
 use iba_stats::{markdown_table, MinMaxAvg};
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A labelled min/max/avg outcome.
@@ -38,10 +38,11 @@ fn ensemble_saturation(
     cfg: SimConfig,
     grid: &[f64],
 ) -> Result<MinMaxAvg, IbaError> {
-    let sats: Vec<f64> = ensemble
-        .par_iter()
-        .map(|m| find_saturation(&m.topology, &m.routing, spec, cfg, grid))
-        .collect::<Result<_, _>>()?;
+    let sats: Vec<f64> = par_map(ensemble, |m| {
+        find_saturation(&m.topology, &m.routing, spec, cfg, grid)
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
     Ok(MinMaxAvg::from_samples(sats))
 }
 
@@ -218,24 +219,24 @@ pub fn source_multipath_sweep(
     use iba_routing::FaRouting;
 
     let grid = fidelity.offered_grid();
+    let member_seeds: Vec<u64> = (0..fidelity.topologies()).collect();
     let build_members = |mode: &str, options: u16| -> Result<Vec<EnsembleMember>, IbaError> {
-        (0..fidelity.topologies())
-            .into_par_iter()
-            .map(|i| {
-                let config = IrregularConfig::paper(size, seed.wrapping_add(i));
-                let topology = config.generate()?;
-                let rc = RoutingConfig::with_options(options);
-                let routing = match mode {
-                    "multipath" => FaRouting::build_source_multipath(&topology, rc)?,
-                    _ => FaRouting::build(&topology, rc)?,
-                };
-                Ok(EnsembleMember {
-                    config,
-                    topology,
-                    routing,
-                })
+        par_map(&member_seeds, |&i| {
+            let config = IrregularConfig::paper(size, seed.wrapping_add(i));
+            let topology = config.generate()?;
+            let rc = RoutingConfig::with_options(options);
+            let routing = match mode {
+                "multipath" => FaRouting::build_source_multipath(&topology, rc)?,
+                _ => FaRouting::build(&topology, rc)?,
+            };
+            Ok(EnsembleMember {
+                config,
+                topology,
+                routing,
             })
-            .collect()
+        })
+        .into_iter()
+        .collect()
     };
     let mut rows = Vec::new();
     for (label, mode, options, fraction) in [
@@ -271,30 +272,30 @@ pub fn mixed_fabric_sweep(
     use iba_routing::FaRouting;
 
     let grid = fidelity.offered_grid();
+    let member_seeds: Vec<u64> = (0..fidelity.topologies()).collect();
     fractions
         .iter()
         .map(|&fraction| {
             // Rebuild the ensemble with per-member capability subsets.
-            let members: Vec<EnsembleMember> = (0..fidelity.topologies())
-                .into_par_iter()
-                .map(|i| {
-                    let config = IrregularConfig::paper(size, seed.wrapping_add(i));
-                    let topology = config.generate()?;
-                    let mut rng = StreamRng::from_seed(seed.wrapping_add(i))
-                        .derive(StreamKind::Custom(0x4D49_5845));
-                    let mut caps: Vec<bool> = (0..size)
-                        .map(|k| (k as f64) < fraction * size as f64)
-                        .collect();
-                    rng.shuffle(&mut caps);
-                    let routing =
-                        FaRouting::build_mixed(&topology, RoutingConfig::two_options(), &caps)?;
-                    Ok(EnsembleMember {
-                        config,
-                        topology,
-                        routing,
-                    })
+            let members: Vec<EnsembleMember> = par_map(&member_seeds, |&i| {
+                let config = IrregularConfig::paper(size, seed.wrapping_add(i));
+                let topology = config.generate()?;
+                let mut rng = StreamRng::from_seed(seed.wrapping_add(i))
+                    .derive(StreamKind::Custom(0x4D49_5845));
+                let mut caps: Vec<bool> = (0..size)
+                    .map(|k| (k as f64) < fraction * size as f64)
+                    .collect();
+                rng.shuffle(&mut caps);
+                let routing =
+                    FaRouting::build_mixed(&topology, RoutingConfig::two_options(), &caps)?;
+                Ok(EnsembleMember {
+                    config,
+                    topology,
+                    routing,
                 })
-                .collect::<Result<_, IbaError>>()?;
+            })
+            .into_iter()
+            .collect::<Result<_, IbaError>>()?;
             let sat = ensemble_saturation(
                 &members,
                 WorkloadSpec::uniform32(0.01),

@@ -9,6 +9,7 @@
 //! subnet manager ([`iba_sm::SubnetManager`]) to count how many SMPs
 //! the re-sweep would cost on the wire.
 
+use iba_campaign::par_map;
 use iba_core::{IbaError, Json, SwitchId};
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{Network, RecoveryPolicy, SimConfig};
@@ -16,7 +17,6 @@ use iba_sm::{ManagedFabric, SubnetManager};
 use iba_stats::MinMaxAvg;
 use iba_topology::{IrregularConfig, Topology, TopologyBuilder};
 use iba_workloads::{FaultEvent, FaultKind, FaultSchedule, WorkloadSpec};
-use rayon::prelude::*;
 
 /// One (policy, fault-count) cell aggregated over seeds.
 #[derive(Debug, Clone)]
@@ -117,44 +117,43 @@ pub fn run_cell(
     rate: f64,
     resweep_latency_ns: u64,
 ) -> Result<FaultCell, IbaError> {
-    let per_seed: Vec<_> = (0..seeds)
-        .into_par_iter()
-        .map(|i| -> Result<_, IbaError> {
-            let seed = base_seed + i;
-            let topo = IrregularConfig::paper(size, seed).generate()?;
-            let routing = if policy == RecoveryPolicy::ApmMigrate {
-                FaRouting::build_with_apm(&topo, RoutingConfig::two_options())?
-            } else {
-                FaRouting::build(&topo, RoutingConfig::two_options())?
-            };
-            let dead = removable_links(&topo, fault_count)?;
-            let cfg = SimConfig::test(seed);
-            let horizon = cfg.horizon();
-            let fault_at = cfg.warmup.plus_ns(cfg.measure_window.as_ns() / 2);
-            let schedule = FaultSchedule::new(
-                dead.iter()
-                    .map(|&(a, b)| FaultEvent {
-                        at: fault_at,
-                        kind: FaultKind::LinkDown,
-                        a,
-                        b,
-                    })
-                    .collect(),
-            )?;
-            let mut net = Network::builder(&topo, &routing)
-                .workload(WorkloadSpec::uniform32(rate))
-                .config(cfg)
-                .faults(&schedule, policy, resweep_latency_ns)
-                .build()?;
-            let (result, drained) = net.run_until_drained(horizon, horizon.plus_ns(500_000));
-            let smps = if policy == RecoveryPolicy::SmResweep {
-                Some(resweep_smp_cost(&topo, &dead)?)
-            } else {
-                None
-            };
-            Ok((result, drained, smps))
-        })
-        .collect::<Result<_, _>>()?;
+    let run_seeds: Vec<u64> = (base_seed..base_seed + seeds).collect();
+    let per_seed: Vec<_> = par_map(&run_seeds, |&seed| -> Result<_, IbaError> {
+        let topo = IrregularConfig::paper(size, seed).generate()?;
+        let routing = if policy == RecoveryPolicy::ApmMigrate {
+            FaRouting::build_with_apm(&topo, RoutingConfig::two_options())?
+        } else {
+            FaRouting::build(&topo, RoutingConfig::two_options())?
+        };
+        let dead = removable_links(&topo, fault_count)?;
+        let cfg = SimConfig::test(seed);
+        let horizon = cfg.horizon();
+        let fault_at = cfg.warmup.plus_ns(cfg.measure_window.as_ns() / 2);
+        let schedule = FaultSchedule::new(
+            dead.iter()
+                .map(|&(a, b)| FaultEvent {
+                    at: fault_at,
+                    kind: FaultKind::LinkDown,
+                    a,
+                    b,
+                })
+                .collect(),
+        )?;
+        let mut net = Network::builder(&topo, &routing)
+            .workload(WorkloadSpec::uniform32(rate))
+            .config(cfg)
+            .faults(&schedule, policy, resweep_latency_ns)
+            .build()?;
+        let (result, drained) = net.run_until_drained(horizon, horizon.plus_ns(500_000));
+        let smps = if policy == RecoveryPolicy::SmResweep {
+            Some(resweep_smp_cost(&topo, &dead)?)
+        } else {
+            None
+        };
+        Ok((result, drained, smps))
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
 
     let mut cell = FaultCell {
         policy,

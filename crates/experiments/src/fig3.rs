@@ -9,13 +9,13 @@
 //! shape with less noise).
 
 use crate::fidelity::Fidelity;
-use crate::harness::{build_ensemble, sweep_curve, EnsembleMember};
+use crate::harness::{build_ensemble, curve_point, EnsembleMember};
+use iba_campaign::par_map;
 use iba_core::IbaError;
 use iba_routing::RoutingConfig;
 use iba_stats::{markdown_table, Curve, CurvePoint};
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Figure 3 reproduction.
@@ -98,7 +98,11 @@ fn average_curves(curves: &[Curve]) -> Curve {
         .collect()
 }
 
-/// Run the Figure 3 sweep for one ensemble.
+/// Run the Figure 3 sweep for one ensemble: every `(fraction, member,
+/// offered load)` point is one job of a single parallel map — a deeply
+/// saturated point costs ~50× an idle one, so the jobs are shared out
+/// one by one, not curve by curve — regrouped in order into one
+/// ensemble-averaged curve per fraction.
 fn run_size(
     members: &[EnsembleMember],
     size: usize,
@@ -107,25 +111,32 @@ fn run_size(
     seed: u64,
 ) -> Result<Fig3SizeResult, IbaError> {
     let grid = fidelity.curve_grid();
+    let mut jobs = Vec::with_capacity(fractions.len() * members.len() * grid.len());
+    for &frac in fractions {
+        for m in members {
+            jobs.extend(grid.iter().map(|&offered| (frac, m, offered)));
+        }
+    }
+    let points = par_map(&jobs, |&(frac, m, offered)| {
+        curve_point(
+            &m.topology,
+            &m.routing,
+            WorkloadSpec::uniform32(0.01).with_adaptive_fraction(frac),
+            fidelity.sim_config(seed ^ (frac * 1000.0) as u64),
+            offered,
+        )
+    })
+    .into_iter()
+    .collect::<Result<Vec<CurvePoint>, IbaError>>()?;
+    let member_curves: Vec<Curve> = points
+        .chunks(grid.len())
+        .map(|curve| curve.iter().copied().collect())
+        .collect();
     let curves = fractions
-        .par_iter()
-        .map(|&frac| {
-            let spec = WorkloadSpec::uniform32(0.01).with_adaptive_fraction(frac);
-            let member_curves: Vec<Curve> = members
-                .par_iter()
-                .map(|m| {
-                    sweep_curve(
-                        &m.topology,
-                        &m.routing,
-                        spec,
-                        fidelity.sim_config(seed ^ (frac * 1000.0) as u64),
-                        &grid,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            Ok((frac, average_curves(&member_curves)))
-        })
-        .collect::<Result<Vec<_>, IbaError>>()?;
+        .iter()
+        .zip(member_curves.chunks(members.len()))
+        .map(|(&frac, of_members)| (frac, average_curves(of_members)))
+        .collect();
     Ok(Fig3SizeResult { size, curves })
 }
 
@@ -186,6 +197,7 @@ pub fn render_size(result: &Fig3SizeResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_point;
 
     #[test]
     fn average_curves_is_elementwise() {
@@ -242,5 +254,53 @@ mod tests {
         let rendered = render_size(r);
         assert!(rendered.contains("8 switches"));
         assert!(rendered.contains("acc@100%"));
+    }
+
+    #[test]
+    fn run_renders_what_a_sequential_run_point_loop_renders() {
+        let cfg = Fig3Config {
+            sizes: vec![8],
+            fractions: vec![0.0, 1.0],
+            fidelity: Fidelity::Quick,
+            seed: 100,
+        };
+        let rendered: String = run(&cfg).unwrap().iter().map(render_size).collect();
+
+        let members = build_ensemble(
+            IrregularConfig::paper(8, cfg.seed),
+            cfg.fidelity.topologies(),
+            RoutingConfig::two_options(),
+        )
+        .unwrap();
+        let curves = cfg
+            .fractions
+            .iter()
+            .map(|&frac| {
+                let spec = WorkloadSpec::uniform32(0.01).with_adaptive_fraction(frac);
+                let sim = cfg.fidelity.sim_config(cfg.seed ^ (frac * 1000.0) as u64);
+                let member_curves: Vec<Curve> = members
+                    .iter()
+                    .map(|m| {
+                        let hosts_per_switch = m.topology.num_hosts() as f64 / 8.0;
+                        cfg.fidelity
+                            .curve_grid()
+                            .into_iter()
+                            .map(|offered| {
+                                let rate = offered / hosts_per_switch;
+                                let r = run_point(&m.topology, &m.routing, spec.at_rate(rate), sim)
+                                    .unwrap();
+                                CurvePoint {
+                                    offered,
+                                    accepted: r.accepted_bytes_per_ns_per_switch,
+                                    avg_latency_ns: r.avg_latency_ns,
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (frac, average_curves(&member_curves))
+            })
+            .collect();
+        assert_eq!(render_size(&Fig3SizeResult { size: 8, curves }), rendered);
     }
 }

@@ -1,12 +1,12 @@
 //! Shared simulation harness: ensembles, sweeps and saturation search.
 
+use iba_campaign::par_map;
 use iba_core::IbaError;
 use iba_routing::{EscapeEngine, FaRouting, RoutingConfig};
 use iba_sim::{Network, RunResult, SimConfig};
 use iba_stats::{Curve, CurvePoint};
 use iba_topology::{IrregularConfig, Topology};
 use iba_workloads::WorkloadSpec;
-use rayon::prelude::*;
 
 /// One topology of an ensemble with its compiled routing tables.
 pub struct EnsembleMember {
@@ -19,14 +19,14 @@ pub struct EnsembleMember {
 }
 
 /// Generate `count` topologies for `base` (seeds `base.seed + 0..count`)
-/// and compile routing tables, in parallel.
+/// and compile routing tables. Sequential on purpose: a member of a
+/// paper-size ensemble builds in about the time a thread takes to spawn.
 pub fn build_ensemble(
     base: IrregularConfig,
     count: u64,
     routing: RoutingConfig,
 ) -> Result<Vec<EnsembleMember>, IbaError> {
     (0..count)
-        .into_par_iter()
         .map(|i| {
             let config = IrregularConfig {
                 seed: base.seed.wrapping_add(i),
@@ -64,6 +64,24 @@ fn host_rate(topo: &Topology, offered_per_switch: f64) -> f64 {
     offered_per_switch / hosts_per_switch
 }
 
+/// Simulate one point of a latency / accepted-traffic curve at
+/// `offered` bytes/ns/switch.
+pub(crate) fn curve_point<E: EscapeEngine>(
+    topo: &Topology,
+    routing: &FaRouting<E>,
+    base_spec: WorkloadSpec,
+    cfg: SimConfig,
+    offered: f64,
+) -> Result<CurvePoint, IbaError> {
+    let spec = base_spec.at_rate(host_rate(topo, offered));
+    let r = run_point(topo, routing, spec, cfg)?;
+    Ok(CurvePoint {
+        offered,
+        accepted: r.accepted_bytes_per_ns_per_switch,
+        avg_latency_ns: r.avg_latency_ns,
+    })
+}
+
 /// Sweep `offered_grid` (bytes/ns/switch) and collect the latency /
 /// accepted-traffic curve. Points are simulated in parallel.
 pub fn sweep_curve<E: EscapeEngine>(
@@ -73,21 +91,11 @@ pub fn sweep_curve<E: EscapeEngine>(
     cfg: SimConfig,
     offered_grid: &[f64],
 ) -> Result<Curve, IbaError> {
-    let results: Vec<(f64, RunResult)> = offered_grid
-        .par_iter()
-        .map(|&offered| {
-            let spec = base_spec.at_rate(host_rate(topo, offered));
-            run_point(topo, routing, spec, cfg).map(|r| (offered, r))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(results
-        .into_iter()
-        .map(|(offered, r)| CurvePoint {
-            offered,
-            accepted: r.accepted_bytes_per_ns_per_switch,
-            avg_latency_ns: r.avg_latency_ns,
-        })
-        .collect())
+    par_map(offered_grid, |&offered| {
+        curve_point(topo, routing, base_spec, cfg, offered)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Saturation throughput (bytes/ns/switch): sweep `offered_grid` upward
@@ -134,31 +142,30 @@ pub fn throughput_factors(
     num_fraction: f64,
     den_fraction: f64,
 ) -> Result<Vec<f64>, IbaError> {
-    ensemble
-        .par_iter()
-        .map(|m| {
-            let num = find_saturation(
-                &m.topology,
-                &m.routing,
-                base_spec.with_adaptive_fraction(num_fraction),
-                cfg,
-                offered_grid,
-            )?;
-            let den = find_saturation(
-                &m.topology,
-                &m.routing,
-                base_spec.with_adaptive_fraction(den_fraction),
-                cfg,
-                offered_grid,
-            )?;
-            if den <= 0.0 {
-                return Err(IbaError::InvalidConfig(
-                    "baseline saturation is zero; grid too coarse".into(),
-                ));
-            }
-            Ok(num / den)
-        })
-        .collect()
+    par_map(ensemble, |m| {
+        let num = find_saturation(
+            &m.topology,
+            &m.routing,
+            base_spec.with_adaptive_fraction(num_fraction),
+            cfg,
+            offered_grid,
+        )?;
+        let den = find_saturation(
+            &m.topology,
+            &m.routing,
+            base_spec.with_adaptive_fraction(den_fraction),
+            cfg,
+            offered_grid,
+        )?;
+        if den <= 0.0 {
+            return Err(IbaError::InvalidConfig(
+                "baseline saturation is zero; grid too coarse".into(),
+            ));
+        }
+        Ok(num / den)
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -176,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_builds_in_parallel() {
+    fn ensemble_members_take_consecutive_seeds() {
         let members = build_ensemble(
             IrregularConfig::paper(8, 42),
             4,

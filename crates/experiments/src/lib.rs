@@ -21,7 +21,9 @@
 //! | ad-hoc single runs | `explore` | [`harness::run_point`] |
 //!
 //! Simulations of different topologies and injection rates are
-//! independent, so the harness fans them out with rayon; each individual
+//! independent, so each bin shares them over the host's cores through
+//! [`iba_campaign::par_map`] — one parallel level per bin, results in
+//! item order, so no output depends on the core count; each individual
 //! simulation stays single-threaded and deterministic in its seed.
 //!
 //! The chaos, engine-zoo and recovery-scaling binaries additionally run

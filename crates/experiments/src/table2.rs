@@ -4,11 +4,11 @@
 //! Static analysis over the topology ensemble: no simulation involved,
 //! so this experiment always runs at the paper's full ten topologies.
 
+use iba_campaign::par_map;
 use iba_core::IbaError;
 use iba_routing::{MinimalRouting, OptionDistribution, UpDownRouting};
 use iba_stats::markdown_table;
 use iba_topology::IrregularConfig;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Table 2 reproduction.
@@ -70,19 +70,19 @@ pub fn run(cfg: &Table2Config) -> Result<Vec<Table2Row>, IbaError> {
             };
             // Raw (uncapped) option data per member, in parallel.
             type Member = (iba_topology::Topology, MinimalRouting, UpDownRouting);
-            let members: Vec<Member> = (0..cfg.topologies)
-                .into_par_iter()
-                .map(|i| {
-                    let c = IrregularConfig {
-                        seed: base.seed.wrapping_add(i),
-                        ..base
-                    };
-                    let t = c.generate()?;
-                    let m = MinimalRouting::build(&t)?;
-                    let u = UpDownRouting::build(&t)?;
-                    Ok((t, m, u))
-                })
-                .collect::<Result<_, IbaError>>()?;
+            let seeds: Vec<u64> = (0..cfg.topologies).collect();
+            let members: Vec<Member> = par_map(&seeds, |&i| {
+                let c = IrregularConfig {
+                    seed: base.seed.wrapping_add(i),
+                    ..base
+                };
+                let t = c.generate()?;
+                let m = MinimalRouting::build(&t)?;
+                let u = UpDownRouting::build(&t)?;
+                Ok((t, m, u))
+            })
+            .into_iter()
+            .collect::<Result<_, IbaError>>()?;
             for &mr in &cfg.max_options {
                 let dists: Vec<OptionDistribution> = members
                     .iter()

@@ -16,13 +16,13 @@
 //! shares exhaust, credit stalls mount, and occupancy spills into the
 //! escape regions.
 
+use iba_campaign::par_map;
 use iba_core::{IbaError, Json, SimTime};
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{Network, RunResult, SimConfig, TelemetryOpts, TelemetryReport};
 use iba_stats::Timeseries;
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
-use rayon::prelude::*;
 
 /// One instrumented simulation point of the sweep.
 #[derive(Debug, Clone)]
@@ -51,50 +51,49 @@ pub fn run_sweep(
     let topo = IrregularConfig::paper(size, seed).generate()?;
     let routing = FaRouting::build(&topo, RoutingConfig::two_options())?;
     let hosts_per_switch = topo.num_hosts() as f64 / topo.num_switches() as f64;
-    offered_grid
-        .par_iter()
-        .map(|&offered| {
-            let spec = WorkloadSpec::uniform32(offered / hosts_per_switch);
-            let cfg = SimConfig {
-                warmup: SimTime::from_us(10),
-                measure_window: SimTime::from_us(60),
-                ..SimConfig::paper(seed)
-            };
-            let mut net = Network::builder(&topo, &routing)
-                .workload(spec)
-                .config(cfg)
-                .telemetry(TelemetryOpts::every_ns(sample_every_ns))
-                .build()?;
-            let result = net.run();
-            let mem = net
-                .telemetry_sink()
-                .and_then(|s| s.as_memory())
-                .ok_or_else(|| {
-                    IbaError::RoutingFailed(
-                        "telemetry run lost its MemorySink (builder arms it)".into(),
-                    )
-                })?;
-            let mut adaptive = Timeseries::new();
-            let mut escape = Timeseries::new();
-            for s in mem.samples() {
-                adaptive.push(s.at.as_ns(), s.total_adaptive() as f64);
-                escape.push(s.at.as_ns(), s.total_escape() as f64);
-            }
-            let report = mem
-                .report()
-                .ok_or_else(|| {
-                    IbaError::RoutingFailed("run() did not flush the telemetry report".into())
-                })?
-                .clone();
-            Ok(TelemetryPoint {
-                offered,
-                result,
-                report,
-                adaptive_occupancy: adaptive,
-                escape_occupancy: escape,
-            })
+    par_map(offered_grid, |&offered| {
+        let spec = WorkloadSpec::uniform32(offered / hosts_per_switch);
+        let cfg = SimConfig {
+            warmup: SimTime::from_us(10),
+            measure_window: SimTime::from_us(60),
+            ..SimConfig::paper(seed)
+        };
+        let mut net = Network::builder(&topo, &routing)
+            .workload(spec)
+            .config(cfg)
+            .telemetry(TelemetryOpts::every_ns(sample_every_ns))
+            .build()?;
+        let result = net.run();
+        let mem = net
+            .telemetry_sink()
+            .and_then(|s| s.as_memory())
+            .ok_or_else(|| {
+                IbaError::RoutingFailed(
+                    "telemetry run lost its MemorySink (builder arms it)".into(),
+                )
+            })?;
+        let mut adaptive = Timeseries::new();
+        let mut escape = Timeseries::new();
+        for s in mem.samples() {
+            adaptive.push(s.at.as_ns(), s.total_adaptive() as f64);
+            escape.push(s.at.as_ns(), s.total_escape() as f64);
+        }
+        let report = mem
+            .report()
+            .ok_or_else(|| {
+                IbaError::RoutingFailed("run() did not flush the telemetry report".into())
+            })?
+            .clone();
+        Ok(TelemetryPoint {
+            offered,
+            result,
+            report,
+            adaptive_occupancy: adaptive,
+            escape_occupancy: escape,
         })
-        .collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 fn series_json(ts: &Timeseries) -> Json {

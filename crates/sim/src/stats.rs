@@ -131,51 +131,79 @@ pub struct StatsCollector {
 /// each address is a distinct fixed path); different SLs may ride
 /// different VLs and overtake freely.
 ///
-/// The key space is small and dense — sources × the LID table length ×
-/// 16 service levels — so the tracker is a flat array indexed by
-/// `(src, dlid, sl)` rather than a hash map: the per-delivery update is
-/// one multiply-add and one store, with no hashing in the event loop.
+/// The key space is dense — sources × the LID table length per service
+/// level — so the tracker is a flat array rather than a hash map: the
+/// per-delivery update is one multiply-add and one store, with no
+/// hashing in the event loop. The layout is SL-major, one
+/// `hosts × lid_space` plane per service level, and only the planes up
+/// to the highest SL seen are allocated: single-SL traffic (every paper
+/// experiment) holds one plane, not sixteen.
 /// Storing `seq + 1` keeps `0` as an unambiguous "nothing delivered
 /// yet" — a re-delivery of sequence 0 is detectable as a duplicate
 /// instead of colliding with the empty sentinel.
 #[derive(Debug)]
 struct OrderTracker {
-    /// `sources * lid_space * 16` entries, lazily grown if a flow outside
-    /// the declared dimensions ever shows up.
+    /// `planes × hosts × lid_space` watermarks, indexed
+    /// `(sl × hosts + src) × lid_space + dlid`.
     last: Vec<u64>,
+    /// Source stripes per plane.
+    hosts: usize,
     /// LIDs per source stripe (the routing table length).
     lid_space: usize,
 }
 
 impl OrderTracker {
-    const SLS: usize = 16;
-
     fn new(num_hosts: usize, lid_space: usize) -> OrderTracker {
-        let lid_space = lid_space.max(1);
+        let (hosts, lid_space) = (num_hosts.max(1), lid_space.max(1));
         OrderTracker {
-            last: vec![0; num_hosts * lid_space * Self::SLS],
+            last: vec![0; hosts * lid_space],
+            hosts,
             lid_space,
         }
     }
 
     #[inline]
     fn slot(&mut self, src: HostId, dlid: Lid, sl: ServiceLevel) -> &mut u64 {
-        let idx = (src.index() * self.lid_space + dlid.0 as usize) * Self::SLS
-            + (sl.0 as usize & (Self::SLS - 1));
+        let (src, dlid, sl) = (src.index(), dlid.0 as usize, sl.0 as usize);
+        debug_assert!(sl < 16, "an IBA service level is four bits");
+        if src >= self.hosts || dlid >= self.lid_space {
+            self.restride(src, dlid);
+        }
+        let idx = (sl * self.hosts + src) * self.lid_space + dlid;
         if idx >= self.last.len() {
-            // A flow outside the declared dimensions (only reachable when
-            // the collector was built with placeholder dims, e.g. unit
-            // tests): grow instead of corrupting a neighbour's slot.
-            self.last.resize(idx + 1, 0);
+            // First delivery on this service level: add the planes up to it.
+            self.last.resize((sl + 1) * self.hosts * self.lid_space, 0);
         }
         &mut self.last[idx]
+    }
+
+    /// Widen the planes to hold `(src, dlid)`, keeping every watermark.
+    /// Only reachable when the collector was built with placeholder
+    /// dimensions (unit tests); the simulator passes the exact ones. An
+    /// index past a stripe must never land in the neighbouring stripe.
+    #[cold]
+    fn restride(&mut self, src: usize, dlid: usize) {
+        let hosts = self.hosts.max(src + 1);
+        let lid_space = self.lid_space.max(dlid + 1);
+        let planes = self.last.len() / (self.hosts * self.lid_space);
+        let mut last = vec![0; planes * hosts * lid_space];
+        for (stripe, old) in self.last.chunks(self.lid_space).enumerate() {
+            let (plane, host) = (stripe / self.hosts, stripe % self.hosts);
+            let at = (plane * hosts + host) * lid_space;
+            last[at..at + self.lid_space].copy_from_slice(old);
+        }
+        *self = OrderTracker {
+            last,
+            hosts,
+            lid_space,
+        };
     }
 }
 
 impl StatsCollector {
     /// Collector for a `[window_start, window_end)` measurement window.
-    /// `num_hosts` and `lid_space` (the routing-table length) size the
-    /// dense in-order tracker.
+    /// `num_hosts` and `lid_space` (the routing-table length) size one
+    /// service-level plane of the dense in-order tracker.
     pub fn new(
         window_start: SimTime,
         window_end: SimTime,
@@ -344,10 +372,10 @@ impl StatsCollector {
     /// statistics into shard 0's collector. Counters move over (the
     /// source is left at zero, so folding again after a further run
     /// never double-counts); extrema take the max; first-occurrence
-    /// times take the min; the order trackers merge elementwise (each
-    /// flow's delivered-through watermark lives in exactly one shard, so
-    /// elementwise max is exact, and the source keeps its own watermarks
-    /// to go on checking its flows).
+    /// times take the min. The order trackers stay where they are: a
+    /// `(src, DLID, SL)` flow is delivered in exactly one shard, whose
+    /// tracker goes on checking it; only the violation and duplicate
+    /// counters fold.
     pub(crate) fn absorb(&mut self, other: &mut StatsCollector) {
         use std::mem::take;
         debug_assert_eq!(self.window_start, other.window_start);
@@ -369,19 +397,6 @@ impl StatsCollector {
         self.adaptive_forwards += take(&mut other.adaptive_forwards);
         self.max_host_queue = self.max_host_queue.max(other.max_host_queue);
         self.source_drops += take(&mut other.source_drops);
-        if self.last_det_seq.last.len() < other.last_det_seq.last.len() {
-            self.last_det_seq
-                .last
-                .resize(other.last_det_seq.last.len(), 0);
-        }
-        for (mine, theirs) in self
-            .last_det_seq
-            .last
-            .iter_mut()
-            .zip(other.last_det_seq.last.iter())
-        {
-            *mine = (*mine).max(*theirs);
-        }
         self.order_violations += take(&mut other.order_violations);
         self.duplicate_deliveries += take(&mut other.duplicate_deliveries);
         self.faults += take(&mut other.faults);
@@ -1100,6 +1115,86 @@ mod tests {
         c2.on_delivered(&packet(0, true, 1100), SimTime::from_ns(1200));
         c2.on_delivered(&packet(0, true, 1100), SimTime::from_ns(1300));
         assert_eq!(c2.duplicate_deliveries, 0);
+    }
+
+    /// A deterministic packet of flow `(src, dlid, sl)`.
+    fn flow_packet(src: u16, dlid: u16, sl: u8, seq: u64) -> Packet {
+        Packet {
+            src: HostId(src),
+            dlid: Lid(dlid),
+            sl: ServiceLevel(sl),
+            ..packet(seq, false, 1100)
+        }
+    }
+
+    #[test]
+    fn planes_count_reorders_and_duplicates_per_service_level() {
+        let at = SimTime::from_ns(1500);
+        let mut c = collector();
+        // Seeded shuffle of sequences 0..32, the highest then repeated, on
+        // SL 0 and on SL 7 of the same (src, DLID): the expected counts
+        // come from replaying the same three-way compare on a scalar.
+        let mut seqs: Vec<u64> = (0..32).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..seqs.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            seqs.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        seqs.push(31);
+        let (mut through, mut violations, mut duplicates) = (0u64, 0u64, 0u64);
+        for &s in &seqs {
+            if s + 1 == through {
+                duplicates += 1;
+            } else if s + 1 < through {
+                violations += 1;
+            } else {
+                through = s + 1;
+            }
+        }
+        assert!(violations > 0 && duplicates == 1);
+
+        let plane = 4 * 16;
+        for &s in &seqs {
+            c.on_delivered(&flow_packet(0, 8, 0, s), at);
+        }
+        assert_eq!(
+            (c.order_violations, c.duplicate_deliveries),
+            (violations, 1)
+        );
+        assert_eq!(
+            c.last_det_seq.last.len(),
+            plane,
+            "single-SL traffic holds one plane"
+        );
+        for &s in &seqs {
+            c.on_delivered(&flow_packet(0, 8, 7, s), at);
+        }
+        assert_eq!(
+            (c.order_violations, c.duplicate_deliveries),
+            (2 * violations, 2)
+        );
+        assert_eq!(c.last_det_seq.last.len(), 8 * plane);
+    }
+
+    #[test]
+    fn flows_outside_the_declared_dimensions_never_share_a_slot() {
+        let at = SimTime::from_ns(1500);
+        // DLID 24 of a 16-LID stripe must not be read as DLID 8 of the
+        // next source...
+        let mut c = collector();
+        c.on_delivered(&flow_packet(0, 24, 0, 5), at);
+        c.on_delivered(&flow_packet(1, 8, 0, 0), at);
+        assert_eq!((c.order_violations, c.duplicate_deliveries), (0, 0));
+        // ...nor source 4 of a 4-host plane as source 0 of the next
+        // service level; and widening keeps the watermarks it moves.
+        let mut c = collector();
+        c.on_delivered(&flow_packet(0, 8, 1, 5), at);
+        c.on_delivered(&flow_packet(3, 8, 0, 2), at);
+        c.on_delivered(&flow_packet(4, 8, 0, 0), at);
+        assert_eq!((c.order_violations, c.duplicate_deliveries), (0, 0));
+        c.on_delivered(&flow_packet(0, 8, 1, 5), at);
+        c.on_delivered(&flow_packet(3, 8, 0, 1), at);
+        assert_eq!((c.order_violations, c.duplicate_deliveries), (1, 1));
     }
 
     #[test]
