@@ -19,6 +19,7 @@
 //! validate the bounds (e.g. switch radix) up front.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 
@@ -227,6 +228,12 @@ impl<T: PartialEq, const N: usize, const M: usize> PartialEq<[T; M]> for InlineV
 }
 
 impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: Hash, const N: usize> Hash for InlineVec<T, N> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
 
 #[cfg(test)]
 mod tests {

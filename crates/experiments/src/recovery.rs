@@ -21,7 +21,7 @@
 //! deadlock-free. [`verify`] turns gate violations into a hard error so
 //! CI fails loudly instead of plotting a broken curve.
 
-use iba_core::{IbaError, Json, Lid, SwitchId};
+use iba_core::{IbaError, Json, SwitchId};
 use iba_routing::{check_escape_routes, FaRouting, RoutingConfig};
 use iba_sm::{Discoverer, ManagedFabric, Programmer, SubnetManager};
 use iba_topology::{IrregularConfig, Topology};
@@ -63,13 +63,10 @@ fn physical_of(topo: &Topology, fabric: &ManagedFabric, guid: u64) -> Result<Swi
         })
 }
 
-/// Entry-wise LFT equality across two fabrics of the same topology.
+/// Entry-wise LFT equality across two fabrics of the same topology: two
+/// tables are equal when their lengths, fanouts and every entry are.
 fn fabrics_equal(topo: &Topology, a: &ManagedFabric, b: &ManagedFabric) -> bool {
-    topo.switch_ids().all(|s| {
-        let (x, y) = (&a.agent(s).lft, &b.agent(s).lft);
-        x.len() == y.len()
-            && (0..x.len()).all(|lid| x.get(Lid(lid as u16)) == y.get(Lid(lid as u16)))
-    })
+    topo.switch_ids().all(|s| a.agent(s).lft == b.agent(s).lft)
 }
 
 /// The §4.2 certification, phrased over a programmed routing.

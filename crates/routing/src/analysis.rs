@@ -24,7 +24,6 @@ use crate::minimal::MinimalRouting;
 use iba_core::{HostId, IbaError, NodeRef, PortIndex, SwitchId};
 use iba_topology::Topology;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Verify that a per-destination next-hop function — e.g. the escape
 /// entries programmed into switch LFTs, read back over SMPs — gives
@@ -35,19 +34,131 @@ use std::collections::BTreeSet;
 ///
 /// `next_hop(s, h)` must return the output port switch `s` uses towards
 /// host `h`'s deterministic (escape) address, or `None` when
-/// unprogrammed. The check walks every `(switch, host)` chain —
-/// rejecting missing entries, unwired ports, mis-delivery and
-/// forwarding loops — while collecting, for each directed link, which
-/// links chains continue onto; a cycle in that dependency graph is a
-/// potential credit-wait cycle.
+/// unprogrammed; it is asked once per `(switch, host)`. Per host, every
+/// switch's chain is walked until it delivers or reaches a switch an
+/// earlier chain already verified — rejecting missing entries, unwired
+/// ports, mis-delivery and forwarding loops (a chain that re-enters
+/// itself) — and each hop records the one dependency it creates: the
+/// link taken into a switch waits on the link that switch forwards the
+/// host on. A cycle in that dependency graph is a potential credit-wait
+/// cycle.
 pub fn check_escape_routes(
     topo: &Topology,
     next_hop: impl Fn(SwitchId, HostId) -> Option<PortIndex>,
 ) -> Result<(), IbaError> {
+    let n = topo.num_switches();
+    let ports = topo.ports_per_switch() as usize;
+    let nlinks = n * ports;
+    // Channel dependencies of directed link `(switch, port)`: a bitmask
+    // over the ports of the switch at its far end.
+    let words = ports.div_ceil(64);
+    let mut deps = vec![0u64; nlinks * words];
+    // Per switch, the walk that first visited it (walks are numbered
+    // from 1 in visiting order, so anything at or above the current
+    // host's first walk was visited for this host) and the port it
+    // forwards the current host on.
+    let mut visited_by = vec![0usize; n];
+    let mut out_port = vec![0usize; n];
+    let mut walk = 0usize;
+    for h in topo.host_ids() {
+        let host_first_walk = walk + 1;
+        for s in topo.switch_ids() {
+            walk += 1;
+            let mut cur = s;
+            let mut came_by: Option<usize> = None;
+            loop {
+                let seen = visited_by[cur.index()];
+                if seen == walk {
+                    return Err(IbaError::RoutingFailed(format!(
+                        "escape route {s}→{h} does not terminate"
+                    )));
+                }
+                // A switch an earlier walk went through is verified from
+                // there on: record the hop into it and stop.
+                let mut next = None;
+                if seen < host_first_walk {
+                    visited_by[cur.index()] = walk;
+                    let p = next_hop(cur, h).ok_or_else(|| {
+                        IbaError::RoutingFailed(format!("no escape entry at {cur} towards {h}"))
+                    })?;
+                    let ep = topo.endpoint(cur, p).ok_or_else(|| {
+                        IbaError::RoutingFailed(format!(
+                            "escape entry at {cur} towards {h} uses unwired {p}"
+                        ))
+                    })?;
+                    match ep.node {
+                        NodeRef::Host(dest) if dest == h => {}
+                        NodeRef::Host(other) => {
+                            return Err(IbaError::RoutingFailed(format!(
+                                "escape route for {h} delivers to {other}"
+                            )))
+                        }
+                        NodeRef::Switch(peer) => next = Some(peer),
+                    }
+                    out_port[cur.index()] = p.index();
+                }
+                let q = out_port[cur.index()];
+                if let Some(link) = came_by {
+                    deps[link * words + q / 64] |= 1 << (q % 64);
+                }
+                let Some(peer) = next else { break };
+                came_by = Some(cur.index() * ports + q);
+                cur = peer;
+            }
+        }
+    }
+    // Kahn peel: the dependency graph is acyclic iff every node drains.
+    // Only links into a switch carry dependencies, so `far_end` is set
+    // wherever `deps` is non-zero.
+    let far_end: Vec<usize> = (0..nlinks)
+        .map(|l| {
+            topo.endpoint(SwitchId((l / ports) as u16), PortIndex((l % ports) as u8))
+                .and_then(|ep| ep.node.as_switch())
+                .map_or(0, |sw| sw.index() * ports)
+        })
+        .collect();
+    let successors = |v: usize| {
+        let (mask, base) = (&deps[v * words..(v + 1) * words], far_end[v]);
+        (0..ports)
+            .filter(move |q| mask[q / 64] >> (q % 64) & 1 == 1)
+            .map(move |q| base + q)
+    };
+    let mut indeg = vec![0usize; nlinks];
+    for v in 0..nlinks {
+        for w in successors(v) {
+            indeg[w] += 1;
+        }
+    }
+    let mut ready: Vec<usize> = (0..nlinks).filter(|&v| indeg[v] == 0).collect();
+    let mut drained = 0usize;
+    while let Some(v) = ready.pop() {
+        drained += 1;
+        for w in successors(v) {
+            indeg[w] -= 1;
+            if indeg[w] == 0 {
+                ready.push(w);
+            }
+        }
+    }
+    if drained != nlinks {
+        return Err(IbaError::RoutingFailed(
+            "escape channel-dependency graph has a cycle".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The hop-by-hop walker [`check_escape_routes`] replaced, kept as its
+/// test oracle: every `(switch, host)` chain is re-walked from its start
+/// and every consecutive link pair of every chain goes into a set.
+#[cfg(test)]
+fn check_escape_routes_reference(
+    topo: &Topology,
+    next_hop: impl Fn(SwitchId, HostId) -> Option<PortIndex>,
+) -> Result<(), IbaError> {
+    use std::collections::BTreeSet;
     let ports = topo.ports_per_switch() as usize;
     let nlinks = topo.num_switches() * ports;
-    // Channel-dependency adjacency over directed links (switch, port);
-    // BTreeSet keeps insertion idempotent and iteration deterministic.
     let mut deps: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nlinks];
     for h in topo.host_ids() {
         for s in topo.switch_ids() {
@@ -88,7 +199,6 @@ pub fn check_escape_routes(
             }
         }
     }
-    // Kahn peel: the dependency graph is acyclic iff every node drains.
     let mut indeg = vec![0usize; nlinks];
     for adj in &deps {
         for &w in adj {
@@ -274,8 +384,206 @@ impl PathLengthStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fullmesh::FullMeshRouting;
+    use crate::outflank::OutflankRouting;
     use crate::updown::UpDownRouting;
-    use iba_topology::{regular, IrregularConfig};
+    use iba_topology::{regular, IrregularConfig, TopologySpec};
+    use proptest::prelude::*;
+
+    /// A materialized escape table: `hop[s][h]`.
+    type Hops = Vec<Vec<Option<PortIndex>>>;
+
+    fn engine_hops<E: EscapeEngine>(topo: &Topology) -> Hops {
+        let engine = E::build(topo).unwrap();
+        topo.switch_ids()
+            .map(|s| {
+                topo.host_ids()
+                    .map(|h| {
+                        let (hsw, hp) = topo.host_attachment(h);
+                        if hsw == s {
+                            Some(hp)
+                        } else {
+                            engine.next_hop(s, hsw)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Which of the checker's verdicts a result is.
+    fn verdict(r: &Result<(), IbaError>) -> &'static str {
+        let Err(e) = r else { return "ok" };
+        let msg = e.to_string();
+        [
+            "no escape entry",
+            "unwired",
+            "delivers to",
+            "does not terminate",
+            "cycle",
+        ]
+        .into_iter()
+        .find(|class| msg.contains(class))
+        .unwrap_or_else(|| panic!("unclassified verdict: {msg}"))
+    }
+
+    /// Brute force on the channel-dependency graph: walk every chain hop
+    /// by hop collecting its consecutive link pairs, then search every
+    /// link's successors depth-first for a path back to it. `None` when
+    /// a chain is broken (the graph is only defined over whole chains).
+    fn cdg_cycle_by_dfs(topo: &Topology, hops: &Hops) -> Option<bool> {
+        let ports = topo.ports_per_switch() as usize;
+        let mut edges = std::collections::BTreeSet::new();
+        for h in topo.host_ids() {
+            for s in topo.switch_ids() {
+                let (mut cur, mut prev) = (s, None);
+                for _ in 0..=topo.num_switches() {
+                    let p = hops[cur.index()][h.index()]?;
+                    let link = cur.index() * ports + p.index();
+                    edges.extend(prev.map(|from| (from, link)));
+                    match topo.endpoint(cur, p)?.node {
+                        NodeRef::Host(dest) if dest == h => break,
+                        NodeRef::Host(_) => return None,
+                        NodeRef::Switch(next) => (cur, prev) = (next, Some(link)),
+                    }
+                }
+                if topo.endpoint(cur, hops[cur.index()][h.index()]?)?.node != NodeRef::Host(h) {
+                    return None; // still inside the fabric after n hops
+                }
+            }
+        }
+        let reaches = |from: usize, target: usize| {
+            let (mut stack, mut seen) = (vec![from], std::collections::BTreeSet::new());
+            while let Some(v) = stack.pop() {
+                for &(_, w) in edges.range((v, 0)..(v + 1, 0)) {
+                    if w == target {
+                        return true;
+                    }
+                    if seen.insert(w) {
+                        stack.push(w);
+                    }
+                }
+            }
+            false
+        };
+        Some(edges.iter().any(|&(v, _)| reaches(v, v)))
+    }
+
+    /// Damage `hops` the ways a broken table can be broken.
+    fn mutate(topo: &Topology, hops: &mut Hops, (kind, a, b, c): (u8, usize, usize, usize)) {
+        let s = SwitchId((a % topo.num_switches()) as u16);
+        let h = b % topo.num_hosts();
+        let pick = |ports: Vec<PortIndex>| (!ports.is_empty()).then(|| ports[c % ports.len()]);
+        let all_ports = || (0..topo.ports_per_switch()).map(PortIndex);
+        let entry = match kind {
+            // Unprogrammed.
+            0 => None,
+            // An unwired port.
+            1 => pick(
+                all_ports()
+                    .filter(|&p| topo.endpoint(s, p).is_none())
+                    .collect(),
+            ),
+            // Another host's port.
+            2 => pick(
+                topo.attached_hosts(s)
+                    .filter_map(|(p, other)| (other.index() != h).then_some(p))
+                    .collect(),
+            ),
+            // Two destinations' entries swapped at one switch.
+            3 => {
+                let other = c % topo.num_hosts();
+                hops[s.index()].swap(h, other);
+                return;
+            }
+            // Some neighbour: mostly closes a forwarding loop.
+            4 => pick(topo.switch_neighbors(s).map(|(p, _, _)| p).collect()),
+            // A neighbour whose own chain to the host avoids this switch:
+            // a detour that still delivers, by a turn the engine may
+            // forbid — what closes a dependency cycle without looping
+            // (rare per draw, hence the likeliest kind).
+            _ => pick(
+                topo.switch_neighbors(s)
+                    .filter(|&(_, peer, _)| {
+                        let mut cur = peer;
+                        (0..topo.num_switches()).all(|_| {
+                            let next = hops[cur.index()][h]
+                                .and_then(|p| topo.endpoint(cur, p))
+                                .and_then(|ep| ep.node.as_switch());
+                            cur = next.unwrap_or(cur);
+                            cur != s
+                        })
+                    })
+                    .map(|(p, _, _)| p)
+                    .collect(),
+            ),
+        };
+        // A mutation the shape has no port for leaves the table alone.
+        if kind == 0 || entry.is_some() {
+            hops[s.index()][h] = entry;
+        }
+    }
+
+    /// The verdicts of the checker, of the reference walker and of the
+    /// brute-force search on one mutated escape table of engine `E`.
+    fn verdicts<E: EscapeEngine>(
+        spec: TopologySpec,
+        seed: u64,
+        mutations: &[(u8, usize, usize, usize)],
+    ) -> [&'static str; 3] {
+        let topo = spec.generate(seed).unwrap();
+        let mut hops = engine_hops::<E>(&topo);
+        for &m in mutations {
+            mutate(&topo, &mut hops, m);
+        }
+        let next_hop = |s: SwitchId, h: HostId| hops[s.index()][h.index()];
+        [
+            verdict(&check_escape_routes(&topo, next_hop)),
+            verdict(&check_escape_routes_reference(&topo, next_hop)),
+            match cdg_cycle_by_dfs(&topo, &hops) {
+                Some(false) => "ok",
+                Some(true) => "cycle",
+                None => "broken chain",
+            },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The one-visit checker, the hop-by-hop walker it replaced and a
+        /// brute-force cycle search agree on every verdict, over small
+        /// shapes of all three engines with up to six table mutations
+        /// (3 × 3 is the smallest torus OutFlank accepts).
+        #[test]
+        fn prop_checker_matches_reference_walker_and_brute_force(
+            shape in 0usize..9,
+            seed in 0u64..50,
+            mutations in proptest::collection::vec((0u8..12, 0usize..64, 0usize..64, 0usize..64), 0..7),
+        ) {
+            let hosts_per_switch = 1 + seed as usize % 2;
+            let updown = [
+                TopologySpec::Irregular { switches: 8, inter_switch_links: 3, hosts_per_switch },
+                TopologySpec::Ring { switches: 5 + seed as usize % 4, hosts_per_switch },
+                TopologySpec::Chain { switches: 4, hosts_per_switch },
+                TopologySpec::Mesh2D { rows: 2, cols: 4, hosts_per_switch },
+                TopologySpec::Hypercube { dim: 3, hosts_per_switch },
+                TopologySpec::FullMesh { switches: 5, hosts_per_switch },
+            ];
+            let [new, reference, by_dfs] = match shape {
+                6 => verdicts::<OutflankRouting>(
+                    TopologySpec::Torus2D { rows: 3, cols: 3, hosts_per_switch }, seed, &mutations),
+                7 => verdicts::<FullMeshRouting>(
+                    TopologySpec::FullMesh { switches: 6, hosts_per_switch }, seed, &mutations),
+                8 => verdicts::<FullMeshRouting>(
+                    TopologySpec::FullMesh { switches: 8, hosts_per_switch }, seed, &mutations),
+                _ => verdicts::<UpDownRouting>(updown[shape], seed, &mutations),
+            };
+            prop_assert_eq!(new, reference);
+            let whole_chains = matches!(new, "ok" | "cycle");
+            prop_assert_eq!(by_dfs, if whole_chains { new } else { "broken chain" });
+        }
+    }
 
     #[test]
     fn distribution_sums_to_100() {

@@ -44,7 +44,6 @@ use crate::fa::{program_host_rows, FaRouting, RoutingConfig};
 use crate::updown::{UpDownRouting, INF};
 use iba_core::{HostId, IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
-use std::sync::Arc;
 
 /// What one incremental rebuild did — the accounting half of the
 /// recovery-scaling story.
@@ -218,19 +217,17 @@ impl<E: EscapeEngine> FaRouting<E> {
                     table,
                     s,
                     h,
+                    0,
                 )?;
             }
         }
         // 3. Refresh the decoded route cache for the rewritten rows.
-        for s in 0..n {
-            for &h in &affected_hosts {
-                for k in 0..x {
-                    let lid = next.lid_map.lid_for(h, k)?;
-                    let dec = next.decode(SwitchId(s as u16), lid).ok().map(Arc::new);
-                    next.route_cache[s][lid.raw() as usize] = dec;
-                }
-            }
-        }
+        let rewritten: Vec<_> = affected_hosts
+            .iter()
+            .map(|&h| next.lid_map.base_lid(h).raw() as usize)
+            .map(|base| base..base + x as usize)
+            .collect();
+        next.cache_routes(&rewritten);
 
         let stats = DeltaStats {
             full_rebuild: false,
@@ -288,8 +285,8 @@ impl<E: EscapeEngine> FaRouting<E> {
     /// certifiably deadlock-free.
     fn certify_delta(&self, degraded: &Topology) -> Result<(), IbaError> {
         check_escape_routes(degraded, |s, h| {
-            let dlid = self.dlid(h, false).ok()?;
-            self.route_shared(s, dlid).ok().map(|r| r.escape)
+            let dlid = self.lid_map.base_lid(h);
+            self.route_cache.get(s, dlid).map(|r| r.escape)
         })
     }
 }

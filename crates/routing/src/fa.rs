@@ -35,6 +35,7 @@ use iba_core::{HostId, IbaError, InlineVec, Lid, LidMap, PortIndex, SwitchId, MA
 use iba_topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the FA table construction.
@@ -86,7 +87,7 @@ pub type AdaptiveOptions = InlineVec<PortIndex, MAX_PORTS>;
 
 /// The routing options a switch offers one packet — the decoded result of
 /// the forwarding-table access.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RouteOptions {
     /// The escape option; always present.
     pub escape: PortIndex,
@@ -121,9 +122,110 @@ pub struct FaRouting<E: EscapeEngine = UpDownRouting> {
     /// Precomputed decode of every (switch, DLID) table access, shared by
     /// reference — the simulator resolves millions of routes per run and
     /// must not re-derive (and re-allocate) the option lists each time.
-    /// Identical decodes are *interned*: switches whose tables agree on a
-    /// destination share one allocation (structural sharing).
-    pub(crate) route_cache: Vec<Vec<Option<Arc<RouteOptions>>>>,
+    pub(crate) route_cache: RouteCache,
+}
+
+/// The decoded forwarding state. Identical decodes are *interned* (escape
+/// chains converge: a fabric has a few dozen distinct ones) and every
+/// (switch, DLID) holds only a slot number, so cloning or dropping a
+/// routing copies or frees one flat array, not a reference count per entry.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RouteCache {
+    /// DLIDs per switch (the LID map's table length).
+    stride: usize,
+    /// `slots[s * stride + dlid]` indexes `pool`; [`NO_ROUTE`] marks an
+    /// unprogrammed entry.
+    slots: Vec<u32>,
+    /// The distinct decodes.
+    pool: Vec<Arc<RouteOptions>>,
+}
+
+const NO_ROUTE: u32 = u32::MAX;
+
+impl RouteCache {
+    /// The cached decode of one table access, if programmed. Inlined into
+    /// `route_shared`, which other crates instantiate on the per-hop path.
+    #[inline]
+    pub(crate) fn get(&self, s: SwitchId, dlid: Lid) -> Option<&Arc<RouteOptions>> {
+        let lid = dlid.raw() as usize;
+        if lid >= self.stride {
+            return None;
+        }
+        self.pool
+            .get(self.slots[s.index() * self.stride + lid] as usize)
+    }
+
+    /// Decode the accesses `dlids` of every table into `slots`, interning
+    /// each decode against the pool.
+    fn fill(
+        &mut self,
+        tables: &[InterleavedForwardingTable],
+        adaptive_capable: &[bool],
+        stride: usize,
+        dlids: &[Range<usize>],
+    ) {
+        self.stride = stride;
+        self.slots.resize(tables.len() * stride, NO_ROUTE);
+        let mut interned: HashMap<Arc<RouteOptions>, u32> =
+            self.pool.iter().cloned().zip(0..).collect();
+        // A direct-mapped memo on the leading ports answers the usual
+        // repeat with one comparison; the map keeps interning O(1) when
+        // a full mesh yields thousands of distinct decodes.
+        let mut memo = [NO_ROUTE; 256];
+        for (s, table) in tables.iter().enumerate() {
+            let row = &mut self.slots[s * stride..(s + 1) * stride];
+            // Nested loops: one flattened iterator over the ranges keeps
+            // the inner loop from compiling to a counted one (3× slower).
+            for range in dlids {
+                for dlid in range.clone() {
+                    row[dlid] = match decode(table, adaptive_capable[s], Lid(dlid as u16)) {
+                        Err(_) => NO_ROUTE,
+                        Ok(opts) => {
+                            let first = opts.adaptive.first().map_or(0, |p| p.0 as usize + 1);
+                            let recent = &mut memo[(opts.escape.0 as usize * 16 + first) % 256];
+                            if self.pool.get(*recent as usize).is_none_or(|r| **r != opts) {
+                                *recent = match interned.get(&opts) {
+                                    Some(&slot) => slot,
+                                    None => {
+                                        let slot = self.pool.len() as u32;
+                                        self.pool.push(Arc::new(opts));
+                                        interned.insert(self.pool[slot as usize].clone(), slot);
+                                        slot
+                                    }
+                                };
+                            }
+                            *recent
+                        }
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// Decode one physical table access at an adaptive-capable or a plain
+/// switch (uncached; what the route cache is filled from).
+fn decode(
+    table: &InterleavedForwardingTable,
+    adaptive_capable: bool,
+    dlid: Lid,
+) -> Result<RouteOptions, IbaError> {
+    let unknown = IbaError::UnknownLid(dlid.raw());
+    if adaptive_capable {
+        let (escape, adaptive) = table.group(dlid);
+        Ok(RouteOptions {
+            escape: escape.ok_or(unknown)?,
+            adaptive: adaptive.collect(),
+        })
+    } else {
+        // A plain IBA switch forwards linearly by the exact DLID —
+        // which is what lets source-selected multipath address
+        // different paths through different addresses of the range.
+        Ok(RouteOptions {
+            escape: table.get(dlid).ok_or(unknown)?,
+            adaptive: AdaptiveOptions::new(),
+        })
+    }
 }
 
 /// APM bookkeeping.
@@ -243,11 +345,12 @@ impl<E: EscapeEngine> FaRouting<E> {
                     &mut table,
                     s,
                     h,
+                    0,
                 )?;
             }
             tables.push(table);
         }
-        let mut fa = FaRouting {
+        Ok(FaRouting {
             config,
             lid_map,
             escape,
@@ -256,10 +359,9 @@ impl<E: EscapeEngine> FaRouting<E> {
             adaptive_capable: adaptive_capable.to_vec(),
             source_multipath: None,
             apm: None,
-            route_cache: Vec::new(),
-        };
-        fa.fill_route_cache();
-        Ok(fa)
+            route_cache: RouteCache::default(),
+        }
+        .with_route_cache())
     }
 
     /// Compile FA routing with **Automatic Path Migration coexistence**
@@ -297,53 +399,43 @@ impl<E: EscapeEngine> FaRouting<E> {
         let alternate = E::build_with_root(topo, alt_root)?;
         let minimal = MinimalRouting::build(topo)?;
 
+        let adaptive_capable = vec![true; topo.num_switches()];
         let mut tables = Vec::with_capacity(topo.num_switches());
         for s in topo.switch_ids() {
             let mut table = InterleavedForwardingTable::new(lid_map.table_len(), x)?;
             for h in topo.host_ids() {
-                let t = topo.host_switch(h);
                 for (half, layer) in [(0u16, &escape), (x, &alternate)] {
-                    let (escape_port, adaptive): (PortIndex, Vec<PortIndex>) = if t == s {
-                        let (_, port) = topo.host_attachment(h);
-                        (port, vec![port])
-                    } else {
-                        (escape_hop(layer, s, t)?, minimal.options(s, t).to_vec())
-                    };
-                    table.set(lid_map.lid_for(h, half)?, escape_port)?;
-                    let slots = x as usize - 1;
-                    if slots > 0 {
-                        let adaptive = if adaptive.is_empty() {
-                            vec![escape_port]
-                        } else {
-                            adaptive
-                        };
-                        let start = (mix(s.0 as u64, h.0 as u64 ^ half as u64, config.seed)
-                            % adaptive.len() as u64) as usize;
-                        for k in 0..slots {
-                            let opt = adaptive[(start + k) % adaptive.len()];
-                            table.set(lid_map.lid_for(h, half + 1 + k as u16)?, opt)?;
-                        }
-                    }
+                    program_host_rows(
+                        topo,
+                        layer,
+                        &minimal,
+                        &adaptive_capable,
+                        &config,
+                        &lid_map,
+                        &mut table,
+                        s,
+                        h,
+                        half,
+                    )?;
                 }
             }
             tables.push(table);
         }
-        let mut fa = FaRouting {
+        Ok(FaRouting {
             config,
             lid_map,
             escape,
             minimal,
             tables,
-            adaptive_capable: vec![true; topo.num_switches()],
+            adaptive_capable,
             source_multipath: None,
             apm: Some(ApmInfo {
                 base_offset: x,
                 alt_root,
             }),
-            route_cache: Vec::new(),
-        };
-        fa.fill_route_cache();
-        Ok(fa)
+            route_cache: RouteCache::default(),
+        }
+        .with_route_cache())
     }
 
     /// Whether the tables carry an APM alternate path set.
@@ -422,7 +514,7 @@ impl<E: EscapeEngine> FaRouting<E> {
             }
             tables.push(table);
         }
-        let mut fa = FaRouting {
+        Ok(FaRouting {
             config,
             lid_map,
             escape,
@@ -431,52 +523,40 @@ impl<E: EscapeEngine> FaRouting<E> {
             adaptive_capable: vec![false; topo.num_switches()],
             source_multipath: Some(x),
             apm: None,
-            route_cache: Vec::new(),
-        };
-        fa.fill_route_cache();
-        Ok(fa)
+            route_cache: RouteCache::default(),
+        }
+        .with_route_cache())
     }
 
-    /// Decode every programmed (switch, DLID) entry once, *interning*
-    /// identical decodes: two switches whose tables agree on a
-    /// destination (common — escape chains converge, and deterministic
-    /// switches repeat one port across the whole group) share a single
-    /// allocation instead of carrying one copy per switch.
-    fn fill_route_cache(&mut self) {
-        let len = self.lid_map.table_len();
-        let mut interned: HashMap<InternKey, Arc<RouteOptions>> = HashMap::new();
-        self.route_cache = (0..self.tables.len())
-            .map(|s| {
-                (0..len)
-                    .map(|lid| {
-                        self.decode(SwitchId(s as u16), Lid(lid as u16))
-                            .ok()
-                            .map(|opts| {
-                                interned
-                                    .entry(intern_key(&opts))
-                                    .or_insert_with(|| Arc::new(opts))
-                                    .clone()
-                            })
-                    })
-                    .collect()
-            })
-            .collect();
+    /// A freshly compiled routing with every table access decoded.
+    fn with_route_cache(mut self) -> Self {
+        let whole_table = 0..self.lid_map.table_len();
+        self.cache_routes(std::slice::from_ref(&whole_table));
+        self
+    }
+
+    /// Decode the table accesses of `dlids` at every switch into the route
+    /// cache. The full builds pass the whole table, the delta rebuild the
+    /// rows it rewrote.
+    pub(crate) fn cache_routes(&mut self, dlids: &[Range<usize>]) {
+        let stride = self.lid_map.table_len();
+        self.route_cache
+            .fill(&self.tables, &self.adaptive_capable, stride, dlids);
     }
 
     /// Structural-sharing statistics of the decoded forwarding state:
     /// `(programmed entries, distinct shared decodes)`. The gap between
-    /// the two is memory the interning in [`Self::route_cache`] saved.
+    /// the two is memory the interning in [`RouteCache`] saved.
     pub fn route_cache_sharing(&self) -> (usize, usize) {
+        let mut used = vec![false; self.route_cache.pool.len()];
         let mut total = 0usize;
-        let mut unique: std::collections::HashSet<*const RouteOptions> =
-            std::collections::HashSet::new();
-        for per_switch in &self.route_cache {
-            for entry in per_switch.iter().flatten() {
+        for &slot in &self.route_cache.slots {
+            if slot != NO_ROUTE {
                 total += 1;
-                unique.insert(Arc::as_ptr(entry));
+                used[slot as usize] = true;
             }
         }
-        (total, unique.len())
+        (total, used.iter().filter(|&&u| u).count())
     }
 
     /// Whether two routings program byte-identical forwarding tables on
@@ -543,34 +623,20 @@ impl<E: EscapeEngine> FaRouting<E> {
     /// Like [`Self::route`], returning the precomputed shared decode —
     /// the simulator's hot path (no allocation, no table walk).
     pub fn route_shared(&self, s: SwitchId, dlid: Lid) -> Result<Arc<RouteOptions>, IbaError> {
-        self.route_cache[s.index()]
-            .get(dlid.raw() as usize)
-            .and_then(|e| e.clone())
+        self.route_cache
+            .get(s, dlid)
+            .cloned()
             .ok_or(IbaError::UnknownLid(dlid.raw()))
     }
 
-    /// Decode one physical table access (uncached; used to build the
-    /// cache and by the delta rebuild to refresh affected entries).
+    /// Decode one table access from the table itself, bypassing the cache.
+    #[cfg(test)]
     pub(crate) fn decode(&self, s: SwitchId, dlid: Lid) -> Result<RouteOptions, IbaError> {
-        if self.adaptive_capable[s.index()] {
-            let lookup = self.tables[s.index()].lookup(dlid);
-            let escape = lookup.escape.ok_or(IbaError::UnknownLid(dlid.raw()))?;
-            Ok(RouteOptions {
-                escape,
-                adaptive: lookup.adaptive.iter().copied().collect(),
-            })
-        } else {
-            // A plain IBA switch forwards linearly by the exact DLID —
-            // which is what lets source-selected multipath address
-            // different paths through different addresses of the range.
-            let escape = self.tables[s.index()]
-                .get(dlid)
-                .ok_or(IbaError::UnknownLid(dlid.raw()))?;
-            Ok(RouteOptions {
-                escape,
-                adaptive: AdaptiveOptions::new(),
-            })
-        }
+        decode(
+            &self.tables[s.index()],
+            self.adaptive_capable[s.index()],
+            dlid,
+        )
     }
 
     /// Convenience: the DLID for `host` in the given mode (delegates to
@@ -603,29 +669,16 @@ fn escape_hop<E: EscapeEngine>(
         .ok_or_else(|| IbaError::RoutingFailed(format!("no escape hop {s}→{t}")))
 }
 
-/// Interning key of one decoded table access: the escape port followed by
-/// the adaptive ports, in slot order (build-time only, so the small
-/// allocation per *distinct* decode is irrelevant).
-type InternKey = Vec<u8>;
-
-fn intern_key(opts: &RouteOptions) -> InternKey {
-    let mut key = Vec::with_capacity(1 + opts.adaptive.len());
-    key.push(opts.escape.0);
-    for p in &opts.adaptive {
-        key.push(p.0);
-    }
-    key
-}
-
-/// Program the whole LID group of host `h` into switch `s`'s table: the
-/// escape row at offset 0, the adaptive rows (capability-filtered,
-/// seed-rotated) at offsets `1..x`. Returns the number of table entries
-/// written.
+/// Program one LID group of host `h` into switch `s`'s table: the escape
+/// row at offset `half`, the adaptive rows (capability-filtered,
+/// seed-rotated) at the `x − 1` offsets above it. `half` is 0 except for
+/// the alternate path set of APM tables, whose group starts `x` into the
+/// host's range. Returns the number of table entries written.
 ///
 /// This is the single source of the per-row build logic, shared between
-/// [`FaRouting::build_mixed_with_engine`] and the delta rebuild
-/// (`crate::delta`) so an incremental recompute is byte-identical to a
-/// full build *by construction*, not by coincidence.
+/// the full builds and the delta rebuild (`crate::delta`) so an
+/// incremental recompute is byte-identical to a full build *by
+/// construction*, not by coincidence.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn program_host_rows<E: EscapeEngine>(
     topo: &Topology,
@@ -637,16 +690,17 @@ pub(crate) fn program_host_rows<E: EscapeEngine>(
     table: &mut InterleavedForwardingTable,
     s: SwitchId,
     h: HostId,
+    half: u16,
 ) -> Result<u64, IbaError> {
     let t = topo.host_switch(h);
     let x = config.table_options;
-    let (escape, mut adaptive): (PortIndex, Vec<PortIndex>) = if t == s {
+    let (escape, mut adaptive): (PortIndex, AdaptiveOptions) = if t == s {
         // Local delivery: the only option is the host port.
         let (_, port) = topo.host_attachment(h);
-        (port, vec![port])
+        (port, [port].into_iter().collect())
     } else {
         let escape = escape_hop(escape_engine, s, t)?;
-        (escape, minimal.options(s, t).to_vec())
+        (escape, minimal.options(s, t).iter().copied().collect())
     };
     if !adaptive_capable[s.index()] {
         // Deterministic switch: every address stores the escape port
@@ -661,7 +715,7 @@ pub(crate) fn program_host_rows<E: EscapeEngine>(
                 .is_none_or(|peer| adaptive_capable[peer.index()])
         });
     }
-    table.set(lid_map.lid_for(h, 0)?, escape)?;
+    table.set(lid_map.lid_for(h, half)?, escape)?;
     let mut written = 1u64;
     let slots = x as usize - 1;
     if slots > 0 {
@@ -672,10 +726,11 @@ pub(crate) fn program_host_rows<E: EscapeEngine>(
         }
         // Seed-mixed rotation balances which minimal options are stored
         // when there are more than fit.
-        let start = (mix(s.0 as u64, h.0 as u64, config.seed) % adaptive.len() as u64) as usize;
+        let start =
+            (mix(s.0 as u64, (h.0 ^ half) as u64, config.seed) % adaptive.len() as u64) as usize;
         for k in 0..slots {
             let opt = adaptive[(start + k) % adaptive.len()];
-            table.set(lid_map.lid_for(h, 1 + k as u16)?, opt)?;
+            table.set(lid_map.lid_for(h, half + 1 + k as u16)?, opt)?;
             written += 1;
         }
     }

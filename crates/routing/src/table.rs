@@ -80,9 +80,14 @@ impl InterleavedForwardingTable {
         self.fanout
     }
 
+    /// `(module, row)` of a linear address; the fanout is a power of
+    /// two, so the module is the low address bits.
     #[inline]
     fn split(&self, addr: usize) -> (usize, usize) {
-        (addr % self.fanout as usize, addr / self.fanout as usize)
+        (
+            addr & (self.fanout as usize - 1),
+            addr >> self.fanout.trailing_zeros(),
+        )
     }
 
     /// Linear (subnet-manager) write: program one entry, exactly as a
@@ -108,36 +113,38 @@ impl InterleavedForwardingTable {
         (v != INVALID_PORT).then_some(PortIndex(v))
     }
 
-    /// The physical *simultaneous* access a packet triggers (Figure 1):
-    /// all modules are read at the packet's group row in parallel; the
-    /// DLID's least-significant bit decides whether only the first entry
-    /// (deterministic) or the whole group (adaptive) is used.
-    pub fn lookup(&self, dlid: Lid) -> TableLookup {
+    /// The physical *simultaneous* access a packet triggers (Figure 1),
+    /// without allocating: all modules are read at the packet's group row
+    /// in parallel; the DLID's least-significant bit decides whether only
+    /// the first entry (deterministic) or the whole group (adaptive) is
+    /// used. Returns the escape entry (`None` if unprogrammed or out of
+    /// range) and the adaptive entries, de-duplicated, in module order.
+    pub fn group(&self, dlid: Lid) -> (Option<PortIndex>, impl Iterator<Item = PortIndex> + '_) {
         let addr = dlid.raw() as usize;
-        if addr >= self.len {
-            return TableLookup {
-                escape: None,
-                adaptive: Vec::new(),
-            };
-        }
-        let row = addr / self.fanout as usize;
-        let escape = {
-            let v = self.modules[0][row];
-            (v != INVALID_PORT).then_some(PortIndex(v))
+        let (_, row) = self.split(addr);
+        let in_range = addr < self.len;
+        let valid = |v: u8| (v != INVALID_PORT).then_some(PortIndex(v));
+        let escape = in_range.then(|| valid(self.modules[0][row])).flatten();
+        let modules = if in_range && dlid.requests_adaptive() {
+            &self.modules[1..]
+        } else {
+            &[]
         };
-        let mut adaptive = Vec::new();
-        if dlid.requests_adaptive() {
-            for module in &self.modules[1..] {
-                let v = module[row];
-                if v != INVALID_PORT {
-                    let p = PortIndex(v);
-                    if !adaptive.contains(&p) {
-                        adaptive.push(p);
-                    }
-                }
-            }
+        let adaptive = modules.iter().enumerate().filter_map(move |(m, module)| {
+            let v = module[row];
+            let repeated = modules[..m].iter().any(|earlier| earlier[row] == v);
+            valid(v).filter(|_| !repeated)
+        });
+        (escape, adaptive)
+    }
+
+    /// [`Self::group`] collected into an owned [`TableLookup`].
+    pub fn lookup(&self, dlid: Lid) -> TableLookup {
+        let (escape, adaptive) = self.group(dlid);
+        TableLookup {
+            escape,
+            adaptive: adaptive.collect(),
         }
-        TableLookup { escape, adaptive }
     }
 
     /// View the table as the plain linear array the subnet manager sees
@@ -302,33 +309,41 @@ mod tests {
             prop_assert_eq!(t.fanout(), fanout);
         }
 
-        /// Group lookup agrees with the linear view: escape is the entry
-        /// at the group base; adaptive are the deduped non-base entries.
+        /// The allocation-free group read returns what `lookup` returns,
+        /// and both agree with the linear view — escape is the entry at
+        /// the group base, adaptive the de-duplicated non-base entries of
+        /// an odd DLID — for fanouts 1–8, inside and past the table.
         #[test]
-        fn prop_lookup_matches_linear_semantics(
-            writes in proptest::collection::vec((0usize..64, 0u8..16), 0..100),
-            probe in 0usize..64
+        fn prop_group_read_matches_lookup_and_linear_semantics(
+            fanout_log in 0u32..4,
+            len in 1usize..100,
+            writes in proptest::collection::vec((0usize..100, 0u8..16), 0..150),
+            probe in 0usize..140
         ) {
-            let fanout = 4u16;
-            let mut t = InterleavedForwardingTable::new(64, fanout).unwrap();
+            let fanout = 1usize << fanout_log;
+            let mut t = InterleavedForwardingTable::new(len, fanout as u16).unwrap();
             for (addr, port) in writes {
-                t.set(Lid(addr as u16), PortIndex(port)).unwrap();
+                let _ = t.set(Lid(addr as u16), PortIndex(port)); // some fall past `len`
             }
+            let dlid = Lid(probe as u16);
+            let (escape, adaptive) = t.group(dlid);
+            let adaptive: Vec<PortIndex> = adaptive.collect();
+            let r = t.lookup(dlid);
+            prop_assert_eq!(r.escape, escape);
+            prop_assert_eq!(&r.adaptive, &adaptive);
+
             let view = t.linear_view();
-            let base = probe / 4 * 4;
-            let r = t.lookup(Lid(probe as u16));
-            prop_assert_eq!(r.escape, view[base]);
-            if probe % 2 == 1 {
-                let mut expect = Vec::new();
-                for v in view[base + 1..base + 4].iter().flatten() {
+            let base = probe / fanout * fanout;
+            let mut expect = Vec::new();
+            if probe < len && probe % 2 == 1 {
+                for v in view[(base + 1).min(len)..(base + fanout).min(len)].iter().flatten() {
                     if !expect.contains(v) {
                         expect.push(*v);
                     }
                 }
-                prop_assert_eq!(r.adaptive, expect);
-            } else {
-                prop_assert!(r.adaptive.is_empty());
             }
+            prop_assert_eq!(escape, if probe < len { view[base] } else { None });
+            prop_assert_eq!(adaptive, expect);
         }
     }
 }

@@ -6,12 +6,12 @@
 //! Plus the determinism pin for the up\*/down\* root selection that
 //! `UpDownRouting::build` documents.
 
-use iba_core::SwitchId;
+use iba_core::{Lid, PortIndex, SwitchId};
 use iba_routing::{
     certify_engine, check_escape_routes, EscapeEngine, FaRouting, FullMeshRouting, OutflankRouting,
     RoutingConfig, UpDownRouting,
 };
-use iba_topology::{Topology, TopologySpec};
+use iba_topology::{Topology, TopologyBuilder, TopologySpec};
 use proptest::prelude::*;
 
 /// Certify the escape offset of fully built FA tables: the exact
@@ -147,6 +147,143 @@ fn fullmesh_certifies_at_scale() {
     let fa = FaRouting::<FullMeshRouting>::build_with_engine(&topo, RoutingConfig::two_options())
         .unwrap();
     certify_fa_tables(&topo, &fa);
+}
+
+/// One table access decoded from the public table alone — the uncached
+/// statement of what `route_shared` must return: the interleaved group
+/// read at an adaptive-capable switch, the exact linear entry at a plain
+/// one, `None` where the escape entry is unprogrammed.
+fn decode_from_table<E: EscapeEngine>(
+    fa: &FaRouting<E>,
+    s: SwitchId,
+    dlid: Lid,
+) -> Option<(PortIndex, Vec<PortIndex>)> {
+    if fa.switch_adaptive(s) {
+        let access = fa.table(s).lookup(dlid);
+        access.escape.map(|escape| (escape, access.adaptive))
+    } else {
+        fa.table(s).get(dlid).map(|escape| (escape, Vec::new()))
+    }
+}
+
+/// The route cache is the table: every switch, every DLID of the table
+/// and a stretch past its end.
+fn assert_cache_is_the_table<E: EscapeEngine>(topo: &Topology, fa: &FaRouting<E>, what: &str) {
+    let mut programmed = 0usize;
+    let mut distinct = std::collections::HashSet::new();
+    for s in topo.switch_ids() {
+        for raw in 0..fa.lid_map().table_len() as u32 + 70 {
+            let Ok(raw) = u16::try_from(raw) else { break };
+            let cached = fa
+                .route_shared(s, Lid(raw))
+                .map(|r| (r.escape, r.adaptive.to_vec()));
+            match decode_from_table(fa, s, Lid(raw)) {
+                Some(decoded) => {
+                    assert_eq!(
+                        cached.as_ref().ok(),
+                        Some(&decoded),
+                        "{what}: {s} lid {raw}"
+                    );
+                    programmed += 1;
+                    distinct.insert(decoded);
+                }
+                None => assert!(
+                    matches!(cached, Err(iba_core::IbaError::UnknownLid(l)) if l == raw),
+                    "{what}: {s} lid {raw} is unprogrammed but cached as {cached:?}"
+                ),
+            }
+        }
+    }
+    let (entries, shared) = fa.route_cache_sharing();
+    assert_eq!(entries, programmed, "{what}: programmed entries");
+    assert!(
+        (1..=distinct.len()).contains(&shared),
+        "{what}: {shared} pool slots in use for {} distinct decodes",
+        distinct.len()
+    );
+}
+
+/// `topo` without the wire between `a` and `b`, ids and port numbers kept.
+fn without_link(topo: &Topology, a: SwitchId, b: SwitchId) -> Option<Topology> {
+    let mut builder = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch());
+    for s in topo.switch_ids() {
+        for (p, peer, pp) in topo.switch_neighbors(s) {
+            if peer.0 > s.0 && (s, peer) != (a, b) {
+                builder.connect_ports(s, p, peer, pp).unwrap();
+            }
+        }
+    }
+    for h in topo.host_ids() {
+        let (sw, port) = topo.host_attachment(h);
+        builder.attach_host_at(sw, port).unwrap();
+    }
+    builder.build().ok() // a bridge removal disconnects: no topology
+}
+
+fn cache_is_the_table_on_every_build<E: EscapeEngine>(spec: TopologySpec) {
+    let topo = spec.generate(3).unwrap();
+    let mixed: Vec<bool> = (0..topo.num_switches()).map(|i| i % 3 != 1).collect();
+    for options in [1u16, 2, 4] {
+        let cfg = RoutingConfig::with_options(options);
+        let what = |build: &str| format!("{} over {} x{options} {build}", E::NAME, spec.name());
+        let plain = FaRouting::<E>::build_with_engine(&topo, cfg).unwrap();
+        assert_cache_is_the_table(&topo, &plain, &what("plain"));
+        let fa = FaRouting::<E>::build_mixed_with_engine(&topo, cfg, &mixed).unwrap();
+        assert_cache_is_the_table(&topo, &fa, &what("mixed"));
+        let fa = FaRouting::<E>::build_apm_with_engine(&topo, cfg).unwrap();
+        assert_cache_is_the_table(&topo, &fa, &what("apm"));
+        let fa = FaRouting::<E>::build_source_multipath_with_engine(&topo, cfg).unwrap();
+        assert_cache_is_the_table(&topo, &fa, &what("multipath"));
+
+        // After a link failure, on the delta path and on the fallback
+        // (engines without an incremental rebuild always fall back, and
+        // only where the degraded shape is still one they accept).
+        let (mut delta_seen, mut fallback_seen) = (false, false);
+        for a in topo.switch_ids() {
+            for (pa, b, pb) in topo.switch_neighbors(a) {
+                let Some(degraded) = without_link(&topo, a, b).filter(|_| a.0 < b.0) else {
+                    continue;
+                };
+                let Ok(rebuilt) = plain.rebuild_after_link_failure(&degraded, a, pa, b, pb) else {
+                    continue;
+                };
+                let seen = if rebuilt.stats.full_rebuild {
+                    &mut fallback_seen
+                } else {
+                    &mut delta_seen
+                };
+                if !std::mem::replace(seen, true) {
+                    let path = format!("rebuilt {a}-{b} fallback={}", rebuilt.stats.full_rebuild);
+                    assert_cache_is_the_table(&degraded, &rebuilt.routing, &what(&path));
+                }
+            }
+        }
+        if E::NAME == UpDownRouting::NAME {
+            assert!(
+                delta_seen && fallback_seen,
+                "{}",
+                what("both rebuild paths")
+            );
+        }
+    }
+}
+
+#[test]
+fn route_cache_is_the_table_for_every_engine_and_build() {
+    cache_is_the_table_on_every_build::<UpDownRouting>(TopologySpec::Irregular {
+        switches: 16,
+        inter_switch_links: 4,
+        hosts_per_switch: 3,
+    });
+    cache_is_the_table_on_every_build::<OutflankRouting>(TopologySpec::Torus2D {
+        rows: 3,
+        cols: 4,
+        hosts_per_switch: 2,
+    });
+    cache_is_the_table_on_every_build::<FullMeshRouting>(TopologySpec::FullMesh {
+        switches: 7,
+        hosts_per_switch: 2,
+    });
 }
 
 proptest! {

@@ -18,6 +18,9 @@ use iba_topology::Topology;
 /// Entries per linear-forwarding-table block (spec value).
 pub const LFT_BLOCK: usize = 64;
 
+/// Entries of an agent's LFT: the unicast LID space, `0..=0xBFFF`.
+pub(crate) const LFT_LEN: usize = 48 * 1024;
+
 /// One switch's management agent state.
 #[derive(Debug)]
 pub struct ManagedSwitch {
@@ -81,14 +84,13 @@ impl<'a> ManagedFabric<'a> {
     /// attached to the switch of host 0; `lft_fanout` is the interleave
     /// factor of the enhanced switches (2^LMC).
     pub fn new(topo: &'a Topology, lft_fanout: u16) -> Result<Self, iba_core::IbaError> {
-        let table_len = 48 * 1024; // spec: LFT covers unicast LID space
         let switches = topo
             .switch_ids()
             .map(|s| {
                 Ok(ManagedSwitch {
                     guid: guid_of(s),
                     lid: Lid(0),
-                    lft: InterleavedForwardingTable::new(table_len, lft_fanout)?,
+                    lft: InterleavedForwardingTable::new(LFT_LEN, lft_fanout)?,
                     // Power-on default: everything on VL0 until programmed.
                     sl2vl: SlToVlTable::identity(topo.ports_per_switch(), 1)?,
                     smps_processed: 0,

@@ -10,8 +10,8 @@
 
 use crate::discovery::DiscoveredFabric;
 use crate::mad::{DirectedRoute, Smp, SmpAttribute, SmpMethod, SmpResponse};
-use crate::managed::{ManagedFabric, LFT_BLOCK};
-use crate::retry::{ReliableSender, SendOutcome};
+use crate::managed::{ManagedFabric, LFT_BLOCK, LFT_LEN};
+use crate::retry::{ReliableSender, RetryPolicy, SendOutcome};
 use iba_core::{IbaError, Lid, PortIndex, ServiceLevel, SwitchId, VirtualLane};
 use iba_routing::{EscapeEngine, FaRouting};
 use serde::{Deserialize, Serialize};
@@ -131,130 +131,26 @@ impl Programmer {
             .insert(block, hash);
     }
 
-    fn smp(&mut self, method: SmpMethod, attribute: SmpAttribute, route: DirectedRoute) -> Smp {
-        self.tid += 1;
-        Smp {
-            method,
-            attribute,
-            route,
-            tid: self.tid,
-            sl: ServiceLevel(0),
-        }
-    }
-
     /// Upload `routing`'s tables (computed on the *discovery-ordered*
     /// topology) onto the physical switches of `fabric`, then verify by
-    /// reading every written block back.
+    /// reading every written block back. Every SMP is sent exactly once:
+    /// a switch that does not answer is a hard error here.
     pub fn program<E: EscapeEngine>(
         &mut self,
         fabric: &mut ManagedFabric,
         discovered: &DiscoveredFabric,
         routing: &FaRouting<E>,
     ) -> Result<ProgramReport, IbaError> {
-        let before = fabric.smps_sent;
-        let mut blocks_total = 0u64;
-        let mut blocks_written = 0u64;
-        let mut sl2vl_rows_written = 0u64;
-        let mut verified = true;
-        for (i, sw) in discovered.switches.iter().enumerate() {
-            let view = routing.table(SwitchId(i as u16)).linear_view();
-            for (block, chunk) in view.chunks(LFT_BLOCK).enumerate() {
-                if chunk.iter().all(|e| e.is_none()) {
-                    continue; // nothing programmed in this block
-                }
-                blocks_total += 1;
-                let hash = block_hash(chunk);
-                if self.block_clean(sw.guid, block as u32, hash) {
-                    continue; // on-switch content already matches
-                }
-                let entries: Vec<Option<PortIndex>> = chunk.to_vec();
-                let resp = fabric.send(&self.smp(
-                    SmpMethod::Set,
-                    SmpAttribute::LinearForwardingTable {
-                        block: block as u32,
-                        entries: entries.clone(),
-                    },
-                    sw.route.clone(),
-                ));
-                if resp != SmpResponse::Ok {
-                    return Err(IbaError::InvalidConfig(format!(
-                        "LFT write rejected at switch {i} block {block}: {resp:?}"
-                    )));
-                }
-                blocks_written += 1;
-                // Read back and compare.
-                let resp = fabric.send(&self.smp(
-                    SmpMethod::Get,
-                    SmpAttribute::LinearForwardingTable {
-                        block: block as u32,
-                        entries: vec![],
-                    },
-                    sw.route.clone(),
-                ));
-                let SmpResponse::LftBlock { entries: got } = resp else {
-                    return Err(IbaError::InvalidConfig("LFT read-back failed".into()));
-                };
-                let mut ok = true;
-                for (k, want) in entries.iter().enumerate() {
-                    if want.is_some() && got.get(k) != Some(want) {
-                        ok = false;
-                    }
-                }
-                if ok {
-                    self.record_block(sw.guid, block as u32, hash);
-                } else {
-                    verified = false;
-                }
-            }
-            // Program the identity SLtoVL mapping over one data VL for
-            // every (input, output) port pair (§4.4 leaves the SLtoVL
-            // machinery in its spec role; the evaluation runs on VL0).
-            // The grid never changes, so a shadowed switch skips it.
-            let ports = sw.ports.len() as u8;
-            if !self.shadow.get(&sw.guid).is_some_and(|s| s.sl2vl_done) {
-                let identity: Vec<VirtualLane> = (0..16).map(|_| VirtualLane(0)).collect();
-                for input in 0..ports {
-                    for output in 0..ports {
-                        let resp = fabric.send(&self.smp(
-                            SmpMethod::Set,
-                            SmpAttribute::SlToVlMappingTable {
-                                input: PortIndex(input),
-                                output: PortIndex(output),
-                                vls: identity.clone(),
-                            },
-                            sw.route.clone(),
-                        ));
-                        if resp != SmpResponse::Ok {
-                            return Err(IbaError::InvalidConfig("SLtoVL write rejected".into()));
-                        }
-                        sl2vl_rows_written += 1;
-                    }
-                }
-                self.shadow.entry(sw.guid).or_default().sl2vl_done = true;
-            }
-            // Assign the switch's management LID (simple dense scheme
-            // above the host ranges).
-            let mgmt_lid = Lid(routing.lid_map().table_len() as u16 + i as u16);
-            if self.shadow.get(&sw.guid).and_then(|s| s.mgmt_lid) != Some(mgmt_lid) {
-                let resp = fabric.send(&self.smp(
-                    SmpMethod::Set,
-                    SmpAttribute::SwitchInfo { lid: mgmt_lid },
-                    sw.route.clone(),
-                ));
-                if resp != SmpResponse::Ok {
-                    return Err(IbaError::InvalidConfig("SwitchInfo set failed".into()));
-                }
-                self.shadow.entry(sw.guid).or_default().mgmt_lid = Some(mgmt_lid);
-            }
+        let once = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        let pass =
+            self.program_robust(fabric, discovered, routing, &mut ReliableSender::new(once)?)?;
+        match pass.skipped.into_iter().next() {
+            Some(lost) => Err(IbaError::InvalidConfig(lost)),
+            None => Ok(pass.report),
         }
-        Ok(ProgramReport {
-            switches: discovered.switches.len(),
-            blocks_total,
-            blocks_written,
-            sl2vl_rows_written,
-            smps_used: fabric.smps_sent - before,
-            verified,
-        })
     }
 
     /// The loss-tolerant upload: every SMP rides `sender`'s retransmit
@@ -270,6 +166,7 @@ impl Programmer {
         routing: &FaRouting<E>,
         sender: &mut ReliableSender,
     ) -> Result<RobustProgram, IbaError> {
+        let mgmt_base = mgmt_lid_base(routing.lid_map().table_len(), discovered.switches.len())?;
         let before = fabric.smps_sent;
         let mut blocks_total = 0u64;
         let mut blocks_written = 0u64;
@@ -277,13 +174,25 @@ impl Programmer {
         let mut verified = true;
         let mut skipped: Vec<String> = Vec::new();
         let mut partial = false;
+        // One SMP is re-addressed per switch and re-filled per send, so
+        // the directed route and the payloads are not copied per SMP.
+        let mut smp = Smp {
+            method: SmpMethod::Set,
+            attribute: SmpAttribute::NodeInfo,
+            route: DirectedRoute::local(),
+            tid: 0,
+            sl: ServiceLevel(0),
+        };
         'switches: for (i, sw) in discovered.switches.iter().enumerate() {
             // One reusable closure-shaped helper would hide the control
             // flow; the explicit match per site keeps the three exits
             // (ok / skip switch / stop sweep) visible.
             macro_rules! deliver {
-                ($smp:expr, $what:expr) => {
-                    match sender.send(fabric, &$smp) {
+                ($method:expr, $what:expr) => {{
+                    smp.method = $method;
+                    self.tid += 1;
+                    smp.tid = self.tid;
+                    match sender.send(fabric, &smp) {
                         SendOutcome::Delivered(resp) => resp,
                         SendOutcome::Unreachable => {
                             skipped.push(format!("switch {i} stopped answering during {}", $what));
@@ -295,8 +204,9 @@ impl Programmer {
                             break 'switches;
                         }
                     }
-                };
+                }};
             }
+            smp.route.hops.clone_from(&sw.route.hops);
             let view = routing.table(SwitchId(i as u16)).linear_view();
             for (block, chunk) in view.chunks(LFT_BLOCK).enumerate() {
                 if chunk.iter().all(|e| e.is_none()) {
@@ -307,16 +217,11 @@ impl Programmer {
                 if self.block_clean(sw.guid, block as u32, hash) {
                     continue; // on-switch content already matches
                 }
-                let entries: Vec<Option<PortIndex>> = chunk.to_vec();
-                let smp = self.smp(
-                    SmpMethod::Set,
-                    SmpAttribute::LinearForwardingTable {
-                        block: block as u32,
-                        entries: entries.clone(),
-                    },
-                    sw.route.clone(),
-                );
-                let resp = deliver!(smp, format!("LFT block {block}"));
+                smp.attribute = SmpAttribute::LinearForwardingTable {
+                    block: block as u32,
+                    entries: chunk.to_vec(),
+                };
+                let resp = deliver!(SmpMethod::Set, format!("LFT block {block}"));
                 if resp != SmpResponse::Ok {
                     return Err(IbaError::InvalidConfig(format!(
                         "LFT write rejected at switch {i} block {block}: {resp:?}"
@@ -324,45 +229,44 @@ impl Programmer {
                 }
                 blocks_written += 1;
                 // Read back and compare.
-                let smp = self.smp(
-                    SmpMethod::Get,
-                    SmpAttribute::LinearForwardingTable {
-                        block: block as u32,
-                        entries: vec![],
-                    },
-                    sw.route.clone(),
-                );
-                let resp = deliver!(smp, format!("LFT read-back of block {block}"));
+                smp.attribute = SmpAttribute::LinearForwardingTable {
+                    block: block as u32,
+                    entries: Vec::new(),
+                };
+                let resp = deliver!(SmpMethod::Get, format!("LFT read-back of block {block}"));
                 let SmpResponse::LftBlock { entries: got } = resp else {
                     return Err(IbaError::InvalidConfig("LFT read-back failed".into()));
                 };
-                let mut ok = true;
-                for (k, want) in entries.iter().enumerate() {
-                    if want.is_some() && got.get(k) != Some(want) {
-                        ok = false;
-                    }
-                }
-                if ok {
+                let matches = chunk
+                    .iter()
+                    .enumerate()
+                    .all(|(k, want)| want.is_none() || got.get(k) == Some(want));
+                if matches {
                     self.record_block(sw.guid, block as u32, hash);
                 } else {
                     verified = false;
                 }
             }
-            let ports = sw.ports.len() as u8;
+            // Program the identity SLtoVL mapping over one data VL for
+            // every (input, output) port pair (§4.4 leaves the SLtoVL
+            // machinery in its spec role; the evaluation runs on VL0).
+            // The grid never changes, so a shadowed switch skips it.
             if !self.shadow.get(&sw.guid).is_some_and(|s| s.sl2vl_done) {
-                let identity: Vec<VirtualLane> = (0..16).map(|_| VirtualLane(0)).collect();
-                for input in 0..ports {
-                    for output in 0..ports {
-                        let smp = self.smp(
-                            SmpMethod::Set,
-                            SmpAttribute::SlToVlMappingTable {
-                                input: PortIndex(input),
-                                output: PortIndex(output),
-                                vls: identity.clone(),
-                            },
-                            sw.route.clone(),
-                        );
-                        let resp = deliver!(smp, format!("SLtoVL row {input}->{output}"));
+                let ports = sw.ports.len() as u8;
+                smp.attribute = SmpAttribute::SlToVlMappingTable {
+                    input: PortIndex(0),
+                    output: PortIndex(0),
+                    vls: vec![VirtualLane(0); ServiceLevel::COUNT],
+                };
+                for i_port in 0..ports {
+                    for o_port in 0..ports {
+                        if let SmpAttribute::SlToVlMappingTable { input, output, .. } =
+                            &mut smp.attribute
+                        {
+                            (*input, *output) = (PortIndex(i_port), PortIndex(o_port));
+                        }
+                        let resp =
+                            deliver!(SmpMethod::Set, format!("SLtoVL row {i_port}->{o_port}"));
                         if resp != SmpResponse::Ok {
                             return Err(IbaError::InvalidConfig("SLtoVL write rejected".into()));
                         }
@@ -371,14 +275,12 @@ impl Programmer {
                 }
                 self.shadow.entry(sw.guid).or_default().sl2vl_done = true;
             }
-            let mgmt_lid = Lid(routing.lid_map().table_len() as u16 + i as u16);
+            // Assign the switch's management LID (simple dense scheme
+            // above the host ranges).
+            let mgmt_lid = Lid(mgmt_base + i as u16);
             if self.shadow.get(&sw.guid).and_then(|s| s.mgmt_lid) != Some(mgmt_lid) {
-                let smp = self.smp(
-                    SmpMethod::Set,
-                    SmpAttribute::SwitchInfo { lid: mgmt_lid },
-                    sw.route.clone(),
-                );
-                let resp = deliver!(smp, "SwitchInfo".to_string());
+                smp.attribute = SmpAttribute::SwitchInfo { lid: mgmt_lid };
+                let resp = deliver!(SmpMethod::Set, "SwitchInfo");
                 if resp != SmpResponse::Ok {
                     return Err(IbaError::InvalidConfig("SwitchInfo set failed".into()));
                 }
@@ -397,6 +299,17 @@ impl Programmer {
             skipped,
             partial,
         })
+    }
+}
+
+/// The first management LID: switch `i` is assigned `table_len + i`,
+/// densely above the host ranges. The whole assignment must stay inside
+/// the unicast space the agents' LFTs cover, or it is refused before an
+/// SMP leaves.
+fn mgmt_lid_base(table_len: usize, switches: usize) -> Result<u16, IbaError> {
+    match table_len.checked_add(switches) {
+        Some(end) if end <= LFT_LEN => Ok(table_len as u16),
+        _ => Err(IbaError::LidSpaceExhausted),
     }
 }
 
@@ -506,6 +419,45 @@ mod tests {
             .program(&mut fabric, &discovered, &routing)
             .unwrap();
         assert_eq!(report.blocks_total, report.blocks_written);
+    }
+
+    #[test]
+    fn management_lids_must_fit_the_unicast_space() {
+        // The last management LID is `table_len + switches - 1`; 0xBFFF
+        // (the last unicast LID, and the last entry of an agent's LFT)
+        // is the highest it may be.
+        assert_eq!(LFT_LEN - 1, 0xBFFF);
+        assert_eq!(mgmt_lid_base(LFT_LEN - 8, 8).unwrap(), 0xBFF8);
+        assert_eq!(
+            mgmt_lid_base(LFT_LEN - 8, 9),
+            Err(IbaError::LidSpaceExhausted)
+        );
+        // A LID map may span the whole 16-bit space: what used to wrap
+        // to LID 0 in release builds is refused.
+        assert_eq!(
+            mgmt_lid_base(u16::MAX as usize, 1),
+            Err(IbaError::LidSpaceExhausted)
+        );
+        assert_eq!(
+            mgmt_lid_base(usize::MAX, 1),
+            Err(IbaError::LidSpaceExhausted)
+        );
+    }
+
+    #[test]
+    fn oversized_lid_plan_is_refused_before_any_smp() {
+        // 400 hosts x 128 addresses: a legal 16-bit LID map whose table
+        // alone passes the unicast top, leaving the switches no LID.
+        let topo = iba_topology::regular::ring(8, 50).unwrap();
+        let mut fabric = ManagedFabric::new(&topo, 2).unwrap();
+        let discovered = Discoverer::new().discover(&mut fabric).unwrap();
+        let rebuilt = discovered.to_topology().unwrap();
+        let routing = FaRouting::build(&rebuilt, RoutingConfig::with_options(128)).unwrap();
+        assert!(routing.lid_map().table_len() > LFT_LEN);
+        let sent = fabric.smps_sent;
+        let refused = Programmer::new().program(&mut fabric, &discovered, &routing);
+        assert_eq!(refused, Err(IbaError::LidSpaceExhausted));
+        assert_eq!(fabric.smps_sent, sent, "an SMP left before the refusal");
     }
 
     #[test]
