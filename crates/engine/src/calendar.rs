@@ -48,6 +48,8 @@ struct Found {
     cur_day_end: u64,
     /// The entry's timestamp.
     time: SimTime,
+    /// The entry's tie-break rank.
+    ord: u64,
 }
 
 /// A calendar queue over events of type `E`.
@@ -202,12 +204,13 @@ impl<E> CalendarQueue<E> {
                     best = Some((i, e.time, e.ord));
                 }
             }
-            if let Some((index, time, _)) = best {
+            if let Some((index, time, ord)) = best {
                 return Some(Found {
                     index,
                     cur_bucket,
                     cur_day_end,
                     time,
+                    ord,
                 });
             }
             // Advance to the next day; after a whole empty year, jump
@@ -259,14 +262,29 @@ impl<E> CalendarQueue<E> {
         Some(self.pop_found(found))
     }
 
-    /// Pop only if the earliest event is at or before `horizon`.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+    /// Pop the earliest event, with its ordering rank, only if it is at
+    /// or before `limit` and strictly ahead of `bound` in `(time, rank)`
+    /// order — one day scan, as [`crate::EventQueue::pop_ahead_of`].
+    pub fn pop_ahead_of(
+        &mut self,
+        limit: SimTime,
+        bound: (SimTime, u64),
+    ) -> Option<(SimTime, u64, E)> {
         let found = self.find_earliest()?;
-        if found.time <= horizon {
-            Some(self.pop_found(found))
-        } else {
-            None
+        if found.time > limit || (found.time, found.ord) >= bound {
+            return None;
         }
+        let ord = found.ord;
+        let (time, event) = self.pop_found(found);
+        Some((time, ord, event))
+    }
+
+    /// Move the clock to `t` without popping (see
+    /// [`crate::EventQueue::advance_to`]). The day cursor stays behind:
+    /// it only ever needs to be at or before the earliest entry.
+    pub fn advance_to(&mut self, t: SimTime) {
+        debug_assert!(t >= self.now && self.peek_time().is_none_or(|head| head >= t));
+        self.now = t;
     }
 
     /// Rebuild with `nbuckets` days, re-estimating the day width from the
@@ -365,13 +383,18 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_respects_horizon() {
+    fn pop_ahead_of_respects_limit_and_bound() {
+        let unbounded = (SimTime::MAX, u64::MAX);
         let mut q = CalendarQueue::new();
         q.schedule(SimTime::from_ns(10), "early");
         q.schedule(SimTime::from_ns(100_000), "late");
-        assert_eq!(q.pop_until(SimTime::from_ns(50)).unwrap().1, "early");
-        assert!(q.pop_until(SimTime::from_ns(50)).is_none());
+        let at = SimTime::from_ns;
+        assert!(q.pop_ahead_of(at(50), (at(10), 0)).is_none());
+        assert_eq!(q.pop_ahead_of(at(50), unbounded).unwrap().2, "early");
+        assert!(q.pop_ahead_of(at(50), unbounded).is_none());
         assert_eq!(q.len(), 1);
+        q.advance_to(at(60));
+        assert_eq!(q.pop().unwrap(), (at(100_000), "late"));
     }
 
     #[test]

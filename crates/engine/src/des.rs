@@ -3,7 +3,7 @@
 //!
 //! The simulation loop in `iba-sim` is written against [`DesQueue`], a
 //! two-variant enum rather than a trait object, so the hot
-//! `pop_until`/`schedule` calls stay static dispatch over a small match —
+//! `pop_ahead_of`/`schedule` calls stay static dispatch over a small match —
 //! no vtable, no generic parameter leaking into `Network`. Both backends
 //! implement the identical `(time, insertion order)` contract, so a run
 //! is bit-reproducible regardless of which one drives it; the
@@ -138,12 +138,28 @@ impl<E> DesQueue<E> {
         }
     }
 
-    /// Pop only if the earliest event is at or before `horizon`.
+    /// Pop the earliest event, with its ordering rank, only if it is at
+    /// or before `limit` and strictly ahead of `bound` in `(time, rank)`
+    /// order.
     #[inline]
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+    pub fn pop_ahead_of(
+        &mut self,
+        limit: SimTime,
+        bound: (SimTime, u64),
+    ) -> Option<(SimTime, u64, E)> {
         match self {
-            DesQueue::Heap(q) => q.pop_until(horizon),
-            DesQueue::Calendar(q) => q.pop_until(horizon),
+            DesQueue::Heap(q) => q.pop_ahead_of(limit, bound),
+            DesQueue::Calendar(q) => q.pop_ahead_of(limit, bound),
+        }
+    }
+
+    /// Move the clock to `t` (between the clock and the earliest pending
+    /// event) without popping: the caller executed a wake-up of its own.
+    #[inline]
+    pub fn advance_to(&mut self, t: SimTime) {
+        match self {
+            DesQueue::Heap(q) => q.advance_to(t),
+            DesQueue::Calendar(q) => q.advance_to(t),
         }
     }
 }
@@ -151,6 +167,8 @@ impl<E> DesQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn exercise(backend: QueueBackend) -> Vec<(u64, u32)> {
         let mut q = DesQueue::with_capacity(backend, 8);
@@ -162,7 +180,7 @@ mod tests {
         }
         assert_eq!(q.len(), times.len());
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(10)));
-        while let Some((t, e)) = q.pop_until(SimTime::from_ns(25)) {
+        while let Some((t, _, e)) = q.pop_ahead_of(SimTime::from_ns(25), (SimTime::MAX, u64::MAX)) {
             out.push((t.as_ns(), e));
         }
         q.schedule_in(5, 99);
@@ -201,5 +219,60 @@ mod tests {
             DesQueue::<u32>::new(QueueBackend::default()),
             DesQueue::Heap(_)
         ));
+    }
+
+    proptest! {
+        /// `pop_ahead_of` is peek-then-pop: on both backends it returns
+        /// exactly what peeking the earliest `(time, rank)` of a sorted
+        /// reference, testing it against the limit and the bound, and
+        /// popping would; when the outside wake-up wins, `advance_to`
+        /// moves the clock there and later schedules stay legal.
+        ///
+        /// An op `(merge, a, b, rank)` is either one keyed schedule at
+        /// `now + a` in class `rank`, or one `pop_ahead_of` with limit
+        /// `now + a` against an outside wake-up at `(now + b, rank)`.
+        #[test]
+        fn prop_pop_ahead_of_is_peek_then_pop(
+            ops in proptest::collection::vec(
+                (any::<bool>(), 0u64..3_000, 0u64..3_000, 0u64..5), 1..300)
+        ) {
+            for backend in [QueueBackend::BinaryHeap, QueueBackend::Calendar] {
+                let mut q: DesQueue<u32> = DesQueue::new(backend);
+                let mut reference: BTreeSet<(SimTime, u64, u32)> = BTreeSet::new();
+                let mut idx = 0u32;
+                for &(merge, a, b, rank) in &ops {
+                    match merge {
+                        false => {
+                            let at = q.now().plus_ns(a);
+                            let key = (rank << 60) | idx as u64;
+                            q.schedule_keyed(at, key, idx);
+                            reference.insert((at, key, idx));
+                            idx += 1;
+                        }
+                        true => {
+                            let limit = q.now().plus_ns(a);
+                            let bound = (q.now().plus_ns(b), rank << 60);
+                            let head = reference.first().copied();
+                            prop_assert_eq!(q.peek_time(), head.map(|h| h.0));
+                            let expected =
+                                head.filter(|&(t, k, _)| t <= limit && (t, k) < bound);
+                            prop_assert_eq!(q.pop_ahead_of(limit, bound), expected);
+                            match expected {
+                                Some(h) => {
+                                    reference.remove(&h);
+                                    prop_assert_eq!(q.now(), h.0);
+                                }
+                                None if bound.0 <= limit => {
+                                    q.advance_to(bound.0);
+                                    prop_assert_eq!(q.now(), bound.0);
+                                }
+                                None => {}
+                            }
+                        }
+                    }
+                    prop_assert_eq!(q.len(), reference.len());
+                }
+            }
+        }
     }
 }

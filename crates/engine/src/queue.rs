@@ -197,16 +197,33 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Pop the earliest event only if it is scheduled at or before
-    /// `horizon`; otherwise leave the queue untouched. This is how the
-    /// simulator stops at the end of the measurement window without
-    /// draining the whole queue.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? <= horizon {
-            self.pop()
-        } else {
-            None
+    /// Pop the earliest event, with its ordering rank, only if it is at
+    /// or before `limit` *and* strictly ahead of `bound` in `(time,
+    /// rank)` order; otherwise leave the queue untouched. This is how the
+    /// simulator stops at a window's end without draining the queue, and
+    /// how it merges the wake-ups it keeps outside the queue, ranked
+    /// among the events, into the pop order.
+    pub fn pop_ahead_of(
+        &mut self,
+        limit: SimTime,
+        bound: (SimTime, u64),
+    ) -> Option<(SimTime, u64, E)> {
+        let head = self.heap.peek()?;
+        if head.time > limit || (head.time, head.ord) >= bound {
+            return None;
         }
+        let entry = self.heap.pop()?;
+        self.now = entry.time;
+        self.popped += 1;
+        Some((entry.time, entry.ord, entry.event))
+    }
+
+    /// Move the clock to `t` without popping: the caller executed one of
+    /// its own wake-ups there. `t` must lie between the clock and the
+    /// earliest pending event (checked in debug builds).
+    pub fn advance_to(&mut self, t: SimTime) {
+        debug_assert!(t >= self.now && self.peek_time().is_none_or(|head| head >= t));
+        self.now = t;
     }
 
     /// Drop every pending event (the clock is preserved).
@@ -261,14 +278,19 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_respects_horizon() {
+    fn pop_ahead_of_respects_limit_and_bound() {
+        let unbounded = (SimTime::MAX, u64::MAX);
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ns(10), "early");
         q.schedule(SimTime::from_ns(100), "late");
-        assert_eq!(q.pop_until(SimTime::from_ns(50)).unwrap().1, "early");
-        assert!(q.pop_until(SimTime::from_ns(50)).is_none());
+        let at = SimTime::from_ns;
+        assert!(q.pop_ahead_of(at(50), (at(10), 0)).is_none()); // the bound is first
+        assert_eq!(q.pop_ahead_of(at(50), unbounded).unwrap().2, "early");
+        assert!(q.pop_ahead_of(at(50), unbounded).is_none());
         assert_eq!(q.len(), 1); // the late event is still there
-        assert_eq!(q.pop_until(SimTime::from_ns(100)).unwrap().1, "late");
+        q.advance_to(at(60));
+        assert_eq!(q.now(), at(60));
+        assert_eq!(q.pop_ahead_of(at(100), unbounded).unwrap().2, "late");
     }
 
     #[test]

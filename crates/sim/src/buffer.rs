@@ -33,9 +33,9 @@
 //! capacity — a packet occupies at least one credit, so the slot array
 //! can never overflow under correct flow control) and the FIFO is a
 //! separate list of slot indices. A [`SlotHandle`] — slot index plus a
-//! generation counter — survives compaction, so delayed events
-//! (`RouteDone`, `TxDone`) address their residency directly instead of
-//! re-scanning the buffer for a packet id, and a handle left over from a
+//! generation counter — survives compaction, so a delayed `TxDone`
+//! addresses its residency directly instead of re-scanning the buffer
+//! for a packet id, and a handle left over from a
 //! departed residency is detected rather than mis-resolved. Compaction
 //! shifts only the small index list, not the buffered packets.
 
@@ -62,11 +62,12 @@ pub enum EscapeOrderPolicy {
 pub struct BufferedPacket {
     /// The packet itself.
     pub packet: Packet,
-    /// Routing options, filled in when the forwarding-table pipeline
-    /// completes (`ready_at`). Shared with the routing layer's decode
-    /// cache — cloning an `Arc` instead of the option lists keeps the
-    /// per-hop cost flat.
-    pub route: Option<Arc<RouteOptions>>,
+    /// Routing options, resolved at header arrival and visible to
+    /// arbitration once the forwarding-table pipeline completes
+    /// (`ready_at`). Shared with the routing layer's decode cache —
+    /// cloning an `Arc` instead of the option lists keeps the per-hop
+    /// cost flat.
+    pub route: Arc<RouteOptions>,
     /// When the routing pipeline result becomes available.
     pub ready_at: SimTime,
     /// Whether the packet is currently streaming out through the
@@ -77,7 +78,7 @@ pub struct BufferedPacket {
 impl BufferedPacket {
     /// Whether the packet can be considered by arbitration at `now`.
     pub fn is_ready(&self, now: SimTime) -> bool {
-        !self.in_flight && self.route.is_some() && self.ready_at <= now
+        !self.in_flight && self.ready_at <= now
     }
 }
 
@@ -198,10 +199,21 @@ impl VlBuffer {
         self.in_flight > 0
     }
 
-    /// Append an arriving packet (header arrival), returning the stable
-    /// handle of the new residency. The caller guarantees space via
-    /// credit flow control; violating it is an accounting bug.
-    pub fn push(&mut self, packet: Packet, ready_at: SimTime) -> SlotHandle {
+    /// Append an arriving packet (header arrival) with the routing
+    /// result arbitration may use from `ready_at` on, returning the
+    /// stable handle of the new residency. The caller guarantees space
+    /// via credit flow control; violating it is an accounting bug.
+    ///
+    /// With cut-through a packet can re-enter a buffer (e.g. after a
+    /// U-turn through a neighbor) while its previous residency is still
+    /// streaming out, so the same packet id may briefly be resident
+    /// twice; handles keep the two residencies apart.
+    pub fn push(
+        &mut self,
+        packet: Packet,
+        route: Arc<RouteOptions>,
+        ready_at: SimTime,
+    ) -> SlotHandle {
         let credits = packet.credits();
         debug_assert!(
             self.can_accept(credits),
@@ -227,7 +239,7 @@ impl VlBuffer {
         entry.order_pos = self.order.len() as u32;
         entry.packet = Some(BufferedPacket {
             packet,
-            route: None,
+            route,
             ready_at,
             in_flight: false,
         });
@@ -248,55 +260,17 @@ impl VlBuffer {
         entry.packet.as_ref()
     }
 
-    /// Attach the routing result to the exact residency `handle` refers
-    /// to. Returns `false` if that residency has already departed.
-    ///
-    /// With cut-through a packet can re-enter a buffer (e.g. after a
-    /// U-turn through a neighbor) while its previous residency is still
-    /// streaming out, so the same packet id may briefly be resident
-    /// twice; handles make the route unambiguously reach the *new*
-    /// residency.
-    pub fn set_route_at(&mut self, handle: SlotHandle, route: Arc<RouteOptions>) -> bool {
-        let Some(entry) = self.slots.get_mut(handle.slot as usize) else {
-            return false;
-        };
-        if entry.gen != handle.gen {
-            return false;
-        }
-        let Some(p) = entry.packet.as_mut() else {
-            return false;
-        };
-        debug_assert!(p.route.is_none(), "residency routed twice");
-        p.route = Some(route);
-        true
-    }
-
-    /// Attach the routing result to the oldest not-yet-routed residency
-    /// of `id` (compatibility shim for tests; the simulator uses
-    /// [`Self::set_route_at`]).
-    pub fn set_route(&mut self, id: PacketId, route: Arc<RouteOptions>) {
-        for i in 0..self.order.len() {
-            let slot = self.order[i] as usize;
-            let p = self.slots[slot]
-                .packet
-                .as_mut()
-                .expect("order entry occupied");
-            if p.packet.id == id && p.route.is_none() {
-                p.route = Some(route);
-                return;
-            }
-        }
-    }
-
-    /// Re-resolve the route of every *routed, not in-flight* residency
-    /// against a new forwarding function — the SM re-sweep hook: packets
-    /// already buffered when recovery tables are installed were routed
-    /// against the old tables and may hold options through a dead link.
+    /// Re-resolve the route of every *not in-flight* residency against a
+    /// new forwarding function — the SM re-sweep hook: packets already
+    /// buffered when recovery tables are installed were routed against
+    /// the old tables and may hold options through a dead link. That
+    /// includes residencies still inside their routing delay
+    /// (`ready_at` in the future): their route was resolved at arrival,
+    /// and the pipeline must deliver the tables live at `ready_at`.
     /// In-flight residencies are skipped (their transfer was granted
-    /// under the old tables and completes on the old route); unrouted
-    /// residencies are skipped (their pending `RouteDone` consults the
-    /// new tables anyway). Returns the number of residencies the
-    /// function could not resolve (left on their old route).
+    /// under the old tables and completes on the old route). Returns the
+    /// number of residencies the function could not resolve (left on
+    /// their old route).
     pub fn reroute_with(
         &mut self,
         mut f: impl FnMut(&Packet) -> Option<Arc<RouteOptions>>,
@@ -307,11 +281,11 @@ impl VlBuffer {
                 .packet
                 .as_mut()
                 .expect("order entry occupied");
-            if p.in_flight || p.route.is_none() {
+            if p.in_flight {
                 continue;
             }
             match f(&p.packet) {
-                Some(route) => p.route = Some(route),
+                Some(route) => p.route = route,
                 None => unresolved += 1,
             }
         }
@@ -405,6 +379,11 @@ impl VlBuffer {
         let mut out = Candidates::new();
         if !self.order.is_empty() && self.get(0).is_ready(now) {
             out.push((0, ReadPoint::AdaptiveHead));
+        }
+        if self.order.len() <= 1 {
+            // A lone packet is the head: the escape read point can only
+            // ever offer a position past it.
+            return out;
         }
         let escape_head = self.escape_head_index();
         let first_det = self.first_deterministic_index();
@@ -551,11 +530,9 @@ mod tests {
         })
     }
 
-    /// Push and immediately make routable.
+    /// Push with the routing pipeline already complete.
     fn push_ready(buf: &mut VlBuffer, p: Packet) -> SlotHandle {
-        let h = buf.push(p, SimTime::ZERO);
-        buf.set_route_at(h, route());
-        h
+        buf.push(p, route(), SimTime::ZERO)
     }
 
     #[test]
@@ -634,21 +611,51 @@ mod tests {
     }
 
     #[test]
-    fn unrouted_and_future_ready_packets_are_not_candidates() {
+    fn packets_inside_their_routing_delay_are_not_candidates() {
+        // The route is resolved at arrival but only visible at `ready_at`
+        // — for a lone packet (the early return) and behind others.
         let mut buf = VlBuffer::new(Credits(8));
-        let p = pkt(1, true, 64);
-        let h = buf.push(p, SimTime::from_ns(100)); // routing completes at t=100
-        assert!(buf
-            .candidates(SimTime::from_ns(50), EscapeOrderPolicy::DeterministicFifo)
-            .is_empty());
-        buf.set_route_at(h, route());
-        assert!(buf
-            .candidates(SimTime::from_ns(50), EscapeOrderPolicy::DeterministicFifo)
-            .is_empty());
+        buf.push(pkt(1, true, 64), route(), SimTime::from_ns(100));
+        for policy in [
+            EscapeOrderPolicy::Strict,
+            EscapeOrderPolicy::DeterministicFifo,
+        ] {
+            assert!(buf.candidates(SimTime::from_ns(99), policy).is_empty());
+            assert_eq!(
+                buf.candidates(SimTime::from_ns(100), policy),
+                vec![(0, ReadPoint::AdaptiveHead)]
+            );
+        }
+        for i in 2..5 {
+            buf.push(pkt(i, true, 128), route(), SimTime::from_ns(200));
+        }
+        let cands = buf.candidates(SimTime::from_ns(150), EscapeOrderPolicy::DeterministicFifo);
+        assert_eq!(cands, vec![(0, ReadPoint::AdaptiveHead)]);
+        let cands = buf.candidates(SimTime::from_ns(200), EscapeOrderPolicy::DeterministicFifo);
         assert_eq!(
-            buf.candidates(SimTime::from_ns(100), EscapeOrderPolicy::DeterministicFifo)
-                .len(),
-            1
+            cands,
+            vec![(0, ReadPoint::AdaptiveHead), (3, ReadPoint::EscapeHead)]
+        );
+    }
+
+    #[test]
+    fn reroute_reaches_packets_inside_their_routing_delay_but_not_in_flight_ones() {
+        let mut buf = VlBuffer::new(Credits(8));
+        push_ready(&mut buf, pkt(0, true, 64));
+        buf.mark_in_flight(0);
+        push_ready(&mut buf, pkt(1, true, 64));
+        buf.push(pkt(2, true, 64), route(), SimTime::from_ns(100));
+        let fresh = Arc::new(RouteOptions {
+            escape: PortIndex(3),
+            adaptive: InlineVec::new(),
+        });
+        assert_eq!(buf.reroute_with(|_| Some(fresh.clone())), 0);
+        let escapes: Vec<u8> = buf.iter().map(|p| p.route.escape.0).collect();
+        assert_eq!(escapes, vec![0, 3, 3]);
+        assert_eq!(
+            buf.reroute_with(|_| None),
+            2,
+            "unresolved keep the old route"
         );
     }
 
@@ -810,26 +817,21 @@ mod tests {
     #[cfg(debug_assertions)]
     fn overflow_panics_in_debug() {
         let mut buf = VlBuffer::new(Credits(1));
-        buf.push(pkt(1, true, 64), SimTime::ZERO);
-        buf.push(pkt(2, true, 64), SimTime::ZERO);
+        buf.push(pkt(1, true, 64), route(), SimTime::ZERO);
+        buf.push(pkt(2, true, 64), route(), SimTime::ZERO);
     }
 
     #[test]
-    fn duplicate_residency_routes_the_new_copy_and_removes_the_old() {
+    fn duplicate_residency_keeps_the_new_copy_and_removes_the_old() {
         // A cut-through U-turn: the packet re-enters while its old
         // residency still streams out.
         let mut buf = VlBuffer::new(Credits(8));
         let old = push_ready(&mut buf, pkt(7, true, 128));
         buf.mark_in_flight(0);
-        // Same id arrives again (new residency, unrouted).
-        let new = buf.push(pkt(7, true, 128), SimTime::ZERO);
+        // Same id arrives again (new residency).
+        let new = buf.push(pkt(7, true, 128), route(), SimTime::ZERO);
         assert_ne!(old, new);
         assert_eq!(buf.len(), 2);
-        buf.set_route_at(new, route());
-        assert!(
-            buf.get(1).route.is_some(),
-            "new residency must get the route"
-        );
         assert!(buf.get(0).in_flight);
         // TxDone of the old residency removes exactly the old copy.
         let removed = buf.remove_at(old).unwrap();
@@ -855,9 +857,8 @@ mod tests {
         assert_eq!(buf.get(0).packet.id, PacketId(1));
         // A new push may reuse h0's slot; the stale handle must still
         // resolve to None (generation check), the fresh one to pkt 3.
-        let h3 = buf.push(pkt(3, true, 64), SimTime::ZERO);
+        let h3 = buf.push(pkt(3, true, 64), route(), SimTime::ZERO);
         assert!(buf.get_slot(h0).is_none());
-        assert!(!buf.set_route_at(h0, route()));
         assert_eq!(buf.get_slot(h3).unwrap().packet.id, PacketId(3));
         // handle_at agrees with the handles returned by push.
         assert_eq!(buf.handle_at(0), h1);

@@ -25,6 +25,7 @@
 //! events per window, mailbox traffic — which legitimately change with
 //! the shard count) goes under [`iba_stats::PROFILING_PREFIX`].
 
+use crate::shard::CLASS_ARBITRATE;
 use crate::stats::{latency_class_label, RunResult, StatsCollector};
 use iba_core::Json;
 use iba_stats::{LogHistogram, MetricsRegistry};
@@ -103,6 +104,14 @@ pub struct EngineProfile {
     pub mailbox_msgs: u64,
     /// Per-worker wall-clock breakdown.
     pub worker_profiles: Vec<WorkerProfile>,
+    /// Handlers executed per event class, by class rank; arbitration
+    /// passes are the `arbitrate` row. Summed over shards, so the
+    /// replicated fault and probe handlers count once per shard.
+    pub handlers: Vec<(&'static str, u64)>,
+    /// Packets the arbitration passes granted an output.
+    pub grants: u64,
+    /// Occupied input ports the passes' sweeps looked at.
+    pub inputs_visited: u64,
 }
 
 impl EngineProfile {
@@ -123,8 +132,15 @@ impl EngineProfile {
         }
     }
 
+    /// Arbitration passes executed (the `arbitrate` handler row).
+    pub fn passes(&self) -> u64 {
+        let row = self.handlers.get(CLASS_ARBITRATE as usize);
+        row.map_or(0, |h| h.1)
+    }
+
     /// Fold another profile fragment (e.g. a later `advance` call) into
-    /// this one.
+    /// this one (the handler counts are set from the shards' cumulative
+    /// counters instead).
     pub(crate) fn absorb(&mut self, other: &EngineProfile) {
         self.shards = self.shards.max(other.shards);
         self.workers = self.workers.max(other.workers);
@@ -173,6 +189,15 @@ impl EngineProfile {
             "profiling_engine_barrier_wait_share",
             &[],
             self.barrier_wait_share(),
+        );
+        for &(class, n) in &self.handlers {
+            reg.add("profiling_engine_handlers_total", &[("class", class)], n);
+        }
+        reg.add("profiling_engine_grants_total", &[], self.grants);
+        reg.add(
+            "profiling_engine_inputs_visited_total",
+            &[],
+            self.inputs_visited,
         );
         for w in &self.worker_profiles {
             let wl = w.worker.to_string();
@@ -228,6 +253,9 @@ impl EngineProfile {
             ("mailbox_msgs", Json::from(self.mailbox_msgs)),
             ("window_width_ns", hist_summary(&self.window_width_ns)),
             ("events_per_window", hist_summary(&self.events_per_window)),
+            ("handlers", Json::obj(self.handlers.iter().copied())),
+            ("grants", Json::from(self.grants)),
+            ("inputs_visited", Json::from(self.inputs_visited)),
             (
                 "worker_profiles",
                 Json::arr(self.worker_profiles.iter().map(|w| w.to_json())),

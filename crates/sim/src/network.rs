@@ -58,7 +58,7 @@ use crate::config::{RecoveryPolicy, SimConfig};
 use crate::fib::FibCache;
 use crate::metrics::{fill_run_metrics, EngineProfile, WorkerProfile};
 use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts};
-use crate::shard::{check_key_capacity, Mailbox, Shard};
+use crate::shard::{check_key_capacity, Mailbox, Shard, CLASS_NAMES};
 use crate::stats::{RunResult, StatsCollector};
 use crate::telemetry::{
     MemorySink, SwitchTelemetry, TelemetryOpts, TelemetryReport, TelemetrySample, TelemetrySink,
@@ -533,7 +533,7 @@ impl WindowCtx {
             if w.start_ns > self.limit_ns {
                 break;
             }
-            // `pop_until` is inclusive; the window end is exclusive.
+            // `run_window`'s limit is inclusive; the window end is exclusive.
             let exec = SimTime::from_ns((w.end_ns - 1).min(self.limit_ns));
             if let Some(shape) = shape.as_mut() {
                 shape.windows += 1;
@@ -729,7 +729,7 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
             sh.gen_deadline = stop_generation;
         }
         let (result, hit_budget) = self.drive(hard_deadline);
-        let drained = !hit_budget && self.shards.iter().all(|s| s.queue.is_empty());
+        let drained = !hit_budget && self.shards.iter().all(|s| s.next_time_ns() == u64::MAX);
         // Packets dropped at full source queues never entered the fabric,
         // and packets lost on a failed link are resolved, not in flight —
         // every other generated packet must have been delivered.
@@ -848,10 +848,15 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         if let Some(pc) = ctx.profile {
             let mut frag = pc.into_inner().expect("profile poisoned");
             frag.wall_ns = started.elapsed().as_nanos() as u64;
-            match self.profile.as_deref_mut() {
-                Some(p) => p.absorb(&frag),
-                None => self.profile = Some(Box::new(frag)),
-            }
+            let p = self.profile.get_or_insert_with(Box::default);
+            p.absorb(&frag);
+            // The shards' counters are cumulative: set, not added.
+            let shards = &self.shards;
+            p.handlers = (CLASS_NAMES.iter().enumerate())
+                .map(|(c, &name)| (name, shards.iter().map(|s| s.handlers[c]).sum()))
+                .collect();
+            p.grants = shards.iter().map(|s| s.grants).sum();
+            p.inputs_visited = shards.iter().map(|s| s.inputs_visited).sum();
         }
         ctx.hit_budget.into_inner()
     }

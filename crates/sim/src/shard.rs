@@ -46,14 +46,15 @@ use iba_core::{
     VirtualLane, MAX_PORTS,
 };
 use iba_engine::rng::{StreamKind, StreamRng};
-use iba_engine::shard::{KEY_MAX_CLASS, KEY_MAX_ENTITY};
+use iba_engine::shard::{KEY_COUNTER_BITS, KEY_ENTITY_BITS, KEY_MAX_CLASS, KEY_MAX_ENTITY};
 use iba_engine::{event_key, DesQueue};
 use iba_routing::{check_escape_routes, EscapeEngine, FaRouting, SlToVlTable};
 use iba_topology::{Partition, Topology, TopologyBuilder};
 use iba_workloads::{
     FaultKind, FaultSchedule, HostGenerator, PathSet, TrafficScript, WorkloadSpec,
 };
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Event-class ranks for the canonical ordering key: ties at one
@@ -63,7 +64,9 @@ use std::sync::{Arc, Mutex};
 /// returns before injection retries, freed buffer slots before the
 /// arbitration pass that may refill them). Arbitration is the last
 /// per-switch action of a timestamp, so one pass sees everything the
-/// timestamp changed.
+/// timestamp changed — and it is not a queue event: [`CLASS_ARBITRATE`]
+/// is the rank at which [`Shard::run_window`] merges a switch's wake-up
+/// into the queue's `(time, key)` order.
 pub(crate) const CLASS_FAULT: u8 = 0;
 /// The sampling probes: telemetry tick and stall watchdog.
 pub(crate) const CLASS_PROBE: u8 = 1;
@@ -72,10 +75,23 @@ pub(crate) const CLASS_CREDIT_RETURN: u8 = 3;
 pub(crate) const CLASS_GENERATE: u8 = 4;
 pub(crate) const CLASS_TRY_INJECT: u8 = 5;
 pub(crate) const CLASS_HEADER_ARRIVE: u8 = 6;
-pub(crate) const CLASS_ROUTE_DONE: u8 = 7;
-pub(crate) const CLASS_TX_DONE: u8 = 8;
-pub(crate) const CLASS_ARBITRATE: u8 = 9;
-pub(crate) const CLASS_DELIVER: u8 = 10;
+pub(crate) const CLASS_TX_DONE: u8 = 7;
+pub(crate) const CLASS_ARBITRATE: u8 = 8;
+pub(crate) const CLASS_DELIVER: u8 = 9;
+/// Class names by rank, for the per-class handler counts of the engine
+/// profile.
+pub(crate) const CLASS_NAMES: [&str; 10] = [
+    "fault",
+    "probe",
+    "credit_resync",
+    "credit_return",
+    "generate",
+    "try_inject",
+    "header_arrive",
+    "tx_done",
+    "arbitrate",
+    "deliver",
+];
 
 const _: () = {
     let classes = [
@@ -86,7 +102,6 @@ const _: () = {
         CLASS_GENERATE,
         CLASS_TRY_INJECT,
         CLASS_HEADER_ARRIVE,
-        CLASS_ROUTE_DONE,
         CLASS_TX_DONE,
         CLASS_ARBITRATE,
         CLASS_DELIVER,
@@ -96,6 +111,9 @@ const _: () = {
         assert!(classes[i] <= KEY_MAX_CLASS, "event class overflows the key");
         i += 1;
     }
+    assert!(classes.len() == CLASS_NAMES.len());
+    // One bit per port in `SwitchState::{occupied_inputs, live_ports}`.
+    assert!(MAX_PORTS <= u128::BITS as usize);
 };
 
 /// Every switch, every host and the coordinator pseudo-entity need an
@@ -109,6 +127,15 @@ pub(crate) fn check_key_capacity(switches: usize, hosts: usize) -> Result<(), Ib
         )));
     }
     Ok(())
+}
+
+/// `occupied` split at the round-robin `cursor`: the set bits of the
+/// first mask, then of the second, each in ascending order, are
+/// `(cursor + k) % nports` for `k = 0, 1, …` without the empty inputs.
+#[inline]
+fn round_robin_split(occupied: u128, cursor: usize) -> [u128; 2] {
+    let from_cursor = occupied >> cursor << cursor;
+    [from_cursor, occupied ^ from_cursor]
 }
 
 /// Discrete events of the network model.
@@ -127,18 +154,9 @@ pub(crate) enum Event {
         vl: VirtualLane,
         packet: Packet,
     },
-    /// The forwarding-table pipeline for a buffered packet completes.
-    /// The handle addresses the exact residency `push` created, so no
-    /// buffer scan is needed when the event fires.
-    RouteDone {
-        sw: SwitchId,
-        port: PortIndex,
-        vl: VirtualLane,
-        handle: SlotHandle,
-    },
-    /// Coalesced arbitration pass at a switch.
-    Arbitrate { sw: SwitchId },
-    /// A forwarded packet's tail has left its input buffer.
+    /// A forwarded packet's tail has left its input buffer. The handle
+    /// addresses the exact residency `push` created, so no buffer scan
+    /// is needed when the event fires.
     TxDone {
         sw: SwitchId,
         port: PortIndex,
@@ -235,13 +253,16 @@ struct SwitchState {
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
     sl2vl: SlToVlTable,
-    arb_pending: bool,
+    /// Bit `p` set while input port `p` holds a packet on any VL, so a
+    /// pass visits occupied inputs only.
+    occupied_inputs: u128,
     rr_cursor: usize,
-    /// Per-port link state; `false` masks the port out of every feasible
-    /// option set at arbitration. Derived cache of `down_depth == 0` so
-    /// the hot path stays a single bool load. A host-facing port goes
-    /// down only when its own switch dies.
-    link_up: Vec<bool>,
+    /// Per-port link state, bit `p` set while port `p` is up; a clear
+    /// bit masks the port out of every feasible option set at
+    /// arbitration. Derived cache of `down_depth == 0` so the hot path
+    /// stays a single bit test ([`Self::link_up`]). A host-facing port
+    /// goes down only when its own switch dies.
+    live_ports: u128,
     /// How many active faults currently mask each port: a link fault
     /// contributes 1 to both endpoints, a switch fault contributes 1 to
     /// every wired port of the dead switch *and* the peer-side port of
@@ -255,6 +276,13 @@ struct SwitchState {
     /// link and switch windows overlapping on a shared endpoint, so a
     /// nonzero value is unambiguous.
     switch_down_depth: Vec<u8>,
+}
+
+impl SwitchState {
+    #[inline]
+    fn link_up(&self, port: usize) -> bool {
+        self.live_ports >> port & 1 == 1
+    }
 }
 
 struct HostState {
@@ -302,6 +330,19 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// shard).
     part: Arc<Partition>,
     pub(crate) queue: DesQueue<Event>,
+    /// Pending arbitration wake-ups `(time, switch)`, earliest first:
+    /// kept out of the event queue (a pass carries no payload) and
+    /// merged into its order at rank [`CLASS_ARBITRATE`]. Exactly one
+    /// pass runs per `(switch, timestamp)` that had a trigger, which is
+    /// what keeps `rr_cursor` and the arbitration RNG stream independent
+    /// of how many triggers coincide.
+    wakeups: BinaryHeap<Reverse<(SimTime, SwitchId)>>,
+    /// Handlers executed per event class ([`CLASS_NAMES`] order), the
+    /// arbitration passes among them.
+    pub(crate) handlers: [u64; CLASS_NAMES.len()],
+    /// What the passes did: packets granted, occupied inputs swept.
+    pub(crate) grants: u64,
+    pub(crate) inputs_visited: u64,
     switches: Vec<SwitchState>,
     hosts: Vec<HostState>,
     pub(crate) stats: StatsCollector,
@@ -429,9 +470,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     inputs,
                     outputs,
                     sl2vl: SlToVlTable::identity(topo.ports_per_switch(), config.data_vls)?,
-                    arb_pending: false,
+                    occupied_inputs: 0,
                     rr_cursor: 0,
-                    link_up: vec![true; ports],
+                    live_ports: u128::MAX,
                     down_depth: vec![0; ports],
                     switch_down_depth: vec![0; ports],
                 })
@@ -473,7 +514,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // Pre-size the event queue from the topology: pending events are
         // bounded by buffered packets (each VL buffer holds at most its
         // credit count, each buffered packet has at most one pending
-        // RouteDone/TxDone/CreditReturn) plus a few per host — so the
+        // TxDone/CreditReturn) plus a few per host — so the
         // steady state never reallocates the queue.
         let ports = topo.ports_per_switch() as usize;
         let est_events = (topo.num_switches() * ports * vls * cap.count() as usize / 4
@@ -491,6 +532,13 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             config,
             part,
             queue: DesQueue::with_capacity(config.queue_backend, est_events),
+            // A port takes a header per serialization time, so fewer than
+            // one per port are inside their routing delay at once; the
+            // rest of the list is the current timestamp's requests.
+            wakeups: BinaryHeap::with_capacity(2 * nsw * ports),
+            handlers: [0; CLASS_NAMES.len()],
+            grants: 0,
+            inputs_visited: 0,
             switches,
             hosts,
             stats: StatsCollector::new(
@@ -637,8 +685,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 p.shard_of_host(*host)
             }
             Event::HeaderArrive { sw, .. }
-            | Event::RouteDone { sw, .. }
-            | Event::Arbitrate { sw }
             | Event::TxDone { sw, .. }
             | Event::CreditResync { sw, .. } => p.shard_of_switch(*sw),
             Event::CreditReturn { target, .. } => match target {
@@ -783,16 +829,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 vl,
                 packet,
             } => self.on_header_arrive(now, sw, port, vl, packet),
-            Event::RouteDone {
-                sw,
-                port,
-                vl,
-                handle,
-            } => self.on_route_done(now, sw, port, vl, handle),
-            Event::Arbitrate { sw } => {
-                self.switches[sw.index()].arb_pending = false;
-                self.arbitrate(now, sw);
-            }
             Event::TxDone {
                 sw,
                 port,
@@ -838,16 +874,34 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// Drain every event at or before `limit` — one conservative
+    /// Execute every handler at or before `limit` — one conservative
     /// execution window — stopping early once this shard alone has
-    /// counted `budget` events (a lone shard's window spans the whole
-    /// run, so the run's event budget must bind inside it).
+    /// counted `budget` handlers (a lone shard's window spans the whole
+    /// run, so the run's event budget must bind inside it). Each step
+    /// takes whichever is first in canonical `(time, key)` order: the
+    /// queue head, or the earliest wake-up ranked as a
+    /// [`CLASS_ARBITRATE`] event of its switch.
     pub(crate) fn run_window(&mut self, limit: SimTime, budget: u64) {
         while self.counted_events() < budget {
-            let Some((now, ev)) = self.queue.pop_until(limit) else {
+            let wake = self.wakeups.peek().map(|w| w.0);
+            let bound = wake.map_or((SimTime::MAX, u64::MAX), |(t, sw)| {
+                (t, event_key(CLASS_ARBITRATE, self.ent_switch(sw), 0))
+            });
+            if let Some((now, key, ev)) = self.queue.pop_ahead_of(limit, bound) {
+                self.handlers[(key >> (KEY_ENTITY_BITS + KEY_COUNTER_BITS)) as usize] += 1;
+                self.dispatch(now, ev);
+            } else if let Some((now, sw)) = wake.filter(|w| w.0 <= limit) {
+                // One pass serves every trigger this (switch, timestamp)
+                // has had so far; one that lands after it asks again.
+                while self.wakeups.peek() == Some(&Reverse((now, sw))) {
+                    self.wakeups.pop();
+                }
+                self.queue.advance_to(now);
+                self.handlers[CLASS_ARBITRATE as usize] += 1;
+                self.arbitrate(now, sw);
+            } else {
                 break;
-            };
-            self.dispatch(now, ev);
+            }
         }
     }
 
@@ -870,18 +924,21 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// Timestamp of this shard's next pending event in ns (`u64::MAX`
-    /// when empty) — the input to the conservative window computation.
+    /// Timestamp of this shard's next pending event or wake-up in ns
+    /// (`u64::MAX` when neither) — the input to the conservative window
+    /// computation, and the drained test.
     pub(crate) fn next_time_ns(&self) -> u64 {
-        self.queue.peek_time().map_or(u64::MAX, |t| t.as_ns())
+        let wake = self.wakeups.peek().map_or(SimTime::MAX, |w| w.0 .0);
+        self.queue.peek_time().map_or(wake, |t| t.min(wake)).as_ns()
     }
 
-    /// Events processed, with replicated fault/telemetry pops counted
-    /// exactly once fabric-wide (on shard 0) — so the aggregate over
-    /// shards is invariant in the shard count.
+    /// Handlers executed — queue pops plus arbitration passes — with
+    /// replicated fault/telemetry pops counted exactly once fabric-wide
+    /// (on shard 0), so the aggregate over shards is invariant in the
+    /// shard count.
     #[inline]
     pub(crate) fn counted_events(&self) -> u64 {
-        self.queue.events_processed() - self.replicated
+        self.queue.events_processed() + self.handlers[CLASS_ARBITRATE as usize] - self.replicated
     }
 
     /// Take one telemetry sample, hand it to the sink, and reschedule
@@ -948,11 +1005,12 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     }
 
     /// Check one buffer: stalled means occupied, not mid-transmission,
-    /// head routed, and no forward progress for `stall_after_ns`. A
-    /// stalled buffer is classified by its head packet's *escape* path
-    /// (the deadlock-freedom invariant guarantees escape queues drain,
-    /// so a lively escape path means the stall resolves); a suspected
-    /// wedge logs a [`FlightEvent::Stall`] and fires the freeze trigger.
+    /// head past its routing delay, and no forward progress for
+    /// `stall_after_ns`. A stalled buffer is classified by its head
+    /// packet's *escape* path (the deadlock-freedom invariant guarantees
+    /// escape queues drain, so a lively escape path means the stall
+    /// resolves); a suspected wedge logs a [`FlightEvent::Stall`] and
+    /// fires the freeze trigger.
     fn watchdog_check_buffer(
         &mut self,
         now: SimTime,
@@ -967,9 +1025,14 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             return;
         }
         let head = buf.get(0);
-        let Some(route) = head.route.as_ref() else {
-            return; // still in the routing pipeline: not stall-eligible
-        };
+        if head.ready_at >= now {
+            // Still in the routing pipeline (the probe of a timestamp
+            // runs before its arbitration pass, so the head of
+            // `ready_at == now` has not been offered yet): not
+            // stall-eligible.
+            return;
+        }
+        let route = &head.route;
         let waited = self
             .recorder
             .as_deref()
@@ -978,7 +1041,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             return;
         }
         let op = route.escape;
-        let escape_link_up = st.link_up[op.index()];
+        let escape_link_up = st.link_up(op.index());
         let out = &st.outputs[op.index()];
         let escape_streaming = out.busy_until > now;
         let out_vl = st.sl2vl.vl_for(PortIndex(ip as u8), op, head.packet.sl);
@@ -1032,7 +1095,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
         let transitioned = st.down_depth[p.index()] == 1;
         if transitioned {
-            st.link_up[p.index()] = false;
+            st.live_ports &= !(1 << p.index());
         }
         transitioned
     }
@@ -1049,7 +1112,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
         let live = was == 1;
         if live {
-            st.link_up[p.index()] = true;
+            st.live_ports |= 1 << p.index();
         }
         live
     }
@@ -1127,7 +1190,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 *c = *f;
             }
         }
-        self.schedule_arbitrate(now, sw);
+        self.wake(now, sw);
     }
 
     /// Apply one fault-schedule entry. Downing a link masks both port
@@ -1145,7 +1208,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let f = self.faults[idx];
         match f.kind {
             FaultKind::LinkDown => {
-                if !self.switches[f.a.index()].link_up[f.pa.index()] {
+                if !self.switches[f.a.index()].link_up(f.pa.index()) {
                     return;
                 }
                 self.mask_port(f.a, f.pa, false);
@@ -1160,7 +1223,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 }
             }
             FaultKind::LinkUp => {
-                if self.switches[f.a.index()].link_up[f.pa.index()] {
+                if self.switches[f.a.index()].link_up(f.pa.index()) {
                     return;
                 }
                 self.unmask_port(f.a, f.pa, false);
@@ -1257,7 +1320,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             }
         }
         if !down && self.owns_switch(s) {
-            self.schedule_arbitrate(now, s);
+            self.wake(now, s);
         }
     }
 
@@ -1292,7 +1355,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         self.certify_escape(false);
         self.reroute_buffered();
         for s in 0..self.switches.len() {
-            self.schedule_arbitrate(now, SwitchId(s as u16));
+            self.wake(now, SwitchId(s as u16));
         }
     }
 
@@ -1339,7 +1402,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let mut b = TopologyBuilder::new(self.topo.num_switches(), self.topo.ports_per_switch());
         for s in self.topo.switch_ids() {
             for (p, peer, pp) in self.topo.switch_neighbors(s) {
-                if peer.0 > s.0 && self.switches[s.index()].link_up[p.index()] {
+                if peer.0 > s.0 && self.switches[s.index()].link_up(p.index()) {
                     b.connect_ports(s, p, peer, pp)?;
                 }
             }
@@ -1364,9 +1427,10 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// Point every routed, not-in-flight buffered packet at the freshly
-    /// installed tables (packets routed before the sweep may hold
-    /// options through a dead link and would stall forever).
+    /// Point every not-in-flight buffered packet — still inside its
+    /// routing delay or past it — at the freshly installed tables
+    /// (packets routed before the sweep may hold options through a dead
+    /// link and would stall forever).
     fn reroute_buffered(&mut self) {
         let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
         for (si, st) in self.switches.iter_mut().enumerate() {
@@ -1606,7 +1670,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         vl: VirtualLane,
         packet: Packet,
     ) {
-        if !self.switches[sw.index()].link_up[port.index()] {
+        if !self.switches[sw.index()].link_up(port.index()) {
             // The link (or the whole receiving switch) died while the
             // packet was on the wire: with no receiver it is lost —
             // virtual cut-through has no retransmission below the
@@ -1662,43 +1726,16 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 r.note_progress(sw, port.index(), vl.index(), now);
             }
         }
-        let handle =
-            self.switches[sw.index()].inputs[port.index()].vls[vl.index()].push(packet, ready_at);
-        let ent = self.ent_switch(sw);
-        self.sched(
-            ready_at,
-            CLASS_ROUTE_DONE,
-            ent,
-            Event::RouteDone {
-                sw,
-                port,
-                vl,
-                handle,
-            },
-        );
-    }
-
-    fn on_route_done(
-        &mut self,
-        now: SimTime,
-        sw: SwitchId,
-        port: PortIndex,
-        vl: VirtualLane,
-        handle: SlotHandle,
-    ) {
-        let dlid = {
-            let buf = &self.switches[sw.index()].inputs[port.index()].vls[vl.index()];
-            buf.get_slot(handle).map(|p| p.packet.dlid)
-        };
-        let Some(dlid) = dlid else {
-            return; // residency already gone (cannot happen before ready_at)
-        };
+        // The forwarding-table pipeline is a constant delay, so its
+        // result is resolved here and becomes visible to arbitration at
+        // `ready_at` (`BufferedPacket::is_ready`); a table swap inside
+        // the delay re-resolves it (`reroute_buffered`).
         let route = if let Some(fib) = self.fib.as_deref_mut() {
             // Field-disjoint borrows: the cache is held mutably, so the
             // live tables are resolved inline instead of via
             // `cur_routing`.
             let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
-            match fib.lookup(sw, dlid) {
+            match fib.lookup(sw, packet.dlid) {
                 Some(route) => {
                     self.stats.fib_hits += 1;
                     route
@@ -1706,19 +1743,21 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 None => {
                     self.stats.fib_misses += 1;
                     let route = routing
-                        .route_shared(sw, dlid)
+                        .route_shared(sw, packet.dlid)
                         .expect("forwarding tables are fully programmed");
-                    fib.insert(sw, dlid, route.clone());
+                    fib.insert(sw, packet.dlid, route.clone());
                     route
                 }
             }
         } else {
             self.cur_routing()
-                .route_shared(sw, dlid)
+                .route_shared(sw, packet.dlid)
                 .expect("forwarding tables are fully programmed")
         };
-        self.switches[sw.index()].inputs[port.index()].vls[vl.index()].set_route_at(handle, route);
-        self.schedule_arbitrate(now, sw);
+        let st = &mut self.switches[sw.index()];
+        st.inputs[port.index()].vls[vl.index()].push(packet, route, ready_at);
+        st.occupied_inputs |= 1 << port.index();
+        self.wake(ready_at, sw);
     }
 
     fn on_tx_done(
@@ -1729,9 +1768,14 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         vl: VirtualLane,
         handle: SlotHandle,
     ) {
-        let removed = self.switches[sw.index()].inputs[port.index()].vls[vl.index()]
+        let st = &mut self.switches[sw.index()];
+        let input = &mut st.inputs[port.index()];
+        let removed = input.vls[vl.index()]
             .remove_at(handle)
             .expect("tx-done packet still buffered");
+        if input.vls.iter().all(|b| b.is_empty()) {
+            st.occupied_inputs &= !(1 << port.index());
+        }
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record(
                 Some(sw),
@@ -1759,7 +1803,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 credits: removed.packet.credits(),
             },
         );
-        self.schedule_arbitrate(now, sw);
+        self.wake(now, sw);
     }
 
     fn on_credit_return(
@@ -1772,7 +1816,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     ) {
         match target {
             NodeRef::Switch(s) => {
-                if !self.switches[s.index()].link_up[port.index()] {
+                if !self.switches[s.index()].link_up(port.index()) {
                     return; // the return was on the wire of a dead link
                 }
                 // A credit-resync snapshot is on the wire: this return's
@@ -1802,7 +1846,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     );
                     r.note_credit_return(s, port, now);
                 }
-                self.schedule_arbitrate(now, s);
+                self.wake(now, s);
             }
             NodeRef::Host(h) => {
                 // Clamp at capacity for the same reason as the switch
@@ -1817,12 +1861,12 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    fn schedule_arbitrate(&mut self, now: SimTime, sw: SwitchId) {
-        if !self.switches[sw.index()].arb_pending {
-            self.switches[sw.index()].arb_pending = true;
-            let ent = self.ent_switch(sw);
-            self.sched(now, CLASS_ARBITRATE, ent, Event::Arbitrate { sw });
-        }
+    /// Ask for an arbitration pass at owned switch `sw` at `at`: now (a
+    /// freed slot, returned credits, a revived port) or a header's
+    /// `ready_at`. Coinciding requests are coalesced when the pass runs
+    /// (filtering them here measured no faster).
+    fn wake(&mut self, at: SimTime, sw: SwitchId) {
+        self.wakeups.push(Reverse((at, sw)));
     }
 
     /// One §4.3 arbitration sweep over every owned switch at the current
@@ -1843,23 +1887,31 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         grants
     }
 
-    /// One arbitration pass: repeatedly grant feasible (input, output)
-    /// matches until no further progress, with a round-robin cursor over
-    /// input ports for fairness. Returns the number of grants made.
+    /// One arbitration pass: sweep the occupied inputs in round-robin
+    /// order, granting feasible (input, output) matches, until a sweep
+    /// grants nothing. Returns the number of grants made.
     fn arbitrate(&mut self, now: SimTime, sw: SwitchId) -> usize {
         let nports = self.topo.ports_per_switch() as usize;
+        let unobserved = self.telemetry.is_none() && self.recorder.is_none();
         let mut grants = 0;
         loop {
+            // Grants remove nothing, so the occupied set holds for the
+            // whole pass.
+            let st = &self.switches[sw.index()];
+            self.inputs_visited += u64::from(st.occupied_inputs.count_ones());
             let mut progress = false;
-            for k in 0..nports {
-                let ip = (self.switches[sw.index()].rr_cursor + k) % nports;
-                if self.switches[sw.index()].inputs[ip].read_busy_until > now {
-                    continue;
-                }
-                if let Some(d) = self.pick_for_input(now, sw, ip) {
-                    self.start_forward(now, sw, d);
-                    progress = true;
-                    grants += 1;
+            for mut inputs in round_robin_split(st.occupied_inputs, st.rr_cursor) {
+                while inputs != 0 {
+                    let ip = inputs.trailing_zeros() as usize;
+                    inputs &= inputs - 1;
+                    if self.switches[sw.index()].inputs[ip].read_busy_until > now {
+                        continue;
+                    }
+                    if let Some(d) = self.pick_for_input(now, sw, ip) {
+                        self.start_forward(now, sw, d);
+                        progress = true;
+                        grants += 1;
+                    }
                 }
             }
             let st = &mut self.switches[sw.index()];
@@ -1867,7 +1919,16 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             if !progress {
                 break;
             }
+            if unobserved {
+                // The sweep after a granting one can grant nothing — a
+                // pass only consumes outputs, credits and read paths — so
+                // with no telemetry or recorder listening to its stall
+                // observations, only its cursor step is left of it.
+                st.rr_cursor = (st.rr_cursor + 1) % nports;
+                break;
+            }
         }
+        self.grants += grants as u64;
         grants
     }
 
@@ -1957,7 +2018,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let bp = st.inputs[ip].vls[vl].get(idx);
         let need = bp.packet.credits();
         let sl = bp.packet.sl;
-        let route = bp.route.as_ref().expect("candidate is routed");
+        let route = &bp.route;
 
         let adaptive_allowed =
             read_point == ReadPoint::AdaptiveHead || self.config.adaptive_from_escape_head;
@@ -1980,7 +2041,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let mut feasible: InlineVec<(PortIndex, VirtualLane, u32), MAX_PORTS> = InlineVec::new();
         if adaptive_allowed {
             for &op in &route.adaptive {
-                if !st.link_up[op.index()] {
+                if !st.link_up(op.index()) {
                     // Dead port: graceful degradation (§4.3).
                     if let Some(t) = self.telemetry.as_deref_mut() {
                         t.note_stall(sw, op, StallCause::DeadPort);
@@ -2065,7 +2126,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 // the recorded candidate set is complete. Observation
                 // only — no RNG, no control flow.
                 let ep = route.escape;
-                let verdict = if !st.link_up[ep.index()] {
+                let verdict = if !st.link_up(ep.index()) {
                     OptionVerdict::DeadPort
                 } else if st.outputs[ep.index()].busy_until > now {
                     OptionVerdict::LinkBusy
@@ -2104,7 +2165,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // the packet — it lands in the adaptive or escape region of the
         // downstream buffer depending on occupancy (§4.4).
         let op = route.escape;
-        if !st.link_up[op.index()] {
+        if !st.link_up(op.index()) {
             // Escape path severed: the packet waits for recovery (an SM
             // re-sweep re-routes it; under other policies it stays until
             // the link returns).
@@ -2335,7 +2396,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let cap = self.config.vl_buffer_credits;
         let sw = &self.switches[si];
         for (p, op) in sw.outputs.iter().enumerate() {
-            if !sw.link_up[p] {
+            if !sw.link_up(p) {
                 continue;
             }
             let Some(cs) = op.credits.as_ref() else {
@@ -2359,7 +2420,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let cap = self.config.vl_buffer_credits;
         let h = &self.hosts[hi];
         let (sw, port) = self.topo.host_attachment(HostId(hi as u16));
-        if !self.switches[sw.index()].link_up[port.index()] {
+        if !self.switches[sw.index()].link_up(port.index()) {
             return;
         }
         for (v, &c) in h.credits.iter().enumerate() {
@@ -2410,12 +2471,40 @@ mod tests {
         // Every queue entry carries an Event by value, and the binary
         // heap moves entries during sift — a fat variant taxes the whole
         // hot path. Rare bulky payloads (CreditResync's credit snapshot)
-        // must be boxed.
-        assert!(
-            std::mem::size_of::<Event>() <= 64,
-            "Event grew to {} bytes; box the new payload",
-            std::mem::size_of::<Event>()
+        // must be boxed; a `Packet` plus where it arrives is the floor.
+        assert_eq!(
+            std::mem::size_of::<Event>(),
+            56,
+            "Event changed size; box a new payload, or re-pin a smaller one"
         );
+    }
+
+    #[test]
+    fn occupied_inputs_are_swept_in_round_robin_order() {
+        let mut rng = StreamRng::from_seed(16);
+        for nports in [1usize, 2, 7, 64, 65, MAX_PORTS] {
+            for _ in 0..200 {
+                let occupied = (0..nports)
+                    .filter(|_| rng.chance(0.3))
+                    .fold(0u128, |m, p| m | 1 << p);
+                let cursor = rng.below(nports);
+                let naive: Vec<usize> = (0..nports)
+                    .map(|k| (cursor + k) % nports)
+                    .filter(|&ip| occupied >> ip & 1 == 1)
+                    .collect();
+                let mut swept = Vec::new();
+                for mut inputs in round_robin_split(occupied, cursor) {
+                    while inputs != 0 {
+                        swept.push(inputs.trailing_zeros() as usize);
+                        inputs &= inputs - 1;
+                    }
+                }
+                assert_eq!(
+                    swept, naive,
+                    "nports {nports} cursor {cursor} {occupied:#x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! stay ≥ 0.99. Faults are ordinary scheduled events, so runs stay
 //! bit-identical across both event-queue backends.
 
-use iba_core::{SimTime, SwitchId};
+use iba_core::{HostId, NodeRef, ServiceLevel, SimTime, SwitchId};
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{Network, QueueBackend, RecoveryPolicy, RunResult, SimConfig};
+use iba_sim::{Network, QueueBackend, RecoveryPolicy, RunResult, SimConfig, TraceOpts, TraceStep};
 use iba_topology::{IrregularConfig, Topology, TopologyBuilder};
-use iba_workloads::{FaultEvent, FaultKind, FaultSchedule, WorkloadSpec};
+use iba_workloads::{
+    FaultEvent, FaultKind, FaultSchedule, ScriptedPacket, TrafficScript, WorkloadSpec,
+};
 
 /// First switch–switch link whose removal keeps the fabric connected.
 fn removable_link(topo: &Topology) -> (SwitchId, SwitchId) {
@@ -83,6 +85,80 @@ fn single_fault_mid_window_recovers_under_sm_resweep() {
         );
         assert_eq!(result.order_violations, 0, "seed {seed}");
     }
+}
+
+#[test]
+fn table_swap_inside_the_routing_delay_forwards_on_the_new_tables() {
+    // A triangle, one deterministic packet from switch 0 to a host on
+    // switch 1. Its first hop dies while it is on the host link; the
+    // re-sweep installs new tables 50 ns after its header reached switch
+    // 0 — inside the 100 ns routing delay. The route resolved at arrival
+    // points into the dead link; the pipeline must hand arbitration the
+    // tables live at `ready_at`, so the packet leaves on time, the other
+    // way round.
+    let mut b = TopologyBuilder::new(3, 4);
+    for (x, y) in [(0, 1), (0, 2), (2, 1)] {
+        b.connect(SwitchId(x), SwitchId(y)).unwrap();
+    }
+    for s in 0..3 {
+        b.attach_host(SwitchId(s)).unwrap();
+    }
+    let topo = b.build().unwrap();
+    let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+    let (src, dst) = (HostId(0), HostId(1));
+    let first_hop = fa
+        .route(SwitchId(0), fa.dlid(dst, false).unwrap())
+        .unwrap()
+        .escape;
+    let NodeRef::Switch(next) = topo.endpoint(SwitchId(0), first_hop).unwrap().node else {
+        panic!("host 1 is not on switch 0");
+    };
+
+    let cfg = SimConfig::test(1);
+    let (prop, delay) = (cfg.phys.propagation_ns, cfg.phys.routing_delay_ns);
+    let sent = 1_000;
+    let arrives = sent + prop;
+    let script = TrafficScript::new(vec![ScriptedPacket {
+        at: SimTime::from_ns(sent),
+        src,
+        dst,
+        size_bytes: 32,
+        adaptive: false,
+        sl: ServiceLevel(0),
+        path_set: Default::default(),
+    }])
+    .unwrap();
+    let schedule =
+        FaultSchedule::single(SimTime::from_ns(arrives - 50), SwitchId(0), next).unwrap();
+    let mut net = Network::builder(&topo, &fa)
+        .script(&script)
+        .config(cfg)
+        .faults(&schedule, RecoveryPolicy::SmResweep, 100)
+        .trace(TraceOpts::all(16))
+        .build()
+        .unwrap();
+    let (result, drained) = net.run_until_drained(cfg.horizon(), cfg.horizon().plus_ns(100_000));
+    assert_eq!((result.resweeps, result.delivered), (1, 1), "{result:?}");
+    assert!(drained && net.is_quiescent());
+
+    let tracer = net.tracer().unwrap();
+    let (_, trace) = tracer.traces().iter().next().unwrap();
+    let forwards: Vec<_> = trace
+        .steps
+        .iter()
+        .filter_map(|(at, s)| match s {
+            TraceStep::Forwarded { sw, out_port, .. } => Some((at.as_ns(), *sw, *out_port)),
+            _ => None,
+        })
+        .collect();
+    let (at, sw, out_port) = forwards[0];
+    assert_eq!((at, sw), (arrives + delay, SwitchId(0)), "{forwards:?}");
+    assert_ne!(out_port, first_hop, "forwarded into the dead link");
+    assert_eq!(
+        forwards.len(),
+        3,
+        "one switch more than the direct path: {forwards:?}"
+    );
 }
 
 #[test]

@@ -8,11 +8,20 @@
 //! headline `RunResult` counters into one FNV-1a hash. Any behavioural
 //! drift in `pick_option`, `candidates` or event ordering changes the
 //! digest, at any shard count — there is one simulation machine, so
-//! there is one pin. The five counters were recorded from the original
-//! single-queue engine and have never moved; the FNV digest was
+//! there is one pin. The four behaviour counters were recorded from the
+//! original single-queue engine and have never moved; the FNV digest was
 //! re-pinned once, when packet ids became `(source host, per-host
-//! sequence)` and the ids folded into it changed with them.
+//! sequence)` and the ids folded into it changed with them; the event
+//! count was re-pinned once, 17 645 → 15 374, when the 2 271
+//! `RouteDone`s were fused into header arrival (arbitration passes
+//! still count, one per `(switch, timestamp)` as before).
+//!
+//! Event counts are an implementation detail; behaviour is not. The
+//! second pin, [`GOLDEN_STEP_DIGEST`], is the gate for a change that
+//! fuses, splits or renames events: it folds every traced step of every
+//! packet and nothing else — no packet ids, no event counts.
 
+use iba_core::SimTime;
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{Network, SimConfig, TraceOpts, TraceStep};
 use iba_topology::IrregularConfig;
@@ -32,22 +41,73 @@ fn fnv(h: u64, x: u64) -> u64 {
 
 const GOLDEN_DIGEST: u64 = 16852469505632525844;
 
+/// Id-free per-packet step digest of the golden scenario: one FNV-1a
+/// fold per packet over its tagged, timestamped steps (generation,
+/// injection, every arrival with port and VL, every forward, delivery),
+/// the per-packet values sorted and folded. Equal before and after the
+/// `RouteDone` fusion. (PR 13 quoted `0x874f51ae3ce6e3c7` for a digest
+/// of this kind without committing its fold; this is the committed one.)
+const GOLDEN_STEP_DIGEST: u64 = 0xdd21_9f44_24b4_7af3;
+
 struct Golden {
     digest: u64,
+    step_digest: u64,
     forwards: u64,
     delivered: u64,
     escape_forwards: u64,
     adaptive_forwards: u64,
     events: u64,
+    injected: u64,
+    stopped_at_ns: u64,
+}
+
+/// One packet's journey without its id: every step, tagged and
+/// timestamped.
+fn journey_digest(steps: &[(SimTime, TraceStep)]) -> u64 {
+    let mut d = FNV_OFFSET;
+    for (at, step) in steps {
+        let fields = match step {
+            TraceStep::Generated { host } => [0, host.0 as u64, 0, 0, 0],
+            TraceStep::Injected => [1, 0, 0, 0, 0],
+            TraceStep::ArrivedAt { sw, port, vl } => {
+                [2, sw.0 as u64, port.0 as u64, vl.0 as u64, 0]
+            }
+            TraceStep::Forwarded {
+                sw,
+                out_port,
+                via_escape,
+                from_escape_head,
+            } => [
+                3,
+                sw.0 as u64,
+                out_port.0 as u64,
+                *via_escape as u64,
+                *from_escape_head as u64,
+            ],
+            TraceStep::Dropped { sw, .. } => [4, sw.0 as u64, 0, 0, 0],
+            TraceStep::Delivered { host } => [5, host.0 as u64, 0, 0, 0],
+        };
+        d = fnv(d, at.as_ns());
+        for f in fields {
+            d = fnv(d, f);
+        }
+    }
+    d
 }
 
 /// Run the fixed scenario on `shards` shards and digest every
 /// forwarding decision.
 fn run_scenario(shards: usize) -> Golden {
+    run_budgeted(shards, SimConfig::test(7).max_events)
+}
+
+/// The fixed scenario, stopped after `max_events` handlers.
+fn run_budgeted(shards: usize, max_events: u64) -> Golden {
     let topo = IrregularConfig::paper(8, 42).generate().unwrap();
     let routing = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
     let spec = WorkloadSpec::uniform32(0.02);
-    let cfg = SimConfig::test(7);
+    let mut cfg = SimConfig::test(7);
+    cfg.max_events = max_events;
     let mut net = Network::builder(&topo, &routing)
         .workload(spec)
         .config(cfg)
@@ -62,7 +122,9 @@ fn run_scenario(shards: usize) -> Golden {
     ids.sort();
     let mut digest = FNV_OFFSET;
     let mut forwards = 0u64;
+    let mut journeys = Vec::with_capacity(ids.len());
     for id in ids {
+        journeys.push(journey_digest(&tracer.trace(id).unwrap().steps));
         for (at, step) in &tracer.trace(id).unwrap().steps {
             if let TraceStep::Forwarded {
                 sw,
@@ -81,13 +143,17 @@ fn run_scenario(shards: usize) -> Golden {
             }
         }
     }
+    journeys.sort_unstable();
     Golden {
         digest,
+        step_digest: journeys.into_iter().fold(FNV_OFFSET, fnv),
         forwards,
         delivered: result.delivered,
         escape_forwards: result.escape_forwards,
         adaptive_forwards: result.adaptive_forwards,
         events: result.events,
+        injected: result.injected,
+        stopped_at_ns: net.now().as_ns(),
     }
 }
 
@@ -105,8 +171,41 @@ fn forwarding_decisions_match_golden_trace() {
                 g.adaptive_forwards,
                 g.events
             ),
-            (GOLDEN_DIGEST, 2270, 984, 17, 2253, 17645),
+            (GOLDEN_DIGEST, 2270, 984, 17, 2253, 15374),
             "shards={shards}: forwarding decisions drifted from the golden trace"
+        );
+        assert_eq!(
+            g.step_digest, GOLDEN_STEP_DIGEST,
+            "shards={shards}: a packet's journey changed"
+        );
+    }
+}
+
+#[test]
+fn event_budget_stops_a_lone_shard_mid_window_on_the_pinned_handler() {
+    // A lone shard's window spans the whole run, so `max_events` must
+    // bind between two handlers inside it — queue pops and arbitration
+    // passes alike. The stopping points were recorded on the engine that
+    // still popped `RouteDone`s: its budgets 5 000 / 9 000 / 9 001 /
+    // 12 345 held 646 / 1 159 / 1 159 / 1 590 of them and stopped on the
+    // handlers pinned here, the 9 001st being one `Deliver`.
+    for (budget, injected, forwards, delivered, stopped_at_ns) in [
+        (4_354, 289, 645, 272, 13_714),
+        (7_841, 512, 1_159, 499, 25_310),
+        (7_842, 512, 1_159, 500, 25_310),
+        (10_755, 700, 1_590, 690, 35_035),
+    ] {
+        let g = run_budgeted(1, budget);
+        assert_eq!(
+            (
+                g.events,
+                g.injected,
+                g.forwards,
+                g.delivered,
+                g.stopped_at_ns
+            ),
+            (budget, injected, forwards, delivered, stopped_at_ns),
+            "budget {budget} stopped on a different handler"
         );
     }
 }

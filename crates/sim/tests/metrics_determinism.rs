@@ -117,9 +117,24 @@ fn engine_profile_present_and_sane() {
         .threads(4)
         .build()
         .unwrap();
-    let _ = net.run();
+    let r = net.run();
     let p = net.engine_profile().expect("profiling armed");
     assert_eq!(p.shards, 4);
+    // What the handlers did, by class: with no fault or probe armed
+    // nothing is replicated, so the rows add up to the run's event
+    // count; every forward is one grant of one arbitration pass, and a
+    // pass looks at least at the input it grants.
+    assert_eq!(p.handlers.iter().map(|h| h.1).sum::<u64>(), r.events);
+    assert_eq!(p.handlers.len(), 10);
+    assert_eq!(p.grants, r.adaptive_forwards + r.escape_forwards);
+    assert!(p.passes() >= p.grants / 2 && p.inputs_visited >= p.grants);
+    let row = |class: &str| p.handlers.iter().find(|h| h.0 == class).unwrap().1;
+    assert_eq!(row("generate"), r.generated);
+    assert_eq!(row("arbitrate"), p.passes());
+    // A grant sends its header to a switch or its tail to a host; only
+    // what was still on a wire at the horizon is missing on the right.
+    let landed = row("header_arrive") + row("deliver");
+    assert!(landed <= p.grants + r.injected && landed + 1_000 > p.grants + r.injected);
     assert!(p.windows > 0);
     assert!(p.wall_ns > 0);
     assert!(!p.window_width_ns.is_empty());

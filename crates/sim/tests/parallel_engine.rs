@@ -22,7 +22,7 @@ use iba_sim::{
     Network, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult, SimConfig, TraceOpts,
     TraceStep, Tracer,
 };
-use iba_topology::{IrregularConfig, Topology};
+use iba_topology::{IrregularConfig, Topology, TopologySpec};
 use iba_workloads::{FaultSchedule, WorkloadSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -139,6 +139,40 @@ fn parallel_saturated_fabric_is_shape_invariant() {
     );
     assert!(reference.escape_forwards > 0);
     assert_shape_invariant(|shape| run_traced(&topo, &routing, 0.05, 1, shape));
+}
+
+#[test]
+fn parallel_wide_switches_are_shape_invariant() {
+    // The 64-switch full mesh of the engine zoo: 63 switch links and two
+    // hosts make 65 ports per switch, so the hosts inject through input
+    // ports 63 and 64 — one of them past the first machine word of the
+    // occupied-input set. A pass that lost track of such an input would
+    // leave its packets behind, hence the drain check.
+    let topo = TopologySpec::FullMesh {
+        switches: 64,
+        hosts_per_switch: 2,
+    }
+    .generate(1)
+    .unwrap();
+    assert_eq!(topo.ports_per_switch(), 65);
+    let routing = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+    assert_shape_invariant(|(shards, threads, backend)| {
+        let mut cfg = SimConfig::test(4);
+        cfg.queue_backend = backend;
+        let horizon = cfg.horizon();
+        let mut net = Network::builder(&topo, &routing)
+            .workload(WorkloadSpec::uniform32(0.05))
+            .config(cfg)
+            .shards(shards)
+            .threads(threads)
+            .build()
+            .unwrap();
+        let (result, drained) = net.run_until_drained(horizon, horizon.plus_ns(400_000));
+        assert!(drained && net.is_quiescent(), "shards={shards}: {result:?}");
+        assert_eq!(result.delivered, result.generated, "shards={shards}");
+        assert!(result.delivered > 10_000, "shards={shards}: {result:?}");
+        result
+    });
 }
 
 /// An APM-migration chaos mix with CRC corruption: a flapping link

@@ -4,7 +4,7 @@
 //! sim-time window, and clean saturated runs produce zero false
 //! suspected-wedge verdicts.
 
-use iba_core::{SimTime, StallClass};
+use iba_core::{FlightEvent, SimTime, StallClass};
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{
     perfetto_trace, FlightDump, Network, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult,
@@ -32,6 +32,53 @@ fn recorded_run(
     let mut net = b.build().unwrap();
     let result = net.run();
     (result, net.flight_dump())
+}
+
+#[test]
+fn a_packet_inside_its_routing_delay_is_never_stall_eligible() {
+    // A watchdog far more impatient than the routing pipeline (40 ns
+    // against 100 ns, checked every 7 ns): whatever it reports, it must
+    // not report a head packet whose route is resolved but not yet
+    // visible — that is a fresh arrival, not a stall.
+    let opts = RecorderOpts {
+        capacity_per_switch: 1 << 16,
+        trigger_on_drop: false,
+        latency_threshold_ns: None,
+        watchdog: Some(WatchdogOpts {
+            check_every_ns: 7,
+            stall_after_ns: 40,
+        }),
+    };
+    let (_, dump) = recorded_run(QueueBackend::BinaryHeap, 11, 0.25, Some(opts));
+    let dump = dump.unwrap();
+    assert_eq!(dump.overwritten_events, 0);
+    let routing_delay = SimConfig::test(11).phys.routing_delay_ns;
+    let mut stalls = 0;
+    for (i, e) in dump.events.iter().enumerate() {
+        let FlightEvent::Stall {
+            port, vl, packet, ..
+        } = e.ev
+        else {
+            continue;
+        };
+        stalls += 1;
+        let arrived_ns = dump.events[..i]
+            .iter()
+            .rev()
+            .find(|a| {
+                a.sw == e.sw
+                    && matches!(a.ev, FlightEvent::Arrived { packet: p, port: q, vl: v }
+                        if (p, q, v) == (packet, port, vl))
+            })
+            .expect("a stalled packet arrived first")
+            .at_ns;
+        assert!(
+            e.at_ns > arrived_ns + routing_delay,
+            "{packet:?} arrived at {arrived_ns} and was called stalled at {}",
+            e.at_ns
+        );
+    }
+    assert!(stalls > 0, "the impatient watchdog must have fired");
 }
 
 #[test]
