@@ -1,19 +1,9 @@
 //! # iba-bench
 //!
-//! Criterion benchmarks for the iba-far workspace. Two families:
-//!
-//! * **component benches** — the simulator's hot paths (events/second on
-//!   a fixed workload) and the routing/topology construction pipeline,
-//!   guarding against performance regressions of the measurement
-//!   instrument itself;
-//! * **experiment benches** — one per paper artifact (`fig3`, `table1`,
-//!   `table2`, ablations), running tightly scaled-down versions of the
-//!   real experiment code so the full regeneration pipeline stays
-//!   exercised and timed by `cargo bench`.
-//!
-//! The *results* of the experiments (the numbers the paper reports) come
-//! from the `iba-experiments` binaries; these benches measure that the
-//! machinery runs and how fast.
+//! [`BenchFixture`]: a prepared (topology, routing) pair with one
+//! `simulate_*` method per observation plane. The repository's benchmark
+//! (`perfbench/`, declared in `BENCHMARK.json`) links it for its
+//! per-layer probes; the crate holds nothing else.
 
 #![warn(missing_docs)]
 

@@ -6,7 +6,6 @@
 //! credits to buffer the *entire* packet — which is exactly the condition
 //! virtual cut-through needs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 pub const CREDIT_BYTES: u32 = 64;
 
 /// A non-negative amount of flow-control credits (64-byte units).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Credits(pub u32);
 
 impl Credits {

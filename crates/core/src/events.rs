@@ -10,7 +10,7 @@
 //! Events are plain `Copy`-able value types sized for a hot path:
 //! a [`FlightEvent`] embeds its per-port option outcomes in an
 //! [`InlineVec`], so recording never allocates. Serialization goes
-//! through [`crate::json::Json`] (the vendored `serde` is a stub):
+//! through [`crate::json::Json`]:
 //! [`FlightEvent::to_json`] and [`FlightEvent::from_json`] are exact
 //! inverses, which the dump round-trip tests pin down.
 

@@ -6,16 +6,15 @@
 //! All identifiers are small dense integers so they can index `Vec`s
 //! directly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a switch within a topology (`0..num_switches`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u16);
 
 /// Index of a host (end-node channel-adapter port) within a topology
 /// (`0..num_hosts`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u16);
 
 /// Index of a physical port on a switch (`0..ports_per_switch`).
@@ -23,11 +22,11 @@ pub struct HostId(pub u16);
 /// By convention of `iba-topology`, inter-switch links occupy the lowest
 /// port indices and host links the next ones, but nothing in the code
 /// relies on that ordering.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortIndex(pub u8);
 
 /// Either endpoint kind a switch port can be wired to.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum NodeRef {
     /// A switch, addressed by id.
     Switch(SwitchId),

@@ -1,12 +1,11 @@
 //! A minimal JSON document model, writer and parser.
 //!
-//! Every artifact this workspace emits (`results/*.json`,
-//! `BENCH_sim.json`, telemetry sink lines, flight-recorder dumps) is
-//! JSON, but the vendored `serde` is a no-op stub with no serializer
-//! behind it. Instead of each experiment bin hand-assembling strings
-//! with `format!`, this module gives them one tree type ([`Json`]) and
-//! one writer, so escaping, float formatting and nesting are correct in
-//! a single place.
+//! Every artifact this workspace emits (`results/*.json`, telemetry
+//! samples, flight-recorder dumps) is JSON, and this module is the
+//! workspace's one serializer. Instead of each experiment bin
+//! hand-assembling strings with `format!`, it gives them one tree type
+//! ([`Json`]) and one writer, so escaping, float formatting and nesting
+//! are correct in a single place.
 //!
 //! The model started write-only; the flight-recorder work added a
 //! reader, because `iba-trace` loads dumps back for offline queries.

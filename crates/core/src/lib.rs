@@ -15,10 +15,8 @@
 //! * simulated time in nanoseconds ([`time`]),
 //! * a fixed-capacity inline vector for allocation-free hot paths
 //!   ([`inline_vec`]),
-//! * counter and power-of-two-histogram primitives shared by run
-//!   statistics and telemetry ([`metrics`]),
 //! * a minimal JSON document model, writer and parser for experiment
-//!   artifacts, telemetry sinks and flight-recorder dumps ([`json`]),
+//!   artifacts, telemetry samples and flight-recorder dumps ([`json`]),
 //! * the structured flight-recorder event vocabulary shared by the
 //!   simulator and the offline `iba-trace` tooling ([`events`]),
 //! * the physical-layer constants of the paper's evaluation section
@@ -37,7 +35,6 @@ pub mod ids;
 pub mod inline_vec;
 pub mod json;
 pub mod lid;
-pub mod metrics;
 pub mod packet;
 pub mod phys;
 pub mod time;
@@ -53,7 +50,6 @@ pub use ids::{HostId, NodeRef, PortIndex, SwitchId};
 pub use inline_vec::{InlineVec, MAX_PORTS};
 pub use json::Json;
 pub use lid::{Lid, LidMap, Lmc};
-pub use metrics::{Counter, Pow2Histogram};
 pub use packet::{Packet, PacketId, RoutingMode};
 pub use phys::PhysParams;
 pub use time::SimTime;

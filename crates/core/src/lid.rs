@@ -25,21 +25,20 @@
 
 use crate::error::IbaError;
 use crate::ids::HostId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 16-bit IBA local identifier.
 ///
 /// LID 0 is reserved in IBA (and never assigned by [`LidMap`]); 0xFFFF is
 /// the permissive LID. This reproduction only uses unicast LIDs.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lid(pub u16);
 
 /// LID Mask Control: the number of low bits of the LID a CA port ignores.
 ///
 /// A port with LMC `m` owns `2^m` consecutive, `2^m`-aligned LIDs. IBA
 /// caps the LMC at 7 (128 addresses per port).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Lmc(u8);
 
 impl Lid {
@@ -116,7 +115,7 @@ impl Lmc {
 /// Host `i` owns the range `[(i + 1) << lmc, ((i + 2) << lmc) - 1]`: ranges
 /// are `2^lmc`-aligned (so the interleaved forwarding table can select a
 /// module with the low DLID bits) and LID 0 stays reserved.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LidMap {
     lmc: Lmc,
     num_hosts: u16,

@@ -12,11 +12,10 @@ use crate::lid::Lid;
 use crate::time::SimTime;
 use crate::vl::ServiceLevel;
 use crate::Credits;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique packet identifier (injection order).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 impl PacketId {
@@ -38,7 +37,7 @@ impl PacketId {
 }
 
 /// How the source asked the fabric to route this packet (§4.2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RoutingMode {
     /// Only the escape/up\*/down\* option is returned at each switch;
     /// in-order delivery is guaranteed.
@@ -57,7 +56,7 @@ impl RoutingMode {
 }
 
 /// A packet in flight.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Packet {
     /// Unique id, assigned at generation.
     pub id: PacketId,

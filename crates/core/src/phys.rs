@@ -12,7 +12,6 @@
 //! default.
 
 use crate::error::IbaError;
-use serde::{Deserialize, Serialize};
 
 /// IBA's minimum maximum-transfer-unit, in bytes.
 pub const MTU_MIN: u32 = 256;
@@ -20,7 +19,7 @@ pub const MTU_MIN: u32 = 256;
 pub const MTU_MAX: u32 = 4096;
 
 /// Physical-layer timing parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhysParams {
     /// Payload link bandwidth in bytes per nanosecond.
     ///

@@ -5,12 +5,11 @@
 //! serialization on 1X links). `u64` nanoseconds cover ~584 years of
 //! simulated time — far beyond any run.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Sub;
 
 /// A point in simulated time, in nanoseconds since simulation start.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -8,15 +8,14 @@
 //! buffer (§4.4), deliberately consuming no extra VLs.
 
 use crate::error::IbaError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A data virtual lane (0..=15).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualLane(pub u8);
 
 /// A 4-bit IBA service level.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ServiceLevel(pub u8);
 
 impl VirtualLane {

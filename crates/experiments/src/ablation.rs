@@ -21,10 +21,9 @@ use iba_sim::{EscapeOrderPolicy, SelectionPolicy, SimConfig};
 use iba_stats::{markdown_table, MinMaxAvg};
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 
 /// A labelled min/max/avg outcome.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AblationRow {
     /// Variant label.
     pub label: String,

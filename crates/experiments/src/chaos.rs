@@ -512,9 +512,8 @@ pub fn document_from_cells(
     .to_string_pretty()
 }
 
-/// Render the campaign as a JSON document (via [`iba_core::Json`] — the
-/// vendored serde stub has no serializer). Layout documented in
-/// EXPERIMENTS.md.
+/// Render the campaign as a JSON document (via [`iba_core::Json`]).
+/// Layout documented in EXPERIMENTS.md.
 pub fn to_json(sizes: &[usize], seeds: u64, base_seed: u64, runs: &[ChaosRun]) -> String {
     let cells: Vec<Json> = runs.iter().map(cell_json).collect();
     let mixes: Vec<&str> = MIXES.iter().map(|m| m.name).collect();

@@ -229,9 +229,8 @@ pub fn parse_policy(s: &str) -> Option<RecoveryPolicy> {
     }
 }
 
-/// Render the sweep as a JSON document (via [`iba_core::Json`] — the
-/// vendored serde stub has no serializer). Layout documented in
-/// EXPERIMENTS.md.
+/// Render the sweep as a JSON document (via [`iba_core::Json`]).
+/// Layout documented in EXPERIMENTS.md.
 pub fn to_json(
     size: usize,
     seeds: u64,

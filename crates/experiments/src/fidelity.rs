@@ -12,10 +12,9 @@
 
 use iba_core::SimTime;
 use iba_sim::SimConfig;
-use serde::{Deserialize, Serialize};
 
 /// Fidelity preset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fidelity {
     /// Scaled-down but shape-preserving.
     Quick,

@@ -16,10 +16,9 @@ use iba_routing::RoutingConfig;
 use iba_stats::{markdown_table, Curve, CurvePoint};
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Figure 3 reproduction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig3Config {
     /// Network sizes (subfigures a–d are 8, 16, 32, 64).
     pub sizes: Vec<usize>,
@@ -44,7 +43,7 @@ impl Fig3Config {
 }
 
 /// The curves of one subfigure (one network size).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig3SizeResult {
     /// Network size in switches.
     pub size: usize,

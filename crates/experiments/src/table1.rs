@@ -15,10 +15,9 @@ use iba_routing::RoutingConfig;
 use iba_stats::{markdown_table, MinMaxAvg};
 use iba_topology::IrregularConfig;
 use iba_workloads::{InjectionProcess, TrafficPattern, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Table 1 reproduction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Config {
     /// Network sizes.
     pub sizes: Vec<usize>,
@@ -69,7 +68,7 @@ impl Table1Config {
 }
 
 /// One cell of Table 1.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Cell {
     /// Network size.
     pub size: usize,

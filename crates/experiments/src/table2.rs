@@ -9,10 +9,9 @@ use iba_core::IbaError;
 use iba_routing::{MinimalRouting, OptionDistribution, UpDownRouting};
 use iba_stats::markdown_table;
 use iba_topology::IrregularConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Table 2 reproduction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2Config {
     /// Network sizes.
     pub sizes: Vec<usize>,
@@ -45,7 +44,7 @@ impl Table2Config {
 }
 
 /// One row of Table 2.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2Row {
     /// Network size.
     pub size: usize,

@@ -66,28 +66,17 @@ pub fn run_sweep(
         let result = net.run();
         let mem = net
             .telemetry_sink()
-            .and_then(|s| s.as_memory())
-            .ok_or_else(|| {
-                IbaError::RoutingFailed(
-                    "telemetry run lost its MemorySink (builder arms it)".into(),
-                )
-            })?;
+            .expect("the builder armed telemetry and run() merged it");
         let mut adaptive = Timeseries::new();
         let mut escape = Timeseries::new();
         for s in mem.samples() {
             adaptive.push(s.at.as_ns(), s.total_adaptive() as f64);
             escape.push(s.at.as_ns(), s.total_escape() as f64);
         }
-        let report = mem
-            .report()
-            .ok_or_else(|| {
-                IbaError::RoutingFailed("run() did not flush the telemetry report".into())
-            })?
-            .clone();
         Ok(TelemetryPoint {
             offered,
             result,
-            report,
+            report: mem.report().clone(),
             adaptive_occupancy: adaptive,
             escape_occupancy: escape,
         })
@@ -105,8 +94,7 @@ fn series_json(ts: &Timeseries) -> Json {
 }
 
 /// Render the sweep as the `results/telemetry.json` document (via
-/// [`iba_core::Json`] — the vendored serde stub has no serializer).
-/// Layout documented in EXPERIMENTS.md.
+/// [`iba_core::Json`]). Layout documented in EXPERIMENTS.md.
 pub fn to_json(size: usize, seed: u64, sample_every_ns: u64, points: &[TelemetryPoint]) -> String {
     Json::obj([
         ("experiment", Json::from("telemetry")),

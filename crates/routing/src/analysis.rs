@@ -23,7 +23,6 @@ use crate::engine::EscapeEngine;
 use crate::minimal::MinimalRouting;
 use iba_core::{HostId, IbaError, NodeRef, PortIndex, SwitchId};
 use iba_topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Verify that a per-destination next-hop function — e.g. the escape
 /// entries programmed into switch LFTs, read back over SMPs — gives
@@ -226,7 +225,7 @@ fn check_escape_routes_reference(
 
 /// Distribution of routing-option counts over `(switch, destination)`
 /// pairs — one row of Table 2.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OptionDistribution {
     /// The cap MR.
     pub max_routing_options: usize,
@@ -329,7 +328,7 @@ impl OptionDistribution {
 /// Path-length comparison between minimal routing and the deterministic
 /// escape layer — the §5.2.1 explanation of why adaptivity helps more in
 /// large networks.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PathLengthStats {
     /// Mean shortest-path length over remote switch pairs.
     pub avg_minimal: f64,

@@ -33,13 +33,12 @@ use crate::table::InterleavedForwardingTable;
 use crate::updown::UpDownRouting;
 use iba_core::{HostId, IbaError, InlineVec, Lid, LidMap, PortIndex, SwitchId, MAX_PORTS};
 use iba_topology::Topology;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the FA table construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoutingConfig {
     /// Total routing options (= forwarding-table addresses) per
     /// destination port: 1 escape + `table_options − 1` adaptive slots.

@@ -12,14 +12,13 @@
 //! is what subnet managers program when no QoS separation is requested.
 
 use iba_core::{IbaError, PortIndex, ServiceLevel, VirtualLane};
-use serde::{Deserialize, Serialize};
 
 /// A per-switch SLtoVL table.
 ///
 /// Indexed by `(input port, output port, SL)`. Input port `None`
 /// represents packets injected by the switch's own management interface —
 /// not used by the data-path model, but kept for spec shape.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SlToVlTable {
     ports: u8,
     /// `map[in_port][out_port][sl]` → VL.

@@ -17,7 +17,6 @@
 //! set, the whole group is returned.
 
 use iba_core::{IbaError, Lid, PortIndex};
-use serde::{Deserialize, Serialize};
 
 /// Value IBA uses for an unprogrammed forwarding-table entry.
 const INVALID_PORT: u8 = 0xFF;
@@ -35,7 +34,7 @@ pub struct TableLookup {
 }
 
 /// A linear forwarding table stored as `x` interleaved memory modules.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InterleavedForwardingTable {
     /// `modules[m][row]` = entry at linear address `row * x + m`.
     modules: Vec<Vec<u8>>,

@@ -41,11 +41,10 @@
 
 use iba_core::{Credits, InlineVec, Packet, PacketId, RoutingMode, SimTime};
 use iba_routing::RouteOptions;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How the escape-head read point honours in-order delivery (§4.4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EscapeOrderPolicy {
     /// The paper's literal rule: the first deterministic packet stored in
     /// the adaptive queue must be forwarded before *any* packet stored in

@@ -3,11 +3,10 @@
 use crate::buffer::EscapeOrderPolicy;
 use iba_core::{Credits, IbaError, PhysParams, SimTime};
 use iba_engine::QueueBackend;
-use serde::{Deserialize, Serialize};
 
 /// How the switch picks among feasible routing options at arbitration
 /// time (§4.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SelectionPolicy {
     /// Prefer the adaptive option whose downstream adaptive queue has the
     /// most free credits ("selecting the output port with more buffer
@@ -29,7 +28,7 @@ pub enum SelectionPolicy {
 /// sets at arbitration time, so no packet is *granted* onto a dead link;
 /// the policies differ in what, if anything, repairs reachability for
 /// destinations whose programmed routes crossed the dead link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// No reaction beyond the local masking. Packets whose every
     /// programmed option crosses a dead link stay buffered until the
@@ -49,7 +48,7 @@ pub enum RecoveryPolicy {
 }
 
 /// Full simulator configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
     /// Physical-layer timing.
     pub phys: PhysParams,

@@ -22,8 +22,8 @@
 //!   [`Network::metrics_registry`];
 //! * [`telemetry`] — the sampling probe layer: per-VL occupancy
 //!   timeseries, cause-tagged credit-stall counters, escape-vs-adaptive
-//!   forwarding counters and arbitration-wait histograms, flushed
-//!   through a pluggable [`TelemetrySink`];
+//!   forwarding counters and arbitration-wait histograms, merged into
+//!   one [`MemorySink`] at the end of every drive;
 //! * [`trace`] — per-packet journey recording;
 //! * [`recorder`] — the fabric flight recorder: bounded per-switch rings
 //!   of structured events (routing decisions with full candidate sets,
@@ -60,7 +60,6 @@
 
 pub mod buffer;
 pub mod config;
-mod fib;
 pub mod metrics;
 pub mod network;
 pub mod perfetto;
@@ -80,11 +79,11 @@ pub use recorder::{
     classify_stall, FlightDump, FlightRecorder, RecorderOpts, Trigger, TriggerCause, WatchdogOpts,
 };
 pub use stats::{
-    latency_class_label, LatencyHistogram, RunResult, StatsCollector, LATENCY_CLASSES,
-    RUN_RESULT_SCHEMA_VERSION, SOURCE_GROUPS,
+    latency_class_label, RunResult, StatsCollector, LATENCY_CLASSES, RUN_RESULT_SCHEMA_VERSION,
+    SOURCE_GROUPS,
 };
 pub use telemetry::{
-    JsonLinesSink, MemorySink, PortStalls, StallCause, SwitchTelemetry, TelemetryOpts,
-    TelemetryReport, TelemetrySample, TelemetrySink, VlOccupancy, TELEMETRY_SCHEMA_VERSION,
+    MemorySink, PortStalls, StallCause, SwitchTelemetry, TelemetryOpts, TelemetryReport,
+    TelemetrySample, VlOccupancy, TELEMETRY_SCHEMA_VERSION,
 };
 pub use trace::{PacketTrace, TraceOpts, TraceStep, Tracer};

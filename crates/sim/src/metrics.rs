@@ -302,8 +302,6 @@ pub(crate) fn fill_run_metrics(
     );
     reg.add("iba_sim_faults_total", &[], result.faults_injected);
     reg.add("iba_sim_resweeps_total", &[], result.resweeps);
-    reg.add("iba_sim_fib_hits_total", &[], result.fib_hits);
-    reg.add("iba_sim_fib_misses_total", &[], result.fib_misses);
     reg.add("iba_sim_events_total", &[], result.events);
     reg.set_gauge("iba_sim_delivered_ratio", &[], result.delivered_ratio);
 

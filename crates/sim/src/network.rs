@@ -55,14 +55,13 @@
 //! fabric-wide atomic table swap).
 
 use crate::config::{RecoveryPolicy, SimConfig};
-use crate::fib::FibCache;
 use crate::metrics::{fill_run_metrics, EngineProfile, WorkerProfile};
 use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts};
 use crate::shard::{check_key_capacity, Mailbox, Shard, CLASS_NAMES};
 use crate::stats::{RunResult, StatsCollector};
 use crate::telemetry::{
-    MemorySink, SwitchTelemetry, TelemetryOpts, TelemetryReport, TelemetrySample, TelemetrySink,
-    TelemetryState, TELEMETRY_SCHEMA_VERSION,
+    MemorySink, SwitchTelemetry, TelemetryOpts, TelemetryReport, TelemetrySample, TelemetryState,
+    TELEMETRY_SCHEMA_VERSION,
 };
 use crate::trace::{PacketTrace, TraceOpts, TraceStep, Tracer};
 use iba_core::{HostId, IbaError, PacketId, PortIndex, SimTime, SwitchId};
@@ -86,13 +85,11 @@ pub struct Network<'a, E: EscapeEngine = UpDownRouting> {
     /// Worker threads driving the shards (1 = the calling thread only).
     threads: usize,
     shards: Vec<Shard<'a, E>>,
-    /// Whether the one-shot observer merge has run.
-    finalized: bool,
-    /// The user's telemetry sink (shards record into private
-    /// `MemorySink`s; the observer merge feeds this one).
-    user_sink: Option<Box<dyn TelemetrySink>>,
-    /// The merged journey recorder (built by the observer merge from
-    /// the shard-local tracers).
+    /// The merged telemetry (rebuilt by the observer merge from the
+    /// shard-local states at the end of every drive).
+    merged_telemetry: Option<MemorySink>,
+    /// The merged journey recorder (rebuilt by the observer merge from
+    /// the shard-local tracers at the end of every drive).
     merged_tracer: Option<Tracer>,
     trace_opts: Option<TraceOpts>,
     /// Whether engine profiling (the `.metrics()` builder option) is
@@ -135,9 +132,8 @@ pub struct NetworkBuilder<'a, E: EscapeEngine = UpDownRouting> {
     faults: Option<(&'a FaultSchedule, RecoveryPolicy, u64)>,
     corruption: Option<f64>,
     trace: Option<TraceOpts>,
-    telemetry: Option<(TelemetryOpts, Box<dyn TelemetrySink>)>,
+    telemetry: Option<TelemetryOpts>,
     recorder: Option<RecorderOpts>,
-    fib_ways: Option<usize>,
     shards: Option<usize>,
     threads: Option<usize>,
     metrics: bool,
@@ -198,16 +194,10 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
         self
     }
 
-    /// Arm the telemetry probes with an in-memory sink (retrieve it
+    /// Arm the telemetry probes (retrieve the samples and the report
     /// after the run through [`Network::telemetry_sink`]).
-    pub fn telemetry(self, opts: TelemetryOpts) -> Self {
-        self.telemetry_sink(opts, Box::new(MemorySink::new()))
-    }
-
-    /// Arm the telemetry probes flushing into `sink` (e.g. a
-    /// [`crate::JsonLinesSink`] over a file for experiments).
-    pub fn telemetry_sink(mut self, opts: TelemetryOpts, sink: Box<dyn TelemetrySink>) -> Self {
-        self.telemetry = Some((opts, sink));
+    pub fn telemetry(mut self, opts: TelemetryOpts) -> Self {
+        self.telemetry = Some(opts);
         self
     }
 
@@ -217,20 +207,6 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
     /// Requires a single shard (the default [`Self::shards`] of 1).
     pub fn recorder(mut self, opts: RecorderOpts) -> Self {
         self.recorder = Some(opts);
-        self
-    }
-
-    /// Arm the hot-entry FIB cache: a direct-mapped cache of `ways`
-    /// recently routed destinations per switch, in front of the full
-    /// forwarding table. Purely observational — cached entries are
-    /// shared decodes of the live tables, so results are identical with
-    /// and without it; the run gains the [`RunResult::fib_hits`] /
-    /// [`RunResult::fib_misses`] counters that size how much table
-    /// bandwidth such a cache would absorb. Off by default (a disabled
-    /// cache costs one pointer-null check per routing, like the flight
-    /// recorder).
-    pub fn fib_cache(mut self, ways: usize) -> Self {
-        self.fib_ways = Some(ways);
         self
     }
 
@@ -354,28 +330,17 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
             if let Some(opts) = self.trace {
                 sh.tracer = Some(Tracer::with_opts(opts));
             }
-            if let Some(ways) = self.fib_ways {
-                if ways == 0 {
-                    return Err(IbaError::InvalidConfig(
-                        "fib_cache needs at least one way per switch".into(),
-                    ));
-                }
-                sh.fib = Some(Box::new(FibCache::new(self.topo.num_switches(), ways)));
-            }
             shards.push(sh);
         }
 
         let num_switches = self.topo.num_switches();
         let ports = self.topo.ports_per_switch() as usize;
-        let mut user_sink = None;
-        if let Some((opts, sink)) = self.telemetry {
-            // Each shard samples only its own switches into a private
-            // memory sink; the end-of-run merge splices the slices and
-            // feeds the user's sink.
+        if let Some(opts) = self.telemetry {
+            // Each shard samples only its own switches; the observer
+            // merge splices the slices back together.
             for sh in shards.iter_mut() {
                 sh.telemetry = Some(Box::new(TelemetryState::new(opts, num_switches, ports)));
             }
-            user_sink = Some(sink);
         }
         if let Some(opts) = self.recorder {
             shards[0].recorder = Some(Box::new(FlightRecorder::new(
@@ -392,8 +357,7 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
             partition,
             threads,
             shards,
-            finalized: false,
-            user_sink,
+            merged_telemetry: None,
             merged_tracer: None,
             trace_opts: self.trace,
             metrics_enabled: self.metrics,
@@ -587,7 +551,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
             trace: None,
             telemetry: None,
             recorder: None,
-            fib_ways: None,
             shards: None,
             threads: None,
             metrics: false,
@@ -619,11 +582,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         self.shards.len()
     }
 
-    /// Whether the hot-entry FIB cache is armed.
-    pub fn fib_cache_enabled(&self) -> bool {
-        self.shards[0].fib.is_some()
-    }
-
     /// Number of links currently down.
     pub fn active_faults(&self) -> usize {
         // Fault events are replicated: every shard applies every fault,
@@ -637,8 +595,8 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         self.shards[0].recovery_routing.is_some()
     }
 
-    /// Recorded journeys (`None` unless tracing was enabled; available
-    /// after the run has finished).
+    /// Recorded journeys as of the end of the last drive (`None` unless
+    /// tracing was enabled and a drive has finished).
     pub fn tracer(&self) -> Option<&Tracer> {
         self.merged_tracer.as_ref()
     }
@@ -648,12 +606,11 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         self.shards[0].telemetry.is_some()
     }
 
-    /// The telemetry sink, once armed through the builder. The report is
-    /// flushed into it when the run ends; with the default
-    /// [`MemorySink`], downcast through
-    /// [`TelemetrySink::as_memory`] to read the recorded samples.
-    pub fn telemetry_sink(&self) -> Option<&dyn TelemetrySink> {
-        self.user_sink.as_deref()
+    /// The merged telemetry — every occupancy sample and the
+    /// accumulated report — as of the end of the last drive (`None`
+    /// unless telemetry was armed and a drive has finished).
+    pub fn telemetry_sink(&self) -> Option<&MemorySink> {
+        self.merged_telemetry.as_ref()
     }
 
     /// Whether the flight recorder is armed.
@@ -777,15 +734,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         self.total_events() - before
     }
 
-    /// One §4.3 arbitration sweep over every switch at the current
-    /// simulated time, returning the total number of grants. The
-    /// microbenchmark probe for the arbitration hot path; grants made
-    /// here reserve resources and schedule downstream events exactly as
-    /// in-loop arbitration does.
-    pub fn arbitrate_pass(&mut self) -> usize {
-        self.shards.iter_mut().map(|s| s.arbitrate_pass()).sum()
-    }
-
     /// Events processed fabric-wide, with replicated events (faults,
     /// telemetry ticks) counted once — invariant in the shard count.
     fn total_events(&self) -> u64 {
@@ -875,8 +823,8 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// Build the fabric-wide [`MetricsRegistry`] for a finished run:
     /// deterministic outcome counters and latency histograms from
     /// `result` and the merged collector, per-VL occupancy gauges from
-    /// the last telemetry snapshot (when telemetry was armed with a
-    /// memory sink), and — when `.metrics()` was armed — the engine
+    /// the last telemetry snapshot (when telemetry was armed), and —
+    /// when `.metrics()` was armed — the engine
     /// profile under the non-deterministic `profiling_` namespace.
     ///
     /// Everything outside that namespace is bit-identical across
@@ -887,7 +835,7 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         let mut reg = MetricsRegistry::new();
         // The run's merge left the fabric-wide collector in shard 0.
         fill_run_metrics(&mut reg, result, &self.shards[0].stats);
-        if let Some(mem) = self.telemetry_sink().and_then(|s| s.as_memory()) {
+        if let Some(mem) = self.telemetry_sink() {
             if let Some(sample) = mem.samples().last() {
                 for o in &sample.occupancy {
                     let sw = o.sw.index().to_string();
@@ -916,63 +864,52 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
         reg
     }
 
-    /// Flush shard telemetry and run the one-shot observer merge: splice
-    /// per-shard occupancy samples into fabric-wide samples for the
-    /// user's sink, absorb per-shard switch accumulations into one
-    /// report, and union the shard tracers.
+    /// The observer merge, run at the end of every drive: splice the
+    /// per-shard occupancy samples into fabric-wide samples, absorb the
+    /// per-shard switch accumulations into one report, and union the
+    /// shard tracers. Everything is rebuilt from the shard states, which
+    /// only ever grow, so the merged views follow every further drive.
     fn finalize_observers(&mut self) {
-        if self.finalized {
-            return;
-        }
-        self.finalized = true;
-
-        if let Some(sink) = self.user_sink.as_deref_mut() {
-            let shard_sinks: Vec<&MemorySink> = self
-                .shards
-                .iter_mut()
-                .filter_map(|s| s.telemetry.as_deref_mut())
-                .map(|t| t.flush())
+        let states: Vec<&TelemetryState> = self
+            .shards
+            .iter()
+            .filter_map(|s| s.telemetry.as_deref())
+            .collect();
+        if let Some(first) = states.first() {
+            // Ticks are replicated, so sample `k` is the same instant in
+            // every shard; a shard the event budget stopped inside its
+            // window may be a tick short of the others.
+            let n_samples = states.iter().map(|st| st.samples().len()).max();
+            let samples: Vec<TelemetrySample> = (0..n_samples.unwrap_or(0))
+                .map(|k| {
+                    let mut slices = states
+                        .iter()
+                        .filter_map(|st| st.samples().get(k))
+                        .peekable();
+                    let at = slices.peek().expect("some shard took sample k").at;
+                    let mut occupancy: Vec<_> =
+                        slices.flat_map(|s| s.occupancy.iter().copied()).collect();
+                    occupancy.sort_by_key(|o| (o.sw.0, o.vl.0));
+                    TelemetrySample { at, occupancy }
+                })
                 .collect();
-            let n_samples = shard_sinks
-                .iter()
-                .map(|m| m.samples().len())
-                .max()
-                .unwrap_or(0);
-            for k in 0..n_samples {
-                let mut at = None;
-                let mut occupancy = Vec::new();
-                for ms in &shard_sinks {
-                    if let Some(sample) = ms.samples().get(k) {
-                        at.get_or_insert(sample.at);
-                        occupancy.extend_from_slice(&sample.occupancy);
-                    }
+            let ports = self.topo.ports_per_switch() as usize;
+            let mut switches: Vec<SwitchTelemetry> = (0..self.topo.num_switches())
+                .map(|s| SwitchTelemetry::new(SwitchId(s as u16), ports))
+                .collect();
+            for st in &states {
+                for sw in st.switches() {
+                    switches[sw.sw.index()].absorb(sw);
                 }
-                occupancy.sort_by_key(|o| (o.sw.0, o.vl.0));
-                sink.on_sample(&TelemetrySample {
-                    at: at.expect("nonempty sample index"),
-                    occupancy,
-                });
             }
-            if !shard_sinks.is_empty() {
-                let r0 = shard_sinks[0].report().expect("telemetry flushed");
-                let ports = self.topo.ports_per_switch() as usize;
-                let mut switches: Vec<SwitchTelemetry> = (0..self.topo.num_switches())
-                    .map(|s| SwitchTelemetry::new(SwitchId(s as u16), ports))
-                    .collect();
-                for ms in &shard_sinks {
-                    for st in &ms.report().expect("telemetry flushed").switches {
-                        switches[st.sw.index()].absorb(st);
-                    }
-                }
-                let merged = TelemetryReport {
-                    schema_version: TELEMETRY_SCHEMA_VERSION,
-                    sample_every_ns: r0.sample_every_ns,
-                    samples_taken: r0.samples_taken,
-                    samples_dropped: r0.samples_dropped,
-                    switches,
-                };
-                sink.on_report(&merged);
-            }
+            let report = TelemetryReport {
+                schema_version: TELEMETRY_SCHEMA_VERSION,
+                sample_every_ns: first.cadence_ns(),
+                samples_taken: samples.len() as u64,
+                samples_dropped: first.samples_dropped(),
+                switches,
+            };
+            self.merged_telemetry = Some(MemorySink { samples, report });
         }
 
         if let Some(opts) = self.trace_opts {

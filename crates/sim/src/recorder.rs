@@ -37,7 +37,6 @@
 //! Clean saturated runs produce no false positives because every
 //! forward and every buffer drain refreshes the progress clock.
 
-use crate::trace::Tracer;
 use iba_core::{
     FlightEvent, Json, OptionOutcomes, PacketId, PortIndex, SimTime, StallClass, StampedEvent,
     SwitchId, VirtualLane, FLIGHT_SCHEMA_VERSION,
@@ -617,14 +616,6 @@ pub fn classify_stall(
         // the escape path shows no sign of life.
         _ => StallClass::SuspectedWedge,
     }
-}
-
-/// Bundles the references a `Network` hands back after a recorded run.
-pub struct RecorderHandles<'a> {
-    /// The recorder itself.
-    pub recorder: &'a FlightRecorder,
-    /// The journey tracer, if also armed.
-    pub tracer: Option<&'a Tracer>,
 }
 
 #[cfg(test)]

@@ -35,7 +35,6 @@
 
 use crate::buffer::{ReadPoint, SlotHandle, VlBuffer};
 use crate::config::{RecoveryPolicy, SelectionPolicy, SimConfig};
-use crate::fib::FibCache;
 use crate::recorder::{classify_stall, FlightRecorder, TriggerCause};
 use crate::stats::StatsCollector;
 use crate::telemetry::{StallCause, TelemetryState};
@@ -385,11 +384,6 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// Flight-recorder state; `None` (the default, and always with more
     /// than one shard) keeps every hook a single pointer-null check.
     pub(crate) recorder: Option<Box<FlightRecorder>>,
-    /// Hot-entry FIB cache over the forwarding path; `None` (the
-    /// default) keeps the routing hook a single pointer-null check.
-    /// Purely observational — cached entries are `Arc`-shared decodes
-    /// of the live tables, so results never depend on it.
-    pub(crate) fib: Option<Box<FibCache>>,
     /// Candidate-option verdicts of the most recent arbitration grant.
     /// Scratch reused across grants so `Decision` stays small — the
     /// ~100-byte option set is only written (and read back by
@@ -566,7 +560,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             recovery_routing: None,
             telemetry: None,
             recorder: None,
-            fib: None,
             decision_options: OptionOutcomes::new(),
             key_counters: vec![0; nsw + nh + 1],
             resync_pending: vec![false; nsw * ports],
@@ -1345,10 +1338,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 }
             }
         }
-        // The table swap invalidates every cached FIB entry.
-        if let Some(fib) = self.fib.as_deref_mut() {
-            fib.flush();
-        }
         // Every freshly installed table set — degraded recovery tables or
         // the reinstated primaries — is certified deadlock-free before
         // traffic resumes on it.
@@ -1730,30 +1719,10 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // result is resolved here and becomes visible to arbitration at
         // `ready_at` (`BufferedPacket::is_ready`); a table swap inside
         // the delay re-resolves it (`reroute_buffered`).
-        let route = if let Some(fib) = self.fib.as_deref_mut() {
-            // Field-disjoint borrows: the cache is held mutably, so the
-            // live tables are resolved inline instead of via
-            // `cur_routing`.
-            let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
-            match fib.lookup(sw, packet.dlid) {
-                Some(route) => {
-                    self.stats.fib_hits += 1;
-                    route
-                }
-                None => {
-                    self.stats.fib_misses += 1;
-                    let route = routing
-                        .route_shared(sw, packet.dlid)
-                        .expect("forwarding tables are fully programmed");
-                    fib.insert(sw, packet.dlid, route.clone());
-                    route
-                }
-            }
-        } else {
-            self.cur_routing()
-                .route_shared(sw, packet.dlid)
-                .expect("forwarding tables are fully programmed")
-        };
+        let route = self
+            .cur_routing()
+            .route_shared(sw, packet.dlid)
+            .expect("forwarding tables are fully programmed");
         let st = &mut self.switches[sw.index()];
         st.inputs[port.index()].vls[vl.index()].push(packet, route, ready_at);
         st.occupied_inputs |= 1 << port.index();
@@ -1869,31 +1838,12 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         self.wakeups.push(Reverse((at, sw)));
     }
 
-    /// One §4.3 arbitration sweep over every owned switch at the current
-    /// simulated time, returning the total number of grants. The
-    /// microbenchmark probe for the arbitration hot path; grants made
-    /// here reserve resources and schedule downstream events exactly as
-    /// in-loop arbitration does.
-    pub(crate) fn arbitrate_pass(&mut self) -> usize {
-        let now = self.queue.now();
-        let mut grants = 0;
-        for s in 0..self.switches.len() {
-            let sw = SwitchId(s as u16);
-            if !self.owns_switch(sw) {
-                continue;
-            }
-            grants += self.arbitrate(now, sw);
-        }
-        grants
-    }
-
     /// One arbitration pass: sweep the occupied inputs in round-robin
     /// order, granting feasible (input, output) matches, until a sweep
-    /// grants nothing. Returns the number of grants made.
-    fn arbitrate(&mut self, now: SimTime, sw: SwitchId) -> usize {
+    /// grants nothing.
+    fn arbitrate(&mut self, now: SimTime, sw: SwitchId) {
         let nports = self.topo.ports_per_switch() as usize;
         let unobserved = self.telemetry.is_none() && self.recorder.is_none();
-        let mut grants = 0;
         loop {
             // Grants remove nothing, so the occupied set holds for the
             // whole pass.
@@ -1910,7 +1860,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     if let Some(d) = self.pick_for_input(now, sw, ip) {
                         self.start_forward(now, sw, d);
                         progress = true;
-                        grants += 1;
+                        self.grants += 1;
                     }
                 }
             }
@@ -1928,8 +1878,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 break;
             }
         }
-        self.grants += grants as u64;
-        grants
     }
 
     /// Find one forwardable candidate in input port `ip`'s buffers.

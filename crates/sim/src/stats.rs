@@ -12,20 +12,9 @@
 //! window (after warm-up) and delivered before the horizon; accepted
 //! traffic counts all bytes delivered inside the window.
 
-use iba_core::{
-    DropCause, HostId, Json, Lid, Packet, Pow2Histogram, RoutingMode, ServiceLevel, SimTime,
-};
+use iba_core::{DropCause, HostId, Json, Lid, Packet, RoutingMode, ServiceLevel, SimTime};
 use iba_stats::LogHistogram;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// A latency histogram with power-of-two buckets: bucket `i` counts
-/// samples in `[2^i, 2^(i+1))` nanoseconds (bucket 0 also holds 0 ns).
-///
-/// Since the primitives moved to `iba-core` (the telemetry layer shares
-/// them), this is the shared [`Pow2Histogram`] under its historical
-/// name.
-pub type LatencyHistogram = Pow2Histogram;
 
 /// Number of per-workload-class latency histograms a collector keeps:
 /// 2 routing modes × [`SOURCE_GROUPS`] source groups.
@@ -116,10 +105,6 @@ pub struct StatsCollector {
     escape_certifications: u64,
     escape_cert_failures: u64,
     recovery_ns: Option<u64>,
-    /// Forwarding lookups answered by the hot-entry FIB cache.
-    pub fib_hits: u64,
-    /// Forwarding lookups that missed the FIB cache (0 when disabled).
-    pub fib_misses: u64,
 }
 
 /// Per-flow in-order tracker: one past the highest sequence number
@@ -153,12 +138,14 @@ struct OrderTracker {
 }
 
 impl OrderTracker {
+    /// No plane yet: like every later one, the first is added by the
+    /// first deterministic delivery that needs it, so a run without
+    /// deterministic traffic never asks for `hosts × lid_space` words.
     fn new(num_hosts: usize, lid_space: usize) -> OrderTracker {
-        let (hosts, lid_space) = (num_hosts.max(1), lid_space.max(1));
         OrderTracker {
-            last: vec![0; hosts * lid_space],
-            hosts,
-            lid_space,
+            last: Vec::new(),
+            hosts: num_hosts.max(1),
+            lid_space: lid_space.max(1),
         }
     }
 
@@ -171,8 +158,11 @@ impl OrderTracker {
         }
         let idx = (sl * self.hosts + src) * self.lid_space + dlid;
         if idx >= self.last.len() {
-            // First delivery on this service level: add the planes up to it.
-            self.last.resize((sl + 1) * self.hosts * self.lid_space, 0);
+            // First delivery on this service level: add the planes up to
+            // it, as zeroed pages that stay untouched until written.
+            let mut grown = vec![0; (sl + 1) * self.hosts * self.lid_space];
+            grown[..self.last.len()].copy_from_slice(&self.last);
+            self.last = grown;
         }
         &mut self.last[idx]
     }
@@ -245,8 +235,6 @@ impl StatsCollector {
             escape_certifications: 0,
             escape_cert_failures: 0,
             recovery_ns: None,
-            fib_hits: 0,
-            fib_misses: 0,
         }
     }
 
@@ -422,8 +410,6 @@ impl StatsCollector {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        self.fib_hits += take(&mut other.fib_hits);
-        self.fib_misses += take(&mut other.fib_misses);
     }
 
     /// Finalize into a [`RunResult`], given the number of switches, the
@@ -485,8 +471,6 @@ impl StatsCollector {
             recovery_time_ns: self.recovery_ns,
             resweeps: self.resweeps,
             resweeps_failed: self.resweeps_failed,
-            fib_hits: self.fib_hits,
-            fib_misses: self.fib_misses,
             events,
             wall_time_s,
             events_per_sec: if wall_time_s > 0.0 {
@@ -524,9 +508,11 @@ impl StatsCollector {
 /// percentiles from the log-linear latency histogram
 /// (`iba_stats::LogHistogram`, relative error ≤ 1/32 at the default
 /// precision; previously power-of-two upper bucket bounds, i.e. up to
-/// 2× overestimates). v3 files still parse via
-/// [`RunResult::from_json`] — the fields v4 added read back as `None`.
-pub const RUN_RESULT_SCHEMA_VERSION: u32 = 4;
+/// 2× overestimates). 4 → 5 removed `fib_hits` / `fib_misses` with the
+/// observational FIB cache they counted. v3 and v4 files still parse
+/// via [`RunResult::from_json`] — the fields v4 added read back as
+/// `None`, the two v5 removed are ignored.
+pub const RUN_RESULT_SCHEMA_VERSION: u32 = 5;
 
 /// The outcome of one simulation run.
 ///
@@ -534,7 +520,7 @@ pub const RUN_RESULT_SCHEMA_VERSION: u32 = 4;
 /// and [`Self::events_per_sec`] are host-machine measurements and are
 /// excluded, so two deterministic runs (e.g. on different event-queue
 /// backends) compare equal exactly when they simulated the same thing.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunResult {
     /// Field-set version ([`RUN_RESULT_SCHEMA_VERSION`]) — lets
     /// consumers of `results/*.json` detect layout changes.
@@ -622,12 +608,6 @@ pub struct RunResult {
     /// SM re-sweeps abandoned because the degraded fabric was
     /// disconnected.
     pub resweeps_failed: u64,
-    /// Forwarding lookups answered by the hot-entry FIB cache (0 when
-    /// the cache is disabled).
-    pub fib_hits: u64,
-    /// Forwarding lookups that consulted the full table because the
-    /// FIB cache missed (0 when the cache is disabled).
-    pub fib_misses: u64,
     /// Discrete events processed.
     pub events: u64,
     /// Wall-clock seconds the event loop ran (host-machine measurement,
@@ -673,8 +653,6 @@ impl PartialEq for RunResult {
             && self.recovery_time_ns == other.recovery_time_ns
             && self.resweeps == other.resweeps
             && self.resweeps_failed == other.resweeps_failed
-            && self.fib_hits == other.fib_hits
-            && self.fib_misses == other.fib_misses
             && self.events == other.events
     }
 }
@@ -742,19 +720,18 @@ impl RunResult {
             ("recovery_time_ns", Json::from(self.recovery_time_ns)),
             ("resweeps", Json::from(self.resweeps)),
             ("resweeps_failed", Json::from(self.resweeps_failed)),
-            ("fib_hits", Json::from(self.fib_hits)),
-            ("fib_misses", Json::from(self.fib_misses)),
             ("events", Json::from(self.events)),
             ("wall_time_s", Json::from(self.wall_time_s)),
             ("events_per_sec", Json::from(self.events_per_sec)),
         ])
     }
 
-    /// Parse a [`Self::to_json`] document back. Accepts schema v3 and
-    /// v4: a v3 file simply lacks `p90_latency_ns`/`p999_latency_ns`,
+    /// Parse a [`Self::to_json`] document back. Accepts schema v3 to
+    /// v5: a v3 file simply lacks `p90_latency_ns`/`p999_latency_ns`,
     /// which read back as `None` (v3's p50/p99 were coarser power-of-two
     /// bounds, but the field meaning — "latency percentile in ns, `None`
-    /// when nothing was measured" — is unchanged). `None` on any other
+    /// when nothing was measured" — is unchanged), and the `fib_hits` /
+    /// `fib_misses` of a v3 or v4 file are ignored. `None` on any other
     /// version or a malformed document.
     pub fn from_json(j: &Json) -> Option<RunResult> {
         let schema_version = j.get("schema_version")?.as_u64()? as u32;
@@ -797,8 +774,6 @@ impl RunResult {
             recovery_time_ns: opt_u64("recovery_time_ns"),
             resweeps: req_u64("resweeps")?,
             resweeps_failed: req_u64("resweeps_failed")?,
-            fib_hits: req_u64("fib_hits")?,
-            fib_misses: req_u64("fib_misses")?,
             events: req_u64("events")?,
             wall_time_s: f64_or_nan("wall_time_s"),
             events_per_sec: f64_or_nan("events_per_sec"),
@@ -898,33 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        assert!(h.quantile(0.5).is_none());
-        for lat in [100u64, 200, 400, 800, 100_000] {
-            h.record(lat);
-        }
-        assert_eq!(h.count(), 5);
-        // Median sample is 400 → bucket [256, 512) → upper bound 512.
-        assert_eq!(h.quantile(0.5), Some(512));
-        // Tail: 100_000 → bucket [65536, 131072) → upper bound 131072.
-        assert_eq!(h.quantile(1.0), Some(131072));
-        // Quantiles are monotone.
-        assert!(h.quantile(0.2) <= h.quantile(0.9));
-    }
-
-    #[test]
-    fn histogram_edge_samples() {
-        let mut h = LatencyHistogram::new();
-        h.record(0);
-        h.record(1);
-        assert_eq!(h.quantile(1.0), Some(2)); // both in bucket 0 → bound 2
-        let mut big = LatencyHistogram::new();
-        big.record(u64::MAX);
-        assert_eq!(big.quantile(0.5), Some(u64::MAX));
-    }
-
-    #[test]
     fn percentiles_flow_into_run_result() {
         let mut c = collector();
         c.on_delivered(&packet(1, true, 1100), SimTime::from_ns(1400));
@@ -989,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn run_result_v4_json_roundtrip() {
+    fn run_result_json_roundtrip() {
         let mut c = collector();
         c.on_generated(SimTime::from_ns(1200));
         c.on_delivered(&packet(1, true, 1200), SimTime::from_ns(1500));
@@ -1001,7 +949,7 @@ mod tests {
         // PartialEq ignores the wall-clock fields, exactly what a
         // round-trip should preserve bit-for-bit.
         assert_eq!(back, r);
-        assert_eq!(back.schema_version, 4);
+        assert_eq!(back.schema_version, RUN_RESULT_SCHEMA_VERSION);
         assert_eq!(back.p90_latency_ns, r.p90_latency_ns);
         assert_eq!(back.p999_latency_ns, r.p999_latency_ns);
     }
@@ -1033,6 +981,36 @@ mod tests {
         // Unknown future versions are rejected, not misread.
         let v9 = v3.replace(r#""schema_version":3"#, r#""schema_version":9"#);
         assert!(RunResult::from_json(&Json::parse(&v9).unwrap()).is_none());
+    }
+
+    #[test]
+    fn run_result_v4_files_still_parse() {
+        // A v4 document as the committed `results/*.json` artifacts
+        // carry it: the two FIB-cache counters v5 removed are present
+        // (here non-zero) and must be ignored, not required.
+        let v4 = r#"{"schema_version":4,"generated":10,"injected":9,"delivered":8,
+            "avg_latency_ns":350.5,"max_latency_ns":800,"p50_latency_ns":344,
+            "p90_latency_ns":600,"p99_latency_ns":784,"p999_latency_ns":800,
+            "measured_packets":8,
+            "accepted_bytes_per_ns_per_switch":0.01,"avg_hops":2.5,
+            "escape_forwards":1,"adaptive_forwards":20,"order_violations":0,
+            "duplicate_deliveries":0,"max_host_queue":3,"source_drops":1,
+            "faults_injected":0,"drops_in_transit":0,"drops_after_recovery":0,
+            "drops_link_down":0,"drops_switch_down":0,"drops_corrupted":0,
+            "escape_certifications":0,"escape_cert_failures":0,
+            "delivered_ratio":0.888,"recovery_time_ns":null,"resweeps":0,
+            "resweeps_failed":0,"fib_hits":17,"fib_misses":4,"events":123,
+            "wall_time_s":0.5,"events_per_sec":246.0}"#;
+        let r = RunResult::from_json(&Json::parse(v4).unwrap()).unwrap();
+        assert_eq!(r.schema_version, 4);
+        assert_eq!(r.p90_latency_ns, Some(600));
+        assert_eq!(r.adaptive_forwards, 20);
+        assert_eq!(r.events, 123);
+        assert!(!r.to_json().to_string_compact().contains("fib_"));
+        // A v5 writer never emitted them: their absence parses too.
+        let bare = v4.replace(r#""fib_hits":17,"fib_misses":4,"#, "");
+        let b = RunResult::from_json(&Json::parse(&bare).unwrap()).unwrap();
+        assert_eq!(b, r);
     }
 
     #[test]
@@ -1244,22 +1222,23 @@ mod tests {
     }
 
     #[test]
-    fn fib_counters_flow_into_run_result_and_merge() {
+    fn absorb_moves_counters_and_drains_its_source() {
         let mut a = collector();
-        a.fib_hits = 10;
-        a.fib_misses = 3;
+        for _ in 0..10 {
+            a.on_adaptive_forward();
+        }
+        a.on_escape_forward();
         let mut b = collector();
-        b.fib_hits = 5;
-        b.fib_misses = 1;
+        for _ in 0..5 {
+            b.on_adaptive_forward();
+        }
+        b.on_escape_forward();
         a.absorb(&mut b);
         // The fold drains its source: folding again adds nothing.
         a.absorb(&mut b);
         let r = a.finish(4, 0, Duration::ZERO);
-        assert_eq!(r.fib_hits, 15);
-        assert_eq!(r.fib_misses, 4);
-        let json = r.to_json().to_string_compact();
-        assert!(json.contains(r#""fib_hits":15"#));
-        assert!(json.contains(r#""fib_misses":4"#));
+        assert_eq!(r.adaptive_forwards, 15);
+        assert_eq!(r.escape_forwards, 2);
     }
 
     #[test]
@@ -1278,7 +1257,7 @@ mod tests {
         let r = c.finish(4, 10, Duration::ZERO);
         assert_eq!(r.schema_version, RUN_RESULT_SCHEMA_VERSION);
         let json = r.to_json().to_string_compact();
-        assert!(json.starts_with(r#"{"schema_version":4,"#));
+        assert!(json.starts_with(r#"{"schema_version":5,"#));
         assert!(json.contains(r#""delivered":1"#));
         assert!(json.contains(r#""events":10"#));
         // NaN-valued aggregates render as null, not as invalid JSON.

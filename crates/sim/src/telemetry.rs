@@ -24,22 +24,26 @@
 //!   nanoseconds from a packet becoming arbitration-eligible
 //!   (`ready_at`) to its crossbar grant, in power-of-two buckets.
 //!
-//! Samples and the final report flow through a pluggable
-//! [`TelemetrySink`]: [`MemorySink`] keeps everything in memory for
-//! tests and in-process analysis, [`JsonLinesSink`] streams
-//! JSON-lines with a versioned schema ([`TELEMETRY_SCHEMA_VERSION`])
-//! for experiments. Sampling rides the ordinary event queue, so an
-//! instrumented run is bit-identical across event-queue backends; with
-//! telemetry disabled the simulator carries a single `Option` check per
-//! hook and schedules no extra events.
+//! Each shard accumulates the switches it owns; at the end of every
+//! drive the coordinator merges the shard states into one
+//! [`MemorySink`] ([`crate::Network::telemetry_sink`]), whose samples
+//! and report render as versioned JSON ([`TELEMETRY_SCHEMA_VERSION`])
+//! through [`TelemetrySample::to_json`] / [`TelemetryReport::to_json`].
+//! Sampling rides the ordinary event queue, so an instrumented run is
+//! bit-identical across event-queue backends; with telemetry disabled
+//! the simulator carries a single `Option` check per hook and schedules
+//! no extra events.
 
 use crate::buffer::VlBuffer;
-use iba_core::{Credits, Json, PortIndex, Pow2Histogram, SimTime, SwitchId, VirtualLane};
+use iba_core::{Credits, Json, PortIndex, SimTime, SwitchId, VirtualLane};
+use iba_stats::LogHistogram;
 
-/// Version stamp of the telemetry sink schema. Bump on any change to
-/// the JSON layout emitted by [`TelemetrySample::to_json`] /
-/// [`TelemetryReport::to_json`].
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+/// Version stamp of the telemetry schema. Bump on any change to the
+/// JSON layout emitted by [`TelemetrySample::to_json`] /
+/// [`TelemetryReport::to_json`]. 1 → 2: `arb_wait_ns` renders as a
+/// [`LogHistogram::to_json`] object (precision 0) instead of a list of
+/// `[upper_bound, count]` pairs.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Telemetry configuration: what cadence to sample occupancy at and how
 /// many samples to keep.
@@ -231,8 +235,8 @@ pub struct SwitchTelemetry {
     /// Stall counters per output port.
     pub stalls: Vec<PortStalls>,
     /// Ready-to-grant wait in simulated nanoseconds, over every grant
-    /// this switch made.
-    pub arb_wait_ns: Pow2Histogram,
+    /// this switch made, in octave buckets (precision 0).
+    pub arb_wait_ns: LogHistogram,
 }
 
 impl SwitchTelemetry {
@@ -242,7 +246,7 @@ impl SwitchTelemetry {
             adaptive_forwards: 0,
             escape_forwards: 0,
             stalls: vec![PortStalls::default(); ports],
-            arb_wait_ns: Pow2Histogram::new(),
+            arb_wait_ns: LogHistogram::with_precision(0),
         }
     }
 
@@ -291,7 +295,7 @@ impl TelemetryReport {
 
     /// Fabric-wide arbitration-wait quantile (merged over switches).
     pub fn arb_wait_quantile(&self, q: f64) -> Option<u64> {
-        let mut merged = Pow2Histogram::new();
+        let mut merged = LogHistogram::with_precision(0);
         for s in &self.switches {
             merged.merge(&s.arb_wait_ns);
         }
@@ -305,8 +309,8 @@ impl TelemetryReport {
         })
     }
 
-    /// The JSON rendering of the report (one line in a JSON-lines
-    /// sink; also embeddable in larger result documents).
+    /// The JSON rendering of the report (one line of a JSON-lines
+    /// stream; also embeddable in larger result documents).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("kind", Json::from("report")),
@@ -339,137 +343,48 @@ impl TelemetryReport {
     }
 }
 
-/// Where telemetry flows. Implementations receive every occupancy
-/// sample as it is taken and the accumulated report once at the end of
-/// the run.
-///
-/// Sinks are `Send` so an instrumented simulation can hand its
-/// shard-local sinks to the window loop's worker threads.
-pub trait TelemetrySink: Send {
-    /// An occupancy snapshot was taken.
-    fn on_sample(&mut self, sample: &TelemetrySample);
-    /// The run ended; `report` holds the accumulated counters.
-    fn on_report(&mut self, report: &TelemetryReport);
-    /// Downcast hook: `Some` when this sink is a [`MemorySink`] (how
-    /// tests retrieve recorded samples without `dyn Any`).
-    fn as_memory(&self) -> Option<&MemorySink> {
-        None
-    }
-}
-
-/// A sink that keeps everything in memory — the test and in-process
-/// analysis backend.
-#[derive(Debug, Default)]
+/// A run's merged telemetry, kept in memory: every occupancy sample in
+/// order plus the accumulated report, rebuilt from the shards at the
+/// end of every drive.
+#[derive(Debug)]
 pub struct MemorySink {
-    samples: Vec<TelemetrySample>,
-    report: Option<TelemetryReport>,
+    pub(crate) samples: Vec<TelemetrySample>,
+    pub(crate) report: TelemetryReport,
 }
 
 impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> MemorySink {
-        MemorySink::default()
-    }
-
-    /// Every sample received, in order.
+    /// Every sample taken, in order.
     pub fn samples(&self) -> &[TelemetrySample] {
         &self.samples
     }
 
-    /// The end-of-run report, once flushed.
-    pub fn report(&self) -> Option<&TelemetryReport> {
-        self.report.as_ref()
+    /// The accumulated report as of the end of the last drive.
+    pub fn report(&self) -> &TelemetryReport {
+        &self.report
     }
 }
 
-impl TelemetrySink for MemorySink {
-    fn on_sample(&mut self, sample: &TelemetrySample) {
-        self.samples.push(sample.clone());
-    }
-
-    fn on_report(&mut self, report: &TelemetryReport) {
-        self.report = Some(report.clone());
-    }
-
-    fn as_memory(&self) -> Option<&MemorySink> {
-        Some(self)
-    }
-}
-
-/// A sink that streams JSON lines to a writer — the experiment backend.
-///
-/// The first line is a header object carrying the schema version; each
-/// sample and the final report follow as one self-describing object per
-/// line (`"kind": "header" | "sample" | "report"`).
-pub struct JsonLinesSink<W: std::io::Write> {
-    w: W,
-    wrote_header: bool,
-}
-
-impl<W: std::io::Write> JsonLinesSink<W> {
-    /// Wrap a writer.
-    pub fn new(w: W) -> JsonLinesSink<W> {
-        JsonLinesSink {
-            w,
-            wrote_header: false,
-        }
-    }
-
-    fn write_line(&mut self, json: &Json) {
-        if !self.wrote_header {
-            self.wrote_header = true;
-            let header = Json::obj([
-                ("kind", Json::from("header")),
-                ("schema_version", Json::from(TELEMETRY_SCHEMA_VERSION)),
-            ]);
-            writeln!(self.w, "{}", header.to_string_compact())
-                .expect("telemetry sink write failed");
-        }
-        writeln!(self.w, "{}", json.to_string_compact()).expect("telemetry sink write failed");
-    }
-
-    /// Unwrap the writer (flushing is the writer's business).
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: std::io::Write + Send> TelemetrySink for JsonLinesSink<W> {
-    fn on_sample(&mut self, sample: &TelemetrySample) {
-        self.write_line(&sample.to_json());
-    }
-
-    fn on_report(&mut self, report: &TelemetryReport) {
-        self.write_line(&report.to_json());
-    }
-}
-
-/// The live telemetry state a [`crate::Network`] carries when
-/// instrumented: accumulation arrays pre-sized at construction so the
-/// hot-path hooks are array indexing plus an increment, never an
-/// allocation.
+/// The live telemetry state a shard carries when instrumented:
+/// accumulation arrays pre-sized at construction so the hot-path hooks
+/// are array indexing plus an increment, never an allocation.
 pub(crate) struct TelemetryState {
     opts: TelemetryOpts,
-    /// Shard-private: the end-of-run observer merge splices every
-    /// shard's slice into the user's sink.
-    sink: MemorySink,
-    samples_taken: u64,
+    /// Snapshots of the switches this shard owns; the observer merge
+    /// splices every shard's slices back together.
+    samples: Vec<TelemetrySample>,
     samples_dropped: u64,
     switches: Vec<SwitchTelemetry>,
-    flushed: bool,
 }
 
 impl TelemetryState {
     pub(crate) fn new(opts: TelemetryOpts, num_switches: usize, ports: usize) -> TelemetryState {
         TelemetryState {
             opts,
-            sink: MemorySink::new(),
-            samples_taken: 0,
+            samples: Vec::new(),
             samples_dropped: 0,
             switches: (0..num_switches)
                 .map(|s| SwitchTelemetry::new(SwitchId(s as u16), ports))
                 .collect(),
-            flushed: false,
         }
     }
 
@@ -479,11 +394,11 @@ impl TelemetryState {
         self.opts.sample_every_ns.max(1)
     }
 
-    /// Whether the next sample would still be delivered (false once the
-    /// cap is reached — the caller may then skip the collection sweep).
+    /// Whether the next sample would still be kept (false once the cap
+    /// is reached — the caller may then skip the collection sweep).
     #[inline]
     pub(crate) fn wants_sample(&self) -> bool {
-        (self.samples_taken as usize) < self.opts.max_samples
+        self.samples.len() < self.opts.max_samples
     }
 
     #[inline]
@@ -545,27 +460,23 @@ impl TelemetryState {
                 });
             }
         }
-        let sample = TelemetrySample { at, occupancy };
-        self.samples_taken += 1;
-        self.sink.on_sample(&sample);
+        self.samples.push(TelemetrySample { at, occupancy });
     }
 
-    /// Build the report, hand it to the shard's sink and return that
-    /// sink for the observer merge. Idempotent — only the first call
-    /// builds the report.
-    pub(crate) fn flush(&mut self) -> &MemorySink {
-        if !self.flushed {
-            self.flushed = true;
-            let report = TelemetryReport {
-                schema_version: TELEMETRY_SCHEMA_VERSION,
-                sample_every_ns: self.cadence_ns(),
-                samples_taken: self.samples_taken,
-                samples_dropped: self.samples_dropped,
-                switches: self.switches.clone(),
-            };
-            self.sink.on_report(&report);
-        }
-        &self.sink
+    /// The snapshots taken so far, in order.
+    pub(crate) fn samples(&self) -> &[TelemetrySample] {
+        &self.samples
+    }
+
+    /// Samples dropped after [`TelemetryOpts::max_samples`].
+    pub(crate) fn samples_dropped(&self) -> u64 {
+        self.samples_dropped
+    }
+
+    /// Per-switch accumulations so far (every switch of the fabric;
+    /// only the owned ones ever move).
+    pub(crate) fn switches(&self) -> &[SwitchTelemetry] {
+        &self.switches
     }
 }
 
@@ -598,35 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_emits_header_then_lines() {
-        let mut sink = JsonLinesSink::new(Vec::new());
-        let s = TelemetrySample {
-            at: SimTime::from_ns(1),
-            occupancy: vec![],
-        };
-        sink.on_sample(&s);
-        sink.on_sample(&s);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains(r#""kind":"header""#));
-        assert!(lines[0].contains(r#""schema_version":1"#));
-        assert!(lines[1].contains(r#""kind":"sample""#));
-    }
-
-    #[test]
-    fn memory_sink_retrieves_through_trait_object() {
-        let mut sink: Box<dyn TelemetrySink> = Box::new(MemorySink::new());
-        sink.on_sample(&TelemetrySample {
-            at: SimTime::ZERO,
-            occupancy: vec![],
-        });
-        let mem = sink.as_memory().expect("memory sink");
-        assert_eq!(mem.samples().len(), 1);
-        assert!(mem.report().is_none());
-    }
-
-    #[test]
     fn report_aggregates_over_switches() {
         let mut a = SwitchTelemetry::new(SwitchId(0), 2);
         a.adaptive_forwards = 10;
@@ -649,10 +531,15 @@ mod tests {
         assert_eq!(report.total_stalls(StallCause::NoEscapeCredit), 7);
         assert_eq!(report.total_stalls(StallCause::DeadPort), 1);
         assert_eq!(report.total_forwards(), (10, 5));
-        assert_eq!(report.arb_wait_quantile(1.0), Some(1024));
+        // Octave bucket [512, 1023], clamped to the exact maximum.
+        assert_eq!(report.arb_wait_quantile(1.0), Some(1000));
+        assert_eq!(report.arb_wait_quantile(0.5), Some(127));
         let json = report.to_json().to_string_compact();
-        assert!(json.contains(r#""schema_version":1"#));
+        assert!(json.contains(r#""schema_version":2"#));
         assert!(json.contains(r#""no_escape_credit":7"#));
+        assert!(json.contains(
+            r#""arb_wait_ns":{"p":0,"count":1,"sum":1000,"min":1000,"max":1000,"buckets":[[10,1]]}"#
+        ));
     }
 
     #[test]
@@ -666,12 +553,8 @@ mod tests {
         for i in 0..4u64 {
             st.record_sample_filtered(SimTime::from_ns(i * 10), 1, |_, _, _| &buf, 1, 1, |_| true);
         }
-        st.flush();
-        let mem = st.flush(); // idempotent
-        assert_eq!(mem.samples().len(), 2);
-        let report = mem.report().unwrap();
-        assert_eq!(report.samples_taken, 2);
-        assert_eq!(report.samples_dropped, 2);
+        assert_eq!(st.samples().len(), 2);
+        assert_eq!(st.samples_dropped(), 2);
     }
 
     #[test]

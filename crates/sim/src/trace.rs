@@ -15,11 +15,10 @@
 //! deterministic.
 
 use iba_core::{DropCause, HostId, Json, PacketId, PortIndex, SimTime, SwitchId, VirtualLane};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One step of a packet's journey.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceStep {
     /// Generated at the source host.
     Generated {
@@ -66,7 +65,7 @@ pub enum TraceStep {
 }
 
 /// A recorded journey.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PacketTrace {
     /// Timestamped steps, in order.
     pub steps: Vec<(SimTime, TraceStep)>,

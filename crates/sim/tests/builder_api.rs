@@ -1,9 +1,9 @@
 //! `NetworkBuilder` / `SimConfigBuilder` API behavior, and the
 //! deprecated constructor shims' equivalence to the builder path.
 
-use iba_core::SimTime;
+use iba_core::{Json, SimTime};
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{JsonLinesSink, Network, SimConfig, TelemetryOpts, TraceOpts};
+use iba_sim::{Network, SimConfig, TelemetryOpts, TraceOpts, TELEMETRY_SCHEMA_VERSION};
 use iba_topology::{IrregularConfig, Topology};
 use iba_workloads::{ScriptedPacket, TrafficScript, WorkloadSpec};
 
@@ -64,43 +64,45 @@ fn builder_requires_exactly_one_traffic_source() {
 }
 
 #[test]
-fn builder_wires_every_option() {
+fn builder_wires_every_option_and_telemetry_renders_as_json_lines() {
     let (topo, fa) = fixture();
     let mut net = Network::builder(&topo, &fa)
         .workload(WorkloadSpec::uniform32(0.01))
         .config(SimConfig::test(2))
         .trace(TraceOpts::all(64))
-        .telemetry_sink(
-            TelemetryOpts::every_ns(2_000),
-            Box::new(JsonLinesSink::new(Vec::new())),
-        )
+        .telemetry(TelemetryOpts::every_ns(2_000))
         .build()
         .unwrap();
     assert!(net.telemetry_enabled());
     let r = net.run();
     assert!(r.delivered > 0);
     assert!(!net.tracer().unwrap().traces().is_empty());
-    // The JSON-lines sink received a header, samples and a report.
-    let sink = net.telemetry_sink().unwrap();
-    assert!(sink.as_memory().is_none());
-}
-
-#[test]
-fn json_lines_sink_streams_versioned_lines() {
-    let (topo, fa) = fixture();
-    let mut net = Network::builder(&topo, &fa)
-        .workload(WorkloadSpec::uniform32(0.02))
-        .config(SimConfig::test(4))
-        .telemetry_sink(
-            TelemetryOpts::every_ns(10_000),
-            Box::new(JsonLinesSink::new(Vec::new())),
-        )
-        .build()
-        .unwrap();
-    net.run();
-    // The sink is type-erased behind the trait; rendering behavior is
-    // covered by unit tests — here we only assert the wiring held.
-    assert!(net.telemetry_enabled());
+    // A JSON-lines stream is the memory sink rendered line by line:
+    // one self-describing object per sample, then the versioned report.
+    let mem = net.telemetry_sink().unwrap();
+    let mut lines: Vec<String> = mem
+        .samples()
+        .iter()
+        .map(|s| s.to_json().to_string_compact())
+        .collect();
+    lines.push(mem.report().to_json().to_string_compact());
+    assert!(lines.len() > 2);
+    let (report, samples) = lines.split_last().unwrap();
+    for line in samples {
+        let j = Json::parse(line).unwrap();
+        assert_eq!(j.get("kind").and_then(Json::as_str), Some("sample"));
+        assert!(j.get("at_ns").and_then(Json::as_u64).is_some());
+    }
+    let j = Json::parse(report).unwrap();
+    assert_eq!(j.get("kind").and_then(Json::as_str), Some("report"));
+    assert_eq!(
+        j.get("schema_version").and_then(Json::as_u64),
+        Some(u64::from(TELEMETRY_SCHEMA_VERSION))
+    );
+    assert_eq!(
+        j.get("samples_taken").and_then(Json::as_u64),
+        Some(samples.len() as u64)
+    );
 }
 
 #[test]

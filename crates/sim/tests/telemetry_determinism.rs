@@ -34,15 +34,8 @@ fn instrumented_run(
         .build()
         .unwrap();
     net.run();
-    let mem = net
-        .telemetry_sink()
-        .and_then(|s| s.as_memory())
-        .expect("default sink is in-memory");
-    (
-        mem.samples().to_vec(),
-        mem.report().expect("run() flushes").clone(),
-        cfg,
-    )
+    let mem = net.telemetry_sink().expect("telemetry armed");
+    (mem.samples().to_vec(), mem.report().clone(), cfg)
 }
 
 #[test]
@@ -98,9 +91,9 @@ fn sample_cap_drops_excess_samples_but_keeps_counters() {
         .build()
         .unwrap();
     net.run();
-    let mem = net.telemetry_sink().and_then(|s| s.as_memory()).unwrap();
+    let mem = net.telemetry_sink().unwrap();
     assert_eq!(mem.samples().len(), 4);
-    let report = mem.report().unwrap();
+    let report = mem.report();
     assert_eq!(report.samples_taken, 4);
     assert!(report.samples_dropped > 0);
     let (adaptive, _) = report.total_forwards();

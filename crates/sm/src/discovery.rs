@@ -9,7 +9,7 @@
 
 use crate::mad::{DirectedRoute, NodeKind, PortState, Smp, SmpAttribute, SmpMethod, SmpResponse};
 use crate::managed::ManagedFabric;
-use crate::retry::{ReliableSender, SendOutcome};
+use crate::retry::{send_once, ReliableSender, SendOutcome};
 use iba_core::{IbaError, PortIndex, ServiceLevel, SwitchId};
 use iba_topology::{Topology, TopologyBuilder};
 use std::collections::HashMap;
@@ -235,87 +235,21 @@ impl Discoverer {
         }
     }
 
-    /// Run the breadth-first sweep over `fabric`.
+    /// Run the breadth-first sweep over `fabric`, sending every SMP
+    /// exactly once: a node that does not answer is a hard error here,
+    /// never a partial [`DiscoveredFabric`].
     pub fn discover(&mut self, fabric: &mut ManagedFabric) -> Result<DiscoveredFabric, IbaError> {
-        let before = fabric.smps_sent;
-        let mut out = DiscoveredFabric::default();
-        let mut seen: HashMap<u64, usize> = HashMap::new();
-        let mut queue: VecDeque<DirectedRoute> = VecDeque::from([DirectedRoute::local()]);
-        // The entry route's NodeInfo seeds the sweep.
-        while let Some(route) = queue.pop_front() {
-            let resp =
-                fabric.send(&self.smp(SmpMethod::Get, SmpAttribute::NodeInfo, route.clone()));
-            let SmpResponse::NodeInfo {
-                kind: NodeKind::Switch { ports },
-                guid,
-            } = resp
-            else {
-                return Err(IbaError::InvalidTopology(format!(
-                    "discovery route did not end at a switch: {resp:?}"
-                )));
-            };
-            if seen.contains_key(&guid) {
-                continue; // reached an already-visited switch by another path
-            }
-            seen.insert(guid, out.switches.len());
-            let mut port_targets = vec![PortTarget::Down; ports as usize];
-            for p in 0..ports {
-                let port = PortIndex(p);
-                let resp = fabric.send(&self.smp(
-                    SmpMethod::Get,
-                    SmpAttribute::PortInfo { port },
-                    route.clone(),
-                ));
-                let SmpResponse::PortInfo { state } = resp else {
-                    return Err(IbaError::InvalidTopology("PortInfo failed".into()));
-                };
-                if state == PortState::Down {
-                    continue;
-                }
-                // Identify the peer through its own NodeInfo.
-                let peer_route = route.then(port);
-                let resp = fabric.send(&self.smp(
-                    SmpMethod::Get,
-                    SmpAttribute::NodeInfo,
-                    peer_route.clone(),
-                ));
-                match resp {
-                    SmpResponse::NodeInfo {
-                        kind: NodeKind::Host,
-                        guid: hg,
-                    } => {
-                        port_targets[p as usize] = PortTarget::Host(hg);
-                        out.hosts.push(hg);
-                    }
-                    SmpResponse::NodeInfo {
-                        kind: NodeKind::Switch { .. },
-                        guid: sg,
-                    } => {
-                        port_targets[p as usize] = PortTarget::Switch(sg);
-                        if !seen.contains_key(&sg) {
-                            queue.push_back(peer_route);
-                        }
-                    }
-                    other => {
-                        return Err(IbaError::InvalidTopology(format!(
-                            "peer NodeInfo failed: {other:?}"
-                        )))
-                    }
-                }
-            }
-            out.switches.push(DiscoveredSwitch {
-                guid,
-                route,
-                ports: port_targets,
-            });
+        let mut once = ReliableSender::new(send_once())?;
+        let found = self.discover_robust(fabric, &mut once)?;
+        match found.unreachable.into_iter().next() {
+            Some(lost) => Err(IbaError::InvalidTopology(lost)),
+            None => Ok(found.fabric),
         }
-        out.smps_used = fabric.smps_sent - before;
-        Ok(out)
     }
 
-    /// The loss-tolerant sweep: identical BFS, but every exchange rides
-    /// `sender`'s retransmit loop. Three degradations replace the plain
-    /// sweep's hard errors:
+    /// The loss-tolerant sweep: the breadth-first search, with every
+    /// exchange riding `sender`'s retransmit loop. Three degradations
+    /// replace the plain sweep's hard errors:
     ///
     /// * an unreachable switch (every retry timed out) is recorded in
     ///   [`RobustDiscovery::unreachable`] and skipped — the sweep keeps

@@ -8,12 +8,11 @@
 //! path. Responses retrace the same path backwards.
 
 use iba_core::{Lid, PortIndex, ServiceLevel, VirtualLane};
-use serde::{Deserialize, Serialize};
 
 /// A directed route: the output port to take at each successive switch,
 /// starting from the SM's attachment switch. An empty path addresses the
 /// attachment switch itself.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct DirectedRoute {
     /// Output ports, outermost hop first.
     pub hops: Vec<PortIndex>,
@@ -44,7 +43,7 @@ impl DirectedRoute {
 }
 
 /// SMP methods (the two the bring-up needs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SmpMethod {
     /// `SubnGet` — read an attribute.
     Get,
@@ -53,7 +52,7 @@ pub enum SmpMethod {
 }
 
 /// Management attributes, with their `Set` payloads inline.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SmpAttribute {
     /// Node identity: kind, GUID, port count.
     NodeInfo,
@@ -88,7 +87,7 @@ pub enum SmpAttribute {
 }
 
 /// A subnet-management packet.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Smp {
     /// Method.
     pub method: SmpMethod,
@@ -104,7 +103,7 @@ pub struct Smp {
 }
 
 /// What kind of node answered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// A switch with the given port count.
     Switch {
@@ -116,7 +115,7 @@ pub enum NodeKind {
 }
 
 /// The remote end a `PortInfo` query reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PortState {
     /// Nothing connected.
     Down,
@@ -126,7 +125,7 @@ pub enum PortState {
 }
 
 /// SMP responses.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SmpResponse {
     /// Answer to `Get(NodeInfo)`.
     NodeInfo {

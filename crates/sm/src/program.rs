@@ -11,14 +11,13 @@
 use crate::discovery::DiscoveredFabric;
 use crate::mad::{DirectedRoute, Smp, SmpAttribute, SmpMethod, SmpResponse};
 use crate::managed::{ManagedFabric, LFT_BLOCK, LFT_LEN};
-use crate::retry::{ReliableSender, RetryPolicy, SendOutcome};
+use crate::retry::{send_once, ReliableSender, SendOutcome};
 use iba_core::{IbaError, Lid, PortIndex, ServiceLevel, SwitchId, VirtualLane};
 use iba_routing::{EscapeEngine, FaRouting};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Outcome of a programming pass.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProgramReport {
     /// Switches programmed.
     pub switches: usize,
@@ -141,12 +140,8 @@ impl Programmer {
         discovered: &DiscoveredFabric,
         routing: &FaRouting<E>,
     ) -> Result<ProgramReport, IbaError> {
-        let once = RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        };
-        let pass =
-            self.program_robust(fabric, discovered, routing, &mut ReliableSender::new(once)?)?;
+        let mut once = ReliableSender::new(send_once())?;
+        let pass = self.program_robust(fabric, discovered, routing, &mut once)?;
         match pass.skipped.into_iter().next() {
             Some(lost) => Err(IbaError::InvalidConfig(lost)),
             None => Ok(pass.report),

@@ -49,6 +49,17 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The policy behind the plain (non-`_robust`) entry points: every SMP
+/// is sent exactly once, so the retransmit budget is never touched and
+/// a destination that does not answer is reported after one timeout —
+/// which the plain caller turns into its hard error.
+pub(crate) fn send_once() -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    }
+}
+
 /// Counters a retried sweep accumulates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetryStats {

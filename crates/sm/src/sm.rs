@@ -3,7 +3,7 @@
 use crate::discovery::{DiscoveredFabric, Discoverer};
 use crate::managed::ManagedFabric;
 use crate::program::{ProgramReport, Programmer};
-use crate::retry::{ReliableSender, RetryPolicy};
+use crate::retry::{send_once, ReliableSender, RetryPolicy};
 use iba_core::{FlightEvent, IbaError, SwitchId};
 use iba_routing::{DeltaStats, EscapeEngine, FaRouting, RoutingConfig, UpDownRouting};
 use iba_stats::MetricsRegistry;
@@ -61,22 +61,15 @@ impl<E: EscapeEngine> SubnetManager<E> {
     /// [`Self::initialize`] through a caller-owned [`Programmer`]. The
     /// programmer's dirty-block shadow survives the call, so a later
     /// [`Self::resweep_after_link_failure`] through the *same*
-    /// programmer uploads only the LFT blocks that changed.
+    /// programmer uploads only the LFT blocks that changed. Every SMP is
+    /// sent exactly once: a node that does not answer is a hard error.
     pub fn initialize_with(
         &self,
         fabric: &mut ManagedFabric,
         programmer: &mut Programmer,
     ) -> Result<BringUp<E>, IbaError> {
-        let discovered = Discoverer::new().discover(fabric)?;
-        let topology = discovered.to_topology()?;
-        let routing = FaRouting::<E>::build_with_engine(&topology, self.routing_config)?;
-        let report = programmer.program(fabric, &discovered, &routing)?;
-        Ok(BringUp {
-            discovered,
-            topology,
-            routing,
-            report,
-        })
+        let up = self.bring_up(fabric, programmer, send_once())?;
+        strict(up.bringup, up.report, IbaError::InvalidTopology)
     }
 
     /// The incremental re-sweep: given the previous bring-up and a
@@ -86,7 +79,8 @@ impl<E: EscapeEngine> SubnetManager<E> {
     /// ([`FaRouting::rebuild_after_link_failure`]), and upload the diff
     /// through `programmer`'s dirty-block shadow. The resulting tables
     /// are byte-identical to a from-scratch sweep of the degraded
-    /// fabric; only the changed blocks travel as SMPs.
+    /// fabric; only the changed blocks travel as SMPs, each sent exactly
+    /// once — a switch that does not answer is a hard error.
     pub fn resweep_after_link_failure(
         &self,
         fabric: &mut ManagedFabric,
@@ -95,17 +89,15 @@ impl<E: EscapeEngine> SubnetManager<E> {
         b: SwitchId,
         programmer: &mut Programmer,
     ) -> Result<Resweep<E>, IbaError> {
-        let (discovered, topology, delta) = self.resweep_tables(previous, a, b)?;
-        let report = programmer.program(fabric, &discovered, &delta.routing)?;
-        Ok(Resweep {
-            bringup: BringUp {
-                discovered,
-                topology,
-                routing: delta.routing,
-                report,
-            },
-            delta: delta.stats,
-        })
+        let r = self.resweep_after_link_failure_robust(
+            fabric,
+            previous,
+            a,
+            b,
+            programmer,
+            send_once(),
+        )?;
+        strict(r.resweep, r.report, IbaError::InvalidConfig)
     }
 
     /// [`Self::resweep_after_link_failure`] with loss-tolerant
@@ -199,6 +191,17 @@ impl<E: EscapeEngine> SubnetManager<E> {
         fabric: &mut ManagedFabric,
         policy: RetryPolicy,
     ) -> Result<RobustBringUp<E>, IbaError> {
+        self.bring_up(fabric, &mut Programmer::new(), policy)
+    }
+
+    /// The bring-up pipeline — discover, rebuild the graph, route,
+    /// upload through `programmer` — with every SMP under `policy`.
+    fn bring_up(
+        &self,
+        fabric: &mut ManagedFabric,
+        programmer: &mut Programmer,
+        policy: RetryPolicy,
+    ) -> Result<RobustBringUp<E>, IbaError> {
         let mut sender = ReliableSender::new(policy)?;
         let discover_started = Instant::now();
         let disc = Discoverer::new().discover_robust(fabric, &mut sender)?;
@@ -221,8 +224,7 @@ impl<E: EscapeEngine> SubnetManager<E> {
             // A full sweep recomputes every table entry from scratch.
             entries_recomputed = (routing.lid_map().table_len() * topology.num_switches()) as u64;
             let program_started = Instant::now();
-            let prog =
-                Programmer::new().program_robust(fabric, &discovered, &routing, &mut sender)?;
+            let prog = programmer.program_robust(fabric, &discovered, &routing, &mut sender)?;
             phases.program_ns = program_started.elapsed().as_nanos() as u64;
             blocks_total = prog.report.blocks_total;
             blocks_uploaded = prog.report.blocks_written;
@@ -255,6 +257,19 @@ impl<E: EscapeEngine> SubnetManager<E> {
                 events: sender.into_events(),
             },
         })
+    }
+}
+
+/// The plain entry points' reading of a send-once sweep: the first
+/// destination that did not answer is the hard error `lost` wraps.
+fn strict<T>(
+    achieved: Option<T>,
+    report: SweepReport,
+    lost: fn(String) -> IbaError,
+) -> Result<T, IbaError> {
+    match report.unreachable.into_iter().next() {
+        Some(entry) => Err(lost(entry)),
+        None => Ok(achieved.expect("a send-once sweep that lost nothing converged")),
     }
 }
 
@@ -539,6 +554,95 @@ mod tests {
             fabric.smps_sent,
             up.discovered.smps_used + up.report.smps_used
         );
+    }
+
+    #[test]
+    fn plain_bringup_is_the_robust_pipeline_sent_once() {
+        // One BFS, one route stage, one upload loop: on a lossless
+        // fabric the plain entry point and its loss-tolerant twin must
+        // leave the same bytes in every agent for the same SMPs.
+        let sm = SubnetManager::new(RoutingConfig::two_options());
+        for seed in 1..=3 {
+            for switches in [16, 64] {
+                let physical = IrregularConfig::paper(switches, seed).generate().unwrap();
+                let mut plain = ManagedFabric::new(&physical, 2).unwrap();
+                let up = sm.initialize(&mut plain).unwrap();
+                let mut robust = ManagedFabric::new(&physical, 2).unwrap();
+                let twin = sm
+                    .initialize_robust(&mut robust, RetryPolicy::default())
+                    .unwrap();
+                assert!(twin.report.converged);
+                assert_eq!(twin.report.retransmits, 0);
+                assert_eq!(up.report, twin.bringup.unwrap().report);
+                assert_eq!(
+                    plain.smps_sent, robust.smps_sent,
+                    "{switches} sw, seed {seed}"
+                );
+                assert_same_agent_tables(&physical, &plain, &robust);
+            }
+        }
+    }
+
+    #[test]
+    fn send_once_sweeps_fail_hard_on_a_silent_link() {
+        // The peer behind a silently dead link never answers. A sweep
+        // that sends every SMP once must say so with an error — never
+        // hand back the part of the fabric it could still see.
+        let physical = IrregularConfig::paper(8, 4).generate().unwrap();
+        let (a, b) = removable_link(&physical);
+        let mut fabric = ManagedFabric::new(&physical, 2).unwrap();
+        fabric.fail_link_silent(a, b).unwrap();
+        let err = Discoverer::new().discover(&mut fabric).unwrap_err();
+        assert!(err.to_string().contains("never answered"), "{err}");
+        let sm = SubnetManager::new(RoutingConfig::two_options());
+        assert!(sm.initialize(&mut fabric).is_err());
+        // The same fabric with the link visibly down sweeps fine.
+        fabric.restore_link_silent(a, b).unwrap();
+        fabric.fail_link(a, b).unwrap();
+        assert_eq!(
+            sm.initialize(&mut fabric).unwrap().topology.num_switches(),
+            8
+        );
+    }
+
+    #[test]
+    fn plain_resweep_equals_its_robust_twin() {
+        let physical = IrregularConfig::paper(16, 8).generate().unwrap();
+        let sm = SubnetManager::new(RoutingConfig::two_options());
+        let degrade = |fabric: &mut ManagedFabric, programmer: &mut Programmer| {
+            let up = sm.initialize_with(fabric, programmer).unwrap();
+            let (a, b) = removable_link(&up.topology);
+            let pa = physical_of(&physical, fabric, up.discovered.switches[a.index()].guid);
+            let pb = physical_of(&physical, fabric, up.discovered.switches[b.index()].guid);
+            fabric.fail_link(pa, pb).unwrap();
+            (up, a, b)
+        };
+        let (mut plain, mut plain_prog) =
+            (ManagedFabric::new(&physical, 2).unwrap(), Programmer::new());
+        let (up, a, b) = degrade(&mut plain, &mut plain_prog);
+        let r = sm
+            .resweep_after_link_failure(&mut plain, &up, a, b, &mut plain_prog)
+            .unwrap();
+
+        let (mut robust, mut robust_prog) =
+            (ManagedFabric::new(&physical, 2).unwrap(), Programmer::new());
+        let (up, a, b) = degrade(&mut robust, &mut robust_prog);
+        let twin = sm
+            .resweep_after_link_failure_robust(
+                &mut robust,
+                &up,
+                a,
+                b,
+                &mut robust_prog,
+                RetryPolicy::default(),
+            )
+            .unwrap();
+        assert!(twin.report.converged);
+        let twin = twin.resweep.unwrap();
+        assert_eq!(r.delta, twin.delta);
+        assert_eq!(r.bringup.report, twin.bringup.report);
+        assert_eq!(plain.smps_sent, robust.smps_sent);
+        assert_same_agent_tables(&physical, &plain, &robust);
     }
 
     #[test]

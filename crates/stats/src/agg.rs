@@ -5,15 +5,13 @@
 //! is exactly that accumulator. [`Welford`] adds a numerically stable
 //! variance for the extended reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Running minimum / maximum / mean of a sequence of samples.
 ///
 /// Non-finite samples (NaN, ±∞) are *rejected and counted* rather than
 /// mixed in: a single NaN would otherwise poison `sum`, `min` and `max`
 /// for the rest of the accumulator's life (NaN propagates through both
 /// `+` and `f64::min`/`max` once it is the accumulated value).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MinMaxAvg {
     /// Number of finite samples accumulated.
     pub count: usize,
@@ -119,7 +117,7 @@ impl std::fmt::Display for MinMaxAvg {
 /// identical push sequences always retain identical points regardless
 /// of wall-clock timing (push-order determinism, which the telemetry
 /// determinism suites rely on).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Timeseries {
     points: Vec<(u64, f64)>,
     /// Retained-point cap (0 = unbounded, the default).
@@ -255,7 +253,7 @@ impl FromIterator<(u64, f64)> for Timeseries {
 }
 
 /// Welford's online mean/variance.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Welford {
     /// Number of finite samples accumulated.
     pub count: usize,

@@ -7,10 +7,8 @@
 //! knee, then flattens (or dips slightly); latency explodes past the
 //! knee.
 
-use serde::{Deserialize, Serialize};
-
 /// One measurement point of a load sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CurvePoint {
     /// Offered load (injected bytes/ns/switch, i.e. hosts-per-switch ×
     /// per-host rate).
@@ -22,7 +20,7 @@ pub struct CurvePoint {
 }
 
 /// A latency/throughput curve, ordered by offered load.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Curve {
     points: Vec<CurvePoint>,
 }

@@ -327,6 +327,29 @@ mod tests {
     }
 
     #[test]
+    fn precision_zero_is_one_bucket_per_octave() {
+        // What the telemetry layer records arbitration waits into: 65
+        // buckets, zero in its own, `[2^e, 2^(e+1) - 1]` above it.
+        let mut h = LogHistogram::with_precision(0);
+        for v in [0u64, 1, 3, 1000, u64::MAX] {
+            h.record(v);
+        }
+        let buckets: Vec<_> = h.nonzero_buckets().collect();
+        assert_eq!(
+            buckets,
+            vec![
+                (0, 0, 1),
+                (1, 1, 1),
+                (2, 3, 1),
+                (512, 1023, 1),
+                (1 << 63, u64::MAX, 1)
+            ]
+        );
+        assert_eq!(h.quantile(0.8), Some(1023));
+        assert_eq!(h.quantile(1.0), Some(u64::MAX));
+    }
+
+    #[test]
     fn merge_requires_same_precision() {
         let mut a = LogHistogram::with_precision(4);
         let b = LogHistogram::with_precision(4);
@@ -408,7 +431,7 @@ mod tests {
         fn prop_quantile_within_documented_error(
             samples in proptest::collection::vec(0u64..1_000_000_000_000, 1..200),
             qs in proptest::collection::vec(1u64..=1000, 1..8),
-            p in 2u32..=8,
+            p in 0u32..=8,
         ) {
             let mut h = LogHistogram::with_precision(p);
             let mut sorted = samples.clone();

@@ -16,11 +16,10 @@
 //! * a connected switch graph (checked at [`TopologyBuilder::build`]).
 
 use iba_core::{HostId, IbaError, NodeRef, PortIndex, SwitchId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The remote end of a switch port.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Endpoint {
     /// The node the port is wired to.
     pub node: NodeRef,
@@ -29,19 +28,19 @@ pub struct Endpoint {
     pub port: PortIndex,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct SwitchNode {
     ports: Vec<Option<Endpoint>>,
 }
 
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 struct HostNode {
     switch: SwitchId,
     switch_port: PortIndex,
 }
 
 /// An immutable, validated subnet topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     ports_per_switch: u8,
     switches: Vec<SwitchNode>,
@@ -240,8 +239,8 @@ impl Topology {
     }
 
     /// Re-check every structural invariant. [`TopologyBuilder::build`]
-    /// already runs this; exposed so deserialized topologies can be
-    /// verified.
+    /// already runs this; exposed so the generator tests can re-verify
+    /// what they were handed.
     pub fn validate(&self) -> Result<(), IbaError> {
         let n_sw = self.num_switches();
         let n_h = self.num_hosts();

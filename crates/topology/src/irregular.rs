@@ -20,10 +20,9 @@
 use crate::graph::{Topology, TopologyBuilder};
 use iba_core::{IbaError, SwitchId};
 use iba_engine::rng::{StreamKind, StreamRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the random irregular generator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IrregularConfig {
     /// Number of switches (the paper uses 8, 16, 32, 64).
     pub switches: usize,

@@ -18,7 +18,7 @@
 //!   with deterministic edge-swap repair, seeded, always connected);
 //! * [`regular`] — reference topologies (ring, 2-D mesh/torus, hypercube,
 //!   fully connected) used by tests, examples and ablations;
-//! * [`spec`] — [`TopologySpec`], the unified serializable shape
+//! * [`spec`] — [`TopologySpec`], the unified shape
 //!   description dispatching to the generators above, plus the
 //!   dragonfly generator used by the routing-engine zoo;
 //! * [`metrics`] — diameter, average distance, link counts;

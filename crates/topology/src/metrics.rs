@@ -5,10 +5,9 @@
 //! random generator.
 
 use crate::graph::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a switch graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TopologyMetrics {
     /// Number of switches.
     pub switches: usize,

@@ -1,8 +1,8 @@
-//! Unified, serializable topology specification.
+//! Unified topology specification.
 //!
 //! The experiment harness, the routing-engine zoo and the test suite all
 //! need to name a fabric shape *as data* — sweep over it, print it in a
-//! report, round-trip it through JSON — instead of calling one of the
+//! report ([`TopologySpec::name`]) — instead of calling one of the
 //! per-shape generator functions directly. [`TopologySpec`] is that
 //! name: one enum variant per generator, with
 //! [`TopologySpec::generate`] (or the [`Topology::generate`]
@@ -20,11 +20,9 @@ use crate::graph::{Topology, TopologyBuilder};
 use crate::irregular::IrregularConfig;
 use crate::regular;
 use iba_core::{IbaError, SwitchId};
-use serde::{Deserialize, Serialize};
 
 /// A complete description of a fabric shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(tag = "shape", rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopologySpec {
     /// The paper's random irregular fabric (§5.1): fixed switch degree,
     /// single links between neighbors, seeded.

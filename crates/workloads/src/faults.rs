@@ -18,11 +18,10 @@
 //! of its endpoints (the switch death already owns that link).
 
 use iba_core::{IbaError, SimTime, SwitchId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What happens to the fabric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The link goes dead: in-buffer packets routed over it are flushed,
     /// packets on the wire are lost, and the port stops being a feasible
@@ -60,7 +59,7 @@ impl FaultKind {
 
 /// One timed fault event: a link event on the switch–switch link
 /// `a`–`b`, or a switch event on `a` (with `b == a`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When the event takes effect.
     pub at: SimTime,
@@ -141,7 +140,7 @@ impl Resource {
 }
 
 /// A time-ordered list of fault events.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
 }

@@ -11,10 +11,9 @@
 use crate::patterns::{DestinationSampler, TrafficPattern};
 use iba_core::{HostId, IbaError, ServiceLevel};
 use iba_engine::rng::{StreamKind, StreamRng};
-use serde::{Deserialize, Serialize};
 
 /// The arrival process of one host's generator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InjectionProcess {
     /// Exponential inter-arrival times (Poisson arrivals) — the default.
     Poisson,
@@ -23,7 +22,7 @@ pub enum InjectionProcess {
 }
 
 /// Full description of a synthetic workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Destination distribution.
     pub pattern: TrafficPattern,

@@ -8,10 +8,9 @@
 
 use iba_core::HostId;
 use iba_engine::rng::{StreamKind, StreamRng};
-use serde::{Deserialize, Serialize};
 
 /// A destination distribution over hosts.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TrafficPattern {
     /// Uniform over all hosts except the source.
     Uniform,

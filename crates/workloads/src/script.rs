@@ -10,10 +10,9 @@
 //! transmissions") can be driven through the fabric.
 
 use iba_core::{HostId, IbaError, ServiceLevel, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which path set a scripted packet addresses (§4.1 APM coexistence).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PathSet {
     /// The ordinary FA group (lower LID half).
     #[default]
@@ -24,7 +23,7 @@ pub enum PathSet {
 }
 
 /// One scripted packet injection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScriptedPacket {
     /// Generation time at the source host.
     pub at: SimTime,
@@ -43,7 +42,7 @@ pub struct ScriptedPacket {
 }
 
 /// An explicit injection trace, ordered by time.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficScript {
     packets: Vec<ScriptedPacket>,
 }

@@ -82,11 +82,10 @@ pub mod prelude {
         PathLengthStats, RouteOptions, RoutingConfig, SlToVlTable, UpDownRouting,
     };
     pub use iba_sim::{
-        perfetto_trace, EngineProfile, EscapeOrderPolicy, FlightDump, FlightRecorder,
-        JsonLinesSink, MemorySink, Network, NetworkBuilder, QueueBackend, RecorderOpts,
-        RecoveryPolicy, RunResult, SelectionPolicy, SimConfig, SimConfigBuilder, StallCause,
-        TelemetryOpts, TelemetryReport, TelemetrySample, TelemetrySink, TraceOpts, Trigger,
-        TriggerCause, WatchdogOpts,
+        perfetto_trace, EngineProfile, EscapeOrderPolicy, FlightDump, FlightRecorder, MemorySink,
+        Network, NetworkBuilder, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult,
+        SelectionPolicy, SimConfig, SimConfigBuilder, StallCause, TelemetryOpts, TelemetryReport,
+        TelemetrySample, TraceOpts, Trigger, TriggerCause, WatchdogOpts,
     };
     pub use iba_sm::{
         ApmPlan, ManagedFabric, Programmer, ReliableSender, Resweep, RetryPolicy, RetryStats,
