@@ -11,6 +11,11 @@
 //! to end, and property tests in [`crate::calendar`] pin the queues
 //! themselves.
 //!
+//! The heap backend files keyed schedules into per-class FIFO lanes in
+//! front of its heap (see [`crate::queue`]); that changes what a
+//! schedule costs, never the order it pops in, and the calendar backend
+//! has no counterpart. [`DesQueue::schedule_paths`] counts the split.
+//!
 //! [`QueueBackend`] is the configuration-facing selector (carried by
 //! `iba_sim::SimConfig`).
 
@@ -20,8 +25,9 @@ use iba_core::SimTime;
 /// Which priority-queue implementation drives the simulation loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// [`EventQueue`]: a binary heap. The default — measured ~3× faster
-    /// on the simulator's small, time-local pending sets.
+    /// [`EventQueue`]: a binary heap under per-class FIFO lanes. The
+    /// default — measured ~3× faster on the simulator's small,
+    /// time-local pending sets even before the lanes.
     #[default]
     BinaryHeap,
     /// [`CalendarQueue`]: R. Brown's O(1) calendar queue. Amortizes on
@@ -31,6 +37,9 @@ pub enum QueueBackend {
 }
 
 /// A deterministic event queue with a run-time selectable backend.
+// One per shard, built once and never moved: boxing the heap backend's
+// inline lane heads would only put a pointer chase on every pop.
+#[allow(clippy::large_enum_variant)]
 pub enum DesQueue<E> {
     /// Binary-heap backend.
     Heap(EventQueue<E>),
@@ -89,6 +98,17 @@ impl<E> DesQueue<E> {
         match self {
             DesQueue::Heap(q) => q.events_processed(),
             DesQueue::Calendar(q) => q.events_processed(),
+        }
+    }
+
+    /// Schedules so far by path — `[lane, heap]`, see
+    /// [`EventQueue::schedule_paths`]; both zero on the calendar backend,
+    /// which has neither.
+    #[inline]
+    pub fn schedule_paths(&self) -> [u64; 2] {
+        match self {
+            DesQueue::Heap(q) => q.schedule_paths(),
+            DesQueue::Calendar(_) => [0; 2],
         }
     }
 
@@ -167,6 +187,7 @@ impl<E> DesQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_key;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -222,36 +243,46 @@ mod tests {
     }
 
     proptest! {
-        /// `pop_ahead_of` is peek-then-pop: on both backends it returns
-        /// exactly what peeking the earliest `(time, rank)` of a sorted
-        /// reference, testing it against the limit and the bound, and
-        /// popping would; when the outside wake-up wins, `advance_to`
-        /// moves the clock there and later schedules stay legal.
+        /// Every way into and out of a keyed queue against a sorted
+        /// reference, on both backends. `pop_ahead_of` is peek-then-pop:
+        /// it returns exactly what peeking the earliest `(time, rank)`,
+        /// testing it against the limit and the bound, and popping would;
+        /// when the outside wake-up wins, `advance_to` moves the clock
+        /// there and later schedules stay legal.
         ///
-        /// An op `(merge, a, b, rank)` is either one keyed schedule at
-        /// `now + a` in class `rank`, or one `pop_ahead_of` with limit
-        /// `now + a` against an outside wake-up at `(now + b, rank)`.
+        /// An op `(kind, a, b, class)` is a keyed schedule in `class`
+        /// (every lane of the heap backend) at `now + a`, or on a coarse
+        /// grid so that equal-time runs form — its key's entity is `b`,
+        /// so a run fills out of key order and a time behind a lane's
+        /// tail (what mailbox `ingest` does) is as likely as one past it
+        /// — or a `pop_ahead_of` with limit `now + a` against an outside
+        /// wake-up at `(now + b, class)`, a plain `pop`, or, rarely, a
+        /// `clear` (which only the heap backend has).
         #[test]
-        fn prop_pop_ahead_of_is_peek_then_pop(
+        fn prop_keyed_queue_matches_a_sorted_reference(
             ops in proptest::collection::vec(
-                (any::<bool>(), 0u64..3_000, 0u64..3_000, 0u64..5), 1..300)
+                (0u8..8, 0u64..400, 0u64..400, 0u64..16), 1..400)
         ) {
             for backend in [QueueBackend::BinaryHeap, QueueBackend::Calendar] {
                 let mut q: DesQueue<u32> = DesQueue::new(backend);
                 let mut reference: BTreeSet<(SimTime, u64, u32)> = BTreeSet::new();
                 let mut idx = 0u32;
-                for &(merge, a, b, rank) in &ops {
-                    match merge {
-                        false => {
-                            let at = q.now().plus_ns(a);
-                            let key = (rank << 60) | idx as u64;
+                let mut popped = 0u64;
+                for &(kind, a, b, class) in &ops {
+                    match kind {
+                        0..=3 => {
+                            let at = match kind {
+                                0 | 1 => q.now().plus_ns(a / 100 * 100),
+                                _ => q.now().plus_ns(a),
+                            };
+                            let key = event_key(class as u8, b, idx as u64);
                             q.schedule_keyed(at, key, idx);
                             reference.insert((at, key, idx));
                             idx += 1;
                         }
-                        true => {
+                        4 | 5 => {
                             let limit = q.now().plus_ns(a);
-                            let bound = (q.now().plus_ns(b), rank << 60);
+                            let bound = (q.now().plus_ns(b), event_key(class as u8, 0, 0));
                             let head = reference.first().copied();
                             prop_assert_eq!(q.peek_time(), head.map(|h| h.0));
                             let expected =
@@ -260,6 +291,7 @@ mod tests {
                             match expected {
                                 Some(h) => {
                                     reference.remove(&h);
+                                    popped += 1;
                                     prop_assert_eq!(q.now(), h.0);
                                 }
                                 None if bound.0 <= limit => {
@@ -269,9 +301,35 @@ mod tests {
                                 None => {}
                             }
                         }
+                        6 => {
+                            let head = reference.pop_first();
+                            prop_assert_eq!(q.pop(), head.map(|(t, _, e)| (t, e)));
+                            popped += u64::from(head.is_some());
+                            prop_assert_eq!(q.now(), head.map_or(q.now(), |h| h.0));
+                        }
+                        _ => {
+                            // Only the heap backend can be cleared.
+                            if let (DesQueue::Heap(heap), true) = (&mut q, a < 40) {
+                                let now = heap.now();
+                                heap.clear();
+                                reference.clear();
+                                prop_assert_eq!(heap.now(), now);
+                            }
+                        }
                     }
                     prop_assert_eq!(q.len(), reference.len());
+                    prop_assert_eq!(q.is_empty(), reference.is_empty());
+                    prop_assert_eq!(q.events_processed(), popped);
+                    prop_assert_eq!(q.peek_time(), reference.first().map(|h| h.0));
                 }
+                // Every schedule took exactly one path, and the rest
+                // drains in order.
+                let paths: u64 = q.schedule_paths().iter().sum();
+                prop_assert_eq!(paths, if backend == QueueBackend::BinaryHeap { idx as u64 } else { 0 });
+                while let Some(h) = reference.pop_first() {
+                    prop_assert_eq!(q.pop(), Some((h.0, h.2)));
+                }
+                prop_assert!(q.pop().is_none());
             }
         }
     }

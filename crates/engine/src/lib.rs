@@ -5,8 +5,9 @@
 //! The paper evaluates its mechanism with a register-transfer-level
 //! simulator; this crate is the substrate of our reimplementation:
 //!
-//! * [`queue::EventQueue`] — a time-ordered event queue (binary heap)
-//!   with strict FIFO tie-breaking, so two runs with the same seed replay
+//! * [`queue::EventQueue`] — a time-ordered event queue (a binary heap,
+//!   with per-class FIFO lanes in front of it for keyed schedules) with
+//!   strict FIFO tie-breaking, so two runs with the same seed replay
 //!   the exact same event order;
 //! * [`calendar::CalendarQueue`] — R. Brown's O(1) calendar queue with
 //!   the same interface and tie-breaking, property-tested equivalent and

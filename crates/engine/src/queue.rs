@@ -1,30 +1,45 @@
 //! Deterministic time-ordered event queue.
 //!
-//! A thin wrapper over [`std::collections::BinaryHeap`] keyed on
-//! `(SimTime, key, sequence)`. The monotonically increasing sequence
-//! number guarantees FIFO order among events scheduled for the same
-//! instant (and the same key), which makes simulation runs
-//! bit-reproducible for a given seed — a property the paper's
-//! min/max/avg-over-topologies methodology depends on, and that the
-//! test suite exploits heavily.
+//! Entries are ordered by `(SimTime, rank)`, where the rank is the
+//! insertion sequence under plain [`EventQueue::schedule`] — FIFO among
+//! events of one instant, which makes simulation runs bit-reproducible
+//! for a given seed, a property the paper's min/max/avg-over-topologies
+//! methodology depends on and the test suite exploits heavily — and a
+//! caller-supplied canonical key under [`EventQueue::schedule_keyed`].
 //!
 //! The *key* flavor exists for the sharded simulator: shards ingest
 //! cross-shard messages in nondeterministic mailbox order, so FIFO
 //! sequence alone would leak thread timing into the event order.
-//! [`EventQueue::schedule_keyed`] orders by a caller-supplied canonical
-//! key instead; `iba-sim` assigns every event a globally unique
-//! `(time, key)` so insertion order never decides.
+//! `iba-sim` assigns every event a globally unique `(time, key)`, so
+//! insertion order never decides.
 //!
 //! Within any one queue the two flavors must not be mixed: an entry
 //! carries a single `ord` rank that is the FIFO sequence for plain
-//! [`EventQueue::schedule`] and the canonical key for
-//! [`EventQueue::schedule_keyed`] — one `u64` per entry instead of two.
-//! The simulator upholds the contract structurally (every schedule of a
-//! shard's queue is keyed), and debug builds assert it.
+//! scheduling and the canonical key for keyed scheduling — one `u64`
+//! per entry instead of two. The simulator upholds the contract
+//! structurally (every schedule of a shard's queue is keyed), and debug
+//! builds assert it.
+//!
+//! ## Class lanes
+//!
+//! A simulation's delays are few and mostly constant per event class
+//! (a cable, a routing pipeline, one serialization time per packet
+//! size), so the schedules of one class arrive almost sorted. A keyed
+//! schedule therefore goes to a FIFO *lane* picked by the class field of
+//! its key (the top [`KEY_CLASS_BITS`] bits): appended when it sorts
+//! after the lane's tail, and pushed on a [`BinaryHeap`] otherwise. *Any*
+//! entry may take the heap, so nothing depends on a delay being
+//! constant — mixed packet sizes, generator inter-arrivals, cross-shard
+//! ingest, faults and the entities of one instant scheduling out of key
+//! order only change how many entries do. Every lane and
+//! the heap are sorted, so the earliest entry is the least of their
+//! heads, which are cached so that finding it touches no lane. Plain
+//! scheduling carries no class and uses the heap alone.
 
+use crate::shard::KEY_CLASS_BITS;
 use iba_core::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One scheduled entry (internal). `ord` is the tie-break rank among
 /// equal times: insertion sequence for plain scheduling, canonical key
@@ -35,9 +50,16 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    #[inline]
+    fn rank(&self) -> (SimTime, u64) {
+        (self.time, self.ord)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.ord == other.ord
+        self.rank() == other.rank()
     }
 }
 
@@ -54,12 +76,14 @@ impl<E> Ord for Entry<E> {
         // BinaryHeap is a max-heap; invert to pop the earliest event, and
         // among equal times the lowest rank — pure FIFO under plain
         // scheduling, canonical-key order under keyed scheduling.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.ord.cmp(&self.ord))
+        other.rank().cmp(&self.rank())
     }
 }
+
+/// One lane per value of a key's class field.
+const LANES: usize = 1 << KEY_CLASS_BITS;
+/// The "lane" index of the heap in [`EventQueue::head`].
+const HEAP: usize = LANES;
 
 /// A deterministic discrete-event queue.
 ///
@@ -68,9 +92,19 @@ impl<E> Ord for Entry<E> {
 /// and panics in debug builds.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// The class lanes, each sorted by `(time, ord)`.
+    lanes: [VecDeque<Entry<E>>; LANES],
+    /// `(time, ord)` of each lane's front; meaningful where `occupied`
+    /// has the lane's bit.
+    heads: [(SimTime, u64); LANES],
+    /// Bit `c` set while lane `c` is non-empty.
+    occupied: u16,
+    len: usize,
     next_seq: u64,
     now: SimTime,
     popped: u64,
+    /// Schedules by where they went: a lane, the heap.
+    paths: [u64; 2],
     /// Debug-only mixing guard: `Some(true)` once keyed scheduling has
     /// been used, `Some(false)` once plain scheduling has.
     #[cfg(debug_assertions)]
@@ -80,21 +114,26 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
-            #[cfg(debug_assertions)]
-            keyed: None,
-        }
+        EventQueue::with_capacity(0)
     }
 
-    /// An empty queue with pre-reserved capacity.
+    /// An empty queue with `cap` entries reserved in the heap, which
+    /// touches only what it uses. A lane is a ring and walks its whole
+    /// capacity, so lanes are left to grow to twice their peak length:
+    /// reserving a bound would spread a few live entries over many pages.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
-            ..EventQueue::new()
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            heads: [(SimTime::ZERO, 0); LANES],
+            occupied: 0,
+            len: 0,
+            next_seq: 0,
+            now: SimTime::ZERO,
+            popped: 0,
+            paths: [0; 2],
+            #[cfg(debug_assertions)]
+            keyed: None,
         }
     }
 
@@ -107,19 +146,26 @@ impl<E> EventQueue<E> {
     /// Number of events waiting.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are waiting.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total number of events popped so far.
     #[inline]
     pub fn events_processed(&self) -> u64 {
         self.popped
+    }
+
+    /// Schedules so far by the path they took: `[appended to a lane,
+    /// pushed on the heap]`. The two sum to every schedule made.
+    #[inline]
+    pub fn schedule_paths(&self) -> [u64; 2] {
+        self.paths
     }
 
     /// Schedule `event` at absolute time `at`; pops come out in
@@ -144,11 +190,18 @@ impl<E> EventQueue<E> {
         }
         let ord = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        self.push_heap(Entry {
             time: at,
             ord,
             event,
         });
+    }
+
+    #[inline]
+    fn push_heap(&mut self, entry: Entry<E>) {
+        self.len += 1;
+        self.paths[1] += 1;
+        self.heap.push(entry);
     }
 
     /// Schedule `event` at `at` with an explicit ordering key: events pop
@@ -171,11 +224,24 @@ impl<E> EventQueue<E> {
             );
             self.keyed = Some(true);
         }
-        self.heap.push(Entry {
+        let entry = Entry {
             time: at,
             ord: key,
             event,
-        });
+        };
+        let c = (key >> (u64::BITS - KEY_CLASS_BITS)) as usize;
+        let lane = &mut self.lanes[c];
+        if lane.back().is_some_and(|tail| tail.rank() > (at, key)) {
+            // Behind the lane's tail: the heap's.
+            return self.push_heap(entry);
+        }
+        if lane.is_empty() {
+            self.heads[c] = (at, key);
+            self.occupied |= 1 << c;
+        }
+        lane.push_back(entry);
+        self.len += 1;
+        self.paths[0] += 1;
     }
 
     /// Schedule `event` `delay_ns` nanoseconds from now.
@@ -183,17 +249,54 @@ impl<E> EventQueue<E> {
         self.schedule(self.now.plus_ns(delay_ns), event);
     }
 
+    /// `(time, ord)` of the earliest entry and where it sits: a lane
+    /// index, or [`HEAP`].
+    #[inline]
+    fn head(&self) -> Option<((SimTime, u64), usize)> {
+        let mut best = self.heap.peek().map(|e| (e.rank(), HEAP));
+        let mut lanes = self.occupied;
+        while lanes != 0 {
+            let c = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            if best.is_none_or(|(rank, _)| self.heads[c] < rank) {
+                best = Some((self.heads[c], c));
+            }
+        }
+        best
+    }
+
+    /// Remove the front of `src` (as [`Self::head`] named it), advancing
+    /// the clock to its timestamp.
+    #[inline]
+    fn take(&mut self, src: usize) -> Entry<E> {
+        let entry = if src == HEAP {
+            self.heap.pop()
+        } else {
+            let lane = &mut self.lanes[src];
+            let entry = lane.pop_front();
+            match lane.front() {
+                Some(next) => self.heads[src] = next.rank(),
+                None => self.occupied &= !(1 << src),
+            }
+            entry
+        }
+        .expect("head() named a non-empty source");
+        debug_assert!(entry.time >= self.now, "time went backwards");
+        self.now = entry.time;
+        self.len -= 1;
+        self.popped += 1;
+        entry
+    }
+
     /// Timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.head().map(|(rank, _)| rank.0)
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "time went backwards");
-        self.now = entry.time;
-        self.popped += 1;
+        let (_, src) = self.head()?;
+        let entry = self.take(src);
         Some((entry.time, entry.event))
     }
 
@@ -208,13 +311,11 @@ impl<E> EventQueue<E> {
         limit: SimTime,
         bound: (SimTime, u64),
     ) -> Option<(SimTime, u64, E)> {
-        let head = self.heap.peek()?;
-        if head.time > limit || (head.time, head.ord) >= bound {
+        let (rank, src) = self.head()?;
+        if rank.0 > limit || rank >= bound {
             return None;
         }
-        let entry = self.heap.pop()?;
-        self.now = entry.time;
-        self.popped += 1;
+        let entry = self.take(src);
         Some((entry.time, entry.ord, entry.event))
     }
 
@@ -229,6 +330,11 @@ impl<E> EventQueue<E> {
     /// Drop every pending event (the clock is preserved).
     pub fn clear(&mut self) {
         self.heap.clear();
+        for lane in &mut self.lanes {
+            lane.clear();
+        }
+        self.occupied = 0;
+        self.len = 0;
     }
 }
 
@@ -335,6 +441,37 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "first");
         assert_eq!(q.pop().unwrap().1, "second");
         assert_eq!(q.pop().unwrap().1, "third");
+    }
+
+    #[test]
+    fn keyed_schedules_take_a_lane_tail_or_the_heap() {
+        use crate::event_key;
+        let at = SimTime::from_ns;
+        let mut q = EventQueue::new();
+        let mut expected = Vec::new();
+        let mut sched = |q: &mut EventQueue<u64>, t: u64, class: u8, entity: u64| {
+            let key = event_key(class, entity, 0);
+            q.schedule_keyed(at(t), key, key);
+            expected.push((at(t), key));
+        };
+        sched(&mut q, 10, 3, 5); // an empty lane takes anything
+        sched(&mut q, 10, 3, 7); // past the tail
+        sched(&mut q, 20, 3, 4); // past the tail in time
+        assert_eq!(q.schedule_paths(), [3, 0]);
+        sched(&mut q, 20, 3, 2); // behind the tail at its time is the heap's, …
+        sched(&mut q, 10, 3, 6); // … and so is an earlier time, …
+        assert_eq!(q.schedule_paths(), [3, 2]);
+        sched(&mut q, 10, 4, 6); // … but another class has its own lane
+        sched(&mut q, 5, 9, 1);
+        assert_eq!(q.schedule_paths(), [5, 2]);
+
+        assert_eq!(q.len(), expected.len());
+        assert_eq!(q.peek_time(), Some(at(5)));
+        expected.sort();
+        for (t, key) in expected {
+            assert_eq!(q.pop(), Some((t, key)));
+        }
+        assert!(q.is_empty() && q.pop().is_none());
     }
 
     proptest! {

@@ -35,6 +35,7 @@ use iba_core::{HostId, IbaError, InlineVec, Lid, LidMap, PortIndex, SwitchId, MA
 use iba_topology::Topology;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Configuration of the FA table construction.
@@ -137,21 +138,46 @@ pub(crate) struct RouteCache {
     slots: Vec<u32>,
     /// The distinct decodes.
     pool: Vec<Arc<RouteOptions>>,
+    /// Stamp of this filling of `slots`, carried by every [`RouteId`]
+    /// issued from it; zero until the first fill.
+    stamp: u32,
 }
 
 const NO_ROUTE: u32 = u32::MAX;
 
+/// The last stamp a [`RouteCache`] fill took, process-wide. Stamps are
+/// only compared for equality, so the order threads fill in is invisible.
+static LAST_STAMP: AtomicU32 = AtomicU32::new(0);
+
+/// One decode of one table set, by number: what a buffered packet holds
+/// instead of an `Arc` clone, so a hop touches no reference count that
+/// another thread's simulation shares. Issued by [`FaRouting::route_id`]
+/// alone and resolved by [`FaRouting::route_by_id`] of the *same* tables
+/// (a clone included); on any others resolving panics instead of
+/// returning some other decode. The default id resolves on none.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RouteId {
+    slot: u32,
+    stamp: u32,
+}
+
 impl RouteCache {
-    /// The cached decode of one table access, if programmed. Inlined into
-    /// `route_shared`, which other crates instantiate on the per-hop path.
+    /// The id of one table access, if programmed. Inlined into
+    /// `route_id`, which other crates instantiate on the per-hop path.
     #[inline]
-    pub(crate) fn get(&self, s: SwitchId, dlid: Lid) -> Option<&Arc<RouteOptions>> {
+    fn id(&self, s: SwitchId, dlid: Lid) -> Option<RouteId> {
         let lid = dlid.raw() as usize;
         if lid >= self.stride {
             return None;
         }
-        self.pool
-            .get(self.slots[s.index() * self.stride + lid] as usize)
+        let (slot, stamp) = (self.slots[s.index() * self.stride + lid], self.stamp);
+        (slot != NO_ROUTE).then_some(RouteId { slot, stamp })
+    }
+
+    /// The cached decode of one table access, if programmed.
+    #[inline]
+    pub(crate) fn get(&self, s: SwitchId, dlid: Lid) -> Option<&Arc<RouteOptions>> {
+        self.id(s, dlid).map(|id| &self.pool[id.slot as usize])
     }
 
     /// Decode the accesses `dlids` of every table into `slots`, interning
@@ -164,6 +190,7 @@ impl RouteCache {
         dlids: &[Range<usize>],
     ) {
         self.stride = stride;
+        self.stamp = LAST_STAMP.fetch_add(1, Ordering::Relaxed) + 1;
         self.slots.resize(tables.len() * stride, NO_ROUTE);
         let mut interned: HashMap<Arc<RouteOptions>, u32> =
             self.pool.iter().cloned().zip(0..).collect();
@@ -626,6 +653,28 @@ impl<E: EscapeEngine> FaRouting<E> {
             .get(s, dlid)
             .cloned()
             .ok_or(IbaError::UnknownLid(dlid.raw()))
+    }
+
+    /// The id of the shared decode [`Self::route_shared`] returns, good
+    /// for [`Self::route_by_id`] on these tables only — a holder must
+    /// resolve again when the tables it forwards on are swapped.
+    #[inline]
+    pub fn route_id(&self, s: SwitchId, dlid: Lid) -> Result<RouteId, IbaError> {
+        self.route_cache
+            .id(s, dlid)
+            .ok_or(IbaError::UnknownLid(dlid.raw()))
+    }
+
+    /// The decode behind an id [`Self::route_id`] of these tables gave.
+    /// Panics on an id of any other tables, in every build: a stale id
+    /// would otherwise forward on whatever decode sits in its slot now.
+    #[inline]
+    pub fn route_by_id(&self, id: RouteId) -> &RouteOptions {
+        assert_eq!(
+            id.stamp, self.route_cache.stamp,
+            "route id resolved on tables that did not issue it"
+        );
+        &self.route_cache.pool[id.slot as usize]
     }
 
     /// Decode one table access from the table itself, bypassing the cache.

@@ -53,7 +53,7 @@ pub mod updown;
 pub use analysis::{check_escape_routes, OptionDistribution, PathLengthStats};
 pub use delta::{DeltaRebuild, DeltaStats};
 pub use engine::{certify_engine, DeltaOutcome, EscapeEngine};
-pub use fa::{AdaptiveOptions, FaRouting, RouteOptions, RoutingConfig};
+pub use fa::{AdaptiveOptions, FaRouting, RouteId, RouteOptions, RoutingConfig};
 pub use fullmesh::FullMeshRouting;
 pub use minimal::MinimalRouting;
 pub use outflank::OutflankRouting;

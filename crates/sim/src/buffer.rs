@@ -40,8 +40,7 @@
 //! shifts only the small index list, not the buffered packets.
 
 use iba_core::{Credits, InlineVec, Packet, PacketId, RoutingMode, SimTime};
-use iba_routing::RouteOptions;
-use std::sync::Arc;
+use iba_routing::RouteId;
 
 /// How the escape-head read point honours in-order delivery (§4.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,10 +62,12 @@ pub struct BufferedPacket {
     pub packet: Packet,
     /// Routing options, resolved at header arrival and visible to
     /// arbitration once the forwarding-table pipeline completes
-    /// (`ready_at`). Shared with the routing layer's decode cache —
-    /// cloning an `Arc` instead of the option lists keeps the per-hop
-    /// cost flat.
-    pub route: Arc<RouteOptions>,
+    /// (`ready_at`): the id of a decode of the live tables
+    /// (`FaRouting::route_id`), so a hop copies eight bytes and touches
+    /// no reference count another thread's simulation shares. Resolves
+    /// on the tables that issued it only — a table swap re-resolves it
+    /// ([`VlBuffer::reroute_with`]).
+    pub route: RouteId,
     /// When the routing pipeline result becomes available.
     pub ready_at: SimTime,
     /// Whether the packet is currently streaming out through the
@@ -207,12 +208,7 @@ impl VlBuffer {
     /// U-turn through a neighbor) while its previous residency is still
     /// streaming out, so the same packet id may briefly be resident
     /// twice; handles keep the two residencies apart.
-    pub fn push(
-        &mut self,
-        packet: Packet,
-        route: Arc<RouteOptions>,
-        ready_at: SimTime,
-    ) -> SlotHandle {
+    pub fn push(&mut self, packet: Packet, route: RouteId, ready_at: SimTime) -> SlotHandle {
         let credits = packet.credits();
         debug_assert!(
             self.can_accept(credits),
@@ -262,33 +258,22 @@ impl VlBuffer {
     /// Re-resolve the route of every *not in-flight* residency against a
     /// new forwarding function — the SM re-sweep hook: packets already
     /// buffered when recovery tables are installed were routed against
-    /// the old tables and may hold options through a dead link. That
+    /// the old tables, and their ids mean nothing on the new ones. That
     /// includes residencies still inside their routing delay
     /// (`ready_at` in the future): their route was resolved at arrival,
     /// and the pipeline must deliver the tables live at `ready_at`.
     /// In-flight residencies are skipped (their transfer was granted
-    /// under the old tables and completes on the old route). Returns the
-    /// number of residencies the function could not resolve (left on
-    /// their old route).
-    pub fn reroute_with(
-        &mut self,
-        mut f: impl FnMut(&Packet) -> Option<Arc<RouteOptions>>,
-    ) -> usize {
-        let mut unresolved = 0;
+    /// under the old tables, and nothing reads their route again).
+    pub fn reroute_with(&mut self, mut f: impl FnMut(&Packet) -> RouteId) {
         for &slot in &self.order {
             let p = self.slots[slot as usize]
                 .packet
                 .as_mut()
                 .expect("order entry occupied");
-            if p.in_flight {
-                continue;
-            }
-            match f(&p.packet) {
-                Some(route) => p.route = route,
-                None => unresolved += 1,
+            if !p.in_flight {
+                p.route = f(&p.packet);
             }
         }
-        unresolved
     }
 
     /// Starting credit offset of the packet at `index` — its physical
@@ -504,7 +489,7 @@ impl VlBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iba_core::{HostId, Lid, PortIndex, ServiceLevel};
+    use iba_core::{HostId, Lid, ServiceLevel};
 
     /// 1-credit (32 B) packet; odd LIDs request adaptive routing.
     fn pkt(id: u64, adaptive: bool, size: u32) -> Packet {
@@ -522,11 +507,9 @@ mod tests {
         }
     }
 
-    fn route() -> Arc<RouteOptions> {
-        Arc::new(RouteOptions {
-            escape: PortIndex(0),
-            adaptive: [PortIndex(1)].into_iter().collect(),
-        })
+    /// The buffer stores a route id and never resolves it.
+    fn route() -> RouteId {
+        RouteId::default()
     }
 
     /// Push with the routing pipeline already complete.
@@ -644,18 +627,18 @@ mod tests {
         buf.mark_in_flight(0);
         push_ready(&mut buf, pkt(1, true, 64));
         buf.push(pkt(2, true, 64), route(), SimTime::from_ns(100));
-        let fresh = Arc::new(RouteOptions {
-            escape: PortIndex(3),
-            adaptive: InlineVec::new(),
-        });
-        assert_eq!(buf.reroute_with(|_| Some(fresh.clone())), 0);
-        let escapes: Vec<u8> = buf.iter().map(|p| p.route.escape.0).collect();
-        assert_eq!(escapes, vec![0, 3, 3]);
-        assert_eq!(
-            buf.reroute_with(|_| None),
-            2,
-            "unresolved keep the old route"
-        );
+        let mut b = iba_topology::TopologyBuilder::new(2, 2);
+        b.connect(iba_core::SwitchId(0), iba_core::SwitchId(1))
+            .unwrap();
+        b.attach_host(iba_core::SwitchId(1)).unwrap();
+        let topo = b.build().unwrap();
+        let fa = iba_routing::FaRouting::build(&topo, Default::default()).unwrap();
+        let fresh = fa
+            .route_id(iba_core::SwitchId(0), fa.dlid(HostId(0), false).unwrap())
+            .unwrap();
+        buf.reroute_with(|_| fresh);
+        let routes: Vec<RouteId> = buf.iter().map(|p| p.route).collect();
+        assert_eq!(routes, vec![route(), fresh, fresh]);
     }
 
     #[test]

@@ -110,8 +110,20 @@ pub struct EngineProfile {
     pub handlers: Vec<(&'static str, u64)>,
     /// Packets the arbitration passes granted an output.
     pub grants: u64,
-    /// Occupied input ports the passes' sweeps looked at.
+    /// Input ports the passes' sweeps visited: the occupied ones whose
+    /// state changed since their last failed look.
     pub inputs_visited: u64,
+    /// Visited inputs whose buffers were looked into for a candidate
+    /// (the rest were streaming); `looks - grants` found nothing.
+    pub looks: u64,
+    /// Passes that had no input to visit: a cursor step and nothing else.
+    pub empty_passes: u64,
+    /// Queue schedules appended to a class lane …
+    pub lane_pushes: u64,
+    /// … or pushed on the heap; together, the schedules made (both zero
+    /// on the calendar backend). Mailbox ingest schedules in arrival
+    /// order, so with several shards the split, not the sum, may vary.
+    pub heap_pushes: u64,
 }
 
 impl EngineProfile {
@@ -194,11 +206,15 @@ impl EngineProfile {
             reg.add("profiling_engine_handlers_total", &[("class", class)], n);
         }
         reg.add("profiling_engine_grants_total", &[], self.grants);
-        reg.add(
-            "profiling_engine_inputs_visited_total",
-            &[],
-            self.inputs_visited,
-        );
+        for (name, n) in [
+            ("profiling_engine_inputs_visited_total", self.inputs_visited),
+            ("profiling_engine_looks_total", self.looks),
+            ("profiling_engine_empty_passes_total", self.empty_passes),
+            ("profiling_engine_lane_pushes_total", self.lane_pushes),
+            ("profiling_engine_heap_pushes_total", self.heap_pushes),
+        ] {
+            reg.add(name, &[], n);
+        }
         for w in &self.worker_profiles {
             let wl = w.worker.to_string();
             let labels: [(&str, &str); 1] = [("worker", wl.as_str())];
@@ -256,6 +272,10 @@ impl EngineProfile {
             ("handlers", Json::obj(self.handlers.iter().copied())),
             ("grants", Json::from(self.grants)),
             ("inputs_visited", Json::from(self.inputs_visited)),
+            ("looks", Json::from(self.looks)),
+            ("empty_passes", Json::from(self.empty_passes)),
+            ("lane_pushes", Json::from(self.lane_pushes)),
+            ("heap_pushes", Json::from(self.heap_pushes)),
             (
                 "worker_profiles",
                 Json::arr(self.worker_profiles.iter().map(|w| w.to_json())),

@@ -805,6 +805,10 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
                 .collect();
             p.grants = shards.iter().map(|s| s.grants).sum();
             p.inputs_visited = shards.iter().map(|s| s.inputs_visited).sum();
+            p.looks = shards.iter().map(|s| s.looks).sum();
+            p.empty_passes = shards.iter().map(|s| s.empty_passes).sum();
+            let paths = |i: usize| shards.iter().map(|s| s.queue.schedule_paths()[i]).sum();
+            (p.lane_pushes, p.heap_pushes) = (paths(0), paths(1));
         }
         ctx.hit_budget.into_inner()
     }

@@ -52,8 +52,7 @@ use iba_topology::{Partition, Topology, TopologyBuilder};
 use iba_workloads::{
     FaultKind, FaultSchedule, HostGenerator, PathSet, TrafficScript, WorkloadSpec,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Event-class ranks for the canonical ordering key: ties at one
@@ -128,6 +127,9 @@ pub(crate) fn check_key_capacity(switches: usize, hosts: usize) -> Result<(), Ib
     Ok(())
 }
 
+/// [`Shard::due_min`] of an empty due set.
+const NONE_DUE: u32 = u32::MAX;
+
 /// `occupied` split at the round-robin `cursor`: the set bits of the
 /// first mask, then of the second, each in ascending order, are
 /// `(cursor + k) % nports` for `k = 0, 1, …` without the empty inputs.
@@ -155,12 +157,14 @@ pub(crate) enum Event {
     },
     /// A forwarded packet's tail has left its input buffer. The handle
     /// addresses the exact residency `push` created, so no buffer scan
-    /// is needed when the event fires.
+    /// is needed when the event fires; `out` is the output it streamed
+    /// through, free again at this instant.
     TxDone {
         sw: SwitchId,
         port: PortIndex,
         vl: VirtualLane,
         handle: SlotHandle,
+        out: PortIndex,
     },
     /// Freed credits reach the upstream sender.
     CreditReturn {
@@ -229,6 +233,8 @@ struct ResolvedFault {
 struct InputPort {
     /// Per-VL split buffers.
     vls: Vec<VlBuffer>,
+    /// Packets resident over all VLs (what `occupied_inputs` tests).
+    resident: u32,
     /// The buffer RAM's read path (the Figure 2 multiplexer) is busy
     /// streaming a packet out until this time.
     read_busy_until: SimTime,
@@ -255,6 +261,17 @@ struct SwitchState {
     /// Bit `p` set while input port `p` holds a packet on any VL, so a
     /// pass visits occupied inputs only.
     occupied_inputs: u128,
+    /// Inputs a pass need not look at: the last look granted nothing —
+    /// or the read path is streaming — and nothing that look read has
+    /// changed since. A failed look draws no random number and moves no
+    /// cursor, so skipping it is invisible. Every state change a look
+    /// depends on clears the bits it can affect: a `TxDone` its input
+    /// and the waiters of the output it frees, a credit return or resync
+    /// the waiters of its output, a header's `ready_at` its input, a
+    /// fault or a table swap everything (DESIGN.md §12 has the table).
+    blocked: u128,
+    /// Per output port, the inputs whose failed look examined it.
+    waiters: Vec<u128>,
     rr_cursor: usize,
     /// Per-port link state, bit `p` set while port `p` is up; a clear
     /// bit masks the port out of every feasible option set at
@@ -281,6 +298,22 @@ impl SwitchState {
     #[inline]
     fn link_up(&self, port: usize) -> bool {
         self.live_ports >> port & 1 == 1
+    }
+
+    /// Something input `ip`'s look reads in its own port changed.
+    fn unblock_input(&mut self, ip: usize) {
+        self.blocked &= !(1 << ip);
+    }
+
+    /// Output `out` changed: it went idle, or gained credits.
+    fn unblock_waiters(&mut self, out: usize) {
+        self.blocked &= !std::mem::take(&mut self.waiters[out]);
+    }
+
+    /// Link state or the tables changed under every look.
+    fn unblock_all(&mut self) {
+        self.blocked = 0;
+        self.waiters.fill(0);
     }
 }
 
@@ -329,19 +362,31 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// shard).
     part: Arc<Partition>,
     pub(crate) queue: DesQueue<Event>,
-    /// Pending arbitration wake-ups `(time, switch)`, earliest first:
-    /// kept out of the event queue (a pass carries no payload) and
-    /// merged into its order at rank [`CLASS_ARBITRATE`]. Exactly one
-    /// pass runs per `(switch, timestamp)` that had a trigger, which is
-    /// what keeps `rr_cursor` and the arbitration RNG stream independent
-    /// of how many triggers coincide.
-    wakeups: BinaryHeap<Reverse<(SimTime, SwitchId)>>,
+    /// Pending arbitration wake-ups, kept out of the event queue (a
+    /// pass carries no payload) and merged into its order at rank
+    /// [`CLASS_ARBITRATE`]. A request is either for the current
+    /// timestamp — one bit per switch in `due`, which also coalesces
+    /// coinciding requests — or one routing delay ahead, in `ready`.
+    /// Exactly one pass runs per `(switch, timestamp)` that had a
+    /// trigger, which is what keeps `rr_cursor` and the arbitration RNG
+    /// stream independent of how many triggers coincide. The clock
+    /// cannot move while a bit is set: its pass ranks ahead of every
+    /// later event.
+    due: Vec<u64>,
+    /// The lowest switch in `due` ([`NONE_DUE`] when it is empty).
+    due_min: u32,
+    /// Headers inside their routing delay, `(ready_at, switch, input
+    /// port)` in `(time, switch)` order.
+    ready: VecDeque<(SimTime, SwitchId, u8)>,
     /// Handlers executed per event class ([`CLASS_NAMES`] order), the
     /// arbitration passes among them.
     pub(crate) handlers: [u64; CLASS_NAMES.len()],
-    /// What the passes did: packets granted, occupied inputs swept.
+    /// What the passes did: packets granted, inputs swept, inputs looked
+    /// into (`pick_for_input` calls), passes with nothing to sweep.
     pub(crate) grants: u64,
     pub(crate) inputs_visited: u64,
+    pub(crate) looks: u64,
+    pub(crate) empty_passes: u64,
     switches: Vec<SwitchState>,
     hosts: Vec<HostState>,
     pub(crate) stats: StatsCollector,
@@ -444,6 +489,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 let inputs = (0..ports)
                     .map(|_| InputPort {
                         vls: (0..vls).map(|_| VlBuffer::new(cap)).collect(),
+                        resident: 0,
                         read_busy_until: SimTime::ZERO,
                         vl_cursor: 0,
                     })
@@ -465,6 +511,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     outputs,
                     sl2vl: SlToVlTable::identity(topo.ports_per_switch(), config.data_vls)?,
                     occupied_inputs: 0,
+                    blocked: 0,
+                    waiters: vec![0; ports],
                     rr_cursor: 0,
                     live_ports: u128::MAX,
                     down_depth: vec![0; ports],
@@ -526,13 +574,14 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             config,
             part,
             queue: DesQueue::with_capacity(config.queue_backend, est_events),
-            // A port takes a header per serialization time, so fewer than
-            // one per port are inside their routing delay at once; the
-            // rest of the list is the current timestamp's requests.
-            wakeups: BinaryHeap::with_capacity(2 * nsw * ports),
+            due: vec![0; nsw.div_ceil(64)],
+            due_min: NONE_DUE,
+            ready: VecDeque::new(),
             handlers: [0; CLASS_NAMES.len()],
             grants: 0,
             inputs_visited: 0,
+            looks: 0,
+            empty_passes: 0,
             switches,
             hosts,
             stats: StatsCollector::new(
@@ -827,14 +876,15 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 port,
                 vl,
                 handle,
-            } => self.on_tx_done(now, sw, port, vl, handle),
+                out,
+            } => self.on_tx_done(now, sw, port, vl, handle, out),
             Event::CreditReturn {
                 target,
                 port,
                 vl,
                 credits,
             } => self.on_credit_return(now, target, port, vl, credits),
-            Event::CreditResync { sw, port, free } => self.on_credit_resync(now, sw, port, &free),
+            Event::CreditResync { sw, port, free } => self.on_credit_resync(sw, port, &free),
             Event::Deliver { host, packet } => {
                 self.trace(packet.id, now, TraceStep::Delivered { host });
                 if let Some(r) = self.recorder.as_deref_mut() {
@@ -876,7 +926,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// [`CLASS_ARBITRATE`] event of its switch.
     pub(crate) fn run_window(&mut self, limit: SimTime, budget: u64) {
         while self.counted_events() < budget {
-            let wake = self.wakeups.peek().map(|w| w.0);
+            let wake = self.next_wake();
             let bound = wake.map_or((SimTime::MAX, u64::MAX), |(t, sw)| {
                 (t, event_key(CLASS_ARBITRATE, self.ent_switch(sw), 0))
             });
@@ -884,11 +934,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 self.handlers[(key >> (KEY_ENTITY_BITS + KEY_COUNTER_BITS)) as usize] += 1;
                 self.dispatch(now, ev);
             } else if let Some((now, sw)) = wake.filter(|w| w.0 <= limit) {
-                // One pass serves every trigger this (switch, timestamp)
-                // has had so far; one that lands after it asks again.
-                while self.wakeups.peek() == Some(&Reverse((now, sw))) {
-                    self.wakeups.pop();
-                }
+                self.take_wake(now, sw);
                 self.queue.advance_to(now);
                 self.handlers[CLASS_ARBITRATE as usize] += 1;
                 self.arbitrate(now, sw);
@@ -921,7 +967,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// (`u64::MAX` when neither) — the input to the conservative window
     /// computation, and the drained test.
     pub(crate) fn next_time_ns(&self) -> u64 {
-        let wake = self.wakeups.peek().map_or(SimTime::MAX, |w| w.0 .0);
+        let wake = self.next_wake().map_or(SimTime::MAX, |w| w.0);
         self.queue.peek_time().map_or(wake, |t| t.min(wake)).as_ns()
     }
 
@@ -1025,7 +1071,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             // stall-eligible.
             return;
         }
-        let route = &head.route;
+        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
+        let op = routing.route_by_id(head.route).escape;
         let waited = self
             .recorder
             .as_deref()
@@ -1033,7 +1080,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         if waited < stall_after_ns {
             return;
         }
-        let op = route.escape;
         let escape_link_up = st.link_up(op.index());
         let out = &st.outputs[op.index()];
         let escape_streaming = out.busy_until > now;
@@ -1166,13 +1212,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// a port that died again while it was on the wire is harmless —
     /// arbitration re-checks `link_up`, and the next link-up restarts
     /// the protocol.
-    fn on_credit_resync(
-        &mut self,
-        now: SimTime,
-        sw: SwitchId,
-        port: PortIndex,
-        free: &InlineVec<Credits, 16>,
-    ) {
+    fn on_credit_resync(&mut self, sw: SwitchId, port: PortIndex, free: &InlineVec<Credits, 16>) {
         let ports = self.topo.ports_per_switch() as usize;
         self.resync_pending[sw.index() * ports + port.index()] = false;
         if let Some(cs) = self.switches[sw.index()].outputs[port.index()]
@@ -1183,7 +1223,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 *c = *f;
             }
         }
-        self.wake(now, sw);
+        self.switches[sw.index()].unblock_waiters(port.index());
+        self.wake(sw);
     }
 
     /// Apply one fault-schedule entry. Downing a link masks both port
@@ -1199,6 +1240,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// first-named switch.
     fn on_fault(&mut self, now: SimTime, idx: usize) {
         let f = self.faults[idx];
+        for st in &mut self.switches {
+            st.unblock_all();
+        }
         match f.kind {
             FaultKind::LinkDown => {
                 if !self.switches[f.a.index()].link_up(f.pa.index()) {
@@ -1313,7 +1357,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             }
         }
         if !down && self.owns_switch(s) {
-            self.wake(now, s);
+            self.wake(s);
         }
     }
 
@@ -1344,7 +1388,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         self.certify_escape(false);
         self.reroute_buffered();
         for s in 0..self.switches.len() {
-            self.wake(now, SwitchId(s as u16));
+            self.wake(SwitchId(s as u16));
         }
     }
 
@@ -1419,14 +1463,22 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// Point every not-in-flight buffered packet — still inside its
     /// routing delay or past it — at the freshly installed tables
     /// (packets routed before the sweep may hold options through a dead
-    /// link and would stall forever).
+    /// link and would stall forever, and their route ids do not resolve
+    /// on the new tables). A sweep installs tables only for a connected
+    /// fabric over the unchanged LID space, so every buffered DLID
+    /// resolves, as it must for the next header to arrive.
     fn reroute_buffered(&mut self) {
         let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
         for (si, st) in self.switches.iter_mut().enumerate() {
             let sw = SwitchId(si as u16);
+            st.unblock_all();
             for input in st.inputs.iter_mut() {
                 for buf in input.vls.iter_mut() {
-                    buf.reroute_with(|p| routing.route_shared(sw, p.dlid).ok());
+                    buf.reroute_with(|p| {
+                        routing
+                            .route_id(sw, p.dlid)
+                            .expect("forwarding tables are fully programmed")
+                    });
                 }
             }
         }
@@ -1721,12 +1773,14 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // the delay re-resolves it (`reroute_buffered`).
         let route = self
             .cur_routing()
-            .route_shared(sw, packet.dlid)
+            .route_id(sw, packet.dlid)
             .expect("forwarding tables are fully programmed");
         let st = &mut self.switches[sw.index()];
-        st.inputs[port.index()].vls[vl.index()].push(packet, route, ready_at);
+        let input = &mut st.inputs[port.index()];
+        input.vls[vl.index()].push(packet, route, ready_at);
+        input.resident += 1;
         st.occupied_inputs |= 1 << port.index();
-        self.wake(ready_at, sw);
+        self.wake_ready(ready_at, sw, port);
     }
 
     fn on_tx_done(
@@ -1736,15 +1790,24 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         port: PortIndex,
         vl: VirtualLane,
         handle: SlotHandle,
+        out: PortIndex,
     ) {
         let st = &mut self.switches[sw.index()];
         let input = &mut st.inputs[port.index()];
         let removed = input.vls[vl.index()]
             .remove_at(handle)
             .expect("tx-done packet still buffered");
-        if input.vls.iter().all(|b| b.is_empty()) {
+        input.resident -= 1;
+        debug_assert_eq!(
+            input.resident as usize,
+            input.vls.iter().map(|b| b.len()).sum::<usize>()
+        );
+        if input.resident == 0 {
             st.occupied_inputs &= !(1 << port.index());
         }
+        // The read path and the output are free, and the buffer changed.
+        st.unblock_input(port.index());
+        st.unblock_waiters(out.index());
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record(
                 Some(sw),
@@ -1772,7 +1835,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 credits: removed.packet.credits(),
             },
         );
-        self.wake(now, sw);
+        self.wake(sw);
     }
 
     fn on_credit_return(
@@ -1803,6 +1866,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     // otherwise overshoot. A no-op in fault-free runs.
                     cs[vl.index()] = (cs[vl.index()] + credits).min(cap);
                 }
+                st.unblock_waiters(port.index());
                 if let Some(r) = self.recorder.as_deref_mut() {
                     r.record(
                         Some(s),
@@ -1815,7 +1879,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     );
                     r.note_credit_return(s, port, now);
                 }
-                self.wake(now, s);
+                self.wake(s);
             }
             NodeRef::Host(h) => {
                 // Clamp at capacity for the same reason as the switch
@@ -1830,12 +1894,60 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// Ask for an arbitration pass at owned switch `sw` at `at`: now (a
-    /// freed slot, returned credits, a revived port) or a header's
-    /// `ready_at`. Coinciding requests are coalesced when the pass runs
-    /// (filtering them here measured no faster).
-    fn wake(&mut self, at: SimTime, sw: SwitchId) {
-        self.wakeups.push(Reverse((at, sw)));
+    /// Ask for an arbitration pass at owned switch `sw` at the current
+    /// timestamp: a freed slot, returned credits, a revived port.
+    fn wake(&mut self, sw: SwitchId) {
+        self.due[sw.index() / 64] |= 1 << (sw.index() % 64);
+        self.due_min = self.due_min.min(sw.index() as u32);
+    }
+
+    /// Ask for the pass at which the header that just arrived at `port`
+    /// leaves the routing pipeline. Arrivals come in time order but not
+    /// in switch order, so the entry usually lands a few places from the
+    /// tail.
+    fn wake_ready(&mut self, at: SimTime, sw: SwitchId, port: PortIndex) {
+        if at == self.queue.now() {
+            // No routing delay: this timestamp's pass sees the header.
+            self.switches[sw.index()].unblock_input(port.index());
+            return self.wake(sw);
+        }
+        let mut pos = self.ready.len();
+        while pos > 0 && (self.ready[pos - 1].0, self.ready[pos - 1].1) > (at, sw) {
+            pos -= 1;
+        }
+        self.ready.insert(pos, (at, sw, port.0));
+    }
+
+    /// The earliest pending wake-up.
+    fn next_wake(&self) -> Option<(SimTime, SwitchId)> {
+        let ready = self.ready.front().map(|&(t, sw, _)| (t, sw));
+        if self.due_min == NONE_DUE {
+            return ready;
+        }
+        let due = (self.queue.now(), SwitchId(self.due_min as u16));
+        Some(ready.map_or(due, |r| r.min(due)))
+    }
+
+    /// Consume every request for a pass at `(now, sw)` — what
+    /// [`Self::next_wake`] just returned. One pass serves every trigger
+    /// this (switch, timestamp) has had so far; one that lands after it
+    /// asks again.
+    fn take_wake(&mut self, now: SimTime, sw: SwitchId) {
+        if self.due_min == sw.index() as u32 {
+            debug_assert_eq!(now, self.queue.now());
+            let first = sw.index() / 64;
+            self.due[first] &= !(1 << (sw.index() % 64));
+            self.due_min = (first..self.due.len())
+                .find(|&w| self.due[w] != 0)
+                .map_or(NONE_DUE, |w| w as u32 * 64 + self.due[w].trailing_zeros());
+        }
+        while let Some(&(t, s, port)) = self.ready.front() {
+            if (t, s) != (now, sw) {
+                break;
+            }
+            self.ready.pop_front();
+            self.switches[sw.index()].unblock_input(port as usize);
+        }
     }
 
     /// One arbitration pass: sweep the occupied inputs in round-robin
@@ -1844,23 +1956,42 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     fn arbitrate(&mut self, now: SimTime, sw: SwitchId) {
         let nports = self.topo.ports_per_switch() as usize;
         let unobserved = self.telemetry.is_none() && self.recorder.is_none();
+        if cfg!(debug_assertions) && unobserved {
+            self.assert_blocked_inputs_cannot_be_granted(now, sw);
+        }
+        let visited_before = self.inputs_visited;
         loop {
             // Grants remove nothing, so the occupied set holds for the
-            // whole pass.
+            // whole pass. Telemetry and the recorder log a stall per
+            // failed look, so under them every look is kept.
             let st = &self.switches[sw.index()];
-            self.inputs_visited += u64::from(st.occupied_inputs.count_ones());
+            let skip = if unobserved { st.blocked } else { 0 };
+            let sweep = st.occupied_inputs & !skip;
+            self.inputs_visited += u64::from(sweep.count_ones());
             let mut progress = false;
-            for mut inputs in round_robin_split(st.occupied_inputs, st.rr_cursor) {
+            for mut inputs in round_robin_split(sweep, st.rr_cursor) {
                 while inputs != 0 {
                     let ip = inputs.trailing_zeros() as usize;
                     inputs &= inputs - 1;
                     if self.switches[sw.index()].inputs[ip].read_busy_until > now {
+                        self.switches[sw.index()].blocked |= 1 << ip;
                         continue;
                     }
-                    if let Some(d) = self.pick_for_input(now, sw, ip) {
-                        self.start_forward(now, sw, d);
-                        progress = true;
-                        self.grants += 1;
+                    self.looks += 1;
+                    match self.pick_for_input(now, sw, ip) {
+                        Ok(d) => {
+                            self.start_forward(now, sw, d);
+                            progress = true;
+                            self.grants += 1;
+                        }
+                        Err(mut examined) => {
+                            let st = &mut self.switches[sw.index()];
+                            st.blocked |= 1 << ip;
+                            while examined != 0 {
+                                st.waiters[examined.trailing_zeros() as usize] |= 1 << ip;
+                                examined &= examined - 1;
+                            }
+                        }
                     }
                 }
             }
@@ -1878,12 +2009,31 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 break;
             }
         }
+        self.empty_passes += u64::from(self.inputs_visited == visited_before);
     }
 
-    /// Find one forwardable candidate in input port `ip`'s buffers.
-    fn pick_for_input(&mut self, now: SimTime, sw: SwitchId, ip: usize) -> Option<Decision> {
+    /// The oracle behind `SwitchState::blocked` (debug builds, every
+    /// unobserved pass): looking into a skipped input must grant nothing.
+    fn assert_blocked_inputs_cannot_be_granted(&mut self, now: SimTime, sw: SwitchId) {
+        let st = &self.switches[sw.index()];
+        let mut skipped = st.occupied_inputs & st.blocked;
+        while skipped != 0 {
+            let ip = skipped.trailing_zeros() as usize;
+            skipped &= skipped - 1;
+            assert!(
+                self.switches[sw.index()].inputs[ip].read_busy_until > now
+                    || self.pick_for_input(now, sw, ip).is_err(),
+                "{sw} input {ip} is grantable at {now:?} but marked blocked: an unblock is missing"
+            );
+        }
+    }
+
+    /// Find one forwardable candidate in input port `ip`'s buffers, or
+    /// report the outputs the failed look examined (one bit each).
+    fn pick_for_input(&mut self, now: SimTime, sw: SwitchId, ip: usize) -> Result<Decision, u128> {
         let nvls = self.config.data_vls as usize;
         let start = self.switches[sw.index()].inputs[ip].vl_cursor;
+        let mut examined = 0;
         for k in 0..nvls {
             let vl = (start + k) % nvls;
             let cands = {
@@ -1903,7 +2053,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             let record = self.recorder.as_deref().is_some_and(|r| !r.frozen());
             for &(idx, read_point) in &cands {
                 let mut scratch = OptionOutcomes::new();
-                if let Some(d) = self.pick_option(
+                match self.pick_option(
                     now,
                     sw,
                     ip,
@@ -1912,16 +2062,19 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     read_point,
                     record.then_some(&mut scratch),
                 ) {
-                    if record {
-                        // Park the granted candidate's option verdicts for
-                        // `start_forward` to attach to the RouteDecision
-                        // event; keeping them out of `Decision` spares the
-                        // recorder-off path the ~100-byte copy per grant.
-                        self.decision_options = scratch;
+                    Ok(d) => {
+                        if record {
+                            // Park the granted candidate's option verdicts for
+                            // `start_forward` to attach to the RouteDecision
+                            // event; keeping them out of `Decision` spares the
+                            // recorder-off path the ~100-byte copy per grant.
+                            self.decision_options = scratch;
+                        }
+                        // Advance the VL cursor past the served lane.
+                        self.switches[sw.index()].inputs[ip].vl_cursor = (vl + 1) % nvls;
+                        return Ok(d);
                     }
-                    // Advance the VL cursor past the served lane.
-                    self.switches[sw.index()].inputs[ip].vl_cursor = (vl + 1) % nvls;
-                    return Some(d);
+                    Err(outputs) => examined |= outputs,
                 }
                 if record && !scratch.is_empty() {
                     // Every candidate option was rejected: log the full
@@ -1936,7 +2089,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 }
             }
         }
-        None
+        Err(examined)
     }
 
     /// §4.3/§4.4 output selection for one candidate packet: adaptive
@@ -1950,6 +2103,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// — so recorded routing decisions carry their full alternative set.
     /// The observation never touches the RNG or any control flow, so
     /// recorded runs stay bit-identical to unrecorded ones.
+    ///
+    /// A candidate nothing can take comes back as the set of outputs the
+    /// look examined: until one of them changes, looking again is futile.
     #[allow(clippy::too_many_arguments)]
     fn pick_option(
         &mut self,
@@ -1960,13 +2116,18 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         idx: usize,
         read_point: ReadPoint,
         mut rec: Option<&mut OptionOutcomes>,
-    ) -> Option<Decision> {
+    ) -> Result<Decision, u128> {
         let cap = self.config.vl_buffer_credits;
         let st = &self.switches[sw.index()];
         let bp = st.inputs[ip].vls[vl].get(idx);
         let need = bp.packet.credits();
         let sl = bp.packet.sl;
-        let route = &bp.route;
+        // A route id resolves on the tables that issued it (checked in
+        // every build); every residency a look can reach was re-resolved
+        // at the last swap.
+        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
+        let route = routing.route_by_id(bp.route);
+        let mut examined = 1u128 << route.escape.index();
 
         let adaptive_allowed =
             read_point == ReadPoint::AdaptiveHead || self.config.adaptive_from_escape_head;
@@ -1989,6 +2150,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let mut feasible: InlineVec<(PortIndex, VirtualLane, u32), MAX_PORTS> = InlineVec::new();
         if adaptive_allowed {
             for &op in &route.adaptive {
+                examined |= 1 << op.index();
                 if !st.link_up(op.index()) {
                     // Dead port: graceful degradation (§4.3).
                     if let Some(t) = self.telemetry.as_deref_mut() {
@@ -2096,7 +2258,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     verdict,
                 });
             }
-            return Some(Decision {
+            return Ok(Decision {
                 input: ip,
                 vl,
                 idx,
@@ -2127,7 +2289,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     verdict: OptionVerdict::DeadPort,
                 });
             }
-            return None;
+            return Err(examined);
         }
         let out = &st.outputs[op.index()];
         if out.busy_until > now {
@@ -2138,7 +2300,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     verdict: OptionVerdict::LinkBusy,
                 });
             }
-            return None;
+            return Err(examined);
         }
         let out_vl = st.sl2vl.vl_for(PortIndex(ip as u8), op, sl);
         let ok = match out.credits.as_ref() {
@@ -2156,7 +2318,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     verdict: OptionVerdict::NoEscapeCredit,
                 });
             }
-            return None;
+            return Err(examined);
         }
         if let Some(o) = rec {
             o.push(OptionOutcome {
@@ -2165,7 +2327,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 verdict: OptionVerdict::Selected,
             });
         }
-        Some(Decision {
+        Ok(Decision {
             input: ip,
             vl,
             idx,
@@ -2234,6 +2396,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         };
         buf.mark_in_flight(d.idx);
         st.inputs[d.input].read_busy_until = now.plus_ns(ser);
+        st.blocked |= 1 << d.input; // until the `TxDone` frees the read path
         let out = &mut st.outputs[d.out_port.index()];
         out.busy_until = now.plus_ns(ser);
         out.busy_ns_total += ser;
@@ -2295,6 +2458,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 port: PortIndex(d.input as u8),
                 vl: VirtualLane(d.vl as u8),
                 handle: d.handle,
+                out: d.out_port,
             },
         );
     }
@@ -2453,6 +2617,301 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A fabric, its tables and an empty script: a shard over them
+    /// generates nothing, so a test places each header itself and runs
+    /// the real event loop up to the instant it asks about.
+    struct Rig {
+        topo: Topology,
+        routing: FaRouting,
+        script: TrafficScript,
+    }
+
+    const S0: SwitchId = SwitchId(0);
+    const S1: SwitchId = SwitchId(1);
+    const S2: SwitchId = SwitchId(2);
+
+    impl Rig {
+        fn new(topo: Topology) -> Rig {
+            let routing = FaRouting::build(&topo, iba_routing::RoutingConfig::two_options());
+            Rig {
+                routing: routing.unwrap(),
+                topo,
+                script: TrafficScript::default(),
+            }
+        }
+
+        /// S0 — S1 — S2 through ports 0 and 1, hosts 2s and 2s + 1 on
+        /// ports 2 and 3 of switch s.
+        fn line3() -> Rig {
+            let mut b = TopologyBuilder::new(3, 4);
+            b.connect_ports(S0, PortIndex(0), S1, PortIndex(0)).unwrap();
+            b.connect_ports(S1, PortIndex(1), S2, PortIndex(0)).unwrap();
+            for s in [S0, S1, S2] {
+                b.attach_host_at(s, PortIndex(2)).unwrap();
+                b.attach_host_at(s, PortIndex(3)).unwrap();
+            }
+            Rig::new(b.build().unwrap())
+        }
+
+        fn shard(&self, data_vls: u8) -> Shard<'_, iba_routing::UpDownRouting> {
+            self.shard_with(SimConfig {
+                data_vls,
+                ..SimConfig::test(3)
+            })
+        }
+
+        fn shard_with(&self, cfg: SimConfig) -> Shard<'_, iba_routing::UpDownRouting> {
+            let part = Arc::new(Partition::contiguous(&self.topo, 1).unwrap());
+            let spec = WorkloadSpec::uniform32(0.01);
+            let mut sh = Shard::new(&self.topo, &self.routing, spec, cfg, 0, part).unwrap();
+            sh.set_script(&self.script);
+            sh
+        }
+    }
+
+    impl Shard<'_, iba_routing::UpDownRouting> {
+        /// A 32-byte deterministic packet for `dst` reaches input `port`
+        /// of `sw` at `at` on lane `vl`; it is ready one routing delay
+        /// (100 ns) later.
+        fn arrive(&mut self, at: u64, sw: SwitchId, port: u8, vl: u8, dst: u16) {
+            let id = self.key_counters.iter().sum::<u64>();
+            let packet = Packet {
+                id: PacketId(id),
+                src: HostId(0),
+                dst: HostId(dst),
+                dlid: self.routing.dlid(HostId(dst), false).unwrap(),
+                sl: iba_core::ServiceLevel(vl),
+                size_bytes: 32,
+                generated_at: SimTime::ZERO,
+                seq: id,
+                hops: 0,
+                escape_uses: 0,
+            };
+            let ev = Event::HeaderArrive {
+                sw,
+                port: PortIndex(port),
+                vl: VirtualLane(vl),
+                packet,
+            };
+            let ent = self.ent_coord();
+            self.sched(SimTime::from_ns(at), CLASS_HEADER_ARRIVE, ent, ev);
+        }
+
+        fn credit(&mut self, at: u64, sw: SwitchId, port: u8, vl: u8) {
+            let ev = Event::CreditReturn {
+                target: NodeRef::Switch(sw),
+                port: PortIndex(port),
+                vl: VirtualLane(vl),
+                credits: Credits(1),
+            };
+            let ent = self.ent_coord();
+            self.sched(SimTime::from_ns(at), CLASS_CREDIT_RETURN, ent, ev);
+        }
+
+        /// Grants made once everything up to and including `t` has run.
+        fn grants_by(&mut self, t: u64) -> u64 {
+            self.prime();
+            self.run_window(SimTime::from_ns(t), u64::MAX);
+            self.grants
+        }
+    }
+
+    // The waiter sets, one forgotten unblock at a time: each case parks
+    // a head behind exactly one condition and asserts the grant at the
+    // instant the condition lifts. (In debug builds the oracle in
+    // `arbitrate` also re-looks every skipped input of every pass of the
+    // whole suite; these hold in release builds too.)
+
+    #[test]
+    fn a_credit_return_on_the_other_vl_leaves_the_head_waiting_for_the_right_one() {
+        let rig = Rig::line3();
+        let mut sh = rig.shard(2);
+        sh.debug_block_output(S1, PortIndex(1));
+        sh.arrive(100, S1, 0, 0, 4); // to S2, lane 0: no credit
+        assert_eq!(sh.grants_by(999), 0);
+        sh.credit(1_000, S1, 1, 1);
+        assert_eq!(
+            sh.grants_by(1_999),
+            0,
+            "lane 1's credit is no use to lane 0"
+        );
+        sh.credit(2_000, S1, 1, 0);
+        assert_eq!(sh.grants_by(1_999), 0);
+        assert_eq!(
+            sh.grants_by(2_000),
+            1,
+            "the second failed look must wait again"
+        );
+    }
+
+    #[test]
+    fn an_output_freed_by_another_inputs_tx_done_wakes_its_waiter() {
+        let rig = Rig::line3();
+        let mut sh = rig.shard(1);
+        sh.arrive(100, S1, 0, 0, 4); // from S0 …
+        sh.arrive(100, S1, 2, 0, 4); // … and from a host, both to S2
+        assert_eq!(sh.grants_by(200), 1, "one output, one grant");
+        let ser = sh.config.phys.serialization_ns(32);
+        assert_eq!(sh.grants_by(200 + ser - 1), 1);
+        assert_eq!(
+            sh.grants_by(200 + ser),
+            2,
+            "port 1 idles at the first TxDone"
+        );
+    }
+
+    #[test]
+    fn a_header_on_an_empty_second_vl_is_seen_behind_a_blocked_head() {
+        let rig = Rig::line3();
+        let mut sh = rig.shard(2);
+        sh.debug_block_output(S1, PortIndex(1));
+        sh.arrive(100, S1, 0, 0, 4); // lane 0's head: no credit towards S2
+        assert_eq!(sh.grants_by(999), 0);
+        sh.arrive(1_000, S1, 0, 1, 2); // lane 1, to a host of this switch
+        assert_eq!(sh.grants_by(1_099), 0, "still inside its routing delay");
+        assert_eq!(sh.grants_by(1_100), 1);
+
+        // Without a routing delay the arrival itself is the wake-up.
+        let mut cfg = SimConfig::test(3);
+        (cfg.data_vls, cfg.phys.routing_delay_ns) = (2, 0);
+        let mut sh = rig.shard_with(cfg);
+        sh.debug_block_output(S1, PortIndex(1));
+        sh.arrive(100, S1, 0, 0, 4);
+        sh.arrive(1_000, S1, 0, 1, 2);
+        assert_eq!(sh.grants_by(999), 0);
+        assert_eq!(sh.grants_by(1_000), 1);
+    }
+
+    #[test]
+    fn link_up_and_credit_resync_revive_a_waited_for_port() {
+        let rig = Rig::line3();
+        let mut sh = rig.shard(1);
+        let at = SimTime::from_ns;
+        let flap = FaultSchedule::new(vec![
+            iba_workloads::FaultEvent::link_down(at(50), S1, S2),
+            iba_workloads::FaultEvent::link_up(at(1_000), S1, S2),
+        ]);
+        sh.arm_faults(&flap.unwrap(), RecoveryPolicy::None, 0)
+            .unwrap();
+        sh.arrive(100, S1, 0, 0, 4); // to S2: the port is dead
+                                     // A pass between link-up and the snapshot finds the port alive
+                                     // and without credit, so the head waits once more — on the resync.
+        sh.arrive(950, S1, 2, 0, 3);
+        assert_eq!(sh.grants_by(1_050), 1, "only the local delivery");
+        let prop = sh.config.phys.propagation_ns;
+        assert_eq!(sh.grants_by(1_000 + prop - 1), 1);
+        assert_eq!(sh.grants_by(1_000 + prop), 2);
+    }
+
+    #[test]
+    fn switch_up_revives_a_host_port_no_credit_event_ever_touches() {
+        let rig = Rig::line3();
+        let mut sh = rig.shard(1);
+        let at = SimTime::from_ns;
+        let cycle = FaultSchedule::new(vec![
+            iba_workloads::FaultEvent::switch_down(at(150), S1),
+            iba_workloads::FaultEvent::switch_up(at(1_000), S1),
+        ]);
+        sh.arm_faults(&cycle.unwrap(), RecoveryPolicy::None, 0)
+            .unwrap();
+        sh.arrive(100, S1, 0, 0, 2); // buffered before the switch dies
+        assert_eq!(sh.grants_by(999), 0);
+        assert_eq!(sh.grants_by(1_000), 1);
+    }
+
+    #[test]
+    fn a_table_swap_reroutes_a_blocked_head_and_leaves_no_stale_route_id() {
+        // A triangle: whichever way S0 forwards to host 1 (on S1), the
+        // link goes down and the re-sweep must send the head the other
+        // way round.
+        let mut b = TopologyBuilder::new(3, 4);
+        for (x, y) in [(S0, S1), (S0, S2), (S2, S1)] {
+            b.connect(x, y).unwrap();
+        }
+        for s in [S0, S1, S2] {
+            b.attach_host(s).unwrap();
+        }
+        let rig = Rig::new(b.build().unwrap());
+        let dlid = rig.routing.dlid(HostId(1), false).unwrap();
+        let first_hop = rig.routing.route(S0, dlid).unwrap().escape;
+        let NodeRef::Switch(next) = rig.topo.endpoint(S0, first_hop).unwrap().node else {
+            panic!("host 1 is not on S0");
+        };
+        let mut sh = rig.shard(1);
+        let down = FaultSchedule::single(SimTime::from_ns(50), S0, next).unwrap();
+        sh.arm_faults(&down, RecoveryPolicy::SmResweep, 1_000)
+            .unwrap();
+        let host_port = rig.topo.host_attachment(HostId(0)).1;
+        sh.arrive(100, S0, host_port.0, 0, 1);
+        // At the swap (1 050) one residency is streaming out, granted on
+        // the old tables, and one is inside its routing delay.
+        let other = if next == S1 { S2 } else { S1 };
+        let from_s0 = rig.topo.port_towards(other, S0).unwrap();
+        sh.arrive(900, other, from_s0.0, 0, other.0);
+        sh.arrive(1_040, S0, host_port.0, 0, 1);
+        assert_eq!(sh.grants_by(1_049), 1, "S0's head waits on a dead port");
+        let old = sh.switches[0].inputs[host_port.index()].vls[0].get(0).route;
+        assert_eq!(sh.grants_by(1_050), 2, "granted by the pass of the swap");
+        assert!(sh.recovery_routing.is_some());
+        let live = sh.cur_routing();
+        let mut in_flight = 0;
+        for (si, st) in sh.switches.iter().enumerate() {
+            for bp in st.inputs.iter().flat_map(|i| &i.vls).flat_map(|b| b.iter()) {
+                if bp.in_flight {
+                    in_flight += 1;
+                } else {
+                    assert_eq!(bp.ready_at, SimTime::from_ns(1_140));
+                    let sw = SwitchId(si as u16);
+                    assert_eq!(Ok(bp.route), live.route_id(sw, bp.packet.dlid));
+                }
+            }
+        }
+        assert_eq!(in_flight, 2);
+        assert_eq!(rig.routing.route_id(S0, dlid), Ok(old));
+        assert_ne!(
+            rig.routing.route_by_id(old).escape,
+            live.route_by_id(live.route_id(S0, dlid).unwrap()).escape,
+            "the old id names the way through the dead link"
+        );
+        let ser = sh.config.phys.serialization_ns(32);
+        assert_eq!(sh.grants_by(1_050 + ser), 3, "on the new tables as well");
+    }
+
+    #[test]
+    #[should_panic(expected = "tables that did not issue it")]
+    fn a_look_stops_at_a_route_id_of_replaced_tables() {
+        // Tables swapped under a buffered header without re-resolving
+        // it: the look must stop — in a release build too — rather than
+        // forward on whatever decode now sits in the id's slot.
+        let rig = Rig::line3();
+        let mut sh = rig.shard(1);
+        sh.arrive(100, S0, 2, 0, 2);
+        assert_eq!(sh.grants_by(150), 0, "inside its routing delay");
+        sh.recovery_routing = Some(FaRouting::build(&rig.topo, *rig.routing.config()).unwrap());
+        sh.grants_by(200);
+    }
+
+    #[test]
+    fn waiter_sets_reach_past_port_64() {
+        // Two inputs above bit 64 contend for an output above bit 64.
+        let mut b = TopologyBuilder::new(2, 72);
+        b.connect_ports(S0, PortIndex(70), S1, PortIndex(71))
+            .unwrap();
+        b.attach_host_at(S0, PortIndex(65)).unwrap();
+        b.attach_host_at(S0, PortIndex(66)).unwrap();
+        b.attach_host_at(S1, PortIndex(64)).unwrap();
+        let rig = Rig::new(b.build().unwrap());
+        let mut sh = rig.shard(1);
+        sh.arrive(100, S0, 66, 0, 0);
+        sh.arrive(100, S0, 70, 0, 0);
+        assert_eq!(sh.grants_by(200), 1);
+        let st = &sh.switches[0];
+        assert_eq!(st.blocked, 1 << 66 | 1 << 70, "granted, and waiting");
+        assert_eq!(st.waiters[65], 1 << 70);
+        let ser = sh.config.phys.serialization_ns(32);
+        assert_eq!(sh.grants_by(200 + ser), 2);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! [`RunResult`]s (wall-clock fields excluded by its `PartialEq`) and,
 //! stronger, an identical per-packet forwarding trace.
 
+use iba_core::{HostId, ServiceLevel, SimTime};
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{Network, QueueBackend, RunResult, SimConfig, TraceOpts, TraceStep};
 use iba_topology::IrregularConfig;
-use iba_workloads::WorkloadSpec;
+use iba_workloads::{ScriptedPacket, TrafficScript, WorkloadSpec};
 use proptest::prelude::*;
 
 fn run_with_backend(
@@ -57,9 +58,9 @@ proptest! {
     }
 }
 
-/// Digest of every forwarding decision a run makes (same fold as the
-/// golden-trace test): packet id, time, switch, port, escape class.
-fn trace_digest(backend: QueueBackend) -> (u64, u64) {
+/// Digest of every forwarding decision a traced run made (same fold as
+/// the golden-trace test): packet id, time, switch, port, escape class.
+fn forwarding_digest(net: &Network<'_>) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     fn fnv(mut h: u64, x: u64) -> u64 {
@@ -69,19 +70,6 @@ fn trace_digest(backend: QueueBackend) -> (u64, u64) {
         }
         h
     }
-
-    let topo = IrregularConfig::paper(16, 9).generate().unwrap();
-    let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
-    let spec = WorkloadSpec::uniform32(0.05).with_adaptive_fraction(0.7);
-    let mut cfg = SimConfig::test(11);
-    cfg.queue_backend = backend;
-    let mut net = Network::builder(&topo, &fa)
-        .workload(spec)
-        .config(cfg)
-        .trace(TraceOpts::all(1_000_000))
-        .build()
-        .unwrap();
-    let result = net.run();
 
     let tracer = net.tracer().expect("tracing enabled");
     let mut ids: Vec<_> = tracer.traces().keys().copied().collect();
@@ -105,7 +93,23 @@ fn trace_digest(backend: QueueBackend) -> (u64, u64) {
             }
         }
     }
-    (digest, result.events)
+    digest
+}
+
+fn trace_digest(backend: QueueBackend) -> (u64, u64) {
+    let topo = IrregularConfig::paper(16, 9).generate().unwrap();
+    let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+    let spec = WorkloadSpec::uniform32(0.05).with_adaptive_fraction(0.7);
+    let mut cfg = SimConfig::test(11);
+    cfg.queue_backend = backend;
+    let mut net = Network::builder(&topo, &fa)
+        .workload(spec)
+        .config(cfg)
+        .trace(TraceOpts::all(1_000_000))
+        .build()
+        .unwrap();
+    let result = net.run();
+    (forwarding_digest(&net), result.events)
 }
 
 #[test]
@@ -113,4 +117,57 @@ fn backends_produce_identical_forwarding_traces() {
     let heap = trace_digest(QueueBackend::BinaryHeap);
     let cal = trace_digest(QueueBackend::Calendar);
     assert_eq!(heap, cal, "per-decision trace diverged between backends");
+}
+
+/// A scripted trace mixing 32- and 256-byte packets: no event class of
+/// the heap backend's lanes has a constant delay here (a `TxDone`, a
+/// `Deliver` or a `TryInject` lands one of two serialization times
+/// ahead), so schedules fall behind their lane's tail and take the
+/// heap — and the run must not notice.
+#[test]
+fn mixed_packet_sizes_simulate_the_same_on_both_backends() {
+    let topo = IrregularConfig::paper(8, 21).generate().unwrap();
+    let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+    let hosts = topo.num_hosts() as u64;
+    let script = TrafficScript::new(
+        (0..3_000u64)
+            .map(|i| ScriptedPacket {
+                at: SimTime::from_ns(500 + i * 37),
+                src: HostId((i * 5 % hosts) as u16),
+                dst: HostId(((i * 5 + 1 + i % (hosts - 1)) % hosts) as u16),
+                size_bytes: if i % 3 == 0 { 256 } else { 32 },
+                adaptive: i % 4 != 0,
+                sl: ServiceLevel(0),
+                path_set: Default::default(),
+            })
+            .collect(),
+    )
+    .unwrap();
+    let run = |backend| {
+        let mut cfg = SimConfig::test(13);
+        cfg.queue_backend = backend;
+        let mut net = Network::builder(&topo, &fa)
+            .script(&script)
+            .config(cfg)
+            .trace(TraceOpts::all(1_000_000))
+            .metrics()
+            .build()
+            .unwrap();
+        let (result, drained) = net.run_until_drained(SimTime::from_ms(1), SimTime::from_ms(50));
+        assert!(drained, "{result:?}");
+        let p = net.engine_profile().expect("metrics armed");
+        (
+            result,
+            forwarding_digest(&net),
+            [p.lane_pushes, p.heap_pushes],
+        )
+    };
+    let (heap, heap_digest, paths) = run(QueueBackend::BinaryHeap);
+    let (cal, cal_digest, _) = run(QueueBackend::Calendar);
+    assert_eq!(heap, cal);
+    assert_eq!(heap.events, cal.events);
+    assert_eq!(heap_digest, cal_digest);
+    assert_eq!(heap.delivered, 3_000);
+    // The scenario does what it is here for: both paths were taken.
+    assert!(paths[0] > 1_000 && paths[1] > 1_000, "{paths:?}");
 }

@@ -153,6 +153,69 @@ fn engine_profile_present_and_sane() {
 }
 
 #[test]
+fn mechanism_counts_are_exact_and_shard_invariant() {
+    // No telemetry here: an observed pass keeps every look.
+    let topo = IrregularConfig::paper(16, 3).generate().unwrap();
+    let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+    let profile = |shards: usize| {
+        let cfg = SimConfig::test(5);
+        let mut net = Network::builder(&topo, &fa)
+            .workload(WorkloadSpec::uniform32(0.12).with_adaptive_fraction(0.5))
+            .config(cfg)
+            .metrics()
+            .shards(shards)
+            .threads(shards)
+            .build()
+            .unwrap();
+        let (r, drained) = net.run_until_drained(cfg.horizon(), cfg.horizon().plus_ns(10_000_000));
+        assert!(drained, "{r:?}");
+        (r, net.engine_profile().expect("profiling armed").clone())
+    };
+    let (r, p) = profile(1);
+    // Every schedule took a lane or the heap, and a drained queue has
+    // popped them all: the handlers that are not passes.
+    let schedules = p.lane_pushes + p.heap_pushes;
+    assert_eq!(schedules, r.events - p.passes());
+    assert!(4 * p.heap_pushes < schedules, "{p:?}");
+    // A grant takes a look, a look a visit, an empty pass a pass; and
+    // the waiter sets keep the failed looks near one per grant.
+    assert!(p.grants <= p.looks && p.looks <= p.inputs_visited);
+    assert!(
+        p.looks < 3 * p.grants,
+        "{} looks for {} grants",
+        p.looks,
+        p.grants
+    );
+    assert!(p.empty_passes > 0 && p.empty_passes < p.passes());
+    for shards in [2, 4] {
+        let (rn, pn) = profile(shards);
+        assert_eq!(rn, r);
+        // What a pass does belongs to its switch, so the counts of the
+        // sweeps are those of one shard. The split over lanes and heap is
+        // not: mailbox ingest schedules a window's cross-shard events in
+        // arrival order, behind their lanes' tails. The sum stays.
+        assert_eq!(
+            (
+                pn.passes(),
+                pn.grants,
+                pn.inputs_visited,
+                pn.looks,
+                pn.empty_passes
+            ),
+            (
+                p.passes(),
+                p.grants,
+                p.inputs_visited,
+                p.looks,
+                p.empty_passes
+            ),
+            "shards={shards}"
+        );
+        assert_eq!(pn.lane_pushes + pn.heap_pushes, schedules);
+    }
+}
+
+#[test]
 fn metered_run_changes_nothing_about_the_simulation() {
     // .metrics() must be purely observational: same RunResult with and
     // without it, on both engines.
