@@ -28,8 +28,10 @@
 //!
 //! Sweeps too short to journal (the paper bins: a hundred-odd points of
 //! 5–40 ms each) share the cores through [`par_map`] instead — the same
-//! worker count, no sacrificial thread and no fsync per point. The two
-//! never stack: inside a campaign run `par_map` runs inline.
+//! worker count, no sacrificial thread and no fsync per point. The pool
+//! lives in `iba_core::par`, below the routing builds that share it, and
+//! is re-exported here; the two never stack: inside a campaign run
+//! `par_map` runs inline.
 
 #![warn(missing_docs)]
 
@@ -37,14 +39,13 @@ pub mod cache;
 pub mod digest;
 pub mod fsio;
 pub mod journal;
-pub mod par;
 pub mod runner;
 pub mod spec;
 
 pub use cache::{ArtifactCache, FabricKey};
 pub use digest::{digest_hex, fnv1a64};
 pub use fsio::write_atomic;
+pub use iba_core::par::{default_workers, par_map};
 pub use journal::{replay, truncate_torn_tail, Journal, Replay, RunRecord, RunStatus};
-pub use par::{default_workers, par_map};
 pub use runner::{run_campaign, CampaignOutcome, Executor, RunnerOpts};
 pub use spec::{Campaign, RunSpec};

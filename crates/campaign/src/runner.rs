@@ -50,7 +50,7 @@ pub struct RunnerOpts {
 impl Default for RunnerOpts {
     fn default() -> RunnerOpts {
         RunnerOpts {
-            workers: crate::par::default_workers(),
+            workers: iba_core::par::default_workers(),
             max_attempts: 3,
             backoff_base_ms: 100,
             backoff_cap_ms: 5_000,
@@ -130,7 +130,7 @@ fn attempt(executor: &Executor, spec: &RunSpec, timeout: Duration) -> Result<Jso
         .spawn(move || {
             // The campaign's workers are the parallel level: a sweep
             // inside a run stays on this thread.
-            let _in_pool = crate::par::enter_pool();
+            let _in_pool = iba_core::par::enter_pool();
             let verdict = catch_unwind(AssertUnwindSafe(|| ex(&sp)));
             let _ = tx.send(verdict);
         });
@@ -360,5 +360,41 @@ mod tests {
         assert_eq!(panic_message(p), "panicked: static str");
         let p = catch_unwind(|| panic!("{}", String::from("formatted"))).unwrap_err();
         assert_eq!(panic_message(p), "panicked: formatted");
+    }
+
+    /// Whether an 8-item, 4-worker map called here stays on this thread.
+    fn runs_inline() -> bool {
+        let me = std::thread::current().id();
+        iba_core::par::par_map_on(4, &[0u8; 8], |_| std::thread::current().id())
+            .iter()
+            .all(|&id| id == me)
+    }
+
+    #[test]
+    fn a_par_map_inside_a_campaign_run_is_inline() {
+        let journal = std::env::temp_dir().join(format!("iba-par-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&journal);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let executor: Executor = {
+            let seen = seen.clone();
+            Arc::new(move |_: &RunSpec| {
+                seen.lock().expect("no panic under it").push(runs_inline());
+                Ok(Json::Null)
+            })
+        };
+        let campaign = Campaign {
+            name: "par".into(),
+            specs: (0..3)
+                .map(|i| RunSpec::new(format!("cell{i}"), "test", Json::Null))
+                .collect(),
+        };
+        let opts = RunnerOpts {
+            workers: 2,
+            quiet: true,
+            ..RunnerOpts::default()
+        };
+        run_campaign(&campaign, executor, &journal, &opts, false).unwrap();
+        std::fs::remove_file(&journal).unwrap();
+        assert_eq!(*seen.lock().unwrap(), [true; 3]);
     }
 }

@@ -21,6 +21,8 @@
 //!   simulator and the offline `iba-trace` tooling ([`events`]),
 //! * the physical-layer constants of the paper's evaluation section
 //!   ([`phys`]),
+//! * the one worker pool the sweeps and the routing builds share
+//!   ([`par`]),
 //! * shared error types ([`error`]).
 //!
 //! Everything is plain data with value semantics; the behavioural models
@@ -36,6 +38,7 @@ pub mod inline_vec;
 pub mod json;
 pub mod lid;
 pub mod packet;
+pub mod par;
 pub mod phys;
 pub mod time;
 pub mod vl;
@@ -51,6 +54,7 @@ pub use inline_vec::{InlineVec, MAX_PORTS};
 pub use json::Json;
 pub use lid::{Lid, LidMap, Lmc};
 pub use packet::{Packet, PacketId, RoutingMode};
+pub use par::{par_chunks_mut, par_map};
 pub use phys::PhysParams;
 pub use time::SimTime;
 pub use vl::{ServiceLevel, VirtualLane};

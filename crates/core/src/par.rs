@@ -1,30 +1,34 @@
-//! The ordered parallel map the paper sweeps run on.
+//! The ordered parallel map the paper sweeps and the routing builds run
+//! on.
 //!
 //! A sweep is a list of independent simulations whose costs differ by
 //! ~50× between an idle and a deeply saturated load point, so the
-//! workers share one atomic cursor over the item indices instead of a
-//! static split. The calling thread is worker 0 — one item or one core
-//! spawns nothing — and results come back in item order, so a caller
-//! cannot observe the thread schedule.
+//! workers share one cursor over the items instead of a static split.
+//! The calling thread is worker 0 — one item or one core spawns nothing
+//! — and results come back in item order, so a caller cannot observe
+//! the thread schedule. Waking a second core costs a call ≈ 0.2 ms
+//! (DESIGN.md §5): a caller sizes its items to outweigh that.
 //!
 //! One level only: a thread that is already a pool worker (here, or an
-//! attempt thread of the supervised [`crate::runner`]) runs a nested
-//! call inline, so a campaign cell that sweeps a curve stays on the one
-//! thread its worker gave it.
+//! attempt thread of `iba-campaign`'s runner, marked by [`enter_pool`])
+//! runs a nested call inline, so a campaign cell that sweeps a curve —
+//! or a sweep point that builds a routing — stays on its one thread.
 
 use std::cell::Cell;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Restores the thread's "inside a pool" flag when dropped.
-pub(crate) struct PoolGuard(bool);
+pub struct PoolGuard(bool);
 
-/// Mark the current thread as a pool worker until the guard drops.
-pub(crate) fn enter_pool() -> PoolGuard {
+/// Mark the current thread as a pool worker until the guard drops:
+/// every [`par_map`] and [`par_chunks_mut`] called on it runs inline.
+pub fn enter_pool() -> PoolGuard {
     PoolGuard(IN_POOL.replace(true))
 }
 
@@ -35,11 +39,17 @@ impl Drop for PoolGuard {
 }
 
 /// Worker threads a pool starts by default: the host's cores, at most
-/// 8. Both [`par_map`] and [`crate::RunnerOpts::default`] read it.
+/// 8. Both [`par_map`] and `iba-campaign`'s `RunnerOpts::default` read
+/// it.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(2)
+    // Asked once: the answer reads the affinity mask and cgroup files
+    // (≈ 10 µs), more than a whole 8-switch routing build takes.
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(8))
+            .unwrap_or(2)
+    })
 }
 
 /// `items.iter().map(f).collect()`, on every core.
@@ -53,20 +63,61 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     par_map_on(default_workers(), items, f)
 }
 
-fn par_map_on<T: Sync, R: Send>(workers: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let workers = workers.min(items.len());
-    if workers <= 1 || IN_POOL.get() {
-        return items.iter().map(f).collect();
-    }
+/// [`par_map`] on at most `workers` threads. No result may depend on
+/// the count: it is public for the tests that hold callers to that.
+pub fn par_map_on<T: Sync, R: Send>(
+    workers: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     // Relaxed: the cursor only hands out indices; the results reach the
     // caller through `join`.
     let cursor = AtomicUsize::new(0);
+    let take = || {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        items.get(i).map(|item| (i, item))
+    };
+    run(workers.min(items.len()), take, f)
+}
+
+/// [`par_map`] over the `chunk_len`-sized chunks of `items`, each
+/// handed to `f` mutably: what a build that fills a store in place
+/// shares out.
+pub fn par_chunks_mut<T: Send, R: Send>(
+    items: &mut [T],
+    chunk_len: usize,
+    f: impl Fn(&mut [T]) -> R + Sync,
+) -> Vec<R> {
+    par_chunks_mut_on(default_workers(), items, chunk_len, f)
+}
+
+fn par_chunks_mut_on<T: Send, R: Send>(
+    workers: usize,
+    items: &mut [T],
+    chunk_len: usize,
+    f: impl Fn(&mut [T]) -> R + Sync,
+) -> Vec<R> {
+    let chunks = items.len().div_ceil(chunk_len);
+    // The lock is held to step the iterator, never while `f` runs.
+    let cursor = Mutex::new(items.chunks_mut(chunk_len).enumerate());
+    let take = || cursor.lock().expect("stepping cannot panic").next();
+    run(workers.min(chunks), take, f)
+}
+
+/// `f` over everything `take` hands out — `(index, item)`, ascending,
+/// `None` from the end on — on `workers` threads, results by index.
+fn run<I, R: Send>(
+    workers: usize,
+    take: impl Fn() -> Option<(usize, I)> + Sync,
+    f: impl Fn(I) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 || IN_POOL.get() {
+        return std::iter::from_fn(take).map(|(_, item)| f(item)).collect();
+    }
     let work = || {
         let _in_pool = enter_pool();
         let mut done = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else { break };
+        while let Some((i, item)) = take() {
             done.push((i, f(item)));
         }
         done
@@ -91,10 +142,8 @@ fn par_map_on<T: Sync, R: Send>(workers: usize, items: &[T], f: impl Fn(&T) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_campaign, Campaign, Executor, RunSpec, RunnerOpts};
-    use iba_core::Json;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Arc, Barrier, Mutex};
+    use std::sync::Barrier;
     use std::thread::{self, ThreadId};
 
     /// A few hundred to a few thousand multiply-adds, by item.
@@ -191,30 +240,32 @@ mod tests {
     }
 
     #[test]
-    fn a_call_inside_a_campaign_run_is_inline() {
-        let journal = std::env::temp_dir().join(format!("iba-par-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&journal);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let executor: Executor = {
-            let seen = seen.clone();
-            Arc::new(move |_: &RunSpec| {
-                seen.lock().expect("no panic under it").push(runs_inline());
-                Ok(Json::Null)
-            })
-        };
-        let campaign = Campaign {
-            name: "par".into(),
-            specs: (0..3)
-                .map(|i| RunSpec::new(format!("cell{i}"), "test", Json::Null))
-                .collect(),
-        };
-        let opts = RunnerOpts {
-            workers: 2,
-            quiet: true,
-            ..RunnerOpts::default()
-        };
-        run_campaign(&campaign, executor, &journal, &opts, false).unwrap();
-        std::fs::remove_file(&journal).unwrap();
-        assert_eq!(*seen.lock().unwrap(), [true; 3]);
+    fn chunks_are_filled_in_place_at_every_worker_count() {
+        for workers in [1usize, 2, 4] {
+            for (len, chunk_len) in [(0, 3), (5, 8), (8, 8), (1_000, 7)] {
+                let mut items: Vec<u64> = (0..len as u64).collect();
+                let seen = par_chunks_mut_on(workers, &mut items, chunk_len, |chunk| {
+                    chunk.iter_mut().for_each(|i| *i = uneven(i));
+                    chunk.len()
+                });
+                let sequential: Vec<u64> = (0..len as u64).map(|i| uneven(&i)).collect();
+                assert_eq!(items, sequential, "{workers} workers, {len} items");
+                let lens: Vec<usize> = sequential.chunks(chunk_len).map(<[u64]>::len).collect();
+                assert_eq!(seen, lens, "results come back in chunk order");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nested_chunk_call_runs_inline() {
+        let both = Barrier::new(2);
+        let inline = par_map_on(2, &[0u8; 2], |_| {
+            both.wait();
+            let me = thread::current().id();
+            par_chunks_mut_on(4, &mut [0u8; 8], 1, |_| thread::current().id())
+                .iter()
+                .all(|&id| id == me)
+        });
+        assert_eq!(inline, [true, true]);
     }
 }

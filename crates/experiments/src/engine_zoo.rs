@@ -26,9 +26,7 @@
 use crate::fidelity::Fidelity;
 use crate::harness::sweep_curve;
 use iba_core::{IbaError, Json, MAX_PORTS};
-use iba_routing::{
-    check_escape_routes, EscapeEngine, FaRouting, FullMeshRouting, OutflankRouting, RoutingConfig,
-};
+use iba_routing::{EscapeEngine, FaRouting, FullMeshRouting, OutflankRouting, RoutingConfig};
 use iba_stats::Curve;
 use iba_topology::{Topology, TopologySpec};
 use iba_workloads::WorkloadSpec;
@@ -99,11 +97,7 @@ fn run_engine<E: EscapeEngine>(
     cfg: &ZooConfig,
 ) -> Result<ZooPoint, IbaError> {
     let fa = FaRouting::<E>::build_with_engine(topo, RoutingConfig::two_options())?;
-    let escape_acyclic = check_escape_routes(topo, |s, h| {
-        let dlid = fa.dlid(h, false).ok()?;
-        fa.route_shared(s, dlid).ok().map(|r| r.escape)
-    })
-    .is_ok();
+    let escape_acyclic = fa.certify_escape(topo, false).is_ok();
     let spec = WorkloadSpec::uniform32(0.01).with_adaptive_fraction(cfg.adaptive_fraction);
     let curve = sweep_curve(
         topo,

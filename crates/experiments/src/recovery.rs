@@ -22,7 +22,7 @@
 //! CI fails loudly instead of plotting a broken curve.
 
 use iba_core::{IbaError, Json, SwitchId};
-use iba_routing::{check_escape_routes, FaRouting, RoutingConfig};
+use iba_routing::{FaRouting, RoutingConfig};
 use iba_sm::{Discoverer, ManagedFabric, Programmer, SubnetManager};
 use iba_topology::{IrregularConfig, Topology};
 
@@ -67,15 +67,6 @@ fn physical_of(topo: &Topology, fabric: &ManagedFabric, guid: u64) -> Result<Swi
 /// tables are equal when their lengths, fanouts and every entry are.
 fn fabrics_equal(topo: &Topology, a: &ManagedFabric, b: &ManagedFabric) -> bool {
     topo.switch_ids().all(|s| a.agent(s).lft == b.agent(s).lft)
-}
-
-/// The §4.2 certification, phrased over a programmed routing.
-fn escape_acyclic(topo: &Topology, routing: &FaRouting) -> bool {
-    check_escape_routes(topo, |s, h| {
-        let dlid = routing.dlid(h, false).ok()?;
-        routing.route_shared(s, dlid).ok().map(|r| r.escape)
-    })
-    .is_ok()
 }
 
 /// Recover one seeded fabric of `size` switches under both policies and
@@ -184,7 +175,7 @@ pub fn run_size(
         recovery_time_ns: full_smps * per_smp_ns,
         delta_path: false,
         lfts_match,
-        escape_acyclic: escape_acyclic(&degraded_topo, &full_routing),
+        escape_acyclic: full_routing.certify_escape(&degraded_topo, false).is_ok(),
     };
     let incremental = RecoveryPoint {
         switches: size,
@@ -196,7 +187,9 @@ pub fn run_size(
         recovery_time_ns: inc_smps * per_smp_ns,
         delta_path: !resweep.delta.full_rebuild,
         lfts_match,
-        escape_acyclic: escape_acyclic(&resweep.bringup.topology, &resweep.bringup.routing),
+        escape_acyclic: (resweep.bringup.routing)
+            .certify_escape(&resweep.bringup.topology, false)
+            .is_ok(),
     };
     Ok((full, incremental))
 }

@@ -267,7 +267,7 @@ impl OptionDistribution {
                     let esc = escape
                         .next_hop(s, t)
                         .ok_or_else(|| IbaError::RoutingFailed(format!("no escape hop {s}→{t}")))?;
-                    mins.len() + usize::from(!mins.contains(&esc))
+                    mins.len() + usize::from(!mins.contains(esc))
                 };
                 let capped = options.clamp(1, max_routing_options);
                 counts[capped - 1] += 1;

@@ -1,0 +1,157 @@
+//! Destination-major column stores.
+//!
+//! Every per-destination layer — the escape engines' next hops, the
+//! up\*/down\* distance relaxations, the minimal option sets — is one
+//! flat array indexed `[t · n + s]`: the column of destination switch
+//! `t` is contiguous, so a reverse BFS from `t` fills it in place, a
+//! delta rebuild overwrites exactly the columns it recomputes, and a
+//! clone is one copy per layer instead of one per cell. Columns are
+//! independent, so a build shares them out over [`iba_core::par`].
+
+use iba_core::{PortIndex, SwitchId};
+
+/// The least `(switch, destination)` cells one pool item covers: an
+/// item must outweigh the thread wake-up it may cost (≈ 0.2 ms on the
+/// reference host, against ≈ 0.45 ms of BFS per layer for *all* the
+/// columns of 128 switches), so a fabric of up to 128 switches is a
+/// single item and its build starts no thread. DESIGN.md §5 has the
+/// measurements, and the 64- and 16-switch regressions of a split by
+/// count.
+const ITEM_CELLS: usize = 16_384;
+
+/// Columns (or, for the table compiler, switch rows) of `cells` cells
+/// each that make up one pool item.
+pub(crate) fn per_item(cells: usize) -> usize {
+    ITEM_CELLS.div_ceil(cells.max(1))
+}
+
+/// Whether column `t` is one a fill was asked for: all of them for a
+/// full build, the ascending `targets` of a delta rebuild.
+pub(crate) fn selected(targets: Option<&[usize]>, t: usize) -> bool {
+    targets.is_none_or(|ts| ts.binary_search(&t).is_ok())
+}
+
+/// "No next hop" (the diagonal); no port of a ≤ 255-port switch.
+pub(crate) const NO_HOP: u8 = 0xFF;
+
+/// One deterministic next-hop port per `(switch, destination switch)`,
+/// the store all three escape engines answer `next_hop` from.
+#[derive(Clone, Debug)]
+pub(crate) struct HopColumns {
+    n: usize,
+    ports: Vec<u8>,
+}
+
+impl HopColumns {
+    pub(crate) fn new(n: usize) -> HopColumns {
+        HopColumns {
+            n,
+            ports: vec![NO_HOP; n * n],
+        }
+    }
+
+    /// The port `s` forwards on towards `t`; `None` on the diagonal.
+    #[inline]
+    pub(crate) fn get(&self, s: SwitchId, t: SwitchId) -> Option<PortIndex> {
+        let port = self.ports[t.index() * self.n + s.index()];
+        (port != NO_HOP).then_some(PortIndex(port))
+    }
+
+    pub(crate) fn set(&mut self, s: SwitchId, t: SwitchId, port: PortIndex) {
+        self.ports[t.index() * self.n + s.index()] = port.0;
+    }
+
+    /// The columns, destination 0 first, for a fill to write in place.
+    pub(crate) fn columns_mut(&mut self) -> std::slice::ChunksMut<'_, u8> {
+        self.ports.chunks_mut(self.n)
+    }
+}
+
+/// The shapes the flat builds are held to their nested-`Vec`
+/// references on: every [`iba_topology::TopologySpec`] variant, with a
+/// full mesh whose link ports pass bit 63 of an option mask.
+#[cfg(test)]
+pub(crate) fn reference_specs() -> [iba_topology::TopologySpec; 9] {
+    use iba_topology::TopologySpec::*;
+    let hosts_per_switch = 2;
+    [
+        Irregular {
+            switches: 16,
+            inter_switch_links: 4,
+            hosts_per_switch,
+        },
+        Irregular {
+            switches: 33,
+            inter_switch_links: 6,
+            hosts_per_switch,
+        },
+        Ring {
+            switches: 7,
+            hosts_per_switch,
+        },
+        Chain {
+            switches: 5,
+            hosts_per_switch,
+        },
+        Mesh2D {
+            rows: 3,
+            cols: 5,
+            hosts_per_switch,
+        },
+        Torus2D {
+            rows: 4,
+            cols: 5,
+            hosts_per_switch,
+        },
+        Hypercube {
+            dim: 4,
+            hosts_per_switch,
+        },
+        FullMesh {
+            switches: 66,
+            hosts_per_switch: 1,
+        },
+        Dragonfly {
+            groups: 5,
+            switches_per_group: 4,
+            global_links_per_switch: 1,
+            hosts_per_switch,
+        },
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The chunk rule of every routing build: a fabric of up to 128
+    /// switches is one item — no thread — and beyond that an item stays
+    /// at 16 384 cells whatever the host's core count.
+    #[test]
+    fn an_item_is_at_least_sixteen_thousand_cells() {
+        let items = |n: usize| n.div_ceil(per_item(n));
+        assert_eq!(
+            [8, 16, 64, 128].map(items),
+            [1; 4],
+            "small fabrics start no thread"
+        );
+        assert_eq!(items(129), 2);
+        assert_eq!(items(256), 4);
+        assert_eq!(items(300), 6);
+        assert_eq!(300 % per_item(300), 25, "with a short last item");
+        assert_eq!(items(1024), 64);
+        for n in [1usize, 7, 128, 300, 1024, 65_535] {
+            assert!(per_item(n) * n >= ITEM_CELLS, "{n} switches");
+        }
+    }
+
+    #[test]
+    fn hop_columns_are_destination_major() {
+        let mut hops = HopColumns::new(3);
+        hops.set(SwitchId(2), SwitchId(1), PortIndex(7));
+        assert_eq!(hops.get(SwitchId(2), SwitchId(1)), Some(PortIndex(7)));
+        assert_eq!(hops.get(SwitchId(1), SwitchId(2)), None);
+        let columns: Vec<&mut [u8]> = hops.columns_mut().collect();
+        assert_eq!(columns[1], [NO_HOP, NO_HOP, 7]);
+    }
+}

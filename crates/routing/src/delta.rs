@@ -35,13 +35,12 @@
 //!   a column patch does not cover).
 //!
 //! Two machine-checked gates guard the delta path: the escape layer of
-//! the result must pass [`check_escape_routes`], and (in debug builds)
+//! the result must pass [`FaRouting::certify_escape`], and (in debug builds)
 //! the whole table set is compared against a from-scratch rebuild.
 
-use crate::analysis::check_escape_routes;
 use crate::engine::{DeltaOutcome, EscapeEngine};
-use crate::fa::{program_host_rows, FaRouting, RoutingConfig};
-use crate::updown::{UpDownRouting, INF};
+use crate::fa::{FaRouting, RoutingConfig};
+use crate::updown::UpDownRouting;
 use iba_core::{HostId, IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
 
@@ -156,44 +155,27 @@ impl<E: EscapeEngine> FaRouting<E> {
         // the edge lies on some shortest path to `t` iff its endpoint
         // distances to `t` differ by exactly one.
         let mut affected = escape_affected;
-        for t in 0..n {
-            if self.minimal.dist[a.index()][t].abs_diff(self.minimal.dist[b.index()][t]) == 1 {
-                affected.push(t);
-            }
-        }
+        affected.extend((0..n).filter(|&t| {
+            let t = SwitchId(t as u16);
+            (self.minimal.distance(a, t)).abs_diff(self.minimal.distance(b, t)) == 1
+        }));
         affected.sort_unstable();
         affected.dedup();
 
         let mut next = self.clone();
         next.escape = engine;
-        // 1. Adaptive layer: per-destination shortest distances and
-        //    minimal option sets, in the same neighbor order as the full
-        //    build so the stored lists match byte for byte.
-        for &t in &affected {
-            let dcol = degraded.distances_from(SwitchId(t as u16));
-            if dcol.contains(&INF) {
-                return Err(IbaError::RoutingFailed(
-                    "link failure disconnected the fabric".into(),
-                ));
-            }
-            for (s, &d) in dcol.iter().enumerate() {
-                next.minimal.dist[s][t] = d;
-            }
-            for s in 0..n {
-                let opts = &mut next.minimal.options[t][s];
-                opts.clear();
-                if s != t {
-                    for (port, peer, _) in degraded.switch_neighbors(SwitchId(s as u16)) {
-                        if dcol[peer.index()] + 1 == dcol[s] {
-                            opts.push(port);
-                        }
-                    }
-                }
-            }
+        // 1. Adaptive layer: the per-destination shortest distances and
+        //    minimal option sets of the affected columns, refilled in
+        //    place by the traversal of the full build.
+        if !next.minimal.fill(degraded, Some(&affected)) {
+            return Err(IbaError::RoutingFailed(
+                "link failure disconnected the fabric".into(),
+            ));
         }
-        // 2. Table rows: every host attached to an affected destination
-        //    switch gets its whole LID group reprogrammed at every
-        //    switch, through the same routine as the full build.
+        // 2. Table rows and their decodes: every host attached to an
+        //    affected destination switch gets its whole LID group
+        //    reprogrammed at every switch, through the same routine as
+        //    the full build, and the route cache refreshed for it.
         let affected_hosts: Vec<HostId> = degraded
             .host_ids()
             .filter(|&h| {
@@ -203,40 +185,24 @@ impl<E: EscapeEngine> FaRouting<E> {
             })
             .collect();
         let x = next.config.table_options;
-        let mut entries_recomputed = 0u64;
-        for s in degraded.switch_ids() {
-            let table = &mut next.tables[s.index()];
-            for &h in &affected_hosts {
-                entries_recomputed += program_host_rows(
-                    degraded,
-                    &next.escape,
-                    &next.minimal,
-                    &next.adaptive_capable,
-                    &next.config,
-                    &next.lid_map,
-                    table,
-                    s,
-                    h,
-                    0,
-                )?;
-            }
-        }
-        // 3. Refresh the decoded route cache for the rewritten rows.
         let rewritten: Vec<_> = affected_hosts
             .iter()
             .map(|&h| next.lid_map.base_lid(h).raw() as usize)
             .map(|base| base..base + x as usize)
             .collect();
-        next.cache_routes(&rewritten);
+        next.program(degraded, None, &affected_hosts, &rewritten)?;
 
         let stats = DeltaStats {
             full_rebuild: false,
             fallback_reason: None,
             affected_switches: affected.len(),
             affected_lids: affected_hosts.len() * x as usize,
-            entries_recomputed,
+            // Every affected LID is rewritten at every switch.
+            entries_recomputed: (affected_hosts.len() * x as usize * n) as u64,
         };
-        next.certify_delta(degraded)?;
+        // Always-on gate: the delta result's escape layer must still be
+        // certifiably deadlock-free.
+        next.certify_escape(degraded, false)?;
         #[cfg(debug_assertions)]
         {
             let full = Self::build_mixed_with_engine(
@@ -280,15 +246,6 @@ impl<E: EscapeEngine> FaRouting<E> {
         };
         Ok(DeltaRebuild { routing, stats })
     }
-
-    /// Always-on gate: the delta result's escape layer must still be
-    /// certifiably deadlock-free.
-    fn certify_delta(&self, degraded: &Topology) -> Result<(), IbaError> {
-        check_escape_routes(degraded, |s, h| {
-            let dlid = self.lid_map.base_lid(h);
-            self.route_cache.get(s, dlid).map(|r| r.escape)
-        })
-    }
 }
 
 /// `config` with the engine's frame anchor pinned to `root` — the
@@ -305,6 +262,7 @@ fn pinned(config: &RoutingConfig, root: SwitchId) -> RoutingConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::per_item;
     use crate::fa::RoutingConfig;
     use iba_topology::IrregularConfig;
 
@@ -395,7 +353,7 @@ mod tests {
                 );
                 // The gate also certified the escape layer; assert the
                 // public claim directly too.
-                delta.routing.certify_delta(&degraded).unwrap();
+                delta.routing.certify_escape(&degraded, false).unwrap();
                 if !delta.stats.full_rebuild {
                     let total = (fa.lid_map().table_len() * topo.num_switches()) as u64;
                     assert!(
@@ -403,8 +361,47 @@ mod tests {
                         "seed {seed}, link {a}-{b}: delta recomputed everything"
                     );
                     assert!(delta.stats.affected_switches <= topo.num_switches());
+                    assert_eq!(
+                        delta.stats.entries_recomputed,
+                        (delta.stats.affected_lids * topo.num_switches()) as u64,
+                        "every affected LID is rewritten at every switch"
+                    );
                 }
             }
+        }
+    }
+
+    /// The delta patch shares its affected columns and the switches
+    /// whose rows it rewrites out over the pool like a full build: 256
+    /// and 300 switches, same bytes and slot numbers at every worker
+    /// count.
+    #[test]
+    fn delta_rebuild_is_worker_count_independent() {
+        for n in [256usize, 300] {
+            let topo = IrregularConfig {
+                hosts_per_switch: 1,
+                ..IrregularConfig::paper(n, 5)
+            };
+            let topo = topo.generate().unwrap();
+            let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+            let (degraded, a, pa, b, pb) = removable_links(&topo)
+                .into_iter()
+                .map(|(a, b)| {
+                    let (degraded, pa, pb) = without_link(&topo, a, b);
+                    (degraded, a, pa, b, pb)
+                })
+                .find(|(degraded, a, pa, b, pb)| {
+                    let delta = fa.rebuild_after_link_failure(degraded, *a, *pa, *b, *pb);
+                    let stats = delta.unwrap().stats;
+                    !stats.full_rebuild && stats.affected_switches > 2 * per_item(n)
+                })
+                .expect("some link's delta patch spans several pool items");
+            let what = format!("delta {n}");
+            crate::fa::tests::assert_same_at_every_worker_count(&what, Some(&fa), || {
+                fa.rebuild_after_link_failure(&degraded, a, pa, b, pb)
+                    .unwrap()
+                    .routing
+            });
         }
     }
 

@@ -27,11 +27,15 @@
 //! paper's stack bit for bit — the golden LFT pins in
 //! `crates/routing/tests/golden_lft.rs` hold across the trait boundary.
 
+use crate::analysis::check_escape_routes;
+use crate::columns::per_item;
 use crate::engine::EscapeEngine;
 use crate::minimal::MinimalRouting;
 use crate::table::InterleavedForwardingTable;
 use crate::updown::UpDownRouting;
-use iba_core::{HostId, IbaError, InlineVec, Lid, LidMap, PortIndex, SwitchId, MAX_PORTS};
+use iba_core::{
+    par_chunks_mut, HostId, IbaError, InlineVec, Lid, LidMap, PortIndex, SwitchId, MAX_PORTS,
+};
 use iba_topology::Topology;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -179,78 +183,100 @@ impl RouteCache {
     pub(crate) fn get(&self, s: SwitchId, dlid: Lid) -> Option<&Arc<RouteOptions>> {
         self.id(s, dlid).map(|id| &self.pool[id.slot as usize])
     }
+}
 
-    /// Decode the accesses `dlids` of every table into `slots`, interning
-    /// each decode against the pool.
-    fn fill(
-        &mut self,
-        tables: &[InterleavedForwardingTable],
-        adaptive_capable: &[bool],
-        stride: usize,
-        dlids: &[Range<usize>],
-    ) {
-        self.stride = stride;
-        self.stamp = LAST_STAMP.fetch_add(1, Ordering::Relaxed) + 1;
-        self.slots.resize(tables.len() * stride, NO_ROUTE);
-        let mut interned: HashMap<Arc<RouteOptions>, u32> =
-            self.pool.iter().cloned().zip(0..).collect();
-        // A direct-mapped memo on the leading ports answers the usual
-        // repeat with one comparison; the map keeps interning O(1) when
-        // a full mesh yields thousands of distinct decodes.
-        let mut memo = [NO_ROUTE; 256];
-        for (s, table) in tables.iter().enumerate() {
-            let row = &mut self.slots[s * stride..(s + 1) * stride];
-            // Nested loops: one flattened iterator over the ranges keeps
-            // the inner loop from compiling to a counted one (3× slower).
-            for range in dlids {
-                for dlid in range.clone() {
-                    row[dlid] = match decode(table, adaptive_capable[s], Lid(dlid as u16)) {
-                        Err(_) => NO_ROUTE,
-                        Ok(opts) => {
-                            let first = opts.adaptive.first().map_or(0, |p| p.0 as usize + 1);
-                            let recent = &mut memo[(opts.escape.0 as usize * 16 + first) % 256];
-                            if self.pool.get(*recent as usize).is_none_or(|r| **r != opts) {
-                                *recent = match interned.get(&opts) {
-                                    Some(&slot) => slot,
-                                    None => {
-                                        let slot = self.pool.len() as u32;
-                                        self.pool.push(Arc::new(opts));
-                                        interned.insert(self.pool[slot as usize].clone(), slot);
-                                        slot
-                                    }
-                                };
-                            }
-                            *recent
-                        }
-                    };
-                }
-            }
+/// Distinct decodes numbered in the order they were first seen.
+struct Interner {
+    pool: Vec<Arc<RouteOptions>>,
+    index: HashMap<Arc<RouteOptions>, u32>,
+    /// A direct-mapped memo on the leading ports answers the usual
+    /// repeat with one comparison; the map keeps interning O(1) when a
+    /// full mesh yields thousands of distinct decodes.
+    memo: [u32; 256],
+}
+
+impl Interner {
+    /// Numbering that continues `pool`'s.
+    fn over(pool: Vec<Arc<RouteOptions>>) -> Interner {
+        Interner {
+            index: pool.iter().cloned().zip(0..).collect(),
+            pool,
+            memo: [NO_ROUTE; 256],
         }
+    }
+
+    fn intern(&mut self, opts: &RouteOptions) -> u32 {
+        let first = opts.adaptive.first().map_or(0, |p| p.0 as usize + 1);
+        let recent = (opts.escape.0 as usize * 16 + first) % 256;
+        if (self.pool.get(self.memo[recent] as usize)).is_none_or(|r| **r != *opts) {
+            self.memo[recent] = match self.index.get(opts) {
+                Some(&slot) => slot,
+                None => self.adopt(Arc::new(opts.clone())),
+            };
+        }
+        self.memo[recent]
+    }
+
+    /// The number of a decode that is already shared.
+    fn adopt(&mut self, opts: Arc<RouteOptions>) -> u32 {
+        *self.index.entry(opts).or_insert_with_key(|opts| {
+            self.pool.push(opts.clone());
+            self.pool.len() as u32 - 1
+        })
     }
 }
 
-/// Decode one physical table access at an adaptive-capable or a plain
-/// switch (uncached; what the route cache is filled from).
-fn decode(
+/// Decode the accesses `dlids` — whole LID groups — of one switch's
+/// table into its `slots`. At an adaptive-capable switch one read of a
+/// group yields both decodes its addresses can have: the escape entry
+/// alone (least-significant bit clear), the whole group (set). A plain
+/// IBA switch forwards linearly by the exact DLID — which is what lets
+/// source-selected multipath address a path per address of a range.
+fn cache_switch(
     table: &InterleavedForwardingTable,
     adaptive_capable: bool,
-    dlid: Lid,
-) -> Result<RouteOptions, IbaError> {
-    let unknown = IbaError::UnknownLid(dlid.raw());
-    if adaptive_capable {
-        let (escape, adaptive) = table.group(dlid);
-        Ok(RouteOptions {
-            escape: escape.ok_or(unknown)?,
-            adaptive: adaptive.collect(),
-        })
-    } else {
-        // A plain IBA switch forwards linearly by the exact DLID —
-        // which is what lets source-selected multipath address
-        // different paths through different addresses of the range.
-        Ok(RouteOptions {
-            escape: table.get(dlid).ok_or(unknown)?,
-            adaptive: AdaptiveOptions::new(),
-        })
+    slots: &mut [u32],
+    dlids: &[Range<usize>],
+    decodes: &mut Interner,
+) {
+    let x = table.fanout() as usize;
+    let mut opts = RouteOptions {
+        escape: PortIndex(0),
+        adaptive: AdaptiveOptions::new(),
+    };
+    // Nested loops: one flattened iterator over the ranges keeps the
+    // inner loop from compiling to a counted one (3× slower).
+    for range in dlids {
+        debug_assert!(range.start % x == 0 && range.end % x == 0);
+        if adaptive_capable {
+            for base in range.clone().step_by(x) {
+                let group = &mut slots[base..base + x];
+                let probe = Lid((base | usize::from(x > 1)) as u16);
+                let (Some(escape), adaptive) = table.group(probe) else {
+                    group.fill(NO_ROUTE);
+                    continue;
+                };
+                opts.escape = escape;
+                opts.adaptive.clear();
+                let deterministic = decodes.intern(&opts);
+                opts.adaptive.extend(adaptive);
+                let adaptive = decodes.intern(&opts);
+                for (offset, slot) in group.iter_mut().enumerate() {
+                    *slot = [deterministic, adaptive][offset & 1];
+                }
+            }
+        } else {
+            opts.adaptive.clear();
+            for dlid in range.clone() {
+                slots[dlid] = match table.get(Lid(dlid as u16)) {
+                    None => NO_ROUTE,
+                    Some(escape) => {
+                        opts.escape = escape;
+                        decodes.intern(&opts)
+                    }
+                };
+            }
+        }
     }
 }
 
@@ -312,15 +338,149 @@ impl<E: EscapeEngine> FaRouting<E> {
     /// Compile FA over escape engine `E` with every switch
     /// adaptive-capable.
     pub fn build_with_engine(topo: &Topology, config: RoutingConfig) -> Result<Self, IbaError> {
-        Self::build_mixed_with_engine(topo, config, &vec![true; topo.num_switches()])
+        Self::layers(topo, config, 1)?.compiled(topo, None)
     }
 
-    /// Build the escape engine honouring an explicit frame anchor.
-    fn engine_for(topo: &Topology, config: &RoutingConfig) -> Result<E, IbaError> {
-        match config.root {
-            Some(root) => E::build_with_root(topo, root),
-            None => E::build(topo),
+    /// Everything of a routing but its tables: the LID map for
+    /// `path_sets` groups of `table_options` addresses per host, the
+    /// minimal layer, and the escape engine anchored where the
+    /// configuration says — by default at the fabric's center, read off
+    /// the distances the minimal layer already holds. Every switch
+    /// starts adaptive-capable.
+    fn layers(topo: &Topology, config: RoutingConfig, path_sets: u16) -> Result<Self, IbaError> {
+        // The inline option lists of `RouteOptions` (and the simulator's
+        // candidate sets) hold an entry per port of a supported radix.
+        let ports = topo.ports_per_switch() as usize;
+        if ports > MAX_PORTS {
+            return Err(IbaError::InvalidConfig(format!(
+                "switch radix {ports} exceeds the supported maximum {MAX_PORTS}"
+            )));
         }
+        let x = config.table_options;
+        if !x.is_power_of_two() {
+            return Err(IbaError::InvalidOptionCount(x));
+        }
+        let addresses = x
+            .checked_mul(path_sets)
+            .ok_or(IbaError::InvalidOptionCount(x))?;
+        let hosts = u16::try_from(topo.num_hosts()).map_err(|_| IbaError::LidSpaceExhausted)?;
+        let lid_map = LidMap::for_options(hosts, addresses)?;
+        let minimal = MinimalRouting::build(topo)?;
+        let escape = E::build_with_root(topo, config.root.unwrap_or_else(|| minimal.center()))?;
+        Ok(FaRouting {
+            config,
+            lid_map,
+            escape,
+            minimal,
+            tables: Vec::new(),
+            adaptive_capable: vec![true; topo.num_switches()],
+            source_multipath: None,
+            apm: None,
+            route_cache: RouteCache::default(),
+        })
+    }
+
+    /// Allocate every switch's table, program every host's LID groups
+    /// and decode every table access.
+    fn compiled(mut self, topo: &Topology, alternate: Option<&E>) -> Result<Self, IbaError> {
+        let len = self.lid_map.table_len();
+        self.tables = (0..topo.num_switches())
+            .map(|_| InterleavedForwardingTable::new(len, self.config.table_options))
+            .collect::<Result<_, _>>()?;
+        let hosts: Vec<HostId> = topo.host_ids().collect();
+        self.program(topo, alternate, &hosts, std::slice::from_ref(&(0..len)))?;
+        Ok(self)
+    }
+
+    /// Program the LID groups of `hosts` into every switch's table —
+    /// the alternate path set through `alternate`, for APM tables — and
+    /// decode the table accesses `dlids` (the whole groups that covers)
+    /// into the route cache: every host and the whole table for a full
+    /// build, the hosts whose rows changed for the delta rebuild. After
+    /// an error the routing has no tables and can only be dropped.
+    ///
+    /// Switches are shared out in pool items (`crate::columns`), each
+    /// with a route pool of its own; adopting those in switch order
+    /// numbers every decode as one sequential pass would — by first
+    /// appearance in `(switch, DLID)` order — whatever the worker count.
+    pub(crate) fn program(
+        &mut self,
+        topo: &Topology,
+        alternate: Option<&E>,
+        hosts: &[HostId],
+        dlids: &[Range<usize>],
+    ) -> Result<(), IbaError> {
+        // Out of `self` while the workers read the rest of it.
+        let mut tables = std::mem::take(&mut self.tables);
+        let mut cache = std::mem::take(&mut self.route_cache);
+        let stride = self.lid_map.table_len();
+        cache.stride = stride;
+        cache.stamp = LAST_STAMP.fetch_add(1, Ordering::Relaxed) + 1;
+        cache.slots.resize(tables.len() * stride, NO_ROUTE);
+        let plan = RowPlan {
+            fa: self,
+            topo,
+            mixed: self.adaptive_capable.contains(&false),
+            layers: std::iter::once((0, &self.escape))
+                .chain(alternate.map(|alt| (self.config.table_options, alt)))
+                .collect(),
+        };
+        // A switch's share of the work is a cell per destination switch
+        // among `hosts` (the hosts of one have consecutive ids).
+        let destinations = hosts.chunk_by(|&a, &b| topo.host_switch(a) == topo.host_switch(b));
+        let per_item = per_item(destinations.count());
+        let mut switches: Vec<_> = (tables.iter_mut())
+            .zip(cache.slots.chunks_mut(stride))
+            .zip(topo.switch_ids())
+            .map(|((table, slots), s)| SwitchRows { s, table, slots })
+            .collect();
+        let items = par_chunks_mut(&mut switches, per_item, |switches| {
+            plan.program(switches, hosts)?;
+            let mut decodes = Interner::over(Vec::new());
+            for SwitchRows { s, table, slots } in switches {
+                let capable = self.adaptive_capable[s.index()];
+                cache_switch(table, capable, slots, dlids, &mut decodes);
+            }
+            Ok(decodes)
+        });
+        // A first filling takes over the first item's numbering as it
+        // stands; everything else is adopted into the pool held so far.
+        let mut decodes = (!cache.pool.is_empty()).then(|| Interner::over(cache.pool));
+        let mut renumbered = Vec::with_capacity(items.len());
+        for item in items {
+            let local: Interner = item?;
+            renumbered.push(match &mut decodes {
+                None => {
+                    decodes = Some(local);
+                    None
+                }
+                Some(held) => Some(Vec::from_iter(
+                    local.pool.into_iter().map(|d| held.adopt(d)),
+                )),
+            });
+        }
+        cache.pool = decodes.map_or_else(Vec::new, |held| held.pool);
+        let mut stale: Vec<(&mut [u32], Vec<u32>)> = (cache.slots)
+            .chunks_mut(per_item * stride)
+            .zip(renumbered)
+            .filter_map(|(rows, renumbered)| Some((rows, renumbered?)))
+            .collect();
+        par_chunks_mut(&mut stale, 1, |stale| {
+            for (rows, renumbered) in stale {
+                for row in rows.chunks_mut(stride) {
+                    for range in dlids {
+                        for slot in &mut row[range.clone()] {
+                            if *slot != NO_ROUTE {
+                                *slot = renumbered[*slot as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        });
+        drop(plan);
+        (self.tables, self.route_cache) = (tables, cache);
+        Ok(())
     }
 
     /// Compile FA routing for a *mixed* fabric (§4.2): switches with
@@ -348,46 +508,9 @@ impl<E: EscapeEngine> FaRouting<E> {
                 topo.num_switches()
             )));
         }
-        ensure_radix(topo)?;
-        if !config.table_options.is_power_of_two() {
-            return Err(IbaError::InvalidOptionCount(config.table_options));
-        }
-        let lid_map = LidMap::for_options(topo.num_hosts() as u16, config.table_options)?;
-        let escape = Self::engine_for(topo, &config)?;
-        let minimal = MinimalRouting::build(topo)?;
-
-        let x = config.table_options;
-        let mut tables = Vec::with_capacity(topo.num_switches());
-        for s in topo.switch_ids() {
-            let mut table = InterleavedForwardingTable::new(lid_map.table_len(), x)?;
-            for h in topo.host_ids() {
-                program_host_rows(
-                    topo,
-                    &escape,
-                    &minimal,
-                    adaptive_capable,
-                    &config,
-                    &lid_map,
-                    &mut table,
-                    s,
-                    h,
-                    0,
-                )?;
-            }
-            tables.push(table);
-        }
-        Ok(FaRouting {
-            config,
-            lid_map,
-            escape,
-            minimal,
-            tables,
-            adaptive_capable: adaptive_capable.to_vec(),
-            source_multipath: None,
-            apm: None,
-            route_cache: RouteCache::default(),
-        }
-        .with_route_cache())
+        let mut fa = Self::layers(topo, config, 1)?;
+        fa.adaptive_capable.copy_from_slice(adaptive_capable);
+        fa.compiled(topo, None)
     }
 
     /// Compile FA routing with **Automatic Path Migration coexistence**
@@ -407,61 +530,20 @@ impl<E: EscapeEngine> FaRouting<E> {
     /// alternate traffic on SLs that map to different VLs (the simulator
     /// validates this for scripted traffic).
     pub fn build_apm_with_engine(topo: &Topology, config: RoutingConfig) -> Result<Self, IbaError> {
-        if !config.table_options.is_power_of_two() {
-            return Err(IbaError::InvalidOptionCount(config.table_options));
-        }
-        ensure_radix(topo)?;
-        let x = config.table_options;
-        let total = x.checked_mul(2).ok_or(IbaError::InvalidOptionCount(x))?;
-        let lid_map = LidMap::for_options(topo.num_hosts() as u16, total)?;
-        let escape = Self::engine_for(topo, &config)?;
+        let mut fa = Self::layers(topo, config, 2)?;
         // Alternate orientation: anchored at the switch farthest from
         // the primary anchor (ties to the lowest id).
-        let dist = topo.distances_from(escape.root());
+        let dist = topo.distances_from(fa.escape.root());
         let alt_root = topo
             .switch_ids()
             .max_by_key(|s| (dist[s.index()], std::cmp::Reverse(s.0)))
             .ok_or_else(|| IbaError::InvalidTopology("empty topology".into()))?;
         let alternate = E::build_with_root(topo, alt_root)?;
-        let minimal = MinimalRouting::build(topo)?;
-
-        let adaptive_capable = vec![true; topo.num_switches()];
-        let mut tables = Vec::with_capacity(topo.num_switches());
-        for s in topo.switch_ids() {
-            let mut table = InterleavedForwardingTable::new(lid_map.table_len(), x)?;
-            for h in topo.host_ids() {
-                for (half, layer) in [(0u16, &escape), (x, &alternate)] {
-                    program_host_rows(
-                        topo,
-                        layer,
-                        &minimal,
-                        &adaptive_capable,
-                        &config,
-                        &lid_map,
-                        &mut table,
-                        s,
-                        h,
-                        half,
-                    )?;
-                }
-            }
-            tables.push(table);
-        }
-        Ok(FaRouting {
-            config,
-            lid_map,
-            escape,
-            minimal,
-            tables,
-            adaptive_capable,
-            source_multipath: None,
-            apm: Some(ApmInfo {
-                base_offset: x,
-                alt_root,
-            }),
-            route_cache: RouteCache::default(),
-        }
-        .with_route_cache())
+        fa.apm = Some(ApmInfo {
+            base_offset: config.table_options,
+            alt_root,
+        });
+        fa.compiled(topo, Some(&alternate))
     }
 
     /// Whether the tables carry an APM alternate path set.
@@ -508,66 +590,26 @@ impl<E: EscapeEngine> FaRouting<E> {
         topo: &Topology,
         config: RoutingConfig,
     ) -> Result<Self, IbaError> {
-        if !config.table_options.is_power_of_two() {
-            return Err(IbaError::InvalidOptionCount(config.table_options));
-        }
-        let lid_map = LidMap::for_options(topo.num_hosts() as u16, config.table_options)?;
-        let escape = Self::engine_for(topo, &config)?;
-        let minimal = MinimalRouting::build(topo)?;
-        let x = config.table_options;
-        let mut tables = Vec::with_capacity(topo.num_switches());
-        for s in topo.switch_ids() {
-            let mut table = InterleavedForwardingTable::new(lid_map.table_len(), x)?;
-            for h in topo.host_ids() {
-                let t = topo.host_switch(h);
-                if t == s {
-                    let (_, port) = topo.host_attachment(h);
-                    for k in 0..x {
-                        table.set(lid_map.lid_for(h, k)?, port)?;
-                    }
-                } else {
-                    let variants = escape.next_hop_variants(topo, s, t);
-                    debug_assert!(!variants.is_empty());
-                    // Rotate which variant lands at which offset so that a
-                    // fixed source offset spreads across the fabric.
-                    let start =
-                        (mix(s.0 as u64, h.0 as u64, config.seed) % variants.len() as u64) as usize;
-                    for k in 0..x as usize {
-                        let port = variants[(start + k) % variants.len()];
-                        table.set(lid_map.lid_for(h, k as u16)?, port)?;
-                    }
-                }
-            }
-            tables.push(table);
-        }
-        Ok(FaRouting {
-            config,
-            lid_map,
-            escape,
-            minimal,
-            tables,
-            adaptive_capable: vec![false; topo.num_switches()],
-            source_multipath: Some(x),
-            apm: None,
-            route_cache: RouteCache::default(),
-        }
-        .with_route_cache())
+        let mut fa = Self::layers(topo, config, 1)?;
+        fa.adaptive_capable.fill(false);
+        fa.source_multipath = Some(config.table_options);
+        fa.compiled(topo, None)
     }
 
-    /// A freshly compiled routing with every table access decoded.
-    fn with_route_cache(mut self) -> Self {
-        let whole_table = 0..self.lid_map.table_len();
-        self.cache_routes(std::slice::from_ref(&whole_table));
-        self
-    }
-
-    /// Decode the table accesses of `dlids` at every switch into the route
-    /// cache. The full builds pass the whole table, the delta rebuild the
-    /// rows it rewrote.
-    pub(crate) fn cache_routes(&mut self, dlids: &[Range<usize>]) {
-        let stride = self.lid_map.table_len();
-        self.route_cache
-            .fill(&self.tables, &self.adaptive_capable, stride, dlids);
+    /// Certify the escape paths of these tables with
+    /// [`check_escape_routes`], reading the route cache in place; with
+    /// `alternate` set, those of the APM alternate path set (an error
+    /// on tables without one).
+    pub fn certify_escape(&self, topo: &Topology, alternate: bool) -> Result<(), IbaError> {
+        let offset = match (alternate, self.apm) {
+            (false, _) => 0,
+            (true, Some(apm)) => apm.base_offset,
+            (true, None) => return Err(IbaError::InvalidConfig("tables have no APM half".into())),
+        };
+        check_escape_routes(topo, |s, h| {
+            let dlid = Lid(self.lid_map.base_lid(h).raw() + offset);
+            self.route_cache.get(s, dlid).map(|r| r.escape)
+        })
     }
 
     /// Structural-sharing statistics of the decoded forwarding state:
@@ -694,99 +736,141 @@ impl<E: EscapeEngine> FaRouting<E> {
     }
 }
 
-/// The inline option lists of [`RouteOptions`] (and the simulator's
-/// feasible-candidate sets built from them) hold one entry per port at
-/// most; reject exotic radices up front instead of overflowing later.
-fn ensure_radix(topo: &Topology) -> Result<(), IbaError> {
-    let ports = topo.ports_per_switch() as usize;
-    if ports > MAX_PORTS {
-        return Err(IbaError::InvalidConfig(format!(
-            "switch radix {ports} exceeds the supported maximum {MAX_PORTS}"
-        )));
-    }
-    Ok(())
-}
-
-fn escape_hop<E: EscapeEngine>(
-    engine: &E,
-    s: SwitchId,
-    t: SwitchId,
-) -> Result<PortIndex, IbaError> {
-    engine
-        .next_hop(s, t)
-        .ok_or_else(|| IbaError::RoutingFailed(format!("no escape hop {s}→{t}")))
-}
-
-/// Program one LID group of host `h` into switch `s`'s table: the escape
-/// row at offset `half`, the adaptive rows (capability-filtered,
-/// seed-rotated) at the `x − 1` offsets above it. `half` is 0 except for
-/// the alternate path set of APM tables, whose group starts `x` into the
-/// host's range. Returns the number of table entries written.
-///
-/// This is the single source of the per-row build logic, shared between
-/// the full builds and the delta rebuild (`crate::delta`) so an
-/// incremental recompute is byte-identical to a full build *by
+/// How a build fills LID groups: the single source of the row logic,
+/// shared between the full builds and the delta rebuild (`crate::delta`)
+/// so an incremental recompute is byte-identical to a full build *by
 /// construction*, not by coincidence.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn program_host_rows<E: EscapeEngine>(
-    topo: &Topology,
-    escape_engine: &E,
-    minimal: &MinimalRouting,
-    adaptive_capable: &[bool],
-    config: &RoutingConfig,
-    lid_map: &LidMap,
-    table: &mut InterleavedForwardingTable,
+struct RowPlan<'a, E: EscapeEngine> {
+    fa: &'a FaRouting<E>,
+    topo: &'a Topology,
+    /// Whether any switch is deterministic, i.e. whether the §4.2
+    /// filter on adaptive hops has anything to remove.
+    mixed: bool,
+    /// `(first offset of its group, engine)` of each path set: the
+    /// primary one and, for APM tables, the alternate one.
+    layers: InlineVec<(u16, &'a E), 2>,
+}
+
+/// One switch of a pool item: its table and its row of cache slots.
+struct SwitchRows<'a> {
     s: SwitchId,
-    h: HostId,
-    half: u16,
-) -> Result<u64, IbaError> {
-    let t = topo.host_switch(h);
-    let x = config.table_options;
-    let (escape, mut adaptive): (PortIndex, AdaptiveOptions) = if t == s {
-        // Local delivery: the only option is the host port.
-        let (_, port) = topo.host_attachment(h);
-        (port, [port].into_iter().collect())
+    table: &'a mut InterleavedForwardingTable,
+    slots: &'a mut [u32],
+}
+
+impl<E: EscapeEngine> RowPlan<'_, E> {
+    /// What the group of *every* host on switch `t` holds at another
+    /// switch `s` — the escape hop, the minimal mask and the capability
+    /// filter depend on the switch pair, only the rotation's start on
+    /// the host: the entry at the group's first address (none when that
+    /// address is rotated over like the rest, as in source-selected
+    /// multipath) and the ports the others rotate over, never empty.
+    fn pair(
+        &self,
+        engine: &E,
+        s: SwitchId,
+        t: SwitchId,
+    ) -> Result<(Option<PortIndex>, AdaptiveOptions), IbaError> {
+        let mut rotation = AdaptiveOptions::new();
+        if self.fa.source_multipath.is_some() {
+            rotation.extend(engine.next_hop_variants(self.topo, s, t));
+            debug_assert!(!rotation.is_empty());
+            return Ok((None, rotation));
+        }
+        let escape = engine
+            .next_hop(s, t)
+            .ok_or_else(|| IbaError::RoutingFailed(format!("no escape hop {s}→{t}")))?;
+        // A deterministic switch stores the escape port at every
+        // address (§4.2); at a capable one of a mixed fabric, adaptive
+        // hops may only lead into adaptive-capable switches.
+        let capable = &self.fa.adaptive_capable;
+        if capable[s.index()] {
+            rotation.extend(self.fa.minimal.options(s, t).iter().filter(|&p| {
+                !self.mixed
+                    || (self.topo.endpoint(s, p))
+                        .and_then(|ep| ep.node.as_switch())
+                        .is_none_or(|peer| capable[peer.index()])
+            }));
+        }
+        if rotation.is_empty() {
+            // No usable adaptive option: the escape port everywhere.
+            rotation.push(escape);
+        }
+        Ok((Some(escape), rotation))
+    }
+
+    /// Program the groups of `hosts` into the tables of `switches`,
+    /// destination switch by destination switch (the hosts of one have
+    /// consecutive ids wherever a topology comes from): the stores are
+    /// destination-major, so this order reads them — and writes each
+    /// table — sequentially. A group holds the escape row at its first
+    /// address and, at the `x − 1` above it, the adaptive options in a
+    /// seed-mixed rotation that balances which are stored when more
+    /// exist than fit; local delivery stores the host port throughout.
+    fn program(&self, switches: &mut [SwitchRows], hosts: &[HostId]) -> Result<(), IbaError> {
+        let (x, seed) = (self.fa.config.table_options, self.fa.config.seed);
+        let switch_of = |h: &HostId| self.topo.host_switch(*h);
+        for attached in hosts.chunk_by(|a, b| switch_of(a) == switch_of(b)) {
+            let t = switch_of(&attached[0]);
+            for SwitchRows { s, table, .. } in &mut *switches {
+                for &(first, engine) in &self.layers {
+                    let mut set =
+                        |h, offset, port| table.set(self.fa.lid_map.lid_for(h, offset)?, port);
+                    if t == *s {
+                        for &h in attached {
+                            let (_, port) = self.topo.host_attachment(h);
+                            (first..first + x).try_for_each(|offset| set(h, offset, port))?;
+                        }
+                        continue;
+                    }
+                    let (escape, rotation) = self.pair(engine, *s, t)?;
+                    let rotated = first + u16::from(escape.is_some());
+                    for &h in attached {
+                        escape.map_or(Ok(()), |escape| set(h, first, escape))?;
+                        let mut k = match rotation.len() as u64 {
+                            1 => 0,
+                            len => (mix(s.0 as u64, (h.0 ^ first) as u64, seed) % len) as usize,
+                        };
+                        for offset in rotated..first + x {
+                            set(h, offset, rotation[k])?;
+                            k = if k + 1 == rotation.len() { 0 } else { k + 1 };
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Decode one physical table access at an adaptive-capable or a plain
+/// switch, address by address: what [`cache_switch`] must agree with.
+#[cfg(test)]
+fn decode(
+    table: &InterleavedForwardingTable,
+    adaptive_capable: bool,
+    dlid: Lid,
+) -> Result<RouteOptions, IbaError> {
+    let unknown = IbaError::UnknownLid(dlid.raw());
+    if adaptive_capable {
+        let (escape, adaptive) = table.group(dlid);
+        Ok(RouteOptions {
+            escape: escape.ok_or(unknown)?,
+            adaptive: adaptive.collect(),
+        })
     } else {
-        let escape = escape_hop(escape_engine, s, t)?;
-        (escape, minimal.options(s, t).iter().copied().collect())
-    };
-    if !adaptive_capable[s.index()] {
-        // Deterministic switch: every address stores the escape port
-        // (§4.2).
-        adaptive.clear();
-    } else if t != s {
-        // Safety filter for mixed fabrics: adaptive hops may only lead
-        // into adaptive-capable switches.
-        adaptive.retain(|&p| {
-            topo.endpoint(s, p)
-                .and_then(|ep| ep.node.as_switch())
-                .is_none_or(|peer| adaptive_capable[peer.index()])
-        });
+        // A plain IBA switch forwards linearly by the exact DLID —
+        // which is what lets source-selected multipath address
+        // different paths through different addresses of the range.
+        Ok(RouteOptions {
+            escape: table.get(dlid).ok_or(unknown)?,
+            adaptive: AdaptiveOptions::new(),
+        })
     }
-    table.set(lid_map.lid_for(h, half)?, escape)?;
-    let mut written = 1u64;
-    let slots = x as usize - 1;
-    if slots > 0 {
-        if adaptive.is_empty() {
-            // No usable adaptive option: program the escape port
-            // everywhere, as a deterministic switch would.
-            adaptive.push(escape);
-        }
-        // Seed-mixed rotation balances which minimal options are stored
-        // when there are more than fit.
-        let start =
-            (mix(s.0 as u64, (h.0 ^ half) as u64, config.seed) % adaptive.len() as u64) as usize;
-        for k in 0..slots {
-            let opt = adaptive[(start + k) % adaptive.len()];
-            table.set(lid_map.lid_for(h, half + 1 + k as u16)?, opt)?;
-            written += 1;
-        }
-    }
-    Ok(written)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use iba_topology::{regular, IrregularConfig};
     use proptest::prelude::*;
@@ -795,6 +879,135 @@ mod tests {
         let topo = IrregularConfig::paper(n, seed).generate().unwrap();
         let fa = FaRouting::build(&topo, RoutingConfig::with_options(options)).unwrap();
         (topo, fa)
+    }
+
+    /// Everything of a routing a worker count could show in: the table
+    /// bytes, every cache slot number, the decode pool they index and
+    /// the sharing statistics read off them.
+    pub(crate) fn fingerprint<E: EscapeEngine>(
+        fa: &FaRouting<E>,
+    ) -> (
+        &[InterleavedForwardingTable],
+        &[u32],
+        Vec<&RouteOptions>,
+        (usize, usize),
+    ) {
+        let pool = fa.route_cache.pool.iter().map(|r| &**r).collect();
+        let sharing = fa.route_cache_sharing();
+        (&fa.tables, &fa.route_cache.slots, pool, sharing)
+    }
+
+    /// Hold a filling of the route cache to the numbering of the loop
+    /// it replaced: every access of every table decoded address by
+    /// address in `(switch, DLID)` order, numbered by first appearance
+    /// on top of the pool of the routing a delta patch started from.
+    fn assert_sequential_numbering<E: EscapeEngine>(
+        what: &str,
+        fa: &FaRouting<E>,
+        before: Option<&FaRouting<E>>,
+    ) {
+        let held = before.map_or(&[][..], |before| &before.route_cache.pool);
+        let mut pool: Vec<RouteOptions> = held.iter().map(|r| (**r).clone()).collect();
+        let mut index: HashMap<RouteOptions, u32> = pool.iter().cloned().zip(0..).collect();
+        let stride = fa.lid_map.table_len();
+        for (s, slots) in fa.route_cache.slots.chunks(stride).enumerate() {
+            for (dlid, &slot) in slots.iter().enumerate() {
+                let expected = match fa.decode(SwitchId(s as u16), Lid(dlid as u16)) {
+                    Err(_) => NO_ROUTE,
+                    Ok(opts) => *index.entry(opts).or_insert_with_key(|opts| {
+                        pool.push(opts.clone());
+                        pool.len() as u32 - 1
+                    }),
+                };
+                assert_eq!(slot, expected, "{what}: switch {s}, DLID {dlid}");
+            }
+        }
+        let filled: Vec<&RouteOptions> = fa.route_cache.pool.iter().map(|r| &**r).collect();
+        assert_eq!(filled, pool.iter().collect::<Vec<_>>(), "{what}: pool");
+    }
+
+    /// `build` at three worker counts — inline (nested in a two-item
+    /// `par_map`, whose workers run a build's pool calls on their own
+    /// thread), on every core, and four at once on four threads — must
+    /// be the same routing: tables, slot numbers, pool, and what every
+    /// `route_id` resolves to — numbered as one sequential pass on top
+    /// of the pool of `before` (what a delta patch started from) would.
+    pub(crate) fn assert_same_at_every_worker_count<E: EscapeEngine>(
+        what: &str,
+        before: Option<&FaRouting<E>>,
+        build: impl Fn() -> FaRouting<E> + Sync,
+    ) {
+        use iba_core::par::{par_map, par_map_on};
+        let every_core = build();
+        assert_sequential_numbering(what, &every_core, before);
+        let mut others = par_map_on(4, &[(); 4], |_| build());
+        others.extend(
+            par_map(&[true, false], |&run| run.then(&build))
+                .into_iter()
+                .flatten(),
+        );
+        assert_eq!(others.len(), 5);
+        for other in &others {
+            assert!(fingerprint(other) == fingerprint(&every_core), "{what}");
+        }
+        let (inline, stride) = (&others[4], every_core.lid_map.table_len());
+        for s in 0..every_core.tables.len() {
+            for dlid in 0..stride {
+                let (s, dlid) = (SwitchId(s as u16), Lid(dlid as u16));
+                let (a, b) = (
+                    inline.route_id(s, dlid).ok(),
+                    every_core.route_id(s, dlid).ok(),
+                );
+                let same =
+                    a.map(|id| inline.route_by_id(id)) == b.map(|id| every_core.route_by_id(id));
+                assert!(same, "{what}: {s} {dlid}");
+            }
+        }
+    }
+
+    /// 256 switches are four pool items, 300 are six with a short last
+    /// one; every builder must compile the same bytes however many
+    /// threads share them out.
+    #[test]
+    fn every_builder_is_worker_count_independent() {
+        for n in [256usize, 300] {
+            let topo = IrregularConfig {
+                hosts_per_switch: 1,
+                ..IrregularConfig::paper(n, 11)
+            };
+            let topo = topo.generate().unwrap();
+            let cfg = RoutingConfig::two_options();
+            let caps: Vec<bool> = (0..n).map(|s| s % 5 != 3).collect();
+            assert_same_at_every_worker_count(&format!("build {n}"), None, || {
+                FaRouting::build(&topo, RoutingConfig::with_options(4)).unwrap()
+            });
+            assert_same_at_every_worker_count(&format!("apm {n}"), None, || {
+                FaRouting::build_with_apm(&topo, cfg).unwrap()
+            });
+            assert_same_at_every_worker_count(&format!("multipath {n}"), None, || {
+                FaRouting::build_source_multipath(&topo, cfg).unwrap()
+            });
+            assert_same_at_every_worker_count(&format!("mixed {n}"), None, || {
+                FaRouting::build_mixed(&topo, cfg, &caps).unwrap()
+            });
+        }
+        for (rows, cols) in [(16, 16), (15, 20)] {
+            let topo = regular::torus2d(rows, cols, 1).unwrap();
+            let cfg = RoutingConfig::two_options();
+            assert_same_at_every_worker_count(&format!("outflank {rows}x{cols}"), None, || {
+                FaRouting::<crate::OutflankRouting>::build_with_engine(&topo, cfg).unwrap()
+            });
+            assert_same_at_every_worker_count(&format!("outflank apm {rows}x{cols}"), None, || {
+                FaRouting::<crate::OutflankRouting>::build_apm_with_engine(&topo, cfg).unwrap()
+            });
+        }
+        // The largest full mesh a switch radix allows is a single item;
+        // it is here for its thousands of distinct decodes.
+        let topo = regular::complete(70, 1).unwrap();
+        assert_same_at_every_worker_count("fullmesh 70", None, || {
+            let cfg = RoutingConfig::two_options();
+            FaRouting::<crate::FullMeshRouting>::build_with_engine(&topo, cfg).unwrap()
+        });
     }
 
     #[test]
@@ -829,7 +1042,7 @@ mod tests {
                 // Every adaptive option is a genuine minimal option.
                 for p in &r.adaptive {
                     assert!(
-                        fa.minimal().options(s, t).contains(p),
+                        fa.minimal().options(s, t).contains(*p),
                         "{s}→{h}: {p} is not minimal"
                     );
                 }
@@ -907,7 +1120,7 @@ mod tests {
                         (fa.minimal()
                             .options(s, t)
                             .iter()
-                            .position(|p| *p == r.adaptive[0]))
+                            .position(|p| p == r.adaptive[0]))
                         .unwrap(),
                     );
                 }
@@ -1073,7 +1286,7 @@ mod tests {
                 let alt_ada = fa.route(s, fa.apm_dlid(h, true).unwrap()).unwrap();
                 for p in &alt_ada.adaptive {
                     if *p != alt_ada.escape && t != s {
-                        assert!(fa.minimal().options(s, t).contains(p));
+                        assert!(fa.minimal().options(s, t).contains(*p));
                     }
                 }
             }

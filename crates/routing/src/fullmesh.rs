@@ -21,6 +21,7 @@
 //! come from non-minimal (UGAL-style) selection, which is out of scope
 //! for the escape contract.
 
+use crate::columns::HopColumns;
 use crate::engine::EscapeEngine;
 use iba_core::{IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
@@ -28,9 +29,8 @@ use iba_topology::Topology;
 /// Direct one-hop escape routing on a complete switch graph.
 #[derive(Clone, Debug)]
 pub struct FullMeshRouting {
-    /// `port[s][t]`: the direct link port of `s` towards `t` (`None` on
-    /// the diagonal).
-    port: Vec<Vec<Option<PortIndex>>>,
+    /// The direct link port of `s` towards `t`.
+    port: HopColumns,
 }
 
 impl FullMeshRouting {
@@ -42,7 +42,7 @@ impl FullMeshRouting {
                 "full-mesh escape needs at least 2 switches".into(),
             ));
         }
-        let mut port = vec![vec![None; n]; n];
+        let mut port = HopColumns::new(n);
         for s in topo.switch_ids() {
             for t in topo.switch_ids() {
                 if s == t {
@@ -53,7 +53,7 @@ impl FullMeshRouting {
                         "full-mesh escape requires a complete switch graph (no {s}↔{t} link)"
                     ))
                 })?;
-                port[s.index()][t.index()] = Some(p);
+                port.set(s, t, p);
             }
         }
         Ok(FullMeshRouting { port })
@@ -83,7 +83,7 @@ impl EscapeEngine for FullMeshRouting {
     }
 
     fn next_hop(&self, s: SwitchId, t: SwitchId) -> Option<PortIndex> {
-        self.port[s.index()][t.index()]
+        self.port.get(s, t)
     }
 }
 

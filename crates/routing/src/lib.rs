@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod columns;
 pub mod delta;
 pub mod engine;
 pub mod fa;
@@ -55,7 +56,7 @@ pub use delta::{DeltaRebuild, DeltaStats};
 pub use engine::{certify_engine, DeltaOutcome, EscapeEngine};
 pub use fa::{AdaptiveOptions, FaRouting, RouteId, RouteOptions, RoutingConfig};
 pub use fullmesh::FullMeshRouting;
-pub use minimal::MinimalRouting;
+pub use minimal::{MinimalRouting, PortMask};
 pub use outflank::OutflankRouting;
 pub use sl2vl::SlToVlTable;
 pub use table::InterleavedForwardingTable;

@@ -7,30 +7,181 @@
 //! ports — the raw material both for the forwarding tables (`fa`) and for
 //! the Table 2 analysis (`analysis`).
 
-use iba_core::{IbaError, PortIndex, SwitchId};
+use crate::columns::{per_item, selected};
+use iba_core::{par_chunks_mut, IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
 
-/// All minimal next-hop ports for every (switch, destination-switch) pair.
-///
-/// Fields are crate-visible so the delta rebuild (`crate::delta`) can
-/// patch individual destination columns in place after a link failure.
+/// Unreachable marker in the distance columns.
+const INF: u32 = u32::MAX;
+
+/// A set of ports of one switch, as a bit per port index — what a
+/// minimal-option cell *is*: iteration is ascending by port, membership
+/// is a shift.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PortMask(u128);
+
+const MASK_PORTS: usize = u128::BITS as usize;
+const _: () = assert!(iba_core::MAX_PORTS <= MASK_PORTS);
+
+impl PortMask {
+    /// Number of ports in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether `port` is in the set.
+    pub fn contains(self, port: PortIndex) -> bool {
+        port.index() < MASK_PORTS && self.0 >> port.0 & 1 == 1
+    }
+
+    /// The ports, ascending.
+    pub fn iter(self) -> impl Iterator<Item = PortIndex> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let port = rest.trailing_zeros() as u8;
+                rest &= rest - 1;
+                PortIndex(port)
+            })
+        })
+    }
+}
+
+/// All minimal next-hop ports for every (switch, destination-switch)
+/// pair, in two destination-major stores (`crate::columns`): the delta
+/// rebuild refills individual columns in place after a link failure.
 #[derive(Clone, Debug)]
 pub struct MinimalRouting {
-    /// `dist[s][t]`: unconstrained shortest distance between switches.
-    pub(crate) dist: Vec<Vec<u32>>,
-    /// `options[t][s]`: ports of `s` on shortest paths to `t`, in
-    /// ascending port order. Empty for `s == t`.
-    pub(crate) options: Vec<Vec<Vec<PortIndex>>>,
+    n: usize,
+    /// `dist[t · n + s]`: unconstrained shortest distance.
+    dist: Vec<u32>,
+    /// `options[t · n + s]`: ports of `s` on shortest paths to `t`.
+    /// Empty for `s == t`.
+    options: Vec<u128>,
 }
 
 impl MinimalRouting {
     /// Compute minimal options for `topo`.
     pub fn build(topo: &Topology) -> Result<MinimalRouting, IbaError> {
         let n = topo.num_switches();
-        let dist = topo.switch_distances();
-        if dist.iter().any(|row| row.contains(&u32::MAX)) {
+        let ports = topo.ports_per_switch() as usize;
+        if ports > MASK_PORTS {
+            return Err(IbaError::InvalidConfig(format!(
+                "switch radix {ports} exceeds the {MASK_PORTS} ports an option mask holds"
+            )));
+        }
+        let mut minimal = MinimalRouting {
+            n,
+            // Zeroed pages cost nothing; `fill` writes every cell.
+            dist: vec![0; n * n],
+            options: vec![0; n * n],
+        };
+        if !minimal.fill(topo, None) {
             return Err(IbaError::RoutingFailed("topology disconnected".into()));
         }
+        Ok(minimal)
+    }
+
+    /// Recompute the columns of the destinations `targets` (ascending;
+    /// every column when `None`) on `topo`. `false` when some switch
+    /// cannot reach one of them.
+    pub(crate) fn fill(&mut self, topo: &Topology, targets: Option<&[usize]>) -> bool {
+        let n = self.n;
+        let mut columns: Vec<_> = (self.dist.chunks_mut(n))
+            .zip(self.options.chunks_mut(n))
+            .enumerate()
+            .filter(|&(t, _)| selected(targets, t))
+            .collect();
+        let connected = par_chunks_mut(&mut columns, per_item(n), |columns| {
+            let mut queue = Vec::with_capacity(n);
+            let mut columns = columns.iter_mut();
+            columns.all(|(t, (dist, options))| fill_column(topo, *t, dist, options, &mut queue))
+        });
+        !connected.contains(&false)
+    }
+
+    /// Shortest distance between two switches, in hops.
+    #[inline]
+    pub fn distance(&self, s: SwitchId, t: SwitchId) -> u32 {
+        self.dist[t.index() * self.n + s.index()]
+    }
+
+    /// Minimal next-hop ports of `s` towards `t`. Empty iff `s == t`.
+    #[inline]
+    pub fn options(&self, s: SwitchId, t: SwitchId) -> PortMask {
+        PortMask(self.options[t.index() * self.n + s.index()])
+    }
+
+    /// Number of distinct minimal options of `s` towards `t`.
+    #[inline]
+    pub fn option_count(&self, s: SwitchId, t: SwitchId) -> usize {
+        self.options(s, t).len()
+    }
+
+    /// The switch of minimum eccentricity, the lowest id among equals:
+    /// the up\*/down\* root rule ([`crate::UpDownRouting::build`]),
+    /// read off the distances already held. The graph is undirected, so
+    /// a switch's eccentricity is the maximum of its own column.
+    pub fn center(&self) -> SwitchId {
+        let eccentricity = |t: &usize| self.dist[t * self.n..][..self.n].iter().max().copied();
+        // Of equal minima `min_by_key` returns the first.
+        SwitchId((0..self.n).min_by_key(eccentricity).unwrap_or(0) as u16)
+    }
+}
+
+/// One BFS from destination `t` over the (undirected) switch graph fills
+/// both of its columns: a neighbor `peer` one hop farther than `cur` has
+/// its port back to `cur` on a shortest path. `false` when the BFS does
+/// not reach every switch.
+fn fill_column(
+    topo: &Topology,
+    t: usize,
+    dist: &mut [u32],
+    options: &mut [u128],
+    queue: &mut Vec<SwitchId>,
+) -> bool {
+    dist.fill(INF);
+    options.fill(0);
+    dist[t] = 0;
+    queue.clear();
+    queue.push(SwitchId(t as u16));
+    let mut head = 0;
+    while let Some(&cur) = queue.get(head) {
+        head += 1;
+        let farther = dist[cur.index()] + 1;
+        for (_, peer, back) in topo.switch_neighbors(cur) {
+            let d = &mut dist[peer.index()];
+            if *d == INF {
+                *d = farther;
+                queue.push(peer);
+            }
+            if *d == farther {
+                options[peer.index()] |= 1 << back.0;
+            }
+        }
+    }
+    queue.len() == dist.len()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::columns::reference_specs;
+    use crate::updown::UpDownRouting;
+    use iba_topology::{regular, IrregularConfig};
+    use proptest::prelude::*;
+
+    /// The nested-`Vec` build the flat one replaced, kept as its oracle:
+    /// `(dist[s][t], options[t][s])`, options in neighbor (port) order.
+    #[allow(clippy::type_complexity)]
+    fn reference_build(topo: &Topology) -> (Vec<Vec<u32>>, Vec<Vec<Vec<PortIndex>>>) {
+        let n = topo.num_switches();
+        let dist = topo.switch_distances();
         let mut options = vec![vec![Vec::new(); n]; n];
         for s in topo.switch_ids() {
             for (port, peer, _) in topo.switch_neighbors(s) {
@@ -41,34 +192,8 @@ impl MinimalRouting {
                 }
             }
         }
-        Ok(MinimalRouting { dist, options })
+        (dist, options)
     }
-
-    /// Shortest distance between two switches, in hops.
-    #[inline]
-    pub fn distance(&self, s: SwitchId, t: SwitchId) -> u32 {
-        self.dist[s.index()][t.index()]
-    }
-
-    /// Minimal next-hop ports of `s` towards `t`, ascending by port.
-    /// Empty iff `s == t`.
-    #[inline]
-    pub fn options(&self, s: SwitchId, t: SwitchId) -> &[PortIndex] {
-        &self.options[t.index()][s.index()]
-    }
-
-    /// Number of distinct minimal options of `s` towards `t`.
-    #[inline]
-    pub fn option_count(&self, s: SwitchId, t: SwitchId) -> usize {
-        self.options(s, t).len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use iba_topology::{regular, IrregularConfig};
-    use proptest::prelude::*;
 
     #[test]
     fn ring_has_two_options_only_across() {
@@ -105,7 +230,7 @@ mod tests {
         let mr = MinimalRouting::build(&topo).unwrap();
         for s in topo.switch_ids() {
             for t in topo.switch_ids() {
-                for &port in mr.options(s, t) {
+                for port in mr.options(s, t).iter() {
                     let peer = topo.endpoint(s, port).unwrap().node.as_switch().unwrap();
                     assert_eq!(mr.distance(peer, t) + 1, mr.distance(s, t));
                 }
@@ -152,11 +277,62 @@ mod tests {
                     } else {
                         prop_assert!(!mr.options(s, t).is_empty());
                         // Sorted, distinct ports.
-                        let opts = mr.options(s, t);
+                        let opts: Vec<PortIndex> = mr.options(s, t).iter().collect();
                         prop_assert!(opts.windows(2).all(|w| w[0] < w[1]));
                     }
                 }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The flat build — one BFS per destination filling both cells —
+        /// against the nested all-pairs one it replaced, and the root
+        /// rule read off its distances against `select_root`'s own BFS.
+        #[test]
+        fn prop_flat_build_equals_the_nested_reference(seed in any::<u64>()) {
+            for spec in reference_specs() {
+                let topo = spec.generate(seed).unwrap();
+                let mr = MinimalRouting::build(&topo).unwrap();
+                let (dist, options) = reference_build(&topo);
+                for s in topo.switch_ids() {
+                    for t in topo.switch_ids() {
+                        prop_assert_eq!(mr.distance(s, t), dist[s.index()][t.index()]);
+                        let flat: Vec<PortIndex> = mr.options(s, t).iter().collect();
+                        prop_assert_eq!(&flat, &options[t.index()][s.index()]);
+                        prop_assert_eq!(mr.option_count(s, t), flat.len());
+                        prop_assert!(flat.iter().all(|&p| mr.options(s, t).contains(p)));
+                    }
+                }
+                prop_assert_eq!(mr.center(), UpDownRouting::select_root(&topo).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_mask_holds_every_port_a_route_may_name() {
+        // 66 switches in a full mesh: link ports 0..=64, so the options
+        // towards the highest neighbors sit above bit 63.
+        let topo = regular::complete(66, 1).unwrap();
+        let mr = MinimalRouting::build(&topo).unwrap();
+        let direct = topo.port_towards(SwitchId(0), SwitchId(65)).unwrap();
+        assert_eq!(direct, PortIndex(64));
+        let options = mr.options(SwitchId(0), SwitchId(65));
+        assert_eq!(options.iter().collect::<Vec<_>>(), [direct]);
+        assert!(options.contains(direct) && !options.contains(PortIndex(0)));
+        assert!(!options.contains(PortIndex(200)), "past the mask is absent");
+        assert!(PortMask::default().is_empty());
+    }
+
+    #[test]
+    fn a_radix_past_the_mask_is_refused() {
+        let mut b = iba_topology::TopologyBuilder::new(2, 129);
+        b.connect(SwitchId(0), SwitchId(1)).unwrap();
+        let topo = b.build().unwrap();
+        assert!(matches!(
+            MinimalRouting::build(&topo),
+            Err(IbaError::InvalidConfig(m)) if m.contains("129")
+        ));
     }
 }

@@ -26,6 +26,7 @@
 //! are row-major, as produced by `iba_topology::regular::torus2d`) and
 //! rejects anything that is not a 2-D torus with `rows, cols ≥ 3`.
 
+use crate::columns::HopColumns;
 use crate::engine::EscapeEngine;
 use iba_core::{IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
@@ -35,9 +36,8 @@ use iba_topology::Topology;
 pub struct OutflankRouting {
     rows: usize,
     cols: usize,
-    /// `next_hop[t][s]`: output port of `s` towards destination `t`
-    /// (`None` on the diagonal).
-    next_hop: Vec<Vec<Option<PortIndex>>>,
+    /// Output port of `s` towards destination `t`.
+    next_hop: HopColumns,
 }
 
 impl OutflankRouting {
@@ -49,10 +49,10 @@ impl OutflankRouting {
             )
         })?;
         let n = rows * cols;
-        let mut next_hop = vec![vec![None; n]; n];
-        for (t, row) in next_hop.iter_mut().enumerate() {
+        let mut next_hop = HopColumns::new(n);
+        for t in 0..n {
             let (tr, tc) = (t / cols, t % cols);
-            for (s, hop) in row.iter_mut().enumerate() {
+            for s in 0..n {
                 if s == t {
                     continue;
                 }
@@ -71,7 +71,7 @@ impl OutflankRouting {
                             "torus wiring lacks the {s}→{neighbor} mesh link"
                         ))
                     })?;
-                *hop = Some(port);
+                next_hop.set(SwitchId(s as u16), SwitchId(t as u16), port);
             }
         }
         Ok(OutflankRouting {
@@ -142,7 +142,7 @@ impl EscapeEngine for OutflankRouting {
     }
 
     fn next_hop(&self, s: SwitchId, t: SwitchId) -> Option<PortIndex> {
-        self.next_hop[t.index()][s.index()]
+        self.next_hop.get(s, t)
     }
 }
 

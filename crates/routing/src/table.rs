@@ -146,17 +146,26 @@ impl InterleavedForwardingTable {
         }
     }
 
+    /// [`Self::get`] of the entries `start .. start + out.len()` into
+    /// `out`: an upload walks a table block by block without a linear
+    /// copy of it.
+    pub fn read_block(&self, start: usize, out: &mut [Option<PortIndex>]) {
+        for (addr, entry) in (start..).zip(out) {
+            *entry = (addr < self.len)
+                .then(|| self.split(addr))
+                .map(|(m, row)| self.modules[m][row])
+                .filter(|&v| v != INVALID_PORT)
+                .map(PortIndex);
+        }
+    }
+
     /// View the table as the plain linear array the subnet manager sees
     /// (`None` = unprogrammed). The interleaving is invisible here — this
     /// is the compatibility guarantee of §4.1.
     pub fn linear_view(&self) -> Vec<Option<PortIndex>> {
-        (0..self.len)
-            .map(|a| {
-                let (m, row) = self.split(a);
-                let v = self.modules[m][row];
-                (v != INVALID_PORT).then_some(PortIndex(v))
-            })
-            .collect()
+        let mut view = vec![None; self.len];
+        self.read_block(0, &mut view);
+        view
     }
 }
 
@@ -271,7 +280,15 @@ mod tests {
             for (a, &expect) in shadow.iter().enumerate() {
                 prop_assert_eq!(t.get(Lid(a as u16)), expect);
             }
-            prop_assert_eq!(t.linear_view(), shadow);
+            prop_assert_eq!(t.linear_view(), shadow.clone());
+            // Block reads see the same array, past its end included.
+            let mut block = [Some(PortIndex(0)); 24];
+            for start in (0..128 + 24).step_by(24) {
+                t.read_block(start, &mut block);
+                for (k, entry) in block.iter().enumerate() {
+                    prop_assert_eq!(*entry, shadow.get(start + k).copied().flatten());
+                }
+            }
         }
 
         /// Full `set`/`get` round-trip across every legal fanout and

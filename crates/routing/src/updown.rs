@@ -29,32 +29,83 @@
 //! well-known behaviour the paper leans on in §5.2.1: up\*/down\* paths
 //! may be non-minimal and concentrate traffic near the root.
 
+use crate::columns::{per_item, selected, HopColumns, NO_HOP};
 use crate::engine::{DeltaOutcome, EscapeEngine};
-use iba_core::{HostId, IbaError, PortIndex, SwitchId};
+use crate::minimal::MinimalRouting;
+use iba_core::{par_chunks_mut, HostId, IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
-use std::collections::VecDeque;
 
-/// Unreachable marker in distance matrices.
-pub(crate) const INF: u32 = u32::MAX;
+/// Unreachable marker in the distance columns.
+const INF: u32 = u32::MAX;
 
-/// The up\*/down\* routing function for one topology.
-///
-/// Fields are crate-visible so the delta rebuild (`crate::delta`) can
-/// patch individual destination columns in place after a link failure.
+/// The up\*/down\* routing function for one topology. The three
+/// per-destination stores are destination-major (`crate::columns`), so
+/// the delta rebuild refills individual destination columns in place
+/// after a link failure.
 #[derive(Clone, Debug)]
 pub struct UpDownRouting {
     root: SwitchId,
     /// BFS level of every switch (root = 0).
-    pub(crate) level: Vec<u32>,
-    /// `down_dist[t][s]`: length of the shortest all-down path s→t, or
-    /// `INF`. Indexed destination-first for cache-friendly per-dest use.
-    pub(crate) down_dist: Vec<Vec<u32>>,
-    /// `legal_dist[t][s]`: length of the shortest legal (up\* then down\*)
-    /// path s→t.
-    pub(crate) legal_dist: Vec<Vec<u32>>,
-    /// `next_hop[t][s]`: the output port switch `s` uses towards switch
-    /// `t` (undefined for `s == t`, stored as `None`).
-    pub(crate) next_hop: Vec<Vec<Option<PortIndex>>>,
+    level: Vec<u32>,
+    /// `down_dist[t · n + s]`: length of the shortest all-down path
+    /// s→t, or `INF`.
+    down_dist: Vec<u32>,
+    /// `legal_dist[t · n + s]`: length of the shortest legal (up\* then
+    /// down\*) path s→t.
+    legal_dist: Vec<u32>,
+    /// The output port switch `s` uses towards switch `t`.
+    next_hop: HopColumns,
+}
+
+/// The switch graph as the up\*/down\* traversals walk it: per switch,
+/// the links that leave it upwards (towards the root), then those that
+/// leave it downwards, as `(local port, peer)`. Built once per build
+/// from the levels, so no inner loop looks a level up, skips a host
+/// port or tests a link it will not take.
+struct Oriented {
+    links: Vec<(PortIndex, SwitchId)>,
+    /// Switch `s` owns `links[first[s]..first[s + 1]]`, its down links
+    /// from `first_down[s]` on.
+    first: Vec<u32>,
+    first_down: Vec<u32>,
+}
+
+impl Oriented {
+    fn new(topo: &Topology, rt: &UpDownRouting) -> Oriented {
+        let n = topo.num_switches();
+        let mut adj = Oriented {
+            links: Vec::with_capacity(2 * topo.num_switch_links()),
+            first: Vec::with_capacity(n + 1),
+            first_down: Vec::with_capacity(n),
+        };
+        for s in topo.switch_ids() {
+            for up in [true, false] {
+                let first = if up {
+                    &mut adj.first
+                } else {
+                    &mut adj.first_down
+                };
+                first.push(adj.links.len() as u32);
+                adj.links.extend(
+                    (topo.switch_neighbors(s))
+                        .filter(|&(_, peer, _)| rt.is_up_move(s, peer) == up)
+                        .map(|(port, peer, _)| (port, peer)),
+                );
+            }
+        }
+        adj.first.push(adj.links.len() as u32);
+        adj
+    }
+
+    /// Links of `s` whose far end is above it.
+    fn above(&self, s: usize) -> &[(PortIndex, SwitchId)] {
+        &self.links[self.first[s] as usize..self.first_down[s] as usize]
+    }
+
+    /// Links of `s` whose far end is below it.
+    fn below(&self, s: usize) -> &[(PortIndex, SwitchId)] {
+        &self.links[self.first_down[s] as usize..self.first[s + 1] as usize]
+    }
 }
 
 impl UpDownRouting {
@@ -73,8 +124,7 @@ impl UpDownRouting {
     ///
     /// [`TopologySpec`]: iba_topology::TopologySpec
     pub fn build(topo: &Topology) -> Result<UpDownRouting, IbaError> {
-        let root = Self::select_root(topo)?;
-        Self::build_with_root(topo, root)
+        Self::build_with_root(topo, MinimalRouting::build(topo)?.center())
     }
 
     /// Build with an explicit root (exposed for tests and ablations).
@@ -91,49 +141,36 @@ impl UpDownRouting {
         let mut rt = UpDownRouting {
             root,
             level,
-            down_dist: Vec::with_capacity(n),
-            legal_dist: Vec::with_capacity(n),
-            next_hop: Vec::with_capacity(n),
+            // Zeroed pages cost nothing; `fill` writes every cell.
+            down_dist: vec![0; n * n],
+            legal_dist: vec![0; n * n],
+            next_hop: HopColumns::new(n),
         };
-        for t in 0..n {
-            let (down, legal) = rt.distances_to(topo, SwitchId(t as u16));
-            rt.down_dist.push(down);
-            rt.legal_dist.push(legal);
-        }
-        for t in 0..n {
-            let mut hops = vec![None; n];
-            for (s, hop) in hops.iter_mut().enumerate() {
-                if s != t {
-                    *hop =
-                        Some(rt.compute_next_hop(topo, SwitchId(s as u16), SwitchId(t as u16))?);
-                }
-            }
-            rt.next_hop.push(hops);
-        }
+        rt.fill(&Oriented::new(topo, &rt), None)?;
         Ok(rt)
     }
 
-    /// Root with minimum eccentricity (lowest id wins ties): switches
-    /// are scanned in ascending id order and only a *strictly* smaller
-    /// eccentricity displaces the incumbent, so the tie-break needs no
-    /// secondary comparison.
-    fn select_root(topo: &Topology) -> Result<SwitchId, IbaError> {
-        let dist = topo.switch_distances();
-        let mut best: Option<(u32, SwitchId)> = None;
-        for s in topo.switch_ids() {
-            let ecc = dist[s.index()]
-                .iter()
-                .copied()
-                .max()
-                .ok_or_else(|| IbaError::RoutingFailed("empty topology".into()))?;
-            if ecc == INF {
-                return Err(IbaError::RoutingFailed("topology disconnected".into()));
-            }
-            if best.is_none_or(|(be, _)| ecc < be) {
-                best = Some((ecc, s));
-            }
-        }
-        Ok(best.expect("at least one switch").1)
+    /// Recompute the columns of the destinations `targets` (ascending;
+    /// every column when `None`) over `adj`: both distance layers, then
+    /// the next hops that read them.
+    fn fill(&mut self, adj: &Oriented, targets: Option<&[usize]>) -> Result<(), IbaError> {
+        let n = self.level.len();
+        let mut columns: Vec<_> = (self.down_dist.chunks_mut(n))
+            .zip(self.legal_dist.chunks_mut(n))
+            .zip(self.next_hop.columns_mut())
+            .enumerate()
+            .filter(|&(t, _)| selected(targets, t))
+            .collect();
+        par_chunks_mut(&mut columns, per_item(n), |columns| {
+            let mut queue = Vec::with_capacity(2 * n);
+            columns
+                .iter_mut()
+                .try_for_each(|(t, ((down, legal), hops))| {
+                    fill_column(adj, *t, down, legal, hops, &mut queue)
+                })
+        })
+        .into_iter()
+        .collect()
     }
 
     /// The selected root switch.
@@ -158,102 +195,16 @@ impl UpDownRouting {
         !self.is_up_move(from, to)
     }
 
-    /// Backward BFS from `t` over the 2-state layered graph, producing
-    /// for every source `s` the shortest all-down distance and the
-    /// shortest legal distance of paths `s → t`.
-    ///
-    /// Forward semantics of the layers: in state `CanUp` a packet may
-    /// still take up moves (or switch to going down); in state `DownOnly`
-    /// it may only take down moves. A forward edge `s →(up) n` connects
-    /// `(s, CanUp) → (n, CanUp)`; a forward edge `s →(down) m` connects
-    /// both `(s, CanUp)` and `(s, DownOnly)` to `(m, DownOnly)`. We BFS
-    /// the reversed edges from `{(t, CanUp), (t, DownOnly)}`.
-    pub(crate) fn distances_to(&self, topo: &Topology, t: SwitchId) -> (Vec<u32>, Vec<u32>) {
-        let n = topo.num_switches();
-        // legal[s] = distance of state (s, CanUp); down[s] = distance of
-        // state (s, DownOnly). Recurrences (forward semantics):
-        //   down[s]  = 1 + min over down-neighbors m of down[m]
-        //   legal[s] = min(1 + min over up-neighbors n of legal[n], down[s])
-        // solved by a multi-layer BFS over the reversed edges; every edge
-        // costs 1 so FIFO order yields shortest distances.
-        let mut legal = vec![INF; n];
-        let mut down = vec![INF; n];
-        legal[t.index()] = 0;
-        down[t.index()] = 0;
-        // Queue of (switch, is_down_only_state).
-        let mut queue = VecDeque::from([(t, false), (t, true)]);
-        while let Some((cur, down_only)) = queue.pop_front() {
-            if down_only {
-                let d = down[cur.index()];
-                for (_, peer, _) in topo.switch_neighbors(cur) {
-                    // Forward edges peer →(down) cur, from either layer:
-                    // (peer, DownOnly) → (cur, DownOnly) and
-                    // (peer, CanUp)   → (cur, DownOnly).
-                    if self.is_down_move(peer, cur) {
-                        if down[peer.index()] == INF {
-                            down[peer.index()] = d + 1;
-                            queue.push_back((peer, true));
-                        }
-                        if legal[peer.index()] == INF {
-                            legal[peer.index()] = d + 1;
-                            queue.push_back((peer, false));
-                        }
-                    }
-                }
-            } else {
-                let d = legal[cur.index()];
-                for (_, peer, _) in topo.switch_neighbors(cur) {
-                    // Forward edge peer →(up) cur: (peer, CanUp) → (cur, CanUp).
-                    if self.is_up_move(peer, cur) && legal[peer.index()] == INF {
-                        legal[peer.index()] = d + 1;
-                        queue.push_back((peer, false));
-                    }
-                }
-            }
-        }
-        (down, legal)
-    }
-
-    /// Deterministic next hop of `s` towards `t` (`s != t`).
-    pub(crate) fn compute_next_hop(
-        &self,
-        topo: &Topology,
-        s: SwitchId,
-        t: SwitchId,
-    ) -> Result<PortIndex, IbaError> {
-        let down = &self.down_dist[t.index()];
-        let legal = &self.legal_dist[t.index()];
-        let mut best: Option<(u32, u16, PortIndex)> = None;
-        if down[s.index()] != INF {
-            // Go down: pick the down neighbor on a shortest all-down path.
-            for (port, peer, _) in topo.switch_neighbors(s) {
-                if self.is_down_move(s, peer) && down[peer.index()] != INF {
-                    let cand = (down[peer.index()], peer.0, port);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-        } else {
-            // Go up: pick the up neighbor minimizing the remaining legal
-            // distance.
-            for (port, peer, _) in topo.switch_neighbors(s) {
-                if self.is_up_move(s, peer) && legal[peer.index()] != INF {
-                    let cand = (legal[peer.index()], peer.0, port);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-        }
-        best.map(|(_, _, port)| port)
-            .ok_or_else(|| IbaError::RoutingFailed(format!("no legal next hop from {s} to {t}")))
-    }
-
     /// The output port `s` uses towards switch `t`; `None` when `s == t`.
     #[inline]
     pub fn next_hop(&self, s: SwitchId, t: SwitchId) -> Option<PortIndex> {
-        self.next_hop[t.index()][s.index()]
+        self.next_hop.get(s, t)
+    }
+
+    /// The column of destination `t` in a distance store.
+    fn column<'a>(&self, store: &'a [u32], t: SwitchId) -> &'a [u32] {
+        let n = self.level.len();
+        &store[t.index() * n..(t.index() + 1) * n]
     }
 
     /// *All* consistent next-hop choices of `s` towards `t`, best first:
@@ -268,22 +219,18 @@ impl UpDownRouting {
         if s == t {
             return Vec::new();
         }
-        let down = &self.down_dist[t.index()];
-        let legal = &self.legal_dist[t.index()];
-        let mut cands: Vec<(u32, u16, PortIndex)> = Vec::new();
-        if down[s.index()] != INF {
-            for (port, peer, _) in topo.switch_neighbors(s) {
-                if self.is_down_move(s, peer) && down[peer.index()] != INF {
-                    cands.push((down[peer.index()], peer.0, port));
-                }
-            }
+        let down = self.column(&self.down_dist, t);
+        let go_down = down[s.index()] != INF;
+        let dist = if go_down {
+            down
         } else {
-            for (port, peer, _) in topo.switch_neighbors(s) {
-                if self.is_up_move(s, peer) && legal[peer.index()] != INF {
-                    cands.push((legal[peer.index()], peer.0, port));
-                }
-            }
-        }
+            self.column(&self.legal_dist, t)
+        };
+        let mut cands: Vec<(u32, u16, PortIndex)> = (topo.switch_neighbors(s))
+            .filter(|&(_, peer, _)| self.is_down_move(s, peer) == go_down)
+            .filter(|&(_, peer, _)| dist[peer.index()] != INF)
+            .map(|(port, peer, _)| (dist[peer.index()], peer.0, port))
+            .collect();
         cands.sort();
         cands.into_iter().map(|(_, _, p)| p).collect()
     }
@@ -291,40 +238,18 @@ impl UpDownRouting {
     /// Shortest legal distance `s → t` in switch hops.
     #[inline]
     pub fn legal_distance(&self, s: SwitchId, t: SwitchId) -> u32 {
-        self.legal_dist[t.index()][s.index()]
+        self.column(&self.legal_dist, t)[s.index()]
     }
 
-    /// The full switch path `s → t` following the deterministic rule.
-    /// Errors if the walk does not terminate within `2 × n` hops (which
-    /// would indicate a broken table).
+    /// The full switch path `s → t` following the deterministic rule
+    /// ([`EscapeEngine::path`], callable without the trait in scope).
     pub fn path(
         &self,
         topo: &Topology,
         s: SwitchId,
         t: SwitchId,
     ) -> Result<Vec<SwitchId>, IbaError> {
-        let mut path = vec![s];
-        let mut cur = s;
-        let bound = 2 * topo.num_switches() + 2;
-        while cur != t {
-            if path.len() > bound {
-                return Err(IbaError::RoutingFailed(format!(
-                    "path {s}→{t} did not terminate"
-                )));
-            }
-            let port = self
-                .next_hop(cur, t)
-                .ok_or_else(|| IbaError::RoutingFailed("missing next hop".into()))?;
-            let ep = topo
-                .endpoint(cur, port)
-                .ok_or_else(|| IbaError::RoutingFailed("next hop port unwired".into()))?;
-            cur = ep
-                .node
-                .as_switch()
-                .ok_or_else(|| IbaError::RoutingFailed("next hop is a host".into()))?;
-            path.push(cur);
-        }
-        Ok(path)
+        EscapeEngine::path(self, topo, s, t)
     }
 
     /// Escape path length between the switches of two hosts (used by
@@ -350,7 +275,7 @@ impl UpDownRouting {
     #[allow(clippy::too_many_arguments)]
     fn column_affected(
         &self,
-        t: usize,
+        t: SwitchId,
         a: SwitchId,
         pa: PortIndex,
         b: SwitchId,
@@ -358,8 +283,8 @@ impl UpDownRouting {
         up_end: SwitchId,
         down_end: SwitchId,
     ) -> bool {
-        let down = &self.down_dist[t];
-        let legal = &self.legal_dist[t];
+        let down = self.column(&self.down_dist, t);
+        let legal = self.column(&self.legal_dist, t);
         let (u, d) = (up_end.index(), down_end.index());
         // Down layer: the edge descends up_end → down_end; tight when it
         // lies on a shortest all-down path to t.
@@ -375,9 +300,96 @@ impl UpDownRouting {
             return true;
         }
         // The deterministic next hop of either endpoint used the link.
-        let hops = &self.next_hop[t];
-        hops[a.index()] == Some(pa) || hops[b.index()] == Some(pb)
+        self.next_hop(a, t) == Some(pa) || self.next_hop(b, t) == Some(pb)
     }
+}
+
+/// Fill destination `t`'s column of the three stores: a backward BFS
+/// from `t` over the 2-state layered graph, producing for every source
+/// `s` the shortest all-down distance and the shortest legal distance
+/// of paths `s → t`, then the deterministic next hop of every `s`.
+///
+/// Forward semantics of the layers: in state `CanUp` a packet may
+/// still take up moves (or switch to going down); in state `DownOnly`
+/// it may only take down moves. A forward edge `s →(up) n` connects
+/// `(s, CanUp) → (n, CanUp)`; a forward edge `s →(down) m` connects
+/// both `(s, CanUp)` and `(s, DownOnly)` to `(m, DownOnly)`. We BFS
+/// the reversed edges from `{(t, CanUp), (t, DownOnly)}`.
+fn fill_column(
+    adj: &Oriented,
+    t: usize,
+    down: &mut [u32],
+    legal: &mut [u32],
+    hops: &mut [u8],
+    queue: &mut Vec<(SwitchId, bool)>,
+) -> Result<(), IbaError> {
+    // legal[s] = distance of state (s, CanUp); down[s] = distance of
+    // state (s, DownOnly). Recurrences (forward semantics):
+    //   down[s]  = 1 + min over down-neighbors m of down[m]
+    //   legal[s] = min(1 + min over up-neighbors n of legal[n], down[s])
+    // solved by a multi-layer BFS over the reversed edges; every edge
+    // costs 1 so FIFO order yields shortest distances.
+    down.fill(INF);
+    legal.fill(INF);
+    down[t] = 0;
+    legal[t] = 0;
+    // Queue of (switch, is_down_only_state).
+    queue.clear();
+    queue.extend([(SwitchId(t as u16), false), (SwitchId(t as u16), true)]);
+    let mut head = 0;
+    while let Some(&(cur, down_only)) = queue.get(head) {
+        head += 1;
+        if down_only {
+            let d = down[cur.index()];
+            // Forward edges peer →(down) cur leave a switch above
+            // `cur`, from either layer: (peer, DownOnly) → (cur,
+            // DownOnly) and (peer, CanUp) → (cur, DownOnly).
+            for &(_, peer) in adj.above(cur.index()) {
+                if down[peer.index()] == INF {
+                    down[peer.index()] = d + 1;
+                    queue.push((peer, true));
+                }
+                if legal[peer.index()] == INF {
+                    legal[peer.index()] = d + 1;
+                    queue.push((peer, false));
+                }
+            }
+        } else {
+            let d = legal[cur.index()];
+            // Forward edge peer →(up) cur, from a switch below
+            // `cur`: (peer, CanUp) → (cur, CanUp).
+            for &(_, peer) in adj.below(cur.index()) {
+                if legal[peer.index()] == INF {
+                    legal[peer.index()] = d + 1;
+                    queue.push((peer, false));
+                }
+            }
+        }
+    }
+    for s in 0..down.len() {
+        // Go down when the destination is reachable that way — the
+        // down neighbor on a shortest all-down path — else up, to
+        // the up neighbor minimizing the remaining legal distance.
+        let (dist, links) = if down[s] != INF {
+            (&*down, adj.below(s))
+        } else {
+            (&*legal, adj.above(s))
+        };
+        hops[s] = if s == t {
+            NO_HOP
+        } else {
+            (links.iter())
+                .filter(|&&(_, peer)| dist[peer.index()] != INF)
+                .map(|&(port, peer)| (dist[peer.index()], peer.0, port))
+                .min()
+                .map(|(_, _, port)| port.0)
+                .ok_or_else(|| {
+                    let (s, t) = (SwitchId(s as u16), SwitchId(t as u16));
+                    IbaError::RoutingFailed(format!("no legal next hop from {s} to {t}"))
+                })?
+        };
+    }
+    Ok(())
 }
 
 impl EscapeEngine for UpDownRouting {
@@ -401,10 +413,6 @@ impl EscapeEngine for UpDownRouting {
 
     fn next_hop_variants(&self, topo: &Topology, s: SwitchId, t: SwitchId) -> Vec<PortIndex> {
         UpDownRouting::next_hop_variants(self, topo, s, t)
-    }
-
-    fn path(&self, topo: &Topology, s: SwitchId, t: SwitchId) -> Result<Vec<SwitchId>, IbaError> {
-        UpDownRouting::path(self, topo, s, t)
     }
 
     /// The up\*/down\* incremental rebuild: destination columns are
@@ -447,30 +455,11 @@ impl EscapeEngine for UpDownRouting {
         } else {
             (b, a)
         };
-        let n = self.level.len();
-        let mut affected: Vec<usize> = Vec::new();
-        for t in 0..n {
-            if self.column_affected(t, a, pa, b, pb, up_end, down_end) {
-                affected.push(t);
-            }
-        }
+        let affected: Vec<usize> = (0..self.level.len())
+            .filter(|&t| self.column_affected(SwitchId(t as u16), a, pa, b, pb, up_end, down_end))
+            .collect();
         let mut next = self.clone();
-        // Distance columns first (the next-hop argmin reads them), then
-        // the next-hop columns.
-        for &t in &affected {
-            let (down, legal) = next.distances_to(degraded, SwitchId(t as u16));
-            next.down_dist[t] = down;
-            next.legal_dist[t] = legal;
-        }
-        for &t in &affected {
-            for s in 0..n {
-                next.next_hop[t][s] = if s == t {
-                    None
-                } else {
-                    Some(next.compute_next_hop(degraded, SwitchId(s as u16), SwitchId(t as u16))?)
-                };
-            }
-        }
+        next.fill(&Oriented::new(degraded, self), Some(&affected))?;
         Ok(DeltaOutcome::Patched {
             engine: next,
             affected,
@@ -481,8 +470,132 @@ impl EscapeEngine for UpDownRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::reference_specs;
     use iba_topology::{regular, IrregularConfig};
     use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    impl UpDownRouting {
+        /// The root election `MinimalRouting::center` replaced, kept as its
+        /// oracle — minimum eccentricity (lowest id wins ties): switches
+        /// are scanned in ascending id order and only a *strictly* smaller
+        /// eccentricity displaces the incumbent, so the tie-break needs no
+        /// secondary comparison.
+        pub(crate) fn select_root(topo: &Topology) -> Result<SwitchId, IbaError> {
+            let dist = topo.switch_distances();
+            let mut best: Option<(u32, SwitchId)> = None;
+            for s in topo.switch_ids() {
+                let ecc = dist[s.index()]
+                    .iter()
+                    .copied()
+                    .max()
+                    .ok_or_else(|| IbaError::RoutingFailed("empty topology".into()))?;
+                if ecc == INF {
+                    return Err(IbaError::RoutingFailed("topology disconnected".into()));
+                }
+                if best.is_none_or(|(be, _)| ecc < be) {
+                    best = Some((ecc, s));
+                }
+            }
+            Ok(best.expect("at least one switch").1)
+        }
+    }
+
+    /// The nested-`Vec` build the flat one replaced, kept as its oracle:
+    /// a `VecDeque` BFS over `switch_neighbors` that derives every
+    /// link's orientation from two level look-ups, then the argmin over
+    /// all neighbors. `(down[t][s], legal[t][s], next_hop[t][s])`.
+    #[allow(clippy::type_complexity)]
+    fn reference_build(
+        topo: &Topology,
+        rt: &UpDownRouting,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Vec<Option<PortIndex>>>) {
+        let n = topo.num_switches();
+        let (mut down_dist, mut legal_dist, mut next_hop) = (vec![], vec![], vec![]);
+        for t in topo.switch_ids() {
+            let mut legal = vec![INF; n];
+            let mut down = vec![INF; n];
+            legal[t.index()] = 0;
+            down[t.index()] = 0;
+            let mut queue = VecDeque::from([(t, false), (t, true)]);
+            while let Some((cur, down_only)) = queue.pop_front() {
+                for (_, peer, _) in topo.switch_neighbors(cur) {
+                    if down_only && rt.is_down_move(peer, cur) {
+                        let d = down[cur.index()];
+                        if down[peer.index()] == INF {
+                            down[peer.index()] = d + 1;
+                            queue.push_back((peer, true));
+                        }
+                        if legal[peer.index()] == INF {
+                            legal[peer.index()] = d + 1;
+                            queue.push_back((peer, false));
+                        }
+                    }
+                    if !down_only && rt.is_up_move(peer, cur) && legal[peer.index()] == INF {
+                        legal[peer.index()] = legal[cur.index()] + 1;
+                        queue.push_back((peer, false));
+                    }
+                }
+            }
+            let hops = topo.switch_ids().map(|s| {
+                let go_down = down[s.index()] != INF;
+                let dist = if go_down { &down } else { &legal };
+                (topo.switch_neighbors(s))
+                    .filter(|&(_, peer, _)| rt.is_down_move(s, peer) == go_down)
+                    .filter(|&(_, peer, _)| s != t && dist[peer.index()] != INF)
+                    .map(|(port, peer, _)| (dist[peer.index()], peer.0, port))
+                    .min()
+                    .map(|(_, _, port)| port)
+            });
+            next_hop.push(hops.collect());
+            down_dist.push(down);
+            legal_dist.push(legal);
+        }
+        (down_dist, legal_dist, next_hop)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The flat build over the oriented adjacency against the
+        /// nested one, rooted wherever the seed says.
+        #[test]
+        fn prop_flat_build_equals_the_nested_reference(seed in any::<u64>()) {
+            for spec in reference_specs() {
+                let topo = spec.generate(seed).unwrap();
+                let root = SwitchId((seed >> 32) as u16 % topo.num_switches() as u16);
+                let rt = UpDownRouting::build_with_root(&topo, root).unwrap();
+                prop_assert_eq!(&rt.level, &topo.distances_from(root));
+                let (down, legal, hops) = reference_build(&topo, &rt);
+                prop_assert_eq!(&rt.down_dist, &down.concat());
+                prop_assert_eq!(&rt.legal_dist, &legal.concat());
+                for s in topo.switch_ids() {
+                    for t in topo.switch_ids() {
+                        prop_assert_eq!(rt.next_hop(s, t), hops[t.index()][s.index()]);
+                        prop_assert_eq!(rt.legal_distance(s, t), legal[t.index()][s.index()]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_oriented_adjacency_splits_every_switch_by_direction() {
+        let topo = IrregularConfig::paper(32, 4).generate().unwrap();
+        let rt = UpDownRouting::build(&topo).unwrap();
+        let adj = Oriented::new(&topo, &rt);
+        for s in topo.switch_ids() {
+            let (above, below) = (adj.above(s.index()), adj.below(s.index()));
+            assert!(above.iter().all(|&(_, peer)| rt.is_up_move(s, peer)));
+            assert!(below.iter().all(|&(_, peer)| rt.is_down_move(s, peer)));
+            let mut all: Vec<_> = above.iter().chain(below).copied().collect();
+            all.sort();
+            let links: Vec<_> = topo
+                .switch_neighbors(s)
+                .map(|(p, peer, _)| (p, peer))
+                .collect();
+            assert_eq!(all, links);
+        }
+    }
 
     /// Assert that the deterministic route s→t is a legal up*/down* path.
     fn assert_legal_path(rt: &UpDownRouting, topo: &Topology, s: SwitchId, t: SwitchId) {

@@ -2,14 +2,14 @@
 //! every topology shape it claims, must produce escape chains the
 //! channel-dependency certifier accepts — at the engine level
 //! (`certify_engine`) and through the full LMC-interleaved FA tables
-//! (`check_escape_routes` over the materialized escape offset).
+//! (`FaRouting::certify_escape` over the materialized escape offset).
 //! Plus the determinism pin for the up\*/down\* root selection that
 //! `UpDownRouting::build` documents.
 
 use iba_core::{Lid, PortIndex, SwitchId};
 use iba_routing::{
-    certify_engine, check_escape_routes, EscapeEngine, FaRouting, FullMeshRouting, OutflankRouting,
-    RoutingConfig, UpDownRouting,
+    certify_engine, EscapeEngine, FaRouting, FullMeshRouting, OutflankRouting, RoutingConfig,
+    UpDownRouting,
 };
 use iba_topology::{Topology, TopologyBuilder, TopologySpec};
 use proptest::prelude::*;
@@ -17,11 +17,8 @@ use proptest::prelude::*;
 /// Certify the escape offset of fully built FA tables: the exact
 /// next-hop function the simulator's in-run certification uses.
 fn certify_fa_tables<E: EscapeEngine>(topo: &Topology, fa: &FaRouting<E>) {
-    check_escape_routes(topo, |s, h| {
-        let dlid = fa.dlid(h, false).ok()?;
-        fa.route_shared(s, dlid).ok().map(|r| r.escape)
-    })
-    .unwrap_or_else(|e| panic!("{} escape tables not certifiable: {e}", E::NAME));
+    fa.certify_escape(topo, false)
+        .unwrap_or_else(|e| panic!("{} escape tables not certifiable: {e}", E::NAME));
 }
 
 /// The shapes every engine must handle (up\*/down\* claims all of them).

@@ -1399,18 +1399,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// the primary one. Purely observational: no RNG, no control flow —
     /// certified runs stay bit-identical across queue backends.
     fn certify_escape(&mut self, alternate: bool) {
-        let ok = {
-            let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
-            check_escape_routes(self.topo, |s, h| {
-                let dlid = if alternate {
-                    routing.apm_dlid(h, false).ok()?
-                } else {
-                    routing.dlid(h, false).ok()?
-                };
-                routing.route_shared(s, dlid).ok().map(|r| r.escape)
-            })
-            .is_ok()
-        };
+        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
+        let ok = routing.certify_escape(self.topo, alternate).is_ok();
         self.stats.on_escape_certification(ok);
     }
 

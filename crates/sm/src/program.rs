@@ -202,20 +202,30 @@ impl Programmer {
                 }};
             }
             smp.route.hops.clone_from(&sw.route.hops);
-            let view = routing.table(SwitchId(i as u16)).linear_view();
-            for (block, chunk) in view.chunks(LFT_BLOCK).enumerate() {
+            // Blocks are read straight from the interleaved modules:
+            // no linear copy of the table, no `Vec` per dirty block.
+            let table = routing.table(SwitchId(i as u16));
+            let mut read = [None; LFT_BLOCK];
+            for block in 0..table.len().div_ceil(LFT_BLOCK) as u32 {
+                let base = block as usize * LFT_BLOCK;
+                let chunk = &mut read[..LFT_BLOCK.min(table.len() - base)];
+                table.read_block(base, chunk);
                 if chunk.iter().all(|e| e.is_none()) {
                     continue; // nothing programmed in this block
                 }
                 blocks_total += 1;
                 let hash = block_hash(chunk);
-                if self.block_clean(sw.guid, block as u32, hash) {
+                if self.block_clean(sw.guid, block, hash) {
                     continue; // on-switch content already matches
                 }
-                smp.attribute = SmpAttribute::LinearForwardingTable {
-                    block: block as u32,
-                    entries: chunk.to_vec(),
+                // Refill the payload `Vec` the SMP holds, if it holds one.
+                let mut entries = match &mut smp.attribute {
+                    SmpAttribute::LinearForwardingTable { entries, .. } => std::mem::take(entries),
+                    _ => Vec::new(),
                 };
+                entries.clear();
+                entries.extend_from_slice(chunk);
+                smp.attribute = SmpAttribute::LinearForwardingTable { block, entries };
                 let resp = deliver!(SmpMethod::Set, format!("LFT block {block}"));
                 if resp != SmpResponse::Ok {
                     return Err(IbaError::InvalidConfig(format!(
@@ -223,11 +233,8 @@ impl Programmer {
                     )));
                 }
                 blocks_written += 1;
-                // Read back and compare.
-                smp.attribute = SmpAttribute::LinearForwardingTable {
-                    block: block as u32,
-                    entries: Vec::new(),
-                };
+                // Read back and compare; a `Get` ignores the payload,
+                // which stays where the next block refills it.
                 let resp = deliver!(SmpMethod::Get, format!("LFT read-back of block {block}"));
                 let SmpResponse::LftBlock { entries: got } = resp else {
                     return Err(IbaError::InvalidConfig("LFT read-back failed".into()));
@@ -237,7 +244,7 @@ impl Programmer {
                     .enumerate()
                     .all(|(k, want)| want.is_none() || got.get(k) == Some(want));
                 if matches {
-                    self.record_block(sw.guid, block as u32, hash);
+                    self.record_block(sw.guid, block, hash);
                 } else {
                     verified = false;
                 }

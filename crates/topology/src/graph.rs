@@ -39,12 +39,23 @@ struct HostNode {
     switch_port: PortIndex,
 }
 
+/// Switches and hosts are counted in their 16-bit id types (by
+/// [`Topology::switch_ids`], [`Topology::host_ids`] and the LID map),
+/// so a fabric holds at most this many of each.
+const MAX_NODES: usize = u16::MAX as usize;
+
 /// An immutable, validated subnet topology.
 #[derive(Clone, Debug)]
 pub struct Topology {
     ports_per_switch: u8,
     switches: Vec<SwitchNode>,
     hosts: Vec<HostNode>,
+    /// `(local port, neighbor switch, neighbor's port)` of every
+    /// inter-switch link end, by switch and port: what a traversal
+    /// walks, instead of port arrays with host and free ports in them.
+    /// Switch `s` owns `links[link_start[s]..link_start[s + 1]]`.
+    links: Vec<(PortIndex, SwitchId, PortIndex)>,
+    link_start: Vec<u32>,
 }
 
 impl Topology {
@@ -88,15 +99,8 @@ impl Topology {
         &self,
         switch: SwitchId,
     ) -> impl Iterator<Item = (PortIndex, SwitchId, PortIndex)> + '_ {
-        self.switches[switch.index()]
-            .ports
-            .iter()
-            .enumerate()
-            .filter_map(|(i, ep)| {
-                let ep = ep.as_ref()?;
-                let peer = ep.node.as_switch()?;
-                Some((PortIndex(i as u8), peer, ep.port))
-            })
+        let s = switch.index();
+        (self.links[self.link_start[s] as usize..self.link_start[s + 1] as usize].iter()).copied()
     }
 
     /// All `(local port, host)` pairs of hosts attached to `switch`, in
@@ -144,33 +148,14 @@ impl Topology {
 
     /// Number of (undirected) inter-switch links.
     pub fn num_switch_links(&self) -> usize {
-        self.switch_ids()
-            .map(|s| self.switch_degree(s))
-            .sum::<usize>()
-            / 2
+        self.links.len() / 2
     }
 
     /// All-pairs shortest-path distances over the *switch* graph (hops
     /// between switches; hosts are not counted). `u32::MAX` marks
     /// unreachable pairs, which a validated topology never has.
     pub fn switch_distances(&self) -> Vec<Vec<u32>> {
-        let n = self.num_switches();
-        let mut dist = vec![vec![u32::MAX; n]; n];
-        let mut queue = VecDeque::new();
-        for (src, row) in dist.iter_mut().enumerate() {
-            row[src] = 0;
-            queue.push_back(SwitchId(src as u16));
-            while let Some(cur) = queue.pop_front() {
-                let d = row[cur.index()];
-                for (_, peer, _) in self.switch_neighbors(cur) {
-                    if row[peer.index()] == u32::MAX {
-                        row[peer.index()] = d + 1;
-                        queue.push_back(peer);
-                    }
-                }
-            }
-        }
-        dist
+        self.switch_ids().map(|s| self.distances_from(s)).collect()
     }
 
     /// BFS distances from one switch.
@@ -329,17 +314,22 @@ impl Topology {
 /// Incremental builder for [`Topology`].
 pub struct TopologyBuilder {
     ports_per_switch: u8,
+    /// The switch count asked for; [`Self::build`] refuses one past
+    /// [`MAX_NODES`], of which only the addressable switches exist.
+    num_switches: usize,
     switches: Vec<SwitchNode>,
     hosts: Vec<HostNode>,
 }
 
 impl TopologyBuilder {
     /// A builder for `num_switches` switches of `ports_per_switch` ports
-    /// each, and no hosts yet.
+    /// each, and no hosts yet. More switches than a [`SwitchId`] counts
+    /// make [`Self::build`] fail instead of wrapping onto switch 0.
     pub fn new(num_switches: usize, ports_per_switch: u8) -> TopologyBuilder {
         TopologyBuilder {
             ports_per_switch,
-            switches: (0..num_switches)
+            num_switches,
+            switches: (0..num_switches.min(MAX_NODES + 1))
                 .map(|_| SwitchNode {
                     ports: vec![None; ports_per_switch as usize],
                 })
@@ -463,6 +453,11 @@ impl TopologyBuilder {
                 "{switch}:{port} already wired"
             )));
         }
+        if self.hosts.len() >= MAX_NODES {
+            return Err(IbaError::InvalidTopology(format!(
+                "a fabric holds at most {MAX_NODES} hosts (16-bit host ids and LIDs)"
+            )));
+        }
         let host = HostId(self.hosts.len() as u16);
         self.switches[switch.index()].ports[port.index()] = Some(Endpoint {
             node: NodeRef::Host(host),
@@ -487,10 +482,29 @@ impl TopologyBuilder {
 
     /// Finish construction, validating every invariant.
     pub fn build(self) -> Result<Topology, IbaError> {
+        if self.num_switches > MAX_NODES {
+            return Err(IbaError::InvalidTopology(format!(
+                "{} switches asked for, a fabric holds at most {MAX_NODES} (16-bit switch ids)",
+                self.num_switches
+            )));
+        }
+        let ports = self.ports_per_switch as usize;
+        let mut links = Vec::with_capacity(self.switches.len() * ports);
+        let mut link_start = Vec::with_capacity(self.switches.len() + 1);
+        for node in &self.switches {
+            link_start.push(links.len() as u32);
+            links.extend(node.ports.iter().enumerate().filter_map(|(i, ep)| {
+                let ep = ep.as_ref()?;
+                Some((PortIndex(i as u8), ep.node.as_switch()?, ep.port))
+            }));
+        }
+        link_start.push(links.len() as u32);
         let topo = Topology {
             ports_per_switch: self.ports_per_switch,
             switches: self.switches,
             hosts: self.hosts,
+            links,
+            link_start,
         };
         topo.validate()?;
         Ok(topo)
@@ -574,6 +588,62 @@ mod tests {
         let mut b = TopologyBuilder::new(2, 1);
         b.connect(SwitchId(0), SwitchId(1)).unwrap();
         assert!(b.attach_host(SwitchId(0)).is_err());
+    }
+
+    #[test]
+    fn the_first_host_past_its_id_type_is_refused() {
+        // 1 024 switches × 64 hosts: the 65 536th host would make the
+        // host count (and `host_ids()`) wrap to 0, the 65 537th would
+        // be issued id 0 again.
+        let mut b = TopologyBuilder::new(1024, 80);
+        for s in 0..1024u16 {
+            for k in 0..64u16 {
+                let attached = b.attach_host(SwitchId(s));
+                if (s, k) == (1023, 63) {
+                    assert!(
+                        matches!(&attached, Err(IbaError::InvalidTopology(m)) if m.contains("65535 hosts")),
+                        "{attached:?}"
+                    );
+                } else {
+                    assert_eq!(attached, Ok(HostId(s * 64 + k)));
+                }
+            }
+        }
+        assert_eq!(b.hosts.len(), 65_535);
+    }
+
+    #[test]
+    fn more_switches_than_an_id_counts_are_refused() {
+        for asked in [65_536usize, 65_537, usize::MAX] {
+            let built = TopologyBuilder::new(asked, 1).build();
+            assert!(
+                matches!(&built, Err(IbaError::InvalidTopology(m)) if m.contains("16-bit switch ids")),
+                "{asked} switches: {:?}",
+                built.map(|t| t.num_switches())
+            );
+        }
+    }
+
+    #[test]
+    fn neighbors_are_the_switch_ports_in_port_order() {
+        // Hosts first, so the links sit above them in the port arrays.
+        let mut b = TopologyBuilder::new(3, 4);
+        b.attach_hosts_everywhere(1).unwrap();
+        b.connect(SwitchId(0), SwitchId(2)).unwrap();
+        b.connect(SwitchId(1), SwitchId(2)).unwrap();
+        let t = b.build().unwrap();
+        let of = |s: u16| t.switch_neighbors(SwitchId(s)).collect::<Vec<_>>();
+        assert_eq!(of(0), [(PortIndex(1), SwitchId(2), PortIndex(1))]);
+        assert_eq!(of(1), [(PortIndex(1), SwitchId(2), PortIndex(2))]);
+        assert_eq!(
+            of(2),
+            [
+                (PortIndex(1), SwitchId(0), PortIndex(1)),
+                (PortIndex(2), SwitchId(1), PortIndex(1))
+            ]
+        );
+        assert_eq!(t.switch_degree(SwitchId(2)), 2);
+        assert_eq!(t.num_switch_links(), 2);
     }
 
     #[test]
