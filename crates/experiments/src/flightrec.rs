@@ -129,6 +129,16 @@ mod tests {
         assert!(n > 0);
         // And the JSONL artifact parses back to the same dump.
         assert_eq!(FlightDump::from_jsonl(&dump.to_jsonl()).unwrap(), dump);
+        // What the rings hold, pinned: a head is looked at again only
+        // when something its last look read has changed, so a `blocked`
+        // event is a new reason, not a wake-up (560 of them, 529
+        // `dead_port` verdicts among them, when every pass re-looked
+        // every head; every other kind and both triggers as they were).
+        let count = |kind| dump.events.iter().filter(|e| e.ev.kind() == kind).count();
+        let kinds = ["arrived", "route_decision", "credit_returned", "blocked"];
+        assert_eq!(kinds.map(count), [3_750, 3_637, 2_308, 350]);
+        let wedges: Vec<_> = dump.triggers.iter().map(|t| (t.at_ns, t.cause)).collect();
+        assert_eq!(wedges, [(34_000, TriggerCause::SuspectedWedge); 2]);
     }
 
     #[test]

@@ -63,6 +63,7 @@ pub mod config;
 pub mod metrics;
 pub mod network;
 pub mod perfetto;
+mod probe;
 pub mod recorder;
 mod shard;
 pub mod stats;

@@ -51,11 +51,12 @@
 //! Three subsystems still need the whole fabric in one shard and are
 //! rejected by `build()` when combined with `shards(n > 1)`:
 //! trace-driven replay (a global script cursor), the flight recorder
-//! (globally ordered rings), and [`RecoveryPolicy::SmResweep`] (a
-//! fabric-wide atomic table swap).
+//! (a trigger must freeze every ring at the same event), and
+//! [`RecoveryPolicy::SmResweep`] (a fabric-wide atomic table swap).
 
 use crate::config::{RecoveryPolicy, SimConfig};
 use crate::metrics::{fill_run_metrics, EngineProfile, WorkerProfile};
+use crate::probe::Observers;
 use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts};
 use crate::shard::{check_key_capacity, Mailbox, Shard, CLASS_NAMES};
 use crate::stats::{RunResult, StatsCollector};
@@ -307,7 +308,7 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
             if self.recorder.is_some() {
                 return Err(IbaError::InvalidConfig(
                     "the flight recorder requires the serial engine (shards = 1): \
-                     its rings are globally ordered"
+                     a trigger freezes every ring at the same event"
                         .into(),
                 ));
             }
@@ -315,6 +316,11 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
         check_key_capacity(self.topo.num_switches(), self.topo.num_hosts())?;
         let partition = Arc::new(Partition::contiguous(self.topo, num_shards)?);
 
+        let (nsw, ports) = (
+            self.topo.num_switches(),
+            self.topo.ports_per_switch() as usize,
+        );
+        let armed = self.trace.is_some() || self.telemetry.is_some() || self.recorder.is_some();
         let mut shards = Vec::with_capacity(num_shards);
         for id in 0..num_shards {
             let mut sh = Shard::new(self.topo, self.routing, spec, config, id, partition.clone())?;
@@ -327,28 +333,18 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
             if let Some(p) = self.corruption {
                 sh.corrupt_prob = p;
             }
-            if let Some(opts) = self.trace {
-                sh.tracer = Some(Tracer::with_opts(opts));
-            }
+            // Each shard listens for itself (telemetry samples only its
+            // own switches, a journey is split across the shards it
+            // crossed); the observer merge splices the pieces together.
+            sh.observers = armed.then(|| {
+                Box::new(Observers {
+                    tracer: self.trace.map(Tracer::with_opts),
+                    telemetry: (self.telemetry).map(|o| TelemetryState::new(o, nsw, ports)),
+                    recorder: (self.recorder)
+                        .map(|o| FlightRecorder::new(o, nsw, ports, config.data_vls as usize)),
+                })
+            });
             shards.push(sh);
-        }
-
-        let num_switches = self.topo.num_switches();
-        let ports = self.topo.ports_per_switch() as usize;
-        if let Some(opts) = self.telemetry {
-            // Each shard samples only its own switches; the observer
-            // merge splices the slices back together.
-            for sh in shards.iter_mut() {
-                sh.telemetry = Some(Box::new(TelemetryState::new(opts, num_switches, ports)));
-            }
-        }
-        if let Some(opts) = self.recorder {
-            shards[0].recorder = Some(Box::new(FlightRecorder::new(
-                opts,
-                num_switches,
-                ports,
-                config.data_vls as usize,
-            )));
         }
 
         Ok(Network {
@@ -603,7 +599,7 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
 
     /// Whether the telemetry probes are armed.
     pub fn telemetry_enabled(&self) -> bool {
-        self.shards[0].telemetry.is_some()
+        (self.shards[0].observers.as_deref()).is_some_and(|o| o.telemetry.is_some())
     }
 
     /// The merged telemetry — every occupancy sample and the
@@ -615,18 +611,18 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
 
     /// Whether the flight recorder is armed.
     pub fn recorder_enabled(&self) -> bool {
-        self.shards[0].recorder.is_some()
+        self.recorder().is_some()
     }
 
     /// The flight recorder, once armed through the builder.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.shards[0].recorder.as_deref()
+        self.shards[0].observers.as_deref()?.recorder.as_ref()
     }
 
     /// Drain the flight recorder into an exportable [`FlightDump`]
     /// (`None` unless the recorder was armed through the builder).
     pub fn flight_dump(&self) -> Option<FlightDump> {
-        self.shards[0].recorder.as_deref().map(|r| {
+        self.recorder().map(|r| {
             r.dump(
                 self.topo.num_switches(),
                 self.topo.ports_per_switch() as usize,
@@ -874,10 +870,10 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// shard tracers. Everything is rebuilt from the shard states, which
     /// only ever grow, so the merged views follow every further drive.
     fn finalize_observers(&mut self) {
-        let states: Vec<&TelemetryState> = self
+        let states: Vec<_> = self
             .shards
             .iter()
-            .filter_map(|s| s.telemetry.as_deref())
+            .filter_map(|s| s.observers.as_deref()?.telemetry.as_ref())
             .collect();
         if let Some(first) = states.first() {
             // Ticks are replicated, so sample `k` is the same instant in
@@ -924,7 +920,10 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
             // recorded them in.
             let mut all: HashMap<PacketId, PacketTrace> = HashMap::new();
             for sh in &self.shards {
-                if let Some(tr) = sh.tracer.as_ref() {
+                if let Some(Observers {
+                    tracer: Some(tr), ..
+                }) = sh.observers.as_deref()
+                {
                     for (id, t) in tr.traces() {
                         all.entry(*id)
                             .or_default()

@@ -1,0 +1,241 @@
+//! The probe seam. The switch model says what happened — a
+//! [`FlightEvent`], the switch it happened at (a host-side event names
+//! the host's switch) and the instant — and names no listener; what each
+//! listener makes of it is decided here: the [`Tracer`]'s journey step,
+//! telemetry's forward and stall tallies, and for the [`FlightRecorder`]
+//! the ring, the drop and latency triggers, the `Blocked` dedup and the
+//! watchdog's progress and credit-return clocks. Two facts no event has
+//! a field for travel beside it: an arrival found its buffer empty
+//! (`into_empty`), and a packet was generated ([`Observers::generated`]).
+
+use crate::recorder::{FlightRecorder, TriggerCause};
+use crate::telemetry::TelemetryState;
+use crate::trace::{TraceStep, Tracer};
+use iba_core::{DropCause, FlightEvent, HostId, PacketId, SimTime, SwitchId};
+
+/// The listeners of one shard.
+pub(crate) struct Observers {
+    pub(crate) tracer: Option<Tracer>,
+    pub(crate) telemetry: Option<TelemetryState>,
+    pub(crate) recorder: Option<FlightRecorder>,
+}
+
+/// Tell `observers` what happened at `sw`; a bare run tests the pointer
+/// and builds nothing.
+#[inline]
+pub(crate) fn emit(
+    observers: &mut Option<Box<Observers>>,
+    at: SimTime,
+    sw: SwitchId,
+    ev: impl FnOnce() -> FlightEvent,
+) {
+    if let Some(o) = observers {
+        o.event(at, sw, ev(), false);
+    }
+}
+
+/// Whether a look should keep its per-option verdicts: telemetry tallies
+/// its stall causes off them, a live recorder logs them.
+pub(crate) fn wants_verdicts(observers: &Option<Box<Observers>>) -> bool {
+    observers
+        .as_deref()
+        .is_some_and(|o| o.telemetry.is_some() || o.recorder.as_ref().is_some_and(|r| !r.frozen()))
+}
+
+impl Observers {
+    /// `host` generated packet `id` into its source queue.
+    pub(crate) fn generated(&mut self, at: SimTime, id: PacketId, host: HostId) {
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.record(id, at, TraceStep::Generated { host });
+        }
+    }
+
+    /// One transition of the model. `into_empty` goes with `Arrived`:
+    /// the buffer held nothing, so the packet's wait starts now.
+    pub(crate) fn event(&mut self, at: SimTime, sw: SwitchId, ev: FlightEvent, into_empty: bool) {
+        if let (Some(tr), Some(id)) = (self.tracer.as_mut(), ev.packet()) {
+            let step = match ev {
+                FlightEvent::Injected { .. } => Some(TraceStep::Injected),
+                FlightEvent::Arrived { port, vl, .. } => {
+                    Some(TraceStep::ArrivedAt { sw, port, vl })
+                }
+                FlightEvent::RouteDecision {
+                    out_port,
+                    via_escape,
+                    from_escape_head,
+                    ..
+                } => Some(TraceStep::Forwarded {
+                    sw,
+                    out_port,
+                    via_escape,
+                    from_escape_head,
+                }),
+                FlightEvent::Delivered { host, .. } => Some(TraceStep::Delivered { host }),
+                FlightEvent::Dropped { cause, .. } => Some(TraceStep::Dropped { sw, cause }),
+                _ => None,
+            };
+            if let Some(step) = step {
+                tr.record(id, at, step);
+            }
+        }
+        if let Some(t) = self.telemetry.as_mut() {
+            match &ev {
+                FlightEvent::RouteDecision {
+                    via_escape,
+                    waited_ns,
+                    options,
+                    ..
+                } => {
+                    t.note_forward(sw, *via_escape, *waited_ns);
+                    // Beside an adaptive grant the escape entry is the
+                    // fate the option would have had: seen, not stalled
+                    // on (beside an escape grant it is `Selected`).
+                    t.note_verdicts(sw, options.iter().filter(|o| !o.escape));
+                }
+                FlightEvent::Blocked { options, .. } => t.note_verdicts(sw, options.iter()),
+                _ => {}
+            }
+        }
+        if let Some(r) = self.recorder.as_mut() {
+            log(r, at, sw, ev, into_empty);
+        }
+    }
+}
+
+/// The recorder's share of an event: the watchdog's clocks, the ring
+/// (host-side events share one) and the trigger it may fire.
+fn log(r: &mut FlightRecorder, at: SimTime, sw: SwitchId, ev: FlightEvent, into_empty: bool) {
+    let host_side = match ev {
+        FlightEvent::Injected { .. } | FlightEvent::Delivered { .. } => true,
+        FlightEvent::Dropped { cause, .. } => cause == DropCause::SourceQueueFull,
+        _ => false,
+    };
+    let ring = (!host_side).then_some(sw);
+    let mut trigger = None;
+    match ev {
+        // Forward progress of a buffer: a packet landed in it empty, won
+        // arbitration out of it, or freed its slot.
+        FlightEvent::Arrived { port, vl, .. } if into_empty => {
+            r.note_progress(sw, port.index(), vl.index(), at)
+        }
+        FlightEvent::RouteDecision {
+            in_port: port, vl, ..
+        }
+        | FlightEvent::TailLeft { port, vl, .. } => {
+            r.note_progress(sw, port.index(), vl.index(), at)
+        }
+        FlightEvent::CreditReturned { port, .. } => r.note_credit_return(sw, port, at),
+        FlightEvent::Dropped { packet, .. } if r.opts().trigger_on_drop => {
+            trigger = Some((TriggerCause::Drop, packet))
+        }
+        FlightEvent::Delivered {
+            packet, latency_ns, ..
+        } if (r.opts().latency_threshold_ns).is_some_and(|t| latency_ns >= t) => {
+            trigger = Some((TriggerCause::LatencyThreshold, packet))
+        }
+        FlightEvent::Blocked {
+            packet,
+            in_port,
+            vl,
+            ref options,
+        } if !r.blocked_anew(sw, in_port.index(), vl.index(), packet, options) => return,
+        _ => {}
+    }
+    r.record(ring, at, ev);
+    if let Some((cause, packet)) = trigger.filter(|_| !r.frozen()) {
+        r.trigger(at, cause, ring, Some(packet));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::recorder::RecorderOpts;
+    use crate::telemetry::TelemetryOpts;
+    use iba_core::{OptionOutcome, OptionOutcomes, OptionVerdict, PortIndex, VirtualLane};
+
+    const SW: SwitchId = SwitchId(1);
+
+    fn listeners() -> Observers {
+        Observers {
+            tracer: None,
+            telemetry: Some(TelemetryState::new(TelemetryOpts::default(), 2, 4)),
+            recorder: Some(FlightRecorder::new(RecorderOpts::default(), 2, 4, 1)),
+        }
+    }
+
+    fn options(list: &[(u8, bool, OptionVerdict)]) -> OptionOutcomes {
+        let outcome = |&(port, escape, verdict)| OptionOutcome {
+            port: PortIndex(port),
+            escape,
+            verdict,
+        };
+        list.iter().map(outcome).collect()
+    }
+
+    #[test]
+    fn the_escape_fate_beside_an_adaptive_grant_is_seen_not_tallied() {
+        use OptionVerdict::*;
+        let mut o = listeners();
+        let granted = FlightEvent::RouteDecision {
+            packet: PacketId(7),
+            in_port: PortIndex(0),
+            vl: VirtualLane(0),
+            out_port: PortIndex(2),
+            via_escape: false,
+            from_escape_head: false,
+            waited_ns: 40,
+            options: options(&[
+                (1, false, NoAdaptiveCredit),
+                (2, false, Selected),
+                (3, true, NoEscapeCredit),
+            ]),
+        };
+        o.event(SimTime::from_ns(10), SW, granted, false);
+        let stalls = |o: &Observers| o.telemetry.as_ref().unwrap().switches()[1].stalls.clone();
+        assert_eq!(stalls(&o)[1].no_adaptive_credit, 1);
+        assert_eq!(stalls(&o)[3].total(), 0, "observed, not suffered");
+        let refused = FlightEvent::Blocked {
+            packet: PacketId(8),
+            in_port: PortIndex(0),
+            vl: VirtualLane(0),
+            options: options(&[
+                (1, false, DeadPort),
+                (2, false, LinkBusy),
+                (3, true, NoEscapeCredit),
+            ]),
+        };
+        o.event(SimTime::from_ns(20), SW, refused, false);
+        let s = stalls(&o);
+        assert_eq!(
+            (s[1].dead_port, s[2].total(), s[3].no_escape_credit),
+            (1, 0, 1)
+        );
+        let report = &o.telemetry.as_ref().unwrap().switches()[1];
+        assert_eq!((report.adaptive_forwards, report.escape_forwards), (1, 0));
+    }
+
+    #[test]
+    fn a_drop_freezes_the_rings_after_it_is_logged() {
+        let lost = |cause| FlightEvent::Dropped {
+            packet: PacketId(9),
+            cause,
+        };
+        for (cause, at_switch) in [
+            (DropCause::LinkDown, Some(SW)),
+            (DropCause::SourceQueueFull, None),
+        ] {
+            let mut o = listeners();
+            o.event(SimTime::from_ns(5), SW, lost(cause), false);
+            o.event(SimTime::from_ns(6), SW, lost(cause), false);
+            let dump = o.recorder.as_ref().unwrap().dump(2, 4, 1);
+            assert!(dump.frozen);
+            assert_eq!(dump.events.len(), 1, "the drop itself, nothing after it");
+            assert_eq!(dump.events[0].sw, at_switch, "a source drop is host-side");
+            let t = dump.triggers[0];
+            assert_eq!(dump.triggers.len(), 1);
+            assert_eq!((t.at_ns, t.cause, t.sw), (5, TriggerCause::Drop, at_switch));
+            assert_eq!(t.packet, Some(PacketId(9)));
+        }
+    }
+}

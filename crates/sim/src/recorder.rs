@@ -39,7 +39,7 @@
 
 use iba_core::{
     FlightEvent, Json, OptionOutcomes, PacketId, PortIndex, SimTime, StallClass, StampedEvent,
-    SwitchId, VirtualLane, FLIGHT_SCHEMA_VERSION,
+    SwitchId, FLIGHT_SCHEMA_VERSION,
 };
 
 /// Stall-watchdog configuration.
@@ -178,9 +178,9 @@ impl Ring {
     }
 }
 
-/// The per-run flight recorder. Owned by the `Network` (as
-/// `Option<Box<FlightRecorder>>`, so disabled runs pay one null check
-/// per hook); drained into a [`FlightDump`] after the run.
+/// The per-run flight recorder: one of the listeners behind the
+/// simulator's probe seam (a run without it pays nothing for it);
+/// drained into a [`FlightDump`] after the run.
 pub struct FlightRecorder {
     opts: RecorderOpts,
     rings: Vec<Ring>,
@@ -283,22 +283,6 @@ impl FlightRecorder {
         self.frozen = true;
     }
 
-    /// Whether the drop trigger is armed (and the recorder still live).
-    #[inline]
-    pub fn wants_drop_trigger(&self) -> bool {
-        self.opts.trigger_on_drop && !self.frozen
-    }
-
-    /// Whether `latency_ns` trips the latency trigger.
-    #[inline]
-    pub fn wants_latency_trigger(&self, latency_ns: u64) -> bool {
-        !self.frozen
-            && self
-                .opts
-                .latency_threshold_ns
-                .is_some_and(|t| latency_ns >= t)
-    }
-
     /// Note forward progress on (switch, input port, VL): a packet was
     /// forwarded out of the buffer, the buffer drained empty, or a
     /// packet arrived into an empty buffer (starting a new wait clock).
@@ -329,20 +313,17 @@ impl FlightRecorder {
         self.last_credit_return[sw.index() * self.nports + port.index()]
     }
 
-    /// Log a `Blocked` event unless an identical one (same packet, same
-    /// verdict multiset) was the last thing logged for this buffer.
-    pub fn record_blocked(
+    /// Whether a `Blocked` event for this buffer says something new: not
+    /// the packet and verdict multiset of the last one asked about.
+    /// Marks it said.
+    pub fn blocked_anew(
         &mut self,
         sw: SwitchId,
-        at: SimTime,
         in_port: usize,
         vl: usize,
         packet: PacketId,
         options: &OptionOutcomes,
-    ) {
-        if self.frozen {
-            return;
-        }
+    ) -> bool {
         // Cheap order-independent signature of (packet, outcomes).
         let mut sig = PacketId(packet.0).stable_hash() | 1;
         for o in options.iter() {
@@ -350,20 +331,7 @@ impl FlightRecorder {
                 .wrapping_add(PacketId(((o.port.0 as u64) << 8) | o.verdict as u64).stable_hash());
         }
         let i = self.pv(sw, in_port, vl);
-        if self.blocked_sig[i] == sig {
-            return;
-        }
-        self.blocked_sig[i] = sig;
-        self.record(
-            Some(sw),
-            at,
-            FlightEvent::Blocked {
-                packet,
-                in_port: PortIndex(in_port as u8),
-                vl: VirtualLane(vl as u8),
-                options: options.clone(),
-            },
-        );
+        std::mem::replace(&mut self.blocked_sig[i], sig) != sig
     }
 
     /// Whether a `Stall` event with `class` should be logged for this
@@ -621,7 +589,7 @@ pub fn classify_stall(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iba_core::{DropCause, HostId};
+    use iba_core::{DropCause, HostId, VirtualLane};
 
     fn ev(n: u64) -> FlightEvent {
         FlightEvent::TailLeft {
@@ -680,19 +648,20 @@ mod tests {
             escape: true,
             verdict: iba_core::OptionVerdict::NoEscapeCredit,
         });
+        let mut said = 0;
         for _ in 0..5 {
-            rec.record_blocked(SwitchId(0), SimTime::from_ns(10), 0, 0, PacketId(7), &opts);
+            said += u32::from(rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
         }
-        assert_eq!(rec.dump(1, 2, 1).events.len(), 1, "identical blocks dedup");
+        assert_eq!(said, 1, "identical blocks dedup");
         // A different reason set logs again.
         opts[0].verdict = iba_core::OptionVerdict::LinkBusy;
-        rec.record_blocked(SwitchId(0), SimTime::from_ns(11), 0, 0, PacketId(7), &opts);
-        assert_eq!(rec.dump(1, 2, 1).events.len(), 2);
+        assert!(rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
         // Progress resets the dedup signature: the same reason logs anew.
         opts[0].verdict = iba_core::OptionVerdict::NoEscapeCredit;
+        assert!(rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
+        assert!(!rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
         rec.note_progress(SwitchId(0), 0, 0, SimTime::from_ns(12));
-        rec.record_blocked(SwitchId(0), SimTime::from_ns(13), 0, 0, PacketId(7), &opts);
-        assert_eq!(rec.dump(1, 2, 1).events.len(), 3);
+        assert!(rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
     }
 
     #[test]

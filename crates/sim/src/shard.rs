@@ -35,10 +35,9 @@
 
 use crate::buffer::{ReadPoint, SlotHandle, VlBuffer};
 use crate::config::{RecoveryPolicy, SelectionPolicy, SimConfig};
-use crate::recorder::{classify_stall, FlightRecorder, TriggerCause};
+use crate::probe::{emit, wants_verdicts, Observers};
+use crate::recorder::{classify_stall, TriggerCause};
 use crate::stats::StatsCollector;
-use crate::telemetry::{StallCause, TelemetryState};
-use crate::trace::{TraceStep, Tracer};
 use iba_core::{
     Credits, DropCause, FlightEvent, HostId, IbaError, InlineVec, NodeRef, OptionOutcome,
     OptionOutcomes, OptionVerdict, Packet, PacketId, PortIndex, SimTime, StallClass, SwitchId,
@@ -347,7 +346,6 @@ struct Decision {
     out_port: PortIndex,
     out_vl: VirtualLane,
     via_escape: bool,
-    read_point: ReadPoint,
 }
 
 /// One shard of the simulation.
@@ -397,7 +395,10 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     pub(crate) gen_deadline: SimTime,
     /// Whether the initial generation events have been scheduled.
     primed: bool,
-    pub(crate) tracer: Option<Tracer>,
+    /// Whatever listens to this shard's transitions — journeys,
+    /// telemetry, the flight recorder (`crate::probe`). `None` (the
+    /// default) makes every site of the seam one pointer test.
+    pub(crate) observers: Option<Box<Observers>>,
     /// Trace-driven injections (replaces the synthetic generators).
     script: Option<&'a TrafficScript>,
     /// Resolved link-fault schedule (empty without armed faults).
@@ -423,18 +424,6 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// Recovery tables installed by the last completed re-sweep; `None`
     /// while the primary tables are live.
     pub(crate) recovery_routing: Option<FaRouting<E>>,
-    /// Telemetry probe state; `None` (the default) keeps every hook a
-    /// single pointer-null check and schedules no sampling events.
-    pub(crate) telemetry: Option<Box<TelemetryState>>,
-    /// Flight-recorder state; `None` (the default, and always with more
-    /// than one shard) keeps every hook a single pointer-null check.
-    pub(crate) recorder: Option<Box<FlightRecorder>>,
-    /// Candidate-option verdicts of the most recent arbitration grant.
-    /// Scratch reused across grants so `Decision` stays small — the
-    /// ~100-byte option set is only written (and read back by
-    /// `start_forward`) while the recorder is capturing; with it off or
-    /// frozen the field is never touched on the hot path.
-    decision_options: OptionOutcomes,
     /// Per-entity schedule counters backing the canonical event keys
     /// (switches, then hosts, then the coordinator pseudo-entity).
     /// Only the owning shard advances an entity's counter, except the
@@ -595,7 +584,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 .collect(),
             gen_deadline: horizon,
             primed: false,
-            tracer: None,
+            observers: None,
             script: None,
             faults: Vec::new(),
             recovery: RecoveryPolicy::None,
@@ -607,9 +596,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 .map(|s| root.derive_indexed(StreamKind::Custom(0xC0DE), s as u64))
                 .collect(),
             recovery_routing: None,
-            telemetry: None,
-            recorder: None,
-            decision_options: OptionOutcomes::new(),
             key_counters: vec![0; nsw + nh + 1],
             resync_pending: vec![false; nsw * ports],
             outbox: Vec::new(),
@@ -771,13 +757,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         self.recovery_routing.as_ref().unwrap_or(self.routing)
     }
 
-    #[inline]
-    fn trace(&mut self, id: PacketId, at: SimTime, step: TraceStep) {
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.record(id, at, step);
-        }
-    }
-
     /// Seed the event queue: every owned host's first synthetic
     /// generation, or the script's first entry in trace-driven mode.
     /// Fault and telemetry events are replicated into every shard.
@@ -804,27 +783,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             let (at, ent) = (self.faults[idx].at, self.ent_coord());
             self.sched(at, CLASS_FAULT, ent, Event::Fault { idx });
         }
-        // The telemetry probe rides the event queue like everything else,
-        // so sampling points are serialized deterministically across
-        // backends. Disabled runs schedule nothing.
-        if let Some(t) = self.telemetry.as_deref() {
-            let at = SimTime::from_ns(t.cadence_ns());
-            if at <= self.config.horizon() {
-                let ent = self.ent_coord();
-                self.sched(at, CLASS_PROBE, ent, Event::TelemetrySample);
-            }
-        }
-        // Likewise the stall watchdog: its checks are ordinary events at
-        // deterministic times, so recorded runs stay bit-identical across
-        // queue backends. (The builder rejects the recorder on more than
-        // one shard.)
-        if let Some(wd) = self.recorder.as_deref().and_then(|r| r.opts().watchdog) {
-            let at = SimTime::from_ns(wd.check_every_ns);
-            if at <= self.config.horizon() {
-                let ent = self.ent_coord();
-                self.sched(at, CLASS_PROBE, ent, Event::WatchdogCheck);
-            }
-        }
+        self.prime_ticks();
         if let Some(script) = self.script {
             // The script cursor is one global sequence, so it rides the
             // coordinator entity (the builder rejects scripts on more
@@ -886,22 +845,12 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             } => self.on_credit_return(now, target, port, vl, credits),
             Event::CreditResync { sw, port, free } => self.on_credit_resync(sw, port, &free),
             Event::Deliver { host, packet } => {
-                self.trace(packet.id, now, TraceStep::Delivered { host });
-                if let Some(r) = self.recorder.as_deref_mut() {
-                    let latency_ns = now.since(packet.generated_at);
-                    r.record(
-                        None,
-                        now,
-                        FlightEvent::Delivered {
-                            packet: packet.id,
-                            host,
-                            latency_ns,
-                        },
-                    );
-                    if r.wants_latency_trigger(latency_ns) {
-                        r.trigger(now, TriggerCause::LatencyThreshold, None, Some(packet.id));
-                    }
-                }
+                let sw = self.hosts[host.index()].attached_switch;
+                emit(&mut self.observers, now, sw, || FlightEvent::Delivered {
+                    packet: packet.id,
+                    host,
+                    latency_ns: now.since(packet.generated_at),
+                });
                 self.stats.on_delivered(&packet, now);
             }
             Event::Fault { idx } => {
@@ -980,34 +929,54 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         self.queue.events_processed() + self.handlers[CLASS_ARBITRATE as usize] - self.replicated
     }
 
+    /// Schedule the first tick of each sampling probe that is armed.
+    /// Both ride the event queue like everything else, so their sampling
+    /// points are serialized deterministically across backends; a run
+    /// without them schedules nothing. (The builder rejects the recorder
+    /// on more than one shard.)
+    fn prime_ticks(&mut self) {
+        let Some(o) = self.observers.as_deref() else {
+            return;
+        };
+        let telemetry = o.telemetry.as_ref().map(|t| t.cadence_ns());
+        let watchdog = o.recorder.as_ref().and_then(|r| r.opts().watchdog);
+        if let Some(every_ns) = telemetry {
+            self.tick(SimTime::from_ns(every_ns), Event::TelemetrySample);
+        }
+        if let Some(wd) = watchdog {
+            self.tick(SimTime::from_ns(wd.check_every_ns), Event::WatchdogCheck);
+        }
+    }
+
+    /// Schedule a probe tick, unless it falls past the horizon.
+    fn tick(&mut self, at: SimTime, ev: Event) {
+        if at <= self.config.horizon() {
+            let ent = self.ent_coord();
+            self.sched(at, CLASS_PROBE, ent, ev);
+        }
+    }
+
     /// Take one telemetry sample, hand it to the sink, and reschedule
     /// the probe one cadence later (while the horizon allows). A shard
     /// samples only the switches it owns (the merge concatenates the
     /// shards' slices).
     fn on_telemetry_sample(&mut self, now: SimTime) {
-        let nvls = self.config.data_vls as usize;
-        let nports = self.topo.ports_per_switch() as usize;
-        let nsw = self.switches.len();
-        let part = &*self.part;
-        let id = self.id;
-        let horizon = self.config.horizon();
-        let Some(t) = self.telemetry.as_deref_mut() else {
+        let (part, id, nvls) = (&*self.part, self.id, self.config.data_vls);
+        let Some(Observers {
+            telemetry: Some(t), ..
+        }) = self.observers.as_deref_mut()
+        else {
             return;
         };
-        let switches = &self.switches;
-        t.record_sample_filtered(
-            now,
-            nvls,
-            |s, p, v| &switches[s].inputs[p].vls[v],
-            nsw,
-            nports,
-            |s| part.shard_of_switch(SwitchId(s as u16)) == id,
-        );
+        let switches = self.switches.iter().enumerate();
+        let owned = switches.filter(|(s, _)| part.shard_of_switch(SwitchId(*s as u16)) == id);
+        let lanes = owned.flat_map(|(s, st)| {
+            let lane = move |vl| st.inputs.iter().map(move |ip| &ip.vls[vl as usize]);
+            (0..nvls).map(move |vl| (SwitchId(s as u16), VirtualLane(vl), lane(vl)))
+        });
+        t.record_sample(now, lanes);
         let next = now.plus_ns(t.cadence_ns());
-        if next <= horizon {
-            let ent = self.ent_coord();
-            self.sched(next, CLASS_PROBE, ent, Event::TelemetrySample);
-        }
+        self.tick(next, Event::TelemetrySample);
     }
 
     /// One stall-watchdog pass: check every (switch, input port, VL)
@@ -1016,10 +985,13 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// (while the horizon allows). Sweeps every switch: the builder
     /// rejects the recorder on more than one shard.
     fn on_watchdog_check(&mut self, now: SimTime) {
-        let Some(wd) = self.recorder.as_deref().and_then(|r| r.opts().watchdog) else {
+        let Some(r) = self.observers.as_deref().and_then(|o| o.recorder.as_ref()) else {
             return;
         };
-        if !self.recorder.as_deref().is_some_and(|r| r.frozen()) {
+        let Some(wd) = r.opts().watchdog else {
+            return;
+        };
+        if !r.frozen() {
             let nports = self.topo.ports_per_switch() as usize;
             let nvls = self.config.data_vls as usize;
             for si in 0..self.switches.len() {
@@ -1036,11 +1008,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 }
             }
         }
-        let next = now.plus_ns(wd.check_every_ns);
-        if next <= self.config.horizon() {
-            let ent = self.ent_coord();
-            self.sched(next, CLASS_PROBE, ent, Event::WatchdogCheck);
-        }
+        self.tick(now.plus_ns(wd.check_every_ns), Event::WatchdogCheck);
     }
 
     /// Check one buffer: stalled means occupied, not mid-transmission,
@@ -1073,10 +1041,13 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
         let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
         let op = routing.route_by_id(head.route).escape;
-        let waited = self
-            .recorder
-            .as_deref()
-            .map_or(0, |r| r.stalled_for(sw, ip, vl, now));
+        let Some(Observers {
+            recorder: Some(r), ..
+        }) = self.observers.as_deref_mut()
+        else {
+            return;
+        };
+        let waited = r.stalled_for(sw, ip, vl, now);
         if waited < stall_after_ns {
             return;
         }
@@ -1089,11 +1060,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             Some(cs) => cs[out_vl.index()] >= head.packet.credits(),
         };
         let packet_id = head.packet.id;
-        let since_return = self
-            .recorder
-            .as_deref()
-            .and_then(|r| r.last_credit_return_at(sw, op))
-            .map(|t| now.since(t));
+        let since_return = r.last_credit_return_at(sw, op).map(|t| now.since(t));
         let class = classify_stall(
             escape_link_up,
             escape_streaming,
@@ -1101,9 +1068,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             since_return,
             stall_after_ns,
         );
-        let Some(r) = self.recorder.as_deref_mut() else {
-            return;
-        };
         if r.should_log_stall(sw, ip, vl, class) {
             r.record(
                 Some(sw),
@@ -1254,9 +1218,10 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 if self.owns_switch(f.a) {
                     self.stats.on_fault(now);
                 }
-                if let Some(r) = self.recorder.as_deref_mut() {
-                    r.record(Some(f.a), now, FlightEvent::LinkDown { port: f.pa });
-                    r.record(Some(f.b), now, FlightEvent::LinkDown { port: f.pb });
+                for (s, port) in [(f.a, f.pa), (f.b, f.pb)] {
+                    emit(&mut self.observers, now, s, || FlightEvent::LinkDown {
+                        port,
+                    });
                 }
             }
             FaultKind::LinkUp => {
@@ -1266,9 +1231,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 self.unmask_port(f.a, f.pa, false);
                 self.unmask_port(f.b, f.pb, false);
                 self.active_faults -= 1;
-                if let Some(r) = self.recorder.as_deref_mut() {
-                    r.record(Some(f.a), now, FlightEvent::LinkUp { port: f.pa });
-                    r.record(Some(f.b), now, FlightEvent::LinkUp { port: f.pb });
+                for (s, port) in [(f.a, f.pa), (f.b, f.pb)] {
+                    emit(&mut self.observers, now, s, || FlightEvent::LinkUp { port });
                 }
                 for (s, p, peer, pp) in [(f.a, f.pa, f.b, f.pb), (f.b, f.pb, f.a, f.pa)] {
                     self.resync_link_credits(now, s, p, peer, pp);
@@ -1307,31 +1271,27 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         } else {
             self.active_faults -= 1;
         }
-        if let Some(r) = self.recorder.as_deref_mut() {
-            let ev = if down {
-                FlightEvent::SwitchDown { sw: s }
-            } else {
-                FlightEvent::SwitchUp { sw: s }
-            };
-            r.record(Some(s), now, ev);
-        }
+        emit(&mut self.observers, now, s, || match down {
+            true => FlightEvent::SwitchDown { sw: s },
+            false => FlightEvent::SwitchUp { sw: s },
+        });
         let neighbors: InlineVec<(PortIndex, SwitchId, PortIndex), MAX_PORTS> =
             self.topo.switch_neighbors(s).collect();
         for &(p, peer, pp) in neighbors.iter() {
             if down {
                 self.mask_port(s, p, true);
                 if self.mask_port(peer, pp, true) {
-                    if let Some(r) = self.recorder.as_deref_mut() {
-                        r.record(Some(peer), now, FlightEvent::LinkDown { port: pp });
-                    }
+                    emit(&mut self.observers, now, peer, || FlightEvent::LinkDown {
+                        port: pp,
+                    });
                 }
             } else {
                 let live_s = self.unmask_port(s, p, true);
                 let live_peer = self.unmask_port(peer, pp, true);
                 if live_peer {
-                    if let Some(r) = self.recorder.as_deref_mut() {
-                        r.record(Some(peer), now, FlightEvent::LinkUp { port: pp });
-                    }
+                    emit(&mut self.observers, now, peer, || FlightEvent::LinkUp {
+                        port: pp,
+                    });
                 }
                 if live_s && live_peer {
                     self.resync_link_credits(now, s, p, peer, pp);
@@ -1588,7 +1548,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             escape_uses: 0,
         };
         h.next_seq += 1;
-        let attached = h.attached_switch;
+        let sw = h.attached_switch;
         let queue_full = self
             .config
             .host_queue_capacity
@@ -1600,29 +1560,12 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         if queue_full {
             // Finite CA send queue: the new packet is discarded.
             self.stats.on_source_drop();
-            self.trace(
-                id,
-                now,
-                TraceStep::Dropped {
-                    sw: attached,
-                    cause: DropCause::SourceQueueFull,
-                },
-            );
-            if let Some(r) = self.recorder.as_deref_mut() {
-                r.record(
-                    None,
-                    now,
-                    FlightEvent::Dropped {
-                        packet: id,
-                        cause: DropCause::SourceQueueFull,
-                    },
-                );
-                if r.wants_drop_trigger() {
-                    r.trigger(now, TriggerCause::Drop, None, Some(id));
-                }
-            }
-        } else {
-            self.trace(id, now, TraceStep::Generated { host });
+            emit(&mut self.observers, now, sw, || FlightEvent::Dropped {
+                packet: id,
+                cause: DropCause::SourceQueueFull,
+            });
+        } else if let Some(o) = self.observers.as_deref_mut() {
+            o.generated(now, id, host);
         }
     }
 
@@ -1648,17 +1591,10 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         let sw = h.attached_switch;
         let (_, port) = self.topo.host_attachment(host);
         self.stats.on_injected(queue_len);
-        self.trace(traced_id, now, TraceStep::Injected);
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(
-                None,
-                now,
-                FlightEvent::Injected {
-                    packet: traced_id,
-                    host,
-                },
-            );
-        }
+        emit(&mut self.observers, now, sw, || FlightEvent::Injected {
+            packet: traced_id,
+            host,
+        });
         let ent = self.ent_host(host);
         self.sched(
             now.plus_ns(self.config.phys.propagation_ns),
@@ -1679,18 +1615,13 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         );
     }
 
-    /// Account one in-transit loss at `sw`: stats (per cause), journey
-    /// trace, flight-recorder event and (when configured) the drop
-    /// trigger.
+    /// Account one in-transit loss at `sw`.
     fn drop_in_transit(&mut self, now: SimTime, sw: SwitchId, id: PacketId, cause: DropCause) {
         self.stats.on_transit_drop(now, cause);
-        self.trace(id, now, TraceStep::Dropped { sw, cause });
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(Some(sw), now, FlightEvent::Dropped { packet: id, cause });
-            if r.wants_drop_trigger() {
-                r.trigger(now, TriggerCause::Drop, Some(sw), Some(id));
-            }
-        }
+        emit(&mut self.observers, now, sw, || FlightEvent::Dropped {
+            packet: id,
+            cause,
+        });
     }
 
     fn on_header_arrive(
@@ -1740,22 +1671,17 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
         let id = packet.id;
         let ready_at = now.plus_ns(self.config.phys.routing_delay_ns);
-        self.trace(id, now, TraceStep::ArrivedAt { sw, port, vl });
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(
-                Some(sw),
-                now,
-                FlightEvent::Arrived {
-                    packet: id,
-                    port,
-                    vl,
-                },
-            );
-            // A packet landing in an empty buffer starts a fresh
-            // forward-progress clock for the watchdog.
-            if self.switches[sw.index()].inputs[port.index()].vls[vl.index()].is_empty() {
-                r.note_progress(sw, port.index(), vl.index(), now);
-            }
+        if let Some(o) = self.observers.as_deref_mut() {
+            // Said before the push: whether the buffer was empty is the
+            // one thing about an arrival its event has no field for.
+            let into_empty =
+                self.switches[sw.index()].inputs[port.index()].vls[vl.index()].is_empty();
+            let ev = FlightEvent::Arrived {
+                packet: id,
+                port,
+                vl,
+            };
+            o.event(now, sw, ev, into_empty);
         }
         // The forwarding-table pipeline is a constant delay, so its
         // result is resolved here and becomes visible to arbitration at
@@ -1798,19 +1724,11 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // The read path and the output are free, and the buffer changed.
         st.unblock_input(port.index());
         st.unblock_waiters(out.index());
-        if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(
-                Some(sw),
-                now,
-                FlightEvent::TailLeft {
-                    packet: removed.packet.id,
-                    port,
-                    vl,
-                },
-            );
-            // A freed slot is forward progress for this buffer.
-            r.note_progress(sw, port.index(), vl.index(), now);
-        }
+        emit(&mut self.observers, now, sw, || FlightEvent::TailLeft {
+            packet: removed.packet.id,
+            port,
+            vl,
+        });
         // Return the freed credits to whoever feeds this input port.
         let upstream = self.topo.endpoint(sw, port).expect("input port is wired");
         let ent = self.ent_switch(sw);
@@ -1857,18 +1775,13 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                     cs[vl.index()] = (cs[vl.index()] + credits).min(cap);
                 }
                 st.unblock_waiters(port.index());
-                if let Some(r) = self.recorder.as_deref_mut() {
-                    r.record(
-                        Some(s),
-                        now,
-                        FlightEvent::CreditReturned {
-                            port,
-                            vl,
-                            credits: credits.count(),
-                        },
-                    );
-                    r.note_credit_return(s, port, now);
-                }
+                emit(&mut self.observers, now, s, || {
+                    FlightEvent::CreditReturned {
+                        port,
+                        vl,
+                        credits: credits.count(),
+                    }
+                });
                 self.wake(s);
             }
             NodeRef::Host(h) => {
@@ -1940,71 +1853,58 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// One arbitration pass: sweep the occupied inputs in round-robin
-    /// order, granting feasible (input, output) matches, until a sweep
-    /// grants nothing.
+    /// One arbitration pass: one sweep, in round-robin order, of the
+    /// occupied inputs something may have changed for, granting feasible
+    /// (input, output) matches. A pass only consumes outputs, credits
+    /// and read paths, so what a sweep could not grant a second sweep
+    /// cannot either; of the one that used to follow a granting sweep
+    /// only its cursor step is left.
     fn arbitrate(&mut self, now: SimTime, sw: SwitchId) {
-        let nports = self.topo.ports_per_switch() as usize;
-        let unobserved = self.telemetry.is_none() && self.recorder.is_none();
-        if cfg!(debug_assertions) && unobserved {
+        if cfg!(debug_assertions) {
             self.assert_blocked_inputs_cannot_be_granted(now, sw);
         }
-        let visited_before = self.inputs_visited;
-        loop {
-            // Grants remove nothing, so the occupied set holds for the
-            // whole pass. Telemetry and the recorder log a stall per
-            // failed look, so under them every look is kept.
-            let st = &self.switches[sw.index()];
-            let skip = if unobserved { st.blocked } else { 0 };
-            let sweep = st.occupied_inputs & !skip;
-            self.inputs_visited += u64::from(sweep.count_ones());
-            let mut progress = false;
-            for mut inputs in round_robin_split(sweep, st.rr_cursor) {
-                while inputs != 0 {
-                    let ip = inputs.trailing_zeros() as usize;
-                    inputs &= inputs - 1;
-                    if self.switches[sw.index()].inputs[ip].read_busy_until > now {
-                        self.switches[sw.index()].blocked |= 1 << ip;
-                        continue;
+        let st = &self.switches[sw.index()];
+        // Grants remove nothing, so the occupied set holds for the pass.
+        let sweep = st.occupied_inputs & !st.blocked;
+        self.inputs_visited += u64::from(sweep.count_ones());
+        self.empty_passes += u64::from(sweep == 0);
+        let mut progress = false;
+        for mut inputs in round_robin_split(sweep, st.rr_cursor) {
+            while inputs != 0 {
+                let ip = inputs.trailing_zeros() as usize;
+                inputs &= inputs - 1;
+                if self.switches[sw.index()].inputs[ip].read_busy_until > now {
+                    self.switches[sw.index()].blocked |= 1 << ip;
+                    continue;
+                }
+                self.looks += 1;
+                match self.pick_for_input(now, sw, ip) {
+                    Ok(d) => {
+                        self.start_forward(now, sw, d);
+                        progress = true;
+                        self.grants += 1;
                     }
-                    self.looks += 1;
-                    match self.pick_for_input(now, sw, ip) {
-                        Ok(d) => {
-                            self.start_forward(now, sw, d);
-                            progress = true;
-                            self.grants += 1;
-                        }
-                        Err(mut examined) => {
-                            let st = &mut self.switches[sw.index()];
-                            st.blocked |= 1 << ip;
-                            while examined != 0 {
-                                st.waiters[examined.trailing_zeros() as usize] |= 1 << ip;
-                                examined &= examined - 1;
-                            }
+                    Err(mut examined) => {
+                        let st = &mut self.switches[sw.index()];
+                        st.blocked |= 1 << ip;
+                        while examined != 0 {
+                            st.waiters[examined.trailing_zeros() as usize] |= 1 << ip;
+                            examined &= examined - 1;
                         }
                     }
                 }
             }
-            let st = &mut self.switches[sw.index()];
-            st.rr_cursor = (st.rr_cursor + 1) % nports;
-            if !progress {
-                break;
-            }
-            if unobserved {
-                // The sweep after a granting one can grant nothing — a
-                // pass only consumes outputs, credits and read paths — so
-                // with no telemetry or recorder listening to its stall
-                // observations, only its cursor step is left of it.
-                st.rr_cursor = (st.rr_cursor + 1) % nports;
-                break;
-            }
         }
-        self.empty_passes += u64::from(self.inputs_visited == visited_before);
+        let nports = self.topo.ports_per_switch() as usize;
+        let st = &mut self.switches[sw.index()];
+        st.rr_cursor = (st.rr_cursor + 1 + usize::from(progress)) % nports;
     }
 
     /// The oracle behind `SwitchState::blocked` (debug builds, every
-    /// unobserved pass): looking into a skipped input must grant nothing.
+    /// pass): looking into a skipped input must grant nothing. Nobody
+    /// listens to its looks, so an armed run is checked like a bare one.
     fn assert_blocked_inputs_cannot_be_granted(&mut self, now: SimTime, sw: SwitchId) {
+        let observers = self.observers.take();
         let st = &self.switches[sw.index()];
         let mut skipped = st.occupied_inputs & st.blocked;
         while skipped != 0 {
@@ -2016,13 +1916,18 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 "{sw} input {ip} is grantable at {now:?} but marked blocked: an unblock is missing"
             );
         }
+        self.observers = observers;
     }
 
     /// Find one forwardable candidate in input port `ip`'s buffers, or
-    /// report the outputs the failed look examined (one bit each).
+    /// report the outputs the failed look examined (one bit each). The
+    /// look says what it decided — the grant, or each candidate nothing
+    /// could take, which is where a stall is seen: the caller parks the
+    /// input on exactly those outputs.
     fn pick_for_input(&mut self, now: SimTime, sw: SwitchId, ip: usize) -> Result<Decision, u128> {
         let nvls = self.config.data_vls as usize;
         let start = self.switches[sw.index()].inputs[ip].vl_cursor;
+        let verdicts = wants_verdicts(&self.observers);
         let mut examined = 0;
         for k in 0..nvls {
             let vl = (start + k) % nvls;
@@ -2040,42 +1945,49 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 }
                 cands
             };
-            let record = self.recorder.as_deref().is_some_and(|r| !r.frozen());
             for &(idx, read_point) in &cands {
-                let mut scratch = OptionOutcomes::new();
-                match self.pick_option(
+                let mut options = OptionOutcomes::new();
+                let picked = self.pick_option(
                     now,
                     sw,
                     ip,
                     vl,
                     idx,
                     read_point,
-                    record.then_some(&mut scratch),
-                ) {
+                    verdicts.then_some(&mut options),
+                );
+                let buf = &self.switches[sw.index()].inputs[ip].vls[vl];
+                let (in_port, lane) = (PortIndex(ip as u8), VirtualLane(vl as u8));
+                match picked {
                     Ok(d) => {
-                        if record {
-                            // Park the granted candidate's option verdicts for
-                            // `start_forward` to attach to the RouteDecision
-                            // event; keeping them out of `Decision` spares the
-                            // recorder-off path the ~100-byte copy per grant.
-                            self.decision_options = scratch;
-                        }
+                        emit(&mut self.observers, now, sw, || {
+                            FlightEvent::RouteDecision {
+                                packet: d.packet_id,
+                                in_port,
+                                vl: lane,
+                                out_port: d.out_port,
+                                via_escape: d.via_escape,
+                                from_escape_head: read_point == ReadPoint::EscapeHead,
+                                // How long the packet sat routed in the buffer
+                                // before the crossbar granted it.
+                                waited_ns: now.since(buf.get(idx).ready_at),
+                                options,
+                            }
+                        });
                         // Advance the VL cursor past the served lane.
                         self.switches[sw.index()].inputs[ip].vl_cursor = (vl + 1) % nvls;
                         return Ok(d);
                     }
                     Err(outputs) => examined |= outputs,
                 }
-                if record && !scratch.is_empty() {
-                    // Every candidate option was rejected: log the full
-                    // reason set (deduplicated per buffer).
-                    let packet = self.switches[sw.index()].inputs[ip].vls[vl]
-                        .get(idx)
-                        .packet
-                        .id;
-                    if let Some(r) = self.recorder.as_deref_mut() {
-                        r.record_blocked(sw, now, ip, vl, packet, &scratch);
-                    }
+                if !options.is_empty() {
+                    // Every candidate option was rejected.
+                    emit(&mut self.observers, now, sw, || FlightEvent::Blocked {
+                        packet: buf.get(idx).packet.id,
+                        in_port,
+                        vl: lane,
+                        options,
+                    });
                 }
             }
         }
@@ -2087,12 +1999,13 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// gated by adaptive-queue credits; the escape option as fallback,
     /// gated by total credits.
     ///
-    /// With the flight recorder armed, `rec` collects one
+    /// When somebody wants them, `verdicts` collects one
     /// [`OptionOutcome`] per candidate — including, when an adaptive
     /// option wins, the *observed* fate the escape option would have had
-    /// — so recorded routing decisions carry their full alternative set.
-    /// The observation never touches the RNG or any control flow, so
-    /// recorded runs stay bit-identical to unrecorded ones.
+    /// — so a recorded decision carries its full alternative set and
+    /// telemetry reads its stall causes off the same list. Noting a
+    /// verdict never touches the RNG or any control flow, so observed
+    /// runs stay bit-identical to bare ones.
     ///
     /// A candidate nothing can take comes back as the set of outputs the
     /// look examined: until one of them changes, looking again is futile.
@@ -2105,8 +2018,18 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         vl: usize,
         idx: usize,
         read_point: ReadPoint,
-        mut rec: Option<&mut OptionOutcomes>,
+        mut verdicts: Option<&mut OptionOutcomes>,
     ) -> Result<Decision, u128> {
+        let collecting = verdicts.is_some();
+        let mut note = |port: PortIndex, escape: bool, verdict: OptionVerdict| {
+            if let Some(o) = verdicts.as_deref_mut() {
+                o.push(OptionOutcome {
+                    port,
+                    escape,
+                    verdict,
+                });
+            }
+        };
         let cap = self.config.vl_buffer_credits;
         let st = &self.switches[sw.index()];
         let bp = st.inputs[ip].vls[vl].get(idx);
@@ -2121,73 +2044,41 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
 
         let adaptive_allowed =
             read_point == ReadPoint::AdaptiveHead || self.config.adaptive_from_escape_head;
-        if !adaptive_allowed {
-            if let Some(o) = rec.as_deref_mut() {
-                for &op in &route.adaptive {
-                    o.push(OptionOutcome {
-                        port: op,
-                        escape: false,
-                        verdict: OptionVerdict::AdaptiveRestricted,
-                    });
-                }
-            }
-        }
 
         // Collect feasible adaptive options with their free adaptive-queue
         // credits (host ports are infinite sinks). At most one option per
         // switch port, so the list lives on the stack — arbitration runs
         // once per event and must not allocate.
         let mut feasible: InlineVec<(PortIndex, VirtualLane, u32), MAX_PORTS> = InlineVec::new();
-        if adaptive_allowed {
-            for &op in &route.adaptive {
-                examined |= 1 << op.index();
-                if !st.link_up(op.index()) {
-                    // Dead port: graceful degradation (§4.3).
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.note_stall(sw, op, StallCause::DeadPort);
-                    }
-                    if let Some(o) = rec.as_deref_mut() {
-                        o.push(OptionOutcome {
-                            port: op,
-                            escape: false,
-                            verdict: OptionVerdict::DeadPort,
-                        });
-                    }
-                    continue;
-                }
-                let out = &st.outputs[op.index()];
-                if out.busy_until > now {
-                    if let Some(o) = rec.as_deref_mut() {
-                        o.push(OptionOutcome {
-                            port: op,
-                            escape: false,
-                            verdict: OptionVerdict::LinkBusy,
-                        });
-                    }
-                    continue;
-                }
-                let out_vl = st.sl2vl.vl_for(PortIndex(ip as u8), op, sl);
-                match out.credits.as_ref() {
-                    None => feasible.push((op, out_vl, u32::MAX)),
-                    Some(cs) => {
-                        let avail = cs[out_vl.index()].adaptive_share(cap);
-                        if avail >= need {
-                            feasible.push((op, out_vl, avail.count()));
-                        } else {
-                            if let Some(t) = self.telemetry.as_deref_mut() {
-                                t.note_stall(sw, op, StallCause::NoAdaptiveCredit);
-                            }
-                            if let Some(o) = rec.as_deref_mut() {
-                                o.push(OptionOutcome {
-                                    port: op,
-                                    escape: false,
-                                    verdict: OptionVerdict::NoAdaptiveCredit,
-                                });
-                            }
-                        }
-                    }
-                }
+        for &op in &route.adaptive {
+            if !adaptive_allowed {
+                note(op, false, OptionVerdict::AdaptiveRestricted);
+                continue;
             }
+            examined |= 1 << op.index();
+            if !st.link_up(op.index()) {
+                // Dead port: graceful degradation (§4.3).
+                note(op, false, OptionVerdict::DeadPort);
+                continue;
+            }
+            let out = &st.outputs[op.index()];
+            if out.busy_until > now {
+                note(op, false, OptionVerdict::LinkBusy);
+                continue;
+            }
+            let out_vl = st.sl2vl.vl_for(PortIndex(ip as u8), op, sl);
+            let avail = match out.credits.as_ref() {
+                None => u32::MAX,
+                Some(cs) => {
+                    let share = cs[out_vl.index()].adaptive_share(cap);
+                    if share < need {
+                        note(op, false, OptionVerdict::NoAdaptiveCredit);
+                        continue;
+                    }
+                    share.count()
+                }
+            };
+            feasible.push((op, out_vl, avail));
         }
 
         let adaptive_pick: Option<(PortIndex, VirtualLane, u32)> = match self.config.selection {
@@ -2204,172 +2095,76 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 .then(|| feasible[self.switch_arb_rngs[sw.index()].below(feasible.len())]),
             SelectionPolicy::FirstFeasible => feasible.iter().min_by_key(|f| f.0).copied(),
         };
-
-        if let Some(o) = rec.as_deref_mut() {
+        if collecting {
             for f in feasible.iter() {
-                o.push(OptionOutcome {
-                    port: f.0,
-                    escape: false,
-                    verdict: if adaptive_pick.map(|p| p.0) == Some(f.0) {
-                        OptionVerdict::Selected
-                    } else {
-                        OptionVerdict::LostArbitration
-                    },
-                });
-            }
-        }
-
-        if let Some((op, out_vl, _)) = adaptive_pick {
-            if let Some(o) = rec.as_deref_mut() {
-                // The escape option was never consulted (an adaptive
-                // option won); observe the fate it *would* have had so
-                // the recorded candidate set is complete. Observation
-                // only — no RNG, no control flow.
-                let ep = route.escape;
-                let verdict = if !st.link_up(ep.index()) {
-                    OptionVerdict::DeadPort
-                } else if st.outputs[ep.index()].busy_until > now {
-                    OptionVerdict::LinkBusy
-                } else {
-                    let evl = st.sl2vl.vl_for(PortIndex(ip as u8), ep, sl);
-                    let fits = match st.outputs[ep.index()].credits.as_ref() {
-                        None => true,
-                        Some(cs) => cs[evl.index()] >= need,
-                    };
-                    if fits {
-                        OptionVerdict::LostArbitration
-                    } else {
-                        OptionVerdict::NoEscapeCredit
-                    }
+                let won = adaptive_pick.is_some_and(|p| p.0 == f.0);
+                let verdict = match won {
+                    true => OptionVerdict::Selected,
+                    false => OptionVerdict::LostArbitration,
                 };
-                o.push(OptionOutcome {
-                    port: ep,
-                    escape: true,
-                    verdict,
-                });
+                note(f.0, false, verdict);
             }
-            return Ok(Decision {
-                input: ip,
-                vl,
-                idx,
-                handle: st.inputs[ip].vls[vl].handle_at(idx),
-                packet_id: bp.packet.id,
-                out_port: op,
-                out_vl,
-                via_escape: false,
-                read_point,
-            });
         }
 
         // Escape fallback: usable whenever the *total* credit count fits
         // the packet — it lands in the adaptive or escape region of the
-        // downstream buffer depending on occupancy (§4.4).
+        // downstream buffer depending on occupancy (§4.4). A severed
+        // escape path leaves the packet waiting for recovery (an SM
+        // re-sweep re-routes it; under other policies it stays until the
+        // link returns).
         let op = route.escape;
-        if !st.link_up(op.index()) {
-            // Escape path severed: the packet waits for recovery (an SM
-            // re-sweep re-routes it; under other policies it stays until
-            // the link returns).
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.note_stall(sw, op, StallCause::DeadPort);
+        let escape = || {
+            if !st.link_up(op.index()) {
+                return Err(OptionVerdict::DeadPort);
             }
-            if let Some(o) = rec.as_deref_mut() {
-                o.push(OptionOutcome {
-                    port: op,
-                    escape: true,
-                    verdict: OptionVerdict::DeadPort,
-                });
+            let out = &st.outputs[op.index()];
+            if out.busy_until > now {
+                return Err(OptionVerdict::LinkBusy);
             }
-            return Err(examined);
-        }
-        let out = &st.outputs[op.index()];
-        if out.busy_until > now {
-            if let Some(o) = rec.as_deref_mut() {
-                o.push(OptionOutcome {
-                    port: op,
-                    escape: true,
-                    verdict: OptionVerdict::LinkBusy,
-                });
+            let out_vl = st.sl2vl.vl_for(PortIndex(ip as u8), op, sl);
+            match out.credits.as_ref() {
+                Some(cs) if cs[out_vl.index()] < need => Err(OptionVerdict::NoEscapeCredit),
+                _ => Ok(out_vl),
             }
-            return Err(examined);
-        }
-        let out_vl = st.sl2vl.vl_for(PortIndex(ip as u8), op, sl);
-        let ok = match out.credits.as_ref() {
-            None => true,
-            Some(cs) => cs[out_vl.index()] >= need,
         };
-        if !ok {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.note_stall(sw, op, StallCause::NoEscapeCredit);
+        let (out_port, out_vl) = match adaptive_pick {
+            Some((port, out_vl, _)) => {
+                if collecting {
+                    // The escape option was never consulted; the fate it
+                    // *would* have had completes the candidate set. It
+                    // is observed, not suffered: nobody tallies it as a
+                    // stall.
+                    let fate = escape().err();
+                    note(op, true, fate.unwrap_or(OptionVerdict::LostArbitration));
+                }
+                (port, out_vl)
             }
-            if let Some(o) = rec.as_deref_mut() {
-                o.push(OptionOutcome {
-                    port: op,
-                    escape: true,
-                    verdict: OptionVerdict::NoEscapeCredit,
-                });
-            }
-            return Err(examined);
-        }
-        if let Some(o) = rec {
-            o.push(OptionOutcome {
-                port: op,
-                escape: true,
-                verdict: OptionVerdict::Selected,
-            });
-        }
+            None => match escape() {
+                Ok(out_vl) => {
+                    note(op, true, OptionVerdict::Selected);
+                    (op, out_vl)
+                }
+                Err(verdict) => {
+                    note(op, true, verdict);
+                    return Err(examined);
+                }
+            },
+        };
         Ok(Decision {
             input: ip,
             vl,
             idx,
             handle: st.inputs[ip].vls[vl].handle_at(idx),
             packet_id: bp.packet.id,
-            out_port: op,
+            out_port,
             out_vl,
-            via_escape: true,
-            read_point,
+            via_escape: adaptive_pick.is_none(),
         })
     }
 
     /// Commit a forwarding decision: reserve the resources, update the
     /// packet, and schedule the downstream events.
     fn start_forward(&mut self, now: SimTime, sw: SwitchId, d: Decision) {
-        if self.telemetry.is_some() || self.recorder.is_some() {
-            // Arbitration-pass latency: how long the packet sat routed in
-            // the input buffer before the crossbar granted it.
-            let ready_at = self.switches[sw.index()].inputs[d.input].vls[d.vl]
-                .get(d.idx)
-                .ready_at;
-            let wait = now.since(ready_at);
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.note_forward(sw, d.via_escape, wait);
-            }
-            if self.recorder.is_some() {
-                // `decision_options` holds the verdict set `pick_for_input`
-                // parked for this grant (stale contents are possible only
-                // when frozen, where `record` discards the event anyway).
-                // Taken, not cloned: the scratch is dead until the next
-                // grant parks a fresh set.
-                let options = std::mem::replace(&mut self.decision_options, OptionOutcomes::new());
-                if let Some(r) = self.recorder.as_deref_mut() {
-                    r.record(
-                        Some(sw),
-                        now,
-                        FlightEvent::RouteDecision {
-                            packet: d.packet_id,
-                            in_port: PortIndex(d.input as u8),
-                            vl: VirtualLane(d.vl as u8),
-                            out_port: d.out_port,
-                            via_escape: d.via_escape,
-                            from_escape_head: d.read_point == ReadPoint::EscapeHead,
-                            waited_ns: wait,
-                            options,
-                        },
-                    );
-                    // Winning arbitration is forward progress.
-                    r.note_progress(sw, d.input, d.vl, now);
-                }
-            }
-        }
         let st = &mut self.switches[sw.index()];
         let buf = &mut st.inputs[d.input].vls[d.vl];
 
@@ -2399,16 +2194,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         } else {
             self.stats.on_adaptive_forward();
         }
-        self.trace(
-            d.packet_id,
-            now,
-            TraceStep::Forwarded {
-                sw,
-                out_port: d.out_port,
-                via_escape: d.via_escape,
-                from_escape_head: d.read_point == ReadPoint::EscapeHead,
-            },
-        );
 
         let prop = self.config.phys.propagation_ns;
         let ep = self
@@ -2706,6 +2491,41 @@ mod tests {
             self.run_window(SimTime::from_ns(t), u64::MAX);
             self.grants
         }
+
+        /// Arm telemetry and a recorder that never triggers nor ticks.
+        fn listen(&mut self) {
+            let opts = crate::recorder::RecorderOpts {
+                trigger_on_drop: false,
+                watchdog: None,
+                ..Default::default()
+            };
+            let (nsw, ports, vls) = (3, 4, self.config.data_vls as usize);
+            self.observers = Some(Box::new(Observers {
+                tracer: None,
+                telemetry: Some(crate::telemetry::TelemetryState::new(
+                    crate::telemetry::TelemetryOpts::default(),
+                    nsw,
+                    ports,
+                )),
+                recorder: Some(crate::recorder::FlightRecorder::new(opts, nsw, ports, vls)),
+            }));
+        }
+
+        /// What the listeners hold about S1: its `Blocked` events'
+        /// verdicts, in order, and the `no_escape_credit` tally of its
+        /// port towards S2.
+        fn heard_at_s1(&self) -> (Vec<OptionVerdict>, u64) {
+            let o = self.observers.as_deref().unwrap();
+            let dump = o.recorder.as_ref().unwrap().dump(3, 4, 2);
+            let blocked = dump.events.iter().filter_map(|e| match &e.ev {
+                FlightEvent::Blocked { options, .. } if e.sw == Some(S1) => {
+                    Some(options[0].verdict)
+                }
+                _ => None,
+            });
+            let stalls = o.telemetry.as_ref().unwrap().switches()[1].stalls[1];
+            (blocked.collect(), stalls.no_escape_credit)
+        }
     }
 
     // The waiter sets, one forgotten unblock at a time: each case parks
@@ -2881,6 +2701,66 @@ mod tests {
         assert_eq!(sh.grants_by(150), 0, "inside its routing delay");
         sh.recovery_routing = Some(FaRouting::build(&rig.topo, *rig.routing.config()).unwrap());
         sh.grants_by(200);
+    }
+
+    #[test]
+    fn a_parked_head_is_heard_once_per_reason_not_once_per_wake_up() {
+        use OptionVerdict::{LinkBusy, NoEscapeCredit};
+        let rig = Rig::line3();
+        let mut sh = rig.shard(2);
+        sh.listen();
+        sh.debug_block_output(S1, PortIndex(1));
+        sh.credit(50, S1, 1, 1); // one credit towards S2, on lane 1
+        sh.arrive(100, S1, 2, 1, 4); // takes it (the cursor is past input 0) …
+        sh.arrive(100, S1, 0, 0, 4); // … and lane 0's head finds the link busy
+        for at in [250, 400, 500, 700, 800, 900] {
+            sh.credit(at, S1, 0, 0); // wakes S1; nothing the head reads
+        }
+        let parked = |sh: &Shard<'_, _>| sh.switches[1].waiters[1];
+        let ser = sh.config.phys.serialization_ns(32);
+        assert_eq!(sh.grants_by(200 + ser - 1), 1);
+        assert_eq!((parked(&sh), sh.heard_at_s1()), (1, (vec![LinkBusy], 0)));
+        // The TxDone frees the link and clears the bit; the look it
+        // causes finds no credit — a new reason, a new bit, one tally.
+        assert_eq!(sh.grants_by(600), 2, "S2 has passed lane 1's packet on");
+        let no_credit = vec![LinkBusy, NoEscapeCredit];
+        assert_eq!((parked(&sh), sh.heard_at_s1()), (1, (no_credit.clone(), 1)));
+        // Lane 1's credit comes back (at 628): port 1 changed, the head
+        // is looked at again and refused for the reason already logged.
+        assert_eq!(sh.grants_by(999), 2);
+        assert_eq!((parked(&sh), sh.heard_at_s1()), (1, (no_credit.clone(), 2)));
+        assert!(
+            sh.handlers[CLASS_ARBITRATE as usize] >= 9,
+            "a pass per wake-up"
+        );
+        sh.credit(1_000, S1, 1, 0);
+        assert_eq!(sh.grants_by(1_000), 3);
+        assert_eq!((parked(&sh), sh.heard_at_s1()), (0, (no_credit, 2)));
+    }
+
+    #[test]
+    fn an_arrival_into_an_empty_buffer_restarts_its_progress_clock() {
+        let rig = Rig::line3();
+        let mut sh = rig.shard(1);
+        sh.listen();
+        sh.debug_block_output(S1, PortIndex(1));
+        sh.arrive(100, S1, 0, 0, 2); // to a host of S1: through at once
+        sh.arrive(50_000, S1, 0, 0, 4); // to S2: no credit, ever
+        sh.arrive(50_500, S1, 0, 0, 4); // behind it: the buffer is not empty
+        let stalled_at = |sh: &Shard<'_, _>, now| {
+            let recorder = sh.observers.as_deref().unwrap().recorder.as_ref();
+            recorder
+                .unwrap()
+                .stalled_for(S1, 0, 0, SimTime::from_ns(now))
+        };
+        assert_eq!(sh.grants_by(250), 1);
+        assert_eq!(stalled_at(&sh, 250), 50, "the grant at 200 is progress");
+        assert_eq!(sh.grants_by(60_000), 1);
+        assert_eq!(
+            stalled_at(&sh, 60_000),
+            10_000,
+            "not since the last tail left"
+        );
     }
 
     #[test]

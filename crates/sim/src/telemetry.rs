@@ -12,11 +12,11 @@
 //!   ([`TelemetryOpts::sample_every_ns`]) the simulator snapshots every
 //!   switch's per-VL buffer occupancy, split at the §4.4 adaptive/escape
 //!   boundary and aggregated over input ports ([`VlOccupancy`]);
-//! * **credit-stall counters** — each time arbitration skips a feasible
-//!   route option, the skip is tallied per (switch, output port) and
-//!   tagged with its cause ([`StallCause`]): adaptive share below the
-//!   packet size, escape (total) credits below the packet size, or a
-//!   dead port;
+//! * **credit-stall counters** — each time a look of arbitration
+//!   rejects a route option, the rejection is tallied per (switch,
+//!   output port) under its cause ([`StallCause`]): adaptive share below
+//!   the packet size, escape (total) credits below the packet size, or
+//!   a dead port;
 //! * **forwarding counters** — adaptive- vs escape-option grants per
 //!   switch (the per-switch refinement of
 //!   [`crate::RunResult::escape_fraction`]);
@@ -31,19 +31,22 @@
 //! through [`TelemetrySample::to_json`] / [`TelemetryReport::to_json`].
 //! Sampling rides the ordinary event queue, so an instrumented run is
 //! bit-identical across event-queue backends; with telemetry disabled
-//! the simulator carries a single `Option` check per hook and schedules
-//! no extra events.
+//! the simulator tallies nothing (one pointer test per transition, shared
+//! with every other listener) and schedules no extra events.
 
 use crate::buffer::VlBuffer;
-use iba_core::{Credits, Json, PortIndex, SimTime, SwitchId, VirtualLane};
+use iba_core::{Credits, Json, OptionOutcome, OptionVerdict, SimTime, SwitchId, VirtualLane};
 use iba_stats::LogHistogram;
 
 /// Version stamp of the telemetry schema. Bump on any change to the
 /// JSON layout emitted by [`TelemetrySample::to_json`] /
 /// [`TelemetryReport::to_json`]. 1 → 2: `arb_wait_ns` renders as a
 /// [`LogHistogram::to_json`] object (precision 0) instead of a list of
-/// `[upper_bound, count]` pairs.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
+/// `[upper_bound, count]` pairs. 2 → 3, layout unchanged: stall tallies
+/// stop scaling with the number of unrelated wake-ups a switch happened
+/// to receive — a parked head is looked at again, and tallied again,
+/// only once something its last look read has changed.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
 
 /// Telemetry configuration: what cadence to sample occupancy at and how
 /// many samples to keep.
@@ -104,6 +107,16 @@ impl StallCause {
         StallCause::NoEscapeCredit,
         StallCause::DeadPort,
     ];
+
+    /// The cause behind an option's verdict, if the verdict is a stall.
+    pub fn of(verdict: OptionVerdict) -> Option<StallCause> {
+        match verdict {
+            OptionVerdict::NoAdaptiveCredit => Some(StallCause::NoAdaptiveCredit),
+            OptionVerdict::NoEscapeCredit => Some(StallCause::NoEscapeCredit),
+            OptionVerdict::DeadPort => Some(StallCause::DeadPort),
+            _ => None,
+        }
+    }
 
     /// Schema field name.
     pub fn name(self) -> &'static str {
@@ -365,7 +378,7 @@ impl MemorySink {
 }
 
 /// The live telemetry state a shard carries when instrumented:
-/// accumulation arrays pre-sized at construction so the hot-path hooks
+/// accumulation arrays pre-sized at construction so the hot-path tallies
 /// are array indexing plus an increment, never an allocation.
 pub(crate) struct TelemetryState {
     opts: TelemetryOpts,
@@ -394,16 +407,17 @@ impl TelemetryState {
         self.opts.sample_every_ns.max(1)
     }
 
-    /// Whether the next sample would still be kept (false once the cap
-    /// is reached — the caller may then skip the collection sweep).
-    #[inline]
-    pub(crate) fn wants_sample(&self) -> bool {
-        self.samples.len() < self.opts.max_samples
-    }
-
-    #[inline]
-    pub(crate) fn note_stall(&mut self, sw: SwitchId, port: PortIndex, cause: StallCause) {
-        self.switches[sw.index()].stalls[port.index()].count(cause);
+    /// Tally the stalls among the option verdicts of one look at `sw`.
+    pub(crate) fn note_verdicts<'o>(
+        &mut self,
+        sw: SwitchId,
+        options: impl Iterator<Item = &'o OptionOutcome>,
+    ) {
+        for o in options {
+            if let Some(cause) = StallCause::of(o.verdict) {
+                self.switches[sw.index()].stalls[o.port.index()].count(cause);
+            }
+        }
     }
 
     #[inline]
@@ -417,49 +431,38 @@ impl TelemetryState {
         s.arb_wait_ns.record(wait_ns);
     }
 
-    /// Take one occupancy snapshot at `at` over the switches `filter`
-    /// admits — a shard snapshots only the switches it owns, and the
-    /// coordinator splices the shard samples back together in switch
-    /// order. `buffers` maps
-    /// `(switch, port, vl)` to that input port's VL buffer.
-    pub(crate) fn record_sample_filtered<'b>(
+    /// Keep one occupancy snapshot taken at `at`, or count it dropped
+    /// past the cap (without looking at a buffer). `lanes` yields, for
+    /// each switch the shard owns and each VL, that lane's buffer in
+    /// every input port; the coordinator splices the shards' samples
+    /// back together in switch order.
+    pub(crate) fn record_sample<'b, B: Iterator<Item = &'b VlBuffer>>(
         &mut self,
         at: SimTime,
-        num_vls: usize,
-        mut buffers: impl FnMut(usize, usize, usize) -> &'b VlBuffer,
-        num_switches: usize,
-        ports: usize,
-        filter: impl Fn(usize) -> bool,
+        lanes: impl Iterator<Item = (SwitchId, VirtualLane, B)>,
     ) {
-        if !self.wants_sample() {
+        if self.samples.len() >= self.opts.max_samples {
             self.samples_dropped += 1;
             return;
         }
-        let mut occupancy = Vec::with_capacity(num_switches * num_vls);
-        for sw in 0..num_switches {
-            if !filter(sw) {
-                continue;
+        let over_ports = |(sw, vl, buffers): (SwitchId, VirtualLane, B)| {
+            let (mut adaptive, mut escape, mut peak) =
+                (Credits::ZERO, Credits::ZERO, Credits::ZERO);
+            for buf in buffers {
+                let (a, e) = buf.region_occupancy();
+                adaptive += a;
+                escape += e;
+                peak = peak.max(buf.occupied());
             }
-            for vl in 0..num_vls {
-                let mut adaptive = Credits::ZERO;
-                let mut escape = Credits::ZERO;
-                let mut peak = Credits::ZERO;
-                for port in 0..ports {
-                    let buf = buffers(sw, port, vl);
-                    let (a, e) = buf.region_occupancy();
-                    adaptive += a;
-                    escape += e;
-                    peak = peak.max(buf.occupied());
-                }
-                occupancy.push(VlOccupancy {
-                    sw: SwitchId(sw as u16),
-                    vl: VirtualLane(vl as u8),
-                    adaptive,
-                    escape,
-                    peak,
-                });
+            VlOccupancy {
+                sw,
+                vl,
+                adaptive,
+                escape,
+                peak,
             }
-        }
+        };
+        let occupancy = lanes.map(over_ports).collect();
         self.samples.push(TelemetrySample { at, occupancy });
     }
 
@@ -535,7 +538,7 @@ mod tests {
         assert_eq!(report.arb_wait_quantile(1.0), Some(1000));
         assert_eq!(report.arb_wait_quantile(0.5), Some(127));
         let json = report.to_json().to_string_compact();
-        assert!(json.contains(r#""schema_version":2"#));
+        assert!(json.contains(r#""schema_version":3"#));
         assert!(json.contains(r#""no_escape_credit":7"#));
         assert!(json.contains(
             r#""arb_wait_ns":{"p":0,"count":1,"sum":1000,"min":1000,"max":1000,"buckets":[[10,1]]}"#
@@ -551,7 +554,8 @@ mod tests {
         };
         let mut st = TelemetryState::new(opts, 1, 1);
         for i in 0..4u64 {
-            st.record_sample_filtered(SimTime::from_ns(i * 10), 1, |_, _, _| &buf, 1, 1, |_| true);
+            let lane = (SwitchId(0), VirtualLane(0), std::iter::once(&buf));
+            st.record_sample(SimTime::from_ns(i * 10), std::iter::once(lane));
         }
         assert_eq!(st.samples().len(), 2);
         assert_eq!(st.samples_dropped(), 2);
