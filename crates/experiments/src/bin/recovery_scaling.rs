@@ -80,21 +80,17 @@ fn real_main() -> Result<(), String> {
         .flat_map(|r| r.result.as_arr().unwrap_or(&[]).to_vec())
         .collect();
 
-    println!(
-        "switches  policy       SMPs    blocks(up/total)  entries     rec µs  delta  match  acyclic"
-    );
+    println!("switches  policy       SMPs    blocks(up/total)    rec µs  match  acyclic");
     for cell in &cells {
         let p = RecoveryPoint::from_json(cell)?;
         println!(
-            "{:>8}  {:<11} {:>6}  {:>8}/{:<8}  {:>8}  {:>8.1}  {:>5}  {:>5}  {:>7}",
+            "{:>8}  {:<11} {:>6}  {:>8}/{:<8}  {:>8.1}  {:>5}  {:>7}",
             p.switches,
             p.policy,
             p.smps,
             p.blocks_uploaded,
             p.blocks_total,
-            p.entries_recomputed,
             p.recovery_time_ns as f64 / 1_000.0,
-            p.delta_path,
             p.lfts_match,
             p.escape_acyclic,
         );

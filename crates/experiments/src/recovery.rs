@@ -10,7 +10,7 @@
 //!   block;
 //! * **incremental** — the [`iba_sm::SubnetManager::
 //!   resweep_after_link_failure`] path: reuse the previous discovery,
-//!   recompute only the affected routing columns, and diff-program
+//!   rebuild the routing with the escape root pinned, and diff-program
 //!   through the *stateful* programmer that remembers per-block hashes.
 //!
 //! Per point the sweep records the SMPs spent, the block-upload
@@ -39,15 +39,9 @@ pub struct RecoveryPoint {
     pub blocks_total: u64,
     /// LFT blocks actually uploaded.
     pub blocks_uploaded: u64,
-    /// Forwarding-table entries the routing layer recomputed.
-    pub entries_recomputed: u64,
     /// `smps × per_smp_ns` — the wire-cost recovery time, comparable
     /// across policies because both recover the identical degradation.
     pub recovery_time_ns: u64,
-    /// Whether the affected-destination delta analysis ran (`false`
-    /// when it fell back to a root-pinned full rebuild — and always for
-    /// the `"full"` policy, by definition).
-    pub delta_path: bool,
     /// Whether the two policies ended with entry-identical LFTs.
     pub lfts_match: bool,
     /// Whether the recovered escape layer certifies deadlock-free.
@@ -89,10 +83,10 @@ pub fn run_size(
     }
     // Prefer a removable link between switches at the *same* BFS level
     // from the up*/down* root: such a link lies on no shortest path from
-    // the root, so its removal cannot shift any level — the delta
-    // analysis runs instead of its full fallback, and the curve measures
-    // the delta rather than the fallback. Root-adjacent links are the
-    // next thing to avoid, for the same reason.
+    // the root, so its removal shifts no level, the up/down orientation
+    // of every surviving link holds, and the diff the curve measures is
+    // that of a non-tree link. Root-adjacent links are the next thing
+    // to avoid, for the same reason.
     let root = up.routing.escape().root();
     let level = up.topology.distances_from(root);
     let mut candidates = Vec::new();
@@ -170,10 +164,7 @@ pub fn run_size(
         smps: full_smps,
         blocks_total: full_report.blocks_total,
         blocks_uploaded: full_report.blocks_written,
-        entries_recomputed: (full_routing.lid_map().table_len() * degraded_topo.num_switches())
-            as u64,
         recovery_time_ns: full_smps * per_smp_ns,
-        delta_path: false,
         lfts_match,
         escape_acyclic: full_routing.certify_escape(&degraded_topo, false).is_ok(),
     };
@@ -183,9 +174,7 @@ pub fn run_size(
         smps: inc_smps,
         blocks_total: resweep.bringup.report.blocks_total,
         blocks_uploaded: resweep.bringup.report.blocks_written,
-        entries_recomputed: resweep.delta.entries_recomputed,
         recovery_time_ns: inc_smps * per_smp_ns,
-        delta_path: !resweep.delta.full_rebuild,
         lfts_match,
         escape_acyclic: (resweep.bringup.routing)
             .certify_escape(&resweep.bringup.topology, false)
@@ -237,9 +226,7 @@ pub fn point_json(p: &RecoveryPoint) -> Json {
         ("smps", Json::from(p.smps)),
         ("blocks_total", Json::from(p.blocks_total)),
         ("blocks_uploaded", Json::from(p.blocks_uploaded)),
-        ("entries_recomputed", Json::from(p.entries_recomputed)),
         ("recovery_time_ns", Json::from(p.recovery_time_ns)),
-        ("delta_path", Json::from(p.delta_path)),
         ("lfts_match", Json::from(p.lfts_match)),
         ("escape_acyclic", Json::from(p.escape_acyclic)),
     ])
@@ -271,9 +258,7 @@ impl RecoveryPoint {
             smps: u("smps")?,
             blocks_total: u("blocks_total")?,
             blocks_uploaded: u("blocks_uploaded")?,
-            entries_recomputed: u("entries_recomputed")?,
             recovery_time_ns: u("recovery_time_ns")?,
-            delta_path: b("delta_path")?,
             lfts_match: b("lfts_match")?,
             escape_acyclic: b("escape_acyclic")?,
         })

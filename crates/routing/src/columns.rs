@@ -3,8 +3,7 @@
 //! Every per-destination layer — the escape engines' next hops, the
 //! up\*/down\* distance relaxations, the minimal option sets — is one
 //! flat array indexed `[t · n + s]`: the column of destination switch
-//! `t` is contiguous, so a reverse BFS from `t` fills it in place, a
-//! delta rebuild overwrites exactly the columns it recomputes, and a
+//! `t` is contiguous, so a reverse BFS from `t` fills it in place and a
 //! clone is one copy per layer instead of one per cell. Columns are
 //! independent, so a build shares them out over [`iba_core::par`].
 
@@ -23,12 +22,6 @@ const ITEM_CELLS: usize = 16_384;
 /// each that make up one pool item.
 pub(crate) fn per_item(cells: usize) -> usize {
     ITEM_CELLS.div_ceil(cells.max(1))
-}
-
-/// Whether column `t` is one a fill was asked for: all of them for a
-/// full build, the ascending `targets` of a delta rebuild.
-pub(crate) fn selected(targets: Option<&[usize]>, t: usize) -> bool {
-    targets.is_none_or(|ts| ts.binary_search(&t).is_ok())
 }
 
 /// "No next hop" (the diagonal); no port of a ≤ 255-port switch.

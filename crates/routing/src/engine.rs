@@ -7,8 +7,8 @@
 //! graph can serve as the escape layer under the same LMC
 //! virtual-addressing scheme. [`EscapeEngine`] captures exactly that
 //! contract, so [`crate::fa::FaRouting`] — and everything above it: the
-//! delta rebuild, the subnet manager's programmer, the simulator — is
-//! generic over the escape layer.
+//! subnet manager's programmer, the simulator — is generic over the
+//! escape layer.
 //!
 //! Three engines ship with the workspace:
 //!
@@ -28,29 +28,6 @@
 use crate::analysis::check_escape_routes;
 use iba_core::{IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
-
-/// What an engine's incremental rebuild produced after a single link
-/// failure (see [`EscapeEngine::rebuild_after_link_failure`]).
-#[derive(Clone, Debug)]
-pub enum DeltaOutcome<E> {
-    /// The engine patched itself in place: `engine` is valid for the
-    /// degraded topology and only the destination-switch columns in
-    /// `affected` (ascending, deduplicated indices) changed. Every
-    /// column outside `affected` must be *provably* identical to a
-    /// from-scratch rebuild with the same frame anchor.
-    Patched {
-        /// The patched engine.
-        engine: E,
-        /// Destination switches whose columns were recomputed.
-        affected: Vec<usize>,
-    },
-    /// The engine cannot patch incrementally; the caller must rebuild
-    /// from scratch (with the frame anchor pinned) and report `reason`.
-    FullRebuild {
-        /// Why the incremental path was refused.
-        reason: String,
-    },
-}
 
 /// A deadlock-free deterministic escape layer.
 ///
@@ -139,32 +116,6 @@ pub trait EscapeEngine: Clone + Send + Sync + std::fmt::Debug + Sized + 'static 
         }
         Ok(path)
     }
-
-    /// Incrementally rebuild this engine for `degraded` — the same
-    /// fabric with the single link `a.pa ↔ b.pb` removed — keeping the
-    /// frame anchor pinned. The caller (the FA delta rebuild in
-    /// `crate::delta`) has already validated the link arguments and
-    /// handles the adaptive (minimal) layer itself; the engine only
-    /// answers for its own columns.
-    ///
-    /// The default refuses: engines without a column-separability
-    /// argument fall back to a from-scratch rebuild, which is always
-    /// correct (just slower). Returning
-    /// [`DeltaOutcome::Patched`] with an unsound `affected` set is a
-    /// correctness bug the debug-build byte-equality gate will catch.
-    fn rebuild_after_link_failure(
-        &self,
-        degraded: &Topology,
-        a: SwitchId,
-        pa: PortIndex,
-        b: SwitchId,
-        pb: PortIndex,
-    ) -> Result<DeltaOutcome<Self>, IbaError> {
-        let _ = (degraded, a, pa, b, pb);
-        Ok(DeltaOutcome::FullRebuild {
-            reason: format!("{} engine has no incremental rebuild", Self::NAME),
-        })
-    }
 }
 
 /// Certify `engine` against `topo`: every escape chain must terminate at
@@ -223,15 +174,6 @@ mod tests {
                     );
                 }
             }
-        }
-        // The default delta hook refuses with the engine's name.
-        let (a, pa) = (SwitchId(0), PortIndex(0));
-        match probe
-            .rebuild_after_link_failure(&topo, a, pa, SwitchId(1), PortIndex(0))
-            .unwrap()
-        {
-            DeltaOutcome::FullRebuild { reason } => assert!(reason.contains("probe")),
-            DeltaOutcome::Patched { .. } => panic!("default hook must refuse"),
         }
         certify_engine(&topo, &probe).unwrap();
     }

@@ -38,7 +38,6 @@ use iba_core::{
 };
 use iba_topology::Topology;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -104,29 +103,26 @@ pub struct RouteOptions {
 /// FA routing compiled for one topology: the LID assignment plus one
 /// interleaved forwarding table per switch. Generic over the escape
 /// layer `E`; the default is the paper's up\*/down\*.
-///
-/// Fields are crate-visible so the delta rebuild (`crate::delta`) can
-/// patch affected destination rows in place after a link failure.
 #[derive(Clone, Debug)]
 pub struct FaRouting<E: EscapeEngine = UpDownRouting> {
-    pub(crate) config: RoutingConfig,
-    pub(crate) lid_map: LidMap,
-    pub(crate) escape: E,
-    pub(crate) minimal: MinimalRouting,
-    pub(crate) tables: Vec<InterleavedForwardingTable>,
+    config: RoutingConfig,
+    lid_map: LidMap,
+    escape: E,
+    minimal: MinimalRouting,
+    tables: Vec<InterleavedForwardingTable>,
     /// Which switches support the adaptive mechanism (§4.2 allows mixing
     /// enhanced and plain deterministic switches in one subnet).
-    pub(crate) adaptive_capable: Vec<bool>,
+    adaptive_capable: Vec<bool>,
     /// `Some(x)` when the tables implement *source-selected multipath*
     /// over `x` deterministic path variants instead of switch adaptivity.
-    pub(crate) source_multipath: Option<u16>,
+    source_multipath: Option<u16>,
     /// APM coexistence (§4.1 footnote): `Some` when the upper half of
     /// every destination's LID range holds an *alternate* path set.
-    pub(crate) apm: Option<ApmInfo>,
+    apm: Option<ApmInfo>,
     /// Precomputed decode of every (switch, DLID) table access, shared by
     /// reference — the simulator resolves millions of routes per run and
     /// must not re-derive (and re-allocate) the option lists each time.
-    pub(crate) route_cache: RouteCache,
+    route_cache: RouteCache,
 }
 
 /// The decoded forwarding state. Identical decodes are *interned* (escape
@@ -134,7 +130,7 @@ pub struct FaRouting<E: EscapeEngine = UpDownRouting> {
 /// (switch, DLID) holds only a slot number, so cloning or dropping a
 /// routing copies or frees one flat array, not a reference count per entry.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct RouteCache {
+struct RouteCache {
     /// DLIDs per switch (the LID map's table length).
     stride: usize,
     /// `slots[s * stride + dlid]` indexes `pool`; [`NO_ROUTE`] marks an
@@ -180,7 +176,7 @@ impl RouteCache {
 
     /// The cached decode of one table access, if programmed.
     #[inline]
-    pub(crate) fn get(&self, s: SwitchId, dlid: Lid) -> Option<&Arc<RouteOptions>> {
+    fn get(&self, s: SwitchId, dlid: Lid) -> Option<&Arc<RouteOptions>> {
         self.id(s, dlid).map(|id| &self.pool[id.slot as usize])
     }
 }
@@ -196,11 +192,10 @@ struct Interner {
 }
 
 impl Interner {
-    /// Numbering that continues `pool`'s.
-    fn over(pool: Vec<Arc<RouteOptions>>) -> Interner {
+    fn new() -> Interner {
         Interner {
-            index: pool.iter().cloned().zip(0..).collect(),
-            pool,
+            pool: Vec::new(),
+            index: HashMap::new(),
             memo: [NO_ROUTE; 256],
         }
     }
@@ -226,8 +221,8 @@ impl Interner {
     }
 }
 
-/// Decode the accesses `dlids` — whole LID groups — of one switch's
-/// table into its `slots`. At an adaptive-capable switch one read of a
+/// Decode every access of one switch's table into its `slots`, LID
+/// group by LID group. At an adaptive-capable switch one read of a
 /// group yields both decodes its addresses can have: the escape entry
 /// alone (least-significant bit clear), the whole group (set). A plain
 /// IBA switch forwards linearly by the exact DLID — which is what lets
@@ -236,7 +231,6 @@ fn cache_switch(
     table: &InterleavedForwardingTable,
     adaptive_capable: bool,
     slots: &mut [u32],
-    dlids: &[Range<usize>],
     decodes: &mut Interner,
 ) {
     let x = table.fanout() as usize;
@@ -244,45 +238,39 @@ fn cache_switch(
         escape: PortIndex(0),
         adaptive: AdaptiveOptions::new(),
     };
-    // Nested loops: one flattened iterator over the ranges keeps the
-    // inner loop from compiling to a counted one (3× slower).
-    for range in dlids {
-        debug_assert!(range.start % x == 0 && range.end % x == 0);
-        if adaptive_capable {
-            for base in range.clone().step_by(x) {
-                let group = &mut slots[base..base + x];
-                let probe = Lid((base | usize::from(x > 1)) as u16);
-                let (Some(escape), adaptive) = table.group(probe) else {
-                    group.fill(NO_ROUTE);
-                    continue;
-                };
-                opts.escape = escape;
-                opts.adaptive.clear();
-                let deterministic = decodes.intern(&opts);
-                opts.adaptive.extend(adaptive);
-                let adaptive = decodes.intern(&opts);
-                for (offset, slot) in group.iter_mut().enumerate() {
-                    *slot = [deterministic, adaptive][offset & 1];
-                }
-            }
-        } else {
+    if adaptive_capable {
+        debug_assert!(slots.len().is_multiple_of(x));
+        for (g, group) in slots.chunks_mut(x).enumerate() {
+            let probe = Lid(((g * x) | usize::from(x > 1)) as u16);
+            let (Some(escape), adaptive) = table.group(probe) else {
+                group.fill(NO_ROUTE);
+                continue;
+            };
+            opts.escape = escape;
             opts.adaptive.clear();
-            for dlid in range.clone() {
-                slots[dlid] = match table.get(Lid(dlid as u16)) {
-                    None => NO_ROUTE,
-                    Some(escape) => {
-                        opts.escape = escape;
-                        decodes.intern(&opts)
-                    }
-                };
+            let deterministic = decodes.intern(&opts);
+            opts.adaptive.extend(adaptive);
+            let adaptive = decodes.intern(&opts);
+            for (offset, slot) in group.iter_mut().enumerate() {
+                *slot = [deterministic, adaptive][offset & 1];
             }
+        }
+    } else {
+        for (dlid, slot) in slots.iter_mut().enumerate() {
+            *slot = match table.get(Lid(dlid as u16)) {
+                None => NO_ROUTE,
+                Some(escape) => {
+                    opts.escape = escape;
+                    decodes.intern(&opts)
+                }
+            };
         }
     }
 }
 
 /// APM bookkeeping.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ApmInfo {
+struct ApmInfo {
     /// First LID offset of the alternate (APM) half.
     base_offset: u16,
     /// Frame anchor of the alternate escape orientation.
@@ -381,44 +369,22 @@ impl<E: EscapeEngine> FaRouting<E> {
     }
 
     /// Allocate every switch's table, program every host's LID groups
-    /// and decode every table access.
-    fn compiled(mut self, topo: &Topology, alternate: Option<&E>) -> Result<Self, IbaError> {
-        let len = self.lid_map.table_len();
-        self.tables = (0..topo.num_switches())
-            .map(|_| InterleavedForwardingTable::new(len, self.config.table_options))
-            .collect::<Result<_, _>>()?;
-        let hosts: Vec<HostId> = topo.host_ids().collect();
-        self.program(topo, alternate, &hosts, std::slice::from_ref(&(0..len)))?;
-        Ok(self)
-    }
-
-    /// Program the LID groups of `hosts` into every switch's table —
-    /// the alternate path set through `alternate`, for APM tables — and
-    /// decode the table accesses `dlids` (the whole groups that covers)
-    /// into the route cache: every host and the whole table for a full
-    /// build, the hosts whose rows changed for the delta rebuild. After
-    /// an error the routing has no tables and can only be dropped.
+    /// into it — the alternate path set through `alternate`, for APM
+    /// tables — and decode every table access into the route cache.
     ///
     /// Switches are shared out in pool items (`crate::columns`), each
     /// with a route pool of its own; adopting those in switch order
     /// numbers every decode as one sequential pass would — by first
     /// appearance in `(switch, DLID)` order — whatever the worker count.
-    pub(crate) fn program(
-        &mut self,
-        topo: &Topology,
-        alternate: Option<&E>,
-        hosts: &[HostId],
-        dlids: &[Range<usize>],
-    ) -> Result<(), IbaError> {
-        // Out of `self` while the workers read the rest of it.
-        let mut tables = std::mem::take(&mut self.tables);
-        let mut cache = std::mem::take(&mut self.route_cache);
+    fn compiled(mut self, topo: &Topology, alternate: Option<&E>) -> Result<Self, IbaError> {
         let stride = self.lid_map.table_len();
-        cache.stride = stride;
-        cache.stamp = LAST_STAMP.fetch_add(1, Ordering::Relaxed) + 1;
-        cache.slots.resize(tables.len() * stride, NO_ROUTE);
+        let mut tables = (0..topo.num_switches())
+            .map(|_| InterleavedForwardingTable::new(stride, self.config.table_options))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut slots = vec![NO_ROUTE; tables.len() * stride];
+        let hosts: Vec<HostId> = topo.host_ids().collect();
         let plan = RowPlan {
-            fa: self,
+            fa: &self,
             topo,
             mixed: self.adaptive_capable.contains(&false),
             layers: std::iter::once((0, &self.escape))
@@ -426,26 +392,25 @@ impl<E: EscapeEngine> FaRouting<E> {
                 .collect(),
         };
         // A switch's share of the work is a cell per destination switch
-        // among `hosts` (the hosts of one have consecutive ids).
+        // (the hosts of one have consecutive ids).
         let destinations = hosts.chunk_by(|&a, &b| topo.host_switch(a) == topo.host_switch(b));
         let per_item = per_item(destinations.count());
         let mut switches: Vec<_> = (tables.iter_mut())
-            .zip(cache.slots.chunks_mut(stride))
+            .zip(slots.chunks_mut(stride))
             .zip(topo.switch_ids())
             .map(|((table, slots), s)| SwitchRows { s, table, slots })
             .collect();
         let items = par_chunks_mut(&mut switches, per_item, |switches| {
-            plan.program(switches, hosts)?;
-            let mut decodes = Interner::over(Vec::new());
+            plan.program(switches, &hosts)?;
+            let mut decodes = Interner::new();
             for SwitchRows { s, table, slots } in switches {
-                let capable = self.adaptive_capable[s.index()];
-                cache_switch(table, capable, slots, dlids, &mut decodes);
+                cache_switch(table, self.adaptive_capable[s.index()], slots, &mut decodes);
             }
             Ok(decodes)
         });
-        // A first filling takes over the first item's numbering as it
-        // stands; everything else is adopted into the pool held so far.
-        let mut decodes = (!cache.pool.is_empty()).then(|| Interner::over(cache.pool));
+        // The first item's numbering stands as it is; every later item's
+        // pool is adopted into it and that item's slots renumbered.
+        let mut decodes: Option<Interner> = None;
         let mut renumbered = Vec::with_capacity(items.len());
         for item in items {
             let local: Interner = item?;
@@ -459,28 +424,27 @@ impl<E: EscapeEngine> FaRouting<E> {
                 )),
             });
         }
-        cache.pool = decodes.map_or_else(Vec::new, |held| held.pool);
-        let mut stale: Vec<(&mut [u32], Vec<u32>)> = (cache.slots)
+        let mut stale: Vec<(&mut [u32], Vec<u32>)> = slots
             .chunks_mut(per_item * stride)
             .zip(renumbered)
             .filter_map(|(rows, renumbered)| Some((rows, renumbered?)))
             .collect();
         par_chunks_mut(&mut stale, 1, |stale| {
             for (rows, renumbered) in stale {
-                for row in rows.chunks_mut(stride) {
-                    for range in dlids {
-                        for slot in &mut row[range.clone()] {
-                            if *slot != NO_ROUTE {
-                                *slot = renumbered[*slot as usize];
-                            }
-                        }
-                    }
+                for slot in rows.iter_mut().filter(|slot| **slot != NO_ROUTE) {
+                    *slot = renumbered[*slot as usize];
                 }
             }
         });
         drop(plan);
-        (self.tables, self.route_cache) = (tables, cache);
-        Ok(())
+        self.tables = tables;
+        self.route_cache = RouteCache {
+            stride,
+            slots,
+            pool: decodes.map_or_else(Vec::new, |held| held.pool),
+            stamp: LAST_STAMP.fetch_add(1, Ordering::Relaxed) + 1,
+        };
+        Ok(self)
     }
 
     /// Compile FA routing for a *mixed* fabric (§4.2): switches with
@@ -596,6 +560,20 @@ impl<E: EscapeEngine> FaRouting<E> {
         fa.compiled(topo, None)
     }
 
+    /// The same kind of tables — plain or mixed by the switches'
+    /// capabilities, APM, source-selected multipath — compiled from
+    /// scratch for another topology under `config`: what a re-sweep
+    /// installs on a degraded fabric.
+    pub fn rebuild_on(&self, topo: &Topology, config: RoutingConfig) -> Result<Self, IbaError> {
+        if self.apm.is_some() {
+            Self::build_apm_with_engine(topo, config)
+        } else if self.source_multipath.is_some() {
+            Self::build_source_multipath_with_engine(topo, config)
+        } else {
+            Self::build_mixed_with_engine(topo, config, &self.adaptive_capable)
+        }
+    }
+
     /// Certify the escape paths of these tables with
     /// [`check_escape_routes`], reading the route cache in place; with
     /// `alternate` set, those of the APM alternate path set (an error
@@ -648,6 +626,11 @@ impl<E: EscapeEngine> FaRouting<E> {
     #[inline]
     pub fn switch_adaptive(&self, s: SwitchId) -> bool {
         self.adaptive_capable[s.index()]
+    }
+
+    /// Switches the tables were compiled for.
+    pub(crate) fn num_switches(&self) -> usize {
+        self.tables.len()
     }
 
     /// The configuration the tables were built with.
@@ -721,7 +704,7 @@ impl<E: EscapeEngine> FaRouting<E> {
 
     /// Decode one table access from the table itself, bypassing the cache.
     #[cfg(test)]
-    pub(crate) fn decode(&self, s: SwitchId, dlid: Lid) -> Result<RouteOptions, IbaError> {
+    fn decode(&self, s: SwitchId, dlid: Lid) -> Result<RouteOptions, IbaError> {
         decode(
             &self.tables[s.index()],
             self.adaptive_capable[s.index()],
@@ -736,10 +719,8 @@ impl<E: EscapeEngine> FaRouting<E> {
     }
 }
 
-/// How a build fills LID groups: the single source of the row logic,
-/// shared between the full builds and the delta rebuild (`crate::delta`)
-/// so an incremental recompute is byte-identical to a full build *by
-/// construction*, not by coincidence.
+/// How a build fills LID groups: the single source of the row logic of
+/// all four builders.
 struct RowPlan<'a, E: EscapeEngine> {
     fa: &'a FaRouting<E>,
     topo: &'a Topology,
@@ -870,7 +851,7 @@ fn decode(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use iba_topology::{regular, IrregularConfig};
     use proptest::prelude::*;
@@ -884,7 +865,7 @@ pub(crate) mod tests {
     /// Everything of a routing a worker count could show in: the table
     /// bytes, every cache slot number, the decode pool they index and
     /// the sharing statistics read off them.
-    pub(crate) fn fingerprint<E: EscapeEngine>(
+    fn fingerprint<E: EscapeEngine>(
         fa: &FaRouting<E>,
     ) -> (
         &[InterleavedForwardingTable],
@@ -899,16 +880,10 @@ pub(crate) mod tests {
 
     /// Hold a filling of the route cache to the numbering of the loop
     /// it replaced: every access of every table decoded address by
-    /// address in `(switch, DLID)` order, numbered by first appearance
-    /// on top of the pool of the routing a delta patch started from.
-    fn assert_sequential_numbering<E: EscapeEngine>(
-        what: &str,
-        fa: &FaRouting<E>,
-        before: Option<&FaRouting<E>>,
-    ) {
-        let held = before.map_or(&[][..], |before| &before.route_cache.pool);
-        let mut pool: Vec<RouteOptions> = held.iter().map(|r| (**r).clone()).collect();
-        let mut index: HashMap<RouteOptions, u32> = pool.iter().cloned().zip(0..).collect();
+    /// address in `(switch, DLID)` order, numbered by first appearance.
+    fn assert_sequential_numbering<E: EscapeEngine>(what: &str, fa: &FaRouting<E>) {
+        let mut pool: Vec<RouteOptions> = Vec::new();
+        let mut index: HashMap<RouteOptions, u32> = HashMap::new();
         let stride = fa.lid_map.table_len();
         for (s, slots) in fa.route_cache.slots.chunks(stride).enumerate() {
             for (dlid, &slot) in slots.iter().enumerate() {
@@ -930,16 +905,14 @@ pub(crate) mod tests {
     /// `par_map`, whose workers run a build's pool calls on their own
     /// thread), on every core, and four at once on four threads — must
     /// be the same routing: tables, slot numbers, pool, and what every
-    /// `route_id` resolves to — numbered as one sequential pass on top
-    /// of the pool of `before` (what a delta patch started from) would.
-    pub(crate) fn assert_same_at_every_worker_count<E: EscapeEngine>(
+    /// `route_id` resolves to — numbered as one sequential pass would.
+    fn assert_same_at_every_worker_count<E: EscapeEngine>(
         what: &str,
-        before: Option<&FaRouting<E>>,
         build: impl Fn() -> FaRouting<E> + Sync,
     ) {
         use iba_core::par::{par_map, par_map_on};
         let every_core = build();
-        assert_sequential_numbering(what, &every_core, before);
+        assert_sequential_numbering(what, &every_core);
         let mut others = par_map_on(4, &[(); 4], |_| build());
         others.extend(
             par_map(&[true, false], |&run| run.then(&build))
@@ -978,36 +951,58 @@ pub(crate) mod tests {
             let topo = topo.generate().unwrap();
             let cfg = RoutingConfig::two_options();
             let caps: Vec<bool> = (0..n).map(|s| s % 5 != 3).collect();
-            assert_same_at_every_worker_count(&format!("build {n}"), None, || {
+            assert_same_at_every_worker_count(&format!("build {n}"), || {
                 FaRouting::build(&topo, RoutingConfig::with_options(4)).unwrap()
             });
-            assert_same_at_every_worker_count(&format!("apm {n}"), None, || {
+            assert_same_at_every_worker_count(&format!("apm {n}"), || {
                 FaRouting::build_with_apm(&topo, cfg).unwrap()
             });
-            assert_same_at_every_worker_count(&format!("multipath {n}"), None, || {
+            assert_same_at_every_worker_count(&format!("multipath {n}"), || {
                 FaRouting::build_source_multipath(&topo, cfg).unwrap()
             });
-            assert_same_at_every_worker_count(&format!("mixed {n}"), None, || {
+            assert_same_at_every_worker_count(&format!("mixed {n}"), || {
                 FaRouting::build_mixed(&topo, cfg, &caps).unwrap()
             });
         }
         for (rows, cols) in [(16, 16), (15, 20)] {
             let topo = regular::torus2d(rows, cols, 1).unwrap();
             let cfg = RoutingConfig::two_options();
-            assert_same_at_every_worker_count(&format!("outflank {rows}x{cols}"), None, || {
+            assert_same_at_every_worker_count(&format!("outflank {rows}x{cols}"), || {
                 FaRouting::<crate::OutflankRouting>::build_with_engine(&topo, cfg).unwrap()
             });
-            assert_same_at_every_worker_count(&format!("outflank apm {rows}x{cols}"), None, || {
+            assert_same_at_every_worker_count(&format!("outflank apm {rows}x{cols}"), || {
                 FaRouting::<crate::OutflankRouting>::build_apm_with_engine(&topo, cfg).unwrap()
             });
         }
         // The largest full mesh a switch radix allows is a single item;
         // it is here for its thousands of distinct decodes.
         let topo = regular::complete(70, 1).unwrap();
-        assert_same_at_every_worker_count("fullmesh 70", None, || {
+        assert_same_at_every_worker_count("fullmesh 70", || {
             let cfg = RoutingConfig::two_options();
             FaRouting::<crate::FullMeshRouting>::build_with_engine(&topo, cfg).unwrap()
         });
+    }
+
+    /// The interned route cache shares identical decodes across switches.
+    #[test]
+    fn route_cache_interning_shares_identical_decodes() {
+        let topo = IrregularConfig::paper(16, 4).generate().unwrap();
+        let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+        let (total, unique) = fa.route_cache_sharing();
+        assert!(total > 0);
+        assert!(
+            unique < total / 2,
+            "expected heavy sharing, got {unique}/{total} distinct decodes"
+        );
+        // Sharing must not change what any access returns.
+        for s in topo.switch_ids() {
+            for h in topo.host_ids() {
+                let dlid = fa.dlid(h, true).unwrap();
+                let shared = fa.route_shared(s, dlid).unwrap();
+                let direct = fa.decode(s, dlid).unwrap();
+                assert_eq!(*shared, direct);
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`engine`] — the [`EscapeEngine`] contract every escape layer
 //!   implements: deterministic per-destination next hops that certify
-//!   acyclic through [`check_escape_routes`]. `FaRouting`, the delta
-//!   rebuild, the SM and the simulator are all generic over it.
+//!   acyclic through [`check_escape_routes`]. `FaRouting`, the SM and
+//!   the simulator are all generic over it.
 //! * [`updown`] — the up\*/down\* routing algorithm \[Schroeder et al.,
 //!   Autonet\]: BFS spanning tree, up/down link orientation, and a
 //!   destination-based deterministic next-hop function whose paths never
@@ -33,9 +33,9 @@
 //!   port, output port, SL).
 //! * [`analysis`] — static routing analysis: the routing-option
 //!   distribution of Table 2 and path-length statistics.
-//! * [`delta`] — incremental route recomputation after a link failure:
-//!   only the destination columns the dead link was *tight* for are
-//!   recomputed, byte-identical to a from-scratch rebuild.
+//! * [`delta`] — the link-failure rebuild entry point the benchmark's
+//!   probes import, a shim over [`FaRouting::rebuild_on`], which is
+//!   what a re-sweep calls.
 
 #![warn(missing_docs)]
 
@@ -53,7 +53,7 @@ pub mod updown;
 
 pub use analysis::{check_escape_routes, OptionDistribution, PathLengthStats};
 pub use delta::{DeltaRebuild, DeltaStats};
-pub use engine::{certify_engine, DeltaOutcome, EscapeEngine};
+pub use engine::{certify_engine, EscapeEngine};
 pub use fa::{AdaptiveOptions, FaRouting, RouteId, RouteOptions, RoutingConfig};
 pub use fullmesh::FullMeshRouting;
 pub use minimal::{MinimalRouting, PortMask};

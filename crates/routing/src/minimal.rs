@@ -7,7 +7,7 @@
 //! ports — the raw material both for the forwarding tables (`fa`) and for
 //! the Table 2 analysis (`analysis`).
 
-use crate::columns::{per_item, selected};
+use crate::columns::per_item;
 use iba_core::{par_chunks_mut, IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
 
@@ -53,8 +53,7 @@ impl PortMask {
 }
 
 /// All minimal next-hop ports for every (switch, destination-switch)
-/// pair, in two destination-major stores (`crate::columns`): the delta
-/// rebuild refills individual columns in place after a link failure.
+/// pair, in two destination-major stores (`crate::columns`).
 #[derive(Clone, Debug)]
 pub struct MinimalRouting {
     n: usize,
@@ -81,21 +80,19 @@ impl MinimalRouting {
             dist: vec![0; n * n],
             options: vec![0; n * n],
         };
-        if !minimal.fill(topo, None) {
+        if !minimal.fill(topo) {
             return Err(IbaError::RoutingFailed("topology disconnected".into()));
         }
         Ok(minimal)
     }
 
-    /// Recompute the columns of the destinations `targets` (ascending;
-    /// every column when `None`) on `topo`. `false` when some switch
-    /// cannot reach one of them.
-    pub(crate) fn fill(&mut self, topo: &Topology, targets: Option<&[usize]>) -> bool {
+    /// Compute every destination's column on `topo`. `false` when some
+    /// switch cannot reach one of them.
+    fn fill(&mut self, topo: &Topology) -> bool {
         let n = self.n;
         let mut columns: Vec<_> = (self.dist.chunks_mut(n))
             .zip(self.options.chunks_mut(n))
             .enumerate()
-            .filter(|&(t, _)| selected(targets, t))
             .collect();
         let connected = par_chunks_mut(&mut columns, per_item(n), |columns| {
             let mut queue = Vec::with_capacity(n);

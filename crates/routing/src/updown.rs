@@ -29,8 +29,8 @@
 //! well-known behaviour the paper leans on in §5.2.1: up\*/down\* paths
 //! may be non-minimal and concentrate traffic near the root.
 
-use crate::columns::{per_item, selected, HopColumns, NO_HOP};
-use crate::engine::{DeltaOutcome, EscapeEngine};
+use crate::columns::{per_item, HopColumns, NO_HOP};
+use crate::engine::EscapeEngine;
 use crate::minimal::MinimalRouting;
 use iba_core::{par_chunks_mut, HostId, IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
@@ -39,9 +39,7 @@ use iba_topology::Topology;
 const INF: u32 = u32::MAX;
 
 /// The up\*/down\* routing function for one topology. The three
-/// per-destination stores are destination-major (`crate::columns`), so
-/// the delta rebuild refills individual destination columns in place
-/// after a link failure.
+/// per-destination stores are destination-major (`crate::columns`).
 #[derive(Clone, Debug)]
 pub struct UpDownRouting {
     root: SwitchId,
@@ -112,8 +110,8 @@ impl UpDownRouting {
     /// Build up\*/down\* for `topo`, selecting the root automatically.
     ///
     /// **Root selection is pinned** (cross-engine comparisons and the
-    /// delta rebuild's root-pinned equality frame both depend on it
-    /// being deterministic): the root is the switch of **minimum
+    /// re-sweep's root-pinned equality frame both depend on it being
+    /// deterministic): the root is the switch of **minimum
     /// eccentricity**, and among equally central switches the **lowest
     /// switch id wins**. On vertex-transitive [`TopologySpec`] shapes
     /// (rings, tori, hypercubes, full meshes) every switch is equally
@@ -146,20 +144,18 @@ impl UpDownRouting {
             legal_dist: vec![0; n * n],
             next_hop: HopColumns::new(n),
         };
-        rt.fill(&Oriented::new(topo, &rt), None)?;
+        rt.fill(&Oriented::new(topo, &rt))?;
         Ok(rt)
     }
 
-    /// Recompute the columns of the destinations `targets` (ascending;
-    /// every column when `None`) over `adj`: both distance layers, then
-    /// the next hops that read them.
-    fn fill(&mut self, adj: &Oriented, targets: Option<&[usize]>) -> Result<(), IbaError> {
+    /// Compute every destination's column over `adj`: both distance
+    /// layers, then the next hops that read them.
+    fn fill(&mut self, adj: &Oriented) -> Result<(), IbaError> {
         let n = self.level.len();
         let mut columns: Vec<_> = (self.down_dist.chunks_mut(n))
             .zip(self.legal_dist.chunks_mut(n))
             .zip(self.next_hop.columns_mut())
             .enumerate()
-            .filter(|&(t, _)| selected(targets, t))
             .collect();
         par_chunks_mut(&mut columns, per_item(n), |columns| {
             let mut queue = Vec::with_capacity(2 * n);
@@ -263,44 +259,6 @@ impl UpDownRouting {
         let s = topo.host_switch(src);
         let t = topo.host_switch(dst);
         Ok(self.path(topo, s, t)?.len() - 1)
-    }
-
-    /// Whether the failed link could have influenced destination column
-    /// `t` in any *escape* layer (the adaptive/minimal layer is the FA
-    /// delta rebuild's own concern). Over-approximation is safe (the
-    /// column is recomputed); under-approximation would be a correctness
-    /// bug — the conditions below are exactly the tightness tests of the
-    /// down and legal distance relaxations plus the chosen-next-hop
-    /// check.
-    #[allow(clippy::too_many_arguments)]
-    fn column_affected(
-        &self,
-        t: SwitchId,
-        a: SwitchId,
-        pa: PortIndex,
-        b: SwitchId,
-        pb: PortIndex,
-        up_end: SwitchId,
-        down_end: SwitchId,
-    ) -> bool {
-        let down = self.column(&self.down_dist, t);
-        let legal = self.column(&self.legal_dist, t);
-        let (u, d) = (up_end.index(), down_end.index());
-        // Down layer: the edge descends up_end → down_end; tight when it
-        // lies on a shortest all-down path to t.
-        if down[d] != INF && down[u] != INF && down[u] == down[d] + 1 {
-            return true;
-        }
-        // Legal layer, up instance (down_end → up_end is an up move).
-        if legal[u] != INF && legal[d] != INF && legal[d] == legal[u] + 1 {
-            return true;
-        }
-        // Legal layer, down instance (CanUp at up_end stepping down).
-        if down[d] != INF && legal[u] != INF && legal[u] == down[d] + 1 {
-            return true;
-        }
-        // The deterministic next hop of either endpoint used the link.
-        self.next_hop(a, t) == Some(pa) || self.next_hop(b, t) == Some(pb)
     }
 }
 
@@ -413,57 +371,6 @@ impl EscapeEngine for UpDownRouting {
 
     fn next_hop_variants(&self, topo: &Topology, s: SwitchId, t: SwitchId) -> Vec<PortIndex> {
         UpDownRouting::next_hop_variants(self, topo, s, t)
-    }
-
-    /// The up\*/down\* incremental rebuild: destination columns are
-    /// separable, and a dead link can only change the columns it was
-    /// *tight* for (see [`Self::column_affected`]). Falls back when the
-    /// orientation frame itself is suspect: the failed link touches the
-    /// spanning-tree root, or the BFS levels from the pinned root shift
-    /// (the up/down orientation of *surviving* links would change,
-    /// invalidating every column).
-    fn rebuild_after_link_failure(
-        &self,
-        degraded: &Topology,
-        a: SwitchId,
-        pa: PortIndex,
-        b: SwitchId,
-        pb: PortIndex,
-    ) -> Result<DeltaOutcome<Self>, IbaError> {
-        let root = self.root;
-        if a == root || b == root {
-            return Ok(DeltaOutcome::FullRebuild {
-                reason: "failed link touches the spanning-tree root".into(),
-            });
-        }
-        let new_level = degraded.distances_from(root);
-        if new_level.contains(&INF) {
-            return Err(IbaError::RoutingFailed(
-                "link failure disconnected the fabric".into(),
-            ));
-        }
-        if new_level != self.level {
-            return Ok(DeltaOutcome::FullRebuild {
-                reason: "BFS levels from the pinned root shifted".into(),
-            });
-        }
-        // Levels (hence the up/down orientation of every surviving link)
-        // are unchanged: the failed link's influence is confined to
-        // destinations it was tight for. Orient it once.
-        let (up_end, down_end) = if self.is_down_move(a, b) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let affected: Vec<usize> = (0..self.level.len())
-            .filter(|&t| self.column_affected(SwitchId(t as u16), a, pa, b, pb, up_end, down_end))
-            .collect();
-        let mut next = self.clone();
-        next.fill(&Oriented::new(degraded, self), Some(&affected))?;
-        Ok(DeltaOutcome::Patched {
-            engine: next,
-            affected,
-        })
     }
 }
 

@@ -232,35 +232,25 @@ fn cache_is_the_table_on_every_build<E: EscapeEngine>(spec: TopologySpec) {
         let fa = FaRouting::<E>::build_source_multipath_with_engine(&topo, cfg).unwrap();
         assert_cache_is_the_table(&topo, &fa, &what("multipath"));
 
-        // After a link failure, on the delta path and on the fallback
-        // (engines without an incremental rebuild always fall back, and
-        // only where the degraded shape is still one they accept).
-        let (mut delta_seen, mut fallback_seen) = (false, false);
-        for a in topo.switch_ids() {
-            for (pa, b, pb) in topo.switch_neighbors(a) {
-                let Some(degraded) = without_link(&topo, a, b).filter(|_| a.0 < b.0) else {
-                    continue;
-                };
-                let Ok(rebuilt) = plain.rebuild_after_link_failure(&degraded, a, pa, b, pb) else {
-                    continue;
-                };
-                let seen = if rebuilt.stats.full_rebuild {
-                    &mut fallback_seen
-                } else {
-                    &mut delta_seen
-                };
-                if !std::mem::replace(seen, true) {
-                    let path = format!("rebuilt {a}-{b} fallback={}", rebuilt.stats.full_rebuild);
-                    assert_cache_is_the_table(&degraded, &rebuilt.routing, &what(&path));
-                }
-            }
+        // After a link failure, on the routing a re-sweep installs: the
+        // same kind rebuilt with the root pinned, on the first link whose
+        // loss leaves a shape the engine still accepts.
+        let pinned = RoutingConfig {
+            root: Some(plain.escape().root()),
+            ..cfg
+        };
+        let rebuilt = topo.switch_ids().find_map(|a| {
+            (topo.switch_neighbors(a).filter(|&(_, b, _)| a.0 < b.0)).find_map(|(_, b, _)| {
+                let degraded = without_link(&topo, a, b)?;
+                let rebuilt = plain.rebuild_on(&degraded, pinned).ok()?;
+                Some((degraded, rebuilt, format!("rebuilt {a}-{b}")))
+            })
+        });
+        if let Some((degraded, rebuilt, link)) = &rebuilt {
+            assert_cache_is_the_table(degraded, rebuilt, &what(link));
         }
         if E::NAME == UpDownRouting::NAME {
-            assert!(
-                delta_seen && fallback_seen,
-                "{}",
-                what("both rebuild paths")
-            );
+            assert!(rebuilt.is_some(), "{}", what("a removable link"));
         }
     }
 }

@@ -377,19 +377,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             b.attach_host_at(sw, port)?;
         }
         let degraded = b.build()?; // errors when the dead link disconnected the fabric
-        let cfg = *self.routing.config();
-        if self.routing.has_apm() {
-            FaRouting::build_apm_with_engine(&degraded, cfg)
-        } else if self.routing.source_multipath().is_some() {
-            FaRouting::build_source_multipath_with_engine(&degraded, cfg)
-        } else {
-            let caps: Vec<bool> = self
-                .topo
-                .switch_ids()
-                .map(|s| self.routing.switch_adaptive(s))
-                .collect();
-            FaRouting::build_mixed_with_engine(&degraded, cfg, &caps)
-        }
+        self.routing.rebuild_on(&degraded, *self.routing.config())
     }
 
     /// Point every not-in-flight buffered packet — still inside its

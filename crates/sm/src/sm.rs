@@ -5,7 +5,7 @@ use crate::managed::ManagedFabric;
 use crate::program::{ProgramReport, Programmer};
 use crate::retry::{send_once, ReliableSender, RetryPolicy};
 use iba_core::{FlightEvent, IbaError, SwitchId};
-use iba_routing::{DeltaStats, EscapeEngine, FaRouting, RoutingConfig, UpDownRouting};
+use iba_routing::{EscapeEngine, FaRouting, RoutingConfig, UpDownRouting};
 use iba_stats::MetricsRegistry;
 use iba_topology::Topology;
 use std::marker::PhantomData;
@@ -74,11 +74,11 @@ impl<E: EscapeEngine> SubnetManager<E> {
 
     /// The incremental re-sweep: given the previous bring-up and a
     /// failed inter-switch link `(a, b)` (discovery-ordered ids), skip
-    /// rediscovery — degrade the recorded fabric in place, recompute
-    /// only the routing columns the dead link was tight for
-    /// ([`FaRouting::rebuild_after_link_failure`]), and upload the diff
-    /// through `programmer`'s dirty-block shadow. The resulting tables
-    /// are byte-identical to a from-scratch sweep of the degraded
+    /// rediscovery — degrade the recorded fabric in place, rebuild the
+    /// same kind of routing on it with the escape root pinned
+    /// ([`FaRouting::rebuild_on`]), certify its escape layer, and upload
+    /// the diff through `programmer`'s dirty-block shadow. The resulting
+    /// tables are byte-identical to a from-scratch sweep of the degraded
     /// fabric; only the changed blocks travel as SMPs, each sent exactly
     /// once — a switch that does not answer is a hard error.
     pub fn resweep_after_link_failure(
@@ -115,25 +115,24 @@ impl<E: EscapeEngine> SubnetManager<E> {
     ) -> Result<RobustResweep<E>, IbaError> {
         // An incremental sweep skips rediscovery; its discover phase is 0.
         let route_started = Instant::now();
-        let (discovered, topology, delta) = self.resweep_tables(previous, a, b)?;
+        let (discovered, topology, routing) = self.resweep_tables(previous, a, b)?;
         let route_ns = route_started.elapsed().as_nanos() as u64;
         let mut sender = ReliableSender::new(policy)?;
         let program_started = Instant::now();
-        let prog = programmer.program_robust(fabric, &discovered, &delta.routing, &mut sender)?;
+        let prog = programmer.program_robust(fabric, &discovered, &routing, &mut sender)?;
         let program_ns = program_started.elapsed().as_nanos() as u64;
         let partial = prog.partial;
         let converged = !partial && prog.skipped.is_empty();
-        let entries_recomputed = delta.stats.entries_recomputed;
+        let entries_recomputed = (routing.lid_map().table_len() * topology.num_switches()) as u64;
         let report = prog.report.clone();
         let stats = sender.stats;
         let resweep = converged.then(|| Resweep {
             bringup: BringUp {
                 discovered,
                 topology,
-                routing: delta.routing,
+                routing,
                 report: prog.report,
             },
-            delta: delta.stats,
         });
         Ok(RobustResweep {
             resweep,
@@ -158,13 +157,16 @@ impl<E: EscapeEngine> SubnetManager<E> {
     }
 
     /// The SMP-free half of a re-sweep: degrade the recorded fabric,
-    /// recompute routes incrementally from the previous tables.
+    /// rebuild the previous kind of routing on it with the escape root
+    /// pinned (an unpinned rebuild may elect another root and dirty
+    /// every block), and refuse tables whose escape layer does not
+    /// certify deadlock-free.
     fn resweep_tables(
         &self,
         previous: &BringUp<E>,
         a: SwitchId,
         b: SwitchId,
-    ) -> Result<(DiscoveredFabric, Topology, iba_routing::DeltaRebuild<E>), IbaError> {
+    ) -> Result<(DiscoveredFabric, Topology, FaRouting<E>), IbaError> {
         let (pa, _, pb) = previous
             .topology
             .switch_neighbors(a)
@@ -174,10 +176,16 @@ impl<E: EscapeEngine> SubnetManager<E> {
         discovered.degrade_link(a, pa, b, pb)?;
         discovered.recompute_routes()?;
         let topology = discovered.to_topology()?;
-        let delta = previous
-            .routing
-            .rebuild_after_link_failure(&topology, a, pa, b, pb)?;
-        Ok((discovered, topology, delta))
+        let pinned = RoutingConfig {
+            root: Some(previous.routing.escape().root()),
+            ..*previous.routing.config()
+        };
+        let routing = previous.routing.rebuild_on(&topology, pinned)?;
+        routing.certify_escape(&topology, false)?;
+        if routing.has_apm() {
+            routing.certify_escape(&topology, true)?;
+        }
+        Ok((discovered, topology, routing))
     }
 
     /// The loss-tolerant pipeline: every SMP rides a retransmit loop
@@ -295,9 +303,8 @@ pub struct SweepReport {
     /// LFT blocks actually uploaded (≤ `blocks_total`; strictly fewer
     /// when the programmer's dirty-block shadow filtered clean blocks).
     pub blocks_uploaded: u64,
-    /// Forwarding-table entries recomputed by the routing stage (the
-    /// full table size on an initial sweep or fallback; the affected
-    /// subset on an incremental re-sweep).
+    /// Forwarding-table entries computed by the routing stage: the
+    /// full table size, on an initial sweep and on a re-sweep alike.
     pub entries_recomputed: u64,
     /// Wall-clock phase durations. Host-machine time, not sim time —
     /// exported only under the `profiling_` metrics namespace, which
@@ -313,8 +320,8 @@ pub struct SweepPhases {
     /// Directed-route discovery (0 on an incremental re-sweep, which
     /// degrades the recorded fabric instead of rediscovering).
     pub discover_ns: u64,
-    /// Route computation: graph rebuild plus FA table construction (or
-    /// the incremental column recomputation on a re-sweep).
+    /// Route computation: graph rebuild plus FA table construction (and
+    /// the escape certification, on a re-sweep).
     pub route_ns: u64,
     /// LFT/SLtoVL programming, including retransmit loops.
     pub program_ns: u64,
@@ -367,9 +374,6 @@ pub struct Resweep<E: EscapeEngine = UpDownRouting> {
     /// The refreshed bring-up state: degraded fabric view, new
     /// topology, new routing tables, and the diff-programming report.
     pub bringup: BringUp<E>,
-    /// What the incremental route recomputation did (affected
-    /// destinations, fallback verdict, entries recomputed).
-    pub delta: DeltaStats,
 }
 
 /// The result of a loss-tolerant incremental re-sweep.
@@ -639,7 +643,6 @@ mod tests {
             .unwrap();
         assert!(twin.report.converged);
         let twin = twin.resweep.unwrap();
-        assert_eq!(r.delta, twin.delta);
         assert_eq!(r.bringup.report, twin.bringup.report);
         assert_eq!(plain.smps_sent, robust.smps_sent);
         assert_same_agent_tables(&physical, &plain, &robust);
@@ -872,39 +875,62 @@ mod tests {
         assert_eq!(preg.counter("iba_sm_program_verified_total", &[]), Some(1));
     }
 
+    /// Up\*/down\* except for one forwarding loop: towards one switch,
+    /// the two ends of a link send to each other.
+    #[derive(Clone, Debug)]
+    struct LoopEngine {
+        inner: UpDownRouting,
+        ends: [(SwitchId, iba_core::PortIndex); 2],
+        towards: SwitchId,
+    }
+
+    impl EscapeEngine for LoopEngine {
+        const NAME: &'static str = "loop";
+
+        fn build(topo: &Topology) -> Result<Self, IbaError> {
+            Self::build_with_root(topo, SwitchId(0))
+        }
+
+        fn build_with_root(topo: &Topology, root: SwitchId) -> Result<Self, IbaError> {
+            let a = SwitchId(0);
+            let (pa, b, pb) = topo.switch_neighbors(a).next().expect("a link at switch 0");
+            Ok(LoopEngine {
+                inner: UpDownRouting::build_with_root(topo, root)?,
+                ends: [(a, pa), (b, pb)],
+                towards: (topo.switch_ids().find(|&t| t != a && t != b)).expect("a third switch"),
+            })
+        }
+
+        fn root(&self) -> SwitchId {
+            self.inner.root()
+        }
+
+        fn next_hop(&self, s: SwitchId, t: SwitchId) -> Option<iba_core::PortIndex> {
+            let looping = self
+                .ends
+                .iter()
+                .find(|&&(end, _)| end == s && t == self.towards);
+            looping.map_or_else(|| self.inner.next_hop(s, t), |&(_, port)| Some(port))
+        }
+    }
+
     #[test]
-    fn resweep_delta_stats_export_to_metrics() {
-        let physical = IrregularConfig::paper(16, 8).generate().unwrap();
+    fn resweep_refuses_an_escape_layer_with_a_cycle_before_the_first_smp() {
+        // Bring-up does not certify, so the looping tables go up; the
+        // re-sweep must refuse theirs without touching the fabric.
+        let physical = IrregularConfig::paper(8, 3).generate().unwrap();
         let mut fabric = ManagedFabric::new(&physical, 2).unwrap();
-        let sm = SubnetManager::new(RoutingConfig::two_options());
+        let sm = SubnetManager::<LoopEngine>::with_engine(RoutingConfig::two_options());
         let mut programmer = Programmer::new();
         let up = sm.initialize_with(&mut fabric, &mut programmer).unwrap();
         let (a, b) = removable_link(&up.topology);
         let pa = physical_of(&physical, &fabric, up.discovered.switches[a.index()].guid);
         let pb = physical_of(&physical, &fabric, up.discovered.switches[b.index()].guid);
         fabric.fail_link(pa, pb).unwrap();
-        let r = sm
-            .resweep_after_link_failure(&mut fabric, &up, a, b, &mut programmer)
-            .unwrap();
-        let mut reg = MetricsRegistry::new();
-        r.delta.record_metrics(&mut reg);
-        assert_eq!(
-            reg.counter("iba_routing_delta_rebuilds_total", &[]),
-            Some(1)
-        );
-        assert_eq!(
-            reg.counter("iba_routing_delta_entries_recomputed_total", &[]),
-            Some(r.delta.entries_recomputed)
-        );
-        assert_eq!(
-            reg.counter("iba_routing_delta_affected_switches_total", &[]),
-            Some(r.delta.affected_switches as u64)
-        );
-        // The fallback counter mirrors the rebuild verdict exactly.
-        let expect = r.delta.full_rebuild.then_some(1);
-        assert_eq!(
-            reg.counter("iba_routing_delta_fallbacks_total", &[]),
-            expect
-        );
+        let before = fabric.smps_sent;
+        let refused = sm.resweep_after_link_failure(&mut fabric, &up, a, b, &mut programmer);
+        let err = refused.err().expect("a looping escape layer certified");
+        assert!(err.to_string().contains("does not terminate"), "{err}");
+        assert_eq!(fabric.smps_sent, before, "SMPs sent for refused tables");
     }
 }
