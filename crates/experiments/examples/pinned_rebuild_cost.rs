@@ -1,15 +1,19 @@
-//! What the route stage of an incremental re-sweep costs: the
-//! root-pinned rebuild and the escape certification, per fabric size
-//! (EXPERIMENTS.md "One route computation (PR 24)" has the table).
+//! What the route stage of a re-sweep costs, and how often a rebuild
+//! that left the root to the engine would move it (EXPERIMENTS.md "One
+//! re-sweep (PR 26)" has the table).
 //!
 //! ```text
 //! cargo run --release -p iba-experiments --example pinned_rebuild_cost
 //! ```
 //!
-//! Per size, up to 8 removable links of each of a few seeded fabrics;
-//! per link the best of 3; the medians over the links are printed.
+//! Per size, every link whose removal keeps each of a few seeded
+//! fabrics connected. Per link: `FaRouting::resweep` (the root-pinned
+//! rebuild and its escape certification) and `certify_escape` alone,
+//! best of 3 each, medians over the links printed; and whether the
+//! unpinned rebuild — `FaRouting::build` on the degraded fabric —
+//! elects a root other than the primary's, counted in `moved`.
 
-use iba_experiments::faults::{degraded, removable_links};
+use iba_experiments::faults::degraded;
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_topology::IrregularConfig;
 use std::time::Instant;
@@ -32,31 +36,29 @@ fn median(mut v: Vec<f64>) -> f64 {
 fn main() -> Result<(), iba_core::IbaError> {
     let threads = std::thread::available_parallelism().map_or(0, |n| n.get());
     println!("threads {threads}");
-    println!("switches  links  rebuild ms  certify ms  certify / rebuild");
-    for (n, seeds) in [(16, 4), (64, 4), (128, 8), (256, 4), (512, 2), (1024, 1)] {
-        let (mut rebuild, mut certify) = (Vec::new(), Vec::new());
+    println!("switches  links  moved  resweep ms  certify ms  certify / resweep");
+    for (n, seeds) in [(8, 15), (16, 15), (64, 4), (256, 2)] {
+        let (mut resweep, mut certify, mut moved) = (Vec::new(), Vec::new(), 0);
         for seed in 100..100 + seeds {
             let topo = IrregularConfig::paper(n, seed).generate()?;
             let routing = FaRouting::build(&topo, RoutingConfig::two_options())?;
-            let pinned = RoutingConfig {
-                root: Some(routing.escape().root()),
-                ..*routing.config()
-            };
-            let links = (1..=8)
-                .rev()
-                .find_map(|count| removable_links(&topo, count).ok())
-                .unwrap_or_default();
-            for link in links {
-                let without = degraded(&topo, &[link])?;
-                rebuild.push(best_ms(|| routing.rebuild_on(&without, pinned)));
-                let rebuilt = routing.rebuild_on(&without, pinned)?;
-                certify.push(best_ms(|| rebuilt.certify_escape(&without, false)));
+            for a in topo.switch_ids() {
+                for (_, b, _) in topo.switch_neighbors(a).filter(|&(_, b, _)| a.0 < b.0) {
+                    let Ok(without) = degraded(&topo, &[(a, b)]) else {
+                        continue; // a bridge
+                    };
+                    resweep.push(best_ms(|| routing.resweep(&without)));
+                    let swept = routing.resweep(&without)?;
+                    certify.push(best_ms(|| swept.certify_escape(&without, false)));
+                    let unpinned = FaRouting::build(&without, *routing.config())?;
+                    moved += usize::from(unpinned.escape().root() != routing.escape().root());
+                }
             }
         }
-        let links = rebuild.len();
-        let (rebuild, certify) = (median(rebuild), median(certify));
-        let share = certify / rebuild;
-        println!("{n:>8}  {links:>5}  {rebuild:>10.3}  {certify:>10.3}  {share:>17.2}");
+        let links = resweep.len();
+        let (resweep, certify) = (median(resweep), median(certify));
+        let share = certify / resweep;
+        println!("{n:>8}  {links:>5}  {moved:>5}  {resweep:>10.3}  {certify:>10.3}  {share:>17.2}");
     }
     Ok(())
 }

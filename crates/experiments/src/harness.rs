@@ -2,7 +2,7 @@
 
 use iba_campaign::par_map;
 use iba_core::IbaError;
-use iba_routing::{EscapeEngine, FaRouting, RoutingConfig};
+use iba_routing::{FaRouting, RoutingConfig, TableSource};
 use iba_sim::{Network, RunResult, SimConfig};
 use iba_stats::{Curve, CurvePoint};
 use iba_topology::{IrregularConfig, Topology};
@@ -44,9 +44,9 @@ pub fn build_ensemble(
 }
 
 /// Run a single simulation point.
-pub fn run_point<E: EscapeEngine>(
+pub fn run_point(
     topo: &Topology,
-    routing: &FaRouting<E>,
+    routing: &dyn TableSource,
     spec: WorkloadSpec,
     cfg: SimConfig,
 ) -> Result<RunResult, IbaError> {
@@ -66,9 +66,9 @@ fn host_rate(topo: &Topology, offered_per_switch: f64) -> f64 {
 
 /// Simulate one point of a latency / accepted-traffic curve at
 /// `offered` bytes/ns/switch.
-pub(crate) fn curve_point<E: EscapeEngine>(
+pub(crate) fn curve_point(
     topo: &Topology,
-    routing: &FaRouting<E>,
+    routing: &dyn TableSource,
     base_spec: WorkloadSpec,
     cfg: SimConfig,
     offered: f64,
@@ -84,9 +84,9 @@ pub(crate) fn curve_point<E: EscapeEngine>(
 
 /// Sweep `offered_grid` (bytes/ns/switch) and collect the latency /
 /// accepted-traffic curve. Points are simulated in parallel.
-pub fn sweep_curve<E: EscapeEngine>(
+pub fn sweep_curve(
     topo: &Topology,
-    routing: &FaRouting<E>,
+    routing: &dyn TableSource,
     base_spec: WorkloadSpec,
     cfg: SimConfig,
     offered_grid: &[f64],
@@ -102,9 +102,9 @@ pub fn sweep_curve<E: EscapeEngine>(
 /// and return the maximum accepted traffic. Stops early once accepted
 /// traffic has clearly flattened (two consecutive points below 98 % of
 /// the best), which skips the most expensive, deeply saturated points.
-pub fn find_saturation<E: EscapeEngine>(
+pub fn find_saturation(
     topo: &Topology,
-    routing: &FaRouting<E>,
+    routing: &dyn TableSource,
     base_spec: WorkloadSpec,
     cfg: SimConfig,
     offered_grid: &[f64],

@@ -3,13 +3,12 @@
 //! import. The column patch it named is gone — on small-diameter
 //! irregular fabrics a link lies on a shortest path to most
 //! destinations, so the patch recomputed 59–99 % of the columns
-//! (DESIGN.md §13) — and a re-sweep rebuilds the same kind of tables
-//! from scratch with the escape root pinned ([`FaRouting::rebuild_on`]).
-//! ROADMAP item 0 (a) drops this file together with the probe rows
-//! that call it.
+//! (DESIGN.md §13) — and a re-sweep is [`FaRouting::resweep`]. ROADMAP
+//! item 0 (a) drops this file together with the probe rows that call
+//! it.
 
 use crate::engine::EscapeEngine;
-use crate::fa::{FaRouting, RoutingConfig};
+use crate::fa::FaRouting;
 use crate::updown::UpDownRouting;
 use iba_core::{IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
@@ -32,9 +31,8 @@ pub struct DeltaRebuild<E: EscapeEngine = UpDownRouting> {
 }
 
 impl<E: EscapeEngine> FaRouting<E> {
-    /// Rebuild this routing for `degraded` — the same fabric with the
-    /// single link `a.pa ↔ b.pb` removed — with the escape engine's
-    /// frame anchor pinned, and certify the result.
+    /// [`Self::resweep`] for `degraded` — the same fabric with the
+    /// single link `a.pa ↔ b.pb` removed.
     ///
     /// Errors when `degraded` still contains the link, has a different
     /// shape than the routing was built for, or is disconnected.
@@ -64,15 +62,7 @@ impl<E: EscapeEngine> FaRouting<E> {
                 "degraded topology still wires the failed link".into(),
             ));
         }
-        let pinned = RoutingConfig {
-            root: Some(self.escape().root()),
-            ..*self.config()
-        };
-        let routing = self.rebuild_on(degraded, pinned)?;
-        routing.certify_escape(degraded, false)?;
-        if routing.has_apm() {
-            routing.certify_escape(degraded, true)?;
-        }
+        let routing = self.resweep(degraded)?;
         let stats = DeltaStats { full_rebuild: true };
         Ok(DeltaRebuild { routing, stats })
     }
@@ -81,6 +71,7 @@ impl<E: EscapeEngine> FaRouting<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fa::RoutingConfig;
     use iba_topology::IrregularConfig;
 
     /// Passing a topology that still wires the link is rejected.

@@ -26,6 +26,12 @@
 //! default `FaRouting` = `FaRouting<UpDownRouting>` reproduces the
 //! paper's stack bit for bit — the golden LFT pins in
 //! `crates/routing/tests/golden_lft.rs` hold across the trait boundary.
+//!
+//! What a switch executes does not name the engine: the compiled half
+//! of a routing is the non-generic [`FaTables`], which `FaRouting<E>`
+//! dereferences to. A simulator holds tables through [`TableSource`]
+//! and asks it for new ones only when a re-sweep
+//! ([`FaRouting::resweep`]) completes.
 
 use crate::analysis::check_escape_routes;
 use crate::columns::per_item;
@@ -38,6 +44,7 @@ use iba_core::{
 };
 use iba_topology::Topology;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -100,15 +107,25 @@ pub struct RouteOptions {
     pub adaptive: AdaptiveOptions,
 }
 
-/// FA routing compiled for one topology: the LID assignment plus one
-/// interleaved forwarding table per switch. Generic over the escape
-/// layer `E`; the default is the paper's up\*/down\*.
+/// FA routing compiled for one topology: the engines it was computed
+/// with and the [`FaTables`] they compiled to, which it dereferences
+/// to. Generic over the escape layer `E`; the default is the paper's
+/// up\*/down\*.
 #[derive(Clone, Debug)]
 pub struct FaRouting<E: EscapeEngine = UpDownRouting> {
-    config: RoutingConfig,
-    lid_map: LidMap,
+    compiled: FaTables,
     escape: E,
     minimal: MinimalRouting,
+}
+
+/// What a subnet manager uploads and a switch executes: the LID
+/// assignment plus one interleaved forwarding table per switch and its
+/// decode. No engine is named — tables are bytes — so the simulator
+/// holds this type, whatever escape layer computed it.
+#[derive(Clone, Debug)]
+pub struct FaTables {
+    config: RoutingConfig,
+    lid_map: LidMap,
     tables: Vec<InterleavedForwardingTable>,
     /// Which switches support the adaptive mechanism (§4.2 allows mixing
     /// enhanced and plain deterministic switches in one subnet).
@@ -286,6 +303,37 @@ fn mix(a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+impl<E: EscapeEngine> Deref for FaRouting<E> {
+    type Target = FaTables;
+
+    fn deref(&self) -> &FaTables {
+        &self.compiled
+    }
+}
+
+/// The one seam from a simulator to the control plane: the tables a
+/// fabric was programmed with, and the re-sweep that replaces them.
+/// Object-safe, so a simulation holds a `&dyn TableSource` and names no
+/// escape engine; it calls neither method per hop.
+pub trait TableSource: Sync {
+    /// The tables the fabric was programmed with.
+    fn tables(&self) -> &FaTables;
+
+    /// [`FaRouting::resweep`] for `degraded`: the tables of the pinned,
+    /// certified rebuild, or why it was refused.
+    fn resweep_tables(&self, degraded: &Topology) -> Result<FaTables, IbaError>;
+}
+
+impl<E: EscapeEngine> TableSource for FaRouting<E> {
+    fn tables(&self) -> &FaTables {
+        &self.compiled
+    }
+
+    fn resweep_tables(&self, degraded: &Topology) -> Result<FaTables, IbaError> {
+        self.resweep(degraded).map(|r| r.compiled)
+    }
+}
+
 /// The four canonical constructors on the **default** (up\*/down\*)
 /// instantiation. Kept on the concrete type so the ~hundred existing
 /// call sites (`FaRouting::build(&topo, cfg)`) need no turbofish; the
@@ -326,7 +374,7 @@ impl<E: EscapeEngine> FaRouting<E> {
     /// Compile FA over escape engine `E` with every switch
     /// adaptive-capable.
     pub fn build_with_engine(topo: &Topology, config: RoutingConfig) -> Result<Self, IbaError> {
-        Self::layers(topo, config, 1)?.compiled(topo, None)
+        Self::layers(topo, config, 1)?.compile(topo, None)
     }
 
     /// Everything of a routing but its tables: the LID map for
@@ -356,15 +404,17 @@ impl<E: EscapeEngine> FaRouting<E> {
         let minimal = MinimalRouting::build(topo)?;
         let escape = E::build_with_root(topo, config.root.unwrap_or_else(|| minimal.center()))?;
         Ok(FaRouting {
-            config,
-            lid_map,
+            compiled: FaTables {
+                config,
+                lid_map,
+                tables: Vec::new(),
+                adaptive_capable: vec![true; topo.num_switches()],
+                source_multipath: None,
+                apm: None,
+                route_cache: RouteCache::default(),
+            },
             escape,
             minimal,
-            tables: Vec::new(),
-            adaptive_capable: vec![true; topo.num_switches()],
-            source_multipath: None,
-            apm: None,
-            route_cache: RouteCache::default(),
         })
     }
 
@@ -376,7 +426,7 @@ impl<E: EscapeEngine> FaRouting<E> {
     /// with a route pool of its own; adopting those in switch order
     /// numbers every decode as one sequential pass would — by first
     /// appearance in `(switch, DLID)` order — whatever the worker count.
-    fn compiled(mut self, topo: &Topology, alternate: Option<&E>) -> Result<Self, IbaError> {
+    fn compile(mut self, topo: &Topology, alternate: Option<&E>) -> Result<Self, IbaError> {
         let stride = self.lid_map.table_len();
         let mut tables = (0..topo.num_switches())
             .map(|_| InterleavedForwardingTable::new(stride, self.config.table_options))
@@ -437,8 +487,8 @@ impl<E: EscapeEngine> FaRouting<E> {
             }
         });
         drop(plan);
-        self.tables = tables;
-        self.route_cache = RouteCache {
+        self.compiled.tables = tables;
+        self.compiled.route_cache = RouteCache {
             stride,
             slots,
             pool: decodes.map_or_else(Vec::new, |held| held.pool),
@@ -473,8 +523,10 @@ impl<E: EscapeEngine> FaRouting<E> {
             )));
         }
         let mut fa = Self::layers(topo, config, 1)?;
-        fa.adaptive_capable.copy_from_slice(adaptive_capable);
-        fa.compiled(topo, None)
+        fa.compiled
+            .adaptive_capable
+            .copy_from_slice(adaptive_capable);
+        fa.compile(topo, None)
     }
 
     /// Compile FA routing with **Automatic Path Migration coexistence**
@@ -503,35 +555,11 @@ impl<E: EscapeEngine> FaRouting<E> {
             .max_by_key(|s| (dist[s.index()], std::cmp::Reverse(s.0)))
             .ok_or_else(|| IbaError::InvalidTopology("empty topology".into()))?;
         let alternate = E::build_with_root(topo, alt_root)?;
-        fa.apm = Some(ApmInfo {
+        fa.compiled.apm = Some(ApmInfo {
             base_offset: config.table_options,
             alt_root,
         });
-        fa.compiled(topo, Some(&alternate))
-    }
-
-    /// Whether the tables carry an APM alternate path set.
-    #[inline]
-    pub fn has_apm(&self) -> bool {
-        self.apm.is_some()
-    }
-
-    /// Frame anchor of the alternate orientation, if APM is provisioned.
-    pub fn apm_alt_root(&self) -> Option<SwitchId> {
-        self.apm.map(|a| a.alt_root)
-    }
-
-    /// The DLID addressing `host` through the **alternate** (APM) path
-    /// set, deterministic or adaptive.
-    pub fn apm_dlid(&self, host: HostId, adaptive: bool) -> Result<Lid, IbaError> {
-        let apm = self
-            .apm
-            .ok_or_else(|| IbaError::InvalidConfig("tables have no APM half".into()))?;
-        if adaptive && self.config.table_options < 2 {
-            return Err(IbaError::AdaptiveNeedsLmc);
-        }
-        self.lid_map
-            .lid_for(host, apm.base_offset + u16::from(adaptive))
+        fa.compile(topo, Some(&alternate))
     }
 
     /// Compile *source-selected multipath* tables — the IBA-compatible
@@ -555,23 +583,73 @@ impl<E: EscapeEngine> FaRouting<E> {
         config: RoutingConfig,
     ) -> Result<Self, IbaError> {
         let mut fa = Self::layers(topo, config, 1)?;
-        fa.adaptive_capable.fill(false);
-        fa.source_multipath = Some(config.table_options);
-        fa.compiled(topo, None)
+        fa.compiled.adaptive_capable.fill(false);
+        fa.compiled.source_multipath = Some(config.table_options);
+        fa.compile(topo, None)
     }
 
-    /// The same kind of tables — plain or mixed by the switches'
-    /// capabilities, APM, source-selected multipath — compiled from
-    /// scratch for another topology under `config`: what a re-sweep
-    /// installs on a degraded fabric.
-    pub fn rebuild_on(&self, topo: &Topology, config: RoutingConfig) -> Result<Self, IbaError> {
-        if self.apm.is_some() {
-            Self::build_apm_with_engine(topo, config)
+    /// The one re-sweep: the same kind of tables — plain or mixed by the
+    /// switches' capabilities, APM, source-selected multipath — rebuilt
+    /// from scratch for `degraded` with the escape root pinned where it
+    /// is (an unpinned rebuild may elect another root and rewrite every
+    /// block), and refused — an error, never tables — unless every
+    /// escape path, the APM alternate set's included, certifies
+    /// deadlock-free. What the subnet manager uploads and the simulator
+    /// installs after a fault.
+    pub fn resweep(&self, degraded: &Topology) -> Result<Self, IbaError> {
+        let pinned = RoutingConfig {
+            root: Some(self.escape.root()),
+            ..self.config
+        };
+        let routing = if self.apm.is_some() {
+            Self::build_apm_with_engine(degraded, pinned)
         } else if self.source_multipath.is_some() {
-            Self::build_source_multipath_with_engine(topo, config)
+            Self::build_source_multipath_with_engine(degraded, pinned)
         } else {
-            Self::build_mixed_with_engine(topo, config, &self.adaptive_capable)
+            Self::build_mixed_with_engine(degraded, pinned, &self.adaptive_capable)
+        }?;
+        routing.certify_escape(degraded, false)?;
+        if routing.has_apm() {
+            routing.certify_escape(degraded, true)?;
         }
+        Ok(routing)
+    }
+
+    /// The escape-layer engine.
+    pub fn escape(&self) -> &E {
+        &self.escape
+    }
+
+    /// The minimal-option analysis the adaptive slots were filled from.
+    pub fn minimal(&self) -> &MinimalRouting {
+        &self.minimal
+    }
+}
+
+impl FaTables {
+    /// Whether the tables carry an APM alternate path set.
+    #[inline]
+    pub fn has_apm(&self) -> bool {
+        self.apm.is_some()
+    }
+
+    /// Frame anchor of the alternate orientation, if APM is provisioned.
+    pub fn apm_alt_root(&self) -> Option<SwitchId> {
+        self.apm.map(|a| a.alt_root)
+    }
+
+    /// The DLID addressing `host` through the **alternate** (APM) path
+    /// set, deterministic or adaptive.
+    #[inline]
+    pub fn apm_dlid(&self, host: HostId, adaptive: bool) -> Result<Lid, IbaError> {
+        let apm = self
+            .apm
+            .ok_or_else(|| IbaError::InvalidConfig("tables have no APM half".into()))?;
+        if adaptive && self.config.table_options < 2 {
+            return Err(IbaError::AdaptiveNeedsLmc);
+        }
+        self.lid_map
+            .lid_for(host, apm.base_offset + u16::from(adaptive))
     }
 
     /// Certify the escape paths of these tables with
@@ -605,12 +683,11 @@ impl<E: EscapeEngine> FaRouting<E> {
         (total, used.iter().filter(|&&u| u).count())
     }
 
-    /// Whether two routings program byte-identical forwarding tables on
-    /// every switch — the machine-checked equality gate the incremental
-    /// re-sweep is held to. The comparison is escape-engine-agnostic
-    /// (tables are just bytes), so FA-over-different-engines can be
-    /// compared directly.
-    pub fn tables_equal<F: EscapeEngine>(&self, other: &FaRouting<F>) -> bool {
+    /// Whether two table sets program byte-identical forwarding tables
+    /// on every switch — the machine-checked equality gate the
+    /// incremental re-sweep is held to. Tables are just bytes, so
+    /// FA-over-different-engines compares directly.
+    pub fn tables_equal(&self, other: &FaTables) -> bool {
         self.tables == other.tables
     }
 
@@ -639,25 +716,15 @@ impl<E: EscapeEngine> FaRouting<E> {
     }
 
     /// The LID assignment.
+    #[inline]
     pub fn lid_map(&self) -> &LidMap {
         &self.lid_map
-    }
-
-    /// The escape-layer engine.
-    pub fn escape(&self) -> &E {
-        &self.escape
-    }
-
-    /// The minimal-option analysis the adaptive slots were filled from.
-    pub fn minimal(&self) -> &MinimalRouting {
-        &self.minimal
     }
 
     /// The forwarding table of one switch.
     pub fn table(&self, s: SwitchId) -> &InterleavedForwardingTable {
         &self.tables[s.index()]
     }
-
     /// Route a packet at switch `s`: one physical table access returning
     /// the packet's options. Errors only on unprogrammed DLIDs.
     ///
@@ -714,6 +781,7 @@ impl<E: EscapeEngine> FaRouting<E> {
 
     /// Convenience: the DLID for `host` in the given mode (delegates to
     /// the LID map).
+    #[inline]
     pub fn dlid(&self, host: HostId, adaptive: bool) -> Result<Lid, IbaError> {
         self.lid_map.dlid(host, adaptive)
     }

@@ -5,8 +5,9 @@
 //!
 //! * [`engine`] — the [`EscapeEngine`] contract every escape layer
 //!   implements: deterministic per-destination next hops that certify
-//!   acyclic through [`check_escape_routes`]. `FaRouting`, the SM and
-//!   the simulator are all generic over it.
+//!   acyclic through [`check_escape_routes`]. `FaRouting` and the SM
+//!   are generic over it; the simulator holds the non-generic
+//!   [`FaTables`] through a [`TableSource`].
 //! * [`updown`] — the up\*/down\* routing algorithm \[Schroeder et al.,
 //!   Autonet\]: BFS spanning tree, up/down link orientation, and a
 //!   destination-based deterministic next-hop function whose paths never
@@ -34,8 +35,8 @@
 //! * [`analysis`] — static routing analysis: the routing-option
 //!   distribution of Table 2 and path-length statistics.
 //! * [`delta`] — the link-failure rebuild entry point the benchmark's
-//!   probes import, a shim over [`FaRouting::rebuild_on`], which is
-//!   what a re-sweep calls.
+//!   probes import, a shim over [`FaRouting::resweep`], the one
+//!   re-sweep.
 
 #![warn(missing_docs)]
 
@@ -54,7 +55,9 @@ pub mod updown;
 pub use analysis::{check_escape_routes, OptionDistribution, PathLengthStats};
 pub use delta::{DeltaRebuild, DeltaStats};
 pub use engine::{certify_engine, EscapeEngine};
-pub use fa::{AdaptiveOptions, FaRouting, RouteId, RouteOptions, RoutingConfig};
+pub use fa::{
+    AdaptiveOptions, FaRouting, FaTables, RouteId, RouteOptions, RoutingConfig, TableSource,
+};
 pub use fullmesh::FullMeshRouting;
 pub use minimal::{MinimalRouting, PortMask};
 pub use outflank::OutflankRouting;

@@ -232,17 +232,13 @@ fn cache_is_the_table_on_every_build<E: EscapeEngine>(spec: TopologySpec) {
         let fa = FaRouting::<E>::build_source_multipath_with_engine(&topo, cfg).unwrap();
         assert_cache_is_the_table(&topo, &fa, &what("multipath"));
 
-        // After a link failure, on the routing a re-sweep installs: the
-        // same kind rebuilt with the root pinned, on the first link whose
-        // loss leaves a shape the engine still accepts.
-        let pinned = RoutingConfig {
-            root: Some(plain.escape().root()),
-            ..cfg
-        };
+        // After a link failure, on the routing a re-sweep installs, on
+        // the first link whose loss leaves a shape the engine still
+        // accepts.
         let rebuilt = topo.switch_ids().find_map(|a| {
             (topo.switch_neighbors(a).filter(|&(_, b, _)| a.0 < b.0)).find_map(|(_, b, _)| {
                 let degraded = without_link(&topo, a, b)?;
-                let rebuilt = plain.rebuild_on(&degraded, pinned).ok()?;
+                let rebuilt = plain.resweep(&degraded).ok()?;
                 Some((degraded, rebuilt, format!("rebuilt {a}-{b}")))
             })
         });

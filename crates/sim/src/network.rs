@@ -1,6 +1,6 @@
 //! The simulation coordinator.
 //!
-//! [`Network`] wires a [`Topology`] + [`FaRouting`] + [`WorkloadSpec`]
+//! [`Network`] wires a [`Topology`] + [`FaTables`] + [`WorkloadSpec`]
 //! into a register-transfer-level simulation of an IBA subnet, following
 //! §5.1 of the paper:
 //!
@@ -48,11 +48,13 @@
 //! produce identical results, on any `threads(..)` setting and any
 //! event-queue backend.
 //!
-//! Three subsystems still need the whole fabric in one shard and are
+//! Two subsystems still need the whole fabric in one shard and are
 //! rejected by `build()` when combined with `shards(n > 1)`:
-//! trace-driven replay (a global script cursor), the flight recorder
-//! (a trigger must freeze every ring at the same event), and
-//! [`RecoveryPolicy::SmResweep`] (a fabric-wide atomic table swap).
+//! trace-driven replay (a global script cursor) and the flight recorder
+//! (a trigger must freeze every ring at the same event).
+//! [`RecoveryPolicy::SmResweep`] runs on any shard count: every shard
+//! executes every fault, so every shard installs the same re-swept
+//! tables at the same instant.
 
 use crate::config::{RecoveryPolicy, SimConfig};
 use crate::metrics::{fill_run_metrics, EngineProfile, WorkerProfile};
@@ -67,10 +69,11 @@ use crate::telemetry::{
 use crate::trace::{PacketTrace, TraceOpts, TraceStep, Tracer};
 use iba_core::{HostId, IbaError, PacketId, PortIndex, SimTime, SwitchId};
 use iba_engine::{conservative_window, SpinBarrier};
-use iba_routing::{EscapeEngine, FaRouting, UpDownRouting};
+use iba_routing::{FaTables, TableSource};
 use iba_stats::MetricsRegistry;
 use iba_topology::{Partition, Topology};
 use iba_workloads::{FaultSchedule, TrafficScript, WorkloadSpec};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,13 +82,13 @@ use std::time::Instant;
 /// An IBA subnet simulation: one or more shards advancing in
 /// conservative lookahead windows (see the module docs for the
 /// execution model).
-pub struct Network<'a, E: EscapeEngine = UpDownRouting> {
+pub struct Network<'a> {
     topo: &'a Topology,
     config: SimConfig,
     partition: Arc<Partition>,
     /// Worker threads driving the shards (1 = the calling thread only).
     threads: usize,
-    shards: Vec<Shard<'a, E>>,
+    shards: Vec<Shard<'a>>,
     /// The merged telemetry (rebuilt by the observer merge from the
     /// shard-local states at the end of every drive).
     merged_telemetry: Option<MemorySink>,
@@ -124,9 +127,9 @@ pub struct Network<'a, E: EscapeEngine = UpDownRouting> {
 /// let result = net.run();
 /// assert!(result.delivered > 0);
 /// ```
-pub struct NetworkBuilder<'a, E: EscapeEngine = UpDownRouting> {
+pub struct NetworkBuilder<'a> {
     topo: &'a Topology,
-    routing: &'a FaRouting<E>,
+    routing: &'a dyn TableSource,
     workload: Option<WorkloadSpec>,
     script: Option<&'a TrafficScript>,
     config: Option<SimConfig>,
@@ -140,7 +143,7 @@ pub struct NetworkBuilder<'a, E: EscapeEngine = UpDownRouting> {
     metrics: bool,
 }
 
-impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
+impl<'a> NetworkBuilder<'a> {
     /// Drive the simulation with synthetic generators (mutually
     /// exclusive with [`Self::script`]).
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
@@ -248,7 +251,7 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
     /// entities than an event key can name, and on every
     /// inconsistency the individual subsystems check (workload vs
     /// routing tables, fault schedule vs topology, config invariants).
-    pub fn build(self) -> Result<Network<'a, E>, IbaError> {
+    pub fn build(self) -> Result<Network<'a>, IbaError> {
         let config = self.config.ok_or_else(|| {
             IbaError::InvalidConfig(
                 "NetworkBuilder: a SimConfig is required (use .config(...))".into(),
@@ -264,7 +267,7 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
         let (spec, script) = match (self.workload, self.script) {
             (Some(spec), None) => (spec, None),
             (None, Some(script)) => (
-                validate_script(self.topo, self.routing, &config, script)?,
+                validate_script(self.topo, self.routing.tables(), &config, script)?,
                 Some(script),
             ),
             (Some(_), Some(_)) => {
@@ -288,16 +291,6 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
             }
         }
         if num_shards > 1 {
-            if self
-                .faults
-                .is_some_and(|(_, policy, _)| policy == RecoveryPolicy::SmResweep)
-            {
-                return Err(IbaError::InvalidConfig(
-                    "SmResweep recovery requires the serial engine (shards = 1): \
-                     the re-sweep installs tables fabric-atomically"
-                        .into(),
-                ));
-            }
             if script.is_some() {
                 return Err(IbaError::InvalidConfig(
                     "trace-driven replay requires the serial engine (shards = 1): \
@@ -366,9 +359,9 @@ impl<'a, E: EscapeEngine> NetworkBuilder<'a, E> {
 /// capabilities, VL separation of alternate paths), returning the
 /// placeholder [`WorkloadSpec`] whose packet size mirrors the script's
 /// largest packet (only the size participates in buffer validation).
-fn validate_script<E: EscapeEngine>(
+fn validate_script(
     topo: &Topology,
-    routing: &FaRouting<E>,
+    routing: &FaTables,
     config: &SimConfig,
     script: &TrafficScript,
 ) -> Result<WorkloadSpec, IbaError> {
@@ -452,7 +445,7 @@ struct WindowCtx {
 impl WindowCtx {
     /// One worker's window loop over its chunk of shards (`base` is the
     /// chunk's first shard index).
-    fn run_worker<E: EscapeEngine>(&self, wi: usize, base: usize, shards: &mut [Shard<'_, E>]) {
+    fn run_worker(&self, wi: usize, base: usize, shards: &mut [Shard<'_>]) {
         let metrics = self.profile.is_some();
         let clock = || metrics.then(Instant::now);
         let since = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -532,10 +525,11 @@ impl WindowCtx {
     }
 }
 
-impl<'a, E: EscapeEngine> Network<'a, E> {
-    /// Start building a simulation over `topo` with `routing` tables —
-    /// see [`NetworkBuilder`] for the options.
-    pub fn builder(topo: &'a Topology, routing: &'a FaRouting<E>) -> NetworkBuilder<'a, E> {
+impl<'a> Network<'a> {
+    /// Start building a simulation over `topo` with `routing`'s tables
+    /// (an `&FaRouting<E>` coerces) — see [`NetworkBuilder`] for the
+    /// options.
+    pub fn builder(topo: &'a Topology, routing: &'a dyn TableSource) -> NetworkBuilder<'a> {
         NetworkBuilder {
             topo,
             routing,
@@ -551,11 +545,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
             threads: None,
             metrics: false,
         }
-    }
-
-    /// The workload driving the simulation.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.shards[0].spec
     }
 
     /// The simulator configuration.
@@ -588,7 +577,7 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// Whether SM recovery tables (rather than the primary tables) are
     /// currently live.
     pub fn recovery_installed(&self) -> bool {
-        self.shards[0].recovery_routing.is_some()
+        matches!(self.shards[0].routing, Cow::Owned(_))
     }
 
     /// Recorded journeys as of the end of the last drive (`None` unless
@@ -607,11 +596,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// unless telemetry was armed and a drive has finished).
     pub fn telemetry_sink(&self) -> Option<&MemorySink> {
         self.merged_telemetry.as_ref()
-    }
-
-    /// Whether the flight recorder is armed.
-    pub fn recorder_enabled(&self) -> bool {
-        self.recorder().is_some()
     }
 
     /// The flight recorder, once armed through the builder.
@@ -653,15 +637,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     pub fn debug_block_output(&mut self, sw: SwitchId, port: PortIndex) {
         let sid = self.shard_for_switch(sw.index());
         self.shards[sid].debug_block_output(sw, port);
-    }
-
-    /// Test hook: run an escape certification against an arbitrary
-    /// next-hop function through the production stats path, so the
-    /// failure-counting plumbing can be exercised with a deliberately
-    /// cyclic table.
-    #[doc(hidden)]
-    pub fn debug_certify_with(&mut self, next_hop: impl Fn(SwitchId, HostId) -> Option<PortIndex>) {
-        self.shards[0].debug_certify_with(next_hop);
     }
 
     /// Run until the measurement horizon, returning the per-run result.
@@ -813,11 +788,6 @@ impl<'a, E: EscapeEngine> Network<'a, E> {
     /// armed and a run has executed).
     pub fn engine_profile(&self) -> Option<&EngineProfile> {
         self.profile.as_deref()
-    }
-
-    /// Whether engine profiling (`.metrics()`) is armed.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_enabled
     }
 
     /// Build the fabric-wide [`MetricsRegistry`] for a finished run:

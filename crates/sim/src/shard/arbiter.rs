@@ -4,7 +4,7 @@
 
 use super::*;
 
-impl<'a, E: EscapeEngine> Shard<'a, E> {
+impl Shard<'_> {
     /// Account one in-transit loss at `sw`.
     fn drop_in_transit(&mut self, now: SimTime, sw: SwitchId, id: PacketId, cause: DropCause) {
         self.stats.on_transit_drop(now, cause);
@@ -78,7 +78,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // `ready_at` (`BufferedPacket::is_ready`); a table swap inside
         // the delay re-resolves it (`reroute_buffered`).
         let route = self
-            .cur_routing()
+            .routing
             .route_id(sw, packet.dlid)
             .expect("forwarding tables are fully programmed");
         let st = &mut self.switches[sw.index()];
@@ -358,8 +358,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // A route id resolves on the tables that issued it (checked in
         // every build); every residency a look can reach was re-resolved
         // at the last swap.
-        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
-        let route = routing.route_by_id(bp.route);
+        let route = self.routing.route_by_id(bp.route);
         let mut examined = 1u128 << route.escape.index();
 
         let adaptive_allowed =

@@ -3,7 +3,7 @@
 
 use super::*;
 
-impl<'a, E: EscapeEngine> Shard<'a, E> {
+impl Shard<'_> {
     /// The oracle behind `SwitchState::blocked` (debug builds, every
     /// pass): looking into a skipped input must grant nothing. Nobody
     /// listens to its looks, so an armed run is checked like a bare one.

@@ -1,9 +1,9 @@
 //! Faults and recovery: port masks, credit resync, switch death, the
-//! re-sweep, certification and re-routing of what is buffered.
+//! re-sweep and re-routing of what is buffered.
 
 use super::*;
 
-impl<'a, E: EscapeEngine> Shard<'a, E> {
+impl Shard<'_> {
     /// Arm a link-fault schedule and the recovery policy answering it.
     ///
     /// Fails when a schedule entry names a link the topology does not
@@ -224,9 +224,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             FaultKind::SwitchUp => self.apply_switch_fault(now, f.a, false),
         }
         if self.recovery == RecoveryPolicy::SmResweep {
-            // A re-sweep rebuilds global routing mid-run, so it is a
-            // fabric state mutation like the fault that triggered it
-            // (the builder rejects SmResweep on more than one shard).
+            // A re-sweep replaces the tables mid-run, a fabric state
+            // mutation like the fault that triggered it: replicated on
+            // the coordinator entity, ranked first at its instant.
             let (at, ent) = (now.plus_ns(self.resweep_latency_ns), self.ent_coord());
             self.sched(at, CLASS_FAULT, ent, Event::ResweepDone);
         }
@@ -303,67 +303,57 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// The SM re-sweep completes: install routing rebuilt on the
-    /// *current* degraded topology and re-route already-buffered packets
-    /// against it. If every link is back up the primary tables are
-    /// reinstated; if the degraded fabric is disconnected the sweep
-    /// fails and the old tables stay live.
+    /// The SM re-sweep completes. With every fault cleared the primary
+    /// tables are reinstated (and certified, as an observation).
+    /// Otherwise the one re-sweep ([`TableSource::resweep_tables`]) runs
+    /// on the degraded topology the live port masks describe: its tables
+    /// are installed and buffered packets re-routed against them — or,
+    /// when the fabric is disconnected or the tables do not certify, the
+    /// sweep is refused, the live tables stay and nothing moves. Every
+    /// shard derives the same tables at the same instant; shard 0 counts
+    /// the sweep and its verdict, every shard marks the install for its
+    /// own `drops_after_recovery`.
     pub(super) fn on_resweep_done(&mut self, now: SimTime) {
-        if self.active_faults == 0 {
-            self.recovery_routing = None;
-            self.stats.on_recovery_installed(now);
+        let counts = self.id == 0;
+        let certified = if self.active_faults == 0 {
+            self.routing = Cow::Borrowed(self.source.tables());
+            counts && self.routing.certify_escape(self.topo, false).is_ok()
         } else {
-            match self.rebuild_degraded_routing() {
-                Ok(r) => {
-                    self.recovery_routing = Some(r);
-                    self.stats.on_recovery_installed(now);
-                }
-                Err(_) => {
-                    self.stats.on_resweep_failed();
+            let degraded = self.degraded_topology(); // errors when disconnected
+            match degraded.map(|d| self.source.resweep_tables(&d)) {
+                Ok(Ok(tables)) => self.routing = Cow::Owned(tables),
+                refused => {
+                    if counts {
+                        self.stats.on_resweep(false);
+                        if refused.is_ok() {
+                            self.stats.on_escape_certification(false);
+                        }
+                    }
                     return;
                 }
             }
+            true
+        };
+        if counts {
+            self.stats.on_resweep(true);
+            self.stats.on_escape_certification(certified);
         }
-        // Every freshly installed table set — degraded recovery tables or
-        // the reinstated primaries — is certified deadlock-free before
-        // traffic resumes on it.
-        self.certify_escape(false);
+        self.stats.on_recovery_installed(now);
         self.reroute_buffered();
         for s in 0..self.switches.len() {
-            self.wake(SwitchId(s as u16));
+            let sw = SwitchId(s as u16);
+            if self.owns_switch(sw) {
+                self.wake(sw);
+            }
         }
     }
 
-    /// Certify the currently live tables' escape paths acyclic with
-    /// [`check_escape_routes`] (the up\*/down\* deadlock-freedom
-    /// invariant), feeding the verdict into the run statistics. With
-    /// `alternate` set the APM alternate path set is walked instead of
-    /// the primary one. Purely observational: no RNG, no control flow —
-    /// certified runs stay bit-identical across queue backends.
-    pub(super) fn certify_escape(&mut self, alternate: bool) {
-        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
-        let ok = routing.certify_escape(self.topo, alternate).is_ok();
-        self.stats.on_escape_certification(ok);
-    }
-
-    /// Test hook: run an escape certification against an arbitrary
-    /// next-hop function through the production stats path, so the
-    /// failure-counting plumbing can be exercised with a deliberately
-    /// cyclic table.
-    pub(crate) fn debug_certify_with(
-        &mut self,
-        next_hop: impl Fn(SwitchId, HostId) -> Option<PortIndex>,
-    ) {
-        let ok = check_escape_routes(self.topo, next_hop).is_ok();
-        self.stats.on_escape_certification(ok);
-    }
-
-    /// Rebuild routing on the degraded topology, in *physical* id order
+    /// The fabric the live port masks describe, in *physical* id order
     /// so the LID space is unchanged and DLIDs of in-flight packets stay
     /// valid (the SMP-level SM pipeline discovers in BFS order and
     /// correlates by GUID; the in-sim re-sweep models its outcome, not
-    /// its numbering).
-    fn rebuild_degraded_routing(&self) -> Result<FaRouting<E>, IbaError> {
+    /// its numbering). Errors when the faults disconnected the fabric.
+    fn degraded_topology(&self) -> Result<Topology, IbaError> {
         let mut b = TopologyBuilder::new(self.topo.num_switches(), self.topo.ports_per_switch());
         for s in self.topo.switch_ids() {
             for (p, peer, pp) in self.topo.switch_neighbors(s) {
@@ -376,8 +366,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             let (sw, port) = self.topo.host_attachment(h);
             b.attach_host_at(sw, port)?;
         }
-        let degraded = b.build()?; // errors when the dead link disconnected the fabric
-        self.routing.rebuild_on(&degraded, *self.routing.config())
+        b.build()
     }
 
     /// Point every not-in-flight buffered packet — still inside its
@@ -388,7 +377,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     /// fabric over the unchanged LID space, so every buffered DLID
     /// resolves, as it must for the next header to arrive.
     fn reroute_buffered(&mut self) {
-        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
+        let routing = &self.routing;
         for (si, st) in self.switches.iter_mut().enumerate() {
             let sw = SwitchId(si as u16);
             st.unblock_all();

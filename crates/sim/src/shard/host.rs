@@ -1,8 +1,9 @@
 //! The host side of the model: generation, scripted replay, injection.
 
 use super::*;
+use iba_core::Lid;
 
-impl<'a, E: EscapeEngine> Shard<'a, E> {
+impl<'a> Shard<'a> {
     /// Switch trace-driven mode on: clear the synthetic generators and
     /// install the script (validated by the caller).
     pub(crate) fn set_script(&mut self, script: &'a TrafficScript) {
@@ -17,27 +18,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // alternate path set, steering them off the primary tree without
         // waiting for the SM.
         let migrate = self.recovery == RecoveryPolicy::ApmMigrate && self.active_faults > 0;
-        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
         let h = &mut self.hosts[host.index()];
         let gp = h.gen.as_mut().expect("synthetic mode").generate();
-        let dlid = match routing.source_multipath() {
-            // Source-selected multipath: rotate over the destination's
-            // whole address range; each address is a distinct fixed path.
-            Some(x) => {
-                let offset = h.mp_cursor % x;
-                h.mp_cursor = (h.mp_cursor + 1) % x;
-                routing
-                    .lid_map()
-                    .lid_for(gp.dst, offset)
-                    .expect("offset within the LMC range")
-            }
-            None if migrate => routing
-                .apm_dlid(gp.dst, gp.adaptive)
-                .expect("APM tables checked when faults were armed"),
-            None => routing
-                .dlid(gp.dst, gp.adaptive)
-                .expect("validated at construction"),
-        };
+        let dlid = h.dlid(&self.routing, gp.dst, gp.adaptive, migrate);
         self.enqueue_generated(now, host, gp.dst, dlid, gp.sl, gp.size_bytes);
 
         let dt = self.hosts[host.index()]
@@ -65,24 +48,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // Scripted path sets are explicit traces and are honoured as
         // written even under ApmMigrate; only the tables may be swapped
         // by an SM re-sweep.
-        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
-        let dlid = match (routing.source_multipath(), entry.path_set) {
-            (Some(x), _) => {
-                let h = &mut self.hosts[entry.src.index()];
-                let offset = h.mp_cursor % x;
-                h.mp_cursor = (h.mp_cursor + 1) % x;
-                routing
-                    .lid_map()
-                    .lid_for(entry.dst, offset)
-                    .expect("offset within the LMC range")
-            }
-            (None, PathSet::Primary) => routing
-                .dlid(entry.dst, entry.adaptive)
-                .expect("validated at construction"),
-            (None, PathSet::Alternate) => routing
-                .apm_dlid(entry.dst, entry.adaptive)
-                .expect("validated at construction"),
-        };
+        let alternate = matches!(entry.path_set, PathSet::Alternate);
+        let h = &mut self.hosts[entry.src.index()];
+        let dlid = h.dlid(&self.routing, entry.dst, entry.adaptive, alternate);
         self.enqueue_generated(now, entry.src, entry.dst, dlid, entry.sl, entry.size_bytes);
         if let Some(next) = script.packets().get(idx + 1) {
             if next.at < self.gen_deadline {
@@ -107,7 +75,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         now: SimTime,
         host: HostId,
         dst: HostId,
-        dlid: iba_core::Lid,
+        dlid: Lid,
         sl: iba_core::ServiceLevel,
         size_bytes: u32,
     ) {
@@ -191,5 +159,27 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             ent,
             Event::TryInject { host },
         );
+    }
+}
+
+impl HostState {
+    /// The DLID a new packet for `dst` carries: under source-selected
+    /// multipath the next address of the destination's range (each a
+    /// distinct fixed path, rotated per source), otherwise the
+    /// deterministic or adaptive address of the primary path set or —
+    /// APM migration, scripted alternate entries — of the alternate one.
+    fn dlid(&mut self, tables: &FaTables, dst: HostId, adaptive: bool, alternate: bool) -> Lid {
+        match tables.source_multipath() {
+            Some(x) => {
+                let offset = self.mp_cursor % x;
+                self.mp_cursor = (self.mp_cursor + 1) % x;
+                (tables.lid_map().lid_for(dst, offset)).expect("offset within the LMC range")
+            }
+            None if alternate => (tables.apm_dlid(dst, adaptive))
+                .expect("APM tables checked when faults were armed or the script validated"),
+            None => tables
+                .dlid(dst, adaptive)
+                .expect("validated at construction"),
+        }
     }
 }

@@ -46,11 +46,12 @@ use iba_core::{
 use iba_engine::rng::{StreamKind, StreamRng};
 use iba_engine::shard::{KEY_COUNTER_BITS, KEY_ENTITY_BITS, KEY_MAX_CLASS, KEY_MAX_ENTITY};
 use iba_engine::{event_key, DesQueue};
-use iba_routing::{check_escape_routes, EscapeEngine, FaRouting, SlToVlTable};
+use iba_routing::{FaTables, SlToVlTable, TableSource};
 use iba_topology::{Partition, Topology, TopologyBuilder};
 use iba_workloads::{
     FaultKind, FaultSchedule, HostGenerator, PathSet, TrafficScript, WorkloadSpec,
 };
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -355,12 +356,16 @@ struct Decision {
 }
 
 /// One shard of the simulation.
-pub(crate) struct Shard<'a, E: EscapeEngine> {
+pub(crate) struct Shard<'a> {
     /// This shard's index in the partition.
     pub(crate) id: usize,
     topo: &'a Topology,
-    routing: &'a FaRouting<E>,
-    pub(crate) spec: WorkloadSpec,
+    /// The control plane, asked only when a re-sweep completes.
+    source: &'a dyn TableSource,
+    /// The tables currently programmed into the fabric: the primary
+    /// ones, borrowed, or — owned — those the last completed re-sweep
+    /// installed.
+    pub(crate) routing: Cow<'a, FaTables>,
     config: SimConfig,
     /// The shared fabric partition (one region when this is the only
     /// shard).
@@ -427,9 +432,6 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// One dedicated corruption stream per switch, so armed corruption
     /// never perturbs arbitration tie-breaks or generator schedules.
     switch_corrupt_rngs: Vec<StreamRng>,
-    /// Recovery tables installed by the last completed re-sweep; `None`
-    /// while the primary tables are live.
-    pub(crate) recovery_routing: Option<FaRouting<E>>,
     /// Per-entity schedule counters backing the canonical event keys
     /// (switches, then hosts, then the coordinator pseudo-entity).
     /// Only the owning shard advances an entity's counter, except the
@@ -442,24 +444,26 @@ pub(crate) struct Shard<'a, E: EscapeEngine> {
     /// Cross-shard events produced by the current window, drained into
     /// the per-shard mailboxes at the window boundary.
     outbox: Vec<OutMsg>,
-    /// Replicated events (fault and telemetry ticks, which every shard
-    /// executes) popped by a shard other than shard 0; subtracted from
-    /// the aggregate event count so totals are shard-count-invariant.
+    /// Replicated events (faults, re-sweeps and telemetry ticks, which
+    /// every shard executes) popped by a shard other than shard 0;
+    /// subtracted from the aggregate event count so totals are
+    /// shard-count-invariant.
     replicated: u64,
 }
 
-impl<'a, E: EscapeEngine> Shard<'a, E> {
+impl<'a> Shard<'a> {
     /// Assemble one shard: it owns the switches and hosts `part` assigns
     /// to `id`, while state vectors stay full-size (fault masks are
     /// applied globally).
     pub(crate) fn new(
         topo: &'a Topology,
-        routing: &'a FaRouting<E>,
+        source: &'a dyn TableSource,
         spec: WorkloadSpec,
         config: SimConfig,
         id: usize,
         part: Arc<Partition>,
-    ) -> Result<Shard<'a, E>, IbaError> {
+    ) -> Result<Shard<'a>, IbaError> {
+        let routing = source.tables();
         spec.validate()?;
         config.validate(spec.packet_bytes)?;
         if routing.lid_map().num_hosts() as usize != topo.num_hosts() {
@@ -564,8 +568,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         Ok(Shard {
             id,
             topo,
-            routing,
-            spec,
+            source,
+            routing: Cow::Borrowed(routing),
             config,
             part,
             queue: DesQueue::with_capacity(config.queue_backend, est_events),
@@ -601,7 +605,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             switch_corrupt_rngs: (0..nsw)
                 .map(|s| root.derive_indexed(StreamKind::Custom(0xC0DE), s as u64))
                 .collect(),
-            recovery_routing: None,
             key_counters: vec![0; nsw + nh + 1],
             resync_pending: vec![false; nsw * ports],
             outbox: Vec::new(),
@@ -687,14 +690,6 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         }
     }
 
-    /// The routing tables currently programmed into the fabric: the
-    /// recovery tables once an SM re-sweep has installed them, the
-    /// primary tables otherwise.
-    #[inline]
-    fn cur_routing(&self) -> &FaRouting<E> {
-        self.recovery_routing.as_ref().unwrap_or(self.routing)
-    }
-
     /// Seed the event queue: every owned host's first synthetic
     /// generation, or the script's first entry in trace-driven mode.
     /// Fault and telemetry events are replicated into every shard.
@@ -710,7 +705,8 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
         // and the verdict must land in exactly one shard's stats, so
         // shard 0 records it.
         if self.id == 0 && self.recovery == RecoveryPolicy::ApmMigrate && !self.faults.is_empty() {
-            self.certify_escape(true);
+            let ok = self.routing.certify_escape(self.topo, true).is_ok();
+            self.stats.on_escape_certification(ok);
         }
         // Faults are plain events in the queue, so their application is
         // serialized with packet events at deterministic points — a
@@ -795,7 +791,10 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
                 self.replicated += u64::from(self.id != 0);
                 self.on_fault(now, idx)
             }
-            Event::ResweepDone => self.on_resweep_done(now),
+            Event::ResweepDone => {
+                self.replicated += u64::from(self.id != 0);
+                self.on_resweep_done(now)
+            }
             Event::TelemetrySample => {
                 self.replicated += u64::from(self.id != 0);
                 self.on_telemetry_sample(now)
@@ -859,9 +858,9 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
     }
 
     /// Handlers executed — queue pops plus arbitration passes — with
-    /// replicated fault/telemetry pops counted exactly once fabric-wide
-    /// (on shard 0), so the aggregate over shards is invariant in the
-    /// shard count.
+    /// replicated fault, re-sweep and telemetry pops counted exactly once
+    /// fabric-wide (on shard 0), so the aggregate over shards is
+    /// invariant in the shard count.
     #[inline]
     pub(crate) fn counted_events(&self) -> u64 {
         self.queue.events_processed() + self.handlers[CLASS_ARBITRATE as usize] - self.replicated
@@ -927,6 +926,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iba_routing::FaRouting;
 
     #[test]
     fn event_stays_one_cache_line() {
@@ -1005,14 +1005,14 @@ mod tests {
             Rig::new(b.build().unwrap())
         }
 
-        fn shard(&self, data_vls: u8) -> Shard<'_, iba_routing::UpDownRouting> {
+        fn shard(&self, data_vls: u8) -> Shard<'_> {
             self.shard_with(SimConfig {
                 data_vls,
                 ..SimConfig::test(3)
             })
         }
 
-        fn shard_with(&self, cfg: SimConfig) -> Shard<'_, iba_routing::UpDownRouting> {
+        fn shard_with(&self, cfg: SimConfig) -> Shard<'_> {
             let part = Arc::new(Partition::contiguous(&self.topo, 1).unwrap());
             let spec = WorkloadSpec::uniform32(0.01);
             let mut sh = Shard::new(&self.topo, &self.routing, spec, cfg, 0, part).unwrap();
@@ -1021,7 +1021,7 @@ mod tests {
         }
     }
 
-    impl Shard<'_, iba_routing::UpDownRouting> {
+    impl Shard<'_> {
         /// A 32-byte deterministic packet for `dst` reaches input `port`
         /// of `sw` at `at` on lane `vl`; it is ready one routing delay
         /// (100 ns) later.
@@ -1239,8 +1239,9 @@ mod tests {
         assert_eq!(sh.grants_by(1_049), 1, "S0's head waits on a dead port");
         let old = sh.switches[0].inputs[host_port.index()].vls[0].get(0).route;
         assert_eq!(sh.grants_by(1_050), 2, "granted by the pass of the swap");
-        assert!(sh.recovery_routing.is_some());
-        let live = sh.cur_routing();
+        let Cow::Owned(live) = &sh.routing else {
+            panic!("no re-swept tables installed");
+        };
         let mut in_flight = 0;
         for (si, st) in sh.switches.iter().enumerate() {
             for bp in st.inputs.iter().flat_map(|i| &i.vls).flat_map(|b| b.iter()) {
@@ -1264,6 +1265,63 @@ mod tests {
         assert_eq!(sh.grants_by(1_050 + ser), 3, "on the new tables as well");
     }
 
+    /// `topo` without the link `a`–`b`, ids and ports kept (the loop of
+    /// `iba_experiments::faults::degraded`); an error when disconnected.
+    fn without(topo: &Topology, a: SwitchId, b: SwitchId) -> Result<Topology, IbaError> {
+        let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch());
+        for s in topo.switch_ids() {
+            for (p, peer, pp) in topo.switch_neighbors(s) {
+                if peer.0 > s.0 && (s, peer) != (a, b) {
+                    bld.connect_ports(s, p, peer, pp)?;
+                }
+            }
+        }
+        for h in topo.host_ids() {
+            let (sw, port) = topo.host_attachment(h);
+            bld.attach_host_at(sw, port)?;
+        }
+        bld.build()
+    }
+
+    #[test]
+    fn a_resweep_installs_the_pinned_tables_the_sm_would_upload() {
+        // Every link whose loss keeps the fabric connected, among them
+        // links where a rebuild left to elect its own root moves it.
+        let mut moved = 0;
+        for seed in [1, 7, 42] {
+            let rig = Rig::new(
+                iba_topology::IrregularConfig::paper(16, seed)
+                    .generate()
+                    .unwrap(),
+            );
+            let root = rig.routing.escape().root();
+            for a in rig.topo.switch_ids() {
+                for (_, b, _) in rig.topo.switch_neighbors(a).filter(|&(_, b, _)| a < b) {
+                    let Ok(degraded) = without(&rig.topo, a, b) else {
+                        continue;
+                    };
+                    let down = FaultSchedule::single(SimTime::from_ns(100), a, b).unwrap();
+                    let mut sh = rig.shard(1);
+                    sh.arm_faults(&down, RecoveryPolicy::SmResweep, 1_000)
+                        .unwrap();
+                    sh.grants_by(2_000);
+                    let Cow::Owned(installed) = &sh.routing else {
+                        panic!("seed {seed}, {a}-{b}: no re-swept tables");
+                    };
+                    let swept = rig.routing.resweep(&degraded).unwrap();
+                    assert!(installed.tables_equal(&swept), "seed {seed}, {a}-{b}");
+                    assert_eq!(installed.config().root, Some(root), "seed {seed}, {a}-{b}");
+                    let unpinned = FaRouting::build(&degraded, *rig.routing.config()).unwrap();
+                    moved += usize::from(unpinned.escape().root() != root);
+                }
+            }
+        }
+        assert!(
+            moved > 0,
+            "no link moves the root: nothing tells pinned from unpinned"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "tables that did not issue it")]
     fn a_look_stops_at_a_route_id_of_replaced_tables() {
@@ -1274,7 +1332,7 @@ mod tests {
         let mut sh = rig.shard(1);
         sh.arrive(100, S0, 2, 0, 2);
         assert_eq!(sh.grants_by(150), 0, "inside its routing delay");
-        sh.recovery_routing = Some(FaRouting::build(&rig.topo, *rig.routing.config()).unwrap());
+        sh.routing = Cow::Owned(rig.routing.resweep_tables(&rig.topo).unwrap());
         sh.grants_by(200);
     }
 
@@ -1291,7 +1349,7 @@ mod tests {
         for at in [250, 400, 500, 700, 800, 900] {
             sh.credit(at, S1, 0, 0); // wakes S1; nothing the head reads
         }
-        let parked = |sh: &Shard<'_, _>| sh.switches[1].waiters[1];
+        let parked = |sh: &Shard<'_>| sh.switches[1].waiters[1];
         let ser = sh.config.phys.serialization_ns(32);
         assert_eq!(sh.grants_by(200 + ser - 1), 1);
         assert_eq!((parked(&sh), sh.heard_at_s1()), (1, (vec![LinkBusy], 0)));
@@ -1322,7 +1380,7 @@ mod tests {
         sh.arrive(100, S1, 0, 0, 2); // to a host of S1: through at once
         sh.arrive(50_000, S1, 0, 0, 4); // to S2: no credit, ever
         sh.arrive(50_500, S1, 0, 0, 4); // behind it: the buffer is not empty
-        let stalled_at = |sh: &Shard<'_, _>, now| {
+        let stalled_at = |sh: &Shard<'_>, now| {
             let recorder = sh.observers.as_deref().unwrap().recorder.as_ref();
             recorder
                 .unwrap()

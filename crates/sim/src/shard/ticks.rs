@@ -4,7 +4,7 @@
 
 use super::*;
 
-impl<'a, E: EscapeEngine> Shard<'a, E> {
+impl Shard<'_> {
     /// Schedule the first tick of each sampling probe that is armed.
     /// Both ride the event queue like everything else, so their sampling
     /// points are serialized deterministically across backends; a run
@@ -115,8 +115,7 @@ impl<'a, E: EscapeEngine> Shard<'a, E> {
             // stall-eligible.
             return;
         }
-        let routing = self.recovery_routing.as_ref().unwrap_or(self.routing);
-        let op = routing.route_by_id(head.route).escape;
+        let op = self.routing.route_by_id(head.route).escape;
         let Some(Observers {
             recorder: Some(r), ..
         }) = self.observers.as_deref_mut()

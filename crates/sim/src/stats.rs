@@ -104,7 +104,6 @@ pub struct StatsCollector {
     drops_corrupted: u64,
     escape_certifications: u64,
     escape_cert_failures: u64,
-    recovery_ns: Option<u64>,
 }
 
 /// Per-flow in-order tracker: one past the highest sequence number
@@ -234,7 +233,6 @@ impl StatsCollector {
             drops_corrupted: 0,
             escape_certifications: 0,
             escape_cert_failures: 0,
-            recovery_ns: None,
         }
     }
 
@@ -280,24 +278,24 @@ impl StatsCollector {
         }
     }
 
-    /// The SM re-sweep installed recovery routing tables. This closes
-    /// the recovery window: `recovery_time_ns` is the time from the
-    /// first fault to the first successful LFT (re)programming, a pure
-    /// control-plane quantity independent of whatever traffic happens
-    /// to be in flight.
+    /// The SM re-sweep installed routing tables at `at`. The first
+    /// install closes the recovery window: `recovery_time_ns` is the
+    /// time from the first fault to the first successful LFT
+    /// (re)programming, a pure control-plane quantity independent of
+    /// whatever traffic happens to be in flight. Every shard marks it,
+    /// for the drops it sees after recovery.
     pub fn on_recovery_installed(&mut self, at: SimTime) {
-        self.resweeps += 1;
-        if self.recovery_installed_at.is_none() {
-            self.recovery_installed_at = Some(at);
-            if let Some(fault) = self.first_fault_at {
-                self.recovery_ns = Some(at.since(fault));
-            }
-        }
+        self.recovery_installed_at.get_or_insert(at);
     }
 
-    /// An SM re-sweep was abandoned (degraded fabric disconnected).
-    pub fn on_resweep_failed(&mut self) {
-        self.resweeps_failed += 1;
+    /// An SM re-sweep completed: its tables were installed, or it was
+    /// refused (degraded fabric disconnected, or tables that do not
+    /// certify). Counted once fabric-wide.
+    pub fn on_resweep(&mut self, installed: bool) {
+        match installed {
+            true => self.resweeps += 1,
+            false => self.resweeps_failed += 1,
+        }
     }
 
     /// A packet was lost in transit (dead link, dead switch, or CRC
@@ -318,8 +316,8 @@ impl StatsCollector {
         }
     }
 
-    /// An escape-route certification (`check_escape_routes` over freshly
-    /// installed or first-migrated tables) completed.
+    /// An escape-route certification (`check_escape_routes` over
+    /// re-swept, reinstated or first-migrated tables) completed.
     pub fn on_escape_certification(&mut self, ok: bool) {
         self.escape_certifications += 1;
         if !ok {
@@ -406,10 +404,6 @@ impl StatsCollector {
         self.drops_corrupted += take(&mut other.drops_corrupted);
         self.escape_certifications += take(&mut other.escape_certifications);
         self.escape_cert_failures += take(&mut other.escape_cert_failures);
-        self.recovery_ns = match (self.recovery_ns, other.recovery_ns) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
     }
 
     /// Finalize into a [`RunResult`], given the number of switches, the
@@ -468,7 +462,9 @@ impl StatsCollector {
                     self.delivered as f64 / entered as f64
                 }
             },
-            recovery_time_ns: self.recovery_ns,
+            recovery_time_ns: (self.first_fault_at.zip(self.recovery_installed_at))
+                .filter(|(fault, installed)| fault <= installed)
+                .map(|(fault, installed)| installed.since(fault)),
             resweeps: self.resweeps,
             resweeps_failed: self.resweeps_failed,
             events,
@@ -1048,6 +1044,7 @@ mod tests {
         c.on_delivered(&packet(1, true, 1000), SimTime::from_ns(1200));
         // ...installing the recovery tables closes it: 1500 − 1100 =
         // 400 ns from the fault to the last successful LFT reprogram.
+        c.on_resweep(true);
         c.on_recovery_installed(SimTime::from_ns(1500));
         c.on_delivered(&packet(2, true, 1000), SimTime::from_ns(1600));
         c.on_delivered(&packet(3, true, 1000), SimTime::from_ns(1900));

@@ -2,10 +2,10 @@
 //! corruption, link flapping, escape-route certification and the
 //! conservation/credit invariants the chaos campaign asserts.
 
-use iba_core::SimTime;
-use iba_routing::{FaRouting, RoutingConfig};
+use iba_core::{IbaError, PortIndex, SimTime, SwitchId};
+use iba_routing::{EscapeEngine, FaRouting, RoutingConfig, UpDownRouting};
 use iba_sim::{Network, QueueBackend, RecoveryPolicy, RunResult, SimConfig};
-use iba_topology::IrregularConfig;
+use iba_topology::{IrregularConfig, Topology, TopologyBuilder};
 use iba_workloads::{FaultEvent, FaultSchedule, WorkloadSpec};
 
 #[test]
@@ -188,25 +188,88 @@ fn apm_migration_certifies_the_alternate_escape_once() {
     assert_eq!(result.escape_cert_failures, 0);
 }
 
+/// Up\*/down\* except for one forwarding loop: towards one switch,
+/// the two ends of a link send to each other.
+#[derive(Clone, Debug)]
+struct LoopEngine {
+    inner: UpDownRouting,
+    ends: [(SwitchId, PortIndex); 2],
+    towards: SwitchId,
+}
+
+impl EscapeEngine for LoopEngine {
+    const NAME: &'static str = "loop";
+
+    fn build(topo: &Topology) -> Result<Self, IbaError> {
+        Self::build_with_root(topo, SwitchId(0))
+    }
+
+    fn build_with_root(topo: &Topology, root: SwitchId) -> Result<Self, IbaError> {
+        let a = SwitchId(0);
+        let (pa, b, pb) = topo.switch_neighbors(a).next().expect("a link at switch 0");
+        Ok(LoopEngine {
+            inner: UpDownRouting::build_with_root(topo, root)?,
+            ends: [(a, pa), (b, pb)],
+            towards: (topo.switch_ids().find(|&t| t != a && t != b)).expect("a third switch"),
+        })
+    }
+
+    fn root(&self) -> SwitchId {
+        self.inner.root()
+    }
+
+    fn next_hop(&self, s: SwitchId, t: SwitchId) -> Option<PortIndex> {
+        let looping = self
+            .ends
+            .iter()
+            .find(|&&(end, _)| end == s && t == self.towards);
+        looping.map_or_else(|| self.inner.next_hop(s, t), |&(_, port)| Some(port))
+    }
+}
+
+fn connected_without(topo: &Topology, a: SwitchId, b: SwitchId) -> bool {
+    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch());
+    for s in topo.switch_ids() {
+        for (p, peer, pp) in topo.switch_neighbors(s) {
+            if peer.0 > s.0 && (s, peer) != (a, b) {
+                bld.connect_ports(s, p, peer, pp).unwrap();
+            }
+        }
+    }
+    for h in topo.host_ids() {
+        let (sw, port) = topo.host_attachment(h);
+        bld.attach_host_at(sw, port).unwrap();
+    }
+    bld.build().is_ok()
+}
+
 #[test]
 fn cyclic_escape_tables_fail_certification() {
+    // The primaries loop and nobody certified them at bring-up; the
+    // re-sweep after a link-down rebuilds the loop, must refuse its
+    // tables and count the failed certification, and traffic goes on
+    // on the tables that were live.
     let topo = IrregularConfig::paper(8, 1).generate().unwrap();
-    let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+    let fa =
+        FaRouting::<LoopEngine>::build_with_engine(&topo, RoutingConfig::two_options()).unwrap();
+    // A link whose loss keeps the fabric connected: the re-sweep gets
+    // as far as certifying its tables.
+    let (a, b) = (topo.switch_ids())
+        .flat_map(|a| topo.switch_neighbors(a).map(move |(_, b, _)| (a, b)))
+        .find(|&(a, b)| a < b && connected_without(&topo, a, b))
+        .expect("a removable link");
+    let schedule = FaultSchedule::single(SimTime::from_us(20), a, b).unwrap();
     let mut net = Network::builder(&topo, &fa)
         .workload(WorkloadSpec::uniform32(0.005))
         .config(SimConfig::test(1))
+        .faults(&schedule, RecoveryPolicy::SmResweep, 2_000)
         .build()
         .unwrap();
-    // A "table" that always forwards to the first inter-switch neighbor
-    // never reaches any host: the walk loops, certification must fail
-    // and the failure must surface in the run statistics.
-    net.debug_certify_with(|s, _| topo.switch_neighbors(s).next().map(|(p, _, _)| p));
-    // The real escape tables pass through the same plumbing.
-    net.debug_certify_with(|s, h| {
-        let dlid = fa.dlid(h, false).ok()?;
-        fa.route_shared(s, dlid).ok().map(|r| r.escape)
-    });
     let result = net.run();
-    assert_eq!(result.escape_certifications, 2);
+    assert_eq!(result.faults_injected, 1);
+    assert_eq!((result.resweeps, result.resweeps_failed), (0, 1));
+    assert_eq!(result.escape_certifications, 1);
     assert_eq!(result.escape_cert_failures, 1);
+    assert!(!net.recovery_installed(), "refused tables were installed");
+    assert!(result.delivered > 0);
 }

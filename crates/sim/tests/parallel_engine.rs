@@ -7,11 +7,12 @@
 //!   partition;
 //! * neither the worker-thread count nor the event-queue backend is
 //!   observable from inside the simulation;
-//! * that holds below saturation, deep in saturation, and under a fault
+//! * that holds below saturation, deep in saturation, under a fault
 //!   mix with APM migration and packet corruption, where the chaos
 //!   invariants (drain, quiescence, credit conservation) must survive
-//!   too;
-//! * the subsystems that still need the whole fabric in one shard are
+//!   too, and under SM re-sweeps, which every shard installs at the same
+//!   instant;
+//! * the subsystem that still needs the whole fabric in one shard is
 //!   rejected at build time instead of silently misbehaving.
 //!
 //! The decision stream itself is pinned once, in `golden_decisions.rs`.
@@ -23,7 +24,7 @@ use iba_sim::{
     TraceStep, Tracer,
 };
 use iba_topology::{IrregularConfig, Topology, TopologySpec};
-use iba_workloads::{FaultSchedule, WorkloadSpec};
+use iba_workloads::{FaultEvent, FaultSchedule, WorkloadSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -221,6 +222,60 @@ fn parallel_chaos_drains_conserves_and_is_shape_invariant() {
     assert_shape_invariant(run_chaos);
 }
 
+/// A traced `SmResweep` run under `schedule` that must drain, every
+/// credit of a live link back: the result and the decision digest.
+fn run_resweep(
+    topo: &Topology,
+    routing: &FaRouting,
+    schedule: &FaultSchedule,
+    (shards, threads, backend): Shape,
+) -> (RunResult, (u64, u64)) {
+    let mut cfg = SimConfig::test(5);
+    cfg.queue_backend = backend;
+    let horizon = cfg.horizon();
+    let mut net = Network::builder(topo, routing)
+        .workload(WorkloadSpec::uniform32(0.02))
+        .config(cfg)
+        .faults(schedule, RecoveryPolicy::SmResweep, 2_000)
+        .trace(TraceOpts::all(1_000_000))
+        .shards(shards)
+        .threads(threads)
+        .build()
+        .unwrap();
+    let (result, drained) = net.run_until_drained(horizon, horizon.plus_ns(400_000));
+    assert!(result.resweeps >= 1, "shards={shards}: {result:?}");
+    assert!(drained, "shards={shards}: {result:?}");
+    assert_eq!(net.residual_packets(), 0, "shards={shards}");
+    assert!(net.credit_audit().is_empty(), "shards={shards}");
+    (result, trace_digest(net.tracer().expect("tracing enabled")))
+}
+
+/// Every shard executes every fault, so every shard schedules the same
+/// `ResweepDone`, ranked first at its instant, derives the same
+/// degraded fabric from the global port masks and installs the same
+/// tables: an `SmResweep` run is the same run on every shape — for a
+/// link that stays down, a flapping link and a switch down / up.
+#[test]
+fn parallel_sm_resweep_is_shape_invariant() {
+    let topo = IrregularConfig::paper(16, 5).generate().unwrap();
+    let routing = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+    let a = topo.switch_ids().next().unwrap();
+    let (_, b, _) = topo.switch_neighbors(a).next().unwrap();
+    let victim = topo.switch_ids().nth(3).unwrap();
+    let at = SimTime::from_us;
+    let schedules = [
+        FaultSchedule::single(at(20), a, b),
+        FaultSchedule::flapping(at(15), a, b, 2_000, 3_000, 3),
+        FaultSchedule::new(vec![
+            FaultEvent::switch_down(at(20), victim),
+            FaultEvent::switch_up(at(30), victim),
+        ]),
+    ];
+    for schedule in schedules.map(Result::unwrap) {
+        assert_shape_invariant(|shape| run_resweep(&topo, &routing, &schedule, shape));
+    }
+}
+
 /// Deterministic traffic driven in pieces: two `advance` steps, a
 /// `run` to the horizon (first statistics fold) and a drain past it
 /// (second fold over the same shard collectors).
@@ -336,10 +391,6 @@ fn parallel_telemetry_samples_cover_the_whole_fabric() {
 fn parallel_rejects_single_shard_subsystems() {
     let topo = IrregularConfig::paper(16, 5).generate().unwrap();
     let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
-    let a = topo.switch_ids().next().unwrap();
-    let (_, b, _) = topo.switch_neighbors(a).next().unwrap();
-    let schedule = FaultSchedule::single(SimTime::from_us(20), a, b).unwrap();
-
     let recorder = Network::builder(&topo, &fa)
         .workload(WorkloadSpec::uniform32(0.02))
         .config(SimConfig::test(5))
@@ -347,12 +398,4 @@ fn parallel_rejects_single_shard_subsystems() {
         .shards(2)
         .build();
     assert!(recorder.is_err(), "flight recorder must require shards = 1");
-
-    let resweep = Network::builder(&topo, &fa)
-        .workload(WorkloadSpec::uniform32(0.02))
-        .config(SimConfig::test(5))
-        .faults(&schedule, RecoveryPolicy::SmResweep, 2_000)
-        .shards(2)
-        .build();
-    assert!(resweep.is_err(), "SmResweep must require shards = 1");
 }

@@ -74,13 +74,13 @@ impl<E: EscapeEngine> SubnetManager<E> {
 
     /// The incremental re-sweep: given the previous bring-up and a
     /// failed inter-switch link `(a, b)` (discovery-ordered ids), skip
-    /// rediscovery — degrade the recorded fabric in place, rebuild the
-    /// same kind of routing on it with the escape root pinned
-    /// ([`FaRouting::rebuild_on`]), certify its escape layer, and upload
-    /// the diff through `programmer`'s dirty-block shadow. The resulting
-    /// tables are byte-identical to a from-scratch sweep of the degraded
-    /// fabric; only the changed blocks travel as SMPs, each sent exactly
-    /// once — a switch that does not answer is a hard error.
+    /// rediscovery — degrade the recorded fabric in place, re-sweep the
+    /// routing on it ([`FaRouting::resweep`]: root pinned, escape layer
+    /// certified), and upload the diff through `programmer`'s
+    /// dirty-block shadow. The resulting tables are byte-identical to a
+    /// from-scratch sweep of the degraded fabric; only the changed
+    /// blocks travel as SMPs, each sent exactly once — a switch that
+    /// does not answer is a hard error.
     pub fn resweep_after_link_failure(
         &self,
         fabric: &mut ManagedFabric,
@@ -156,11 +156,9 @@ impl<E: EscapeEngine> SubnetManager<E> {
         })
     }
 
-    /// The SMP-free half of a re-sweep: degrade the recorded fabric,
-    /// rebuild the previous kind of routing on it with the escape root
-    /// pinned (an unpinned rebuild may elect another root and dirty
-    /// every block), and refuse tables whose escape layer does not
-    /// certify deadlock-free.
+    /// The SMP-free half of a re-sweep: degrade the recorded fabric and
+    /// hand it to [`FaRouting::resweep`] — pinned, certified, refused on
+    /// failure.
     fn resweep_tables(
         &self,
         previous: &BringUp<E>,
@@ -176,15 +174,7 @@ impl<E: EscapeEngine> SubnetManager<E> {
         discovered.degrade_link(a, pa, b, pb)?;
         discovered.recompute_routes()?;
         let topology = discovered.to_topology()?;
-        let pinned = RoutingConfig {
-            root: Some(previous.routing.escape().root()),
-            ..*previous.routing.config()
-        };
-        let routing = previous.routing.rebuild_on(&topology, pinned)?;
-        routing.certify_escape(&topology, false)?;
-        if routing.has_apm() {
-            routing.certify_escape(&topology, true)?;
-        }
+        let routing = previous.routing.resweep(&topology)?;
         Ok((discovered, topology, routing))
     }
 

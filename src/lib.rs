@@ -77,9 +77,9 @@ pub mod prelude {
         RoutingMode, ServiceLevel, SimTime, SwitchId, VirtualLane,
     };
     pub use iba_routing::{
-        certify_engine, check_escape_routes, EscapeEngine, FaRouting, FullMeshRouting,
+        certify_engine, check_escape_routes, EscapeEngine, FaRouting, FaTables, FullMeshRouting,
         InterleavedForwardingTable, MinimalRouting, OptionDistribution, OutflankRouting,
-        PathLengthStats, RouteOptions, RoutingConfig, SlToVlTable, UpDownRouting,
+        PathLengthStats, RouteOptions, RoutingConfig, SlToVlTable, TableSource, UpDownRouting,
     };
     pub use iba_sim::{
         perfetto_trace, EngineProfile, EscapeOrderPolicy, FlightDump, FlightRecorder, MemorySink,
