@@ -26,7 +26,7 @@
 //! result [`iba_core::Json`] document. The experiment crates own the
 //! spec vocabulary; this crate owns supervision and durability.
 //!
-//! Sweeps too short to journal (the paper bins: a hundred-odd points of
+//! Sweeps too short to journal (the paper sweeps: a hundred-odd points of
 //! 5–40 ms each) share the cores through [`par_map`] instead — the same
 //! worker count, no sacrificial thread and no fsync per point. The pool
 //! lives in `iba_core::par`, below the routing builds that share it, and

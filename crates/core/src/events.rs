@@ -5,7 +5,7 @@
 //! candidate-option set and why each was rejected, credit returns,
 //! blocks, drops, faults, stall-watchdog verdicts. The vocabulary lives
 //! in `iba-core` (next to [`crate::json`]) so offline tools like
-//! `iba-trace` can parse dumps without linking the simulator.
+//! `iba trace` can parse dumps without linking the simulator.
 //!
 //! Events are plain `Copy`-able value types sized for a hot path:
 //! a [`FlightEvent`] embeds its per-port option outcomes in an
@@ -23,7 +23,7 @@ use crate::vl::VirtualLane;
 /// Version stamp written into every flight-recorder dump header.
 ///
 /// Bump on any change to the event vocabulary or dump framing so
-/// `iba-trace` can refuse files it does not understand.
+/// `iba trace` can refuse files it does not understand.
 ///
 /// Version history:
 /// - 1: initial vocabulary (PR 4).

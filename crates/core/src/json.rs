@@ -2,13 +2,13 @@
 //!
 //! Every artifact this workspace emits (`results/*.json`, telemetry
 //! samples, flight-recorder dumps) is JSON, and this module is the
-//! workspace's one serializer. Instead of each experiment bin
+//! workspace's one serializer. Instead of each experiment
 //! hand-assembling strings with `format!`, it gives them one tree type
 //! ([`Json`]) and one writer, so escaping, float formatting and nesting
 //! are correct in a single place.
 //!
 //! The model started write-only; the flight-recorder work added a
-//! reader, because `iba-trace` loads dumps back for offline queries.
+//! reader, because `iba trace` loads dumps back for offline queries.
 //! [`Json::parse`] is a strict recursive-descent parser over the same
 //! tree type, and the `as_*`/[`Json::get`] accessors walk a parsed
 //! document without pattern-matching boilerplate at every call site.

@@ -18,7 +18,7 @@
 //! * a minimal JSON document model, writer and parser for experiment
 //!   artifacts, telemetry samples and flight-recorder dumps ([`json`]),
 //! * the structured flight-recorder event vocabulary shared by the
-//!   simulator and the offline `iba-trace` tooling ([`events`]),
+//!   simulator and the offline `iba trace` tooling ([`events`]),
 //! * the physical-layer constants of the paper's evaluation section
 //!   ([`phys`]),
 //! * the one worker pool the sweeps and the routing builds share

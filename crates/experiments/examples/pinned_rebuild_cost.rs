@@ -6,6 +6,9 @@
 //! cargo run --release -p iba-experiments --example pinned_rebuild_cost
 //! ```
 //!
+//! A measurement of the routing layer, not an `iba` subcommand (`iba
+//! help` lists those).
+//!
 //! Per size, every link whose removal keeps each of a few seeded
 //! fabrics connected. Per link: `FaRouting::resweep` (the root-pinned
 //! rebuild and its escape certification) and `certify_escape` alone,

@@ -1,8 +1,8 @@
 //! Campaign definitions bridging the experiment modules onto the
 //! crash-safe [`iba_campaign`] runner (DESIGN.md §16).
 //!
-//! Each migrated binary (chaos, engine_zoo, recovery_scaling) is a thin
-//! shell over three pieces defined here:
+//! Each campaign command (`iba chaos`, `iba engine-zoo`,
+//! `iba recovery-scaling`) is a thin shell over four pieces defined here:
 //!
 //! 1. a **declarative campaign** — one [`RunSpec`] per sweep cell, with
 //!    a stable id and pure-data parameters, so an interrupted sweep can
@@ -12,27 +12,45 @@
 //!    `points[]` / `curve[]` element of the final document), making a
 //!    resumed document byte-identical to an uninterrupted one;
 //! 3. a shared [`ArtifactCache`] so cells on the same `(topology,
-//!    seed)` fabric compile it once across workers.
+//!    seed)` fabric compile it once across workers;
+//! 4. [`drive`], the one driver: supervision flags, journal, poisoned
+//!    runs, the document and the campaign digest.
 //!
-//! The `--inject-panic` / `--inject-hang` flags append synthetic
-//! always-failing specs ([`push_injected`] + [`with_injections`]): CI
-//! uses them to pin the supervision contract — a panicking or hanging
-//! run must end as a *recorded poisoned run*, not a dead sweep.
+//! The `--inject-panic` / `--inject-hang` switches append synthetic
+//! always-failing specs: CI uses them to pin the supervision contract —
+//! a panicking or hanging run must end as a *recorded poisoned run*, not
+//! a dead sweep.
 
 use crate::chaos::{self, ChaosArtifact};
-use crate::cli::Args;
+use crate::cli::{Args, Flag};
 use crate::engine_zoo::{self, ZooConfig};
 use crate::recovery;
-use iba_campaign::{ArtifactCache, Campaign, Executor, FabricKey, RunSpec, RunnerOpts};
+use iba_campaign::{
+    digest_hex, run_campaign, write_atomic, ArtifactCache, Campaign, Executor, FabricKey, RunSpec,
+    RunStatus, RunnerOpts,
+};
 use iba_core::Json;
 use iba_sim::RecoveryPolicy;
-use iba_topology::{Topology, TopologySpec};
+use iba_topology::Topology;
 use std::sync::Arc;
 
-/// Parse the shared supervision flags (`--workers`, `--attempts`,
-/// `--timeout-ms`, `--halt-after`, `--quiet`, `--resume`) into runner
-/// options plus the resume switch.
-pub fn runner_opts(args: &Args) -> Result<(RunnerOpts, bool), String> {
+/// The output and supervision flags every campaign command takes.
+pub const RUNNER_FLAGS: &[Flag] = &[
+    Flag::value("out", "PATH", "results document [results/<campaign>.json]"),
+    Flag::value("journal", "PATH", "run journal [<out>.journal.jsonl]"),
+    Flag::switch("resume", "continue an interrupted sweep from its journal"),
+    Flag::value("workers", "N", "supervised worker threads [one per core]"),
+    Flag::value("attempts", "N", "attempts before a run is poisoned [3]"),
+    Flag::value("timeout-ms", "N", "per-attempt timeout [600000]"),
+    Flag::value("halt-after", "N", "stop after N new runs, journal kept"),
+    Flag::switch("quiet", "no per-run progress lines"),
+    Flag::switch("inject-panic", "add a run that panics (supervision check)"),
+    Flag::switch("inject-hang", "add a run that hangs (supervision check)"),
+];
+
+/// Parse the supervision flags into runner options plus the resume
+/// switch.
+fn runner_opts(args: &Args) -> Result<(RunnerOpts, bool), String> {
     let defaults = RunnerOpts::default();
     let halt_after = args.get_or("halt-after", 0usize)?;
     let opts = RunnerOpts {
@@ -40,42 +58,29 @@ pub fn runner_opts(args: &Args) -> Result<(RunnerOpts, bool), String> {
         max_attempts: args.get_or("attempts", defaults.max_attempts)?,
         timeout_ms: args.get_or("timeout-ms", defaults.timeout_ms)?,
         halt_after: (halt_after > 0).then_some(halt_after),
-        quiet: args.get_bool("quiet"),
+        quiet: args.switch("quiet"),
         ..defaults
     };
-    Ok((opts, args.get_bool("resume")))
-}
-
-/// The journal path: `--journal`, defaulting to `<out>.journal.jsonl`
-/// next to the results artifact.
-pub fn journal_path(args: &Args, out: &str) -> String {
-    args.get("journal")
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("{out}.journal.jsonl"))
+    Ok((opts, args.switch("resume")))
 }
 
 /// Append the synthetic failure specs CI's poisoned-run gate drives.
-pub fn push_injected(campaign: &mut Campaign, panic: bool, hang: bool) {
+fn push_injected(campaign: &mut Campaign, panic: bool, hang: bool) {
     let prefix = campaign.name.clone();
-    if panic {
-        campaign.push(RunSpec::new(
-            format!("{prefix}/injected-panic"),
-            "injected-panic",
-            Json::object(),
-        ));
-    }
-    if hang {
-        campaign.push(RunSpec::new(
-            format!("{prefix}/injected-hang"),
-            "injected-hang",
-            Json::object(),
-        ));
+    for (on, kind) in [(panic, "injected-panic"), (hang, "injected-hang")] {
+        if on {
+            campaign.push(RunSpec::new(
+                format!("{prefix}/{kind}"),
+                kind,
+                Json::object(),
+            ));
+        }
     }
 }
 
 /// Wrap an executor so the synthetic `injected-panic` / `injected-hang`
 /// specs misbehave on purpose; everything else passes through.
-pub fn with_injections(inner: Executor) -> Executor {
+fn with_injections(inner: Executor) -> Executor {
     Arc::new(move |spec: &RunSpec| match spec.experiment.as_str() {
         "injected-panic" => panic!("injected panic (spec {})", spec.id),
         "injected-hang" => loop {
@@ -83,6 +88,90 @@ pub fn with_injections(inner: Executor) -> Executor {
         },
         _ => inner(spec),
     })
+}
+
+/// Run `campaign` under the flags of [`RUNNER_FLAGS`], write the
+/// document `document` renders from the completed cells to `--out`, and
+/// return those cells — `None` when `--halt-after` stopped the sweep
+/// first. A run's result is one cell, or an array of cells flattened in
+/// campaign order.
+///
+/// Poisoned runs are reported and left out of the document. A poisoned
+/// run that was not injected is an error once the document is written:
+/// the command's gates cannot pass on missing data.
+pub fn drive(
+    args: &Args,
+    mut campaign: Campaign,
+    executor: Executor,
+    document: impl FnOnce(&[Json]) -> String,
+) -> Result<Option<Vec<Json>>, String> {
+    let name = campaign.name.clone();
+    let out = args
+        .get("out")
+        .map_or_else(|| format!("results/{name}.json"), str::to_string);
+    let journal = args
+        .get("journal")
+        .map_or_else(|| format!("{out}.journal.jsonl"), str::to_string);
+    let (opts, resume) = runner_opts(args)?;
+    push_injected(
+        &mut campaign,
+        args.switch("inject-panic"),
+        args.switch("inject-hang"),
+    );
+    let outcome = run_campaign(
+        &campaign,
+        with_injections(executor),
+        &journal,
+        &opts,
+        resume,
+    )?;
+    if outcome.halted {
+        eprintln!(
+            "{name}: halted after {} new runs; journal kept at {journal}; rerun with --resume",
+            outcome.executed
+        );
+        return Ok(None);
+    }
+
+    let poisoned = outcome.poisoned_ids();
+    let mut real_poisoned = Vec::new();
+    for id in &poisoned {
+        let rec = outcome.record_for(id);
+        let err = rec.and_then(|r| r.error.clone()).unwrap_or_default();
+        eprintln!("{name}: POISONED {id}: {err}");
+        if rec.is_some_and(|r| !r.experiment.starts_with("injected-")) {
+            real_poisoned.push(id.to_string());
+        }
+    }
+    let cells: Vec<Json> = outcome
+        .records
+        .iter()
+        .filter(|r| r.status == RunStatus::Ok && !r.experiment.starts_with("injected-"))
+        .flat_map(|r| match r.result.as_arr() {
+            Some(cells) => cells.to_vec(),
+            None => vec![r.result.clone()],
+        })
+        .collect();
+
+    write_atomic(&out, document(&cells)).map_err(|e| e.to_string())?;
+    eprintln!(
+        "{name}: wrote {out} (campaign digest {})",
+        digest_hex(outcome.digest())
+    );
+    if !poisoned.is_empty() {
+        eprintln!(
+            "{name}: {} poisoned runs excluded from the document (see journal {journal})",
+            poisoned.len()
+        );
+    }
+    if !real_poisoned.is_empty() {
+        return Err(format!(
+            "{} runs poisoned ({}); the gates cannot pass on missing data",
+            real_poisoned.len(),
+            real_poisoned.join(", ")
+        ));
+    }
+    Ok(Some(cells))
 }
 
 // ---------------------------------------------------------------- chaos
@@ -98,30 +187,6 @@ pub struct ChaosPlan {
     pub base_seed: u64,
     /// Mix-name subset of [`chaos::MIXES`] to run (campaign order).
     pub mixes: Vec<String>,
-}
-
-impl ChaosPlan {
-    /// Parse `--sizes/--seeds/--seed/--mixes` with the bin's defaults.
-    pub fn from_args(args: &Args) -> Result<ChaosPlan, String> {
-        let mixes = match args.get("mixes") {
-            None => chaos::MIXES.iter().map(|m| m.name.to_string()).collect(),
-            Some(list) => list
-                .split(',')
-                .map(|name| {
-                    let name = name.trim();
-                    chaos::mix_by_name(name)
-                        .map(|m| m.name.to_string())
-                        .ok_or_else(|| format!("unknown chaos mix {name:?}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        Ok(ChaosPlan {
-            sizes: args.get_list_or("sizes", &[8usize, 16])?,
-            seeds: args.get_or("seeds", 15u64)?,
-            base_seed: args.get_or("seed", 100u64)?,
-            mixes,
-        })
-    }
 }
 
 /// One [`RunSpec`] per (size, mix, seed) cell, ids like
@@ -183,58 +248,26 @@ pub fn chaos_executor() -> (Executor, Arc<ArtifactCache<ChaosArtifact>>) {
 
 // ----------------------------------------------------------- engine zoo
 
-/// One [`RunSpec`] per (topology, engine) zoo point, ids like
-/// `zoo/torus4x4/outflank`. Skip rules (and their stderr notes) are
-/// [`engine_zoo::plan`]'s.
-pub fn zoo_campaign(cfg: &ZooConfig) -> Result<Campaign, String> {
+/// The zoo as a campaign: one [`RunSpec`] per (topology, engine) point
+/// of [`engine_zoo::plan`] (whose skip rules and stderr notes apply),
+/// ids like `zoo/torus4x4/outflank`; its executor; and the topology
+/// cache through which both engines of a pair sweep the identical
+/// generated fabric.
+pub fn zoo_campaign(
+    cfg: &ZooConfig,
+) -> Result<(Campaign, Executor, Arc<ArtifactCache<Topology>>), String> {
+    let grid = engine_zoo::plan(cfg);
     let mut campaign = Campaign::new("engine_zoo");
-    for (spec, engine) in engine_zoo::plan(cfg) {
-        let shape = match spec {
-            TopologySpec::Torus2D { rows, cols, .. } => Json::obj([
-                ("shape", Json::from("torus2d")),
-                ("rows", Json::from(rows)),
-                ("cols", Json::from(cols)),
-                ("engine", Json::from(engine)),
-            ]),
-            TopologySpec::FullMesh { switches, .. } => Json::obj([
-                ("shape", Json::from("fullmesh")),
-                ("switches", Json::from(switches)),
-                ("engine", Json::from(engine)),
-            ]),
-            other => {
-                return Err(format!("engine zoo cannot plan topology {other:?}"));
-            }
-        };
-        campaign.push(RunSpec::new(
-            format!("zoo/{}/{engine}", spec.name()),
-            "zoo-point",
-            shape,
-        ));
+    for (point, (spec, engine)) in grid.iter().enumerate() {
+        let id = format!("zoo/{}/{engine}", spec.name());
+        campaign.push(RunSpec::new(id, "zoo-point", Json::obj([("point", point)])));
     }
     campaign.validate()?;
-    Ok(campaign)
-}
-
-/// The zoo executor plus its topology cache: both engines of a pair
-/// sweep the identical generated fabric.
-pub fn zoo_executor(cfg: &ZooConfig) -> (Executor, Arc<ArtifactCache<Topology>>) {
     let cache: Arc<ArtifactCache<Topology>> = Arc::new(ArtifactCache::new());
     let shared = cache.clone();
     let cfg = cfg.clone();
     let executor: Executor = Arc::new(move |spec: &RunSpec| {
-        let engine = spec.param_str("engine")?;
-        let topo_spec = match spec.param_str("shape")? {
-            "torus2d" => TopologySpec::Torus2D {
-                rows: spec.param_u64("rows")? as usize,
-                cols: spec.param_u64("cols")? as usize,
-                hosts_per_switch: cfg.hosts_per_switch,
-            },
-            "fullmesh" => TopologySpec::FullMesh {
-                switches: spec.param_u64("switches")? as usize,
-                hosts_per_switch: cfg.hosts_per_switch,
-            },
-            other => return Err(format!("{}: unknown shape {other:?}", spec.id)),
-        };
+        let (topo_spec, engine) = &grid[spec.param_u64("point")? as usize];
         let name = topo_spec.name();
         let topo = shared.get_or_build(&FabricKey::new(name.clone(), cfg.seed, 0), || {
             topo_spec.generate(cfg.seed).map_err(|e| e.to_string())
@@ -243,53 +276,58 @@ pub fn zoo_executor(cfg: &ZooConfig) -> (Executor, Arc<ArtifactCache<Topology>>)
             .map_err(|e| format!("{}: {e}", spec.id))?;
         Ok(engine_zoo::point_json(&point))
     });
-    (executor, cache)
+    Ok((campaign, executor, cache))
 }
 
 // ------------------------------------------------------------- recovery
 
-/// One [`RunSpec`] per fabric size, ids like `recovery/n16`; each run
-/// produces the `(full, incremental)` pair of curve points as a
-/// two-element array.
-pub fn recovery_campaign(sizes: &[usize], seed: u64, per_smp_ns: u64) -> Result<Campaign, String> {
+/// Recovery scaling as a campaign: one [`RunSpec`] per fabric size, ids
+/// like `recovery/n16`, and its executor, whose run recovers the twin
+/// fabrics of one size under both policies and yields the `(full,
+/// incremental)` pair of curve points as a two-element array.
+pub fn recovery_campaign(
+    sizes: &[usize],
+    seed: u64,
+    per_smp_ns: u64,
+) -> Result<(Campaign, Executor), String> {
     let mut campaign = Campaign::new("recovery_scaling");
     for &size in sizes {
+        let id = format!("recovery/n{size}");
         campaign.push(RunSpec::new(
-            format!("recovery/n{size}"),
+            id,
             "recovery-pair",
-            Json::obj([
-                ("size", Json::from(size)),
-                ("seed", Json::from(seed)),
-                ("per_smp_ns", Json::from(per_smp_ns)),
-            ]),
+            Json::obj([("size", size)]),
         ));
     }
     campaign.validate()?;
-    Ok(campaign)
-}
-
-/// The recovery executor: twin-fabric recovery of one size, both
-/// policies.
-pub fn recovery_executor() -> Executor {
-    Arc::new(move |spec: &RunSpec| {
+    let executor: Executor = Arc::new(move |spec: &RunSpec| {
         let size = spec.param_u64("size")? as usize;
-        let seed = spec.param_u64("seed")?;
-        let per_smp_ns = spec.param_u64("per_smp_ns")?;
         let (full, inc) =
             recovery::run_size(size, seed, per_smp_ns).map_err(|e| format!("{}: {e}", spec.id))?;
         Ok(Json::arr([
             recovery::point_json(&full),
             recovery::point_json(&inc),
         ]))
-    })
+    });
+    Ok((campaign, executor))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::cli::Command;
+
+    const CMD: Command = Command {
+        name: "campaign",
+        about: "test",
+        positional: &[],
+        flags: &[RUNNER_FLAGS],
+        run: |_| Ok(()),
+    };
+
     fn parse(v: &[&str]) -> Args {
-        Args::parse(v.iter().map(|s| s.to_string())).unwrap()
+        Args::parse(&CMD, v.iter().map(|s| s.to_string())).unwrap()
     }
 
     #[test]
@@ -344,12 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_plan_rejects_unknown_mixes() {
-        let args = parse(&["--mixes", "links,bogus"]);
-        assert!(ChaosPlan::from_args(&args).unwrap_err().contains("bogus"));
-    }
-
-    #[test]
     fn injected_specs_misbehave_only_for_their_kinds() {
         let mut c = Campaign::new("t");
         push_injected(&mut c, true, true);
@@ -371,7 +403,7 @@ mod tests {
             fidelity: crate::Fidelity::Quick,
             seed: 3,
         };
-        let c = zoo_campaign(&cfg).unwrap();
+        let (c, _, _) = zoo_campaign(&cfg).unwrap();
         let ids: Vec<&str> = c.specs.iter().map(|s| s.id.as_str()).collect();
         assert_eq!(
             ids,
@@ -386,7 +418,7 @@ mod tests {
 
     #[test]
     fn recovery_campaign_is_one_spec_per_size() {
-        let c = recovery_campaign(&[8, 16, 32], 8, 1_000).unwrap();
+        let (c, _) = recovery_campaign(&[8, 16, 32], 8, 1_000).unwrap();
         let ids: Vec<&str> = c.specs.iter().map(|s| s.id.as_str()).collect();
         assert_eq!(ids, ["recovery/n8", "recovery/n16", "recovery/n32"]);
         assert_eq!(

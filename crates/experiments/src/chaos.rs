@@ -351,19 +351,8 @@ pub fn build_artifact(size: usize, seed: u64, apm: bool) -> Result<ChaosArtifact
     Ok(ChaosArtifact { topo, routing })
 }
 
-/// Run one (size, mix, seed) cell on both backends plus the SM
-/// side-check.
-pub fn run_one(
-    size: usize,
-    mix: &ChaosMix,
-    mix_index: u64,
-    seed: u64,
-) -> Result<ChaosRun, IbaError> {
-    let artifact = build_artifact(size, seed, mix.policy == RecoveryPolicy::ApmMigrate)?;
-    run_one_with(&artifact, mix, mix_index, seed)
-}
-
-/// [`run_one`] on a pre-built (possibly cached) fabric artifact.
+/// Run one (size, mix, seed) cell on a pre-built (possibly cached)
+/// fabric artifact: both backends plus the SM side-check.
 pub fn run_one_with(
     artifact: &ChaosArtifact,
     mix: &ChaosMix,
@@ -429,11 +418,6 @@ pub fn run_one_with(
         sm_retransmits: up.report.retransmits,
         violations,
     })
-}
-
-/// Total invariant violations across the campaign.
-pub fn total_violations(runs: &[ChaosRun]) -> usize {
-    runs.iter().map(|r| r.violations.len()).sum()
 }
 
 /// One campaign cell as a JSON object — the `cells[]` element of the
@@ -512,14 +496,6 @@ pub fn document_from_cells(
     .to_string_pretty()
 }
 
-/// Render the campaign as a JSON document (via [`iba_core::Json`]).
-/// Layout documented in EXPERIMENTS.md.
-pub fn to_json(sizes: &[usize], seeds: u64, base_seed: u64, runs: &[ChaosRun]) -> String {
-    let cells: Vec<Json> = runs.iter().map(cell_json).collect();
-    let mixes: Vec<&str> = MIXES.iter().map(|m| m.name).collect();
-    document_from_cells(sizes, &mixes, seeds, base_seed, &cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,10 +545,16 @@ mod tests {
         }
     }
 
+    fn run_one(size: usize, mix: &ChaosMix, mix_index: u64, seed: u64) -> ChaosRun {
+        let apm = mix.policy == RecoveryPolicy::ApmMigrate;
+        let artifact = build_artifact(size, seed, apm).unwrap();
+        run_one_with(&artifact, mix, mix_index, seed).unwrap()
+    }
+
     #[test]
     fn single_cell_runs_clean_on_both_backends() {
         let mix = mix_by_name("switch-death").unwrap();
-        let run = run_one(8, mix, 1, 42).unwrap();
+        let run = run_one(8, mix, 1, 42);
         assert!(run.violations.is_empty(), "{:?}", run.violations);
         assert!(run.backends_identical);
         assert_eq!(run.wedges, 0);
@@ -583,8 +565,8 @@ mod tests {
     #[test]
     fn json_layout_is_wellformed_enough() {
         let mix = mix_by_name("corruption").unwrap();
-        let runs = vec![run_one(8, mix, 3, 7).unwrap()];
-        let j = to_json(&[8], 1, 7, &runs);
+        let cells = [cell_json(&run_one(8, mix, 3, 7))];
+        let j = document_from_cells(&[8], &["corruption"], 1, 7, &cells);
         assert!(j.contains("\"experiment\": \"chaos\""));
         assert!(j.contains("\"mix\": \"corruption\""));
         assert!(j.contains("\"violations\": 0"));

@@ -15,7 +15,7 @@
 //!
 //! Every point re-certifies the *materialized* escape offset of the
 //! forwarding tables through the channel-dependency checker and records
-//! the verdict as `escape_acyclic`; [`verify`] turns a `false` into a
+//! the verdict as `escape_acyclic`; [`verify_cells`] turns a `false` into a
 //! hard error so CI fails loudly.
 //!
 //! The full mesh stops where the port budget does: a K_n switch needs
@@ -46,20 +46,6 @@ pub struct ZooConfig {
     pub fidelity: Fidelity,
     /// Base seed.
     pub seed: u64,
-}
-
-impl ZooConfig {
-    /// The headline sweep: 64 and 256 switches (the full mesh runs at
-    /// 64 only — K_256 does not fit the port budget).
-    pub fn paper(fidelity: Fidelity, seed: u64) -> ZooConfig {
-        ZooConfig {
-            sizes: vec![64, 256],
-            hosts_per_switch: 4,
-            adaptive_fraction: 1.0,
-            fidelity,
-            seed,
-        }
-    }
 }
 
 /// One engine × topology measurement.
@@ -134,9 +120,10 @@ pub fn run_engine_named(
     }
 }
 
-/// The `(topology spec, engine)` grid of the zoo for `cfg`, with the
-/// same skip rules (and stderr notes) as [`run`]: tori need a
-/// `rows × cols ≥ 3` split, full meshes must fit the port budget.
+/// The `(topology spec, engine)` grid of the zoo for `cfg`: per size the
+/// torus pair and, port budget permitting, the full-mesh pair. Tori need
+/// a `rows × cols ≥ 3` split, full meshes must fit the port budget;
+/// what is skipped is reported on stderr, never silently dropped.
 pub fn plan(cfg: &ZooConfig) -> Vec<(TopologySpec, &'static str)> {
     let mut grid = Vec::new();
     for &size in &cfg.sizes {
@@ -171,31 +158,10 @@ pub fn plan(cfg: &ZooConfig) -> Vec<(TopologySpec, &'static str)> {
     grid
 }
 
-/// Run the zoo: per size, the torus pair and (port budget permitting)
-/// the full-mesh pair. Skipped combinations are reported on stderr —
-/// never silently dropped.
-pub fn run(cfg: &ZooConfig) -> Result<Vec<ZooPoint>, IbaError> {
-    let mut points = Vec::new();
-    for (spec, engine) in plan(cfg) {
-        // Regenerating from the same (spec, seed) wires the identical
-        // fabric, so both engines of a pair still measure the same wires.
-        let topo = spec.generate(cfg.seed)?;
-        points.push(run_engine_named(&topo, spec.name(), engine, cfg)?);
-    }
-    Ok(points)
-}
-
-/// Hard gates: every point's escape layer must have certified acyclic,
-/// and the full-mesh calibration pair must saturate identically (the
-/// two engines compile byte-identical tables there).
-pub fn verify(points: &[ZooPoint]) -> Result<(), String> {
-    let cells: Vec<Json> = points.iter().map(point_json).collect();
-    verify_cells(&cells)
-}
-
-/// [`verify`], phrased over rendered point cells — the shape the
-/// campaign runner recovers from its journal, where the original
-/// [`ZooPoint`]s no longer exist.
+/// Hard gates over rendered point cells (the shape the campaign runner
+/// recovers from its journal): every point's escape layer must have
+/// certified acyclic, and the full-mesh calibration pair must saturate
+/// identically (the two engines compile byte-identical tables there).
 pub fn verify_cells(points: &[Json]) -> Result<(), String> {
     let field = |p: &Json, key: &str| -> String {
         p.get(key)
@@ -272,12 +238,6 @@ pub fn document_from_cells(cfg: &ZooConfig, points: &[Json]) -> String {
     .to_string_pretty()
 }
 
-/// Render the sweep as the `results/engine_zoo.json` document.
-pub fn to_json(cfg: &ZooConfig, points: &[ZooPoint]) -> String {
-    let cells: Vec<Json> = points.iter().map(point_json).collect();
-    document_from_cells(cfg, &cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +256,7 @@ mod tests {
 
     #[test]
     fn fullmesh_pair_compiles_identical_tables() {
-        // The calibration contract behind `verify`: on a complete graph
+        // The calibration contract behind `verify_cells`: on a complete graph
         // the direct engine and up*/down* agree on every escape hop and
         // every minimal option, so the interleaved tables match bytewise.
         let topo = TopologySpec::FullMesh {
@@ -322,12 +282,18 @@ mod tests {
             fidelity: Fidelity::Quick,
             seed: 3,
         };
-        let points = run(&cfg).unwrap();
-        assert_eq!(points.len(), 4);
+        let points: Vec<ZooPoint> = plan(&cfg)
+            .into_iter()
+            .map(|(spec, engine)| {
+                let topo = spec.generate(cfg.seed).unwrap();
+                run_engine_named(&topo, spec.name(), engine, &cfg).unwrap()
+            })
+            .collect();
         let engines: Vec<&str> = points.iter().map(|p| p.engine).collect();
         assert_eq!(engines, ["updown", "outflank", "updown", "fullmesh"]);
-        verify(&points).unwrap();
-        let json = to_json(&cfg, &points);
+        let cells: Vec<Json> = points.iter().map(point_json).collect();
+        verify_cells(&cells).unwrap();
+        let json = document_from_cells(&cfg, &cells);
         assert!(json.contains("\"escape_acyclic\": true"));
         assert!(!json.contains("\"escape_acyclic\": false"));
     }

@@ -1,6 +1,6 @@
 //! Experiment fidelity presets.
 //!
-//! Every binary supports two fidelities:
+//! Every experiment supports two fidelities:
 //!
 //! * **Quick** (default) — a scaled-down run that preserves every
 //!   qualitative shape the paper reports but finishes in minutes on a
@@ -22,16 +22,20 @@ pub enum Fidelity {
     Full,
 }
 
-impl Fidelity {
-    /// Parse from a CLI flag value.
-    pub fn parse(s: &str) -> Option<Fidelity> {
+impl std::str::FromStr for Fidelity {
+    type Err = &'static str;
+
+    /// The `--fidelity` flag's vocabulary.
+    fn from_str(s: &str) -> Result<Fidelity, &'static str> {
         match s {
-            "quick" => Some(Fidelity::Quick),
-            "full" => Some(Fidelity::Full),
-            _ => None,
+            "quick" => Ok(Fidelity::Quick),
+            "full" => Ok(Fidelity::Full),
+            _ => Err("expected quick or full"),
         }
     }
+}
 
+impl Fidelity {
     /// Topologies per configuration ("ten different topologies will be
     /// randomly generated for each network size").
     pub fn topologies(self) -> u64 {
@@ -89,9 +93,9 @@ mod tests {
 
     #[test]
     fn parse_flags() {
-        assert_eq!(Fidelity::parse("quick"), Some(Fidelity::Quick));
-        assert_eq!(Fidelity::parse("full"), Some(Fidelity::Full));
-        assert_eq!(Fidelity::parse("bogus"), None);
+        assert_eq!("quick".parse(), Ok(Fidelity::Quick));
+        assert_eq!("full".parse(), Ok(Fidelity::Full));
+        assert!("bogus".parse::<Fidelity>().is_err());
     }
 
     #[test]

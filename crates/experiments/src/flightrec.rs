@@ -1,4 +1,4 @@
-//! Flight-recorder demonstration run (the `flightrec` binary and the CI
+//! Flight-recorder demonstration run (`iba flightrec` and the CI
 //! smoke test).
 //!
 //! Runs one paper-style topology with the flight recorder armed and —
@@ -7,7 +7,7 @@
 //! the dead link strand forever, the stall watchdog classifies the
 //! no-progress interval as a suspected wedge, and the trigger freezes
 //! the rings around the evidence. The dump is returned for writing as
-//! JSONL (for `iba-trace`) and as a Chrome trace-event / Perfetto
+//! JSONL (for `iba trace`) and as a Chrome trace-event / Perfetto
 //! document.
 
 use crate::faults::removable_links;

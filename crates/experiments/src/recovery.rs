@@ -286,12 +286,6 @@ pub fn document_from_cells(sizes: &[usize], seed: u64, per_smp_ns: u64, cells: &
     .to_string_pretty()
 }
 
-/// Render the curve as a JSON document (layout in EXPERIMENTS.md).
-pub fn to_json(sizes: &[usize], seed: u64, per_smp_ns: u64, points: &[RecoveryPoint]) -> String {
-    let cells: Vec<Json> = points.iter().map(point_json).collect();
-    document_from_cells(sizes, seed, per_smp_ns, &cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,7 +305,7 @@ mod tests {
     #[test]
     fn json_layout_is_wellformed_enough() {
         let (full, inc) = run_size(8, 3, 1_000).unwrap();
-        let j = to_json(&[8], 3, 1_000, &[full, inc]);
+        let j = document_from_cells(&[8], 3, 1_000, &[point_json(&full), point_json(&inc)]);
         assert!(j.contains("\"experiment\": \"recovery_scaling\""));
         assert!(j.contains("\"policy\": \"incremental\""));
         assert!(j.contains("\"recovery_time_ns\""));

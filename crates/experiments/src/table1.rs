@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn micro_table1_runs_and_renders() {
         // Single tiny cell to keep the unit test fast; the real matrix is
-        // exercised by the binaries and integration tests.
+        // exercised by `iba table1` and the integration tests.
         let cfg = Table1Config {
             sizes: vec![8],
             links: 4,

@@ -1,4 +1,4 @@
-//! Offline queries over flight-recorder dumps (the `iba-trace` CLI).
+//! Offline queries over flight-recorder dumps (`iba trace`).
 //!
 //! A [`iba_sim::FlightDump`] is a flat, seq-ordered list of stamped
 //! events. This module slices it by packet / switch / port / VL / time

@@ -7,6 +7,7 @@ use iba_campaign::{run_campaign, Executor, RunStatus, RunnerOpts};
 use iba_core::Json;
 use iba_experiments::campaigns::{self, ChaosPlan};
 use iba_experiments::chaos;
+use iba_experiments::cli::{Args, Command};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,54 +122,63 @@ fn interrupted_chaos_campaign_resumes_byte_identical() {
 
 #[test]
 fn injected_failures_poison_without_sinking_the_sweep() {
+    const CMD: Command = Command {
+        name: "chaos",
+        about: "",
+        positional: &[],
+        flags: &[campaigns::RUNNER_FLAGS],
+        run: |_| Ok(()),
+    };
     let plan = ChaosPlan {
         sizes: vec![8],
         seeds: 1,
         base_seed: 7,
         mixes: vec!["links".into()],
     };
-    let mut campaign = campaigns::chaos_campaign(&plan).unwrap();
-    campaigns::push_injected(&mut campaign, true, true);
+    let campaign = campaigns::chaos_campaign(&plan).unwrap();
     let (exec, _) = campaigns::chaos_executor();
-    let journal = scratch("poisoned.jsonl");
-    let outcome = run_campaign(
-        &campaign,
-        campaigns::with_injections(exec),
-        &journal,
-        &RunnerOpts {
-            workers: 2,
-            max_attempts: 2,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 2,
-            timeout_ms: 300,
-            halt_after: None,
-            quiet: true,
-        },
-        false,
-    )
-    .unwrap();
-    assert_eq!(outcome.total, 3);
-    assert_eq!(
-        outcome.poisoned_ids(),
-        ["chaos/injected-panic", "chaos/injected-hang"]
-    );
-    let real = outcome.record_for("chaos/links/n8/s7").unwrap();
-    assert_eq!(real.status, RunStatus::Ok);
-    let panicked = outcome.record_for("chaos/injected-panic").unwrap();
+    let out = scratch("poisoned.json");
+    let raw = [
+        "--out",
+        out.to_str().unwrap(),
+        "--inject-panic",
+        "--inject-hang",
+        "--workers",
+        "2",
+        "--attempts",
+        "2",
+        "--timeout-ms",
+        "300",
+        "--quiet",
+    ];
+    let args = Args::parse(&CMD, raw.map(String::from)).unwrap();
+    let mixes: Vec<&str> = plan.mixes.iter().map(String::as_str).collect();
+    // The injected runs are poisoned and left out; the real cell is not,
+    // so the sweep completes without an error.
+    let cells = campaigns::drive(&args, campaign, exec, |cells| {
+        chaos::document_from_cells(&plan.sizes, &mixes, plan.seeds, plan.base_seed, cells)
+    })
+    .unwrap()
+    .expect("the sweep ran to the end");
+    assert_eq!(cells.len(), 1);
+    assert_eq!(cells[0].get("mix").and_then(Json::as_str), Some("links"));
+    assert!(std::fs::read_to_string(&out)
+        .unwrap()
+        .contains("\"experiment\": \"chaos\""));
+
+    let journal = format!("{}.journal.jsonl", out.display());
+    let records = std::fs::read_to_string(&journal).unwrap();
+    let poisoned: Vec<&str> = records
+        .lines()
+        .filter(|l| l.contains("\"status\":\"poisoned\""))
+        .collect();
+    assert_eq!(poisoned.len(), 2, "{records}");
     assert!(
-        panicked
-            .error
-            .as_deref()
-            .unwrap()
-            .contains("injected panic"),
-        "{:?}",
-        panicked.error
+        poisoned[0].contains("chaos/injected-panic")
+            || poisoned[1].contains("chaos/injected-panic")
     );
-    let hung = outcome.record_for("chaos/injected-hang").unwrap();
-    assert!(
-        hung.error.as_deref().unwrap().contains("timed out"),
-        "{:?}",
-        hung.error
-    );
+    assert!(records.contains("injected panic"), "{records}");
+    assert!(records.contains("timed out"), "{records}");
     std::fs::remove_file(&journal).unwrap();
+    std::fs::remove_file(&out).unwrap();
 }

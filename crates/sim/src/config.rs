@@ -120,25 +120,16 @@ impl SimConfig {
         }
     }
 
-    /// A validating builder, starting from [`SimConfig::paper`]`(seed)`.
-    /// Settings are checked at [`SimConfigBuilder::build`] time, so an
-    /// inconsistent configuration fails where it is written rather than
-    /// deep inside network construction.
-    pub fn builder(seed: u64) -> SimConfigBuilder {
-        SimConfigBuilder {
-            cfg: SimConfig::paper(seed),
-        }
-    }
-
     /// End of the measurement window (the simulation horizon).
     pub fn horizon(&self) -> SimTime {
         self.warmup.plus_ns(self.measure_window.as_ns())
     }
 
-    /// Validate the workload-independent invariants: physical timing,
-    /// VL count, non-empty measurement window. The packet-size
-    /// cross-checks need the workload and live in [`Self::validate`].
-    pub fn validate_self(&self) -> Result<(), IbaError> {
+    /// Validate the configuration against `max_packet_bytes` (the
+    /// largest packet the workload will inject): physical timing, VL count, a non-empty
+    /// measurement window, and a packet that fits the escape half and
+    /// the MTU.
+    pub fn validate(&self, max_packet_bytes: u32) -> Result<(), IbaError> {
         self.phys.validate()?;
         if self.data_vls == 0 || self.data_vls > 15 {
             return Err(IbaError::InvalidConfig(format!(
@@ -149,13 +140,6 @@ impl SimConfig {
         if self.measure_window == SimTime::ZERO {
             return Err(IbaError::InvalidConfig("empty measurement window".into()));
         }
-        Ok(())
-    }
-
-    /// Validate the configuration against `mtu` (the largest packet the
-    /// workload will inject).
-    pub fn validate(&self, max_packet_bytes: u32) -> Result<(), IbaError> {
-        self.validate_self()?;
         // The escape queue owns the *floor* half of an odd capacity
         // (`Credits::escape_share` uses integer division), so the packet
         // bound must be checked against that smaller half — an odd
@@ -176,92 +160,6 @@ impl SimConfig {
             )));
         }
         Ok(())
-    }
-}
-
-/// A validating [`SimConfig`] builder (see [`SimConfig::builder`]).
-///
-/// Starts from the paper's configuration and overrides field by field;
-/// [`Self::build`] runs [`SimConfig::validate_self`] so configuration
-/// mistakes surface at construction. The workload-dependent checks
-/// (packet vs escape half, MTU) still run when the network is
-/// assembled, where the packet size is known.
-#[derive(Clone, Copy, Debug)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Physical-layer timing.
-    pub fn phys(mut self, phys: PhysParams) -> Self {
-        self.cfg.phys = phys;
-        self
-    }
-
-    /// Number of data virtual lanes (1..=15).
-    pub fn data_vls(mut self, n: u8) -> Self {
-        self.cfg.data_vls = n;
-        self
-    }
-
-    /// Per-VL buffer capacity in credits (`C_max`).
-    pub fn vl_buffer_credits(mut self, c: Credits) -> Self {
-        self.cfg.vl_buffer_credits = c;
-        self
-    }
-
-    /// Output-selection policy (§4.3).
-    pub fn selection(mut self, p: SelectionPolicy) -> Self {
-        self.cfg.selection = p;
-        self
-    }
-
-    /// Escape read-point in-order guard flavour.
-    pub fn escape_order(mut self, p: EscapeOrderPolicy) -> Self {
-        self.cfg.escape_order = p;
-        self
-    }
-
-    /// Whether escape-head reads may still use adaptive options.
-    pub fn adaptive_from_escape_head(mut self, yes: bool) -> Self {
-        self.cfg.adaptive_from_escape_head = yes;
-        self
-    }
-
-    /// Warm-up period before measurement.
-    pub fn warmup(mut self, t: SimTime) -> Self {
-        self.cfg.warmup = t;
-        self
-    }
-
-    /// Measurement-window length after warm-up.
-    pub fn measure_window(mut self, t: SimTime) -> Self {
-        self.cfg.measure_window = t;
-        self
-    }
-
-    /// Source-queue capacity per host (`None` = unbounded open loop).
-    pub fn host_queue_capacity(mut self, cap: Option<usize>) -> Self {
-        self.cfg.host_queue_capacity = cap;
-        self
-    }
-
-    /// Event-queue backend.
-    pub fn queue_backend(mut self, b: QueueBackend) -> Self {
-        self.cfg.queue_backend = b;
-        self
-    }
-
-    /// Hard event-count ceiling.
-    pub fn max_events(mut self, n: u64) -> Self {
-        self.cfg.max_events = n;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<SimConfig, IbaError> {
-        self.cfg.validate_self()?;
-        Ok(self.cfg)
     }
 }
 
@@ -323,34 +221,5 @@ mod tests {
     fn horizon_is_warmup_plus_window() {
         let c = SimConfig::paper(0);
         assert_eq!(c.horizon(), SimTime::from_us(300));
-    }
-
-    #[test]
-    fn builder_starts_from_paper_and_overrides() {
-        let c = SimConfig::builder(7)
-            .data_vls(2)
-            .vl_buffer_credits(Credits(32))
-            .selection(SelectionPolicy::FirstFeasible)
-            .max_events(1_000)
-            .build()
-            .unwrap();
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.data_vls, 2);
-        assert_eq!(c.vl_buffer_credits, Credits(32));
-        assert_eq!(c.selection, SelectionPolicy::FirstFeasible);
-        assert_eq!(c.max_events, 1_000);
-        // Untouched fields keep the paper values.
-        assert_eq!(c.warmup, SimConfig::paper(7).warmup);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_configs_at_build_time() {
-        assert!(SimConfig::builder(0).data_vls(0).build().is_err());
-        assert!(SimConfig::builder(0).data_vls(16).build().is_err());
-        assert!(SimConfig::builder(0)
-            .measure_window(SimTime::ZERO)
-            .build()
-            .is_err());
-        assert!(SimConfig::builder(0).build().is_ok());
     }
 }

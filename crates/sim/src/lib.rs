@@ -71,7 +71,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use buffer::{BufferedPacket, Candidates, EscapeOrderPolicy, ReadPoint, SlotHandle, VlBuffer};
-pub use config::{RecoveryPolicy, SelectionPolicy, SimConfig, SimConfigBuilder};
+pub use config::{RecoveryPolicy, SelectionPolicy, SimConfig};
 pub use iba_engine::QueueBackend;
 pub use metrics::{EngineProfile, WorkerProfile};
 pub use network::{Network, NetworkBuilder};

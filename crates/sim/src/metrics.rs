@@ -242,7 +242,7 @@ impl EngineProfile {
         }
     }
 
-    /// The shard-scaling JSON row the `metrics` experiment bin embeds
+    /// The shard-scaling JSON row `iba metrics` embeds
     /// in `results/metrics.json`: the headline shares plus compact
     /// distribution summaries.
     pub fn to_json(&self) -> Json {

@@ -158,8 +158,8 @@ impl<'a> NetworkBuilder<'a> {
         self
     }
 
-    /// The simulator configuration (required; see
-    /// [`SimConfig::builder`] for validated construction).
+    /// The simulator configuration (required; [`Self::build`] checks it
+    /// with [`SimConfig::validate`]).
     pub fn config(mut self, config: SimConfig) -> Self {
         self.config = Some(config);
         self

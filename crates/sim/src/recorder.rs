@@ -545,7 +545,7 @@ impl FlightDump {
     }
 
     /// Journeys reconstructed per packet are a concern of the query
-    /// layer (`iba-trace`); here we only expose the raw event list plus
+    /// layer (`iba trace`); here we only expose the raw event list plus
     /// the convenience filter the tests use.
     pub fn events_for_packet(&self, id: PacketId) -> Vec<&StampedEvent> {
         self.events

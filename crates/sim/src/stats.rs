@@ -510,146 +510,210 @@ impl StatsCollector {
 /// `None`, the two v5 removed are ignored.
 pub const RUN_RESULT_SCHEMA_VERSION: u32 = 5;
 
-/// The outcome of one simulation run.
-///
-/// Equality compares the *simulated* outcome only — [`Self::wall_time_s`]
-/// and [`Self::events_per_sec`] are host-machine measurements and are
-/// excluded, so two deterministic runs (e.g. on different event-queue
-/// backends) compare equal exactly when they simulated the same thing.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    /// Field-set version ([`RUN_RESULT_SCHEMA_VERSION`]) — lets
-    /// consumers of `results/*.json` detect layout changes.
-    pub schema_version: u32,
-    /// Packets generated at sources.
-    pub generated: u64,
-    /// Packets injected into the fabric.
-    pub injected: u64,
-    /// Packets delivered to destinations.
-    pub delivered: u64,
-    /// Mean latency (generation → delivery) of measured packets, ns.
-    pub avg_latency_ns: f64,
-    /// Maximum measured latency, ns.
-    pub max_latency_ns: u64,
-    /// Median latency (log-linear bucket bound, relative error ≤ 1/32),
-    /// ns. `None` when zero packets were measured.
-    pub p50_latency_ns: Option<u64>,
-    /// 90th-percentile latency, same resolution/guard as p50.
-    pub p90_latency_ns: Option<u64>,
-    /// 99th-percentile latency, same resolution/guard as p50.
-    pub p99_latency_ns: Option<u64>,
-    /// 99.9th-percentile latency, same resolution/guard as p50.
-    pub p999_latency_ns: Option<u64>,
-    /// Number of packets in the latency average.
-    pub measured_packets: u64,
-    /// Accepted traffic in bytes/ns/switch — the paper's throughput
-    /// metric.
-    pub accepted_bytes_per_ns_per_switch: f64,
-    /// Mean switch hops of measured packets.
-    pub avg_hops: f64,
-    /// Total escape-option forwards.
-    pub escape_forwards: u64,
-    /// Total adaptive-option forwards.
-    pub adaptive_forwards: u64,
-    /// Deterministic packets delivered out of order (must be 0).
-    pub order_violations: u64,
-    /// Deterministic packets delivered twice (must be 0; the simulator
-    /// removes each buffer residency exactly once, so a nonzero value is
-    /// a simulator bug, not a modelled fabric behaviour).
-    pub duplicate_deliveries: u64,
-    /// Largest source-queue length observed.
-    pub max_host_queue: usize,
-    /// Packets discarded at full source queues (0 in open-loop mode).
-    pub source_drops: u64,
-    /// Fault events (link or switch down) applied (0 without a fault
-    /// schedule).
-    pub faults_injected: u64,
-    /// Packets lost in transit: on a link that went down under them, at
-    /// a dead switch, or to a CRC failure.
-    pub drops_in_transit: u64,
-    /// Of [`Self::drops_in_transit`], those lost at or after the first
-    /// recovery-routing installation (must be 0 for a single-fault
-    /// SM-resweep run: nothing is routed onto a dead link once the
-    /// recovery tables are live).
-    pub drops_after_recovery: u64,
-    /// Of [`Self::drops_in_transit`], those lost to a dead link.
-    pub drops_link_down: u64,
-    /// Of [`Self::drops_in_transit`], those lost at a dead switch.
-    pub drops_switch_down: u64,
-    /// Of [`Self::drops_in_transit`], those lost to packet corruption
-    /// (CRC failure at the receiver).
-    pub drops_corrupted: u64,
-    /// Escape-route acyclicity certifications run (`check_escape_routes`
-    /// after each re-sweep installation and at the first APM migration).
-    pub escape_certifications: u64,
-    /// Of [`Self::escape_certifications`], those that found a cyclic
-    /// escape dependency (must be 0).
-    pub escape_cert_failures: u64,
-    /// Delivered packets over packets that entered the fabric
-    /// (`delivered / (generated − source_drops)`; 1.0 for an empty run).
-    /// Strictly below 1 even without faults — packets still in flight at
-    /// the horizon are not delivered.
-    pub delivered_ratio: f64,
-    /// Nanoseconds from the first fault event to the moment the first
-    /// re-sweep finished (re)programming the forwarding tables — i.e.
-    /// to the *last successful LFT reprogram* of that sweep, when the
-    /// recovery tables go live. `None` when no fault occurred or no
-    /// recovery completed. Deliberately a control-plane measurement:
-    /// it does not depend on when (or whether) traffic flows after the
-    /// repair, so values are comparable across runs with different
-    /// traffic patterns and between full and incremental re-sweeps.
-    pub recovery_time_ns: Option<u64>,
-    /// SM re-sweeps that installed recovery tables.
-    pub resweeps: u64,
-    /// SM re-sweeps abandoned because the degraded fabric was
-    /// disconnected.
-    pub resweeps_failed: u64,
-    /// Discrete events processed.
-    pub events: u64,
-    /// Wall-clock seconds the event loop ran (host-machine measurement,
-    /// excluded from equality).
-    pub wall_time_s: f64,
-    /// Events processed per wall-clock second (host-machine measurement,
-    /// excluded from equality).
-    pub events_per_sec: f64,
+/// Declares [`RunResult`] from one field list and derives from it
+/// everything that names the fields: equality over the simulated fields
+/// (the `wall_clock` ones are host-machine measurements and excluded;
+/// f64 semantics match a derive, NaN != NaN), [`RunResult::to_json`]
+/// (members in field order, keyed by field name) and
+/// [`RunResult::from_json`].
+macro_rules! run_result {
+    (
+        $(#[$meta:meta])*
+        pub struct RunResult {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )*
+            wall_clock {
+                $( $(#[$wmeta:meta])* pub $wfield:ident: $wty:ty, )*
+            }
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct RunResult {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+            $( $(#[$wmeta])* pub $wfield: $wty, )*
+        }
+
+        impl PartialEq for RunResult {
+            fn eq(&self, other: &Self) -> bool {
+                $( self.$field == other.$field )&&*
+            }
+        }
+
+        impl RunResult {
+            /// Render every field as a JSON object (field names as keys,
+            /// NaN latencies as `null`) — what the experiments embed in
+            /// their `results/*.json` artifacts instead of
+            /// hand-assembling the layout.
+            pub fn to_json(&self) -> Json {
+                Json::obj([
+                    $( (stringify!($field), Json::from(self.$field)), )*
+                    $( (stringify!($wfield), Json::from(self.$wfield)), )*
+                ])
+            }
+
+            /// Parse a [`Self::to_json`] document back. Accepts schema
+            /// v3 to v5: a v3 file simply lacks
+            /// `p90_latency_ns`/`p999_latency_ns`, which read back as
+            /// `None` (v3's p50/p99 were coarser power-of-two bounds,
+            /// but the field meaning — "latency percentile in ns, `None`
+            /// when nothing was measured" — is unchanged), and the
+            /// `fib_hits` / `fib_misses` of a v3 or v4 file are ignored.
+            /// `None` on any other version or a malformed document.
+            pub fn from_json(j: &Json) -> Option<RunResult> {
+                let r = RunResult {
+                    $( $field: JsonField::read(j.get(stringify!($field)))?, )*
+                    $( $wfield: JsonField::read(j.get(stringify!($wfield)))?, )*
+                };
+                (3..=RUN_RESULT_SCHEMA_VERSION)
+                    .contains(&r.schema_version)
+                    .then_some(r)
+            }
+        }
+    };
 }
 
-impl PartialEq for RunResult {
-    fn eq(&self, other: &Self) -> bool {
-        // Everything except the wall-clock fields; f64 semantics match
-        // what the derive would do (NaN != NaN).
-        self.schema_version == other.schema_version
-            && self.generated == other.generated
-            && self.injected == other.injected
-            && self.delivered == other.delivered
-            && self.avg_latency_ns == other.avg_latency_ns
-            && self.max_latency_ns == other.max_latency_ns
-            && self.p50_latency_ns == other.p50_latency_ns
-            && self.p90_latency_ns == other.p90_latency_ns
-            && self.p99_latency_ns == other.p99_latency_ns
-            && self.p999_latency_ns == other.p999_latency_ns
-            && self.measured_packets == other.measured_packets
-            && self.accepted_bytes_per_ns_per_switch == other.accepted_bytes_per_ns_per_switch
-            && self.avg_hops == other.avg_hops
-            && self.escape_forwards == other.escape_forwards
-            && self.adaptive_forwards == other.adaptive_forwards
-            && self.order_violations == other.order_violations
-            && self.duplicate_deliveries == other.duplicate_deliveries
-            && self.max_host_queue == other.max_host_queue
-            && self.source_drops == other.source_drops
-            && self.faults_injected == other.faults_injected
-            && self.drops_in_transit == other.drops_in_transit
-            && self.drops_after_recovery == other.drops_after_recovery
-            && self.drops_link_down == other.drops_link_down
-            && self.drops_switch_down == other.drops_switch_down
-            && self.drops_corrupted == other.drops_corrupted
-            && self.escape_certifications == other.escape_certifications
-            && self.escape_cert_failures == other.escape_cert_failures
-            && self.delivered_ratio == other.delivered_ratio
-            && self.recovery_time_ns == other.recovery_time_ns
-            && self.resweeps == other.resweeps
-            && self.resweeps_failed == other.resweeps_failed
-            && self.events == other.events
+/// How a [`RunResult`] field reads back from its JSON member; `None`
+/// when a required member is missing or malformed.
+trait JsonField: Sized {
+    fn read(member: Option<&Json>) -> Option<Self>;
+}
+
+impl JsonField for u64 {
+    fn read(member: Option<&Json>) -> Option<u64> {
+        member?.as_u64()
+    }
+}
+
+impl JsonField for u32 {
+    fn read(member: Option<&Json>) -> Option<u32> {
+        member?.as_u64().map(|v| v as u32)
+    }
+}
+
+impl JsonField for usize {
+    fn read(member: Option<&Json>) -> Option<usize> {
+        member?.as_u64().map(|v| v as usize)
+    }
+}
+
+/// Optional: absent or `null` reads back as `None`.
+impl JsonField for Option<u64> {
+    fn read(member: Option<&Json>) -> Option<Option<u64>> {
+        Some(member.and_then(Json::as_u64))
+    }
+}
+
+/// NaN renders as `null`; read `null` (or an absent member) back as NaN.
+impl JsonField for f64 {
+    fn read(member: Option<&Json>) -> Option<f64> {
+        Some(member.and_then(Json::as_f64).unwrap_or(f64::NAN))
+    }
+}
+
+run_result! {
+    /// The outcome of one simulation run.
+    ///
+    /// Equality compares the *simulated* outcome only — [`Self::wall_time_s`]
+    /// and [`Self::events_per_sec`] are host-machine measurements and are
+    /// excluded, so two deterministic runs (e.g. on different event-queue
+    /// backends) compare equal exactly when they simulated the same thing.
+    #[derive(Clone, Debug)]
+    pub struct RunResult {
+        /// Field-set version ([`RUN_RESULT_SCHEMA_VERSION`]) — lets
+        /// consumers of `results/*.json` detect layout changes.
+        pub schema_version: u32,
+        /// Packets generated at sources.
+        pub generated: u64,
+        /// Packets injected into the fabric.
+        pub injected: u64,
+        /// Packets delivered to destinations.
+        pub delivered: u64,
+        /// Mean latency (generation → delivery) of measured packets, ns.
+        pub avg_latency_ns: f64,
+        /// Maximum measured latency, ns.
+        pub max_latency_ns: u64,
+        /// Median latency (log-linear bucket bound, relative error ≤ 1/32),
+        /// ns. `None` when zero packets were measured.
+        pub p50_latency_ns: Option<u64>,
+        /// 90th-percentile latency, same resolution/guard as p50.
+        pub p90_latency_ns: Option<u64>,
+        /// 99th-percentile latency, same resolution/guard as p50.
+        pub p99_latency_ns: Option<u64>,
+        /// 99.9th-percentile latency, same resolution/guard as p50.
+        pub p999_latency_ns: Option<u64>,
+        /// Number of packets in the latency average.
+        pub measured_packets: u64,
+        /// Accepted traffic in bytes/ns/switch — the paper's throughput
+        /// metric.
+        pub accepted_bytes_per_ns_per_switch: f64,
+        /// Mean switch hops of measured packets.
+        pub avg_hops: f64,
+        /// Total escape-option forwards.
+        pub escape_forwards: u64,
+        /// Total adaptive-option forwards.
+        pub adaptive_forwards: u64,
+        /// Deterministic packets delivered out of order (must be 0).
+        pub order_violations: u64,
+        /// Deterministic packets delivered twice (must be 0; the simulator
+        /// removes each buffer residency exactly once, so a nonzero value is
+        /// a simulator bug, not a modelled fabric behaviour).
+        pub duplicate_deliveries: u64,
+        /// Largest source-queue length observed.
+        pub max_host_queue: usize,
+        /// Packets discarded at full source queues (0 in open-loop mode).
+        pub source_drops: u64,
+        /// Fault events (link or switch down) applied (0 without a fault
+        /// schedule).
+        pub faults_injected: u64,
+        /// Packets lost in transit: on a link that went down under them, at
+        /// a dead switch, or to a CRC failure.
+        pub drops_in_transit: u64,
+        /// Of [`Self::drops_in_transit`], those lost at or after the first
+        /// recovery-routing installation (must be 0 for a single-fault
+        /// SM-resweep run: nothing is routed onto a dead link once the
+        /// recovery tables are live).
+        pub drops_after_recovery: u64,
+        /// Of [`Self::drops_in_transit`], those lost to a dead link.
+        pub drops_link_down: u64,
+        /// Of [`Self::drops_in_transit`], those lost at a dead switch.
+        pub drops_switch_down: u64,
+        /// Of [`Self::drops_in_transit`], those lost to packet corruption
+        /// (CRC failure at the receiver).
+        pub drops_corrupted: u64,
+        /// Escape-route acyclicity certifications run (`check_escape_routes`
+        /// after each re-sweep installation and at the first APM migration).
+        pub escape_certifications: u64,
+        /// Of [`Self::escape_certifications`], those that found a cyclic
+        /// escape dependency (must be 0).
+        pub escape_cert_failures: u64,
+        /// Delivered packets over packets that entered the fabric
+        /// (`delivered / (generated − source_drops)`; 1.0 for an empty run).
+        /// Strictly below 1 even without faults — packets still in flight at
+        /// the horizon are not delivered.
+        pub delivered_ratio: f64,
+        /// Nanoseconds from the first fault event to the moment the first
+        /// re-sweep finished (re)programming the forwarding tables — i.e.
+        /// to the *last successful LFT reprogram* of that sweep, when the
+        /// recovery tables go live. `None` when no fault occurred or no
+        /// recovery completed. Deliberately a control-plane measurement:
+        /// it does not depend on when (or whether) traffic flows after the
+        /// repair, so values are comparable across runs with different
+        /// traffic patterns and between full and incremental re-sweeps.
+        pub recovery_time_ns: Option<u64>,
+        /// SM re-sweeps that installed recovery tables.
+        pub resweeps: u64,
+        /// SM re-sweeps abandoned because the degraded fabric was
+        /// disconnected.
+        pub resweeps_failed: u64,
+        /// Discrete events processed.
+        pub events: u64,
+        wall_clock {
+            /// Wall-clock seconds the event loop ran (host-machine measurement,
+            /// excluded from equality).
+            pub wall_time_s: f64,
+            /// Events processed per wall-clock second (host-machine measurement,
+            /// excluded from equality).
+            pub events_per_sec: f64,
+        }
     }
 }
 
@@ -662,118 +726,6 @@ impl RunResult {
         } else {
             self.escape_forwards as f64 / total as f64
         }
-    }
-
-    /// Render every field as a JSON object (field names as keys, NaN
-    /// latencies as `null`) — what the experiment bins embed in their
-    /// `results/*.json` artifacts instead of hand-assembling the
-    /// layout.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema_version", Json::from(self.schema_version)),
-            ("generated", Json::from(self.generated)),
-            ("injected", Json::from(self.injected)),
-            ("delivered", Json::from(self.delivered)),
-            ("avg_latency_ns", Json::from(self.avg_latency_ns)),
-            ("max_latency_ns", Json::from(self.max_latency_ns)),
-            ("p50_latency_ns", Json::from(self.p50_latency_ns)),
-            ("p90_latency_ns", Json::from(self.p90_latency_ns)),
-            ("p99_latency_ns", Json::from(self.p99_latency_ns)),
-            ("p999_latency_ns", Json::from(self.p999_latency_ns)),
-            ("measured_packets", Json::from(self.measured_packets)),
-            (
-                "accepted_bytes_per_ns_per_switch",
-                Json::from(self.accepted_bytes_per_ns_per_switch),
-            ),
-            ("avg_hops", Json::from(self.avg_hops)),
-            ("escape_forwards", Json::from(self.escape_forwards)),
-            ("adaptive_forwards", Json::from(self.adaptive_forwards)),
-            ("order_violations", Json::from(self.order_violations)),
-            (
-                "duplicate_deliveries",
-                Json::from(self.duplicate_deliveries),
-            ),
-            ("max_host_queue", Json::from(self.max_host_queue)),
-            ("source_drops", Json::from(self.source_drops)),
-            ("faults_injected", Json::from(self.faults_injected)),
-            ("drops_in_transit", Json::from(self.drops_in_transit)),
-            (
-                "drops_after_recovery",
-                Json::from(self.drops_after_recovery),
-            ),
-            ("drops_link_down", Json::from(self.drops_link_down)),
-            ("drops_switch_down", Json::from(self.drops_switch_down)),
-            ("drops_corrupted", Json::from(self.drops_corrupted)),
-            (
-                "escape_certifications",
-                Json::from(self.escape_certifications),
-            ),
-            (
-                "escape_cert_failures",
-                Json::from(self.escape_cert_failures),
-            ),
-            ("delivered_ratio", Json::from(self.delivered_ratio)),
-            ("recovery_time_ns", Json::from(self.recovery_time_ns)),
-            ("resweeps", Json::from(self.resweeps)),
-            ("resweeps_failed", Json::from(self.resweeps_failed)),
-            ("events", Json::from(self.events)),
-            ("wall_time_s", Json::from(self.wall_time_s)),
-            ("events_per_sec", Json::from(self.events_per_sec)),
-        ])
-    }
-
-    /// Parse a [`Self::to_json`] document back. Accepts schema v3 to
-    /// v5: a v3 file simply lacks `p90_latency_ns`/`p999_latency_ns`,
-    /// which read back as `None` (v3's p50/p99 were coarser power-of-two
-    /// bounds, but the field meaning — "latency percentile in ns, `None`
-    /// when nothing was measured" — is unchanged), and the `fib_hits` /
-    /// `fib_misses` of a v3 or v4 file are ignored. `None` on any other
-    /// version or a malformed document.
-    pub fn from_json(j: &Json) -> Option<RunResult> {
-        let schema_version = j.get("schema_version")?.as_u64()? as u32;
-        if !(3..=RUN_RESULT_SCHEMA_VERSION).contains(&schema_version) {
-            return None;
-        }
-        let req_u64 = |k: &str| j.get(k).and_then(Json::as_u64);
-        let opt_u64 = |k: &str| j.get(k).and_then(Json::as_u64);
-        // NaN renders as null; read null back as NaN.
-        let f64_or_nan = |k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
-        Some(RunResult {
-            schema_version,
-            generated: req_u64("generated")?,
-            injected: req_u64("injected")?,
-            delivered: req_u64("delivered")?,
-            avg_latency_ns: f64_or_nan("avg_latency_ns"),
-            max_latency_ns: req_u64("max_latency_ns")?,
-            p50_latency_ns: opt_u64("p50_latency_ns"),
-            p90_latency_ns: opt_u64("p90_latency_ns"),
-            p99_latency_ns: opt_u64("p99_latency_ns"),
-            p999_latency_ns: opt_u64("p999_latency_ns"),
-            measured_packets: req_u64("measured_packets")?,
-            accepted_bytes_per_ns_per_switch: f64_or_nan("accepted_bytes_per_ns_per_switch"),
-            avg_hops: f64_or_nan("avg_hops"),
-            escape_forwards: req_u64("escape_forwards")?,
-            adaptive_forwards: req_u64("adaptive_forwards")?,
-            order_violations: req_u64("order_violations")?,
-            duplicate_deliveries: req_u64("duplicate_deliveries")?,
-            max_host_queue: req_u64("max_host_queue")? as usize,
-            source_drops: req_u64("source_drops")?,
-            faults_injected: req_u64("faults_injected")?,
-            drops_in_transit: req_u64("drops_in_transit")?,
-            drops_after_recovery: req_u64("drops_after_recovery")?,
-            drops_link_down: req_u64("drops_link_down")?,
-            drops_switch_down: req_u64("drops_switch_down")?,
-            drops_corrupted: req_u64("drops_corrupted")?,
-            escape_certifications: req_u64("escape_certifications")?,
-            escape_cert_failures: req_u64("escape_cert_failures")?,
-            delivered_ratio: f64_or_nan("delivered_ratio"),
-            recovery_time_ns: opt_u64("recovery_time_ns"),
-            resweeps: req_u64("resweeps")?,
-            resweeps_failed: req_u64("resweeps_failed")?,
-            events: req_u64("events")?,
-            wall_time_s: f64_or_nan("wall_time_s"),
-            events_per_sec: f64_or_nan("events_per_sec"),
-        })
     }
 }
 

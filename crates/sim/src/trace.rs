@@ -14,7 +14,7 @@
 //! decorrelates selection from generation order while staying fully
 //! deterministic.
 
-use iba_core::{DropCause, HostId, Json, PacketId, PortIndex, SimTime, SwitchId, VirtualLane};
+use iba_core::{DropCause, HostId, PacketId, PortIndex, SimTime, SwitchId, VirtualLane};
 use std::collections::HashMap;
 
 /// One step of a packet's journey.
@@ -160,100 +160,6 @@ impl PacketTrace {
             out.push('\n');
         }
         out
-    }
-
-    /// The journey as a JSON document: `{"steps": [{"at_ns", "step",
-    /// ...fields}, ...]}` — the format `iba-trace` and the dump tooling
-    /// consume.
-    pub fn to_json(&self) -> Json {
-        let steps: Json = self
-            .steps
-            .iter()
-            .map(|(at, step)| {
-                let mut o = Json::object();
-                o.push("at_ns", at.as_ns());
-                match step {
-                    TraceStep::Generated { host } => {
-                        o.push("step", "generated").push("host", u64::from(host.0));
-                    }
-                    TraceStep::Injected => {
-                        o.push("step", "injected");
-                    }
-                    TraceStep::ArrivedAt { sw, port, vl } => {
-                        o.push("step", "arrived_at")
-                            .push("sw", u64::from(sw.0))
-                            .push("port", u64::from(port.0))
-                            .push("vl", u64::from(vl.0));
-                    }
-                    TraceStep::Forwarded {
-                        sw,
-                        out_port,
-                        via_escape,
-                        from_escape_head,
-                    } => {
-                        o.push("step", "forwarded")
-                            .push("sw", u64::from(sw.0))
-                            .push("out_port", u64::from(out_port.0))
-                            .push("via_escape", *via_escape)
-                            .push("from_escape_head", *from_escape_head);
-                    }
-                    TraceStep::Delivered { host } => {
-                        o.push("step", "delivered").push("host", u64::from(host.0));
-                    }
-                    TraceStep::Dropped { sw, cause } => {
-                        o.push("step", "dropped")
-                            .push("sw", u64::from(sw.0))
-                            .push("cause", cause.name());
-                    }
-                }
-                o
-            })
-            .collect();
-        Json::obj([("steps", steps)])
-    }
-
-    /// Inverse of [`PacketTrace::to_json`]; `None` on any shape or
-    /// vocabulary mismatch.
-    pub fn from_json(v: &Json) -> Option<PacketTrace> {
-        let sw = |o: &Json| {
-            o.get("sw")
-                .and_then(Json::as_u64)
-                .and_then(|s| u16::try_from(s).ok())
-                .map(SwitchId)
-        };
-        let host = |o: &Json| {
-            o.get("host")
-                .and_then(Json::as_u64)
-                .and_then(|h| u16::try_from(h).ok())
-                .map(HostId)
-        };
-        let mut steps = Vec::new();
-        for o in v.get("steps")?.as_arr()? {
-            let at = SimTime::from_ns(o.get("at_ns")?.as_u64()?);
-            let step = match o.get("step")?.as_str()? {
-                "generated" => TraceStep::Generated { host: host(o)? },
-                "injected" => TraceStep::Injected,
-                "arrived_at" => TraceStep::ArrivedAt {
-                    sw: sw(o)?,
-                    port: PortIndex(u8::try_from(o.get("port")?.as_u64()?).ok()?),
-                    vl: VirtualLane(u8::try_from(o.get("vl")?.as_u64()?).ok()?),
-                },
-                "forwarded" => TraceStep::Forwarded {
-                    sw: sw(o)?,
-                    out_port: PortIndex(u8::try_from(o.get("out_port")?.as_u64()?).ok()?),
-                    via_escape: o.get("via_escape")?.as_bool()?,
-                    from_escape_head: o.get("from_escape_head")?.as_bool()?,
-                },
-                "delivered" => TraceStep::Delivered { host: host(o)? },
-                "dropped" => TraceStep::Dropped {
-                    sw: sw(o)?,
-                    cause: DropCause::from_name(o.get("cause")?.as_str()?)?,
-                },
-                _ => return None,
-            };
-            steps.push((at, step));
-        }
-        Some(PacketTrace { steps })
     }
 }
 

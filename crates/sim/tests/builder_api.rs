@@ -1,5 +1,4 @@
-//! `NetworkBuilder` / `SimConfigBuilder` API behavior, and the
-//! deprecated constructor shims' equivalence to the builder path.
+//! `NetworkBuilder` API behavior.
 
 use iba_core::{Json, SimTime};
 use iba_routing::{FaRouting, RoutingConfig};
@@ -122,15 +121,36 @@ fn repeated_builds_are_bit_identical() {
 }
 
 #[test]
-fn sim_config_builder_validates_at_build_time() {
-    let cfg = SimConfig::builder(7)
-        .data_vls(2)
-        .vl_buffer_credits(iba_core::Credits(8))
-        .build()
-        .unwrap();
-    assert_eq!(cfg.data_vls, 2);
-
-    assert!(SimConfig::builder(7).data_vls(0).build().is_err());
+fn builder_rejects_an_invalid_config() {
+    let (topo, fa) = fixture();
+    let build = |cfg: SimConfig| {
+        Network::builder(&topo, &fa)
+            .workload(WorkloadSpec::uniform32(0.01))
+            .config(cfg)
+            .build()
+    };
+    assert!(build(SimConfig {
+        data_vls: 2,
+        vl_buffer_credits: iba_core::Credits(8),
+        ..SimConfig::test(7)
+    })
+    .is_ok());
+    for bad in [
+        SimConfig {
+            data_vls: 0,
+            ..SimConfig::test(7)
+        },
+        SimConfig {
+            measure_window: SimTime::ZERO,
+            ..SimConfig::test(7)
+        },
+        SimConfig {
+            vl_buffer_credits: iba_core::Credits(0),
+            ..SimConfig::test(7)
+        },
+    ] {
+        assert!(build(bad).is_err(), "{bad:?}");
+    }
 }
 
 #[test]

@@ -1,13 +1,8 @@
-//! Packet-journey serialization: `PacketTrace` round-trips through its
-//! JSON document (including a parse of the rendered text, the path the
-//! `iba-trace` CLI takes), and `describe()` output is pinned against a
+//! Packet-journey rendering: `describe()` output is pinned against a
 //! golden rendering so downstream tooling can rely on it.
 
-use iba_core::{DropCause, HostId, Json, PortIndex, SimTime, SwitchId, VirtualLane};
-use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{Network, PacketTrace, SimConfig, TraceOpts, TraceStep};
-use iba_topology::IrregularConfig;
-use iba_workloads::WorkloadSpec;
+use iba_core::{DropCause, HostId, PortIndex, SimTime, SwitchId, VirtualLane};
+use iba_sim::{PacketTrace, TraceStep};
 
 fn t(ns: u64) -> SimTime {
     SimTime::from_ns(ns)
@@ -51,51 +46,6 @@ fn full_trace() -> PacketTrace {
 }
 
 #[test]
-fn trace_round_trips_through_json_text() {
-    let trace = full_trace();
-    // Through the document...
-    let doc = trace.to_json();
-    assert_eq!(PacketTrace::from_json(&doc), Some(trace.clone()));
-    // ...and through the rendered text, as the CLI consumes it.
-    let text = doc.to_string_compact();
-    let parsed = Json::parse(&text).expect("rendered trace must re-parse");
-    assert_eq!(PacketTrace::from_json(&parsed), Some(trace));
-}
-
-#[test]
-fn dropped_steps_round_trip_with_their_cause() {
-    for cause in [DropCause::LinkDown, DropCause::SourceQueueFull] {
-        let trace = PacketTrace {
-            steps: vec![
-                (t(10), TraceStep::Generated { host: HostId(3) }),
-                (
-                    t(2_000),
-                    TraceStep::Dropped {
-                        sw: SwitchId(7),
-                        cause,
-                    },
-                ),
-            ],
-        };
-        let back = PacketTrace::from_json(&trace.to_json()).unwrap();
-        assert_eq!(back, trace, "{cause:?}");
-    }
-}
-
-#[test]
-fn from_json_rejects_malformed_documents() {
-    for bad in [
-        r#"{"steps": [{"at_ns": 1, "step": "teleported"}]}"#,
-        r#"{"steps": [{"step": "injected"}]}"#,
-        r#"{"steps": [{"at_ns": 5, "step": "dropped", "sw": 1, "cause": "gremlins"}]}"#,
-        r#"{"not_steps": []}"#,
-    ] {
-        let doc = Json::parse(bad).unwrap();
-        assert_eq!(PacketTrace::from_json(&doc), None, "accepted: {bad}");
-    }
-}
-
-#[test]
 fn describe_matches_golden_rendering() {
     let golden = "       100ns  generated at h0
        150ns  injected
@@ -128,24 +78,4 @@ fn describe_matches_golden_rendering() {
      2.500us  DROPPED before sw0: source queue full
 ";
     assert_eq!(dropped.describe(), golden_dropped);
-}
-
-#[test]
-fn real_run_traces_round_trip() {
-    let topo = IrregularConfig::paper(8, 9).generate().unwrap();
-    let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
-    let mut net = Network::builder(&topo, &fa)
-        .workload(WorkloadSpec::uniform32(0.05))
-        .config(SimConfig::test(9))
-        .trace(TraceOpts::all(256))
-        .build()
-        .unwrap();
-    net.run();
-    let tracer = net.tracer().expect("tracing was enabled");
-    assert!(!tracer.traces().is_empty(), "no journeys recorded");
-    for (id, trace) in tracer.traces() {
-        let text = trace.to_json().to_string_compact();
-        let back = PacketTrace::from_json(&Json::parse(&text).unwrap());
-        assert_eq!(back.as_ref(), Some(trace), "{id} diverged in round-trip");
-    }
 }

@@ -11,7 +11,7 @@
 //!   handled by [`agg::MinMaxAvg`].
 //!
 //! [`report`] renders both as aligned-plain-text/markdown tables and CSV,
-//! which is what the experiment binaries print.
+//! which is what the experiments print.
 //!
 //! The metrics plane lives here too:
 //!

@@ -325,7 +325,7 @@ impl MetricsRegistry {
     }
 
     /// Parse one snapshot line back into `(at_ns, registry)` — what
-    /// the `iba-metrics` report CLI reads. `None` on a malformed
+    /// the `iba metrics-report` query reads. `None` on a malformed
     /// document.
     pub fn from_snapshot_json(j: &Json) -> Option<(u64, MetricsRegistry)> {
         if j.get("kind")?.as_str()? != "metrics_snapshot" {

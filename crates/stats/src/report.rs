@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the experiments.
 
 use crate::agg::Timeseries;
 

@@ -52,6 +52,22 @@ impl TrafficPattern {
             TrafficPattern::Permutation => "permutation".into(),
         }
     }
+
+    /// Inverse of [`Self::name`], also accepting `bitrev` and the
+    /// `%`-less `hotspot-N`.
+    pub fn from_name(name: &str) -> Option<TrafficPattern> {
+        match name {
+            "uniform" => Some(TrafficPattern::Uniform),
+            "bit-reversal" | "bitrev" => Some(TrafficPattern::BitReversal),
+            "transpose" => Some(TrafficPattern::Transpose),
+            "complement" => Some(TrafficPattern::Complement),
+            "permutation" => Some(TrafficPattern::Permutation),
+            _ => name
+                .strip_prefix("hotspot-")
+                .and_then(|p| p.trim_end_matches('%').parse().ok())
+                .map(TrafficPattern::hotspot_percent),
+        }
+    }
 }
 
 fn index_bits(num_hosts: usize) -> u32 {
@@ -341,6 +357,38 @@ mod tests {
         assert_eq!(TrafficPattern::Uniform.name(), "uniform");
         assert_eq!(TrafficPattern::hotspot_percent(10).name(), "hotspot-10%");
         assert_eq!(TrafficPattern::BitReversal.name(), "bit-reversal");
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        let hotspots = (0..=100).map(TrafficPattern::hotspot_percent);
+        for p in [
+            TrafficPattern::Uniform,
+            TrafficPattern::BitReversal,
+            TrafficPattern::Transpose,
+            TrafficPattern::Complement,
+            TrafficPattern::Permutation,
+        ]
+        .into_iter()
+        .chain(hotspots)
+        {
+            assert_eq!(
+                TrafficPattern::from_name(&p.name()),
+                Some(p),
+                "{}",
+                p.name()
+            );
+        }
+        assert_eq!(
+            TrafficPattern::from_name("hotspot-10"),
+            Some(TrafficPattern::hotspot_percent(10))
+        );
+        assert_eq!(
+            TrafficPattern::from_name("bitrev"),
+            Some(TrafficPattern::BitReversal)
+        );
+        assert_eq!(TrafficPattern::from_name("hotspot-x"), None);
+        assert_eq!(TrafficPattern::from_name("zipf"), None);
     }
 
     proptest! {

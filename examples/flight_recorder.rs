@@ -3,8 +3,8 @@
 //! stall watchdog freeze the rings on its suspected-wedge verdict, and
 //! inspect the evidence — the blocked packet's candidate options and the
 //! stall classification — straight from the dump. Writes the same two
-//! artifacts the `flightrec` binary produces: a JSONL dump (for
-//! `iba-trace`) and a Chrome trace-event / Perfetto document.
+//! artifacts `iba flightrec` produces: a JSONL dump (for `iba trace`)
+//! and a Chrome trace-event / Perfetto document.
 //!
 //! ```text
 //! cargo run --release --example flight_recorder
@@ -98,14 +98,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // The artifacts: a JSONL dump for `iba-trace`, a Perfetto document
+    // The artifacts: a JSONL dump for `iba trace`, a Perfetto document
     // for ui.perfetto.dev / chrome://tracing.
     std::fs::create_dir_all("results")?;
     std::fs::write("results/flight.jsonl", dump.to_jsonl())?;
     let trace = perfetto_trace(&dump);
     std::fs::write("results/flight.perfetto.json", trace.to_string_compact())?;
     println!("\nwrote results/flight.jsonl and results/flight.perfetto.json");
-    println!("query:     cargo run -p iba-experiments --bin iba-trace -- summary --in results/flight.jsonl");
+    println!("query:     cargo run --release --bin iba -- trace summary --in results/flight.jsonl");
     println!("visualise: load results/flight.perfetto.json at https://ui.perfetto.dev");
     Ok(())
 }

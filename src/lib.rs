@@ -51,8 +51,8 @@
 //! | [`campaign`] | crash-safe campaign runner: supervised workers, fsync'd journal, resume |
 //!
 //! The experiment harness that regenerates every figure and table of the
-//! paper lives in the separate `iba-experiments` crate (binaries `fig3`,
-//! `table1`, `table2`, `ablation`, `explore`).
+//! paper lives in the separate `iba-experiments` crate (the `iba` binary:
+//! `iba fig3`, `iba table1`, …; `iba help` lists them).
 
 #![warn(missing_docs)]
 
@@ -84,8 +84,8 @@ pub mod prelude {
     pub use iba_sim::{
         perfetto_trace, EngineProfile, EscapeOrderPolicy, FlightDump, FlightRecorder, MemorySink,
         Network, NetworkBuilder, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult,
-        SelectionPolicy, SimConfig, SimConfigBuilder, StallCause, TelemetryOpts, TelemetryReport,
-        TelemetrySample, TraceOpts, Trigger, TriggerCause, WatchdogOpts,
+        SelectionPolicy, SimConfig, StallCause, TelemetryOpts, TelemetryReport, TelemetrySample,
+        TraceOpts, Trigger, TriggerCause, WatchdogOpts,
     };
     pub use iba_sm::{
         ApmPlan, ManagedFabric, Programmer, ReliableSender, Resweep, RetryPolicy, RetryStats,
