@@ -33,7 +33,7 @@
 //! and asks it for new ones only when a re-sweep
 //! ([`FaRouting::resweep`]) completes.
 
-use crate::analysis::check_escape_routes;
+use crate::analysis::check_escape_rows;
 use crate::columns::per_item;
 use crate::engine::EscapeEngine;
 use crate::minimal::MinimalRouting;
@@ -206,6 +206,13 @@ struct Interner {
     /// repeat with one comparison; the map keeps interning O(1) when a
     /// full mesh yields thousands of distinct decodes.
     memo: [u32; 256],
+    /// A direct-mapped memo of whole groups: a packed table row (see
+    /// `InterleavedForwardingTable::packed_row`) and the numbers of its
+    /// two decodes. A key names one row because every table of a build
+    /// has the same fanout. It starts filled with the all-unprogrammed row of
+    /// fanout 4, whose decodes are indeed none, and no narrower row packs
+    /// to that key.
+    groups: [(u32, [u32; 2]); 256],
 }
 
 impl Interner {
@@ -214,6 +221,7 @@ impl Interner {
             pool: Vec::new(),
             index: HashMap::new(),
             memo: [NO_ROUTE; 256],
+            groups: [(u32::MAX, [NO_ROUTE; 2]); 256],
         }
     }
 
@@ -244,6 +252,10 @@ impl Interner {
 /// alone (least-significant bit clear), the whole group (set). A plain
 /// IBA switch forwards linearly by the exact DLID — which is what lets
 /// source-selected multipath address a path per address of a range.
+///
+/// The two decodes of a group depend on its row bytes alone, so a row
+/// seen before is looked up in `Interner::groups` rather than decoded and
+/// interned again; interning is idempotent, so the numbering is the same.
 fn cache_switch(
     table: &InterleavedForwardingTable,
     adaptive_capable: bool,
@@ -258,18 +270,30 @@ fn cache_switch(
     if adaptive_capable {
         debug_assert!(slots.len().is_multiple_of(x));
         for (g, group) in slots.chunks_mut(x).enumerate() {
-            let probe = Lid(((g * x) | usize::from(x > 1)) as u16);
-            let (Some(escape), adaptive) = table.group(probe) else {
-                group.fill(NO_ROUTE);
-                continue;
+            let row = table.packed_row(g);
+            let m = row.map_or(0, |row| (row.wrapping_mul(0x9E37_79B1) >> 24) as usize);
+            let pair = match decodes.groups[m] {
+                (seen, pair) if Some(seen) == row => pair,
+                _ => {
+                    let probe = Lid(((g * x) | usize::from(x > 1)) as u16);
+                    let pair = match table.group(probe) {
+                        (None, _) => [NO_ROUTE; 2],
+                        (Some(escape), adaptive) => {
+                            opts.escape = escape;
+                            opts.adaptive.clear();
+                            let deterministic = decodes.intern(&opts);
+                            opts.adaptive.extend(adaptive);
+                            [deterministic, decodes.intern(&opts)]
+                        }
+                    };
+                    if let Some(row) = row {
+                        decodes.groups[m] = (row, pair);
+                    }
+                    pair
+                }
             };
-            opts.escape = escape;
-            opts.adaptive.clear();
-            let deterministic = decodes.intern(&opts);
-            opts.adaptive.extend(adaptive);
-            let adaptive = decodes.intern(&opts);
             for (offset, slot) in group.iter_mut().enumerate() {
-                *slot = [deterministic, adaptive][offset & 1];
+                *slot = pair[offset & 1];
             }
         }
     } else {
@@ -653,19 +677,35 @@ impl FaTables {
     }
 
     /// Certify the escape paths of these tables with
-    /// [`check_escape_routes`], reading the route cache in place; with
+    /// [`crate::check_escape_routes`], reading the route cache in place; with
     /// `alternate` set, those of the APM alternate path set (an error
-    /// on tables without one).
+    /// on tables without one). The escape hops are gathered switch by
+    /// switch, in one sequential pass over the cache.
     pub fn certify_escape(&self, topo: &Topology, alternate: bool) -> Result<(), IbaError> {
         let offset = match (alternate, self.apm) {
             (false, _) => 0,
             (true, Some(apm)) => apm.base_offset,
             (true, None) => return Err(IbaError::InvalidConfig("tables have no APM half".into())),
         };
-        check_escape_routes(topo, |s, h| {
-            let dlid = Lid(self.lid_map.base_lid(h).raw() + offset);
-            self.route_cache.get(s, dlid).map(|r| r.escape)
-        })
+        let RouteCache {
+            stride,
+            slots,
+            pool,
+            ..
+        } = &self.route_cache;
+        let escape: Vec<PortIndex> = pool.iter().map(|r| r.escape).collect();
+        let dlids: Vec<usize> = (topo.host_ids())
+            .map(|h| (self.lid_map.base_lid(h).raw() + offset) as usize)
+            .collect();
+        let n = topo.num_switches();
+        let mut rows = vec![None; dlids.len() * n];
+        for (s, slots) in slots.chunks(*stride).take(n).enumerate() {
+            for (h, dlid) in dlids.iter().enumerate() {
+                let slot = slots.get(*dlid).filter(|&&slot| slot != NO_ROUTE);
+                rows[h * n + s] = slot.map(|&slot| escape[slot as usize]);
+            }
+        }
+        check_escape_rows(topo, &rows)
     }
 
     /// Structural-sharing statistics of the decoded forwarding state:
@@ -1049,6 +1089,51 @@ mod tests {
             let cfg = RoutingConfig::two_options();
             FaRouting::<crate::FullMeshRouting>::build_with_engine(&topo, cfg).unwrap()
         });
+    }
+
+    /// The group memo decodes rows of fanout 1–4 once and fanout 8 the
+    /// long way; both must number the cache as the address-by-address
+    /// decode does.
+    #[test]
+    fn route_cache_matches_the_tables_at_every_fanout() {
+        for options in [1u16, 2, 4, 8] {
+            let (_, fa) = build(16, 5, options);
+            assert_sequential_numbering(&format!("fanout {options}"), &fa);
+        }
+    }
+
+    /// Only the second host of one switch is broken: a forwarding loop
+    /// between two other switches. Its row differs from its sibling's
+    /// away from their switch, so certification must walk it and refuse.
+    #[test]
+    fn certification_refuses_a_loop_towards_a_second_host() {
+        let (topo, mut fa) = build(16, 3, 2);
+        fa.certify_escape(&topo, false).unwrap();
+        let h = (topo.host_ids().skip(1))
+            .find(|&h| topo.host_switch(h) == topo.host_switch(HostId(h.0 - 1)))
+            .unwrap();
+        let t = topo.host_switch(h);
+        let (s, p, n) = (topo.switch_ids().filter(|&s| s != t))
+            .find_map(|s| {
+                let mut away = topo.switch_neighbors(s).filter(|&(_, n, _)| n != t);
+                away.next().map(|(p, n, _)| (s, p, n))
+            })
+            .unwrap();
+        let back = topo.port_towards(n, s).unwrap();
+        let cache = &mut fa.compiled.route_cache;
+        let dlid = fa.compiled.lid_map.base_lid(h).raw() as usize;
+        for (at, port) in [(s, p), (n, back)] {
+            cache.slots[at.index() * cache.stride + dlid] = cache.pool.len() as u32;
+            cache.pool.push(Arc::new(RouteOptions {
+                escape: port,
+                adaptive: AdaptiveOptions::new(),
+            }));
+        }
+        let refused = fa.certify_escape(&topo, false).unwrap_err();
+        assert!(
+            refused.to_string().contains("does not terminate"),
+            "{refused}"
+        );
     }
 
     /// The interned route cache shares identical decodes across switches.

@@ -61,6 +61,35 @@ impl SlToVlTable {
         Ok(())
     }
 
+    /// Program a whole `(input, output)` row — one SMP's payload, a VL
+    /// per SL in SL order — as [`Self::set`] of each entry would. A row
+    /// that is not [`ServiceLevel::COUNT`] long is an error, and an
+    /// error leaves the table untouched.
+    pub fn set_row(
+        &mut self,
+        input: PortIndex,
+        output: PortIndex,
+        vls: &[VirtualLane],
+    ) -> Result<(), IbaError> {
+        if input.index() >= self.ports as usize || output.index() >= self.ports as usize {
+            return Err(IbaError::InvalidConfig(format!(
+                "port out of range ({input}, {output})"
+            )));
+        }
+        let row = &mut self.map[input.index()][output.index()];
+        if vls.len() != row.len() {
+            return Err(IbaError::InvalidConfig(format!(
+                "SLtoVL row of {} entries, not {}",
+                vls.len(),
+                row.len()
+            )));
+        }
+        for (entry, vl) in row.iter_mut().zip(vls) {
+            *entry = vl.0;
+        }
+        Ok(())
+    }
+
     /// The VL a packet with service level `sl`, arriving on `input` and
     /// leaving through `output`, must use on the downstream link.
     #[inline]
@@ -72,6 +101,7 @@ impl SlToVlTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn identity_maps_sl_to_same_vl() {
@@ -115,6 +145,34 @@ mod tests {
         assert!(t
             .set(PortIndex(9), PortIndex(0), ServiceLevel(0), VirtualLane(0))
             .is_err());
+    }
+
+    proptest! {
+        /// A row write is sixteen entry writes: `set_row` leaves the
+        /// table as `set` of each SL in order does, and a row of the
+        /// wrong length or on a port past the switch errs and changes
+        /// nothing.
+        #[test]
+        fn prop_row_write_equals_entry_writes(
+            ports in 1u8..8,
+            rows in proptest::collection::vec(
+                (0u8..10, 0u8..10, proptest::collection::vec(0u8..15, 14..18)), 1..20),
+        ) {
+            let mut rowwise = SlToVlTable::identity(ports, 1).unwrap();
+            let mut entrywise = rowwise.clone();
+            for (input, output, vls) in rows {
+                let (input, output) = (PortIndex(input), PortIndex(output));
+                let vls: Vec<VirtualLane> = vls.into_iter().map(VirtualLane).collect();
+                let fits = input.0 < ports && output.0 < ports && vls.len() == ServiceLevel::COUNT;
+                prop_assert_eq!(rowwise.set_row(input, output, &vls).is_ok(), fits);
+                if fits {
+                    for (sl, vl) in vls.iter().enumerate() {
+                        entrywise.set(input, output, ServiceLevel(sl as u8), *vl).unwrap();
+                    }
+                }
+                prop_assert_eq!(&rowwise.map, &entrywise.map);
+            }
+        }
     }
 
     #[test]

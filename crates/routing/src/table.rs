@@ -159,6 +159,41 @@ impl InterleavedForwardingTable {
         }
     }
 
+    /// [`Self::set`] of every `Some` entry of `entries` at `start + k`:
+    /// one SMP's block applied at once. An entry past the table is an
+    /// error and leaves the table untouched.
+    pub fn write_block(
+        &mut self,
+        start: usize,
+        entries: &[Option<PortIndex>],
+    ) -> Result<(), IbaError> {
+        if let Some(k) = entries.iter().rposition(Option::is_some) {
+            if start + k >= self.len {
+                return Err(IbaError::UnknownLid(
+                    (start + k).min(u16::MAX as usize) as u16
+                ));
+            }
+        }
+        for (addr, entry) in (start..).zip(entries) {
+            if let Some(port) = entry {
+                let (m, row) = self.split(addr);
+                self.modules[m][row] = port.0;
+            }
+        }
+        Ok(())
+    }
+
+    /// The raw entries of interleave row `row` — the group at linear
+    /// addresses `row * x ..` — one byte per module, module 0 lowest;
+    /// `None` at a fanout above 4. What a group decodes to is a function
+    /// of these bytes alone, so a build can decode each distinct row once.
+    #[inline]
+    pub(crate) fn packed_row(&self, row: usize) -> Option<u32> {
+        (self.fanout <= 4).then(|| {
+            (self.modules.iter().rev()).fold(0, |packed, module| packed << 8 | module[row] as u32)
+        })
+    }
+
     /// View the table as the plain linear array the subnet manager sees
     /// (`None` = unprogrammed). The interleaving is invisible here — this
     /// is the compatibility guarantee of §4.1.
@@ -323,6 +358,47 @@ mod tests {
             }
             prop_assert_eq!(t.len(), len);
             prop_assert_eq!(t.fanout(), fanout);
+        }
+
+        /// Block I/O is entry I/O, at fanouts 1, 2, 4, 8 and 128, on
+        /// lengths that leave the last block partial and at blocks past
+        /// the table: `write_block` leaves the table as `set` of each of
+        /// its `Some` entries does — or, when one falls past the table,
+        /// errs and changes nothing — and `read_block` reads what `get`
+        /// reads.
+        #[test]
+        fn prop_block_io_equals_entry_io(
+            fanout_pick in 0usize..5,
+            len in 1usize..300,
+            writes in proptest::collection::vec(
+                (0usize..7, proptest::collection::vec(0u8..24, 0..80)), 1..12),
+        ) {
+            let fanout = [1u16, 2, 4, 8, 128][fanout_pick];
+            let mut blockwise = InterleavedForwardingTable::new(len, fanout).unwrap();
+            let mut entrywise = blockwise.clone();
+            for (block, raw) in writes {
+                let start = block * 64;
+                // Values from 16 up stand for unprogrammed entries.
+                let entries: Vec<Option<PortIndex>> =
+                    raw.iter().map(|&v| (v < 16).then_some(PortIndex(v))).collect();
+                let fits = (entries.iter().enumerate()).all(|(k, e)| e.is_none() || start + k < len);
+                prop_assert_eq!(blockwise.write_block(start, &entries).is_ok(), fits);
+                if fits {
+                    for (k, port) in entries.iter().enumerate() {
+                        if let Some(port) = port {
+                            entrywise.set(Lid((start + k) as u16), *port).unwrap();
+                        }
+                    }
+                }
+                prop_assert_eq!(&blockwise, &entrywise);
+            }
+            let mut block = [Some(PortIndex(0)); 64];
+            for start in (0..len + 128).step_by(64) {
+                blockwise.read_block(start, &mut block);
+                for (k, entry) in block.iter().enumerate() {
+                    prop_assert_eq!(*entry, entrywise.get(Lid((start + k) as u16)));
+                }
+            }
         }
 
         /// The allocation-free group read returns what `lookup` returns,

@@ -142,7 +142,7 @@ pub enum SmpResponse {
     /// Answer to `Get(LinearForwardingTable)`.
     LftBlock {
         /// The 64 entries of the block (`None` = unprogrammed).
-        entries: Vec<Option<PortIndex>>,
+        entries: [Option<PortIndex>; crate::managed::LFT_BLOCK],
     },
     /// Generic success for `Set`.
     Ok,

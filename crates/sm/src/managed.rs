@@ -9,7 +9,7 @@
 //! like a real SM.
 
 use crate::mad::{DirectedRoute, NodeKind, PortState, Smp, SmpAttribute, SmpMethod, SmpResponse};
-use iba_core::{Lid, NodeRef, ServiceLevel as Sl, SwitchId};
+use iba_core::{Lid, NodeRef, SwitchId};
 use iba_engine::rng::StreamKind;
 use iba_engine::StreamRng;
 use iba_routing::{InterleavedForwardingTable, SlToVlTable};
@@ -206,7 +206,9 @@ impl<'a> ManagedFabric<'a> {
     /// Walk a directed route from the SM switch. `Ok` holds the final
     /// node; the error distinguishes a route that fell off the fabric
     /// (answered `BadRoute`) from one that crossed a silently-failed
-    /// link (answered by nothing at all — a `Timeout`).
+    /// link (answered by nothing at all — a `Timeout`). Those two are
+    /// the only errors, so the size of an `LftBlock` costs nothing here.
+    #[allow(clippy::result_large_err)]
     fn walk(&self, route: &DirectedRoute) -> Result<NodeRef, SmpResponse> {
         let mut cur = NodeRef::Switch(self.sm_switch);
         for &port in &route.hops {
@@ -283,49 +285,34 @@ impl<'a> ManagedFabric<'a> {
                         SmpResponse::Ok
                     }
                     (SmpMethod::Set, SmpAttribute::LinearForwardingTable { block, entries }) => {
+                        // The whole block is validated before the table
+                        // is touched: a rejected SMP — an oversized
+                        // block, a port past the switch, an address
+                        // past the table — leaves the agent unchanged,
+                        // or the SM, seeing the rejection, would never
+                        // know which half was written.
                         let base = *block as usize * LFT_BLOCK;
-                        // Validate the whole block before touching the
-                        // table: a rejected SMP must leave the agent
-                        // unchanged (atomic apply). Applying entry by
-                        // entry and bailing mid-block would leave the
-                        // LFT half-written — and the SM, seeing the
-                        // rejection, would never know which half.
-                        let bad = entries.iter().enumerate().take(LFT_BLOCK).any(|(i, e)| {
-                            e.is_some_and(|p| {
-                                base + i >= agent.lft.len() || p.index() >= ports as usize
-                            })
-                        });
-                        if bad {
+                        let bad_port = entries.iter().flatten().any(|p| p.0 >= ports);
+                        if entries.len() > LFT_BLOCK
+                            || bad_port
+                            || agent.lft.write_block(base, entries).is_err()
+                        {
                             return SmpResponse::Unsupported;
-                        }
-                        for (i, entry) in entries.iter().enumerate().take(LFT_BLOCK) {
-                            if let Some(port) = entry {
-                                // Infallible after validation; a failure
-                                // here would be an agent bug.
-                                if agent.lft.set(Lid((base + i) as u16), *port).is_err() {
-                                    return SmpResponse::Unsupported;
-                                }
-                            }
                         }
                         SmpResponse::Ok
                     }
                     (SmpMethod::Get, SmpAttribute::LinearForwardingTable { block, .. }) => {
-                        let base = *block as usize * LFT_BLOCK;
-                        let entries = (0..LFT_BLOCK)
-                            .map(|i| agent.lft.get(Lid((base + i) as u16)))
-                            .collect();
+                        let mut entries = [None; LFT_BLOCK];
+                        agent
+                            .lft
+                            .read_block(*block as usize * LFT_BLOCK, &mut entries);
                         SmpResponse::LftBlock { entries }
                     }
                     (SmpMethod::Set, SmpAttribute::SlToVlMappingTable { input, output, vls }) => {
-                        if vls.len() != Sl::COUNT {
-                            return SmpResponse::Unsupported;
+                        match agent.sl2vl.set_row(*input, *output, vls) {
+                            Ok(()) => SmpResponse::Ok,
+                            Err(_) => SmpResponse::Unsupported,
                         }
-                        for (sl, vl) in vls.iter().enumerate() {
-                            if agent.sl2vl.set(*input, *output, Sl(sl as u8), *vl).is_err() {
-                                return SmpResponse::Unsupported;
-                            }
-                        }
-                        SmpResponse::Ok
                     }
                     _ => SmpResponse::Unsupported,
                 }
@@ -498,6 +485,25 @@ mod tests {
             None,
             "wrapped block write clobbered LID 0"
         );
+    }
+
+    #[test]
+    fn oversized_lft_block_is_rejected_and_leaves_agent_untouched() {
+        // A block carries 64 entries; a 65th fails the whole SMP rather
+        // than being dropped after the first 64 are written.
+        let topo = regular::ring(4, 1).unwrap();
+        let mut fab = ManagedFabric::new(&topo, 2).unwrap();
+        let entries = vec![Some(PortIndex(1)); LFT_BLOCK + 1];
+        let resp = fab.send(&smp(
+            SmpMethod::Set,
+            SmpAttribute::LinearForwardingTable { block: 0, entries },
+            DirectedRoute::local(),
+        ));
+        assert_eq!(resp, SmpResponse::Unsupported);
+        let agent = fab.agent(fab.sm_switch());
+        for lid in 0..=LFT_BLOCK as u16 {
+            assert_eq!(agent.lft.get(Lid(lid)), None, "lid {lid} written");
+        }
     }
 
     #[test]

@@ -65,27 +65,25 @@ impl ProgramReport {
 #[derive(Debug, Default)]
 struct SwitchShadow {
     /// Content hash per LFT block number, as last verified on-switch.
-    block_hashes: HashMap<u32, u64>,
+    block_hashes: Vec<Option<u64>>,
     /// The SLtoVL identity grid has been fully programmed.
     sl2vl_done: bool,
     /// Management LID confirmed set.
     mgmt_lid: Option<Lid>,
 }
 
-/// Content hash of one LFT block (order-sensitive FNV-1a over the
-/// entries; `None` gets its own sentinel so clearing an entry dirties
-/// the block).
+/// Content hash of one LFT block, eight entries a step: each entry is
+/// its port byte, `None` the byte a table cannot hold (0xFF), so
+/// clearing an entry dirties the block; a short last word keeps a
+/// leading 1 bit, so a block that shrank dirties it too. Every step is
+/// a bijection of the running hash, so blocks that differ in one word
+/// never collide.
 fn block_hash(entries: &[Option<PortIndex>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for e in entries {
-        let byte = match e {
-            None => 0x100u64,
-            Some(p) => p.0 as u64,
-        };
-        h ^= byte;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    entries.chunks(8).fold(0xcbf2_9ce4_8422_2325u64, |h, word| {
+        let packed = (word.iter()).fold(1u64, |w, e| w << 8 | e.map_or(0xFF, |p| p.0 as u64));
+        let h = (h ^ packed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ h >> 32
+    })
 }
 
 /// The programming engine.
@@ -113,21 +111,6 @@ impl Programmer {
     /// Forget everything shadowed: the next pass uploads every block.
     pub fn forget(&mut self) {
         self.shadow.clear();
-    }
-
-    fn block_clean(&self, guid: u64, block: u32, hash: u64) -> bool {
-        self.shadow
-            .get(&guid)
-            .and_then(|s| s.block_hashes.get(&block))
-            == Some(&hash)
-    }
-
-    fn record_block(&mut self, guid: u64, block: u32, hash: u64) {
-        self.shadow
-            .entry(guid)
-            .or_default()
-            .block_hashes
-            .insert(block, hash);
     }
 
     /// Upload `routing`'s tables (computed on the *discovery-ordered*
@@ -202,6 +185,7 @@ impl Programmer {
                 }};
             }
             smp.route.hops.clone_from(&sw.route.hops);
+            let shadow = self.shadow.entry(sw.guid).or_default();
             // Blocks are read straight from the interleaved modules:
             // no linear copy of the table, no `Vec` per dirty block.
             let table = routing.table(SwitchId(i as u16));
@@ -215,7 +199,8 @@ impl Programmer {
                 }
                 blocks_total += 1;
                 let hash = block_hash(chunk);
-                if self.block_clean(sw.guid, block, hash) {
+                let verified_hash = shadow.block_hashes.get(block as usize);
+                if verified_hash == Some(&Some(hash)) {
                     continue; // on-switch content already matches
                 }
                 // Refill the payload `Vec` the SMP holds, if it holds one.
@@ -244,7 +229,11 @@ impl Programmer {
                     .enumerate()
                     .all(|(k, want)| want.is_none() || got.get(k) == Some(want));
                 if matches {
-                    self.record_block(sw.guid, block, hash);
+                    let b = block as usize;
+                    if shadow.block_hashes.len() <= b {
+                        shadow.block_hashes.resize(b + 1, None);
+                    }
+                    shadow.block_hashes[b] = Some(hash);
                 } else {
                     verified = false;
                 }
@@ -253,7 +242,7 @@ impl Programmer {
             // every (input, output) port pair (§4.4 leaves the SLtoVL
             // machinery in its spec role; the evaluation runs on VL0).
             // The grid never changes, so a shadowed switch skips it.
-            if !self.shadow.get(&sw.guid).is_some_and(|s| s.sl2vl_done) {
+            if !shadow.sl2vl_done {
                 let ports = sw.ports.len() as u8;
                 smp.attribute = SmpAttribute::SlToVlMappingTable {
                     input: PortIndex(0),
@@ -275,18 +264,18 @@ impl Programmer {
                         sl2vl_rows_written += 1;
                     }
                 }
-                self.shadow.entry(sw.guid).or_default().sl2vl_done = true;
+                shadow.sl2vl_done = true;
             }
             // Assign the switch's management LID (simple dense scheme
             // above the host ranges).
             let mgmt_lid = Lid(mgmt_base + i as u16);
-            if self.shadow.get(&sw.guid).and_then(|s| s.mgmt_lid) != Some(mgmt_lid) {
+            if shadow.mgmt_lid != Some(mgmt_lid) {
                 smp.attribute = SmpAttribute::SwitchInfo { lid: mgmt_lid };
                 let resp = deliver!(SmpMethod::Set, "SwitchInfo");
                 if resp != SmpResponse::Ok {
                     return Err(IbaError::InvalidConfig("SwitchInfo set failed".into()));
                 }
-                self.shadow.entry(sw.guid).or_default().mgmt_lid = Some(mgmt_lid);
+                shadow.mgmt_lid = Some(mgmt_lid);
             }
         }
         Ok(RobustProgram {
@@ -338,6 +327,26 @@ mod tests {
     use crate::discovery::Discoverer;
     use iba_routing::RoutingConfig;
     use iba_topology::IrregularConfig;
+
+    /// A block differing from another in one entry, in being cleared, or
+    /// in its length alone hashes differently.
+    #[test]
+    fn block_hash_tells_apart_one_entry_a_clear_and_a_length() {
+        let p = |v: u8| Some(PortIndex(v));
+        let blocks: [&[Option<PortIndex>]; 6] = [
+            &[p(0), p(5)],
+            &[p(5)],
+            &[p(5), None],
+            &[p(5), p(0)],
+            &[p(0); 64],
+            &[p(0); 63],
+        ];
+        for (i, a) in blocks.iter().enumerate() {
+            for b in &blocks[i + 1..] {
+                assert_ne!(block_hash(a), block_hash(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
 
     #[test]
     fn programming_uploads_exactly_the_routing_tables() {
