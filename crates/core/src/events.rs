@@ -29,7 +29,11 @@ use crate::vl::VirtualLane;
 /// - 1: initial vocabulary (PR 4).
 /// - 2: chaos campaign — `switch_down`/`switch_up` drop causes and
 ///   fabric events, `corrupted` drop cause, `smp_retransmit` events.
-pub const FLIGHT_SCHEMA_VERSION: u32 = 2;
+/// - 3: one capture — `generated` events; host-side events (generation,
+///   injection, delivery, source drops) are stamped with the host's
+///   switch instead of none; events are numbered in the canonical
+///   `(time, switch, ring order)` order, the same at every shard count.
+pub const FLIGHT_SCHEMA_VERSION: u32 = 3;
 
 /// Why a packet was lost.
 ///
@@ -189,6 +193,14 @@ impl StallClass {
 /// small copyable payload.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FlightEvent {
+    /// A host generated a packet into its source queue (a full finite
+    /// queue drops it right after, `SourceQueueFull`).
+    Generated {
+        /// The packet.
+        packet: PacketId,
+        /// The generating host.
+        host: HostId,
+    },
     /// A packet left its source host's injection queue onto the first
     /// link.
     Injected {
@@ -356,6 +368,7 @@ impl FlightEvent {
     /// The event's stable kind tag (the `"ev"` member of its JSON form).
     pub fn kind(&self) -> &'static str {
         match self {
+            FlightEvent::Generated { .. } => "generated",
             FlightEvent::Injected { .. } => "injected",
             FlightEvent::Arrived { .. } => "arrived",
             FlightEvent::RouteDecision { .. } => "route_decision",
@@ -376,7 +389,8 @@ impl FlightEvent {
     /// The packet this event concerns, when it concerns exactly one.
     pub fn packet(&self) -> Option<PacketId> {
         match self {
-            FlightEvent::Injected { packet, .. }
+            FlightEvent::Generated { packet, .. }
+            | FlightEvent::Injected { packet, .. }
             | FlightEvent::Arrived { packet, .. }
             | FlightEvent::RouteDecision { packet, .. }
             | FlightEvent::Blocked { packet, .. }
@@ -405,7 +419,8 @@ impl FlightEvent {
             | FlightEvent::Stall { port, .. } => Some(*port),
             FlightEvent::RouteDecision { out_port, .. } => Some(*out_port),
             FlightEvent::Blocked { in_port, .. } => Some(*in_port),
-            FlightEvent::Injected { .. }
+            FlightEvent::Generated { .. }
+            | FlightEvent::Injected { .. }
             | FlightEvent::Dropped { .. }
             | FlightEvent::Delivered { .. }
             | FlightEvent::SwitchDown { .. }
@@ -432,7 +447,7 @@ impl FlightEvent {
         let mut o = Json::object();
         o.push("ev", self.kind());
         match self {
-            FlightEvent::Injected { packet, host } => {
+            FlightEvent::Generated { packet, host } | FlightEvent::Injected { packet, host } => {
                 o.push("packet", packet.0).push("host", u64::from(host.0));
             }
             FlightEvent::Arrived { packet, port, vl } => {
@@ -552,6 +567,10 @@ impl FlightEvent {
                 .map(VirtualLane)
         };
         Some(match v.get("ev")?.as_str()? {
+            "generated" => FlightEvent::Generated {
+                packet: packet()?,
+                host: host("host")?,
+            },
             "injected" => FlightEvent::Injected {
                 packet: packet()?,
                 host: host("host")?,
@@ -672,6 +691,99 @@ impl StampedEvent {
     }
 }
 
+/// The candidate set of a decision or a block, `p2: no_adaptive_credit,
+/// p0 (escape): selected`.
+struct OptionsText<'a>(&'a OptionOutcomes);
+
+impl std::fmt::Display for OptionsText<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, o) in self.0.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let escape = if o.escape { " (escape)" } else { "" };
+            write!(f, "{sep}{}{escape}: {}", o.port, o.verdict.name())?;
+        }
+        Ok(())
+    }
+}
+
+/// One human-readable line per event, aligned for terminal reading —
+/// what `iba trace`, `iba flightrec` and the examples print.
+impl std::fmt::Display for StampedEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let origin = self.sw.map_or_else(|| "-".to_string(), |s| s.to_string());
+        write!(f, "{:>10}ns  #{:<6} {origin:>6}  ", self.at_ns, self.seq)?;
+        match &self.ev {
+            FlightEvent::Generated { packet, host } => write!(f, "{packet} generated at {host}"),
+            FlightEvent::Injected { packet, host } => write!(f, "{packet} injected by {host}"),
+            FlightEvent::Arrived { packet, port, vl } => {
+                write!(f, "{packet} arrived on {port}/{vl}")
+            }
+            FlightEvent::RouteDecision {
+                packet,
+                in_port,
+                vl,
+                out_port,
+                via_escape,
+                from_escape_head,
+                waited_ns,
+                options,
+            } => write!(
+                f,
+                "{packet} routed {in_port}/{vl} -> {out_port}{}{} after {waited_ns}ns  [{}]",
+                if *via_escape { " via ESCAPE" } else { "" },
+                if *from_escape_head {
+                    " (escape head)"
+                } else {
+                    ""
+                },
+                OptionsText(options)
+            ),
+            FlightEvent::Blocked {
+                packet,
+                in_port,
+                vl,
+                options,
+            } => write!(
+                f,
+                "{packet} blocked at {in_port}/{vl}  [{}]",
+                OptionsText(options)
+            ),
+            FlightEvent::TailLeft { packet, port, vl } => {
+                write!(f, "{packet} tail left, freed {port}/{vl}")
+            }
+            FlightEvent::CreditReturned { port, vl, credits } => {
+                write!(f, "{credits} credits back on {port}/{vl}")
+            }
+            FlightEvent::Dropped { packet, cause } => {
+                write!(f, "{packet} DROPPED: {}", cause.name())
+            }
+            FlightEvent::Delivered {
+                packet,
+                host,
+                latency_ns,
+            } => write!(f, "{packet} delivered to {host} after {latency_ns}ns"),
+            FlightEvent::LinkDown { port } => write!(f, "link DOWN on {port}"),
+            FlightEvent::LinkUp { port } => write!(f, "link UP on {port}"),
+            FlightEvent::SwitchDown { sw } => write!(f, "switch {sw} DOWN"),
+            FlightEvent::SwitchUp { sw } => write!(f, "switch {sw} UP"),
+            FlightEvent::SmpRetransmit { tid, attempt, hops } => {
+                write!(f, "SMP tid {tid} retransmit #{attempt} ({hops} hops)")
+            }
+            FlightEvent::Stall {
+                port,
+                vl,
+                packet,
+                waited_ns,
+                class,
+            } => write!(
+                f,
+                "STALL {} on {port}/{vl}: {packet} stuck {waited_ns}ns",
+                class.name()
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,6 +801,10 @@ mod tests {
             verdict: OptionVerdict::Selected,
         });
         vec![
+            FlightEvent::Generated {
+                packet: PacketId(7),
+                host: HostId(3),
+            },
             FlightEvent::Injected {
                 packet: PacketId(7),
                 host: HostId(3),

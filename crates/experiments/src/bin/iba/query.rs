@@ -3,9 +3,7 @@
 
 use iba_core::{Json, PacketId};
 use iba_experiments::cli::{Args, Command, Flag};
-use iba_experiments::tracequery::{
-    causal_chain, describe, render_event, slice, stall_summary, Filter,
-};
+use iba_experiments::tracequery::{causal_chain, describe, slice, stall_summary, Filter};
 use iba_sim::FlightDump;
 use iba_stats::{MetricValue, MetricsRegistry};
 
@@ -52,7 +50,7 @@ fn trace(args: &Args) -> Result<(), String> {
             let events = slice(&dump, &filter);
             let limit = args.get_or("limit", usize::MAX)?;
             for e in events.iter().take(limit) {
-                println!("{}", render_event(e));
+                println!("{e}");
             }
             if events.len() > limit {
                 println!("... {} more (raise --limit)", events.len() - limit);
@@ -66,7 +64,7 @@ fn trace(args: &Args) -> Result<(), String> {
                 return Err(format!("no events for pkt#{packet} in {path}"));
             }
             for e in &chain {
-                println!("{}", render_event(e));
+                println!("{e}");
             }
         }
         "stalls" => {

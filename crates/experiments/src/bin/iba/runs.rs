@@ -491,6 +491,12 @@ fn flightrec(args: &Args) -> Result<(), String> {
         "run: {} generated, {} delivered, {} in-transit drops",
         result.generated, result.delivered, result.drops_in_transit
     );
+    if let Some(packet) = dump.triggers.first().and_then(|t| t.packet) {
+        println!("what the rings hold of {packet}, the first trigger's packet:");
+        for e in tracequery::causal_chain(&dump, packet) {
+            println!("{e}");
+        }
+    }
 
     let jsonl_path = format!("{out_dir}/flight.jsonl");
     write_atomic(&jsonl_path, dump.to_jsonl()).map_err(|e| e.to_string())?;

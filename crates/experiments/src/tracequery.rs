@@ -17,8 +17,8 @@ use std::fmt::Write as _;
 pub struct Filter {
     /// Only events concerning this packet id.
     pub packet: Option<u64>,
-    /// Only events logged by this switch (host-side events have no
-    /// switch and never match).
+    /// Only events logged by this switch (a host's events are logged
+    /// by the host's switch).
     pub switch: Option<u16>,
     /// Only events concerning this port (for routing decisions, the
     /// *output* port).
@@ -139,94 +139,6 @@ pub fn stall_summary(dump: &FlightDump) -> StallSummary {
     summary.classes = sorted_desc(classes);
     summary.drops = sorted_desc(drops);
     summary
-}
-
-fn options_text(options: &iba_core::OptionOutcomes) -> String {
-    let mut s = String::new();
-    for (i, o) in options.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(
-            s,
-            "{}{}: {}",
-            o.port,
-            if o.escape { " (escape)" } else { "" },
-            o.verdict.name()
-        );
-    }
-    s
-}
-
-/// One human-readable line per event, aligned for terminal reading.
-pub fn render_event(e: &StampedEvent) -> String {
-    let origin = e.sw.map_or_else(|| "host".to_string(), |s| s.to_string());
-    let body = match &e.ev {
-        FlightEvent::Injected { packet, host } => format!("{packet} injected by {host}"),
-        FlightEvent::Arrived { packet, port, vl } => {
-            format!("{packet} arrived on {port}/{vl}")
-        }
-        FlightEvent::RouteDecision {
-            packet,
-            in_port,
-            vl,
-            out_port,
-            via_escape,
-            from_escape_head,
-            waited_ns,
-            options,
-        } => format!(
-            "{packet} routed {in_port}/{vl} -> {out_port}{}{} after {waited_ns}ns  [{}]",
-            if *via_escape { " via ESCAPE" } else { "" },
-            if *from_escape_head {
-                " (escape head)"
-            } else {
-                ""
-            },
-            options_text(options)
-        ),
-        FlightEvent::Blocked {
-            packet,
-            in_port,
-            vl,
-            options,
-        } => format!(
-            "{packet} blocked at {in_port}/{vl}  [{}]",
-            options_text(options)
-        ),
-        FlightEvent::TailLeft { packet, port, vl } => {
-            format!("{packet} tail left, freed {port}/{vl}")
-        }
-        FlightEvent::CreditReturned { port, vl, credits } => {
-            format!("{credits} credits back on {port}/{vl}")
-        }
-        FlightEvent::Dropped { packet, cause } => {
-            format!("{packet} DROPPED: {}", cause.name())
-        }
-        FlightEvent::Delivered {
-            packet,
-            host,
-            latency_ns,
-        } => format!("{packet} delivered to {host} after {latency_ns}ns"),
-        FlightEvent::LinkDown { port } => format!("link DOWN on {port}"),
-        FlightEvent::LinkUp { port } => format!("link UP on {port}"),
-        FlightEvent::SwitchDown { sw } => format!("switch {sw} DOWN"),
-        FlightEvent::SwitchUp { sw } => format!("switch {sw} UP"),
-        FlightEvent::SmpRetransmit { tid, attempt, hops } => {
-            format!("SMP tid {tid} retransmit #{attempt} ({hops} hops)")
-        }
-        FlightEvent::Stall {
-            port,
-            vl,
-            packet,
-            waited_ns,
-            class,
-        } => format!(
-            "STALL {} on {port}/{vl}: {packet} stuck {waited_ns}ns",
-            class.name()
-        ),
-    };
-    format!("{:>10}ns  #{:<6} {:>6}  {}", e.at_ns, e.seq, origin, body)
 }
 
 /// Headline description of a dump: dimensions, freeze state, triggers,
@@ -438,7 +350,7 @@ mod tests {
     #[test]
     fn rendering_mentions_the_load_bearing_facts() {
         let dump = sample_dump();
-        let lines: Vec<String> = dump.events.iter().map(render_event).collect();
+        let lines: Vec<String> = dump.events.iter().map(ToString::to_string).collect();
         assert!(lines[0].contains("pkt#7 injected by h0"));
         assert!(lines[2].contains("no_escape_credit"));
         assert!(lines[2].contains("p0 (escape)"));

@@ -24,11 +24,11 @@
 //!   timeseries, cause-tagged credit-stall counters, escape-vs-adaptive
 //!   forwarding counters and arbitration-wait histograms, merged into
 //!   one [`MemorySink`] at the end of every drive;
-//! * [`trace`] — per-packet journey recording;
-//! * [`recorder`] — the fabric flight recorder: bounded per-switch rings
-//!   of structured events (routing decisions with full candidate sets,
-//!   credit returns, blocks, drops, stalls), anomaly triggers that
-//!   freeze the rings, and the stall/deadlock watchdog;
+//! * [`recorder`] — the fabric flight recorder and the one journey
+//!   capture: per-switch rings of structured events (generation,
+//!   routing decisions with full candidate sets, credit returns, blocks,
+//!   drops, stalls, delivery), anomaly triggers that freeze the rings,
+//!   and the stall/deadlock watchdog;
 //! * [`perfetto`] — Chrome trace-event / Perfetto export of flight
 //!   dumps.
 //!
@@ -36,7 +36,7 @@
 //!
 //! Simulations are assembled through the builder: topology and routing
 //! up front, then a traffic source, a config, and any optional
-//! subsystems (faults, tracing, telemetry).
+//! subsystems (faults, telemetry, the flight recorder).
 //!
 //! ```
 //! use iba_topology::IrregularConfig;
@@ -68,7 +68,6 @@ pub mod recorder;
 mod shard;
 pub mod stats;
 pub mod telemetry;
-pub mod trace;
 
 pub use buffer::{BufferedPacket, Candidates, EscapeOrderPolicy, ReadPoint, SlotHandle, VlBuffer};
 pub use config::{RecoveryPolicy, SelectionPolicy, SimConfig};
@@ -87,4 +86,3 @@ pub use telemetry::{
     MemorySink, PortStalls, StallCause, SwitchTelemetry, TelemetryOpts, TelemetryReport,
     TelemetrySample, VlOccupancy, TELEMETRY_SCHEMA_VERSION,
 };
-pub use trace::{PacketTrace, TraceOpts, TraceStep, Tracer};

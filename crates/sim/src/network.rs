@@ -50,8 +50,11 @@
 //!
 //! Two subsystems still need the whole fabric in one shard and are
 //! rejected by `build()` when combined with `shards(n > 1)`:
-//! trace-driven replay (a global script cursor) and the flight recorder
-//! (a trigger must freeze every ring at the same event).
+//! trace-driven replay (a global script cursor) and a flight recorder
+//! that arms a trigger (it must freeze every ring at the same event).
+//! A recorder that arms none runs on any shard count: each switch's
+//! ring fills in the shard that owns the switch, and the dump takes it
+//! from there.
 //! [`RecoveryPolicy::SmResweep`] runs on any shard count: every shard
 //! executes every fault, so every shard installs the same re-swept
 //! tables at the same instant.
@@ -62,19 +65,14 @@ use crate::probe::Observers;
 use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts};
 use crate::shard::{check_key_capacity, Mailbox, Shard, CLASS_NAMES};
 use crate::stats::{RunResult, StatsCollector};
-use crate::telemetry::{
-    MemorySink, SwitchTelemetry, TelemetryOpts, TelemetryReport, TelemetrySample, TelemetryState,
-    TELEMETRY_SCHEMA_VERSION,
-};
-use crate::trace::{PacketTrace, TraceOpts, TraceStep, Tracer};
-use iba_core::{HostId, IbaError, PacketId, PortIndex, SimTime, SwitchId};
+use crate::telemetry::{MemorySink, TelemetryOpts, TelemetryState};
+use iba_core::{HostId, IbaError, PortIndex, SimTime, SwitchId};
 use iba_engine::{conservative_window, SpinBarrier};
 use iba_routing::{FaTables, TableSource};
 use iba_stats::MetricsRegistry;
 use iba_topology::{Partition, Topology};
 use iba_workloads::{FaultSchedule, TrafficScript, WorkloadSpec};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -92,10 +90,6 @@ pub struct Network<'a> {
     /// The merged telemetry (rebuilt by the observer merge from the
     /// shard-local states at the end of every drive).
     merged_telemetry: Option<MemorySink>,
-    /// The merged journey recorder (rebuilt by the observer merge from
-    /// the shard-local tracers at the end of every drive).
-    merged_tracer: Option<Tracer>,
-    trace_opts: Option<TraceOpts>,
     /// Whether engine profiling (the `.metrics()` builder option) is
     /// armed; the deterministic half of [`Self::metrics_registry`]
     /// works without it.
@@ -108,7 +102,7 @@ pub struct Network<'a> {
 /// The one construction path for [`Network`]: topology and routing up
 /// front, then a traffic source (synthetic [`WorkloadSpec`] or replayed
 /// [`TrafficScript`]), a [`SimConfig`], and the optional subsystems —
-/// faults, journey tracing, telemetry, sharding — as builder options
+/// faults, telemetry, the flight recorder, sharding — as builder options
 /// instead of bolted-on constructors and post-construction mutators.
 ///
 /// ```
@@ -135,7 +129,6 @@ pub struct NetworkBuilder<'a> {
     config: Option<SimConfig>,
     faults: Option<(&'a FaultSchedule, RecoveryPolicy, u64)>,
     corruption: Option<f64>,
-    trace: Option<TraceOpts>,
     telemetry: Option<TelemetryOpts>,
     recorder: Option<RecorderOpts>,
     shards: Option<usize>,
@@ -192,12 +185,6 @@ impl<'a> NetworkBuilder<'a> {
         self
     }
 
-    /// Record per-packet journeys (see [`crate::Tracer`]).
-    pub fn trace(mut self, opts: TraceOpts) -> Self {
-        self.trace = Some(opts);
-        self
-    }
-
     /// Arm the telemetry probes (retrieve the samples and the report
     /// after the run through [`Network::telemetry_sink`]).
     pub fn telemetry(mut self, opts: TelemetryOpts) -> Self {
@@ -208,7 +195,10 @@ impl<'a> NetworkBuilder<'a> {
     /// Arm the flight recorder: bounded per-switch event rings, anomaly
     /// triggers, and the stall watchdog (see [`crate::FlightRecorder`]).
     /// Retrieve the dump after the run through [`Network::flight_dump`].
-    /// Requires a single shard (the default [`Self::shards`] of 1).
+    /// Rings that never fill (`capacity_per_switch: usize::MAX`) capture
+    /// every packet's journey. A recorder that arms a trigger — the drop
+    /// trigger, a latency threshold or the watchdog — requires a single
+    /// shard (the default [`Self::shards`] of 1).
     pub fn recorder(mut self, opts: RecorderOpts) -> Self {
         self.recorder = Some(opts);
         self
@@ -298,10 +288,10 @@ impl<'a> NetworkBuilder<'a> {
                         .into(),
                 ));
             }
-            if self.recorder.is_some() {
+            if self.recorder.is_some_and(|r| r.arms_trigger()) {
                 return Err(IbaError::InvalidConfig(
-                    "the flight recorder requires the serial engine (shards = 1): \
-                     a trigger freezes every ring at the same event"
+                    "a flight recorder that arms a trigger requires the serial engine \
+                     (shards = 1): a trigger freezes every ring at the same event"
                         .into(),
                 ));
             }
@@ -313,7 +303,7 @@ impl<'a> NetworkBuilder<'a> {
             self.topo.num_switches(),
             self.topo.ports_per_switch() as usize,
         );
-        let armed = self.trace.is_some() || self.telemetry.is_some() || self.recorder.is_some();
+        let armed = self.telemetry.is_some() || self.recorder.is_some();
         let mut shards = Vec::with_capacity(num_shards);
         for id in 0..num_shards {
             let mut sh = Shard::new(self.topo, self.routing, spec, config, id, partition.clone())?;
@@ -327,11 +317,10 @@ impl<'a> NetworkBuilder<'a> {
                 sh.corrupt_prob = p;
             }
             // Each shard listens for itself (telemetry samples only its
-            // own switches, a journey is split across the shards it
-            // crossed); the observer merge splices the pieces together.
+            // own switches, a recorder fills only their rings); the
+            // observer merge and the dump splice the pieces together.
             sh.observers = armed.then(|| {
                 Box::new(Observers {
-                    tracer: self.trace.map(Tracer::with_opts),
                     telemetry: (self.telemetry).map(|o| TelemetryState::new(o, nsw, ports)),
                     recorder: (self.recorder)
                         .map(|o| FlightRecorder::new(o, nsw, ports, config.data_vls as usize)),
@@ -347,8 +336,6 @@ impl<'a> NetworkBuilder<'a> {
             threads,
             shards,
             merged_telemetry: None,
-            merged_tracer: None,
-            trace_opts: self.trace,
             metrics_enabled: self.metrics,
             profile: None,
         })
@@ -407,20 +394,6 @@ fn validate_script(
         adaptive_fraction: 0.0,
         ..WorkloadSpec::uniform32(1e-6)
     })
-}
-
-/// Canonical ordering of trace steps sharing a timestamp, used when the
-/// observer merge splices one packet's steps recorded by different
-/// shards.
-fn step_rank(s: &TraceStep) -> u8 {
-    match s {
-        TraceStep::Generated { .. } => 0,
-        TraceStep::Injected => 1,
-        TraceStep::ArrivedAt { .. } => 2,
-        TraceStep::Forwarded { .. } => 3,
-        TraceStep::Dropped { .. } => 4,
-        TraceStep::Delivered { .. } => 5,
-    }
 }
 
 /// What the workers of one [`Network::execute_windows`] call share.
@@ -538,7 +511,6 @@ impl<'a> Network<'a> {
             config: None,
             faults: None,
             corruption: None,
-            trace: None,
             telemetry: None,
             recorder: None,
             shards: None,
@@ -580,17 +552,6 @@ impl<'a> Network<'a> {
         matches!(self.shards[0].routing, Cow::Owned(_))
     }
 
-    /// Recorded journeys as of the end of the last drive (`None` unless
-    /// tracing was enabled and a drive has finished).
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.merged_tracer.as_ref()
-    }
-
-    /// Whether the telemetry probes are armed.
-    pub fn telemetry_enabled(&self) -> bool {
-        (self.shards[0].observers.as_deref()).is_some_and(|o| o.telemetry.is_some())
-    }
-
     /// The merged telemetry — every occupancy sample and the
     /// accumulated report — as of the end of the last drive (`None`
     /// unless telemetry was armed and a drive has finished).
@@ -598,21 +559,16 @@ impl<'a> Network<'a> {
         self.merged_telemetry.as_ref()
     }
 
-    /// The flight recorder, once armed through the builder.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.shards[0].observers.as_deref()?.recorder.as_ref()
-    }
-
     /// Drain the flight recorder into an exportable [`FlightDump`]
-    /// (`None` unless the recorder was armed through the builder).
+    /// (`None` unless the recorder was armed through the builder): each
+    /// switch's ring from the shard that owns the switch, in the one
+    /// canonical order, so the dump is the same at every shard count.
     pub fn flight_dump(&self) -> Option<FlightDump> {
-        self.recorder().map(|r| {
-            r.dump(
-                self.topo.num_switches(),
-                self.topo.ports_per_switch() as usize,
-                self.config.data_vls as usize,
-            )
-        })
+        let recorders: Option<Vec<&FlightRecorder>> = (self.shards.iter())
+            .map(|s| s.observers.as_deref()?.recorder.as_ref())
+            .collect();
+        let owner = |sw: SwitchId| self.partition.shard_of_switch(sw);
+        Some(FlightRecorder::merge(&recorders?, owner))
     }
 
     /// The shard owning switch `si`.
@@ -834,80 +790,14 @@ impl<'a> Network<'a> {
         reg
     }
 
-    /// The observer merge, run at the end of every drive: splice the
-    /// per-shard occupancy samples into fabric-wide samples, absorb the
-    /// per-shard switch accumulations into one report, and union the
-    /// shard tracers. Everything is rebuilt from the shard states, which
-    /// only ever grow, so the merged views follow every further drive.
+    /// The observer merge, run at the end of every drive: rebuild the
+    /// merged telemetry from the shard states.
     fn finalize_observers(&mut self) {
-        let states: Vec<_> = self
-            .shards
-            .iter()
+        let states: Vec<&TelemetryState> = (self.shards.iter())
             .filter_map(|s| s.observers.as_deref()?.telemetry.as_ref())
             .collect();
-        if let Some(first) = states.first() {
-            // Ticks are replicated, so sample `k` is the same instant in
-            // every shard; a shard the event budget stopped inside its
-            // window may be a tick short of the others.
-            let n_samples = states.iter().map(|st| st.samples().len()).max();
-            let samples: Vec<TelemetrySample> = (0..n_samples.unwrap_or(0))
-                .map(|k| {
-                    let mut slices = states
-                        .iter()
-                        .filter_map(|st| st.samples().get(k))
-                        .peekable();
-                    let at = slices.peek().expect("some shard took sample k").at;
-                    let mut occupancy: Vec<_> =
-                        slices.flat_map(|s| s.occupancy.iter().copied()).collect();
-                    occupancy.sort_by_key(|o| (o.sw.0, o.vl.0));
-                    TelemetrySample { at, occupancy }
-                })
-                .collect();
-            let ports = self.topo.ports_per_switch() as usize;
-            let mut switches: Vec<SwitchTelemetry> = (0..self.topo.num_switches())
-                .map(|s| SwitchTelemetry::new(SwitchId(s as u16), ports))
-                .collect();
-            for st in &states {
-                for sw in st.switches() {
-                    switches[sw.sw.index()].absorb(sw);
-                }
-            }
-            let report = TelemetryReport {
-                schema_version: TELEMETRY_SCHEMA_VERSION,
-                sample_every_ns: first.cadence_ns(),
-                samples_taken: samples.len() as u64,
-                samples_dropped: first.samples_dropped(),
-                switches,
-            };
-            self.merged_telemetry = Some(MemorySink { samples, report });
-        }
-
-        if let Some(opts) = self.trace_opts {
-            // Each shard records the steps it executed for a sampled
-            // packet; a journey crossing shards is split across tracers.
-            // Union the steps per packet and re-sort by (time, step
-            // kind) — the canonical order a single-queue run would have
-            // recorded them in.
-            let mut all: HashMap<PacketId, PacketTrace> = HashMap::new();
-            for sh in &self.shards {
-                if let Some(Observers {
-                    tracer: Some(tr), ..
-                }) = sh.observers.as_deref()
-                {
-                    for (id, t) in tr.traces() {
-                        all.entry(*id)
-                            .or_default()
-                            .steps
-                            .extend(t.steps.iter().cloned());
-                    }
-                }
-            }
-            let mut merged = Tracer::with_opts(opts);
-            for (id, mut t) in all {
-                t.steps.sort_by_key(|s| (s.0, step_rank(&s.1)));
-                merged.insert(id, t);
-            }
-            self.merged_tracer = Some(merged);
+        if !states.is_empty() {
+            self.merged_telemetry = Some(MemorySink::merge(&states));
         }
     }
 

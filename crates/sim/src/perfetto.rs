@@ -6,8 +6,8 @@
 //! codes. The mapping:
 //!
 //! * **pid** = switch id; one extra pseudo-process (pid = number of
-//!   switches) collects host-side events. `"M"` metadata events name
-//!   them `sw0`, `sw1`, …, `hosts`.
+//!   switches) collects injections, deliveries and triggers without a
+//!   switch. `"M"` metadata events name them `sw0`, `sw1`, …, `hosts`.
 //! * **tid** = input port × VLs + VL, so every (port, VL) buffer is its
 //!   own timeline row, named `p2/VL0` etc. Host events use the host id
 //!   as tid.
@@ -92,18 +92,19 @@ pub fn perfetto_trace(dump: &FlightDump) -> Json {
     let mut tids_seen: HashMap<(u64, u64), String> = HashMap::new();
     let mut host_events = false;
     for e in &dump.events {
-        match e.sw {
-            Some(s) => {
-                if let Some(flag) = switches_seen.get_mut(s.index()) {
-                    *flag = true;
-                }
-                if let (Some(p), Some(v)) = (e.ev.port(), e.ev.vl()) {
-                    tids_seen
-                        .entry((u64::from(s.0), tid(p, v, dump.vls)))
-                        .or_insert_with(|| format!("p{}/VL{}", p.index(), v.index()));
-                }
+        host_events |= matches!(
+            e.ev,
+            FlightEvent::Injected { .. } | FlightEvent::Delivered { .. }
+        );
+        if let Some(s) = e.sw {
+            if let Some(flag) = switches_seen.get_mut(s.index()) {
+                *flag = true;
             }
-            None => host_events = true,
+            if let (Some(p), Some(v)) = (e.ev.port(), e.ev.vl()) {
+                tids_seen
+                    .entry((u64::from(s.0), tid(p, v, dump.vls)))
+                    .or_insert_with(|| format!("p{}/VL{}", p.index(), v.index()));
+            }
         }
     }
     for (i, seen) in switches_seen.iter().enumerate() {
@@ -345,7 +346,7 @@ mod tests {
     fn sample_dump() -> FlightDump {
         let mut rec = FlightRecorder::new(RecorderOpts::default(), 2, 4, 2);
         rec.record(
-            None,
+            SwitchId(0),
             SimTime::from_ns(100),
             FlightEvent::Injected {
                 packet: PacketId(1),
@@ -353,7 +354,7 @@ mod tests {
             },
         );
         rec.record(
-            Some(SwitchId(0)),
+            SwitchId(0),
             SimTime::from_ns(500),
             FlightEvent::Arrived {
                 packet: PacketId(1),
@@ -362,7 +363,7 @@ mod tests {
             },
         );
         rec.record(
-            Some(SwitchId(0)),
+            SwitchId(0),
             SimTime::from_ns(900),
             FlightEvent::TailLeft {
                 packet: PacketId(1),
@@ -371,7 +372,7 @@ mod tests {
             },
         );
         rec.record(
-            Some(SwitchId(1)),
+            SwitchId(1),
             SimTime::from_ns(1_000),
             FlightEvent::Arrived {
                 packet: PacketId(2),
@@ -380,7 +381,7 @@ mod tests {
             },
         );
         rec.record(
-            Some(SwitchId(1)),
+            SwitchId(1),
             SimTime::from_ns(2_000),
             FlightEvent::Dropped {
                 packet: PacketId(2),
@@ -393,7 +394,7 @@ mod tests {
             Some(SwitchId(1)),
             Some(PacketId(2)),
         );
-        rec.dump(2, 4, 2)
+        rec.dump()
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! The probe seam. The switch model says what happened — a
 //! [`FlightEvent`], the switch it happened at (a host-side event names
 //! the host's switch) and the instant — and names no listener; what each
-//! listener makes of it is decided here: the [`Tracer`]'s journey step,
-//! telemetry's forward and stall tallies, and for the [`FlightRecorder`]
-//! the ring, the drop and latency triggers, the `Blocked` dedup and the
-//! watchdog's progress and credit-return clocks. Two facts no event has
-//! a field for travel beside it: an arrival found its buffer empty
-//! (`into_empty`), and a packet was generated ([`Observers::generated`]).
+//! listener makes of it is decided here: telemetry's forward and stall
+//! tallies, and for the [`FlightRecorder`] the ring, the drop and
+//! latency triggers, the `Blocked` dedup and the watchdog's progress and
+//! credit-return clocks. One fact no event has a field for travels
+//! beside it: an arrival found its buffer empty (`into_empty`).
 
 use crate::recorder::{FlightRecorder, TriggerCause};
 use crate::telemetry::TelemetryState;
-use crate::trace::{TraceStep, Tracer};
-use iba_core::{DropCause, FlightEvent, HostId, PacketId, SimTime, SwitchId};
+use iba_core::{FlightEvent, SimTime, SwitchId};
 
 /// The listeners of one shard.
 pub(crate) struct Observers {
-    pub(crate) tracer: Option<Tracer>,
     pub(crate) telemetry: Option<TelemetryState>,
     pub(crate) recorder: Option<FlightRecorder>,
 }
@@ -43,41 +40,9 @@ pub(crate) fn wants_verdicts(observers: &Option<Box<Observers>>) -> bool {
 }
 
 impl Observers {
-    /// `host` generated packet `id` into its source queue.
-    pub(crate) fn generated(&mut self, at: SimTime, id: PacketId, host: HostId) {
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.record(id, at, TraceStep::Generated { host });
-        }
-    }
-
     /// One transition of the model. `into_empty` goes with `Arrived`:
     /// the buffer held nothing, so the packet's wait starts now.
     pub(crate) fn event(&mut self, at: SimTime, sw: SwitchId, ev: FlightEvent, into_empty: bool) {
-        if let (Some(tr), Some(id)) = (self.tracer.as_mut(), ev.packet()) {
-            let step = match ev {
-                FlightEvent::Injected { .. } => Some(TraceStep::Injected),
-                FlightEvent::Arrived { port, vl, .. } => {
-                    Some(TraceStep::ArrivedAt { sw, port, vl })
-                }
-                FlightEvent::RouteDecision {
-                    out_port,
-                    via_escape,
-                    from_escape_head,
-                    ..
-                } => Some(TraceStep::Forwarded {
-                    sw,
-                    out_port,
-                    via_escape,
-                    from_escape_head,
-                }),
-                FlightEvent::Delivered { host, .. } => Some(TraceStep::Delivered { host }),
-                FlightEvent::Dropped { cause, .. } => Some(TraceStep::Dropped { sw, cause }),
-                _ => None,
-            };
-            if let Some(step) = step {
-                tr.record(id, at, step);
-            }
-        }
         if let Some(t) = self.telemetry.as_mut() {
             match &ev {
                 FlightEvent::RouteDecision {
@@ -102,15 +67,9 @@ impl Observers {
     }
 }
 
-/// The recorder's share of an event: the watchdog's clocks, the ring
-/// (host-side events share one) and the trigger it may fire.
+/// The recorder's share of an event: the watchdog's clocks, `sw`'s ring
+/// and the trigger it may fire.
 fn log(r: &mut FlightRecorder, at: SimTime, sw: SwitchId, ev: FlightEvent, into_empty: bool) {
-    let host_side = match ev {
-        FlightEvent::Injected { .. } | FlightEvent::Delivered { .. } => true,
-        FlightEvent::Dropped { cause, .. } => cause == DropCause::SourceQueueFull,
-        _ => false,
-    };
-    let ring = (!host_side).then_some(sw);
     let mut trigger = None;
     match ev {
         // Forward progress of a buffer: a packet landed in it empty, won
@@ -141,9 +100,9 @@ fn log(r: &mut FlightRecorder, at: SimTime, sw: SwitchId, ev: FlightEvent, into_
         } if !r.blocked_anew(sw, in_port.index(), vl.index(), packet, options) => return,
         _ => {}
     }
-    r.record(ring, at, ev);
+    r.record(sw, at, ev);
     if let Some((cause, packet)) = trigger.filter(|_| !r.frozen()) {
-        r.trigger(at, cause, ring, Some(packet));
+        r.trigger(at, cause, Some(sw), Some(packet));
     }
 }
 
@@ -151,14 +110,15 @@ fn log(r: &mut FlightRecorder, at: SimTime, sw: SwitchId, ev: FlightEvent, into_
 mod tests {
     use super::*;
     use crate::recorder::RecorderOpts;
-    use crate::telemetry::TelemetryOpts;
-    use iba_core::{OptionOutcome, OptionOutcomes, OptionVerdict, PortIndex, VirtualLane};
+    use crate::telemetry::{MemorySink, SwitchTelemetry, TelemetryOpts};
+    use iba_core::{
+        DropCause, OptionOutcome, OptionOutcomes, OptionVerdict, PacketId, PortIndex, VirtualLane,
+    };
 
     const SW: SwitchId = SwitchId(1);
 
     fn listeners() -> Observers {
         Observers {
-            tracer: None,
             telemetry: Some(TelemetryState::new(TelemetryOpts::default(), 2, 4)),
             recorder: Some(FlightRecorder::new(RecorderOpts::default(), 2, 4, 1)),
         }
@@ -192,7 +152,11 @@ mod tests {
             ]),
         };
         o.event(SimTime::from_ns(10), SW, granted, false);
-        let stalls = |o: &Observers| o.telemetry.as_ref().unwrap().switches()[1].stalls.clone();
+        let at_sw = |o: &Observers| -> SwitchTelemetry {
+            let merged = MemorySink::merge(&[o.telemetry.as_ref().unwrap()]);
+            merged.report.switches[SW.index()].clone()
+        };
+        let stalls = |o: &Observers| at_sw(o).stalls;
         assert_eq!(stalls(&o)[1].no_adaptive_credit, 1);
         assert_eq!(stalls(&o)[3].total(), 0, "observed, not suffered");
         let refused = FlightEvent::Blocked {
@@ -211,7 +175,7 @@ mod tests {
             (s[1].dead_port, s[2].total(), s[3].no_escape_credit),
             (1, 0, 1)
         );
-        let report = &o.telemetry.as_ref().unwrap().switches()[1];
+        let report = at_sw(&o);
         assert_eq!((report.adaptive_forwards, report.escape_forwards), (1, 0));
     }
 
@@ -221,20 +185,19 @@ mod tests {
             packet: PacketId(9),
             cause,
         };
-        for (cause, at_switch) in [
-            (DropCause::LinkDown, Some(SW)),
-            (DropCause::SourceQueueFull, None),
-        ] {
+        for cause in [DropCause::LinkDown, DropCause::SourceQueueFull] {
             let mut o = listeners();
             o.event(SimTime::from_ns(5), SW, lost(cause), false);
             o.event(SimTime::from_ns(6), SW, lost(cause), false);
-            let dump = o.recorder.as_ref().unwrap().dump(2, 4, 1);
+            let dump = o.recorder.as_ref().unwrap().dump();
             assert!(dump.frozen);
             assert_eq!(dump.events.len(), 1, "the drop itself, nothing after it");
-            assert_eq!(dump.events[0].sw, at_switch, "a source drop is host-side");
+            // A source drop is logged at the host's switch, like a
+            // drop in transit.
+            assert_eq!(dump.events[0].sw, Some(SW));
             let t = dump.triggers[0];
             assert_eq!(dump.triggers.len(), 1);
-            assert_eq!((t.at_ns, t.cause, t.sw), (5, TriggerCause::Drop, at_switch));
+            assert_eq!((t.at_ns, t.cause, t.sw), (5, TriggerCause::Drop, Some(SW)));
             assert_eq!(t.packet, Some(PacketId(9)));
         }
     }

@@ -1,21 +1,27 @@
 //! The fabric flight recorder.
 //!
 //! A [`FlightRecorder`] keeps a bounded ring of structured
-//! [`FlightEvent`]s per switch (plus one host-side ring), cheap enough
-//! to leave on: recording is a couple of array writes, events are
-//! fixed-size values ([`iba_core::events`]), and the rings are
-//! preallocated and overwrite their oldest entries. The payoff is a
-//! debuggable fabric — when a run wedges or a packet stalls, the last
-//! few thousand decisions around the anomaly are right there, with the
-//! full candidate-option set of every routing decision and why each
-//! candidate was rejected.
+//! [`FlightEvent`]s per switch, cheap enough to leave on: recording is
+//! a couple of array writes, events are fixed-size values
+//! ([`iba_core::events`]), and the rings overwrite their oldest entries
+//! once full. The payoff is a debuggable fabric — when a run wedges or
+//! a packet stalls, the last few thousand decisions around the anomaly
+//! are right there, with the full candidate-option set of every routing
+//! decision and why each candidate was rejected.
+//!
+//! It is also the one journey capture: with rings that never fill
+//! (`capacity_per_switch: usize::MAX`), [`FlightDump::events_for_packet`]
+//! is every step of a packet, from its generation to its delivery.
 //!
 //! **Triggers** freeze the recorder on anomaly — a packet drop, an
 //! end-to-end latency above a configured threshold, or the stall
 //! watchdog's `SuspectedWedge` verdict — so the window *around* the
 //! anomaly survives instead of being overwritten by post-mortem
-//! traffic. The frozen state is then exported as a versioned JSON-lines
-//! [`FlightDump`] or a Perfetto timeline ([`crate::perfetto`]).
+//! traffic. A recorder that arms none of them runs on any shard count;
+//! one that arms a trigger needs one shard, since the trigger must
+//! freeze every ring at the same event. The rings are exported as a
+//! versioned JSON-lines [`FlightDump`] or a Perfetto timeline
+//! ([`crate::perfetto`]).
 //!
 //! **The stall watchdog** makes the paper's deadlock-freedom invariant
 //! observable. It rides the ordinary event queue (like the telemetry
@@ -67,8 +73,8 @@ impl Default for WatchdogOpts {
 /// `NetworkBuilder::recorder`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecorderOpts {
-    /// Ring capacity per switch, in events. The host-side ring (inject,
-    /// deliver, source drops) gets four times this.
+    /// Ring capacity per switch, in events; the events of a switch's
+    /// hosts (generation, injection, delivery, source drops) share it.
     pub capacity_per_switch: usize,
     /// Freeze the recorder when a packet is dropped.
     pub trigger_on_drop: bool,
@@ -90,6 +96,15 @@ impl Default for RecorderOpts {
             latency_threshold_ns: None,
             watchdog: Some(WatchdogOpts::default()),
         }
+    }
+}
+
+impl RecorderOpts {
+    /// Whether any trigger is armed — the drop trigger, a latency
+    /// threshold or the watchdog. A recorder that arms none never
+    /// freezes, so it runs on any shard count.
+    pub fn arms_trigger(&self) -> bool {
+        self.trigger_on_drop || self.latency_threshold_ns.is_some() || self.watchdog.is_some()
     }
 }
 
@@ -140,9 +155,11 @@ pub struct Trigger {
     pub packet: Option<PacketId>,
 }
 
-/// A bounded overwrite-oldest event ring.
+/// A bounded overwrite-oldest event ring. It grows up to its capacity
+/// instead of reserving it, so a keep-everything capture
+/// (`capacity_per_switch: usize::MAX`) costs what it holds.
 struct Ring {
-    buf: Vec<(u64, u64, FlightEvent)>, // (seq, at_ns, event)
+    buf: Vec<(u64, FlightEvent)>, // (at_ns, event)
     capacity: usize,
     /// Index of the oldest entry once the ring has wrapped.
     head: usize,
@@ -153,25 +170,25 @@ struct Ring {
 impl Ring {
     fn new(capacity: usize) -> Ring {
         Ring {
-            buf: Vec::with_capacity(capacity.max(1)),
+            buf: Vec::new(),
             capacity: capacity.max(1),
             head: 0,
             overwritten: 0,
         }
     }
 
-    fn push(&mut self, seq: u64, at_ns: u64, ev: FlightEvent) {
+    fn push(&mut self, at_ns: u64, ev: FlightEvent) {
         if self.buf.len() < self.capacity {
-            self.buf.push((seq, at_ns, ev));
+            self.buf.push((at_ns, ev));
         } else {
-            self.buf[self.head] = (seq, at_ns, ev);
+            self.buf[self.head] = (at_ns, ev);
             self.head = (self.head + 1) % self.capacity;
             self.overwritten += 1;
         }
     }
 
     /// Entries oldest-first.
-    fn iter(&self) -> impl Iterator<Item = &(u64, u64, FlightEvent)> {
+    fn iter(&self) -> impl Iterator<Item = &(u64, FlightEvent)> {
         self.buf[self.head..]
             .iter()
             .chain(self.buf[..self.head].iter())
@@ -181,11 +198,16 @@ impl Ring {
 /// The per-run flight recorder: one of the listeners behind the
 /// simulator's probe seam (a run without it pays nothing for it);
 /// drained into a [`FlightDump`] after the run.
+///
+/// Every event goes to the ring of the switch it happened at — a
+/// host-side event (generation, injection, delivery, a source drop) to
+/// the ring of the host's switch — and each switch's events happen in
+/// the shard that owns it. So a switch's ring holds the same events at
+/// every shard count, and the network's dump takes it from the owning
+/// shard's recorder.
 pub struct FlightRecorder {
     opts: RecorderOpts,
     rings: Vec<Ring>,
-    host_ring: Ring,
-    seq: u64,
     frozen: bool,
     triggers: Vec<Trigger>,
     /// Per (switch, input port, VL): last time the buffer made forward
@@ -214,8 +236,6 @@ impl FlightRecorder {
             rings: (0..switches)
                 .map(|_| Ring::new(opts.capacity_per_switch))
                 .collect(),
-            host_ring: Ring::new(opts.capacity_per_switch.saturating_mul(4)),
-            seq: 0,
             frozen: false,
             triggers: Vec::new(),
             last_progress: vec![SimTime::ZERO; switches * ports * vls],
@@ -247,19 +267,11 @@ impl FlightRecorder {
         (sw.index() * self.nports + port) * self.nvls + vl
     }
 
-    /// Log one event against `sw`'s ring (`None` → the host ring).
-    /// No-op once frozen.
-    pub fn record(&mut self, sw: Option<SwitchId>, at: SimTime, ev: FlightEvent) {
-        if self.frozen {
-            return;
+    /// Log one event against `sw`'s ring. No-op once frozen.
+    pub fn record(&mut self, sw: SwitchId, at: SimTime, ev: FlightEvent) {
+        if !self.frozen {
+            self.rings[sw.index()].push(at.as_ns(), ev);
         }
-        let seq = self.seq;
-        self.seq += 1;
-        let ring = match sw {
-            Some(s) => &mut self.rings[s.index()],
-            None => &mut self.host_ring,
-        };
-        ring.push(seq, at.as_ns(), ev);
     }
 
     /// Fire a trigger: log it and freeze the rings so the window around
@@ -352,36 +364,49 @@ impl FlightRecorder {
         true
     }
 
-    /// Drain the rings into an exportable dump. Events come out in
-    /// global sequence order (recording order), which is also
-    /// deterministic across `DesQueue` backends.
-    pub fn dump(&self, switches: usize, ports: usize, vls: usize) -> FlightDump {
-        let mut events: Vec<StampedEvent> = Vec::new();
-        for (si, ring) in self.rings.iter().enumerate() {
-            events.extend(ring.iter().map(|(seq, at_ns, ev)| StampedEvent {
-                seq: *seq,
+    /// The rings as an exportable dump, in the canonical order of
+    /// `FlightRecorder::merge`.
+    pub fn dump(&self) -> FlightDump {
+        FlightRecorder::merge(&[self], |_| 0)
+    }
+
+    /// The dump of a capture split across shards: switch `s`'s ring is
+    /// taken from `recorders[owner(s)]`, the triggers from every
+    /// recorder (only a lone shard may arm one). Events come out in the
+    /// canonical order — by time, then by switch, then in ring order —
+    /// and are numbered in it, so the dump is the same at every shard
+    /// count and on either queue backend.
+    pub(crate) fn merge(
+        recorders: &[&FlightRecorder],
+        owner: impl Fn(SwitchId) -> usize,
+    ) -> FlightDump {
+        let any = recorders[0];
+        let mut events = Vec::new();
+        let mut overwritten_events = 0;
+        for s in 0..any.rings.len() {
+            let sw = SwitchId(s as u16);
+            let ring = &recorders[owner(sw)].rings[s];
+            overwritten_events += ring.overwritten;
+            events.extend(ring.iter().map(|(at_ns, ev)| StampedEvent {
+                seq: 0,
                 at_ns: *at_ns,
-                sw: Some(SwitchId(si as u16)),
+                sw: Some(sw),
                 ev: ev.clone(),
             }));
         }
-        events.extend(self.host_ring.iter().map(|(seq, at_ns, ev)| StampedEvent {
-            seq: *seq,
-            at_ns: *at_ns,
-            sw: None,
-            ev: ev.clone(),
-        }));
-        events.sort_by_key(|e| e.seq);
-        let overwritten =
-            self.rings.iter().map(|r| r.overwritten).sum::<u64>() + self.host_ring.overwritten;
+        // Stable: within one instant, switch order, then ring order.
+        events.sort_by_key(|e| e.at_ns);
+        for (seq, e) in events.iter_mut().enumerate() {
+            e.seq = seq as u64;
+        }
         FlightDump {
             schema_version: FLIGHT_SCHEMA_VERSION,
-            switches,
-            ports,
-            vls,
-            frozen: self.frozen,
-            overwritten_events: overwritten,
-            triggers: self.triggers.clone(),
+            switches: any.rings.len(),
+            ports: any.nports,
+            vls: any.nvls,
+            frozen: recorders.iter().any(|r| r.frozen),
+            overwritten_events,
+            triggers: recorders.iter().flat_map(|r| r.triggers.clone()).collect(),
             events,
         }
     }
@@ -404,7 +429,7 @@ pub struct FlightDump {
     pub overwritten_events: u64,
     /// Every fired trigger.
     pub triggers: Vec<Trigger>,
-    /// Surviving events, in global sequence order.
+    /// Surviving events, in sequence (canonical) order.
     pub events: Vec<StampedEvent>,
 }
 
@@ -544,9 +569,8 @@ impl FlightDump {
         dump.ok_or_else(|| "no header line found".into())
     }
 
-    /// Journeys reconstructed per packet are a concern of the query
-    /// layer (`iba trace`); here we only expose the raw event list plus
-    /// the convenience filter the tests use.
+    /// Packet `id`'s journey: every surviving event that names it, in
+    /// sequence order.
     pub fn events_for_packet(&self, id: PacketId) -> Vec<&StampedEvent> {
         self.events
             .iter()
@@ -611,28 +635,29 @@ mod tests {
             1,
         );
         for i in 0..10 {
-            rec.record(Some(SwitchId(0)), SimTime::from_ns(i), ev(i));
+            rec.record(SwitchId(0), SimTime::from_ns(i), ev(i));
         }
-        let dump = rec.dump(1, 2, 1);
+        let dump = rec.dump();
         assert_eq!(dump.events.len(), 4);
         assert_eq!(dump.overwritten_events, 6);
-        // Oldest-first, and the oldest surviving entry is seq 6.
-        let seqs: Vec<u64> = dump.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
+        // Oldest-first, and the oldest surviving entry is the one of
+        // 6 ns; the survivors are numbered from 0.
+        let stamps: Vec<(u64, u64)> = dump.events.iter().map(|e| (e.seq, e.at_ns)).collect();
+        assert_eq!(stamps, [(0, 6), (1, 7), (2, 8), (3, 9)]);
     }
 
     #[test]
     fn trigger_freezes_recording() {
         let mut rec = FlightRecorder::new(RecorderOpts::default(), 1, 2, 1);
-        rec.record(Some(SwitchId(0)), SimTime::from_ns(1), ev(1));
+        rec.record(SwitchId(0), SimTime::from_ns(1), ev(1));
         rec.trigger(
             SimTime::from_ns(2),
             TriggerCause::Drop,
             Some(SwitchId(0)),
             Some(PacketId(1)),
         );
-        rec.record(Some(SwitchId(0)), SimTime::from_ns(3), ev(2));
-        let dump = rec.dump(1, 2, 1);
+        rec.record(SwitchId(0), SimTime::from_ns(3), ev(2));
+        let dump = rec.dump();
         assert!(dump.frozen);
         assert_eq!(dump.events.len(), 1, "post-trigger events must not record");
         assert_eq!(dump.triggers.len(), 1);
@@ -714,7 +739,7 @@ mod tests {
     fn dump_round_trips_through_jsonl() {
         let mut rec = FlightRecorder::new(RecorderOpts::default(), 2, 3, 2);
         rec.record(
-            None,
+            SwitchId(0),
             SimTime::from_ns(5),
             FlightEvent::Injected {
                 packet: PacketId(1),
@@ -722,7 +747,7 @@ mod tests {
             },
         );
         rec.record(
-            Some(SwitchId(1)),
+            SwitchId(1),
             SimTime::from_ns(9),
             FlightEvent::Arrived {
                 packet: PacketId(1),
@@ -731,7 +756,7 @@ mod tests {
             },
         );
         rec.record(
-            Some(SwitchId(1)),
+            SwitchId(1),
             SimTime::from_ns(40),
             FlightEvent::Dropped {
                 packet: PacketId(1),
@@ -744,7 +769,7 @@ mod tests {
             Some(SwitchId(1)),
             Some(PacketId(1)),
         );
-        let dump = rec.dump(2, 3, 2);
+        let dump = rec.dump();
         let text = dump.to_jsonl();
         let back = FlightDump::from_jsonl(&text).expect("parse back");
         assert_eq!(back, dump);

@@ -103,6 +103,10 @@ impl<'a> Shard<'a> {
             h.queue.push_back(packet);
         }
         self.stats.on_generated(now);
+        emit(&mut self.observers, now, sw, || FlightEvent::Generated {
+            packet: id,
+            host,
+        });
         if queue_full {
             // Finite CA send queue: the new packet is discarded.
             self.stats.on_source_drop();
@@ -110,8 +114,6 @@ impl<'a> Shard<'a> {
                 packet: id,
                 cause: DropCause::SourceQueueFull,
             });
-        } else if let Some(o) = self.observers.as_deref_mut() {
-            o.generated(now, id, host);
         }
     }
 

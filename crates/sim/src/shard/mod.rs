@@ -406,8 +406,8 @@ pub(crate) struct Shard<'a> {
     pub(crate) gen_deadline: SimTime,
     /// Whether the initial generation events have been scheduled.
     primed: bool,
-    /// Whatever listens to this shard's transitions — journeys,
-    /// telemetry, the flight recorder (`crate::probe`). `None` (the
+    /// Whatever listens to this shard's transitions — telemetry, the
+    /// flight recorder (`crate::probe`). `None` (the
     /// default) makes every site of the seam one pointer test.
     pub(crate) observers: Option<Box<Observers>>,
     /// Trace-driven injections (replaces the synthetic generators).
@@ -1076,7 +1076,6 @@ mod tests {
             };
             let (nsw, ports, vls) = (3, 4, self.config.data_vls as usize);
             self.observers = Some(Box::new(Observers {
-                tracer: None,
                 telemetry: Some(crate::telemetry::TelemetryState::new(
                     crate::telemetry::TelemetryOpts::default(),
                     nsw,
@@ -1091,14 +1090,15 @@ mod tests {
         /// port towards S2.
         fn heard_at_s1(&self) -> (Vec<OptionVerdict>, u64) {
             let o = self.observers.as_deref().unwrap();
-            let dump = o.recorder.as_ref().unwrap().dump(3, 4, 2);
+            let dump = o.recorder.as_ref().unwrap().dump();
             let blocked = dump.events.iter().filter_map(|e| match &e.ev {
                 FlightEvent::Blocked { options, .. } if e.sw == Some(S1) => {
                     Some(options[0].verdict)
                 }
                 _ => None,
             });
-            let stalls = o.telemetry.as_ref().unwrap().switches()[1].stalls[1];
+            let telemetry = crate::telemetry::MemorySink::merge(&[o.telemetry.as_ref().unwrap()]);
+            let stalls = telemetry.report.switches[1].stalls[1];
             (blocked.collect(), stalls.no_escape_credit)
         }
     }

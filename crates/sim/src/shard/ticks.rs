@@ -8,7 +8,7 @@ impl Shard<'_> {
     /// Schedule the first tick of each sampling probe that is armed.
     /// Both ride the event queue like everything else, so their sampling
     /// points are serialized deterministically across backends; a run
-    /// without them schedules nothing. (The builder rejects the recorder
+    /// without them schedules nothing. (The builder rejects a watchdog
     /// on more than one shard.)
     pub(super) fn prime_ticks(&mut self) {
         let Some(o) = self.observers.as_deref() else {
@@ -59,7 +59,7 @@ impl Shard<'_> {
     /// buffer for forward progress, classify stalled buffers by the
     /// liveness of their escape path, and reschedule one cadence later
     /// (while the horizon allows). Sweeps every switch: the builder
-    /// rejects the recorder on more than one shard.
+    /// rejects a watchdog on more than one shard.
     pub(super) fn on_watchdog_check(&mut self, now: SimTime) {
         let Some(r) = self.observers.as_deref().and_then(|o| o.recorder.as_ref()) else {
             return;
@@ -145,7 +145,7 @@ impl Shard<'_> {
         );
         if r.should_log_stall(sw, ip, vl, class) {
             r.record(
-                Some(sw),
+                sw,
                 now,
                 FlightEvent::Stall {
                     port: PortIndex(ip as u8),

@@ -375,6 +375,47 @@ impl MemorySink {
     pub fn report(&self) -> &TelemetryReport {
         &self.report
     }
+
+    /// The observer merge of the shards' telemetry (one state per shard,
+    /// at least one): splice the per-shard occupancy slices into
+    /// fabric-wide samples in `(switch, VL)` order, and absorb the
+    /// per-shard switch accumulations into one report. Everything is
+    /// rebuilt from the shard states, which only ever grow, so the merge
+    /// can follow every drive.
+    pub(crate) fn merge(states: &[&TelemetryState]) -> MemorySink {
+        let first = states[0];
+        // Ticks are replicated, so sample `k` is the same instant in
+        // every shard; a shard the event budget stopped inside its
+        // window may be a tick short of the others.
+        let n_samples = states.iter().map(|st| st.samples.len()).max();
+        let samples: Vec<TelemetrySample> = (0..n_samples.unwrap_or(0))
+            .map(|k| {
+                let mut slices = states.iter().filter_map(|st| st.samples.get(k)).peekable();
+                let at = slices.peek().expect("some shard took sample k").at;
+                let mut occupancy: Vec<_> =
+                    slices.flat_map(|s| s.occupancy.iter().copied()).collect();
+                occupancy.sort_by_key(|o| (o.sw.0, o.vl.0));
+                TelemetrySample { at, occupancy }
+            })
+            .collect();
+        let switches = (first.switches.iter().enumerate())
+            .map(|(s, any)| {
+                let mut sw = SwitchTelemetry::new(any.sw, any.stalls.len());
+                for st in states {
+                    sw.absorb(&st.switches[s]);
+                }
+                sw
+            })
+            .collect();
+        let report = TelemetryReport {
+            schema_version: TELEMETRY_SCHEMA_VERSION,
+            sample_every_ns: first.cadence_ns(),
+            samples_taken: samples.len() as u64,
+            samples_dropped: first.samples_dropped,
+            switches,
+        };
+        MemorySink { samples, report }
+    }
 }
 
 /// The live telemetry state a shard carries when instrumented:
@@ -465,22 +506,6 @@ impl TelemetryState {
         let occupancy = lanes.map(over_ports).collect();
         self.samples.push(TelemetrySample { at, occupancy });
     }
-
-    /// The snapshots taken so far, in order.
-    pub(crate) fn samples(&self) -> &[TelemetrySample] {
-        &self.samples
-    }
-
-    /// Samples dropped after [`TelemetryOpts::max_samples`].
-    pub(crate) fn samples_dropped(&self) -> u64 {
-        self.samples_dropped
-    }
-
-    /// Per-switch accumulations so far (every switch of the fabric;
-    /// only the owned ones ever move).
-    pub(crate) fn switches(&self) -> &[SwitchTelemetry] {
-        &self.switches
-    }
 }
 
 #[cfg(test)]
@@ -557,8 +582,8 @@ mod tests {
             let lane = (SwitchId(0), VirtualLane(0), std::iter::once(&buf));
             st.record_sample(SimTime::from_ns(i * 10), std::iter::once(lane));
         }
-        assert_eq!(st.samples().len(), 2);
-        assert_eq!(st.samples_dropped(), 2);
+        assert_eq!(st.samples.len(), 2);
+        assert_eq!(st.samples_dropped, 2);
     }
 
     #[test]

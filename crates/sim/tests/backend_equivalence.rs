@@ -7,11 +7,13 @@
 //! given that stream. Hence two runs of the same scenario that differ
 //! *only* in `SimConfig::queue_backend` must produce bit-identical
 //! [`RunResult`]s (wall-clock fields excluded by its `PartialEq`) and,
-//! stronger, an identical per-packet forwarding trace.
+//! stronger, identical per-packet forwarding decisions.
+
+mod common;
 
 use iba_core::{HostId, ServiceLevel, SimTime};
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{Network, QueueBackend, RunResult, SimConfig, TraceOpts, TraceStep};
+use iba_sim::{Network, QueueBackend, RunResult, SimConfig};
 use iba_topology::IrregularConfig;
 use iba_workloads::{ScriptedPacket, TrafficScript, WorkloadSpec};
 use proptest::prelude::*;
@@ -58,42 +60,9 @@ proptest! {
     }
 }
 
-/// Digest of every forwarding decision a traced run made (same fold as
-/// the golden-trace test): packet id, time, switch, port, escape class.
+/// The decision digest of a captured run (`common::decision_digest`).
 fn forwarding_digest(net: &Network<'_>) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn fnv(mut h: u64, x: u64) -> u64 {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
-
-    let tracer = net.tracer().expect("tracing enabled");
-    let mut ids: Vec<_> = tracer.traces().keys().copied().collect();
-    ids.sort();
-    let mut digest = FNV_OFFSET;
-    for id in ids {
-        for (at, step) in &tracer.trace(id).unwrap().steps {
-            if let TraceStep::Forwarded {
-                sw,
-                out_port,
-                via_escape,
-                from_escape_head,
-            } = step
-            {
-                digest = fnv(digest, id.0);
-                digest = fnv(digest, at.as_ns());
-                digest = fnv(digest, sw.0 as u64);
-                digest = fnv(digest, out_port.0 as u64);
-                digest = fnv(digest, *via_escape as u64);
-                digest = fnv(digest, *from_escape_head as u64);
-            }
-        }
-    }
-    digest
+    common::decision_digest(&net.flight_dump().expect("the capture is armed")).0
 }
 
 fn trace_digest(backend: QueueBackend) -> (u64, u64) {
@@ -105,7 +74,7 @@ fn trace_digest(backend: QueueBackend) -> (u64, u64) {
     let mut net = Network::builder(&topo, &fa)
         .workload(spec)
         .config(cfg)
-        .trace(TraceOpts::all(1_000_000))
+        .recorder(common::CAPTURE)
         .build()
         .unwrap();
     let result = net.run();
@@ -149,7 +118,7 @@ fn mixed_packet_sizes_simulate_the_same_on_both_backends() {
         let mut net = Network::builder(&topo, &fa)
             .script(&script)
             .config(cfg)
-            .trace(TraceOpts::all(1_000_000))
+            .recorder(common::CAPTURE)
             .metrics()
             .build()
             .unwrap();

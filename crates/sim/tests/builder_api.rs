@@ -2,7 +2,7 @@
 
 use iba_core::{Json, SimTime};
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{Network, SimConfig, TelemetryOpts, TraceOpts, TELEMETRY_SCHEMA_VERSION};
+use iba_sim::{Network, RecorderOpts, SimConfig, TelemetryOpts, TELEMETRY_SCHEMA_VERSION};
 use iba_topology::{IrregularConfig, Topology};
 use iba_workloads::{ScriptedPacket, TrafficScript, WorkloadSpec};
 
@@ -68,14 +68,17 @@ fn builder_wires_every_option_and_telemetry_renders_as_json_lines() {
     let mut net = Network::builder(&topo, &fa)
         .workload(WorkloadSpec::uniform32(0.01))
         .config(SimConfig::test(2))
-        .trace(TraceOpts::all(64))
+        .recorder(RecorderOpts {
+            trigger_on_drop: false,
+            watchdog: None,
+            ..RecorderOpts::default()
+        })
         .telemetry(TelemetryOpts::every_ns(2_000))
         .build()
         .unwrap();
-    assert!(net.telemetry_enabled());
     let r = net.run();
     assert!(r.delivered > 0);
-    assert!(!net.tracer().unwrap().traces().is_empty());
+    assert!(!net.flight_dump().unwrap().events.is_empty());
     // A JSON-lines stream is the memory sink rendered line by line:
     // one self-describing object per sample, then the versioned report.
     let mem = net.telemetry_sink().unwrap();

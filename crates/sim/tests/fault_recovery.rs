@@ -9,9 +9,11 @@
 //! stay ≥ 0.99. Faults are ordinary scheduled events, so runs stay
 //! bit-identical across both event-queue backends.
 
-use iba_core::{HostId, NodeRef, ServiceLevel, SimTime, SwitchId};
+mod common;
+
+use iba_core::{FlightEvent, HostId, NodeRef, ServiceLevel, SimTime, SwitchId};
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{Network, QueueBackend, RecoveryPolicy, RunResult, SimConfig, TraceOpts, TraceStep};
+use iba_sim::{Network, QueueBackend, RecoveryPolicy, RunResult, SimConfig};
 use iba_topology::{IrregularConfig, Topology, TopologyBuilder};
 use iba_workloads::{
     FaultEvent, FaultKind, FaultSchedule, ScriptedPacket, TrafficScript, WorkloadSpec,
@@ -134,20 +136,17 @@ fn table_swap_inside_the_routing_delay_forwards_on_the_new_tables() {
         .script(&script)
         .config(cfg)
         .faults(&schedule, RecoveryPolicy::SmResweep, 100)
-        .trace(TraceOpts::all(16))
+        .recorder(common::CAPTURE)
         .build()
         .unwrap();
     let (result, drained) = net.run_until_drained(cfg.horizon(), cfg.horizon().plus_ns(100_000));
     assert_eq!((result.resweeps, result.delivered), (1, 1), "{result:?}");
     assert!(drained && net.is_quiescent());
 
-    let tracer = net.tracer().unwrap();
-    let (_, trace) = tracer.traces().iter().next().unwrap();
-    let forwards: Vec<_> = trace
-        .steps
-        .iter()
-        .filter_map(|(at, s)| match s {
-            TraceStep::Forwarded { sw, out_port, .. } => Some((at.as_ns(), *sw, *out_port)),
+    let dump = net.flight_dump().unwrap();
+    let forwards: Vec<_> = (dump.events.iter())
+        .filter_map(|e| match e.ev {
+            FlightEvent::RouteDecision { out_port, .. } => Some((e.at_ns, e.sw?, out_port)),
             _ => None,
         })
         .collect();

@@ -3,12 +3,13 @@
 //! handles, queue backends) can prove they did not change a single
 //! arbitration outcome.
 //!
-//! The digest folds every traced `Forwarded` step — packet id, timestamp,
-//! switch, output port, escape/adaptive class and read point — plus the
-//! headline `RunResult` counters into one FNV-1a hash. Any behavioural
-//! drift in `pick_option`, `candidates` or event ordering changes the
-//! digest, at any shard count — there is one simulation machine, so
-//! there is one pin. The four behaviour counters were recorded from the
+//! The digest folds every routing decision of a journey capture (a
+//! flight recorder that keeps every event, `common::CAPTURE`) — packet
+//! id, timestamp, switch, output port, escape/adaptive class and read
+//! point — into one FNV-1a hash, pinned beside the headline `RunResult`
+//! counters. Any behavioural drift in `pick_option`, `candidates` or
+//! event ordering changes the digest, at any shard count — there is one
+//! simulation machine, so there is one pin. The four behaviour counters were recorded from the
 //! original single-queue engine and have never moved; the FNV digest was
 //! re-pinned once, when packet ids became `(source host, per-host
 //! sequence)` and the ids folded into it changed with them; the event
@@ -18,26 +19,17 @@
 //!
 //! Event counts are an implementation detail; behaviour is not. The
 //! second pin, [`GOLDEN_STEP_DIGEST`], is the gate for a change that
-//! fuses, splits or renames events: it folds every traced step of every
-//! packet and nothing else — no packet ids, no event counts.
+//! fuses, splits or renames events: it folds every step of every
+//! packet and nothing else — no packet ids, no event counts. Both pins
+//! were recorded from a dedicated journey tracer with its own compact
+//! step encoding; the capture folds to the same values.
 
-use iba_core::SimTime;
+mod common;
+
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{Network, SimConfig, TraceOpts, TraceStep};
+use iba_sim::{Network, SimConfig};
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 const GOLDEN_DIGEST: u64 = 16852469505632525844;
 
@@ -61,40 +53,6 @@ struct Golden {
     stopped_at_ns: u64,
 }
 
-/// One packet's journey without its id: every step, tagged and
-/// timestamped.
-fn journey_digest(steps: &[(SimTime, TraceStep)]) -> u64 {
-    let mut d = FNV_OFFSET;
-    for (at, step) in steps {
-        let fields = match step {
-            TraceStep::Generated { host } => [0, host.0 as u64, 0, 0, 0],
-            TraceStep::Injected => [1, 0, 0, 0, 0],
-            TraceStep::ArrivedAt { sw, port, vl } => {
-                [2, sw.0 as u64, port.0 as u64, vl.0 as u64, 0]
-            }
-            TraceStep::Forwarded {
-                sw,
-                out_port,
-                via_escape,
-                from_escape_head,
-            } => [
-                3,
-                sw.0 as u64,
-                out_port.0 as u64,
-                *via_escape as u64,
-                *from_escape_head as u64,
-            ],
-            TraceStep::Dropped { sw, .. } => [4, sw.0 as u64, 0, 0, 0],
-            TraceStep::Delivered { host } => [5, host.0 as u64, 0, 0, 0],
-        };
-        d = fnv(d, at.as_ns());
-        for f in fields {
-            d = fnv(d, f);
-        }
-    }
-    d
-}
-
 /// Run the fixed scenario on `shards` shards and digest every
 /// forwarding decision.
 fn run_scenario(shards: usize) -> Golden {
@@ -111,42 +69,16 @@ fn run_budgeted(shards: usize, max_events: u64) -> Golden {
     let mut net = Network::builder(&topo, &routing)
         .workload(spec)
         .config(cfg)
-        .trace(TraceOpts::all(1_000_000))
+        .recorder(common::CAPTURE)
         .shards(shards)
         .build()
         .unwrap();
     let result = net.run();
-
-    let tracer = net.tracer().expect("tracing enabled");
-    let mut ids: Vec<_> = tracer.traces().keys().copied().collect();
-    ids.sort();
-    let mut digest = FNV_OFFSET;
-    let mut forwards = 0u64;
-    let mut journeys = Vec::with_capacity(ids.len());
-    for id in ids {
-        journeys.push(journey_digest(&tracer.trace(id).unwrap().steps));
-        for (at, step) in &tracer.trace(id).unwrap().steps {
-            if let TraceStep::Forwarded {
-                sw,
-                out_port,
-                via_escape,
-                from_escape_head,
-            } = step
-            {
-                forwards += 1;
-                digest = fnv(digest, id.0);
-                digest = fnv(digest, at.as_ns());
-                digest = fnv(digest, sw.0 as u64);
-                digest = fnv(digest, out_port.0 as u64);
-                digest = fnv(digest, *via_escape as u64);
-                digest = fnv(digest, *from_escape_head as u64);
-            }
-        }
-    }
-    journeys.sort_unstable();
+    let dump = net.flight_dump().expect("the capture is armed");
+    let (digest, forwards) = common::decision_digest(&dump);
     Golden {
         digest,
-        step_digest: journeys.into_iter().fold(FNV_OFFSET, fnv),
+        step_digest: common::step_digest(&dump),
         forwards,
         delivered: result.delivered,
         escape_forwards: result.escape_forwards,

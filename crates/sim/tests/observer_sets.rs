@@ -1,31 +1,32 @@
 //! Armed equals bare, for every set of observers.
 //!
-//! Whatever listens behind the probe seam — journeys, telemetry, the
-//! flight recorder with its watchdog, engine metrics, in any of their 16
-//! combinations — the simulation is the one a bare run performs: the
-//! same `RunResult` (but for the handlers the sampling ticks add to
-//! `events`), the same journeys step for step (hence the decision and
-//! step digests `golden_decisions.rs` pins on the trace-only run), and
-//! what the listeners themselves report does not depend on who else is
-//! listening, on the shard count or on the queue backend.
+//! Whatever listens behind the probe seam — telemetry, the flight
+//! recorder, engine metrics, in any of their 8 combinations — the
+//! simulation is the one a bare run performs: the same `RunResult` (but
+//! for the handlers the sampling ticks add to `events`), and what the
+//! listeners themselves report does not depend on who else is
+//! listening, on the shard count or on the queue backend. A recorder
+//! that arms a trigger runs on one shard only; the journey capture,
+//! which arms none, runs on every shape, and its journeys are every
+//! packet's (hence the decision and step digests `golden_decisions.rs`
+//! pins on the capture-only run).
+
+mod common;
 
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{
-    FlightDump, Network, PacketTrace, QueueBackend, RecorderOpts, RunResult, SimConfig,
-    TelemetryOpts, TelemetryReport, TraceOpts, TELEMETRY_SCHEMA_VERSION,
+    FlightDump, Network, QueueBackend, RecorderOpts, RunResult, SimConfig, TelemetryOpts,
+    TelemetryReport, TELEMETRY_SCHEMA_VERSION,
 };
 use iba_topology::{IrregularConfig, Topology};
 use iba_workloads::WorkloadSpec;
-use std::collections::BTreeMap;
 
-const TRACE: u8 = 1;
-const TELEMETRY: u8 = 2;
-const RECORDER: u8 = 4;
-const METRICS: u8 = 8;
+const TELEMETRY: u8 = 1;
+const RECORDER: u8 = 2;
+const METRICS: u8 = 4;
 
 struct Observed {
     result: RunResult,
-    journeys: Option<BTreeMap<u64, PacketTrace>>,
     telemetry: Option<TelemetryReport>,
     flight: Option<FlightDump>,
 }
@@ -35,10 +36,17 @@ struct Scenario {
     routing: FaRouting,
     load: f64,
     seed: u64,
+    recorder: RecorderOpts,
 }
 
 impl Scenario {
-    fn new(switches: usize, topo_seed: u64, load: f64, seed: u64) -> Scenario {
+    fn new(
+        switches: usize,
+        topo_seed: u64,
+        load: f64,
+        seed: u64,
+        recorder: RecorderOpts,
+    ) -> Scenario {
         let topo = IrregularConfig::paper(switches, topo_seed)
             .generate()
             .unwrap();
@@ -48,6 +56,7 @@ impl Scenario {
             routing,
             load,
             seed,
+            recorder,
         }
     }
 
@@ -59,22 +68,11 @@ impl Scenario {
             .config(cfg)
             .shards(shards)
             .threads(shards.min(2));
-        if set & TRACE != 0 {
-            b = b.trace(TraceOpts::all(1_000_000));
-        }
         if set & TELEMETRY != 0 {
             b = b.telemetry(TelemetryOpts::every_ns(1_000));
         }
         if set & RECORDER != 0 {
-            // Saturation drops are real; they should not freeze the
-            // rings at the first one. (On the saturated point the
-            // watchdog does, at 45 µs, with five suspected wedges that
-            // are none — it did before the seam too; the frozen dump is
-            // held equal like any other.)
-            b = b.recorder(RecorderOpts {
-                trigger_on_drop: false,
-                ..RecorderOpts::default()
-            });
+            b = b.recorder(self.recorder);
         }
         if set & METRICS != 0 {
             b = b.metrics();
@@ -83,9 +81,6 @@ impl Scenario {
         let result = net.run();
         Observed {
             result,
-            journeys: net
-                .tracer()
-                .map(|t| t.traces().iter().map(|(id, j)| (id.0, j.clone())).collect()),
             telemetry: net.telemetry_sink().map(|m| m.report().clone()),
             flight: net.flight_dump(),
         }
@@ -95,29 +90,21 @@ impl Scenario {
     /// it on, each held to the bare run and to the first run that armed
     /// the same listener.
     fn assert_armed_equals_bare(&self, shapes: &[(usize, QueueBackend)]) {
+        let triggered = self.recorder.arms_trigger();
         let bare = self.run(0, 1, QueueBackend::BinaryHeap).result;
-        let mut journeys = None;
         let mut telemetry = None;
         let mut flight = None;
-        for set in 0..16u8 {
+        for set in 0..8u8 {
             for &(shards, backend) in shapes {
-                if set & RECORDER != 0 && shards > 1 {
-                    continue; // the recorder needs one shard
+                if set & RECORDER != 0 && triggered && shards > 1 {
+                    continue; // a trigger needs one shard
                 }
-                let at = format!("set {set:#06b} shards {shards} {backend:?}");
+                let at = format!("set {set:#05b} shards {shards} {backend:?}");
                 let mut o = self.run(set, shards, backend);
-                let ticks = set & (TELEMETRY | RECORDER) != 0;
+                let ticks = set & TELEMETRY != 0 || set & RECORDER != 0 && triggered;
                 assert_eq!(o.result.events > bare.events, ticks, "{at}");
                 o.result.events = bare.events;
                 assert_eq!(o.result, bare, "{at}: the listeners changed the run");
-                assert_eq!(o.journeys.is_some(), set & TRACE != 0, "{at}");
-                if let Some(j) = o.journeys {
-                    assert_eq!(j.len() as u64, bare.generated, "{at}");
-                    assert!(
-                        *journeys.get_or_insert_with(|| j.clone()) == j,
-                        "{at}: journeys"
-                    );
-                }
                 if let Some(t) = o.telemetry {
                     assert_eq!(t.schema_version, TELEMETRY_SCHEMA_VERSION);
                     assert_eq!(
@@ -130,7 +117,12 @@ impl Scenario {
                         "{at}: telemetry"
                     );
                 }
+                assert_eq!(o.flight.is_some(), set & RECORDER != 0, "{at}");
                 if let Some(f) = o.flight {
+                    if !triggered {
+                        let journeys = common::journeys(&f);
+                        assert_eq!(journeys.len() as u64, bare.generated, "{at}: journeys");
+                    }
                     assert!(
                         *flight.get_or_insert_with(|| f.clone()) == f,
                         "{at}: flight dump"
@@ -138,7 +130,7 @@ impl Scenario {
                 }
             }
         }
-        assert!(journeys.is_some() && telemetry.is_some() && flight.is_some());
+        assert!(telemetry.is_some() && flight.is_some());
     }
 }
 
@@ -153,15 +145,23 @@ const SHARDS_BY_BACKEND: [(usize, QueueBackend); 6] = [
 
 #[test]
 fn every_observer_set_leaves_the_golden_scenario_alone() {
-    // The scenario of `golden_decisions.rs`.
-    Scenario::new(8, 42, 0.02, 7).assert_armed_equals_bare(&SHARDS_BY_BACKEND);
+    // The scenario of `golden_decisions.rs`, with its journey capture.
+    Scenario::new(8, 42, 0.02, 7, common::CAPTURE).assert_armed_equals_bare(&SHARDS_BY_BACKEND);
 }
 
 #[test]
 fn every_observer_set_leaves_a_saturated_fabric_alone() {
     // The saturated point of `parallel_engine.rs`: full buffers, escape
-    // queues in use, stalls on every switch.
-    let s = Scenario::new(64, 1, 0.05, 1);
+    // queues in use, stalls on every switch. Its recorder keeps the
+    // default rings and arms the watchdog: saturation drops are real,
+    // so the drop trigger is off; the watchdog freezes the rings at
+    // 45 µs with five suspected wedges that are none (the frozen dump is
+    // held equal like any other).
+    let watched = RecorderOpts {
+        trigger_on_drop: false,
+        ..RecorderOpts::default()
+    };
+    let s = Scenario::new(64, 1, 0.05, 1, watched);
     let stalled = s.run(TELEMETRY, 1, QueueBackend::BinaryHeap);
     let report = stalled.telemetry.unwrap();
     assert!(stalled.result.delivered * 2 < stalled.result.generated);

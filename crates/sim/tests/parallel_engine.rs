@@ -12,59 +12,21 @@
 //!   invariants (drain, quiescence, credit conservation) must survive
 //!   too, and under SM re-sweeps, which every shard installs at the same
 //!   instant;
-//! * the subsystem that still needs the whole fabric in one shard is
-//!   rejected at build time instead of silently misbehaving.
+//! * a journey capture — a flight recorder that arms no trigger — dumps
+//!   the same events on every shape, also when its rings wrap, while a
+//!   recorder that arms a trigger, which still needs the whole fabric in
+//!   one shard, is rejected at build time instead of silently
+//!   misbehaving.
 //!
 //! The decision stream itself is pinned once, in `golden_decisions.rs`.
 
+mod common;
+
 use iba_core::SimTime;
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{
-    Network, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult, SimConfig, TraceOpts,
-    TraceStep, Tracer,
-};
+use iba_sim::{Network, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult, SimConfig};
 use iba_topology::{IrregularConfig, Topology, TopologySpec};
 use iba_workloads::{FaultEvent, FaultSchedule, WorkloadSpec};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut h: u64, x: u64) -> u64 {
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Digest of every forwarding decision in `tracer` — the same fold as
-/// the golden-trace test.
-fn trace_digest(tracer: &Tracer) -> (u64, u64) {
-    let mut ids: Vec<_> = tracer.traces().keys().copied().collect();
-    ids.sort();
-    let mut digest = FNV_OFFSET;
-    let mut forwards = 0u64;
-    for id in ids {
-        for (at, step) in &tracer.trace(id).unwrap().steps {
-            if let TraceStep::Forwarded {
-                sw,
-                out_port,
-                via_escape,
-                from_escape_head,
-            } = step
-            {
-                forwards += 1;
-                digest = fnv(digest, id.0);
-                digest = fnv(digest, at.as_ns());
-                digest = fnv(digest, sw.0 as u64);
-                digest = fnv(digest, out_port.0 as u64);
-                digest = fnv(digest, *via_escape as u64);
-                digest = fnv(digest, *from_escape_head as u64);
-            }
-        }
-    }
-    (digest, forwards)
-}
 
 /// One (shards, threads, backend) point of the execution-shape space.
 type Shape = (usize, usize, QueueBackend);
@@ -94,8 +56,8 @@ fn assert_shape_invariant<T: PartialEq + std::fmt::Debug>(scenario: impl Fn(Shap
     }
 }
 
-/// A traced fault-free run: the result and the decision digest.
-fn run_traced(
+/// A captured fault-free run: the result and the decision digest.
+fn run_captured(
     topo: &Topology,
     routing: &FaRouting,
     load: f64,
@@ -107,21 +69,21 @@ fn run_traced(
     let mut net = Network::builder(topo, routing)
         .workload(WorkloadSpec::uniform32(load))
         .config(cfg)
-        .trace(TraceOpts::all(1_000_000))
+        .recorder(common::CAPTURE)
         .shards(shards)
         .threads(threads)
         .build()
         .unwrap();
     let result = net.run();
-    let digest = trace_digest(net.tracer().expect("tracing enabled"));
-    (result, digest)
+    let dump = net.flight_dump().expect("the capture is armed");
+    (result, common::decision_digest(&dump))
 }
 
 #[test]
 fn parallel_golden_scenario_is_shape_invariant() {
     let topo = IrregularConfig::paper(8, 42).generate().unwrap();
     let routing = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
-    assert_shape_invariant(|shape| run_traced(&topo, &routing, 0.02, 7, shape));
+    assert_shape_invariant(|shape| run_captured(&topo, &routing, 0.02, 7, shape));
 }
 
 #[test]
@@ -131,7 +93,7 @@ fn parallel_saturated_fabric_is_shape_invariant() {
     // depended on the partition would show first.
     let topo = IrregularConfig::paper(64, 1).generate().unwrap();
     let routing = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
-    let (reference, _) = run_traced(&topo, &routing, 0.05, 1, SHAPES[0]);
+    let (reference, _) = run_captured(&topo, &routing, 0.05, 1, SHAPES[0]);
     assert!(
         reference.delivered * 2 < reference.generated,
         "the point must be saturated: {} of {} delivered",
@@ -139,7 +101,7 @@ fn parallel_saturated_fabric_is_shape_invariant() {
         reference.generated
     );
     assert!(reference.escape_forwards > 0);
-    assert_shape_invariant(|shape| run_traced(&topo, &routing, 0.05, 1, shape));
+    assert_shape_invariant(|shape| run_captured(&topo, &routing, 0.05, 1, shape));
 }
 
 #[test]
@@ -222,7 +184,7 @@ fn parallel_chaos_drains_conserves_and_is_shape_invariant() {
     assert_shape_invariant(run_chaos);
 }
 
-/// A traced `SmResweep` run under `schedule` that must drain, every
+/// A captured `SmResweep` run under `schedule` that must drain, every
 /// credit of a live link back: the result and the decision digest.
 fn run_resweep(
     topo: &Topology,
@@ -237,7 +199,7 @@ fn run_resweep(
         .workload(WorkloadSpec::uniform32(0.02))
         .config(cfg)
         .faults(schedule, RecoveryPolicy::SmResweep, 2_000)
-        .trace(TraceOpts::all(1_000_000))
+        .recorder(common::CAPTURE)
         .shards(shards)
         .threads(threads)
         .build()
@@ -247,7 +209,8 @@ fn run_resweep(
     assert!(drained, "shards={shards}: {result:?}");
     assert_eq!(net.residual_packets(), 0, "shards={shards}");
     assert!(net.credit_audit().is_empty(), "shards={shards}");
-    (result, trace_digest(net.tracer().expect("tracing enabled")))
+    let dump = net.flight_dump().expect("the capture is armed");
+    (result, common::decision_digest(&dump))
 }
 
 /// Every shard executes every fault, so every shard schedules the same
@@ -387,15 +350,74 @@ fn parallel_telemetry_samples_cover_the_whole_fabric() {
     assert!(telemetry_forwards >= result.adaptive_forwards + result.escape_forwards);
 }
 
+/// A bounded capture on a saturated fabric: every switch's ring wraps,
+/// and what survives of it — and so the whole JSONL dump, numbering
+/// included — must not depend on the partition, the worker threads or
+/// the queue backend.
 #[test]
-fn parallel_rejects_single_shard_subsystems() {
+fn parallel_wrapped_capture_is_shape_invariant() {
+    let topo = IrregularConfig::paper(16, 9).generate().unwrap();
+    let routing = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
+    let ring = RecorderOpts {
+        capacity_per_switch: 64,
+        ..common::CAPTURE
+    };
+    let dump = |(shards, threads, backend): Shape| {
+        let mut cfg = SimConfig::test(9);
+        cfg.queue_backend = backend;
+        let mut net = Network::builder(&topo, &routing)
+            .workload(WorkloadSpec::uniform32(0.05))
+            .config(cfg)
+            .recorder(ring)
+            .shards(shards)
+            .threads(threads)
+            .build()
+            .unwrap();
+        net.run();
+        net.flight_dump().expect("the capture is armed")
+    };
+    let reference = dump(SHAPES[0]);
+    assert_eq!(reference.events.len(), 16 * 64, "every ring is full");
+    assert!(reference.overwritten_events > reference.events.len() as u64);
+    assert_shape_invariant(|shape| dump(shape).to_jsonl());
+}
+
+/// A recorder that arms a trigger still needs one shard — a trigger
+/// must freeze every ring at the same event — whichever trigger it is.
+#[test]
+fn parallel_rejects_a_triggered_recorder() {
     let topo = IrregularConfig::paper(16, 5).generate().unwrap();
     let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
-    let recorder = Network::builder(&topo, &fa)
-        .workload(WorkloadSpec::uniform32(0.02))
-        .config(SimConfig::test(5))
-        .recorder(RecorderOpts::default())
-        .shards(2)
-        .build();
-    assert!(recorder.is_err(), "flight recorder must require shards = 1");
+    let build = |recorder: RecorderOpts| {
+        Network::builder(&topo, &fa)
+            .workload(WorkloadSpec::uniform32(0.02))
+            .config(SimConfig::test(5))
+            .recorder(recorder)
+            .shards(2)
+            .build()
+            .map(|_| ())
+    };
+    assert_eq!(build(common::CAPTURE), Ok(()));
+    for triggered in [
+        RecorderOpts::default(),
+        RecorderOpts {
+            trigger_on_drop: true,
+            ..common::CAPTURE
+        },
+        RecorderOpts {
+            latency_threshold_ns: Some(10_000),
+            ..common::CAPTURE
+        },
+        RecorderOpts {
+            watchdog: RecorderOpts::default().watchdog,
+            ..common::CAPTURE
+        },
+    ] {
+        let err = build(triggered).expect_err("a triggered recorder needs one shard");
+        assert!(
+            err.to_string()
+                .contains("a trigger freezes every ring at the same event"),
+            "{triggered:?}: {err}"
+        );
+    }
 }

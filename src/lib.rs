@@ -85,7 +85,7 @@ pub mod prelude {
         perfetto_trace, EngineProfile, EscapeOrderPolicy, FlightDump, FlightRecorder, MemorySink,
         Network, NetworkBuilder, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult,
         SelectionPolicy, SimConfig, StallCause, TelemetryOpts, TelemetryReport, TelemetrySample,
-        TraceOpts, Trigger, TriggerCause, WatchdogOpts,
+        Trigger, TriggerCause, WatchdogOpts,
     };
     pub use iba_sm::{
         ApmPlan, ManagedFabric, Programmer, ReliableSender, Resweep, RetryPolicy, RetryStats,
