@@ -7,15 +7,15 @@
 //! in `iba-core` (next to [`crate::json`]) so offline tools like
 //! `iba trace` can parse dumps without linking the simulator.
 //!
-//! Events are plain `Copy`-able value types sized for a hot path:
-//! a [`FlightEvent`] embeds its per-port option outcomes in an
-//! [`InlineVec`], so recording never allocates. Serialization goes
+//! Events are small values sized for a hot path: a [`FlightEvent`]'s
+//! candidate set keeps eight outcomes inline ([`OptionOutcomes`]), so only
+//! a set larger than any configured routing table allocates. Serialization goes
 //! through [`crate::json::Json`]:
 //! [`FlightEvent::to_json`] and [`FlightEvent::from_json`] are exact
 //! inverses, which the dump round-trip tests pin down.
 
 use crate::ids::{HostId, PortIndex, SwitchId};
-use crate::inline_vec::{InlineVec, MAX_PORTS};
+use crate::inline_vec::MAX_PORTS;
 use crate::json::Json;
 use crate::packet::PacketId;
 use crate::vl::VirtualLane;
@@ -154,8 +154,63 @@ pub struct OptionOutcome {
     pub verdict: OptionVerdict,
 }
 
-/// The full candidate set of one routing pass.
-pub type OptionOutcomes = InlineVec<OptionOutcome, MAX_PORTS>;
+/// The full candidate set of one routing pass, a slice through `Deref`:
+/// one outcome per forwarding-table address, and no configuration has
+/// more than eight (the paper: two, "up to four"). Eight sit inline; a
+/// larger set (at most one per switch port) moves to the heap whole.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct OptionOutcomes(Outcomes);
+
+/// Inline slots past the length keep their first value: derived `Eq`/`Hash` see the set.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Outcomes {
+    Inline(u8, [OptionOutcome; 8]),
+    Spilled(Vec<OptionOutcome>),
+}
+
+impl OptionOutcomes {
+    /// Append an outcome; the ninth moves the set to the heap.
+    pub fn push(&mut self, outcome: OptionOutcome) {
+        match &mut self.0 {
+            Outcomes::Inline(len @ 0..=7, buf) => {
+                buf[usize::from(*len)] = outcome;
+                *len += 1;
+            }
+            Outcomes::Inline(_, buf) => self.0 = Outcomes::Spilled([&buf[..], &[outcome]].concat()),
+            Outcomes::Spilled(v) => v.push(outcome),
+        }
+    }
+}
+
+impl Default for OptionOutcomes {
+    /// An empty set.
+    fn default() -> OptionOutcomes {
+        let unused = OptionOutcome {
+            port: PortIndex(0),
+            escape: false,
+            verdict: OptionVerdict::Selected,
+        };
+        OptionOutcomes(Outcomes::Inline(0, [unused; 8]))
+    }
+}
+
+impl std::ops::Deref for OptionOutcomes {
+    type Target = [OptionOutcome];
+    fn deref(&self) -> &[OptionOutcome] {
+        match &self.0 {
+            Outcomes::Inline(len, buf) => &buf[..usize::from(*len)],
+            Outcomes::Spilled(v) => v,
+        }
+    }
+}
+
+impl FromIterator<OptionOutcome> for OptionOutcomes {
+    fn from_iter<I: IntoIterator<Item = OptionOutcome>>(iter: I) -> OptionOutcomes {
+        let mut out = OptionOutcomes::default();
+        iter.into_iter().for_each(|o| out.push(o));
+        out
+    }
+}
 
 /// The stall watchdog's classification of a no-progress interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -190,7 +245,8 @@ impl StallClass {
 ///
 /// The timestamp and owning switch are *not* part of the event — the
 /// recorder's ring entries carry them — so the event itself stays a
-/// small copyable payload.
+/// small payload: 56 bytes on 64-bit targets (asserted ≤ 64 below); only
+/// a candidate set of more than eight outcomes owns heap memory.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FlightEvent {
     /// A host generated a packet into its source queue (a full finite
@@ -335,6 +391,9 @@ pub enum FlightEvent {
     },
 }
 
+// An armed run copies every hop's events into rings: size one by its decision.
+const _: () = assert!(std::mem::size_of::<FlightEvent>() <= 64);
+
 fn outcomes_to_json(options: &OptionOutcomes) -> Json {
     options
         .iter()
@@ -353,7 +412,7 @@ fn outcomes_from_json(v: &Json) -> Option<OptionOutcomes> {
     if arr.len() > MAX_PORTS {
         return None;
     }
-    let mut out = OptionOutcomes::new();
+    let mut out = OptionOutcomes::default();
     for o in arr {
         out.push(OptionOutcome {
             port: PortIndex(u8::try_from(o.get("port")?.as_u64()?).ok()?),
@@ -789,7 +848,7 @@ mod tests {
     use super::*;
 
     fn sample_events() -> Vec<FlightEvent> {
-        let mut options = OptionOutcomes::new();
+        let mut options = OptionOutcomes::default();
         options.push(OptionOutcome {
             port: PortIndex(2),
             escape: false,
@@ -899,6 +958,46 @@ mod tests {
             };
             let j = stamped.to_json();
             assert_eq!(StampedEvent::from_json(&j).unwrap(), stamped);
+        }
+    }
+
+    #[test]
+    fn a_candidate_set_spills_past_eight_and_loses_nothing() {
+        use std::hash::{BuildHasher, RandomState};
+        let all: Vec<OptionOutcome> = (0..MAX_PORTS)
+            .map(|p| OptionOutcome {
+                port: PortIndex(p as u8),
+                escape: p == 0,
+                verdict: OptionVerdict::ALL[p % OptionVerdict::ALL.len()],
+            })
+            .collect();
+        let hasher = RandomState::new();
+        for len in [0, 1, 8, 9, MAX_PORTS] {
+            let options: OptionOutcomes = all[..len].iter().copied().collect();
+            assert_eq!(options[..], all[..len], "len {len}");
+            let copy = options.clone();
+            assert_eq!(copy, options);
+            assert_eq!(hasher.hash_one(&copy), hasher.hash_one(&options));
+            let fewer: OptionOutcomes = all[..len.saturating_sub(1)].iter().copied().collect();
+            assert_eq!(fewer == options, len == 0);
+            let stamped = StampedEvent {
+                seq: 3,
+                at_ns: 40,
+                sw: Some(SwitchId(2)),
+                ev: FlightEvent::RouteDecision {
+                    packet: PacketId(7),
+                    in_port: PortIndex(1),
+                    vl: VirtualLane(0),
+                    out_port: PortIndex(0),
+                    via_escape: true,
+                    from_escape_head: false,
+                    waited_ns: 120,
+                    options,
+                },
+            };
+            let text = stamped.to_json().to_string_compact();
+            let back = StampedEvent::from_json(&Json::parse(&text).unwrap());
+            assert_eq!(back.as_ref(), Some(&stamped), "len {len}");
         }
     }
 

@@ -484,7 +484,7 @@ fn flightrec(args: &Args) -> Result<(), String> {
             |us| format!("at {us}us (no recovery)")
         ),
     );
-    let (result, dump) = run_recorded(&spec).map_err(|e| e.to_string())?;
+    let (result, dump) = run_recorded(&spec, |net| net.flight_dump()).map_err(|e| e.to_string())?;
 
     print!("{}", tracequery::describe(&dump));
     println!(

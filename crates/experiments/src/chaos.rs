@@ -312,11 +312,10 @@ fn run_backend(
             r.escape_cert_failures
         ));
     }
-    let dump = net.flight_dump().ok_or_else(|| {
+    let triggers = net.flight_triggers().ok_or_else(|| {
         IbaError::RoutingFailed("chaos run lost its flight recorder (builder arms it)".into())
     })?;
-    let wedges = dump
-        .triggers
+    let wedges = triggers
         .iter()
         .filter(|t| t.cause == TriggerCause::SuspectedWedge)
         .count();

@@ -57,8 +57,12 @@ impl Default for FlightRunSpec {
     }
 }
 
-/// Run the spec; returns the ordinary result and the flight dump.
-pub fn run_recorded(spec: &FlightRunSpec) -> Result<(RunResult, FlightDump), IbaError> {
+/// Run the spec and `read` the recorder off the network (the dump:
+/// `|net| net.flight_dump()`); returns the ordinary result and the read.
+pub fn run_recorded<T>(
+    spec: &FlightRunSpec,
+    read: impl FnOnce(&Network) -> Option<T>,
+) -> Result<(RunResult, T), IbaError> {
     let topo = IrregularConfig::paper(spec.size, spec.seed).generate()?;
     let routing = FaRouting::build(&topo, RoutingConfig::two_options())?;
     let mut b = Network::builder(&topo, &routing)
@@ -73,10 +77,10 @@ pub fn run_recorded(spec: &FlightRunSpec) -> Result<(RunResult, FlightDump), Iba
     }
     let mut net = b.build()?;
     let result = net.run();
-    let dump = net.flight_dump().ok_or_else(|| {
+    let read = read(&net).ok_or_else(|| {
         IbaError::RoutingFailed("recorded run lost its flight recorder (builder arms it)".into())
     })?;
-    Ok((result, dump))
+    Ok((result, read))
 }
 
 /// The Perfetto document for a dump, rendered to text.
@@ -116,9 +120,20 @@ mod tests {
     use super::*;
     use iba_sim::TriggerCause;
 
+    /// The dump, and the triggers as read without it — which must be the
+    /// dump's.
+    fn run_checked(spec: &FlightRunSpec) -> (RunResult, FlightDump) {
+        let (result, (dump, triggers)) = run_recorded(spec, |net| {
+            Some((net.flight_dump()?, net.flight_triggers()?))
+        })
+        .unwrap();
+        assert_eq!(triggers, dump.triggers);
+        (result, dump)
+    }
+
     #[test]
     fn smoke_spec_wedges_and_exports_cleanly() {
-        let (result, dump) = run_recorded(&FlightRunSpec::default()).unwrap();
+        let (result, dump) = run_checked(&FlightRunSpec::default());
         assert_eq!(result.faults_injected, 1);
         assert!(dump.frozen, "the wedge must freeze the recorder");
         assert!(dump
@@ -154,7 +169,7 @@ mod tests {
             fault_at_us: None,
             ..FlightRunSpec::default()
         };
-        let (result, dump) = run_recorded(&spec).unwrap();
+        let (result, dump) = run_checked(&spec);
         assert_eq!(result.faults_injected, 0);
         assert!(!dump.frozen);
         assert!(dump.triggers.is_empty());

@@ -197,7 +197,7 @@ mod tests {
     }
 
     fn sample_dump() -> FlightDump {
-        let mut options = OptionOutcomes::new();
+        let mut options = OptionOutcomes::default();
         options.push(outcome(2, false, OptionVerdict::NoAdaptiveCredit));
         options.push(outcome(0, true, OptionVerdict::NoEscapeCredit));
         let stamp = |seq, at_ns, sw: Option<u16>, ev| StampedEvent {

@@ -62,7 +62,7 @@
 use crate::config::{RecoveryPolicy, SimConfig};
 use crate::metrics::{fill_run_metrics, EngineProfile, WorkerProfile};
 use crate::probe::Observers;
-use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts};
+use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts, Trigger};
 use crate::shard::{check_key_capacity, Mailbox, Shard, CLASS_NAMES};
 use crate::stats::{RunResult, StatsCollector};
 use crate::telemetry::{MemorySink, TelemetryOpts, TelemetryState};
@@ -564,11 +564,22 @@ impl<'a> Network<'a> {
     /// switch's ring from the shard that owns the switch, in the one
     /// canonical order, so the dump is the same at every shard count.
     pub fn flight_dump(&self) -> Option<FlightDump> {
-        let recorders: Option<Vec<&FlightRecorder>> = (self.shards.iter())
-            .map(|s| s.observers.as_deref()?.recorder.as_ref())
-            .collect();
         let owner = |sw: SwitchId| self.partition.shard_of_switch(sw);
-        Some(FlightRecorder::merge(&recorders?, owner))
+        Some(FlightRecorder::merge(&self.recorders()?, owner))
+    }
+
+    /// `flight_dump()`'s `triggers`, without copying or sorting a ring
+    /// (`None` unless the recorder was armed).
+    pub fn flight_triggers(&self) -> Option<Vec<Trigger>> {
+        let rs = self.recorders()?;
+        Some(rs.iter().flat_map(|r| r.triggers()).copied().collect())
+    }
+
+    /// Every shard's recorder, or `None` when none was armed.
+    fn recorders(&self) -> Option<Vec<&FlightRecorder>> {
+        (self.shards.iter())
+            .map(|s| s.observers.as_deref()?.recorder.as_ref())
+            .collect()
     }
 
     /// The shard owning switch `si`.

@@ -182,7 +182,10 @@ impl Ring {
             self.buf.push((at_ns, ev));
         } else {
             self.buf[self.head] = (at_ns, ev);
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
             self.overwritten += 1;
         }
     }
@@ -381,11 +384,13 @@ impl FlightRecorder {
         owner: impl Fn(SwitchId) -> usize,
     ) -> FlightDump {
         let any = recorders[0];
-        let mut events = Vec::new();
+        let ring_of = |s: usize| &recorders[owner(SwitchId(s as u16))].rings[s];
+        let held = (0..any.rings.len()).map(|s| ring_of(s).buf.len()).sum();
+        let mut events = Vec::with_capacity(held);
         let mut overwritten_events = 0;
         for s in 0..any.rings.len() {
             let sw = SwitchId(s as u16);
-            let ring = &recorders[owner(sw)].rings[s];
+            let ring = ring_of(s);
             overwritten_events += ring.overwritten;
             events.extend(ring.iter().map(|(at_ns, ev)| StampedEvent {
                 seq: 0,
@@ -667,22 +672,26 @@ mod tests {
     #[test]
     fn blocked_events_dedup_by_reason_set() {
         let mut rec = FlightRecorder::new(RecorderOpts::default(), 1, 2, 1);
-        let mut opts = OptionOutcomes::new();
-        opts.push(iba_core::OptionOutcome {
-            port: PortIndex(1),
-            escape: true,
-            verdict: iba_core::OptionVerdict::NoEscapeCredit,
-        });
+        let refused = |verdict| -> OptionOutcomes {
+            let port = PortIndex(1);
+            std::iter::once(iba_core::OptionOutcome {
+                port,
+                escape: true,
+                verdict,
+            })
+            .collect()
+        };
+        let mut opts = refused(iba_core::OptionVerdict::NoEscapeCredit);
         let mut said = 0;
         for _ in 0..5 {
             said += u32::from(rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
         }
         assert_eq!(said, 1, "identical blocks dedup");
         // A different reason set logs again.
-        opts[0].verdict = iba_core::OptionVerdict::LinkBusy;
+        opts = refused(iba_core::OptionVerdict::LinkBusy);
         assert!(rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
         // Progress resets the dedup signature: the same reason logs anew.
-        opts[0].verdict = iba_core::OptionVerdict::NoEscapeCredit;
+        opts = refused(iba_core::OptionVerdict::NoEscapeCredit);
         assert!(rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
         assert!(!rec.blocked_anew(SwitchId(0), 0, 0, PacketId(7), &opts));
         rec.note_progress(SwitchId(0), 0, 0, SimTime::from_ns(12));

@@ -266,7 +266,7 @@ impl Shard<'_> {
                 cands
             };
             for &(idx, read_point) in &cands {
-                let mut options = OptionOutcomes::new();
+                let mut options = OptionOutcomes::default();
                 let picked = self.pick_option(
                     now,
                     sw,
