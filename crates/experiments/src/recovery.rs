@@ -58,7 +58,9 @@ fn physical_of(topo: &Topology, fabric: &ManagedFabric, guid: u64) -> Result<Swi
 }
 
 /// Entry-wise LFT equality across two fabrics of the same topology: two
-/// tables are equal when their lengths, fanouts and every entry are.
+/// tables are equal when their extents, fanouts and every entry are. An
+/// agent's extent is the end of the highest block holding an entry, and
+/// no SMP clears an entry, so equal entries mean equal extents.
 fn fabrics_equal(topo: &Topology, a: &ManagedFabric, b: &ManagedFabric) -> bool {
     topo.switch_ids().all(|s| a.agent(s).lft == b.agent(s).lft)
 }
@@ -81,6 +83,9 @@ pub fn run_size(
     if !up.report.verified {
         return Err(IbaError::RoutingFailed("bring-up did not verify".into()));
     }
+    // The full-rebuild twin starts from this verified bring-up: a clone
+    // is the state a second `initialize` would reach.
+    let mut twin = fabric.clone();
     // Prefer a removable link between switches at the *same* BFS level
     // from the up*/down* root: such a link lies on no shortest path from
     // the root, so its removal shifts no level, the up/down orientation
@@ -120,9 +125,9 @@ pub fn run_size(
     let resweep = sm.resweep_after_link_failure(&mut fabric, &up, a, b, &mut programmer)?;
     let inc_smps = fabric.smps_sent - before;
 
-    // Full-rebuild twin: the same physical fabric and the same dead
-    // link, recovered the legacy way — re-sweep the whole fabric, build
-    // the routing from scratch, upload every block through a fresh
+    // Full-rebuild twin: the copy of the verified bring-up, with the same
+    // dead link, recovered the legacy way — re-sweep the whole fabric,
+    // build the routing from scratch, upload every block through a fresh
     // (stateless) programmer. The from-scratch build is held in the
     // *same* comparison frame as the incremental one (previous
     // discovery's LID assignment, previous up*/down* root): an unpinned
@@ -149,8 +154,6 @@ pub fn run_size(
     };
     let full_routing = FaRouting::build(&degraded_topo, pinned)?;
 
-    let mut twin = ManagedFabric::new(&physical, 2)?;
-    sm.initialize(&mut twin)?;
     twin.fail_link(pa, pb)?;
     let before = twin.smps_sent;
     Discoverer::new().discover(&mut twin)?;
@@ -300,6 +303,33 @@ mod tests {
         assert!(inc.recovery_time_ns < full.recovery_time_ns);
         assert_eq!(inc.blocks_total, full.blocks_total);
         verify(&[full, inc]).unwrap();
+    }
+
+    /// `run_size`'s twin is a clone of the verified bring-up; a clone must
+    /// be every bit the fabric a second, fresh bring-up produces.
+    #[test]
+    fn cloned_twin_is_a_fresh_bring_up() {
+        for seed in [3, 8] {
+            let physical = IrregularConfig::paper(16, seed).generate().unwrap();
+            let sm = SubnetManager::new(RoutingConfig::two_options());
+            let mut fabric = ManagedFabric::new(&physical, 2).unwrap();
+            sm.initialize_with(&mut fabric, &mut Programmer::new())
+                .unwrap();
+            let clone = fabric.clone();
+            let mut fresh = ManagedFabric::new(&physical, 2).unwrap();
+            sm.initialize(&mut fresh).unwrap();
+            for s in physical.switch_ids() {
+                let (c, f) = (clone.agent(s), fresh.agent(s));
+                assert_eq!(c.lft, f.lft, "seed {seed}, switch {s:?}: lft");
+                assert_eq!(c.sl2vl, f.sl2vl, "seed {seed}, switch {s:?}: sl2vl");
+                assert_eq!(c.lid, f.lid, "seed {seed}, switch {s:?}: lid");
+                assert_eq!(
+                    c.smps_processed, f.smps_processed,
+                    "seed {seed}, switch {s:?}"
+                );
+            }
+            assert_eq!(clone.smps_sent, fresh.smps_sent, "seed {seed}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use iba_core::{IbaError, PortIndex, ServiceLevel, VirtualLane};
 /// Indexed by `(input port, output port, SL)`. Input port `None`
 /// represents packets injected by the switch's own management interface —
 /// not used by the data-path model, but kept for spec shape.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlToVlTable {
     ports: u8,
     /// `map[in_port][out_port][sl]` → VL.

@@ -60,6 +60,18 @@ impl InterleavedForwardingTable {
         })
     }
 
+    /// Extend the table to `len` linear entries with unprogrammed ones;
+    /// a table already that long is left as it is.
+    pub fn grow_to(&mut self, len: usize) {
+        if len > self.len {
+            let rows = len.div_ceil(self.fanout as usize);
+            for module in &mut self.modules {
+                module.resize(rows, INVALID_PORT);
+            }
+            self.len = len;
+        }
+    }
+
     /// Number of linear entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -284,6 +296,25 @@ mod tests {
         let r = t.lookup(Lid(1000));
         assert_eq!(r.escape, None);
         assert!(r.adaptive.is_empty());
+    }
+
+    #[test]
+    fn grow_to_extends_with_unprogrammed_entries_and_never_shrinks() {
+        let mut t = InterleavedForwardingTable::new(6, 4).unwrap();
+        t.set(Lid(5), PortIndex(2)).unwrap();
+        t.grow_to(64);
+        assert_eq!(t.len(), 64);
+        assert_eq!(t.get(Lid(5)), Some(PortIndex(2)));
+        assert_eq!(t.get(Lid(6)), None);
+        t.set(Lid(63), PortIndex(1)).unwrap();
+        t.grow_to(8);
+        assert_eq!(t.len(), 64);
+        assert_eq!(t.get(Lid(63)), Some(PortIndex(1)));
+        // A grown table equals one allocated at that length and written alike.
+        let mut eager = InterleavedForwardingTable::new(64, 4).unwrap();
+        eager.set(Lid(5), PortIndex(2)).unwrap();
+        eager.set(Lid(63), PortIndex(1)).unwrap();
+        assert_eq!(t, eager);
     }
 
     #[test]

@@ -18,11 +18,12 @@ use iba_topology::Topology;
 /// Entries per linear-forwarding-table block (spec value).
 pub const LFT_BLOCK: usize = 64;
 
-/// Entries of an agent's LFT: the unicast LID space, `0..=0xBFFF`.
+/// Capacity of an agent's LFT: the unicast LID space, `0..=0xBFFF`.
+/// An SMP addressing an entry past it is rejected.
 pub(crate) const LFT_LEN: usize = 48 * 1024;
 
 /// One switch's management agent state.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ManagedSwitch {
     /// Stable globally unique id.
     pub guid: u64,
@@ -30,7 +31,9 @@ pub struct ManagedSwitch {
     pub lid: Lid,
     /// The linear forwarding table (interleaved internally when the
     /// switch is an enhanced one; the SM cannot tell the difference —
-    /// that is the point of §4.1).
+    /// that is the point of §4.1). It holds entries up to the end of
+    /// the highest block the SM has written an entry into; every entry
+    /// past that, up to [`LFT_LEN`], reads unprogrammed.
     pub lft: InterleavedForwardingTable,
     /// The SLtoVL mapping table (§4.4).
     pub sl2vl: SlToVlTable,
@@ -39,6 +42,11 @@ pub struct ManagedSwitch {
 }
 
 /// A topology whose switches are reachable through SMPs.
+///
+/// A clone is a second fabric in the same state: same agents, same
+/// failed links, and — when SMP loss is armed — the same position in
+/// the loss stream, so it goes on losing the SMPs the original would.
+#[derive(Clone)]
 pub struct ManagedFabric<'a> {
     topo: &'a Topology,
     /// The switch the SM is attached to (via its first host).
@@ -90,7 +98,7 @@ impl<'a> ManagedFabric<'a> {
                 Ok(ManagedSwitch {
                     guid: guid_of(s),
                     lid: Lid(0),
-                    lft: InterleavedForwardingTable::new(LFT_LEN, lft_fanout)?,
+                    lft: InterleavedForwardingTable::new(0, lft_fanout)?,
                     // Power-on default: everything on VL0 until programmed.
                     sl2vl: SlToVlTable::identity(topo.ports_per_switch(), 1)?,
                     smps_processed: 0,
@@ -287,19 +295,24 @@ impl<'a> ManagedFabric<'a> {
                     (SmpMethod::Set, SmpAttribute::LinearForwardingTable { block, entries }) => {
                         // The whole block is validated before the table
                         // is touched: a rejected SMP — an oversized
-                        // block, a port past the switch, an address
-                        // past the table — leaves the agent unchanged,
-                        // or the SM, seeing the rejection, would never
-                        // know which half was written.
-                        let base = *block as usize * LFT_BLOCK;
+                        // block, a port past the switch, an entry past
+                        // `LFT_LEN` — leaves the agent unchanged, or the
+                        // SM, seeing the rejection, would never know
+                        // which half was written. A block holding an
+                        // entry then grows the table to its end.
+                        let end = (*block as usize + 1) * LFT_BLOCK;
+                        let written = entries.iter().any(Option::is_some);
                         let bad_port = entries.iter().flatten().any(|p| p.0 >= ports);
-                        if entries.len() > LFT_BLOCK
-                            || bad_port
-                            || agent.lft.write_block(base, entries).is_err()
-                        {
+                        if entries.len() > LFT_BLOCK || bad_port || (written && end > LFT_LEN) {
                             return SmpResponse::Unsupported;
                         }
-                        SmpResponse::Ok
+                        if written {
+                            agent.lft.grow_to(end);
+                        }
+                        match agent.lft.write_block(end - LFT_BLOCK, entries) {
+                            Ok(()) => SmpResponse::Ok,
+                            Err(_) => SmpResponse::Unsupported,
+                        }
                     }
                     (SmpMethod::Get, SmpAttribute::LinearForwardingTable { block, .. }) => {
                         let mut entries = [None; LFT_BLOCK];
@@ -326,6 +339,7 @@ mod tests {
     use super::*;
     use iba_core::{PortIndex, ServiceLevel};
     use iba_topology::regular;
+    use proptest::prelude::*;
 
     fn smp(method: SmpMethod, attribute: SmpAttribute, route: DirectedRoute) -> Smp {
         Smp {
@@ -466,9 +480,8 @@ mod tests {
         // An out-of-table block number is rejected outright. Before the
         // address validation, `(base + i) as u16` could wrap a huge
         // block number back into the table and silently clobber LID 0.
-        let len = fab.agent(fab.sm_switch()).lft.len();
         let wrapping_block = (65536 / LFT_BLOCK) as u32; // base 65536 → wraps to 0
-        assert!(wrapping_block as usize * LFT_BLOCK >= len);
+        assert!(wrapping_block as usize * LFT_BLOCK >= LFT_LEN);
         let mut entries = vec![None; LFT_BLOCK];
         entries[0] = Some(PortIndex(1));
         let resp = fab.send(&smp(
@@ -503,6 +516,89 @@ mod tests {
         let agent = fab.agent(fab.sm_switch());
         for lid in 0..=LFT_BLOCK as u16 {
             assert_eq!(agent.lft.get(Lid(lid)), None, "lid {lid} written");
+        }
+    }
+
+    proptest! {
+        /// To the SM an agent's LFT is still a table of `LFT_LEN`
+        /// entries, however little of it the agent holds: random block
+        /// `Set`s and `Get`s — near LID 0, around the top of the table
+        /// and past it, with bad ports, oversized and all-`None` blocks —
+        /// answer as a plain `LFT_LEN`-entry shadow does, a rejected
+        /// `Set` changes nothing, and the agent holds entries exactly to
+        /// the end of the highest block with one in it.
+        #[test]
+        fn prop_agent_lft_answers_like_a_full_table(
+            ops in proptest::collection::vec(
+                (any::<bool>(), 0u8..3, 0u32..1024, 0u8..8,
+                 proptest::collection::vec(0u8..6, 0..=LFT_BLOCK), 0usize..LFT_BLOCK),
+                1..40),
+        ) {
+            let topo = regular::ring(4, 1).unwrap(); // 3-port switches
+            let mut fab = ManagedFabric::new(&topo, 2).unwrap();
+            let sm_sw = fab.sm_switch();
+            let mut shadow: Vec<Option<PortIndex>> = vec![None; LFT_LEN];
+            let mut top = 0; // one past the highest address holding an entry
+            let top_block = (LFT_LEN / LFT_BLOCK) as u32;
+            for (get, near, raw_block, kind, raw, pos) in ops {
+                let block = match near {
+                    0 => raw_block % 4,
+                    1 => top_block - 2 + raw_block % 6, // two in, four past
+                    _ => raw_block % (top_block + 4),
+                };
+                let base = block as usize * LFT_BLOCK;
+                if get {
+                    let resp = fab.send(&smp(
+                        SmpMethod::Get,
+                        SmpAttribute::LinearForwardingTable { block, entries: vec![] },
+                        DirectedRoute::local(),
+                    ));
+                    let SmpResponse::LftBlock { entries } = resp else {
+                        return Err(proptest::TestCaseError::Fail(format!("{resp:?}")));
+                    };
+                    for (k, got) in entries.iter().enumerate() {
+                        let want = shadow.get(base + k).copied().flatten();
+                        prop_assert!(*got == want, "block {block} entry {k}: {got:?}");
+                    }
+                    continue;
+                }
+                let mut entries: Vec<Option<PortIndex>> =
+                    raw.iter().map(|&v| (v < 3).then_some(PortIndex(v))).collect();
+                match kind {
+                    0 => entries.iter_mut().for_each(|e| *e = None),
+                    1 if pos < entries.len() => entries[pos] = Some(PortIndex(3)),
+                    2 => entries.resize(LFT_BLOCK + 1, Some(PortIndex(0))),
+                    _ => {}
+                }
+                let accept = entries.len() <= LFT_BLOCK
+                    && entries.iter().flatten().all(|p| p.0 < 3)
+                    && (entries.iter().enumerate()).all(|(k, e)| e.is_none() || base + k < LFT_LEN);
+                let before = fab.agent(sm_sw).lft.clone();
+                let resp = fab.send(&smp(
+                    SmpMethod::Set,
+                    SmpAttribute::LinearForwardingTable { block, entries: entries.clone() },
+                    DirectedRoute::local(),
+                ));
+                let want = if accept { SmpResponse::Ok } else { SmpResponse::Unsupported };
+                prop_assert_eq!(resp, want);
+                if accept {
+                    for (k, e) in entries.iter().enumerate() {
+                        if e.is_some() {
+                            shadow[base + k] = *e;
+                            top = top.max(base + k + 1);
+                        }
+                    }
+                } else {
+                    prop_assert_eq!(&fab.agent(sm_sw).lft, &before);
+                }
+                prop_assert_eq!(
+                    fab.agent(sm_sw).lft.len(),
+                    top.div_ceil(LFT_BLOCK) * LFT_BLOCK
+                );
+            }
+            let lft = &fab.agent(sm_sw).lft;
+            prop_assert_eq!(lft.linear_view(), shadow[..lft.len()].to_vec());
+            prop_assert!(shadow[lft.len()..].iter().all(Option::is_none));
         }
     }
 
