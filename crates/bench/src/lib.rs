@@ -95,11 +95,12 @@ impl BenchFixture {
             .run()
     }
 
-    /// Run one simulation with the metrics plane armed: engine
-    /// profiling on, registry filled post-run (and discarded) — the
-    /// observability side of the hook-overhead benchmark. The disabled
-    /// counterpart is [`Self::simulate`]: its hot path carries only a
-    /// `bool` check.
+    /// Run one simulation with engine profiling armed (`.metrics()`)
+    /// and read its [`EngineProfile`](iba_sim::EngineProfile) back — the
+    /// profiling side of the hook-overhead benchmark, which measures
+    /// the per-window clock reads and the per-class handler tallies and
+    /// nothing else. The disarmed counterpart is [`Self::simulate`]:
+    /// its hot path carries only a `bool` check.
     pub fn simulate_metered(&self, spec: WorkloadSpec, cfg: SimConfig) -> RunResult {
         let mut net = Network::builder(&self.topology, &self.routing)
             .workload(spec)
@@ -108,7 +109,7 @@ impl BenchFixture {
             .build()
             .expect("consistent setup");
         let result = net.run();
-        let _ = net.metrics_registry(&result);
+        assert!(net.engine_profile().is_some(), "profiling armed");
         result
     }
 

@@ -1,7 +1,7 @@
 //! Atomic results writes.
 //!
 //! Every results artifact in this workspace (`results/*.json`, CI
-//! smoke outputs, Prometheus expositions) used to be written with a
+//! smoke outputs, flight dumps) used to be written with a
 //! bare `std::fs::write`, which can leave a torn half-document behind
 //! on a crash mid-write. [`write_atomic`] closes that hole with the
 //! classic tmp-file + rename dance: the content is fully written and

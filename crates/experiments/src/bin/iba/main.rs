@@ -25,7 +25,6 @@ const COMMANDS: &[Command] = &[
     runs::METRICS,
     runs::FLIGHTREC,
     query::TRACE,
-    query::METRICS_REPORT,
     HELP,
 ];
 

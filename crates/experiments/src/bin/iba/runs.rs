@@ -1,6 +1,6 @@
 //! Single runs and studies around them: ad-hoc exploration, the
-//! link-utilization heatmap, fault recovery, telemetry, the metrics
-//! plane and the flight recorder.
+//! link-utilization heatmap, fault recovery, telemetry, the engine
+//! profile and the flight recorder.
 
 use crate::FIDELITY;
 use iba_campaign::write_atomic;
@@ -354,7 +354,7 @@ fn telemetry_sweep(args: &Args) -> Result<(), String> {
 
 pub const METRICS: Command = Command {
     name: "metrics",
-    about: "metrics plane: SM bring-up plus one profiled run per shard count",
+    about: "shard-scaling profile: one profiled run per shard count",
     positional: &[],
     flags: &[&[
         FIDELITY,
@@ -364,20 +364,13 @@ pub const METRICS: Command = Command {
         Flag::value("shards", "a,b", "shard counts to profile [1,2,4]"),
         Flag::value("seed", "N", "seed [100]"),
         Flag::value("out", "PATH", "experiment document [results/metrics.json]"),
-        Flag::value("prom", "PATH", "Prometheus text [results/metrics.prom]"),
-        Flag::value("snapshots", "PATH", "JSONL [results/metrics.jsonl]"),
-        Flag::value(
-            "digest-names",
-            "PATH",
-            "digested series [results/metrics.digest-names.txt]",
-        ),
     ]],
-    run: metrics_plane,
+    run: metrics_profile,
 };
 
-/// Fails when sim-time metrics diverge across shard counts or a
-/// `profiling_` series leaks into the determinism digest.
-fn metrics_plane(args: &Args) -> Result<(), String> {
+/// Fails unless every shard count returns the same `RunResult` and it
+/// delivered something.
+fn metrics_profile(args: &Args) -> Result<(), String> {
     let fidelity = args.get_or("fidelity", Fidelity::Quick)?;
     let mut cfg = MetricsConfig::paper(fidelity, args.get_or("seed", 100u64)?);
     cfg.switches = args.get_or("switches", cfg.switches)?;
@@ -385,54 +378,27 @@ fn metrics_plane(args: &Args) -> Result<(), String> {
     cfg.adaptive_fraction = args.get_or("adaptive", cfg.adaptive_fraction)?;
     cfg.shards = args.get_list_or("shards", &cfg.shards)?;
     let out = args.get("out").unwrap_or("results/metrics.json");
-    let prom_out = args.get("prom").unwrap_or("results/metrics.prom");
-    let snap_out = args.get("snapshots").unwrap_or("results/metrics.jsonl");
-    let names_out = args
-        .get("digest-names")
-        .unwrap_or("results/metrics.digest-names.txt");
 
     eprintln!(
         "metrics: {:?} fidelity, {} switches, shards {:?}, load {}",
         fidelity, cfg.switches, cfg.shards, cfg.load
     );
-    let run = metrics::run(&cfg).map_err(|e| e.to_string())?;
+    let points = metrics::run(&cfg).map_err(|e| e.to_string())?;
 
-    println!("shards  digest              barrier_wait  p50/p99 latency ns");
-    for p in &run.points {
+    println!("shards  windows  barrier_wait  p50/p99 latency ns");
+    for p in &points {
         println!(
-            "{:>6}  {:#018x}  {:>11.1}%  {} / {}",
+            "{:>6}  {:>7}  {:>11.1}%  {} / {}",
             p.shards,
-            p.digest,
-            p.barrier_wait_share * 100.0,
+            p.profile.windows,
+            p.profile.barrier_wait_share() * 100.0,
             p.result.p50_latency_ns.unwrap_or(0),
             p.result.p99_latency_ns.unwrap_or(0),
         );
     }
-
-    let write = |path: &str, body: &str| write_atomic(path, body).map_err(|e| e.to_string());
-    write(out, &metrics::to_json(&cfg, &run))?;
-    write(prom_out, &run.registry.prometheus())?;
-    // One snapshot line per shard point (at_ns = shard count, a stable
-    // label in lieu of wall time), then the merged fabric-wide line.
-    let mut snaps = Vec::new();
-    for p in &run.points {
-        p.registry
-            .write_jsonl_snapshot(&mut snaps, p.shards as u64)
-            .map_err(|e| e.to_string())?;
-    }
-    run.registry
-        .write_jsonl_snapshot(&mut snaps, 0)
-        .map_err(|e| e.to_string())?;
-    write(
-        snap_out,
-        &String::from_utf8(snaps).map_err(|e| e.to_string())?,
-    )?;
-    let mut names = run.registry.digest_names().join("\n");
-    names.push('\n');
-    write(names_out, &names)?;
-    eprintln!("metrics: wrote {out}, {prom_out}, {snap_out}, {names_out}");
-
-    metrics::verify(&run)
+    write_atomic(out, metrics::to_json(&cfg, &points)).map_err(|e| e.to_string())?;
+    eprintln!("metrics: wrote {out}");
+    metrics::verify(&points)
 }
 
 pub const FLIGHTREC: Command = Command {

@@ -16,8 +16,7 @@
 //! | flight-recorder demo run + dump artifacts (DESIGN.md §10) | `flightrec` | [`flightrec::run_recorded`] |
 //! | flight-dump queries: slice / causal chain / stall causes | `trace` | [`tracequery`] |
 //! | engine zoo: FA over {up*/down*, OutFlank, full-mesh} escape engines | `engine-zoo` | [`campaigns::zoo_campaign`] |
-//! | metrics plane: shard-scaling profile + Prometheus/JSONL export (DESIGN.md §15) | `metrics` | [`metrics::run`] |
-//! | metrics report queries: summary / top-k / SLO gates over snapshots | `metrics-report` | [`metrics`] |
+//! | engine profile per shard count: `RunResult` + `EngineProfile` (DESIGN.md §15) | `metrics` | [`metrics::run`] |
 //! | ad-hoc single runs | `explore` | [`harness::run_point`] |
 //!
 //! `iba help` lists the subcommands and `iba <command> --help` their

@@ -1,31 +1,18 @@
-//! The metrics-plane experiment: one instrumented workload run per
-//! shard count, plus an instrumented SM bring-up, folded into a single
-//! fabric-wide [`MetricsRegistry`] and a shard-scaling profile.
+//! The shard-scaling profile: one profiled run (`.metrics()`) of the
+//! same workload per shard count, reported as each run's `RunResult`
+//! beside its [`EngineProfile`] — barrier-wait share, window-width and
+//! events-per-window distributions, mailbox traffic, handlers per
+//! class. The document is `results/metrics.json`.
 //!
-//! Three artifacts come out of one invocation:
-//!
-//! * `results/metrics.json` — the experiment document: RunResult
-//!   percentiles, registry digests per shard count, and per-shard
-//!   engine profiles (barrier-wait share, window-width and
-//!   events-per-window distributions, mailbox traffic);
-//! * a full Prometheus text exposition of the merged registry (data
-//!   plane + SM control plane + profiling namespace);
-//! * a JSONL snapshot stream and a digest-name listing, which CI greps
-//!   to prove the determinism digest never ingests a `profiling_`
-//!   series.
-//!
-//! The experiment doubles as an end-to-end determinism check: the
-//! digest of the sim-time registry must be identical for every shard
-//! count (there is one deterministic machine regardless of
-//! partitioning), and [`verify`] hard-errors when it is not, or when a
-//! profiling series leaks into the digest.
+//! The experiment doubles as an end-to-end determinism check: there is
+//! one machine whatever the partitioning, so every shard count must
+//! return the same `RunResult`, and [`verify`] hard-errors when it does
+//! not.
 
 use crate::fidelity::Fidelity;
 use iba_core::{IbaError, Json};
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{Network, RunResult, TelemetryOpts};
-use iba_sm::{ManagedFabric, RetryPolicy, SubnetManager};
-use iba_stats::MetricsRegistry;
+use iba_sim::{EngineProfile, Network, RunResult};
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
 
@@ -60,99 +47,45 @@ impl MetricsConfig {
     }
 }
 
-/// One shard count's instrumented run.
+/// One shard count's profiled run.
 #[derive(Clone, Debug)]
 pub struct ShardPoint {
     /// Shard count of the engine.
     pub shards: usize,
     /// The measurement itself.
     pub result: RunResult,
-    /// The post-run registry (sim-time metrics + profiling namespace).
-    pub registry: MetricsRegistry,
-    /// Determinism digest of the registry (profiling excluded).
-    pub digest: u64,
-    /// Engine profile as JSON (wall-clock: barrier waits, window
-    /// shape, mailbox traffic).
-    pub profile: Json,
-    /// Fraction of worker wall-clock spent at the two window barriers.
-    pub barrier_wait_share: f64,
+    /// Where the run's wall time went.
+    pub profile: EngineProfile,
 }
 
-/// The whole experiment: per-shard points plus the merged fabric-wide
-/// registry (data plane of the first point + SM control plane).
-pub struct MetricsRun {
-    /// One point per configured shard count, in order.
-    pub points: Vec<ShardPoint>,
-    /// Data-plane + control-plane + profiling registry, merged.
-    pub registry: MetricsRegistry,
-}
-
-/// Run the experiment: an instrumented SM bring-up over the fabric,
-/// then one telemetry-and-profiling-armed simulation per shard count.
-pub fn run(cfg: &MetricsConfig) -> Result<MetricsRun, IbaError> {
+/// Run the experiment: one profiled simulation per shard count.
+pub fn run(cfg: &MetricsConfig) -> Result<Vec<ShardPoint>, IbaError> {
     let topo = IrregularConfig::paper(cfg.switches, cfg.seed).generate()?;
     let fa = FaRouting::build(&topo, RoutingConfig::two_options())?;
-
-    // Control plane: a loss-free robust bring-up, exported as
-    // iba_sm_* counters plus profiling_sm_phase_ns.
-    let mut registry = MetricsRegistry::new();
-    let mut fabric = ManagedFabric::new(&topo, 2)?;
-    let sweep = SubnetManager::new(RoutingConfig::two_options())
-        .initialize_robust(&mut fabric, RetryPolicy::default())?;
-    sweep.report.record_metrics(&mut registry);
-    if let Some(up) = &sweep.bringup {
-        up.report.record_metrics(&mut registry);
-    }
-
     let spec = WorkloadSpec::uniform32(cfg.load).with_adaptive_fraction(cfg.adaptive_fraction);
     let mut points = Vec::new();
     for &shards in &cfg.shards {
         let mut net = Network::builder(&topo, &fa)
             .workload(spec)
             .config(cfg.fidelity.sim_config(cfg.seed))
-            .telemetry(TelemetryOpts::every_ns(10_000))
             .metrics()
             .shards(shards)
             .build()?;
         let result = net.run();
-        let reg = net.metrics_registry(&result);
-        let profile = net
-            .engine_profile()
-            .map(|p| p.to_json())
-            .unwrap_or(Json::Null);
-        let barrier_wait_share = net
-            .engine_profile()
-            .map(|p| p.barrier_wait_share())
-            .unwrap_or(0.0);
+        let profile = net.engine_profile().expect("profiling armed").clone();
         points.push(ShardPoint {
             shards,
-            digest: reg.digest(),
             result,
-            registry: reg,
             profile,
-            barrier_wait_share,
         });
     }
-
-    // The fabric-wide registry: data plane of the first point merged
-    // over the control plane. (All points carry the same sim-time
-    // content by construction; `verify` checks that.)
-    if let Some(p) = points.first() {
-        registry.merge(&p.registry);
-    }
-    Ok(MetricsRun { points, registry })
+    Ok(points)
 }
 
-/// Hard gates: every shard count must produce the same sim-time
-/// digest, and no `profiling_` series may be digested.
-pub fn verify(run: &MetricsRun) -> Result<(), String> {
-    for w in run.points.windows(2) {
-        if w[0].digest != w[1].digest {
-            return Err(format!(
-                "sim-time metrics diverged across shard counts: {} shards digests {:#018x}, {} shards {:#018x}",
-                w[0].shards, w[0].digest, w[1].shards, w[1].digest
-            ));
-        }
+/// Hard gates: every shard count returns the same `RunResult`, and
+/// that result delivered something.
+pub fn verify(points: &[ShardPoint]) -> Result<(), String> {
+    for w in points.windows(2) {
         if w[0].result != w[1].result {
             return Err(format!(
                 "RunResult diverged between {} and {} shards",
@@ -160,27 +93,14 @@ pub fn verify(run: &MetricsRun) -> Result<(), String> {
             ));
         }
     }
-    for p in &run.points {
-        if let Some(name) = p
-            .registry
-            .digest_names()
-            .iter()
-            .find(|n| iba_stats::is_profiling(n))
-        {
-            return Err(format!(
-                "profiling series {name:?} leaked into the determinism digest at {} shards",
-                p.shards
-            ));
-        }
-        if p.result.delivered == 0 {
-            return Err(format!("{} shards delivered nothing", p.shards));
-        }
+    match points.iter().find(|p| p.result.delivered == 0) {
+        Some(p) => Err(format!("{} shards delivered nothing", p.shards)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Render the experiment as the `results/metrics.json` document.
-pub fn to_json(cfg: &MetricsConfig, run: &MetricsRun) -> String {
+pub fn to_json(cfg: &MetricsConfig, points: &[ShardPoint]) -> String {
     Json::obj([
         ("experiment", Json::from("metrics")),
         ("switches", Json::from(cfg.switches)),
@@ -189,17 +109,14 @@ pub fn to_json(cfg: &MetricsConfig, run: &MetricsRun) -> String {
         ("seed", Json::from(cfg.seed)),
         (
             "shard_profile",
-            Json::arr(run.points.iter().map(|p| {
+            Json::arr(points.iter().map(|p| {
                 Json::obj([
                     ("shards", Json::from(p.shards)),
-                    ("digest", Json::from(format!("{:#018x}", p.digest))),
-                    ("barrier_wait_share", Json::from(p.barrier_wait_share)),
-                    ("profile", p.profile.clone()),
+                    ("profile", p.profile.to_json()),
                     ("result", p.result.to_json()),
                 ])
             })),
         ),
-        ("registry", run.registry.snapshot_json(0)),
     ])
     .to_string_pretty()
 }
@@ -208,8 +125,7 @@ pub fn to_json(cfg: &MetricsConfig, run: &MetricsRun) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn quick_metrics_run_verifies_and_renders() {
+    fn quick() -> (MetricsConfig, Vec<ShardPoint>) {
         let cfg = MetricsConfig {
             switches: 8,
             load: 0.02,
@@ -218,21 +134,40 @@ mod tests {
             fidelity: Fidelity::Quick,
             seed: 5,
         };
-        let run = run(&cfg).unwrap();
-        assert_eq!(run.points.len(), 3);
-        verify(&run).unwrap();
-        // Control plane and data plane coexist in the merged registry.
-        assert!(run.registry.counter("iba_sm_sweeps_total", &[]).is_some());
-        assert!(run
-            .registry
-            .counter("iba_sim_delivered_total", &[])
-            .is_some());
-        let json = to_json(&cfg, &run);
-        assert!(json.contains("\"barrier_wait_share\""));
-        assert!(json.contains("\"shard_profile\""));
-        let prom = run.registry.prometheus();
-        assert!(prom.contains("iba_sm_lft_blocks_total"));
-        assert!(prom.contains("iba_sim_latency_ns"));
-        assert!(prom.contains("profiling_engine_barrier_wait_share"));
+        let points = run(&cfg).unwrap();
+        (cfg, points)
+    }
+
+    #[test]
+    fn quick_metrics_run_verifies_and_renders() {
+        let (cfg, points) = quick();
+        assert_eq!(points.len(), 3);
+        verify(&points).unwrap();
+        assert_eq!(points[2].profile.shards, 4);
+        let json = to_json(&cfg, &points);
+        for key in [
+            "\"shard_profile\"",
+            "\"barrier_wait_share\"",
+            "\"handlers\"",
+        ] {
+            assert!(json.contains(key), "{key} missing");
+        }
+    }
+
+    #[test]
+    fn verify_refuses_unequal_results_and_empty_runs() {
+        let (_, points) = quick();
+        let mut diverged = points.clone();
+        diverged[1].result.delivered += 1;
+        let err = verify(&diverged).unwrap_err();
+        assert!(err.contains("between 1 and 2 shards"), "{err}");
+        let mut diverged = points.clone();
+        diverged[2].result.p99_latency_ns = None;
+        assert!(verify(&diverged).is_err());
+        let mut empty = points;
+        for p in &mut empty {
+            p.result.delivered = 0;
+        }
+        assert_eq!(verify(&empty).unwrap_err(), "1 shards delivered nothing");
     }
 }

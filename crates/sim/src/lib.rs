@@ -14,12 +14,10 @@
 //!   and the §4.3 arbitration-time output selection, run as one or more
 //!   shards of one machine (results never depend on the shard count);
 //! * [`stats`] — latency and accepted-traffic measurement, including
-//!   the per-workload-class log-linear latency histograms behind the
-//!   p50/p90/p99/p999 fields of [`RunResult`];
-//! * [`metrics`] — the simulator's side of the metrics plane: engine
-//!   profiling ([`EngineProfile`], armed by the builder's `.metrics()`)
-//!   and the post-run registry fill behind
-//!   [`Network::metrics_registry`];
+//!   the log-linear latency histogram behind the p50/p90/p99/p999
+//!   fields of [`RunResult`];
+//! * [`profile`] — engine profiling ([`EngineProfile`], armed by the
+//!   builder's `.metrics()`): where a run's wall time went;
 //! * [`telemetry`] — the sampling probe layer: per-VL occupancy
 //!   timeseries, cause-tagged credit-stall counters, escape-vs-adaptive
 //!   forwarding counters and arbitration-wait histograms, merged into
@@ -60,10 +58,10 @@
 
 pub mod buffer;
 pub mod config;
-pub mod metrics;
 pub mod network;
 pub mod perfetto;
 mod probe;
+pub mod profile;
 pub mod recorder;
 mod shard;
 pub mod stats;
@@ -72,16 +70,13 @@ pub mod telemetry;
 pub use buffer::{BufferedPacket, Candidates, EscapeOrderPolicy, ReadPoint, SlotHandle, VlBuffer};
 pub use config::{RecoveryPolicy, SelectionPolicy, SimConfig};
 pub use iba_engine::QueueBackend;
-pub use metrics::{EngineProfile, WorkerProfile};
 pub use network::{Network, NetworkBuilder};
 pub use perfetto::perfetto_trace;
+pub use profile::{EngineProfile, WorkerProfile};
 pub use recorder::{
     classify_stall, FlightDump, FlightRecorder, RecorderOpts, Trigger, TriggerCause, WatchdogOpts,
 };
-pub use stats::{
-    latency_class_label, RunResult, StatsCollector, LATENCY_CLASSES, RUN_RESULT_SCHEMA_VERSION,
-    SOURCE_GROUPS,
-};
+pub use stats::{RunResult, StatsCollector, RUN_RESULT_SCHEMA_VERSION};
 pub use telemetry::{
     MemorySink, PortStalls, StallCause, SwitchTelemetry, TelemetryOpts, TelemetryReport,
     TelemetrySample, VlOccupancy, TELEMETRY_SCHEMA_VERSION,

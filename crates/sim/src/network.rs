@@ -60,8 +60,8 @@
 //! tables at the same instant.
 
 use crate::config::{RecoveryPolicy, SimConfig};
-use crate::metrics::{fill_run_metrics, EngineProfile, WorkerProfile};
 use crate::probe::Observers;
+use crate::profile::{EngineProfile, WorkerProfile};
 use crate::recorder::{FlightDump, FlightRecorder, RecorderOpts, Trigger};
 use crate::shard::{check_key_capacity, Mailbox, Shard, CLASS_NAMES};
 use crate::stats::{RunResult, StatsCollector};
@@ -69,7 +69,6 @@ use crate::telemetry::{MemorySink, TelemetryOpts, TelemetryState};
 use iba_core::{HostId, IbaError, PortIndex, SimTime, SwitchId};
 use iba_engine::{conservative_window, SpinBarrier};
 use iba_routing::{FaTables, TableSource};
-use iba_stats::MetricsRegistry;
 use iba_topology::{Partition, Topology};
 use iba_workloads::{FaultSchedule, TrafficScript, WorkloadSpec};
 use std::borrow::Cow;
@@ -91,8 +90,7 @@ pub struct Network<'a> {
     /// shard-local states at the end of every drive).
     merged_telemetry: Option<MemorySink>,
     /// Whether engine profiling (the `.metrics()` builder option) is
-    /// armed; the deterministic half of [`Self::metrics_registry`]
-    /// works without it.
+    /// armed.
     metrics_enabled: bool,
     /// Accumulated engine profile, populated by the run loops when
     /// `metrics_enabled`.
@@ -221,15 +219,12 @@ impl<'a> NetworkBuilder<'a> {
         self
     }
 
-    /// Arm engine profiling for the metrics plane: per-worker wall-clock
-    /// breakdowns (barrier waits, window execution, mailbox ingest) and
-    /// conservative-window shape distributions, retrievable after the
-    /// run through [`Network::engine_profile`] and folded into
-    /// [`Network::metrics_registry`] under the non-deterministic
-    /// `profiling_` namespace. Off by default: the deterministic half of
-    /// the metrics registry costs nothing at runtime and works without
-    /// this flag; arming it adds a handful of `Instant` reads per
-    /// conservative window. Never affects simulation results.
+    /// Arm engine profiling: per-worker wall-clock breakdowns (barrier
+    /// waits, window execution, mailbox ingest), conservative-window
+    /// shape distributions and per-class handler counts, read after the
+    /// run through [`Network::engine_profile`]. Off by default; arming
+    /// it adds a handful of `Instant` reads per conservative window.
+    /// Never affects simulation results.
     pub fn metrics(mut self) -> Self {
         self.metrics = true;
         self
@@ -755,50 +750,6 @@ impl<'a> Network<'a> {
     /// armed and a run has executed).
     pub fn engine_profile(&self) -> Option<&EngineProfile> {
         self.profile.as_deref()
-    }
-
-    /// Build the fabric-wide [`MetricsRegistry`] for a finished run:
-    /// deterministic outcome counters and latency histograms from
-    /// `result` and the merged collector, per-VL occupancy gauges from
-    /// the last telemetry snapshot (when telemetry was armed), and —
-    /// when `.metrics()` was armed — the engine
-    /// profile under the non-deterministic `profiling_` namespace.
-    ///
-    /// Everything outside that namespace is bit-identical across
-    /// event-queue backends and shard counts;
-    /// [`MetricsRegistry::digest`] covers exactly that deterministic
-    /// half.
-    pub fn metrics_registry(&self, result: &RunResult) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        // The run's merge left the fabric-wide collector in shard 0.
-        fill_run_metrics(&mut reg, result, &self.shards[0].stats);
-        if let Some(mem) = self.telemetry_sink() {
-            if let Some(sample) = mem.samples().last() {
-                for o in &sample.occupancy {
-                    let sw = o.sw.index().to_string();
-                    let vl = o.vl.0.to_string();
-                    reg.set_gauge(
-                        "iba_sim_vl_occupancy_credits",
-                        &[("region", "adaptive"), ("sw", &sw), ("vl", &vl)],
-                        o.adaptive.0 as f64,
-                    );
-                    reg.set_gauge(
-                        "iba_sim_vl_occupancy_credits",
-                        &[("region", "escape"), ("sw", &sw), ("vl", &vl)],
-                        o.escape.0 as f64,
-                    );
-                    reg.set_gauge(
-                        "iba_sim_vl_occupancy_peak_credits",
-                        &[("sw", &sw), ("vl", &vl)],
-                        o.peak.0 as f64,
-                    );
-                }
-            }
-        }
-        if let Some(p) = self.profile.as_deref() {
-            p.record_metrics(&mut reg);
-        }
-        reg
     }
 
     /// The observer merge, run at the end of every drive: rebuild the

@@ -1,37 +1,25 @@
-//! The simulator's side of the metrics plane.
+//! Engine profiling: where a run's wall time went.
 //!
-//! Two pieces live here:
+//! [`EngineProfile`] / [`WorkerProfile`] break the window loop down per
+//! worker (running windows, waiting at the two barriers, ingesting
+//! mailboxes), record how wide the conservative windows are and how
+//! many events each carries, and count what the handlers did by class.
+//! Collected only when the builder armed `.metrics()`, and read back
+//! through `Network::engine_profile`.
 //!
-//! * [`EngineProfile`] / [`WorkerProfile`] — wall-clock profiling of
-//!   the window loop: where each worker's time goes (running
-//!   windows, waiting at the two barriers, ingesting mailboxes), how
-//!   wide the conservative windows are, and how many events each
-//!   window carries. Collected only when the builder armed
-//!   `.metrics()`, and exported exclusively under the
-//!   `profiling_` namespace — wall-clock numbers are *not* part of the
-//!   deterministic outcome and are excluded from
-//!   [`MetricsRegistry::digest`] by construction.
-//! * `Network::metrics_registry` (in the coordinator) — the post-run
-//!   fill of a [`MetricsRegistry`] from the deterministic run result,
-//!   the per-class latency histograms, and the last telemetry
-//!   occupancy snapshot; [`fill_run_metrics`] is the shared helper.
-//!
-//! ## The determinism boundary, concretely
-//!
-//! Everything recorded from simulated time (delivery counts, drop
-//! causes, latency histograms, VL occupancy) is bit-identical across
-//! queue backends and shard counts. Everything recorded from host time (barrier waits, run
-//! times) and from the engine's *execution shape* (window widths,
-//! events per window, mailbox traffic — which legitimately change with
-//! the shard count) goes under [`iba_stats::PROFILING_PREFIX`].
+//! The profile sits beside the [`crate::RunResult`], never inside it:
+//! the result is the same on every shard count and queue backend,
+//! while host time (barrier waits, run times) and the engine's
+//! execution shape (window widths, events per window, mailbox traffic)
+//! legitimately change with the shard count. The handler and
+//! arbitration counts are exact and repeat run to run.
 
 use crate::shard::CLASS_ARBITRATE;
-use crate::stats::{latency_class_label, RunResult, StatsCollector};
 use iba_core::Json;
-use iba_stats::{LogHistogram, MetricsRegistry};
+use iba_stats::LogHistogram;
 
-/// Wall-clock breakdown of one worker (one chunk of shards) across the whole run. All fields are host-time nanoseconds
-/// or plain tallies; none participates in determinism digests.
+/// Wall-clock breakdown of one worker (one chunk of shards) across the
+/// whole run. All fields are host-time nanoseconds or plain tallies.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerProfile {
     /// Worker index (chunk index in shard order).
@@ -175,73 +163,6 @@ impl EngineProfile {
         self.worker_profiles.sort_by_key(|w| w.worker);
     }
 
-    /// Record the whole profile into `reg`, every series under the
-    /// `profiling_` namespace (excluded from determinism digests).
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.add("profiling_engine_shards", &[], self.shards as u64);
-        reg.add("profiling_engine_workers", &[], self.workers as u64);
-        reg.add("profiling_engine_windows_total", &[], self.windows);
-        reg.add("profiling_engine_wall_ns_total", &[], self.wall_ns);
-        reg.add(
-            "profiling_engine_mailbox_msgs_total",
-            &[],
-            self.mailbox_msgs,
-        );
-        reg.merge_histogram(
-            "profiling_engine_window_width_ns",
-            &[],
-            &self.window_width_ns,
-        );
-        reg.merge_histogram(
-            "profiling_engine_events_per_window",
-            &[],
-            &self.events_per_window,
-        );
-        reg.set_gauge(
-            "profiling_engine_barrier_wait_share",
-            &[],
-            self.barrier_wait_share(),
-        );
-        for &(class, n) in &self.handlers {
-            reg.add("profiling_engine_handlers_total", &[("class", class)], n);
-        }
-        reg.add("profiling_engine_grants_total", &[], self.grants);
-        for (name, n) in [
-            ("profiling_engine_inputs_visited_total", self.inputs_visited),
-            ("profiling_engine_looks_total", self.looks),
-            ("profiling_engine_empty_passes_total", self.empty_passes),
-            ("profiling_engine_lane_pushes_total", self.lane_pushes),
-            ("profiling_engine_heap_pushes_total", self.heap_pushes),
-        ] {
-            reg.add(name, &[], n);
-        }
-        for w in &self.worker_profiles {
-            let wl = w.worker.to_string();
-            let labels: [(&str, &str); 1] = [("worker", wl.as_str())];
-            reg.add("profiling_engine_worker_run_ns_total", &labels, w.run_ns);
-            reg.add(
-                "profiling_engine_worker_barrier_a_wait_ns_total",
-                &labels,
-                w.barrier_a_wait_ns,
-            );
-            reg.add(
-                "profiling_engine_worker_barrier_b_wait_ns_total",
-                &labels,
-                w.barrier_b_wait_ns,
-            );
-            reg.add(
-                "profiling_engine_worker_ingest_ns_total",
-                &labels,
-                w.ingest_ns,
-            );
-            reg.add(
-                "profiling_engine_worker_mailbox_msgs_total",
-                &labels,
-                w.mailbox_msgs,
-            );
-        }
-    }
-
     /// The shard-scaling JSON row `iba metrics` embeds
     /// in `results/metrics.json`: the headline shares plus compact
     /// distribution summaries.
@@ -284,69 +205,12 @@ impl EngineProfile {
     }
 }
 
-/// Fill `reg` with the deterministic (sim-time-domain) metrics of a
-/// finished run: outcome counters from `result` and the latency
-/// histograms (overall + per workload class) from the merged collector.
-/// Everything recorded here must be bit-identical across queue backends
-/// and shard counts — that is what the metrics determinism suite pins.
-pub(crate) fn fill_run_metrics(
-    reg: &mut MetricsRegistry,
-    result: &RunResult,
-    stats: &StatsCollector,
-) {
-    reg.add("iba_sim_generated_total", &[], result.generated);
-    reg.add("iba_sim_injected_total", &[], result.injected);
-    reg.add("iba_sim_delivered_total", &[], result.delivered);
-    reg.add("iba_sim_source_drops_total", &[], result.source_drops);
-    for (cause, n) in [
-        ("link_down", result.drops_link_down),
-        ("switch_down", result.drops_switch_down),
-        ("corrupted", result.drops_corrupted),
-    ] {
-        reg.add("iba_sim_transit_drops_total", &[("cause", cause)], n);
-    }
-    reg.add(
-        "iba_sim_forwards_total",
-        &[("kind", "adaptive")],
-        result.adaptive_forwards,
-    );
-    reg.add(
-        "iba_sim_forwards_total",
-        &[("kind", "escape")],
-        result.escape_forwards,
-    );
-    reg.add(
-        "iba_sim_order_violations_total",
-        &[],
-        result.order_violations,
-    );
-    reg.add("iba_sim_faults_total", &[], result.faults_injected);
-    reg.add("iba_sim_resweeps_total", &[], result.resweeps);
-    reg.add("iba_sim_events_total", &[], result.events);
-    reg.set_gauge("iba_sim_delivered_ratio", &[], result.delivered_ratio);
-
-    reg.merge_histogram("iba_sim_latency_ns", &[], stats.latency_histogram());
-    for (idx, h) in stats.class_histograms().iter().enumerate() {
-        if h.is_empty() {
-            continue; // don't mint empty series for unused classes
-        }
-        let (mode, group) = latency_class_label(idx);
-        reg.merge_histogram(
-            "iba_sim_class_latency_ns",
-            &[("mode", mode), ("group", group)],
-            h,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iba_core::SimTime;
-    use std::time::Duration;
 
     #[test]
-    fn engine_profile_records_only_profiling_metrics() {
+    fn barrier_wait_share_is_waits_over_worker_wall_time() {
         let mut p = EngineProfile {
             shards: 4,
             workers: 2,
@@ -366,13 +230,6 @@ mod tests {
             ingest_ns: 40,
             mailbox_msgs: 30,
         });
-        let mut reg = MetricsRegistry::new();
-        p.record_metrics(&mut reg);
-        assert!(!reg.is_empty());
-        // Every series the profile mints is profiling-namespace, so an
-        // empty registry and one holding a full profile digest equal.
-        assert_eq!(reg.digest(), MetricsRegistry::new().digest());
-        assert!(reg.iter().all(|(name, _, _)| iba_stats::is_profiling(name)));
         // barrier share: (100+50) / (1000 * 2 workers)
         assert!((p.barrier_wait_share() - 0.075).abs() < 1e-12);
     }
@@ -404,21 +261,5 @@ mod tests {
         assert_eq!(a.wall_ns, 150);
         assert_eq!(a.worker_profiles.len(), 1);
         assert_eq!(a.worker_profiles[0].run_ns, 40);
-    }
-
-    #[test]
-    fn run_metrics_fill_is_deterministic_data_only() {
-        let mut stats = StatsCollector::new(SimTime::from_ns(0), SimTime::from_ns(10_000), 4, 16);
-        stats.on_generated(SimTime::from_ns(100));
-        let result = stats.finish(4, 42, Duration::from_millis(1));
-        let mut a = MetricsRegistry::new();
-        fill_run_metrics(&mut a, &result, &stats);
-        let mut b = MetricsRegistry::new();
-        fill_run_metrics(&mut b, &result, &stats);
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.counter("iba_sim_generated_total", &[]), Some(1));
-        assert_eq!(a.counter("iba_sim_events_total", &[]), Some(42));
-        // Nothing the fill records is profiling-namespace.
-        assert!(a.iter().all(|(name, _, _)| !iba_stats::is_profiling(name)));
     }
 }

@@ -16,42 +16,6 @@ use iba_core::{DropCause, HostId, Json, Lid, Packet, RoutingMode, ServiceLevel, 
 use iba_stats::LogHistogram;
 use std::time::Duration;
 
-/// Number of per-workload-class latency histograms a collector keeps:
-/// 2 routing modes × [`SOURCE_GROUPS`] source groups.
-pub const LATENCY_CLASSES: usize = 2 * SOURCE_GROUPS;
-
-/// Number of equal host-index ranges the sources are grouped into for
-/// per-class latency (a stand-in for per-tenant accounting: group
-/// membership is a pure function of the host index, so it is identical
-/// across shard layouts and queue backends).
-pub const SOURCE_GROUPS: usize = 4;
-
-/// The `(mode, source_group)` labels of latency class `idx`
-/// (`idx < LATENCY_CLASSES`) — what the metrics registry stamps on each
-/// class histogram.
-pub fn latency_class_label(idx: usize) -> (&'static str, &'static str) {
-    let mode = if idx < SOURCE_GROUPS {
-        "adaptive"
-    } else {
-        "deterministic"
-    };
-    let group = ["g0", "g1", "g2", "g3"][idx % SOURCE_GROUPS];
-    (mode, group)
-}
-
-/// Latency class of a delivered packet: routing mode (from the DLID's
-/// low bit, as everywhere else) × the source's host-index group.
-#[inline]
-fn latency_class_of(packet: &Packet, num_hosts: usize) -> usize {
-    let mode_off = if packet.mode() == RoutingMode::Adaptive {
-        0
-    } else {
-        SOURCE_GROUPS
-    };
-    let group = (packet.src.index() * SOURCE_GROUPS / num_hosts).min(SOURCE_GROUPS - 1);
-    mode_off + group
-}
-
 /// Live accumulator updated by the simulator.
 #[derive(Debug)]
 pub struct StatsCollector {
@@ -72,11 +36,6 @@ pub struct StatsCollector {
     /// (bounded relative quantile error) — the source of the
     /// p50/p90/p99/p999 fields of [`RunResult`].
     latency_hist: LogHistogram,
-    /// Per workload-class latency: indexed by
-    /// `mode × source-group` (see [`latency_class_label`]).
-    class_hists: Vec<LogHistogram>,
-    /// Host count, for the source-group mapping of `class_hists`.
-    num_hosts: usize,
     hops_sum: u64,
     escape_forwards: u64,
     adaptive_forwards: u64,
@@ -211,8 +170,6 @@ impl StatsCollector {
             latency_max_ns: 0,
             latency_count: 0,
             latency_hist: LogHistogram::new(),
-            class_hists: vec![LogHistogram::new(); LATENCY_CLASSES],
-            num_hosts: num_hosts.max(1),
             hops_sum: 0,
             escape_forwards: 0,
             adaptive_forwards: 0,
@@ -337,7 +294,6 @@ impl StatsCollector {
             self.latency_max_ns = self.latency_max_ns.max(lat);
             self.latency_count += 1;
             self.latency_hist.record(lat);
-            self.class_hists[latency_class_of(packet, self.num_hosts)].record(lat);
             self.hops_sum += packet.hops as u64;
         }
         if packet.mode() == RoutingMode::Deterministic {
@@ -375,9 +331,6 @@ impl StatsCollector {
         self.latency_max_ns = self.latency_max_ns.max(other.latency_max_ns);
         self.latency_count += take(&mut other.latency_count);
         self.latency_hist.merge(&take(&mut other.latency_hist));
-        for (mine, theirs) in self.class_hists.iter_mut().zip(&mut other.class_hists) {
-            mine.merge(&take(theirs));
-        }
         self.hops_sum += take(&mut other.hops_sum);
         self.escape_forwards += take(&mut other.escape_forwards);
         self.adaptive_forwards += take(&mut other.adaptive_forwards);
@@ -475,17 +428,6 @@ impl StatsCollector {
                 0.0
             },
         }
-    }
-
-    /// The overall end-to-end latency histogram (measured packets only).
-    pub fn latency_histogram(&self) -> &LogHistogram {
-        &self.latency_hist
-    }
-
-    /// The per-workload-class latency histograms, indexed as
-    /// [`latency_class_label`] describes.
-    pub fn class_histograms(&self) -> &[LogHistogram] {
-        &self.class_hists
     }
 }
 
@@ -859,29 +801,6 @@ mod tests {
         assert!(r.p90_latency_ns <= r.p99_latency_ns);
         assert!(r.p99_latency_ns <= r.p999_latency_ns);
         assert!(r.p999_latency_ns.unwrap() <= r.max_latency_ns);
-    }
-
-    #[test]
-    fn class_histograms_split_by_mode_and_source_group() {
-        let mut c = StatsCollector::new(SimTime::from_ns(1000), SimTime::from_ns(2000), 8, 16);
-        // src 0 → group 0; adaptive vs deterministic split on DLID bit.
-        let mut adaptive = packet(1, true, 1100);
-        adaptive.src = HostId(0);
-        let mut det = packet(2, false, 1100);
-        det.src = HostId(7); // → group 3 of 4 (hosts 0..8)
-        c.on_delivered(&adaptive, SimTime::from_ns(1200));
-        c.on_delivered(&det, SimTime::from_ns(1400));
-        let hists = c.class_histograms();
-        assert_eq!(hists.len(), LATENCY_CLASSES);
-        assert_eq!(hists[0].count(), 1); // adaptive / g0
-        assert_eq!(hists[SOURCE_GROUPS + 3].count(), 1); // deterministic / g3
-        assert_eq!(hists.iter().map(|h| h.count()).sum::<u64>(), 2);
-        assert_eq!(c.latency_histogram().count(), 2);
-        assert_eq!(latency_class_label(0), ("adaptive", "g0"));
-        assert_eq!(
-            latency_class_label(SOURCE_GROUPS + 3),
-            ("deterministic", "g3")
-        );
     }
 
     #[test]

@@ -1,27 +1,17 @@
-//! Metrics-plane determinism: every sim-time-domain metric — and the
-//! RunResult percentiles derived from the same histograms — must be
-//! bit-identical across both event-queue backends and across shard
-//! counts, while the wall-clock `profiling_` namespace is excluded
-//! from the digest by construction.
-//!
-//! The determinism contract: one run is the same run on every shard
-//! count, thread count and queue backend.
+//! Engine profiling is observation only: a profiled run — telemetry
+//! armed too — returns the same `RunResult`, percentiles included, on
+//! both event-queue backends and on every shard and thread count, and
+//! its profile accounts exactly for what the handlers did.
 
 use iba_routing::{FaRouting, RoutingConfig};
-use iba_sim::{MemorySink, Network, QueueBackend, RunResult, SimConfig, TelemetryOpts};
-use iba_stats::{is_profiling, LogHistogram, MetricsRegistry};
+use iba_sim::{Network, QueueBackend, RunResult, SimConfig, TelemetryOpts};
+use iba_stats::LogHistogram;
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
 use proptest::prelude::*;
 
-/// One instrumented run: telemetry armed (so occupancy gauges exist),
-/// engine profiling armed (so the profiling namespace is *present* and
-/// the digest must actively exclude it).
-fn run_metered(
-    backend: QueueBackend,
-    shards: usize,
-    threads: usize,
-) -> (RunResult, MetricsRegistry) {
+/// One instrumented run: telemetry and engine profiling armed.
+fn run_profiled(backend: QueueBackend, shards: usize, threads: usize) -> RunResult {
     let topo = IrregularConfig::paper(16, 11).generate().unwrap();
     let fa = FaRouting::build(&topo, RoutingConfig::two_options()).unwrap();
     let mut cfg = SimConfig::test(23);
@@ -36,71 +26,40 @@ fn run_metered(
         .build()
         .unwrap();
     let result = net.run();
-    let reg = net.metrics_registry(&result);
-    (result, reg)
+    assert!(net.engine_profile().is_some(), "profiling armed");
+    result
 }
 
 #[test]
-fn sim_metrics_identical_across_queue_backends() {
+fn profiled_runs_identical_across_queue_backends() {
     for (shards, threads) in [(1usize, 1usize), (2, 2), (4, 2)] {
-        let (rh, mh) = run_metered(QueueBackend::BinaryHeap, shards, threads);
-        let (rc, mc) = run_metered(QueueBackend::Calendar, shards, threads);
+        let rh = run_profiled(QueueBackend::BinaryHeap, shards, threads);
+        let rc = run_profiled(QueueBackend::Calendar, shards, threads);
         assert_eq!(rh, rc, "shards={shards}");
-        assert_eq!(mh.digest(), mc.digest(), "shards={shards}");
-        // The percentiles derive from the same histograms the registry
-        // digests — equal digests must come with equal percentiles.
-        assert_eq!(rh.p50_latency_ns, rc.p50_latency_ns);
-        assert_eq!(rh.p90_latency_ns, rc.p90_latency_ns);
-        assert_eq!(rh.p99_latency_ns, rc.p99_latency_ns);
-        assert_eq!(rh.p999_latency_ns, rc.p999_latency_ns);
         assert!(rh.p50_latency_ns.is_some(), "run must deliver packets");
+        assert!(rh.p999_latency_ns.is_some());
     }
 }
 
 #[test]
-fn sim_metrics_identical_across_shard_counts() {
-    // A run is one deterministic outcome for every shard count —
-    // including every metric outside the profiling namespace, even
-    // though the *window structure* (and therefore the profiling
-    // namespace) differs between 1, 2 and 4 shards.
-    let (r1, m1) = run_metered(QueueBackend::BinaryHeap, 1, 1);
-    let (r2, m2) = run_metered(QueueBackend::BinaryHeap, 2, 2);
-    let (r4, m4) = run_metered(QueueBackend::BinaryHeap, 4, 4);
+fn profiled_runs_identical_across_shard_and_thread_counts() {
+    // The window structure (and so the profile) differs between 1, 2
+    // and 4 shards; the result, percentiles included, does not.
+    let r1 = run_profiled(QueueBackend::BinaryHeap, 1, 1);
+    let r2 = run_profiled(QueueBackend::BinaryHeap, 2, 2);
+    let r4 = run_profiled(QueueBackend::BinaryHeap, 4, 4);
     assert_eq!(r1, r2);
-    assert_eq!(m1.digest(), m2.digest());
     assert_eq!(r2, r4);
-    assert_eq!(m2.digest(), m4.digest());
-    assert_eq!(r2.p999_latency_ns, r4.p999_latency_ns);
-    // Profiling evidence is present in both registries (the engines
-    // really were profiled)...
-    assert!(m2.iter().any(|(n, _, _)| is_profiling(n)));
-    assert!(m4.iter().any(|(n, _, _)| is_profiling(n)));
-    // ...and the digested-name set mentions none of it.
-    assert!(m2.digest_names().iter().all(|n| !is_profiling(n)));
+    for q in [
+        r1.p50_latency_ns,
+        r1.p90_latency_ns,
+        r1.p99_latency_ns,
+        r1.p999_latency_ns,
+    ] {
+        assert!(q.is_some(), "{r1:?}");
+    }
     // Thread count never matters either.
-    let (r4b, m4b) = run_metered(QueueBackend::BinaryHeap, 4, 1);
-    assert_eq!(r4, r4b);
-    assert_eq!(m4.digest(), m4b.digest());
-}
-
-#[test]
-fn metrics_registry_carries_run_outcome_and_telemetry() {
-    let (r, m) = run_metered(QueueBackend::BinaryHeap, 1, 1);
-    assert_eq!(m.counter("iba_sim_delivered_total", &[]), Some(r.delivered));
-    assert_eq!(m.counter("iba_sim_generated_total", &[]), Some(r.generated));
-    assert_eq!(m.counter("iba_sim_events_total", &[]), Some(r.events));
-    // Telemetry was armed: occupancy gauges exist for switch 0, VL 0.
-    assert!(m
-        .get(
-            "iba_sim_vl_occupancy_credits",
-            &[("region", "adaptive"), ("sw", "0"), ("vl", "0")]
-        )
-        .is_some());
-    // Prometheus export renders the expected families.
-    let prom = m.prometheus();
-    assert!(prom.contains("# TYPE iba_sim_delivered_total counter"));
-    assert!(prom.contains("# TYPE iba_sim_latency_ns summary"));
-    assert!(prom.contains("iba_sim_latency_ns{quantile=\"0.99\"}"));
+    assert_eq!(r4, run_profiled(QueueBackend::BinaryHeap, 4, 1));
 }
 
 #[test]
@@ -236,19 +195,6 @@ fn metered_run_changes_nothing_about_the_simulation() {
     }
 }
 
-#[test]
-fn jsonl_snapshot_roundtrips_through_the_report_path() {
-    let (_, m) = run_metered(QueueBackend::BinaryHeap, 2, 2);
-    let mut buf = Vec::new();
-    m.write_jsonl_snapshot(&mut buf, 123).unwrap();
-    let line = String::from_utf8(buf).unwrap();
-    let parsed = iba_core::Json::parse(line.trim()).unwrap();
-    let (at, back) = MetricsRegistry::from_snapshot_json(&parsed).unwrap();
-    assert_eq!(at, 123);
-    assert_eq!(back.digest(), m.digest());
-    assert_eq!(back, m);
-}
-
 // Mirrors StatsCollector::merge's shard order: merging shard-local
 // histograms in any grouping/order yields identical quantiles — the
 // property that makes the parallel percentiles well-defined.
@@ -301,7 +247,3 @@ proptest! {
         }
     }
 }
-
-// MemorySink is unused in some configurations; keep the import honest.
-#[allow(dead_code)]
-fn _assert_memory_sink_importable(_: &MemorySink) {}

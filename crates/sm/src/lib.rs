@@ -49,6 +49,4 @@ pub use mad::{DirectedRoute, Smp, SmpAttribute, SmpMethod, SmpResponse};
 pub use managed::{ManagedFabric, ManagedSwitch};
 pub use program::{ProgramReport, Programmer, RobustProgram};
 pub use retry::{ReliableSender, RetryPolicy, RetryStats, SendOutcome};
-pub use sm::{
-    BringUp, Resweep, RobustBringUp, RobustResweep, SubnetManager, SweepPhases, SweepReport,
-};
+pub use sm::{BringUp, Resweep, RobustBringUp, RobustResweep, SubnetManager, SweepReport};

@@ -34,30 +34,6 @@ pub struct ProgramReport {
     pub verified: bool,
 }
 
-impl ProgramReport {
-    /// Export this programming pass into `reg`. Every counter here is a
-    /// deterministic function of the tables being uploaded and the
-    /// programmer's dirty-block shadow.
-    pub fn record_metrics(&self, reg: &mut iba_stats::MetricsRegistry) {
-        reg.add("iba_sm_program_switches_total", &[], self.switches as u64);
-        reg.add("iba_sm_program_blocks_total", &[], self.blocks_total);
-        reg.add(
-            "iba_sm_program_blocks_written_total",
-            &[],
-            self.blocks_written,
-        );
-        reg.add(
-            "iba_sm_program_sl2vl_rows_total",
-            &[],
-            self.sl2vl_rows_written,
-        );
-        reg.add("iba_sm_program_smps_total", &[], self.smps_used);
-        if self.verified {
-            reg.add("iba_sm_program_verified_total", &[], 1);
-        }
-    }
-}
-
 /// What the programmer remembers about one switch across passes, keyed
 /// by GUID. Only state whose upload was *verified delivered* is
 /// recorded, so a lost or rejected write is always retried on the next

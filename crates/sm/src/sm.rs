@@ -6,10 +6,8 @@ use crate::program::{ProgramReport, Programmer};
 use crate::retry::{send_once, ReliableSender, RetryPolicy};
 use iba_core::{FlightEvent, IbaError, SwitchId};
 use iba_routing::{EscapeEngine, FaRouting, RoutingConfig, UpDownRouting};
-use iba_stats::MetricsRegistry;
 use iba_topology::Topology;
 use std::marker::PhantomData;
-use std::time::Instant;
 
 /// The result of a complete subnet initialization.
 pub struct BringUp<E: EscapeEngine = UpDownRouting> {
@@ -113,14 +111,9 @@ impl<E: EscapeEngine> SubnetManager<E> {
         programmer: &mut Programmer,
         policy: RetryPolicy,
     ) -> Result<RobustResweep<E>, IbaError> {
-        // An incremental sweep skips rediscovery; its discover phase is 0.
-        let route_started = Instant::now();
         let (discovered, topology, routing) = self.resweep_tables(previous, a, b)?;
-        let route_ns = route_started.elapsed().as_nanos() as u64;
         let mut sender = ReliableSender::new(policy)?;
-        let program_started = Instant::now();
         let prog = programmer.program_robust(fabric, &discovered, &routing, &mut sender)?;
-        let program_ns = program_started.elapsed().as_nanos() as u64;
         let partial = prog.partial;
         let converged = !partial && prog.skipped.is_empty();
         let entries_recomputed = (routing.lid_map().table_len() * topology.num_switches()) as u64;
@@ -146,11 +139,6 @@ impl<E: EscapeEngine> SubnetManager<E> {
                 blocks_total: report.blocks_total,
                 blocks_uploaded: report.blocks_written,
                 entries_recomputed,
-                phases: SweepPhases {
-                    discover_ns: 0,
-                    route_ns,
-                    program_ns,
-                },
                 events: sender.into_events(),
             },
         })
@@ -201,12 +189,7 @@ impl<E: EscapeEngine> SubnetManager<E> {
         policy: RetryPolicy,
     ) -> Result<RobustBringUp<E>, IbaError> {
         let mut sender = ReliableSender::new(policy)?;
-        let discover_started = Instant::now();
         let disc = Discoverer::new().discover_robust(fabric, &mut sender)?;
-        let mut phases = SweepPhases {
-            discover_ns: discover_started.elapsed().as_nanos() as u64,
-            ..SweepPhases::default()
-        };
         let mut unreachable = disc.unreachable;
         let mut partial = disc.partial;
         let mut bringup = None;
@@ -215,15 +198,11 @@ impl<E: EscapeEngine> SubnetManager<E> {
         let mut entries_recomputed = 0u64;
         if !partial && disc.fabric.switch_count() > 0 {
             let discovered = disc.fabric;
-            let route_started = Instant::now();
             let topology = discovered.to_topology()?;
             let routing = FaRouting::<E>::build_with_engine(&topology, self.routing_config)?;
-            phases.route_ns = route_started.elapsed().as_nanos() as u64;
             // A full sweep recomputes every table entry from scratch.
             entries_recomputed = (routing.lid_map().table_len() * topology.num_switches()) as u64;
-            let program_started = Instant::now();
             let prog = programmer.program_robust(fabric, &discovered, &routing, &mut sender)?;
-            phases.program_ns = program_started.elapsed().as_nanos() as u64;
             blocks_total = prog.report.blocks_total;
             blocks_uploaded = prog.report.blocks_written;
             unreachable.extend(prog.skipped);
@@ -251,7 +230,6 @@ impl<E: EscapeEngine> SubnetManager<E> {
                 blocks_total,
                 blocks_uploaded,
                 entries_recomputed,
-                phases,
                 events: sender.into_events(),
             },
         })
@@ -296,67 +274,8 @@ pub struct SweepReport {
     /// Forwarding-table entries computed by the routing stage: the
     /// full table size, on an initial sweep and on a re-sweep alike.
     pub entries_recomputed: u64,
-    /// Wall-clock phase durations. Host-machine time, not sim time —
-    /// exported only under the `profiling_` metrics namespace, which
-    /// determinism digests exclude.
-    pub phases: SweepPhases,
     /// Capped retransmit log, as flight-recorder events.
     pub events: Vec<FlightEvent>,
-}
-
-/// Wall-clock breakdown of one sweep, by pipeline phase.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SweepPhases {
-    /// Directed-route discovery (0 on an incremental re-sweep, which
-    /// degrades the recorded fabric instead of rediscovering).
-    pub discover_ns: u64,
-    /// Route computation: graph rebuild plus FA table construction (and
-    /// the escape certification, on a re-sweep).
-    pub route_ns: u64,
-    /// LFT/SLtoVL programming, including retransmit loops.
-    pub program_ns: u64,
-}
-
-impl SweepReport {
-    /// Export this sweep into `reg`. Protocol counters
-    /// (`iba_sm_*`) are deterministic functions of the sweep inputs;
-    /// phase durations land under `profiling_sm_phase_ns{phase=...}`
-    /// and stay out of determinism digests.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.add("iba_sm_sweeps_total", &[], 1);
-        if self.converged {
-            reg.add("iba_sm_sweeps_converged_total", &[], 1);
-        }
-        if self.partial {
-            reg.add("iba_sm_sweeps_partial_total", &[], 1);
-        }
-        reg.add("iba_sm_retransmits_total", &[], self.retransmits);
-        reg.add("iba_sm_timeouts_total", &[], self.timeouts);
-        reg.add("iba_sm_backoff_wait_ns_total", &[], self.backoff_wait_ns);
-        reg.add(
-            "iba_sm_unreachable_total",
-            &[],
-            self.unreachable.len() as u64,
-        );
-        reg.add("iba_sm_lft_blocks_total", &[], self.blocks_total);
-        reg.add(
-            "iba_sm_lft_blocks_uploaded_total",
-            &[],
-            self.blocks_uploaded,
-        );
-        reg.add(
-            "iba_sm_entries_recomputed_total",
-            &[],
-            self.entries_recomputed,
-        );
-        for (phase, ns) in [
-            ("discover", self.phases.discover_ns),
-            ("route", self.phases.route_ns),
-            ("program", self.phases.program_ns),
-        ] {
-            reg.add("profiling_sm_phase_ns", &[("phase", phase)], ns);
-        }
-    }
 }
 
 /// The result of an incremental re-sweep.
@@ -810,59 +729,28 @@ mod tests {
     }
 
     #[test]
-    fn sweep_metrics_split_protocol_counters_from_wall_clock_phases() {
+    fn sweep_report_carries_the_protocol_counters() {
         let physical = IrregularConfig::paper(8, 4).generate().unwrap();
         let mut fabric = ManagedFabric::new(&physical, 2).unwrap();
         let sm = SubnetManager::new(RoutingConfig::two_options());
         let up = sm
             .initialize_robust(&mut fabric, RetryPolicy::default())
             .unwrap();
-        assert!(up.report.converged);
-        // A full sweep spent wall-clock in discovery and routing.
-        assert!(up.report.phases.discover_ns > 0);
-        assert!(up.report.phases.route_ns > 0);
-
-        let mut reg = MetricsRegistry::new();
-        up.report.record_metrics(&mut reg);
-        assert_eq!(reg.counter("iba_sm_sweeps_total", &[]), Some(1));
-        assert_eq!(reg.counter("iba_sm_sweeps_converged_total", &[]), Some(1));
+        let (sweep, bringup) = (&up.report, up.bringup.as_ref().unwrap());
+        assert!(sweep.converged && !sweep.partial);
+        // A first sweep uploads every non-empty block it computed, and
+        // recomputes every entry of every table.
+        assert!(sweep.blocks_total > 0);
+        assert_eq!(sweep.blocks_total, bringup.report.blocks_total);
+        assert_eq!(sweep.blocks_uploaded, sweep.blocks_total);
         assert_eq!(
-            reg.counter("iba_sm_lft_blocks_total", &[]),
-            Some(up.report.blocks_total)
+            sweep.entries_recomputed,
+            (bringup.routing.lid_map().table_len() * 8) as u64
         );
-        assert_eq!(
-            reg.counter("iba_sm_entries_recomputed_total", &[]),
-            Some(up.report.entries_recomputed)
-        );
-        // Phase durations are present but namespaced as profiling, so
-        // the digest ignores them: a registry with scrambled phase
-        // values digests identically.
-        assert!(reg
-            .counter("profiling_sm_phase_ns", &[("phase", "discover")])
-            .is_some());
-        let mut twin = MetricsRegistry::new();
-        let mut scrambled = up.report.clone();
-        scrambled.phases = SweepPhases {
-            discover_ns: 1,
-            route_ns: 2,
-            program_ns: 3,
-        };
-        scrambled.record_metrics(&mut twin);
-        assert_eq!(reg.digest(), twin.digest());
-        assert!(reg
-            .digest_names()
-            .iter()
-            .all(|n| !n.starts_with("profiling_")));
-
-        // The programming report exports its own family.
-        let mut preg = MetricsRegistry::new();
-        up.bringup
-            .as_ref()
-            .unwrap()
-            .report
-            .record_metrics(&mut preg);
-        assert_eq!(preg.counter("iba_sm_program_switches_total", &[]), Some(8));
-        assert_eq!(preg.counter("iba_sm_program_verified_total", &[]), Some(1));
+        // The programming pass reached all eight switches and read back
+        // what it wrote.
+        assert_eq!(bringup.report.switches, 8);
+        assert!(bringup.report.verified);
     }
 
     /// Up\*/down\* except for one forwarding loop: towards one switch,

@@ -6,7 +6,7 @@
 //! buckets; above that, each power-of-two octave is split into `2^p`
 //! equal sub-buckets. Recording is a few shifts and one increment,
 //! never allocates, and the quantile read-out over-estimates by less
-//! than a factor of `2^-p` ([`LogHistogram::relative_error`]).
+//! than a factor of `2^-p`.
 //!
 //! Histograms with equal precision **merge associatively and
 //! commutatively** (bucket-wise `u64` sums), which is what lets the
@@ -14,9 +14,8 @@
 //! histograms in any order — the same contract `StatsCollector::absorb`
 //! relies on for its scalar counters.
 //!
-//! The JSON round-trip ([`LogHistogram::to_json`] /
-//! [`LogHistogram::from_json`]) is sparse — only non-empty buckets are
-//! rendered — so a run's full latency distribution travels in
+//! The JSON rendering ([`LogHistogram::to_json`]) is sparse — only
+//! non-empty buckets are rendered — so a full distribution travels in
 //! `results/*.json` artifacts at a few hundred bytes.
 
 use iba_core::Json;
@@ -36,8 +35,8 @@ pub struct LogHistogram {
     precision: u32,
     buckets: Vec<u64>,
     count: u64,
-    /// Saturating sum of every recorded value (for means and the
-    /// Prometheus `_sum` series).
+    /// Saturating sum of every recorded value (for the mean and the
+    /// JSON rendering).
     sum: u64,
     min: u64,
     max: u64,
@@ -70,17 +69,6 @@ impl LogHistogram {
         (65 - p as usize) << p
     }
 
-    /// Sub-bucket bits.
-    pub fn precision(&self) -> u32 {
-        self.precision
-    }
-
-    /// The worst-case relative over-estimate of [`Self::quantile`]:
-    /// `2^-precision`. Values below `2^precision` are reported exactly.
-    pub fn relative_error(&self) -> f64 {
-        1.0 / (1u64 << self.precision) as f64
-    }
-
     #[inline]
     fn index(&self, v: u64) -> usize {
         let p = self.precision;
@@ -109,19 +97,10 @@ impl LogHistogram {
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Record `n` samples of the same value.
-    #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
         let idx = self.index(value);
-        self.buckets[idx] = self.buckets[idx].saturating_add(n);
-        self.count = self.count.saturating_add(n);
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+        self.buckets[idx] = self.buckets[idx].saturating_add(1);
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -134,11 +113,6 @@ impl LogHistogram {
     /// Whether no samples have been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Saturating sum of every recorded value.
-    pub fn sum(&self) -> u64 {
-        self.sum
     }
 
     /// Exact smallest recorded value (`None` when empty).
@@ -193,19 +167,6 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// The non-empty buckets as `(lower, upper, count)` triples (both
-    /// bounds inclusive), lowest bucket first.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = self.bucket_bounds(i);
-                (lo, hi, c)
-            })
-    }
-
     /// Compact JSON rendering: precision, count, sum, exact extrema and
     /// the sparse `[[bucket_index, count], ...]` list.
     pub fn to_json(&self) -> Json {
@@ -229,38 +190,6 @@ impl LogHistogram {
             ),
         );
         o
-    }
-
-    /// Parse the [`Self::to_json`] rendering back. `None` on a
-    /// malformed document (wrong shape, precision above
-    /// [`MAX_PRECISION`], bucket index out of range).
-    pub fn from_json(j: &Json) -> Option<LogHistogram> {
-        let p = j.get("p")?.as_u64()? as u32;
-        if p > MAX_PRECISION {
-            return None;
-        }
-        let mut h = LogHistogram::with_precision(p);
-        let Json::Arr(buckets) = j.get("buckets")? else {
-            return None;
-        };
-        for entry in buckets {
-            let Json::Arr(pair) = entry else { return None };
-            let [i, c] = pair.as_slice() else {
-                return None;
-            };
-            let idx = i.as_u64()? as usize;
-            if idx >= h.buckets.len() {
-                return None;
-            }
-            h.buckets[idx] = c.as_u64()?;
-        }
-        h.count = j.get("count")?.as_u64()?;
-        h.sum = j.get("sum")?.as_u64()?;
-        if h.count > 0 {
-            h.min = j.get("min")?.as_u64()?;
-            h.max = j.get("max")?.as_u64()?;
-        }
-        Some(h)
     }
 }
 
@@ -287,7 +216,7 @@ mod tests {
         assert_eq!(h.quantile(1.0), Some(31));
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(31));
-        assert_eq!(h.sum(), 51);
+        assert_eq!(h.sum, 51);
     }
 
     #[test]
@@ -296,7 +225,7 @@ mod tests {
         h.record(1_000_003);
         let q = h.quantile(1.0).unwrap();
         assert!(q >= 1_000_003);
-        assert!((q - 1_000_003) as f64 <= 1_000_003.0 * h.relative_error());
+        assert!((q - 1_000_003) as f64 <= 1_000_003.0 / 32.0);
     }
 
     #[test]
@@ -323,7 +252,7 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.5), Some(u64::MAX));
-        assert_eq!(h.sum(), u64::MAX); // saturated, not wrapped
+        assert_eq!(h.sum, u64::MAX); // saturated, not wrapped
     }
 
     #[test]
@@ -334,15 +263,18 @@ mod tests {
         for v in [0u64, 1, 3, 1000, u64::MAX] {
             h.record(v);
         }
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
+        let buckets: Vec<_> = (h.buckets.iter().enumerate())
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (h.bucket_bounds(i), c))
+            .collect();
         assert_eq!(
             buckets,
             vec![
-                (0, 0, 1),
-                (1, 1, 1),
-                (2, 3, 1),
-                (512, 1023, 1),
-                (1 << 63, u64::MAX, 1)
+                ((0, 0), 1),
+                ((1, 1), 1),
+                ((2, 3), 1),
+                ((512, 1023), 1),
+                ((1 << 63, u64::MAX), 1)
             ]
         );
         assert_eq!(h.quantile(0.8), Some(1023));
@@ -363,37 +295,20 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_exact() {
-        let mut h = LogHistogram::with_precision(6);
-        for v in [0u64, 5, 300, 12_345, 1 << 40] {
+    fn json_is_sparse() {
+        let mut h = LogHistogram::with_precision(2);
+        assert_eq!(
+            h.to_json().to_string_compact(),
+            r#"{"p":2,"count":0,"sum":0,"buckets":[]}"#
+        );
+        for v in [1u64, 1, 300] {
             h.record(v);
         }
-        let j = h.to_json();
-        let text = j.to_string_compact();
-        let parsed = Json::parse(&text).unwrap();
-        let back = LogHistogram::from_json(&parsed).unwrap();
-        assert_eq!(back, h);
-        // Empty histograms round-trip too.
-        let e = LogHistogram::with_precision(2);
-        let back = LogHistogram::from_json(&Json::parse(&e.to_json().to_string_compact()).unwrap())
-            .unwrap();
-        assert_eq!(back, e);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed() {
-        assert!(LogHistogram::from_json(&Json::parse("{}").unwrap()).is_none());
-        // Precision out of range.
-        assert!(LogHistogram::from_json(
-            &Json::parse(r#"{"p":40,"count":0,"sum":0,"buckets":[]}"#).unwrap()
-        )
-        .is_none());
-        // Bucket index out of range.
-        assert!(LogHistogram::from_json(
-            &Json::parse(r#"{"p":0,"count":1,"sum":1,"min":1,"max":1,"buckets":[[99999,1]]}"#)
-                .unwrap()
-        )
-        .is_none());
+        // 300 = 0b1_0010_1100: octave 8, sub-bucket 0b00 → index 28.
+        assert_eq!(
+            h.to_json().to_string_compact(),
+            r#"{"p":2,"count":3,"sum":302,"min":1,"max":300,"buckets":[[1,2],[28,1]]}"#
+        );
     }
 
     #[test]
@@ -443,7 +358,7 @@ mod tests {
                 let est = h.quantile(q).unwrap();
                 prop_assert!(est >= exact, "q={q}: est {est} < exact {exact}");
                 prop_assert!(
-                    (est - exact) as f64 <= exact as f64 * h.relative_error() + 1e-9,
+                    (est - exact) as f64 <= exact as f64 / (1u64 << p) as f64 + 1e-9,
                     "q={q}: est {est} vs exact {exact} breaks the 2^-{p} bound"
                 );
             }
@@ -477,14 +392,6 @@ mod tests {
             let mut ba = b.clone();
             ba.merge(&a);
             prop_assert_eq!(&ab, &ba);
-        }
-
-        #[test]
-        fn prop_json_roundtrip(samples in proptest::collection::vec(0u64..u64::MAX, 0..60), p in 0u32..=8) {
-            let mut h = LogHistogram::with_precision(p);
-            for &s in &samples { h.record(s); }
-            let parsed = Json::parse(&h.to_json().to_string_compact()).unwrap();
-            prop_assert_eq!(LogHistogram::from_json(&parsed).unwrap(), h);
         }
     }
 }

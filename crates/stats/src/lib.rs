@@ -13,26 +13,18 @@
 //! [`report`] renders both as aligned-plain-text/markdown tables and CSV,
 //! which is what the experiments print.
 //!
-//! The metrics plane lives here too:
-//!
-//! * [`hist::LogHistogram`] — a mergeable log-linear (HDR-style)
-//!   latency histogram with bounded relative quantile error, backing
-//!   the p50/p90/p99/p999 fields of the simulator's `RunResult`;
-//! * [`registry::MetricsRegistry`] — named counters/gauges/histograms
-//!   with label sets, a Prometheus text exporter, JSONL snapshots, and
-//!   a determinism digest that excludes the wall-clock
-//!   [`registry::PROFILING_PREFIX`] namespace.
+//! [`hist::LogHistogram`] is the one histogram: a mergeable log-linear
+//! (HDR-style) latency histogram with bounded relative quantile error,
+//! backing the p50/p90/p99/p999 fields of the simulator's `RunResult`.
 
 #![warn(missing_docs)]
 
 pub mod agg;
 pub mod curve;
 pub mod hist;
-pub mod registry;
 pub mod report;
 
 pub use agg::{MinMaxAvg, Timeseries, Welford};
 pub use curve::{Curve, CurvePoint};
 pub use hist::LogHistogram;
-pub use registry::{is_profiling, MetricValue, MetricsRegistry, PROFILING_PREFIX};
 pub use report::{csv_table, markdown_table, timeseries_table};

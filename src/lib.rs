@@ -91,7 +91,7 @@ pub mod prelude {
         ApmPlan, ManagedFabric, Programmer, ReliableSender, Resweep, RetryPolicy, RetryStats,
         RobustBringUp, RobustResweep, SendOutcome, SubnetManager, SweepReport,
     };
-    pub use iba_stats::{Curve, CurvePoint, LogHistogram, MetricValue, MetricsRegistry, MinMaxAvg};
+    pub use iba_stats::{Curve, CurvePoint, LogHistogram, MinMaxAvg};
     pub use iba_topology::{
         regular, IrregularConfig, Topology, TopologyBuilder, TopologyMetrics, TopologySpec,
     };
