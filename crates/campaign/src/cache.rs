@@ -22,11 +22,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FabricKey {
     /// Canonical topology-spec string.
-    pub topo_spec: String,
+    pub(crate) topo_spec: String,
     /// Generator seed.
     pub seed: u64,
     /// LID mask control of the compiled routing.
-    pub lmc: u8,
+    pub(crate) lmc: u8,
 }
 
 impl FabricKey {
@@ -99,16 +99,6 @@ impl<V> ArtifactCache<V> {
             self.misses.load(Ordering::Relaxed),
         )
     }
-
-    /// Number of distinct keys seen.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("cache lock poisoned").len()
-    }
-
-    /// Whether the cache has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -132,11 +122,11 @@ mod tests {
         }
         assert_eq!(builds.load(Ordering::Relaxed), 1);
         assert_eq!(cache.stats(), (2, 1));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.slots.lock().unwrap().len(), 1);
 
         let other = FabricKey::new("irregular8", 43, 1);
         cache.get_or_build(&other, || Ok(9)).unwrap();
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.slots.lock().unwrap().len(), 2);
     }
 
     #[test]

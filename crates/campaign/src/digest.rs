@@ -26,7 +26,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// through FNV-1a): two campaigns agree iff every run result agrees *in
 /// spec order*, which is exactly the resumed-equals-uninterrupted
 /// guarantee CI gates on.
-pub fn combine(digests: impl IntoIterator<Item = u64>) -> u64 {
+pub(crate) fn combine(digests: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = FNV_OFFSET;
     for d in digests {
         for b in d.to_le_bytes() {

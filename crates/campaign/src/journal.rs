@@ -12,10 +12,10 @@ use crate::spec::RunSpec;
 use iba_core::Json;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Journal format version.
-pub const JOURNAL_VERSION: u64 = 1;
+pub(crate) const JOURNAL_VERSION: u64 = 1;
 
 /// Terminal status of a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub enum RunStatus {
 
 impl RunStatus {
     /// Stable JSON vocabulary.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RunStatus::Ok => "ok",
             RunStatus::Poisoned => "poisoned",
@@ -37,7 +37,7 @@ impl RunStatus {
     }
 
     /// Parse the JSON vocabulary.
-    pub fn parse(s: &str) -> Option<RunStatus> {
+    pub(crate) fn parse(s: &str) -> Option<RunStatus> {
         match s {
             "ok" => Some(RunStatus::Ok),
             "poisoned" => Some(RunStatus::Poisoned),
@@ -61,7 +61,7 @@ pub struct RunRecord {
     /// for poisoned runs; `None` for ok runs.
     pub error: Option<String>,
     /// FNV-1a digest of the compact rendering of `result`.
-    pub digest: u64,
+    pub(crate) digest: u64,
     /// The run's result document (`Json::Null` for poisoned runs).
     pub result: Json,
 }
@@ -115,7 +115,7 @@ impl RunRecord {
     }
 
     /// Parse and validate a journal line's document.
-    pub fn from_json(j: &Json) -> Result<RunRecord, String> {
+    pub(crate) fn from_json(j: &Json) -> Result<RunRecord, String> {
         let version = j
             .get("v")
             .and_then(Json::as_u64)
@@ -177,43 +177,37 @@ impl RunRecord {
 /// An open journal, appending one fsync'd record per completed run.
 pub struct Journal {
     file: File,
-    path: PathBuf,
 }
 
 impl Journal {
     /// Create a fresh journal, truncating any existing file.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Journal> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let file = File::create(&path)?;
-        Ok(Journal { file, path })
+        let file = File::create(path)?;
+        Ok(Journal { file })
     }
 
     /// Open an existing journal for appending (creating it if absent).
-    pub fn append_to(path: impl AsRef<Path>) -> io::Result<Journal> {
-        let path = path.as_ref().to_path_buf();
+    pub(crate) fn append_to(path: impl AsRef<Path>) -> io::Result<Journal> {
+        let path = path.as_ref();
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Journal { file, path })
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        Ok(Journal { file })
     }
 
     /// Append one record and fsync it to disk before returning.
     pub fn append(&mut self, record: &RunRecord) -> io::Result<()> {
         self.file.write_all(record.to_line().as_bytes())?;
         self.file.sync_data()
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -228,7 +222,7 @@ pub struct Replay {
     /// Byte length of the valid prefix: everything up to and including
     /// the last newline-terminated line. When [`Replay::torn_tail`] is
     /// set the file must be truncated to this length (see
-    /// [`truncate_torn_tail`]) before appending, or the next record
+    /// `truncate_torn_tail`) before appending, or the next record
     /// would be concatenated onto the torn fragment and corrupt the
     /// journal's interior.
     pub valid_len: u64,
@@ -239,7 +233,7 @@ pub struct Replay {
 /// line instead of being glued onto the crash's partial record (which
 /// would turn a tolerated torn tail into hard interior corruption on
 /// the following replay).
-pub fn truncate_torn_tail(path: impl AsRef<Path>, valid_len: u64) -> io::Result<()> {
+pub(crate) fn truncate_torn_tail(path: impl AsRef<Path>, valid_len: u64) -> io::Result<()> {
     let file = OpenOptions::new().write(true).open(path)?;
     file.set_len(valid_len)?;
     file.sync_data()
@@ -253,7 +247,7 @@ pub fn truncate_torn_tail(path: impl AsRef<Path>, valid_len: u64) -> io::Result<
 /// incomplete); a final line without a terminating newline is the torn
 /// write of a crash and is dropped, reported via [`Replay::torn_tail`].
 /// Callers that go on to append must first cut the torn fragment off
-/// the file with [`truncate_torn_tail`] at [`Replay::valid_len`].
+/// the file with `truncate_torn_tail` at [`Replay::valid_len`].
 pub fn replay(path: impl AsRef<Path>) -> Result<Replay, String> {
     let path = path.as_ref();
     let bytes = match std::fs::read(path) {
@@ -301,6 +295,7 @@ pub fn replay(path: impl AsRef<Path>) -> Result<Replay, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("iba-journal-{}-{name}", std::process::id()))

@@ -46,6 +46,6 @@ pub use cache::{ArtifactCache, FabricKey};
 pub use digest::{digest_hex, fnv1a64};
 pub use fsio::write_atomic;
 pub use iba_core::par::{default_workers, par_map};
-pub use journal::{replay, truncate_torn_tail, Journal, Replay, RunRecord, RunStatus};
+pub use journal::{replay, Journal, RunRecord, RunStatus};
 pub use runner::{run_campaign, CampaignOutcome, Executor, RunnerOpts};
 pub use spec::{Campaign, RunSpec};

@@ -11,7 +11,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// Size of one flow-control credit in bytes.
-pub const CREDIT_BYTES: u32 = 64;
+pub(crate) const CREDIT_BYTES: u32 = 64;
 
 /// A non-negative amount of flow-control credits (64-byte units).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -27,27 +27,15 @@ impl Credits {
         Credits(bytes.div_ceil(CREDIT_BYTES))
     }
 
-    /// The equivalent number of bytes this many credits can hold.
-    #[inline]
-    pub fn bytes(self) -> u32 {
-        self.0 * CREDIT_BYTES
-    }
-
     /// Raw credit count.
     #[inline]
     pub fn count(self) -> u32 {
         self.0
     }
 
-    /// `true` when no credits are available.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Subtraction clamped at zero.
     #[inline]
-    pub fn saturating_sub(self, rhs: Credits) -> Credits {
+    pub(crate) fn saturating_sub(self, rhs: Credits) -> Credits {
         Credits(self.0.saturating_sub(rhs.0))
     }
 
@@ -74,19 +62,6 @@ impl Credits {
     #[inline]
     pub fn adaptive_share(self, cap: Credits) -> Credits {
         self.saturating_sub(Credits(cap.0 / 2))
-    }
-
-    /// Split of a per-VL credit count into the *escape-queue* share,
-    /// per the paper's formula (§4.4):
-    /// `C_XYE = min(C_max/2, C_XY)`.
-    ///
-    /// `C_max/2` is *integer* (floor) division: an odd `C_max` gives the
-    /// escape queue the smaller half and the adaptive queue the extra
-    /// credit. Configurations must therefore size the MTU against
-    /// `C_max/2` rounded *down* (`SimConfig::validate` enforces this).
-    #[inline]
-    pub fn escape_share(self, cap: Credits) -> Credits {
-        Credits((cap.0 / 2).min(self.0))
     }
 }
 
@@ -146,6 +121,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The *escape-queue* share of a per-VL credit count, per the paper's
+    /// formula (§4.4): `C_XYE = min(C_max/2, C_XY)`, with `C_max/2` the
+    /// floor half. The adaptive share is what the simulator computes; the
+    /// tests hold it to this complement.
+    fn escape_share(c: Credits, cap: Credits) -> Credits {
+        Credits((cap.0 / 2).min(c.0))
+    }
+
     #[test]
     fn for_bytes_rounds_up() {
         assert_eq!(Credits::for_bytes(0), Credits(0));
@@ -168,16 +151,16 @@ mod tests {
         let cap = Credits(16); // C_max
                                // Buffer empty: all 16 credits free; adaptive share 8, escape 8.
         assert_eq!(Credits(16).adaptive_share(cap), Credits(8));
-        assert_eq!(Credits(16).escape_share(cap), Credits(8));
+        assert_eq!(escape_share(Credits(16), cap), Credits(8));
         // Half full: 8 free → adaptive exhausted, escape full.
         assert_eq!(Credits(8).adaptive_share(cap), Credits(0));
-        assert_eq!(Credits(8).escape_share(cap), Credits(8));
+        assert_eq!(escape_share(Credits(8), cap), Credits(8));
         // Nearly full: 3 free → all of it escape space.
         assert_eq!(Credits(3).adaptive_share(cap), Credits(0));
-        assert_eq!(Credits(3).escape_share(cap), Credits(3));
+        assert_eq!(escape_share(Credits(3), cap), Credits(3));
         // Full: nothing anywhere.
         assert_eq!(Credits(0).adaptive_share(cap), Credits(0));
-        assert_eq!(Credits(0).escape_share(cap), Credits(0));
+        assert_eq!(escape_share(Credits(0), cap), Credits(0));
     }
 
     #[test]
@@ -185,16 +168,16 @@ mod tests {
         // C_max = 7: escape half is floor(7/2) = 3 credits, the adaptive
         // region gets the extra credit (7 − 3 = 4).
         let cap = Credits(7);
-        assert_eq!(Credits(7).escape_share(cap), Credits(3));
+        assert_eq!(escape_share(Credits(7), cap), Credits(3));
         assert_eq!(Credits(7).adaptive_share(cap), Credits(4));
         // Draining below the escape boundary: everything left is escape.
-        assert_eq!(Credits(3).escape_share(cap), Credits(3));
+        assert_eq!(escape_share(Credits(3), cap), Credits(3));
         assert_eq!(Credits(3).adaptive_share(cap), Credits(0));
-        assert_eq!(Credits(2).escape_share(cap), Credits(2));
+        assert_eq!(escape_share(Credits(2), cap), Credits(2));
         // The partition C_A + C_E == C holds at every fill level.
         for c in 0..=7 {
             let c = Credits(c);
-            assert_eq!(c.adaptive_share(cap) + c.escape_share(cap), c);
+            assert_eq!(c.adaptive_share(cap) + escape_share(c, cap), c);
         }
     }
 
@@ -228,7 +211,7 @@ mod tests {
         fn prop_split_partitions_free_space(c in 0u32..256, cap in 0u32..256) {
             prop_assume!(c <= cap);
             let (c, cap) = (Credits(c), Credits(cap));
-            prop_assert_eq!(c.adaptive_share(cap) + c.escape_share(cap), c);
+            prop_assert_eq!(c.adaptive_share(cap) + escape_share(c, cap), c);
         }
 
         /// Escape share never exceeds half the capacity; adaptive share
@@ -237,7 +220,7 @@ mod tests {
         fn prop_split_bounds(c in 0u32..256, cap in 0u32..256) {
             prop_assume!(c <= cap);
             let (c, cap) = (Credits(c), Credits(cap));
-            prop_assert!(c.escape_share(cap).count() <= cap.count() / 2);
+            prop_assert!(escape_share(c, cap).count() <= cap.count() / 2);
             prop_assert!(c.adaptive_share(cap).count() <= cap.count() - cap.count() / 2);
         }
 
@@ -248,19 +231,19 @@ mod tests {
             let cap = Credits(2 * half + 1);
             prop_assume!(c <= cap.count());
             let c = Credits(c);
-            prop_assert_eq!(c.adaptive_share(cap) + c.escape_share(cap), c);
-            prop_assert!(c.escape_share(cap).count() <= half);
+            prop_assert_eq!(c.adaptive_share(cap) + escape_share(c, cap), c);
+            prop_assert!(escape_share(c, cap).count() <= half);
             prop_assert!(c.adaptive_share(cap).count() <= half + 1);
             // A full odd buffer really does give the adaptive region one
             // more credit than the escape region.
             prop_assert_eq!(cap.adaptive_share(cap).count(), half + 1);
-            prop_assert_eq!(cap.escape_share(cap).count(), half);
+            prop_assert_eq!(escape_share(cap, cap).count(), half);
         }
 
         #[test]
         fn prop_for_bytes_is_minimal(bytes in 1u32..100_000) {
             let c = Credits::for_bytes(bytes);
-            prop_assert!(c.bytes() >= bytes);
+            prop_assert!(c.count() * CREDIT_BYTES >= bytes);
             prop_assert!((c.count() - 1) * CREDIT_BYTES < bytes);
         }
     }

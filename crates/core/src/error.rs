@@ -22,10 +22,6 @@ pub enum IbaError {
     AdaptiveNeedsLmc,
     /// LID not assigned to any host.
     UnknownLid(u16),
-    /// Virtual lane outside 0..16.
-    InvalidVirtualLane(u8),
-    /// Service level outside 0..16.
-    InvalidServiceLevel(u8),
     /// Topology violates a structural constraint.
     InvalidTopology(String),
     /// A random generator failed to satisfy the constraints after retries.
@@ -51,8 +47,6 @@ impl fmt::Display for IbaError {
                 write!(f, "adaptive DLIDs require LMC >= 1 (at least 2 addresses)")
             }
             IbaError::UnknownLid(l) => write!(f, "LID {l} is not assigned to any host"),
-            IbaError::InvalidVirtualLane(v) => write!(f, "virtual lane {v} outside 0..16"),
-            IbaError::InvalidServiceLevel(s) => write!(f, "service level {s} outside 0..16"),
             IbaError::InvalidTopology(msg) => write!(f, "invalid topology: {msg}"),
             IbaError::GenerationFailed(msg) => write!(f, "topology generation failed: {msg}"),
             IbaError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),

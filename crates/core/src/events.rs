@@ -11,7 +11,7 @@
 //! candidate set keeps eight outcomes inline ([`OptionOutcomes`]), so only
 //! a set larger than any configured routing table allocates. Serialization goes
 //! through [`crate::json::Json`]:
-//! [`FlightEvent::to_json`] and [`FlightEvent::from_json`] are exact
+//! [`FlightEvent::to_json`] and `FlightEvent::from_json` are exact
 //! inverses, which the dump round-trip tests pin down.
 
 use crate::ids::{HostId, PortIndex, SwitchId};
@@ -58,7 +58,7 @@ pub enum DropCause {
 
 impl DropCause {
     /// All causes, in serialization order.
-    pub const ALL: [DropCause; 4] = [
+    pub(crate) const ALL: [DropCause; 4] = [
         DropCause::SourceQueueFull,
         DropCause::LinkDown,
         DropCause::SwitchDown,
@@ -76,7 +76,7 @@ impl DropCause {
     }
 
     /// Inverse of [`DropCause::name`].
-    pub fn from_name(name: &str) -> Option<DropCause> {
+    pub(crate) fn from_name(name: &str) -> Option<DropCause> {
         Self::ALL.into_iter().find(|c| c.name() == name)
     }
 }
@@ -105,7 +105,7 @@ pub enum OptionVerdict {
 
 impl OptionVerdict {
     /// All verdicts, in serialization order.
-    pub const ALL: [OptionVerdict; 7] = [
+    pub(crate) const ALL: [OptionVerdict; 7] = [
         OptionVerdict::Selected,
         OptionVerdict::LostArbitration,
         OptionVerdict::LinkBusy,
@@ -129,17 +129,8 @@ impl OptionVerdict {
     }
 
     /// Inverse of [`OptionVerdict::name`].
-    pub fn from_name(name: &str) -> Option<OptionVerdict> {
+    pub(crate) fn from_name(name: &str) -> Option<OptionVerdict> {
         Self::ALL.into_iter().find(|v| v.name() == name)
-    }
-
-    /// `true` when the option could have carried the packet (it was
-    /// selected or merely lost arbitration to a peer).
-    pub fn feasible(self) -> bool {
-        matches!(
-            self,
-            OptionVerdict::Selected | OptionVerdict::LostArbitration
-        )
     }
 }
 
@@ -234,7 +225,7 @@ impl StallClass {
     }
 
     /// Inverse of [`StallClass::name`].
-    pub fn from_name(name: &str) -> Option<StallClass> {
+    pub(crate) fn from_name(name: &str) -> Option<StallClass> {
         [StallClass::EscapeDraining, StallClass::SuspectedWedge]
             .into_iter()
             .find(|c| c.name() == name)
@@ -605,7 +596,7 @@ impl FlightEvent {
 
     /// Inverse of [`FlightEvent::to_json`]; `None` on any shape or
     /// vocabulary mismatch.
-    pub fn from_json(v: &Json) -> Option<FlightEvent> {
+    pub(crate) fn from_json(v: &Json) -> Option<FlightEvent> {
         let packet = || v.get("packet").and_then(Json::as_u64).map(PacketId);
         let host = |k: &str| {
             v.get(k)
@@ -1015,14 +1006,6 @@ mod tests {
         assert_eq!(DropCause::from_name("bogus"), None);
         assert_eq!(OptionVerdict::from_name("bogus"), None);
         assert_eq!(StallClass::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn feasibility_split() {
-        assert!(OptionVerdict::Selected.feasible());
-        assert!(OptionVerdict::LostArbitration.feasible());
-        assert!(!OptionVerdict::NoEscapeCredit.feasible());
-        assert!(!OptionVerdict::DeadPort.feasible());
     }
 
     #[test]

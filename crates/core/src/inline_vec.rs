@@ -62,12 +62,6 @@ impl<T, const N: usize> InlineVec<T, N> {
         self.len == 0
     }
 
-    /// The fixed capacity `N`.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        N
-    }
-
     /// Append an element.
     ///
     /// # Panics
@@ -82,7 +76,7 @@ impl<T, const N: usize> InlineVec<T, N> {
 
     /// Remove and return the last element.
     #[inline]
-    pub fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop(&mut self) -> Option<T> {
         if self.len == 0 {
             return None;
         }
@@ -117,14 +111,14 @@ impl<T, const N: usize> InlineVec<T, N> {
 
     /// View as a slice.
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         // SAFETY: the first `len` slots are initialized.
         unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast(), self.len) }
     }
 
     /// View as a mutable slice.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: the first `len` slots are initialized.
         unsafe { std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast(), self.len) }
     }
@@ -244,7 +238,6 @@ mod tests {
     fn push_pop_len() {
         let mut v: InlineVec<u32, 4> = InlineVec::new();
         assert!(v.is_empty());
-        assert_eq!(v.capacity(), 4);
         v.push(1);
         v.push(2);
         assert_eq!(v.len(), 2);

@@ -134,9 +134,9 @@ impl fmt::Display for Json {
 #[derive(Clone, Debug, PartialEq)]
 pub struct JsonParseError {
     /// Byte offset into the input where parsing failed.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Human-readable description of the failure.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for JsonParseError {
@@ -195,15 +195,6 @@ impl Json {
         match self {
             Json::UInt(u) => Some(*u),
             Json::Int(i) if *i >= 0 => Some(*i as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
-            Json::UInt(u) => i64::try_from(*u).ok(),
             _ => None,
         }
     }
@@ -772,8 +763,6 @@ mod tests {
     fn accessor_coercions() {
         assert_eq!(Json::Int(3).as_u64(), Some(3));
         assert_eq!(Json::Int(-3).as_u64(), None);
-        assert_eq!(Json::UInt(3).as_i64(), Some(3));
-        assert_eq!(Json::UInt(u64::MAX).as_i64(), None);
         assert_eq!(Json::UInt(2).as_f64(), Some(2.0));
         assert_eq!(Json::Str("2".into()).as_f64(), None);
         assert_eq!(Json::obj([("a", 1u64)]).members().map(<[_]>::len), Some(1));

@@ -43,7 +43,7 @@ pub mod phys;
 pub mod time;
 pub mod vl;
 
-pub use credits::{Credits, CREDIT_BYTES};
+pub use credits::Credits;
 pub use error::IbaError;
 pub use events::{
     DropCause, FlightEvent, OptionOutcome, OptionOutcomes, OptionVerdict, StallClass, StampedEvent,

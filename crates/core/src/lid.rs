@@ -73,10 +73,10 @@ impl fmt::Display for Lid {
 
 impl Lmc {
     /// Maximum LMC value allowed by the IBA specification.
-    pub const MAX: u8 = 7;
+    pub(crate) const MAX: u8 = 7;
 
     /// Create an LMC, validating the IBA bound.
-    pub fn new(bits: u8) -> Result<Self, IbaError> {
+    pub(crate) fn new(bits: u8) -> Result<Self, IbaError> {
         if bits > Self::MAX {
             Err(IbaError::InvalidLmc(bits))
         } else {
@@ -101,7 +101,7 @@ impl Lmc {
     /// Smallest LMC able to hold `options` routing options per port.
     ///
     /// `options` counts table addresses: 1 escape + (options − 1) adaptive.
-    pub fn for_options(options: u16) -> Result<Self, IbaError> {
+    pub(crate) fn for_options(options: u16) -> Result<Self, IbaError> {
         if options == 0 || options > 128 {
             return Err(IbaError::InvalidOptionCount(options));
         }
@@ -125,7 +125,7 @@ impl LidMap {
     /// Build the map for `num_hosts` hosts with the given LMC.
     ///
     /// Fails if the address space would overflow 16 bits.
-    pub fn new(num_hosts: u16, lmc: Lmc) -> Result<Self, IbaError> {
+    pub(crate) fn new(num_hosts: u16, lmc: Lmc) -> Result<Self, IbaError> {
         let span = (num_hosts as u32 + 1)
             .checked_shl(lmc.bits() as u32)
             .ok_or(IbaError::LidSpaceExhausted)?;
@@ -207,11 +207,6 @@ impl LidMap {
     pub fn table_len(&self) -> usize {
         ((self.num_hosts as usize + 2) << self.lmc.bits() as usize).min(u16::MAX as usize + 1)
     }
-
-    /// Iterate over all hosts.
-    pub fn hosts(&self) -> impl Iterator<Item = HostId> {
-        (0..self.num_hosts).map(HostId)
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +236,7 @@ mod tests {
     #[test]
     fn base_lids_are_aligned_and_nonzero() {
         let map = LidMap::for_options(32, 4).unwrap();
-        for h in map.hosts() {
+        for h in (0..map.num_hosts).map(HostId) {
             let base = map.base_lid(h);
             assert_ne!(base.0, 0);
             assert_eq!(base.0 % map.lmc().addresses_per_port(), 0);
@@ -251,7 +246,7 @@ mod tests {
     #[test]
     fn deterministic_address_has_lsb_clear_adaptive_set() {
         let map = LidMap::for_options(8, 2).unwrap();
-        for h in map.hosts() {
+        for h in (0..map.num_hosts).map(HostId) {
             let det = map.dlid(h, false).unwrap();
             let ada = map.dlid(h, true).unwrap();
             assert!(!det.requests_adaptive());
@@ -271,7 +266,7 @@ mod tests {
     fn ranges_do_not_overlap() {
         let map = LidMap::for_options(64, 4).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for h in map.hosts() {
+        for h in (0..map.num_hosts).map(HostId) {
             for off in 0..map.lmc().addresses_per_port() {
                 let lid = map.lid_for(h, off).unwrap();
                 assert!(seen.insert(lid.0), "lid {lid} assigned twice");

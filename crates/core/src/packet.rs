@@ -47,14 +47,6 @@ pub enum RoutingMode {
     Adaptive,
 }
 
-impl RoutingMode {
-    /// Whether the mode permits adaptive options.
-    #[inline]
-    pub fn is_adaptive(self) -> bool {
-        matches!(self, RoutingMode::Adaptive)
-    }
-}
-
 /// A packet in flight.
 #[derive(Clone, Copy, Debug)]
 pub struct Packet {
@@ -141,8 +133,6 @@ mod tests {
         let ada = mk(map.dlid(HostId(1), true).unwrap(), 32);
         assert_eq!(det.mode(), RoutingMode::Deterministic);
         assert_eq!(ada.mode(), RoutingMode::Adaptive);
-        assert!(!det.mode().is_adaptive());
-        assert!(ada.mode().is_adaptive());
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //!   arbitration + crossbar setup);
 //! * MTU between 256 and 4096 bytes (the paper uses 256).
 //!
-//! All values are grouped in [`PhysParams`] so experiments can deviate
-//! (e.g. 4X links) while the paper's configuration stays the checked-in
-//! default.
+//! All values are grouped in [`PhysParams`]; the paper's configuration
+//! is the checked-in default.
 
 use crate::error::IbaError;
 
 /// IBA's minimum maximum-transfer-unit, in bytes.
-pub const MTU_MIN: u32 = 256;
+pub(crate) const MTU_MIN: u32 = 256;
 /// IBA's maximum maximum-transfer-unit, in bytes.
-pub const MTU_MAX: u32 = 4096;
+pub(crate) const MTU_MAX: u32 = 4096;
 
 /// Physical-layer timing parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -25,7 +24,7 @@ pub struct PhysParams {
     ///
     /// The paper's 1X configuration is 2.5 Gbps raw; 8b/10b coding leaves
     /// 2.0 Gbps = 0.25 bytes/ns.
-    pub link_bytes_per_ns: f64,
+    pub(crate) link_bytes_per_ns: f64,
     /// One-way cable propagation delay in nanoseconds (20 m × 5 ns/m).
     pub propagation_ns: u64,
     /// Switch routing time in nanoseconds: forwarding-table access,
@@ -43,15 +42,6 @@ impl PhysParams {
             propagation_ns: 100,
             routing_delay_ns: 100,
             mtu_bytes: 256,
-        }
-    }
-
-    /// A 4X-link variant (10 Gbps raw, 8 Gbps payload) for what-if
-    /// experiments.
-    pub fn link_4x() -> PhysParams {
-        PhysParams {
-            link_bytes_per_ns: 1.0,
-            ..PhysParams::paper_1x()
         }
     }
 
@@ -123,10 +113,18 @@ mod tests {
         assert_eq!(p.zero_load_latency_ns(32, 3), 828);
     }
 
+    /// A 4X link (10 Gbps raw, 8 Gbps payload).
+    fn link_4x() -> PhysParams {
+        PhysParams {
+            link_bytes_per_ns: 1.0,
+            ..PhysParams::paper_1x()
+        }
+    }
+
     #[test]
     fn validation() {
         assert!(PhysParams::paper_1x().validate().is_ok());
-        assert!(PhysParams::link_4x().validate().is_ok());
+        assert!(link_4x().validate().is_ok());
         let mut bad = PhysParams::paper_1x();
         bad.mtu_bytes = 128;
         assert!(bad.validate().is_err());
@@ -137,9 +135,6 @@ mod tests {
 
     #[test]
     fn faster_links_serialize_faster() {
-        assert!(
-            PhysParams::link_4x().serialization_ns(256)
-                < PhysParams::paper_1x().serialization_ns(256)
-        );
+        assert!(link_4x().serialization_ns(256) < PhysParams::paper_1x().serialization_ns(256));
     }
 }

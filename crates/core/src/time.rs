@@ -43,12 +43,6 @@ impl SimTime {
         self.0
     }
 
-    /// The value in (fractional) microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Duration since an earlier instant, clamped at zero.
     #[inline]
     pub fn since(self, earlier: SimTime) -> u64 {
@@ -64,13 +58,6 @@ impl SimTime {
     #[inline]
     pub fn plus_ns(self, ns: u64) -> SimTime {
         SimTime(self.0 + ns)
-    }
-
-    /// Advance in place by `ns` nanoseconds (the `AddAssign` analogue of
-    /// [`plus_ns`](SimTime::plus_ns)).
-    #[inline]
-    pub fn advance_ns(&mut self, ns: u64) {
-        self.0 += ns;
     }
 }
 
@@ -122,9 +109,6 @@ mod tests {
         assert_eq!(t.as_ns(), 150);
         assert_eq!(t - SimTime::from_ns(100), 50);
         assert_eq!(t.since(SimTime::from_ns(200)), 0);
-        let mut u = SimTime::ZERO;
-        u.advance_ns(7);
-        assert_eq!(u.as_ns(), 7);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! ordinary data lanes — the adaptive/escape queues live *inside* one VL's
 //! buffer (§4.4), deliberately consuming no extra VLs.
 
-use crate::error::IbaError;
 use std::fmt;
 
 /// A data virtual lane (0..=15).
@@ -22,18 +21,6 @@ impl VirtualLane {
     /// Number of virtual lanes an IBA switch can support.
     pub const COUNT: usize = 16;
 
-    /// The management VL (VL15), never used for data in this model.
-    pub const MANAGEMENT: VirtualLane = VirtualLane(15);
-
-    /// Validating constructor.
-    pub fn new(vl: u8) -> Result<Self, IbaError> {
-        if (vl as usize) < Self::COUNT {
-            Ok(VirtualLane(vl))
-        } else {
-            Err(IbaError::InvalidVirtualLane(vl))
-        }
-    }
-
     /// The lane as a plain index.
     #[inline]
     pub fn index(self) -> usize {
@@ -44,15 +31,6 @@ impl VirtualLane {
 impl ServiceLevel {
     /// Number of service levels.
     pub const COUNT: usize = 16;
-
-    /// Validating constructor.
-    pub fn new(sl: u8) -> Result<Self, IbaError> {
-        if (sl as usize) < Self::COUNT {
-            Ok(ServiceLevel(sl))
-        } else {
-            Err(IbaError::InvalidServiceLevel(sl))
-        }
-    }
 
     /// The level as a plain index.
     #[inline]
@@ -88,21 +66,6 @@ impl fmt::Display for ServiceLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vl_validation() {
-        assert!(VirtualLane::new(0).is_ok());
-        assert!(VirtualLane::new(15).is_ok());
-        assert!(VirtualLane::new(16).is_err());
-        assert_eq!(VirtualLane::MANAGEMENT.index(), 15);
-    }
-
-    #[test]
-    fn sl_validation() {
-        assert!(ServiceLevel::new(0).is_ok());
-        assert!(ServiceLevel::new(15).is_ok());
-        assert!(ServiceLevel::new(16).is_err());
-    }
 
     #[test]
     fn display() {

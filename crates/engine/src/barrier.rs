@@ -40,11 +40,6 @@ impl SpinBarrier {
         }
     }
 
-    /// Number of participating threads.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Block until all `n` threads have arrived. Returns `true` on
     /// exactly one of the callers per round (the last arriver), which
     /// callers can use to elect a leader for per-round serial work.
@@ -79,7 +74,6 @@ mod tests {
         let b = SpinBarrier::new(1);
         assert!(b.wait());
         assert!(b.wait());
-        assert_eq!(b.participants(), 1);
     }
 
     #[test]

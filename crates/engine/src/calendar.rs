@@ -9,7 +9,7 @@
 //! or halving the day count and re-estimating the width from a sample)
 //! when the population outgrows the calendar.
 //!
-//! Interface-compatible with [`crate::EventQueue`] — including the strict
+//! Interface-compatible with [`crate::queue::EventQueue`] — including the strict
 //! FIFO tie-break for simultaneous events that keeps simulations
 //! deterministic — and verified equivalent to it by property tests.
 //!
@@ -20,7 +20,7 @@
 //! ~3.5× faster per operation. The calendar
 //! queue's constant factors (per-pop day scans, resampling resizes) only
 //! amortize on much larger pending sets than credit-gated VCT ever
-//! produces. The simulator therefore defaults to [`crate::EventQueue`],
+//! produces. The simulator therefore defaults to [`crate::queue::EventQueue`],
 //! but can be switched onto this implementation through
 //! [`crate::DesQueue`] (`SimConfig::queue_backend` in `iba-sim`) — the
 //! `backend_equivalence` test over whole simulations shows the results
@@ -28,7 +28,7 @@
 
 use iba_core::SimTime;
 
-/// One scheduled entry. As in [`crate::EventQueue`], `ord` is the
+/// One scheduled entry. As in [`crate::queue::EventQueue`], `ord` is the
 /// tie-break rank among equal times: insertion sequence for plain
 /// scheduling, canonical key for keyed scheduling (never both in one
 /// queue).
@@ -75,14 +75,14 @@ pub struct CalendarQueue<E> {
 
 impl<E> CalendarQueue<E> {
     /// An empty queue starting at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_layout(16, 1_000)
     }
 
     /// An empty queue sized for roughly `cap` pending events (the day
     /// count is chosen so the first resize is pushed past that
     /// population; the width still self-tunes on resize).
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         Self::with_layout(cap.next_power_of_two().max(16), 1_000)
     }
 
@@ -104,25 +104,13 @@ impl<E> CalendarQueue<E> {
 
     /// Current simulated time (timestamp of the last popped event).
     #[inline]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Total number of events popped.
     #[inline]
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.popped
     }
 
@@ -135,7 +123,7 @@ impl<E> CalendarQueue<E> {
     /// pops come out in `(time, insertion order)` order. Must not be
     /// mixed with [`CalendarQueue::schedule_keyed`] on the same queue
     /// (checked in debug builds).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         #[cfg(debug_assertions)]
         {
             debug_assert!(
@@ -151,11 +139,11 @@ impl<E> CalendarQueue<E> {
 
     /// Schedule with an explicit ordering key — pops come out in
     /// `(time, key)` order, matching
-    /// [`crate::EventQueue::schedule_keyed`] and carrying the same
+    /// [`crate::queue::EventQueue::schedule_keyed`] and carrying the same
     /// contract: `(time, key)` pairs must be globally unique, and keyed
     /// and plain scheduling must not mix on one queue (checked in debug
     /// builds).
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
+    pub(crate) fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
         #[cfg(debug_assertions)]
         {
             debug_assert!(
@@ -179,11 +167,6 @@ impl<E> CalendarQueue<E> {
         if self.len > 2 * self.buckets.len() {
             self.resize(self.buckets.len() * 2);
         }
-    }
-
-    /// Schedule `delay_ns` from now.
-    pub fn schedule_in(&mut self, delay_ns: u64, event: E) {
-        self.schedule(self.now.plus_ns(delay_ns), event);
     }
 
     /// Locate the earliest pending entry — the day scan of `pop`, run on
@@ -253,20 +236,20 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.find_earliest().map(|f| f.time)
     }
 
     /// Pop the earliest event (FIFO among equal timestamps).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let found = self.find_earliest()?;
         Some(self.pop_found(found))
     }
 
     /// Pop the earliest event, with its ordering rank, only if it is at
     /// or before `limit` and strictly ahead of `bound` in `(time, rank)`
-    /// order — one day scan, as [`crate::EventQueue::pop_ahead_of`].
-    pub fn pop_ahead_of(
+    /// order — one day scan, as [`crate::queue::EventQueue::pop_ahead_of`].
+    pub(crate) fn pop_ahead_of(
         &mut self,
         limit: SimTime,
         bound: (SimTime, u64),
@@ -281,9 +264,9 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Move the clock to `t` without popping (see
-    /// [`crate::EventQueue::advance_to`]). The day cursor stays behind:
+    /// [`crate::queue::EventQueue::advance_to`]). The day cursor stays behind:
     /// it only ever needs to be at or before the earliest entry.
-    pub fn advance_to(&mut self, t: SimTime) {
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
         debug_assert!(t >= self.now && self.peek_time().is_none_or(|head| head >= t));
         self.now = t;
     }
@@ -330,8 +313,20 @@ impl<E> Default for CalendarQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventQueue;
+    use crate::queue::EventQueue;
     use proptest::prelude::*;
+
+    impl<E> CalendarQueue<E> {
+        /// Number of pending events.
+        pub(crate) fn len(&self) -> usize {
+            self.len
+        }
+
+        /// Whether no events are pending.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

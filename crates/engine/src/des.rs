@@ -19,7 +19,8 @@
 //! [`QueueBackend`] is the configuration-facing selector (carried by
 //! `iba_sim::SimConfig`).
 
-use crate::{CalendarQueue, EventQueue};
+use crate::calendar::CalendarQueue;
+use crate::queue::EventQueue;
 use iba_core::SimTime;
 
 /// Which priority-queue implementation drives the simulation loop.
@@ -74,24 +75,6 @@ impl<E> DesQueue<E> {
         }
     }
 
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            DesQueue::Heap(q) => q.len(),
-            DesQueue::Calendar(q) => q.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        match self {
-            DesQueue::Heap(q) => q.is_empty(),
-            DesQueue::Calendar(q) => q.is_empty(),
-        }
-    }
-
     /// Total number of events popped.
     #[inline]
     pub fn events_processed(&self) -> u64 {
@@ -102,7 +85,7 @@ impl<E> DesQueue<E> {
     }
 
     /// Schedules so far by path — `[lane, heap]`, see
-    /// [`EventQueue::schedule_paths`]; both zero on the calendar backend,
+    /// `EventQueue::schedule_paths`; both zero on the calendar backend,
     /// which has neither.
     #[inline]
     pub fn schedule_paths(&self) -> [u64; 2] {
@@ -128,15 +111,6 @@ impl<E> DesQueue<E> {
         match self {
             DesQueue::Heap(q) => q.schedule_keyed(at, key, event),
             DesQueue::Calendar(q) => q.schedule_keyed(at, key, event),
-        }
-    }
-
-    /// Schedule `event` `delay_ns` nanoseconds from now.
-    #[inline]
-    pub fn schedule_in(&mut self, delay_ns: u64, event: E) {
-        match self {
-            DesQueue::Heap(q) => q.schedule_in(delay_ns, event),
-            DesQueue::Calendar(q) => q.schedule_in(delay_ns, event),
         }
     }
 
@@ -191,6 +165,24 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
+    impl<E> DesQueue<E> {
+        /// Number of pending events.
+        fn len(&self) -> usize {
+            match self {
+                DesQueue::Heap(q) => q.len(),
+                DesQueue::Calendar(q) => q.len(),
+            }
+        }
+
+        /// Whether no events are pending.
+        fn is_empty(&self) -> bool {
+            match self {
+                DesQueue::Heap(q) => q.is_empty(),
+                DesQueue::Calendar(q) => q.is_empty(),
+            }
+        }
+    }
+
     fn exercise(backend: QueueBackend) -> Vec<(u64, u32)> {
         let mut q = DesQueue::with_capacity(backend, 8);
         // Interleave schedules and pops, with timestamp ties.
@@ -204,7 +196,7 @@ mod tests {
         while let Some((t, _, e)) = q.pop_ahead_of(SimTime::from_ns(25), (SimTime::MAX, u64::MAX)) {
             out.push((t.as_ns(), e));
         }
-        q.schedule_in(5, 99);
+        q.schedule(q.now().plus_ns(5), 99);
         while let Some((t, e)) = q.pop() {
             out.push((t.as_ns(), e));
         }
@@ -256,12 +248,11 @@ mod tests {
         /// so a run fills out of key order and a time behind a lane's
         /// tail (what mailbox `ingest` does) is as likely as one past it
         /// — or a `pop_ahead_of` with limit `now + a` against an outside
-        /// wake-up at `(now + b, class)`, a plain `pop`, or, rarely, a
-        /// `clear` (which only the heap backend has).
+        /// wake-up at `(now + b, class)`, or a plain `pop`.
         #[test]
         fn prop_keyed_queue_matches_a_sorted_reference(
             ops in proptest::collection::vec(
-                (0u8..8, 0u64..400, 0u64..400, 0u64..16), 1..400)
+                (0u8..7, 0u64..400, 0u64..400, 0u64..16), 1..400)
         ) {
             for backend in [QueueBackend::BinaryHeap, QueueBackend::Calendar] {
                 let mut q: DesQueue<u32> = DesQueue::new(backend);
@@ -301,20 +292,11 @@ mod tests {
                                 None => {}
                             }
                         }
-                        6 => {
+                        _ => {
                             let head = reference.pop_first();
                             prop_assert_eq!(q.pop(), head.map(|(t, _, e)| (t, e)));
                             popped += u64::from(head.is_some());
                             prop_assert_eq!(q.now(), head.map_or(q.now(), |h| h.0));
-                        }
-                        _ => {
-                            // Only the heap backend can be cleared.
-                            if let (DesQueue::Heap(heap), true) = (&mut q, a < 40) {
-                                let now = heap.now();
-                                heap.clear();
-                                reference.clear();
-                                prop_assert_eq!(heap.now(), now);
-                            }
                         }
                     }
                     prop_assert_eq!(q.len(), reference.len());

@@ -40,8 +40,6 @@ pub mod rng;
 pub mod shard;
 
 pub use barrier::SpinBarrier;
-pub use calendar::CalendarQueue;
 pub use des::{DesQueue, QueueBackend};
-pub use queue::EventQueue;
 pub use rng::StreamRng;
-pub use shard::{conservative_window, event_key, Window};
+pub use shard::{conservative_window, event_key};

@@ -1,11 +1,11 @@
 //! Deterministic time-ordered event queue.
 //!
 //! Entries are ordered by `(SimTime, rank)`, where the rank is the
-//! insertion sequence under plain [`EventQueue::schedule`] — FIFO among
+//! insertion sequence under plain `EventQueue::schedule` — FIFO among
 //! events of one instant, which makes simulation runs bit-reproducible
 //! for a given seed, a property the paper's min/max/avg-over-topologies
 //! methodology depends on and the test suite exploits heavily — and a
-//! caller-supplied canonical key under [`EventQueue::schedule_keyed`].
+//! caller-supplied canonical key under `EventQueue::schedule_keyed`.
 //!
 //! The *key* flavor exists for the sharded simulator: shards ingest
 //! cross-shard messages in nondeterministic mailbox order, so FIFO
@@ -26,7 +26,7 @@
 //! (a cable, a routing pipeline, one serialization time per packet
 //! size), so the schedules of one class arrive almost sorted. A keyed
 //! schedule therefore goes to a FIFO *lane* picked by the class field of
-//! its key (the top [`KEY_CLASS_BITS`] bits): appended when it sorts
+//! its key (the top `KEY_CLASS_BITS` bits): appended when it sorts
 //! after the lane's tail, and pushed on a [`BinaryHeap`] otherwise. *Any*
 //! entry may take the heap, so nothing depends on a delay being
 //! constant — mixed packet sizes, generator inter-arrivals, cross-shard
@@ -113,7 +113,7 @@ pub struct EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::with_capacity(0)
     }
 
@@ -121,7 +121,7 @@ impl<E> EventQueue<E> {
     /// touches only what it uses. A lane is a ring and walks its whole
     /// capacity, so lanes are left to grow to twice their peak length:
     /// reserving a bound would spread a few live entries over many pages.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             lanes: std::array::from_fn(|_| VecDeque::new()),
@@ -139,32 +139,20 @@ impl<E> EventQueue<E> {
 
     /// Current simulated time: the timestamp of the last popped event.
     #[inline]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events waiting.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are waiting.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Total number of events popped so far.
     #[inline]
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.popped
     }
 
     /// Schedules so far by the path they took: `[appended to a lane,
     /// pushed on the heap]`. The two sum to every schedule made.
     #[inline]
-    pub fn schedule_paths(&self) -> [u64; 2] {
+    pub(crate) fn schedule_paths(&self) -> [u64; 2] {
         self.paths
     }
 
@@ -174,7 +162,7 @@ impl<E> EventQueue<E> {
     /// debug builds).
     ///
     /// `at` must not precede the current time (checked in debug builds).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at:?} < now {:?}",
@@ -210,7 +198,7 @@ impl<E> EventQueue<E> {
     /// must not mix this with [`EventQueue::schedule`] on the same queue
     /// (checked in debug builds). The simulator's canonical event keys
     /// satisfy both, so mailbox ingest timing never decides.
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
+    pub(crate) fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at:?} < now {:?}",
@@ -242,11 +230,6 @@ impl<E> EventQueue<E> {
         lane.push_back(entry);
         self.len += 1;
         self.paths[0] += 1;
-    }
-
-    /// Schedule `event` `delay_ns` nanoseconds from now.
-    pub fn schedule_in(&mut self, delay_ns: u64, event: E) {
-        self.schedule(self.now.plus_ns(delay_ns), event);
     }
 
     /// `(time, ord)` of the earliest entry and where it sits: a lane
@@ -289,12 +272,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.head().map(|(rank, _)| rank.0)
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let (_, src) = self.head()?;
         let entry = self.take(src);
         Some((entry.time, entry.event))
@@ -306,7 +289,7 @@ impl<E> EventQueue<E> {
     /// simulator stops at a window's end without draining the queue, and
     /// how it merges the wake-ups it keeps outside the queue, ranked
     /// among the events, into the pop order.
-    pub fn pop_ahead_of(
+    pub(crate) fn pop_ahead_of(
         &mut self,
         limit: SimTime,
         bound: (SimTime, u64),
@@ -322,19 +305,9 @@ impl<E> EventQueue<E> {
     /// Move the clock to `t` without popping: the caller executed one of
     /// its own wake-ups there. `t` must lie between the clock and the
     /// earliest pending event (checked in debug builds).
-    pub fn advance_to(&mut self, t: SimTime) {
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
         debug_assert!(t >= self.now && self.peek_time().is_none_or(|head| head >= t));
         self.now = t;
-    }
-
-    /// Drop every pending event (the clock is preserved).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for lane in &mut self.lanes {
-            lane.clear();
-        }
-        self.occupied = 0;
-        self.len = 0;
     }
 }
 
@@ -348,6 +321,18 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl<E> EventQueue<E> {
+        /// Number of events waiting.
+        pub(crate) fn len(&self) -> usize {
+            self.len
+        }
+
+        /// Whether no events are waiting.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -379,7 +364,7 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_ns(7));
-        q.schedule_in(3, ());
+        q.schedule(q.now().plus_ns(3), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(10)));
     }
 
@@ -417,17 +402,6 @@ mod tests {
         q.schedule(SimTime::from_ns(10), ());
         q.pop();
         q.schedule(SimTime::from_ns(5), ());
-    }
-
-    #[test]
-    fn clear_preserves_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(4), ());
-        q.pop();
-        q.schedule(SimTime::from_ns(9), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_ns(4));
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl StreamRng {
 
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         self.rng.random::<f64>()
     }
 
@@ -144,11 +144,6 @@ impl StreamRng {
             let i = self.below(slice.len());
             Some(&slice[i])
         }
-    }
-
-    /// Raw access for callers needing a `rand` RNG.
-    pub fn as_rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
     }
 }
 

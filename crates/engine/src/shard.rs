@@ -26,7 +26,7 @@ pub const KEY_COUNTER_BITS: u32 = 40;
 /// Bits of the entity id (middle bits).
 pub const KEY_ENTITY_BITS: u32 = 20;
 /// Bits of the event-class rank (high bits).
-pub const KEY_CLASS_BITS: u32 = 4;
+pub(crate) const KEY_CLASS_BITS: u32 = 4;
 
 /// Largest representable entity id (switch, host, or coordinator).
 pub const KEY_MAX_ENTITY: u64 = (1 << KEY_ENTITY_BITS) - 1;

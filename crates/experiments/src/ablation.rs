@@ -26,7 +26,7 @@ use iba_workloads::WorkloadSpec;
 #[derive(Clone, Debug)]
 pub struct AblationRow {
     /// Variant label.
-    pub label: String,
+    pub(crate) label: String,
     /// Saturation throughput (bytes/ns/switch) over the ensemble.
     pub saturation: MinMaxAvg,
 }
@@ -228,11 +228,7 @@ pub fn source_multipath_sweep(
                 "multipath" => FaRouting::build_source_multipath(&topology, rc)?,
                 _ => FaRouting::build(&topology, rc)?,
             };
-            Ok(EnsembleMember {
-                config,
-                topology,
-                routing,
-            })
+            Ok(EnsembleMember { topology, routing })
         })
         .into_iter()
         .collect()
@@ -287,11 +283,7 @@ pub fn mixed_fabric_sweep(
                 rng.shuffle(&mut caps);
                 let routing =
                     FaRouting::build_mixed(&topology, RoutingConfig::two_options(), &caps)?;
-                Ok(EnsembleMember {
-                    config,
-                    topology,
-                    routing,
-                })
+                Ok(EnsembleMember { topology, routing })
             })
             .into_iter()
             .collect::<Result<_, IbaError>>()?;

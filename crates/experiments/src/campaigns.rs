@@ -249,7 +249,7 @@ pub fn chaos_executor() -> (Executor, Arc<ArtifactCache<ChaosArtifact>>) {
 // ----------------------------------------------------------- engine zoo
 
 /// The zoo as a campaign: one [`RunSpec`] per (topology, engine) point
-/// of [`engine_zoo::plan`] (whose skip rules and stderr notes apply),
+/// of `engine_zoo::plan` (whose skip rules and stderr notes apply),
 /// ids like `zoo/torus4x4/outflank`; its executor; and the topology
 /// cache through which both engines of a pair sweep the identical
 /// generated fabric.

@@ -48,15 +48,15 @@ pub struct ChaosMix {
     /// Stable mix name (JSON / CLI vocabulary).
     pub name: &'static str,
     /// Windowed link faults (down, later up).
-    pub link_faults: usize,
+    pub(crate) link_faults: usize,
     /// Windowed switch deaths (every port dies atomically).
-    pub switch_faults: usize,
+    pub(crate) switch_faults: usize,
     /// Bounded down/up link oscillations.
-    pub flaps: usize,
+    pub(crate) flaps: usize,
     /// Per-packet CRC-failure probability at every switch input.
-    pub corrupt_prob: f64,
+    pub(crate) corrupt_prob: f64,
     /// Per-SMP loss probability for the control-plane side-check.
-    pub smp_loss: f64,
+    pub(crate) smp_loss: f64,
     /// Recovery policy the data plane runs.
     pub policy: RecoveryPolicy,
 }
@@ -139,7 +139,7 @@ pub fn mix_by_name(name: &str) -> Option<&'static ChaosMix> {
 /// faulted resources are pairwise endpoint-disjoint, so the schedule
 /// passes [`FaultSchedule`]'s overlapping-window validation by
 /// construction and the fabric ends the run whole.
-pub fn sample_schedule(
+pub(crate) fn sample_schedule(
     topo: &Topology,
     rng: &mut StreamRng,
     mix: &ChaosMix,
@@ -216,7 +216,7 @@ pub fn sample_schedule(
 #[derive(Clone, Debug)]
 pub struct ChaosRun {
     /// Mix name.
-    pub mix: &'static str,
+    pub(crate) mix: &'static str,
     /// Switch count of the fabric.
     pub size: usize,
     /// Seed of topology, workload and schedule sampling.
@@ -225,15 +225,15 @@ pub struct ChaosRun {
     /// must be equal or a violation is filed).
     pub result: RunResult,
     /// Whether the two queue backends produced equal results.
-    pub backends_identical: bool,
+    pub(crate) backends_identical: bool,
     /// Stall-watchdog deadlock verdicts (must be 0).
-    pub wedges: usize,
+    pub(crate) wedges: usize,
     /// Control-plane side-check: the SMP-level sweep converged.
-    pub sm_converged: bool,
+    pub(crate) sm_converged: bool,
     /// Retransmits the SMP-level sweep needed.
-    pub sm_retransmits: u64,
+    pub(crate) sm_retransmits: u64,
     /// Every invariant violation found (empty = clean run).
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
 }
 
 /// Simulate one backend and check the per-run invariants.
@@ -332,7 +332,7 @@ fn run_backend(
 #[derive(Debug)]
 pub struct ChaosArtifact {
     /// The seeded irregular fabric.
-    pub topo: Topology,
+    pub(crate) topo: Topology,
     /// FA routing compiled over it.
     pub routing: FaRouting,
 }
@@ -389,13 +389,9 @@ pub fn run_one_with(
         fabric.set_smp_faults(mix.smp_loss, seed)?;
     }
     let sm = SubnetManager::new(RoutingConfig::two_options());
-    let up = sm.initialize_robust(
-        &mut fabric,
-        RetryPolicy {
-            max_attempts: 12,
-            ..RetryPolicy::default()
-        },
-    )?;
+    let mut policy = RetryPolicy::default();
+    policy.max_attempts = 12;
+    let up = sm.initialize_robust(&mut fabric, policy)?;
     let sm_converged = up.report.converged && up.report.unreachable.is_empty();
     if !sm_converged {
         violations.push(format!(

@@ -16,9 +16,9 @@ pub struct Flag {
     /// The name after `--`.
     pub name: &'static str,
     /// Placeholder for the value it takes; `None` declares a switch.
-    pub value: Option<&'static str>,
+    pub(crate) value: Option<&'static str>,
     /// One help line.
-    pub help: &'static str,
+    pub(crate) help: &'static str,
 }
 
 impl Flag {

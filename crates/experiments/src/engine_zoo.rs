@@ -56,19 +56,19 @@ pub struct ZooPoint {
     /// Fabric size in switches.
     pub switches: usize,
     /// Escape-engine name ([`EscapeEngine::NAME`]).
-    pub engine: &'static str,
+    pub(crate) engine: &'static str,
     /// Whether the materialized escape offset of the forwarding tables
     /// certified acyclic through the channel-dependency checker.
     pub escape_acyclic: bool,
     /// Saturation throughput (bytes/ns/switch) of the curve.
     pub saturation: Option<f64>,
     /// The latency/accepted-traffic curve.
-    pub curve: Curve,
+    pub(crate) curve: Curve,
 }
 
 /// Split `n` into `rows × cols` with both sides ≥ 3, as square as
 /// possible (`None` when `n` has no such factorization).
-pub fn torus_dims(n: usize) -> Option<(usize, usize)> {
+pub(crate) fn torus_dims(n: usize) -> Option<(usize, usize)> {
     (3..=n.isqrt())
         .rev()
         .find(|&r| n.is_multiple_of(r) && n / r >= 3)
@@ -104,7 +104,7 @@ fn run_engine<E: EscapeEngine>(
 
 /// [`run_engine`] dispatched on the engine's stable name (the
 /// vocabulary a campaign spec stores).
-pub fn run_engine_named(
+pub(crate) fn run_engine_named(
     topo: &Topology,
     name: String,
     engine: &str,
@@ -124,7 +124,7 @@ pub fn run_engine_named(
 /// torus pair and, port budget permitting, the full-mesh pair. Tori need
 /// a `rows × cols ≥ 3` split, full meshes must fit the port budget;
 /// what is skipped is reported on stderr, never silently dropped.
-pub fn plan(cfg: &ZooConfig) -> Vec<(TopologySpec, &'static str)> {
+pub(crate) fn plan(cfg: &ZooConfig) -> Vec<(TopologySpec, &'static str)> {
     let mut grid = Vec::new();
     for &size in &cfg.sizes {
         match torus_dims(size) {

@@ -35,7 +35,7 @@ pub struct FaultCell {
     /// a sound re-sweep), summed over seeds.
     pub drops_after_recovery: u64,
     /// Seeds whose network fully drained after generation stopped.
-    pub drained: u64,
+    pub(crate) drained: u64,
     /// First-fault → first-post-recovery-delivery time, per recovered seed.
     pub recovery_ns: MinMaxAvg,
     /// Seeds that completed recovery (have a finite recovery time).
@@ -76,7 +76,7 @@ pub fn removable_links(
 
 /// Rebuild `topo` without the `dead` links; errors when disconnected.
 pub fn degraded(topo: &Topology, dead: &[(SwitchId, SwitchId)]) -> Result<Topology, IbaError> {
-    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch());
+    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
     for s in topo.switch_ids() {
         for (p, peer, pp) in topo.switch_neighbors(s) {
             if peer.0 > s.0 && !dead.contains(&(s, peer)) {

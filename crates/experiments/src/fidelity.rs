@@ -61,7 +61,7 @@ impl Fidelity {
     /// saturation sweeps. Geometric with ~√2 steps, spanning from well
     /// under up\*/down\* saturation of a 64-switch network to beyond
     /// adaptive saturation of an 8-switch one.
-    pub fn offered_grid(self) -> Vec<f64> {
+    pub(crate) fn offered_grid(self) -> Vec<f64> {
         let (lo, hi, steps) = match self {
             Fidelity::Quick => (0.008f64, 0.7f64, 10usize),
             Fidelity::Full => (0.004, 0.9, 16),
@@ -81,7 +81,7 @@ impl Fidelity {
 }
 
 /// `steps` points from `lo` to `hi`, geometrically spaced.
-pub fn geometric_grid(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
+pub(crate) fn geometric_grid(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
     assert!(steps >= 2 && lo > 0.0 && hi > lo);
     let ratio = (hi / lo).powf(1.0 / (steps - 1) as f64);
     (0..steps).map(|i| lo * ratio.powi(i as i32)).collect()

@@ -10,8 +10,6 @@ use iba_workloads::WorkloadSpec;
 
 /// One topology of an ensemble with its compiled routing tables.
 pub struct EnsembleMember {
-    /// The generator configuration (including the member's seed).
-    pub config: IrregularConfig,
     /// The wired topology.
     pub topology: Topology,
     /// FA routing compiled for it.
@@ -34,11 +32,7 @@ pub fn build_ensemble(
             };
             let topology = config.generate()?;
             let routing = FaRouting::build(&topology, routing)?;
-            Ok(EnsembleMember {
-                config,
-                topology,
-                routing,
-            })
+            Ok(EnsembleMember { topology, routing })
         })
         .collect()
 }
@@ -84,7 +78,7 @@ pub(crate) fn curve_point(
 
 /// Sweep `offered_grid` (bytes/ns/switch) and collect the latency /
 /// accepted-traffic curve. Points are simulated in parallel.
-pub fn sweep_curve(
+pub(crate) fn sweep_curve(
     topo: &Topology,
     routing: &dyn TableSource,
     base_spec: WorkloadSpec,
@@ -102,7 +96,7 @@ pub fn sweep_curve(
 /// and return the maximum accepted traffic. Stops early once accepted
 /// traffic has clearly flattened (two consecutive points below 98 % of
 /// the best), which skips the most expensive, deeply saturated points.
-pub fn find_saturation(
+pub(crate) fn find_saturation(
     topo: &Topology,
     routing: &dyn TableSource,
     base_spec: WorkloadSpec,
@@ -134,7 +128,7 @@ pub fn find_saturation(
 /// fractions (numerator, denominator), in parallel over members; returns
 /// the per-member factor `sat(num) / sat(den)`. This is Table 1's
 /// "factor of throughput increase" (100 % adaptive vs deterministic).
-pub fn throughput_factors(
+pub(crate) fn throughput_factors(
     ensemble: &[EnsembleMember],
     base_spec: WorkloadSpec,
     cfg: SimConfig,
@@ -191,10 +185,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(members.len(), 4);
-        let seeds: Vec<u64> = members.iter().map(|m| m.config.seed).collect();
-        assert_eq!(seeds, vec![42, 43, 44, 45]);
-        for m in &members {
+        for (seed, m) in (42..).zip(&members) {
             m.topology.validate().unwrap();
+            let want = IrregularConfig::paper(8, seed).generate().unwrap();
+            for s in want.switch_ids() {
+                assert!(want.switch_neighbors(s).eq(m.topology.switch_neighbors(s)));
+            }
         }
     }
 

@@ -57,4 +57,4 @@ pub mod telemetry;
 pub mod tracequery;
 
 pub use fidelity::Fidelity;
-pub use harness::{build_ensemble, find_saturation, run_point, sweep_curve, EnsembleMember};
+pub use harness::{build_ensemble, run_point, EnsembleMember};

@@ -34,7 +34,7 @@ pub struct TelemetryPoint {
     /// The flushed telemetry report.
     pub report: TelemetryReport,
     /// Fabric-total adaptive-region occupancy (credits) over time.
-    pub adaptive_occupancy: Timeseries,
+    pub(crate) adaptive_occupancy: Timeseries,
     /// Fabric-total escape-region occupancy (credits) over time.
     pub escape_occupancy: Timeseries,
 }

@@ -33,7 +33,7 @@ pub struct Filter {
 
 impl Filter {
     /// Whether `e` satisfies every set field.
-    pub fn matches(&self, e: &StampedEvent) -> bool {
+    pub(crate) fn matches(&self, e: &StampedEvent) -> bool {
         if let Some(p) = self.packet {
             if e.ev.packet() != Some(PacketId(p)) {
                 return false;

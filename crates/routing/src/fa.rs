@@ -93,7 +93,7 @@ impl Default for RoutingConfig {
 /// The adaptive option list of one table access, stored inline: after
 /// de-duplication it can never exceed the switch radix, which
 /// [`FaRouting`] validates against [`MAX_PORTS`] at build time.
-pub type AdaptiveOptions = InlineVec<PortIndex, MAX_PORTS>;
+pub(crate) type AdaptiveOptions = InlineVec<PortIndex, MAX_PORTS>;
 
 /// The routing options a switch offers one packet — the decoded result of
 /// the forwarding-table access.
@@ -168,8 +168,8 @@ static LAST_STAMP: AtomicU32 = AtomicU32::new(0);
 
 /// One decode of one table set, by number: what a buffered packet holds
 /// instead of an `Arc` clone, so a hop touches no reference count that
-/// another thread's simulation shares. Issued by [`FaRouting::route_id`]
-/// alone and resolved by [`FaRouting::route_by_id`] of the *same* tables
+/// another thread's simulation shares. Issued by [`FaTables::route_id`]
+/// alone and resolved by [`FaTables::route_by_id`] of the *same* tables
 /// (a clone included); on any others resolving panics instead of
 /// returning some other decode. The default id resolves on none.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -710,7 +710,7 @@ impl FaTables {
 
     /// Structural-sharing statistics of the decoded forwarding state:
     /// `(programmed entries, distinct shared decodes)`. The gap between
-    /// the two is memory the interning in [`RouteCache`] saved.
+    /// the two is memory the interning in `RouteCache` saved.
     pub fn route_cache_sharing(&self) -> (usize, usize) {
         let mut used = vec![false; self.route_cache.pool.len()];
         let mut total = 0usize;
@@ -1262,7 +1262,7 @@ mod tests {
         for s in topo.switch_ids() {
             for h in topo.host_ids() {
                 let t = topo.host_switch(h);
-                if fa.minimal().option_count(s, t) >= 2 {
+                if fa.minimal().options(s, t).len() >= 2 {
                     let r = fa.route(s, fa.dlid(h, true).unwrap()).unwrap();
                     seen.insert(
                         (fa.minimal()

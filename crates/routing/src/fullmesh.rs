@@ -35,7 +35,7 @@ pub struct FullMeshRouting {
 
 impl FullMeshRouting {
     /// Compile the engine; errors unless the switch graph is complete.
-    pub fn build(topo: &Topology) -> Result<FullMeshRouting, IbaError> {
+    pub(crate) fn build(topo: &Topology) -> Result<FullMeshRouting, IbaError> {
         let n = topo.num_switches();
         if n < 2 {
             return Err(IbaError::InvalidTopology(

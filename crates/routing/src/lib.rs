@@ -53,13 +53,10 @@ pub mod table;
 pub mod updown;
 
 pub use analysis::{check_escape_routes, OptionDistribution, PathLengthStats};
-pub use delta::{DeltaRebuild, DeltaStats};
 pub use engine::{certify_engine, EscapeEngine};
-pub use fa::{
-    AdaptiveOptions, FaRouting, FaTables, RouteId, RouteOptions, RoutingConfig, TableSource,
-};
+pub use fa::{FaRouting, FaTables, RouteId, RouteOptions, RoutingConfig, TableSource};
 pub use fullmesh::FullMeshRouting;
-pub use minimal::{MinimalRouting, PortMask};
+pub use minimal::MinimalRouting;
 pub use outflank::OutflankRouting;
 pub use sl2vl::SlToVlTable;
 pub use table::InterleavedForwardingTable;

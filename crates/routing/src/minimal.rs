@@ -18,29 +18,24 @@ const INF: u32 = u32::MAX;
 /// minimal-option cell *is*: iteration is ascending by port, membership
 /// is a shift.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PortMask(u128);
+pub(crate) struct PortMask(u128);
 
 const MASK_PORTS: usize = u128::BITS as usize;
 const _: () = assert!(iba_core::MAX_PORTS <= MASK_PORTS);
 
 impl PortMask {
     /// Number of ports in the set.
-    pub fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         self.0.count_ones() as usize
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
     /// Whether `port` is in the set.
-    pub fn contains(self, port: PortIndex) -> bool {
+    pub(crate) fn contains(self, port: PortIndex) -> bool {
         port.index() < MASK_PORTS && self.0 >> port.0 & 1 == 1
     }
 
     /// The ports, ascending.
-    pub fn iter(self) -> impl Iterator<Item = PortIndex> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = PortIndex> {
         let mut rest = self.0;
         std::iter::from_fn(move || {
             (rest != 0).then(|| {
@@ -104,27 +99,21 @@ impl MinimalRouting {
 
     /// Shortest distance between two switches, in hops.
     #[inline]
-    pub fn distance(&self, s: SwitchId, t: SwitchId) -> u32 {
+    pub(crate) fn distance(&self, s: SwitchId, t: SwitchId) -> u32 {
         self.dist[t.index() * self.n + s.index()]
     }
 
     /// Minimal next-hop ports of `s` towards `t`. Empty iff `s == t`.
     #[inline]
-    pub fn options(&self, s: SwitchId, t: SwitchId) -> PortMask {
+    pub(crate) fn options(&self, s: SwitchId, t: SwitchId) -> PortMask {
         PortMask(self.options[t.index() * self.n + s.index()])
-    }
-
-    /// Number of distinct minimal options of `s` towards `t`.
-    #[inline]
-    pub fn option_count(&self, s: SwitchId, t: SwitchId) -> usize {
-        self.options(s, t).len()
     }
 
     /// The switch of minimum eccentricity, the lowest id among equals:
     /// the up\*/down\* root rule ([`crate::UpDownRouting::build`]),
     /// read off the distances already held. The graph is undirected, so
     /// a switch's eccentricity is the maximum of its own column.
-    pub fn center(&self) -> SwitchId {
+    pub(crate) fn center(&self) -> SwitchId {
         let eccentricity = |t: &usize| self.dist[t * self.n..][..self.n].iter().max().copied();
         // Of equal minima `min_by_key` returns the first.
         SwitchId((0..self.n).min_by_key(eccentricity).unwrap_or(0) as u16)
@@ -198,10 +187,10 @@ mod tests {
         // all other pairs have one.
         let topo = regular::ring(6, 1).unwrap();
         let mr = MinimalRouting::build(&topo).unwrap();
-        assert_eq!(mr.option_count(SwitchId(0), SwitchId(3)), 2);
-        assert_eq!(mr.option_count(SwitchId(0), SwitchId(1)), 1);
-        assert_eq!(mr.option_count(SwitchId(0), SwitchId(2)), 1);
-        assert_eq!(mr.option_count(SwitchId(0), SwitchId(0)), 0);
+        assert_eq!(mr.options(SwitchId(0), SwitchId(3)).len(), 2);
+        assert_eq!(mr.options(SwitchId(0), SwitchId(1)).len(), 1);
+        assert_eq!(mr.options(SwitchId(0), SwitchId(2)).len(), 1);
+        assert_eq!(mr.options(SwitchId(0), SwitchId(0)).len(), 0);
     }
 
     #[test]
@@ -213,7 +202,7 @@ mod tests {
             for t in 0..16u16 {
                 let hamming = (s ^ t).count_ones() as usize;
                 assert_eq!(
-                    mr.option_count(SwitchId(s), SwitchId(t)),
+                    mr.options(SwitchId(s), SwitchId(t)).len(),
                     hamming,
                     "sw{s} → sw{t}"
                 );
@@ -242,7 +231,7 @@ mod tests {
         for s in topo.switch_ids() {
             for t in topo.switch_ids() {
                 if s != t {
-                    assert!(mr.option_count(s, t) >= 1);
+                    assert!(mr.options(s, t).len() >= 1);
                 }
             }
         }
@@ -254,7 +243,7 @@ mod tests {
         let mr = MinimalRouting::build(&topo).unwrap();
         for s in topo.switch_ids() {
             for t in topo.switch_ids() {
-                assert!(mr.option_count(s, t) <= topo.switch_degree(s));
+                assert!(mr.options(s, t).len() <= topo.switch_degree(s));
             }
         }
     }
@@ -270,9 +259,9 @@ mod tests {
             for s in topo.switch_ids() {
                 for t in topo.switch_ids() {
                     if s == t {
-                        prop_assert!(mr.options(s, t).is_empty());
+                        prop_assert!(mr.options(s, t).len() == 0);
                     } else {
-                        prop_assert!(!mr.options(s, t).is_empty());
+                        prop_assert!(mr.options(s, t).len() != 0);
                         // Sorted, distinct ports.
                         let opts: Vec<PortIndex> = mr.options(s, t).iter().collect();
                         prop_assert!(opts.windows(2).all(|w| w[0] < w[1]));
@@ -298,7 +287,7 @@ mod tests {
                         prop_assert_eq!(mr.distance(s, t), dist[s.index()][t.index()]);
                         let flat: Vec<PortIndex> = mr.options(s, t).iter().collect();
                         prop_assert_eq!(&flat, &options[t.index()][s.index()]);
-                        prop_assert_eq!(mr.option_count(s, t), flat.len());
+                        prop_assert_eq!(mr.options(s, t).len(), flat.len());
                         prop_assert!(flat.iter().all(|&p| mr.options(s, t).contains(p)));
                     }
                 }
@@ -319,7 +308,7 @@ mod tests {
         assert_eq!(options.iter().collect::<Vec<_>>(), [direct]);
         assert!(options.contains(direct) && !options.contains(PortIndex(0)));
         assert!(!options.contains(PortIndex(200)), "past the mask is absent");
-        assert!(PortMask::default().is_empty());
+        assert!(PortMask::default().len() == 0);
     }
 
     #[test]

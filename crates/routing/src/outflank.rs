@@ -42,7 +42,7 @@ pub struct OutflankRouting {
 
 impl OutflankRouting {
     /// Compile the engine, inferring the torus geometry from the wiring.
-    pub fn build(topo: &Topology) -> Result<OutflankRouting, IbaError> {
+    pub(crate) fn build(topo: &Topology) -> Result<OutflankRouting, IbaError> {
         let (rows, cols) = infer_geometry(topo).ok_or_else(|| {
             IbaError::InvalidTopology(
                 "outflank escape requires a row-major 2-D torus (rows, cols >= 3)".into(),

@@ -44,25 +44,8 @@ impl SlToVlTable {
         })
     }
 
-    /// Program one entry (subnet-manager interface).
-    pub fn set(
-        &mut self,
-        input: PortIndex,
-        output: PortIndex,
-        sl: ServiceLevel,
-        vl: VirtualLane,
-    ) -> Result<(), IbaError> {
-        if input.index() >= self.ports as usize || output.index() >= self.ports as usize {
-            return Err(IbaError::InvalidConfig(format!(
-                "port out of range ({input}, {output})"
-            )));
-        }
-        self.map[input.index()][output.index()][sl.index()] = vl.0;
-        Ok(())
-    }
-
     /// Program a whole `(input, output)` row — one SMP's payload, a VL
-    /// per SL in SL order — as [`Self::set`] of each entry would. A row
+    /// per SL in SL order. A row
     /// that is not [`ServiceLevel::COUNT`] long is an error, and an
     /// error leaves the table untouched.
     pub fn set_row(
@@ -128,28 +111,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn set_overrides_one_entry() {
-        let mut t = SlToVlTable::identity(4, 2).unwrap();
-        t.set(PortIndex(1), PortIndex(2), ServiceLevel(0), VirtualLane(1))
-            .unwrap();
-        assert_eq!(
-            t.vl_for(PortIndex(1), PortIndex(2), ServiceLevel(0)),
-            VirtualLane(1)
-        );
-        // Other entries untouched.
-        assert_eq!(
-            t.vl_for(PortIndex(2), PortIndex(1), ServiceLevel(0)),
-            VirtualLane(0)
-        );
-        assert!(t
-            .set(PortIndex(9), PortIndex(0), ServiceLevel(0), VirtualLane(0))
-            .is_err());
-    }
-
     proptest! {
         /// A row write is sixteen entry writes: `set_row` leaves the
-        /// table as `set` of each SL in order does, and a row of the
+        /// table as writing each SL's entry in order does, and a row of the
         /// wrong length or on a port past the switch errs and changes
         /// nothing.
         #[test]
@@ -167,7 +131,7 @@ mod tests {
                 prop_assert_eq!(rowwise.set_row(input, output, &vls).is_ok(), fits);
                 if fits {
                     for (sl, vl) in vls.iter().enumerate() {
-                        entrywise.set(input, output, ServiceLevel(sl as u8), *vl).unwrap();
+                        entrywise.map[input.index()][output.index()][sl] = vl.0;
                     }
                 }
                 prop_assert_eq!(&rowwise.map, &entrywise.map);

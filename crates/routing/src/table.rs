@@ -130,7 +130,10 @@ impl InterleavedForwardingTable {
     /// the first entry (deterministic) or the whole group (adaptive) is
     /// used. Returns the escape entry (`None` if unprogrammed or out of
     /// range) and the adaptive entries, de-duplicated, in module order.
-    pub fn group(&self, dlid: Lid) -> (Option<PortIndex>, impl Iterator<Item = PortIndex> + '_) {
+    pub(crate) fn group(
+        &self,
+        dlid: Lid,
+    ) -> (Option<PortIndex>, impl Iterator<Item = PortIndex> + '_) {
         let addr = dlid.raw() as usize;
         let (_, row) = self.split(addr);
         let in_range = addr < self.len;
@@ -149,7 +152,7 @@ impl InterleavedForwardingTable {
         (escape, adaptive)
     }
 
-    /// [`Self::group`] collected into an owned [`TableLookup`].
+    /// `group` collected into an owned [`TableLookup`].
     pub fn lookup(&self, dlid: Lid) -> TableLookup {
         let (escape, adaptive) = self.group(dlid);
         TableLookup {

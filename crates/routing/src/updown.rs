@@ -32,7 +32,7 @@
 use crate::columns::{per_item, HopColumns, NO_HOP};
 use crate::engine::EscapeEngine;
 use crate::minimal::MinimalRouting;
-use iba_core::{par_chunks_mut, HostId, IbaError, PortIndex, SwitchId};
+use iba_core::{par_chunks_mut, IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
 
 /// Unreachable marker in the distance columns.
@@ -182,12 +182,12 @@ impl UpDownRouting {
     /// Whether traversing the link `from → to` is an **up** move
     /// (towards the root). The up end of a link is the end with the
     /// lexicographically smaller `(level, id)`.
-    pub fn is_up_move(&self, from: SwitchId, to: SwitchId) -> bool {
+    pub(crate) fn is_up_move(&self, from: SwitchId, to: SwitchId) -> bool {
         (self.level[to.index()], to.0) < (self.level[from.index()], from.0)
     }
 
     /// Whether traversing the link `from → to` is a **down** move.
-    pub fn is_down_move(&self, from: SwitchId, to: SwitchId) -> bool {
+    pub(crate) fn is_down_move(&self, from: SwitchId, to: SwitchId) -> bool {
         !self.is_up_move(from, to)
     }
 
@@ -211,7 +211,12 @@ impl UpDownRouting {
     /// and down-only reachability is absorbing — so a source-selected
     /// multipath scheme can spread packets over them without risking
     /// deadlock. Used by `FaRouting::build_source_multipath`.
-    pub fn next_hop_variants(&self, topo: &Topology, s: SwitchId, t: SwitchId) -> Vec<PortIndex> {
+    pub(crate) fn next_hop_variants(
+        &self,
+        topo: &Topology,
+        s: SwitchId,
+        t: SwitchId,
+    ) -> Vec<PortIndex> {
         if s == t {
             return Vec::new();
         }
@@ -229,36 +234,6 @@ impl UpDownRouting {
             .collect();
         cands.sort();
         cands.into_iter().map(|(_, _, p)| p).collect()
-    }
-
-    /// Shortest legal distance `s → t` in switch hops.
-    #[inline]
-    pub fn legal_distance(&self, s: SwitchId, t: SwitchId) -> u32 {
-        self.column(&self.legal_dist, t)[s.index()]
-    }
-
-    /// The full switch path `s → t` following the deterministic rule
-    /// ([`EscapeEngine::path`], callable without the trait in scope).
-    pub fn path(
-        &self,
-        topo: &Topology,
-        s: SwitchId,
-        t: SwitchId,
-    ) -> Result<Vec<SwitchId>, IbaError> {
-        EscapeEngine::path(self, topo, s, t)
-    }
-
-    /// Escape path length between the switches of two hosts (used by
-    /// path-length statistics).
-    pub fn host_path_len(
-        &self,
-        topo: &Topology,
-        src: HostId,
-        dst: HostId,
-    ) -> Result<usize, IbaError> {
-        let s = topo.host_switch(src);
-        let t = topo.host_switch(dst);
-        Ok(self.path(topo, s, t)?.len() - 1)
     }
 }
 
@@ -478,7 +453,6 @@ mod tests {
                 for s in topo.switch_ids() {
                     for t in topo.switch_ids() {
                         prop_assert_eq!(rt.next_hop(s, t), hops[t.index()][s.index()]);
-                        prop_assert_eq!(rt.legal_distance(s, t), legal[t.index()][s.index()]);
                     }
                 }
             }
@@ -594,7 +568,7 @@ mod tests {
                 // Never shorter than the unconstrained shortest path, and
                 // at least as long as the legal lower bound.
                 assert!(hops >= dist[s.index()][t.index()]);
-                assert!(hops >= rt.legal_distance(s, t));
+                assert!(hops >= rt.column(&rt.legal_dist, t)[s.index()]);
             }
         }
     }

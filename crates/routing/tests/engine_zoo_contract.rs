@@ -202,7 +202,7 @@ fn assert_cache_is_the_table<E: EscapeEngine>(topo: &Topology, fa: &FaRouting<E>
 
 /// `topo` without the wire between `a` and `b`, ids and port numbers kept.
 fn without_link(topo: &Topology, a: SwitchId, b: SwitchId) -> Option<Topology> {
-    let mut builder = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch());
+    let mut builder = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
     for s in topo.switch_ids() {
         for (p, peer, pp) in topo.switch_neighbors(s) {
             if peer.0 > s.0 && (s, peer) != (a, b) {

@@ -32,14 +32,14 @@
 //! Residencies live in fixed *slots* (pre-sized to the buffer's credit
 //! capacity — a packet occupies at least one credit, so the slot array
 //! can never overflow under correct flow control) and the FIFO is a
-//! separate list of slot indices. A [`SlotHandle`] — slot index plus a
+//! separate list of slot indices. A `SlotHandle` — slot index plus a
 //! generation counter — survives compaction, so a delayed `TxDone`
 //! addresses its residency directly instead of re-scanning the buffer
 //! for a packet id, and a handle left over from a
 //! departed residency is detected rather than mis-resolved. Compaction
 //! shifts only the small index list, not the buffered packets.
 
-use iba_core::{Credits, InlineVec, Packet, PacketId, RoutingMode, SimTime};
+use iba_core::{Credits, InlineVec, Packet, RoutingMode, SimTime};
 use iba_routing::RouteId;
 
 /// How the escape-head read point honours in-order delivery (§4.4).
@@ -57,7 +57,7 @@ pub enum EscapeOrderPolicy {
 
 /// One packet resident in a VL buffer.
 #[derive(Clone, Debug)]
-pub struct BufferedPacket {
+pub(crate) struct BufferedPacket {
     /// The packet itself.
     pub packet: Packet,
     /// Routing options, resolved at header arrival and visible to
@@ -67,24 +67,24 @@ pub struct BufferedPacket {
     /// no reference count another thread's simulation shares. Resolves
     /// on the tables that issued it only — a table swap re-resolves it
     /// ([`VlBuffer::reroute_with`]).
-    pub route: RouteId,
+    pub(crate) route: RouteId,
     /// When the routing pipeline result becomes available.
-    pub ready_at: SimTime,
+    pub(crate) ready_at: SimTime,
     /// Whether the packet is currently streaming out through the
     /// crossbar (still occupying space until its tail leaves).
-    pub in_flight: bool,
+    pub(crate) in_flight: bool,
 }
 
 impl BufferedPacket {
     /// Whether the packet can be considered by arbitration at `now`.
-    pub fn is_ready(&self, now: SimTime) -> bool {
+    pub(crate) fn is_ready(&self, now: SimTime) -> bool {
         !self.in_flight && self.ready_at <= now
     }
 }
 
 /// Which read point of the buffer a candidate was found at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReadPoint {
+pub(crate) enum ReadPoint {
     /// The global head — the adaptive-queue connection.
     AdaptiveHead,
     /// The escape-region head — the escape-queue connection.
@@ -94,7 +94,7 @@ pub enum ReadPoint {
 /// The candidate list one arbitration look at a VL buffer can produce:
 /// the adaptive head plus at most two escape read points, stored inline
 /// so the per-event arbitration loop never allocates.
-pub type Candidates = InlineVec<(usize, ReadPoint), 4>;
+pub(crate) type Candidates = InlineVec<(usize, ReadPoint), 4>;
 
 /// A stable, generation-checked reference to one buffer residency.
 ///
@@ -102,7 +102,7 @@ pub type Candidates = InlineVec<(usize, ReadPoint), 4>;
 /// detected (resolves to `None`) after the residency departs, even if
 /// the slot has been reused by a later packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotHandle {
+pub(crate) struct SlotHandle {
     slot: u32,
     gen: u32,
 }
@@ -119,7 +119,7 @@ struct Slot {
 
 /// The split VL buffer.
 #[derive(Debug)]
-pub struct VlBuffer {
+pub(crate) struct VlBuffer {
     capacity: Credits,
     /// Fixed slot storage; `order` holds the FIFO arrangement.
     slots: Vec<Slot>,
@@ -136,7 +136,7 @@ impl VlBuffer {
     /// An empty buffer of `capacity` credits. The capacity must allow
     /// each logical queue (half the buffer) to hold at least one
     /// MTU-sized packet — enforced by `SimConfig::validate`.
-    pub fn new(capacity: Credits) -> VlBuffer {
+    pub(crate) fn new(capacity: Credits) -> VlBuffer {
         // A packet occupies at least one credit, so at most
         // `capacity.count()` residencies can coexist; pre-sizing the slot
         // array here means steady-state operation never allocates.
@@ -157,45 +157,39 @@ impl VlBuffer {
         }
     }
 
-    /// Total capacity (`C_max`).
-    #[inline]
-    pub fn capacity(&self) -> Credits {
-        self.capacity
-    }
-
     /// Credits currently occupied.
     #[inline]
-    pub fn occupied(&self) -> Credits {
+    pub(crate) fn occupied(&self) -> Credits {
         self.occupied
     }
 
     /// Credits currently free.
     #[inline]
-    pub fn free(&self) -> Credits {
+    pub(crate) fn free(&self) -> Credits {
         self.capacity - self.occupied
     }
 
     /// Number of resident packets.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
     }
 
     /// Whether the buffer holds no packets.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
 
     /// Whether a packet of `credits` size fits.
     #[inline]
-    pub fn can_accept(&self, credits: Credits) -> bool {
+    pub(crate) fn can_accept(&self, credits: Credits) -> bool {
         credits <= self.free()
     }
 
     /// Whether any resident packet is currently streaming out.
     #[inline]
-    pub fn has_in_flight(&self) -> bool {
+    pub(crate) fn has_in_flight(&self) -> bool {
         self.in_flight > 0
     }
 
@@ -208,7 +202,7 @@ impl VlBuffer {
     /// U-turn through a neighbor) while its previous residency is still
     /// streaming out, so the same packet id may briefly be resident
     /// twice; handles keep the two residencies apart.
-    pub fn push(&mut self, packet: Packet, route: RouteId, ready_at: SimTime) -> SlotHandle {
+    pub(crate) fn push(&mut self, packet: Packet, route: RouteId, ready_at: SimTime) -> SlotHandle {
         let credits = packet.credits();
         debug_assert!(
             self.can_accept(credits),
@@ -245,16 +239,6 @@ impl VlBuffer {
         }
     }
 
-    /// The residency `handle` refers to, or `None` once it has departed
-    /// (the generation check rejects reused slots).
-    pub fn get_slot(&self, handle: SlotHandle) -> Option<&BufferedPacket> {
-        let entry = self.slots.get(handle.slot as usize)?;
-        if entry.gen != handle.gen {
-            return None;
-        }
-        entry.packet.as_ref()
-    }
-
     /// Re-resolve the route of every *not in-flight* residency against a
     /// new forwarding function — the SM re-sweep hook: packets already
     /// buffered when recovery tables are installed were routed against
@@ -264,7 +248,7 @@ impl VlBuffer {
     /// and the pipeline must deliver the tables live at `ready_at`.
     /// In-flight residencies are skipped (their transfer was granted
     /// under the old tables, and nothing reads their route again).
-    pub fn reroute_with(&mut self, mut f: impl FnMut(&Packet) -> RouteId) {
+    pub(crate) fn reroute_with(&mut self, mut f: impl FnMut(&Packet) -> RouteId) {
         for &slot in &self.order {
             let p = self.slots[slot as usize]
                 .packet
@@ -274,15 +258,6 @@ impl VlBuffer {
                 p.route = f(&p.packet);
             }
         }
-    }
-
-    /// Starting credit offset of the packet at `index` — its physical
-    /// position in the RAM, counted from the head.
-    fn offset_of(&self, index: usize) -> Credits {
-        self.order[..index]
-            .iter()
-            .map(|&s| self.packet_in(s).packet.credits())
-            .sum()
     }
 
     #[inline]
@@ -300,26 +275,20 @@ impl VlBuffer {
         Credits(self.capacity.count() / 2)
     }
 
-    /// Whether the packet at `index` is stored in the adaptive region
-    /// (its first byte lies in the first half of the buffer).
-    pub fn in_adaptive_region(&self, index: usize) -> bool {
-        self.offset_of(index) < self.escape_boundary()
-    }
-
     /// Occupied credits split at the §4.4 adaptive/escape boundary:
     /// `(adaptive, escape)`. Packets compact towards offset 0, so the
     /// occupied credits are contiguous from the head — the adaptive
     /// region holds `min(occupied, ⌊C_max/2⌋)` and the escape region
     /// the rest. The telemetry occupancy probe.
     #[inline]
-    pub fn region_occupancy(&self) -> (Credits, Credits) {
+    pub(crate) fn region_occupancy(&self) -> (Credits, Credits) {
         let adaptive = self.occupied.min(self.escape_boundary());
         (adaptive, self.occupied - adaptive)
     }
 
     /// Index of the escape-queue head: the first packet whose start
     /// offset lies in the escape region.
-    pub fn escape_head_index(&self) -> Option<usize> {
+    pub(crate) fn escape_head_index(&self) -> Option<usize> {
         let boundary = self.escape_boundary();
         let mut offset = Credits::ZERO;
         for (i, &s) in self.order.iter().enumerate() {
@@ -359,7 +328,7 @@ impl VlBuffer {
     /// Only one read can be in progress per VL buffer (the multiplexer of
     /// Figure 2): callers must also check [`Self::has_in_flight`] /
     /// the port's read-busy time.
-    pub fn candidates(&self, now: SimTime, policy: EscapeOrderPolicy) -> Candidates {
+    pub(crate) fn candidates(&self, now: SimTime, policy: EscapeOrderPolicy) -> Candidates {
         let mut out = Candidates::new();
         if !self.order.is_empty() && self.get(0).is_ready(now) {
             out.push((0, ReadPoint::AdaptiveHead));
@@ -413,12 +382,12 @@ impl VlBuffer {
     }
 
     /// Access a resident packet by FIFO position.
-    pub fn get(&self, index: usize) -> &BufferedPacket {
+    pub(crate) fn get(&self, index: usize) -> &BufferedPacket {
         self.packet_in(self.order[index])
     }
 
     /// The stable handle of the residency at FIFO position `index`.
-    pub fn handle_at(&self, index: usize) -> SlotHandle {
+    pub(crate) fn handle_at(&self, index: usize) -> SlotHandle {
         let slot = self.order[index];
         SlotHandle {
             slot,
@@ -427,7 +396,7 @@ impl VlBuffer {
     }
 
     /// Mark the packet at FIFO position `index` as streaming out.
-    pub fn mark_in_flight(&mut self, index: usize) {
+    pub(crate) fn mark_in_flight(&mut self, index: usize) {
         let slot = self.order[index] as usize;
         let p = self.slots[slot]
             .packet
@@ -459,7 +428,7 @@ impl VlBuffer {
 
     /// Remove the exact residency `handle` refers to (its tail has left
     /// the buffer). Returns `None` if it already departed.
-    pub fn remove_at(&mut self, handle: SlotHandle) -> Option<BufferedPacket> {
+    pub(crate) fn remove_at(&mut self, handle: SlotHandle) -> Option<BufferedPacket> {
         let entry = self.slots.get(handle.slot as usize)?;
         if entry.gen != handle.gen || entry.packet.is_none() {
             return None;
@@ -467,29 +436,56 @@ impl VlBuffer {
         let pos = entry.order_pos as usize;
         Some(self.remove_pos(pos))
     }
-
-    /// Remove the *oldest* residency of `id` (compatibility shim for
-    /// tests; the simulator removes by handle, which resolves duplicate
-    /// residencies exactly — departures still complete in arrival order
-    /// because `TxDone` events are themselves ordered).
-    pub fn remove(&mut self, id: PacketId) -> Option<BufferedPacket> {
-        let pos = self
-            .order
-            .iter()
-            .position(|&s| self.packet_in(s).packet.id == id)?;
-        Some(self.remove_pos(pos))
-    }
-
-    /// Iterate over resident packets (head first).
-    pub fn iter(&self) -> impl Iterator<Item = &BufferedPacket> {
-        self.order.iter().map(move |&s| self.packet_in(s))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iba_core::{HostId, Lid, ServiceLevel};
+    use iba_core::{HostId, Lid, PacketId, ServiceLevel};
+
+    impl VlBuffer {
+        /// The residency `handle` refers to, or `None` once it has departed
+        /// (the generation check rejects reused slots).
+        fn get_slot(&self, handle: SlotHandle) -> Option<&BufferedPacket> {
+            let entry = self.slots.get(handle.slot as usize)?;
+            if entry.gen != handle.gen {
+                return None;
+            }
+            entry.packet.as_ref()
+        }
+
+        /// Starting credit offset of the packet at `index` — its physical
+        /// position in the RAM, counted from the head.
+        fn offset_of(&self, index: usize) -> Credits {
+            self.order[..index]
+                .iter()
+                .map(|&s| self.packet_in(s).packet.credits())
+                .sum()
+        }
+
+        /// Whether the packet at `index` is stored in the adaptive region
+        /// (its first byte lies in the first half of the buffer).
+        fn in_adaptive_region(&self, index: usize) -> bool {
+            self.offset_of(index) < self.escape_boundary()
+        }
+
+        /// Remove the *oldest* residency of `id` (compatibility shim for
+        /// tests; the simulator removes by handle, which resolves duplicate
+        /// residencies exactly — departures still complete in arrival order
+        /// because `TxDone` events are themselves ordered).
+        fn remove(&mut self, id: PacketId) -> Option<BufferedPacket> {
+            let pos = self
+                .order
+                .iter()
+                .position(|&s| self.packet_in(s).packet.id == id)?;
+            Some(self.remove_pos(pos))
+        }
+
+        /// Iterate over resident packets (head first).
+        pub(crate) fn iter(&self) -> impl Iterator<Item = &BufferedPacket> {
+            self.order.iter().map(move |&s| self.packet_in(s))
+        }
+    }
 
     /// 1-credit (32 B) packet; odd LIDs request adaptive routing.
     fn pkt(id: u64, adaptive: bool, size: u32) -> Packet {

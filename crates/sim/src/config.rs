@@ -129,7 +129,7 @@ impl SimConfig {
     /// largest packet the workload will inject): physical timing, VL count, a non-empty
     /// measurement window, and a packet that fits the escape half and
     /// the MTU.
-    pub fn validate(&self, max_packet_bytes: u32) -> Result<(), IbaError> {
+    pub(crate) fn validate(&self, max_packet_bytes: u32) -> Result<(), IbaError> {
         self.phys.validate()?;
         if self.data_vls == 0 || self.data_vls > 15 {
             return Err(IbaError::InvalidConfig(format!(
@@ -141,7 +141,7 @@ impl SimConfig {
             return Err(IbaError::InvalidConfig("empty measurement window".into()));
         }
         // The escape queue owns the *floor* half of an odd capacity
-        // (`Credits::escape_share` uses integer division), so the packet
+        // (§4.4's `C_max/2` is integer division), so the packet
         // bound must be checked against that smaller half — an odd
         // capacity whose rounded-down escape half cannot hold one packet
         // would deadlock the escape drain.

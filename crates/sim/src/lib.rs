@@ -67,17 +67,15 @@ mod shard;
 pub mod stats;
 pub mod telemetry;
 
-pub use buffer::{BufferedPacket, Candidates, EscapeOrderPolicy, ReadPoint, SlotHandle, VlBuffer};
+pub use buffer::EscapeOrderPolicy;
 pub use config::{RecoveryPolicy, SelectionPolicy, SimConfig};
 pub use iba_engine::QueueBackend;
 pub use network::{Network, NetworkBuilder};
 pub use perfetto::perfetto_trace;
-pub use profile::{EngineProfile, WorkerProfile};
-pub use recorder::{
-    classify_stall, FlightDump, FlightRecorder, RecorderOpts, Trigger, TriggerCause, WatchdogOpts,
-};
-pub use stats::{RunResult, StatsCollector, RUN_RESULT_SCHEMA_VERSION};
+pub use profile::EngineProfile;
+pub use recorder::{FlightDump, FlightRecorder, RecorderOpts, Trigger, TriggerCause, WatchdogOpts};
+pub use stats::{RunResult, StatsCollector};
 pub use telemetry::{
-    MemorySink, PortStalls, StallCause, SwitchTelemetry, TelemetryOpts, TelemetryReport,
-    TelemetrySample, VlOccupancy, TELEMETRY_SCHEMA_VERSION,
+    MemorySink, StallCause, TelemetryOpts, TelemetryReport, TelemetrySample,
+    TELEMETRY_SCHEMA_VERSION,
 };

@@ -150,7 +150,7 @@ impl<'a> NetworkBuilder<'a> {
     }
 
     /// The simulator configuration (required; [`Self::build`] checks it
-    /// with [`SimConfig::validate`]).
+    /// with `SimConfig::validate`).
     pub fn config(mut self, config: SimConfig) -> Self {
         self.config = Some(config);
         self
@@ -514,11 +514,6 @@ impl<'a> Network<'a> {
         }
     }
 
-    /// The simulator configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Current simulated time: the furthest shard clock (shard clocks
     /// never differ by more than one conservative window).
     pub fn now(&self) -> SimTime {
@@ -527,11 +522,6 @@ impl<'a> Network<'a> {
             .map(|s| s.queue.now())
             .max()
             .expect("at least one shard")
-    }
-
-    /// Number of shards the fabric is partitioned into.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Number of links currently down.

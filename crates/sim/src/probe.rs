@@ -110,7 +110,7 @@ fn log(r: &mut FlightRecorder, at: SimTime, sw: SwitchId, ev: FlightEvent, into_
 mod tests {
     use super::*;
     use crate::recorder::RecorderOpts;
-    use crate::telemetry::{MemorySink, SwitchTelemetry, TelemetryOpts};
+    use crate::telemetry::{MemorySink, PortStalls, SwitchTelemetry, TelemetryOpts};
     use iba_core::{
         DropCause, OptionOutcome, OptionOutcomes, OptionVerdict, PacketId, PortIndex, VirtualLane,
     };
@@ -158,7 +158,11 @@ mod tests {
         };
         let stalls = |o: &Observers| at_sw(o).stalls;
         assert_eq!(stalls(&o)[1].no_adaptive_credit, 1);
-        assert_eq!(stalls(&o)[3].total(), 0, "observed, not suffered");
+        assert_eq!(
+            stalls(&o)[3],
+            PortStalls::default(),
+            "observed, not suffered"
+        );
         let refused = FlightEvent::Blocked {
             packet: PacketId(8),
             in_port: PortIndex(0),
@@ -171,10 +175,8 @@ mod tests {
         };
         o.event(SimTime::from_ns(20), SW, refused, false);
         let s = stalls(&o);
-        assert_eq!(
-            (s[1].dead_port, s[2].total(), s[3].no_escape_credit),
-            (1, 0, 1)
-        );
+        assert_eq!((s[1].dead_port, s[3].no_escape_credit), (1, 1));
+        assert_eq!(s[2], PortStalls::default());
         let report = at_sw(&o);
         assert_eq!((report.adaptive_forwards, report.escape_forwards), (1, 0));
     }

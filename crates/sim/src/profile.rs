@@ -23,25 +23,25 @@ use iba_stats::LogHistogram;
 #[derive(Clone, Debug, Default)]
 pub struct WorkerProfile {
     /// Worker index (chunk index in shard order).
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// Shards this worker drives.
     pub shards: usize,
     /// Nanoseconds spent executing windows (`run_window` + outbox
     /// flush).
-    pub run_ns: u64,
+    pub(crate) run_ns: u64,
     /// Nanoseconds spent waiting at barrier A (outboxes flushed).
-    pub barrier_a_wait_ns: u64,
+    pub(crate) barrier_a_wait_ns: u64,
     /// Nanoseconds spent waiting at barrier B (ingests published).
-    pub barrier_b_wait_ns: u64,
+    pub(crate) barrier_b_wait_ns: u64,
     /// Nanoseconds spent ingesting cross-shard mailboxes.
-    pub ingest_ns: u64,
+    pub(crate) ingest_ns: u64,
     /// Cross-shard messages this worker's shards ingested.
     pub mailbox_msgs: u64,
 }
 
 impl WorkerProfile {
     /// Total barrier-wait nanoseconds (both phases).
-    pub fn barrier_wait_ns(&self) -> u64 {
+    pub(crate) fn barrier_wait_ns(&self) -> u64 {
         self.barrier_a_wait_ns + self.barrier_b_wait_ns
     }
 
@@ -87,7 +87,7 @@ pub struct EngineProfile {
     /// window — a *shape* observable: it changes with the shard count).
     pub window_width_ns: LogHistogram,
     /// Distribution of fabric-wide events retired per window.
-    pub events_per_window: LogHistogram,
+    pub(crate) events_per_window: LogHistogram,
     /// Total cross-shard mailbox messages exchanged.
     pub mailbox_msgs: u64,
     /// Per-worker wall-clock breakdown.

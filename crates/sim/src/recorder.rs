@@ -131,7 +131,7 @@ impl TriggerCause {
     }
 
     /// Inverse of [`TriggerCause::name`].
-    pub fn from_name(name: &str) -> Option<TriggerCause> {
+    pub(crate) fn from_name(name: &str) -> Option<TriggerCause> {
         [
             TriggerCause::Drop,
             TriggerCause::LatencyThreshold,
@@ -233,7 +233,12 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder for a fabric of `switches` switches with `ports` ports
     /// and `vls` data VLs each.
-    pub fn new(opts: RecorderOpts, switches: usize, ports: usize, vls: usize) -> FlightRecorder {
+    pub(crate) fn new(
+        opts: RecorderOpts,
+        switches: usize,
+        ports: usize,
+        vls: usize,
+    ) -> FlightRecorder {
         FlightRecorder {
             opts,
             rings: (0..switches)
@@ -251,7 +256,7 @@ impl FlightRecorder {
     }
 
     /// The configuration the recorder was armed with.
-    pub fn opts(&self) -> &RecorderOpts {
+    pub(crate) fn opts(&self) -> &RecorderOpts {
         &self.opts
     }
 
@@ -271,7 +276,7 @@ impl FlightRecorder {
     }
 
     /// Log one event against `sw`'s ring. No-op once frozen.
-    pub fn record(&mut self, sw: SwitchId, at: SimTime, ev: FlightEvent) {
+    pub(crate) fn record(&mut self, sw: SwitchId, at: SimTime, ev: FlightEvent) {
         if !self.frozen {
             self.rings[sw.index()].push(at.as_ns(), ev);
         }
@@ -280,7 +285,7 @@ impl FlightRecorder {
     /// Fire a trigger: log it and freeze the rings so the window around
     /// the anomaly survives. Later triggers are still listed (bounded)
     /// but record nothing further.
-    pub fn trigger(
+    pub(crate) fn trigger(
         &mut self,
         at: SimTime,
         cause: TriggerCause,
@@ -302,7 +307,7 @@ impl FlightRecorder {
     /// forwarded out of the buffer, the buffer drained empty, or a
     /// packet arrived into an empty buffer (starting a new wait clock).
     #[inline]
-    pub fn note_progress(&mut self, sw: SwitchId, port: usize, vl: usize, now: SimTime) {
+    pub(crate) fn note_progress(&mut self, sw: SwitchId, port: usize, vl: usize, now: SimTime) {
         let i = self.pv(sw, port, vl);
         self.last_progress[i] = now;
         self.blocked_sig[i] = 0;
@@ -311,27 +316,27 @@ impl FlightRecorder {
 
     /// Note a credit return arriving at (switch, output port).
     #[inline]
-    pub fn note_credit_return(&mut self, sw: SwitchId, port: PortIndex, now: SimTime) {
+    pub(crate) fn note_credit_return(&mut self, sw: SwitchId, port: PortIndex, now: SimTime) {
         self.last_credit_return[sw.index() * self.nports + port.index()] = Some(now);
     }
 
     /// Nanoseconds the (switch, input port, VL) buffer has gone without
     /// forward progress.
     #[inline]
-    pub fn stalled_for(&self, sw: SwitchId, port: usize, vl: usize, now: SimTime) -> u64 {
+    pub(crate) fn stalled_for(&self, sw: SwitchId, port: usize, vl: usize, now: SimTime) -> u64 {
         now.since(self.last_progress[self.pv(sw, port, vl)])
     }
 
     /// Last credit return seen at (switch, output port), if any.
     #[inline]
-    pub fn last_credit_return_at(&self, sw: SwitchId, port: PortIndex) -> Option<SimTime> {
+    pub(crate) fn last_credit_return_at(&self, sw: SwitchId, port: PortIndex) -> Option<SimTime> {
         self.last_credit_return[sw.index() * self.nports + port.index()]
     }
 
     /// Whether a `Blocked` event for this buffer says something new: not
     /// the packet and verdict multiset of the last one asked about.
     /// Marks it said.
-    pub fn blocked_anew(
+    pub(crate) fn blocked_anew(
         &mut self,
         sw: SwitchId,
         in_port: usize,
@@ -352,7 +357,7 @@ impl FlightRecorder {
     /// Whether a `Stall` event with `class` should be logged for this
     /// buffer now (once per class per stall episode), and mark it
     /// logged.
-    pub fn should_log_stall(
+    pub(crate) fn should_log_stall(
         &mut self,
         sw: SwitchId,
         port: usize,
@@ -365,12 +370,6 @@ impl FlightRecorder {
         }
         self.stall_logged[i] = Some(class);
         true
-    }
-
-    /// The rings as an exportable dump, in the canonical order of
-    /// `FlightRecorder::merge`.
-    pub fn dump(&self) -> FlightDump {
-        FlightRecorder::merge(&[self], |_| 0)
     }
 
     /// The dump of a capture split across shards: switch `s`'s ring is
@@ -589,7 +588,7 @@ impl FlightDump {
 /// Inputs describe the stalled head packet's *escape* path: the paper's
 /// invariant is that escape queues always drain, so a stall is benign
 /// exactly when the escape path still shows signs of life.
-pub fn classify_stall(
+pub(crate) fn classify_stall(
     escape_link_up: bool,
     escape_streaming: bool,
     escape_credits_ok: bool,
@@ -619,6 +618,14 @@ pub fn classify_stall(
 mod tests {
     use super::*;
     use iba_core::{DropCause, HostId, VirtualLane};
+
+    impl FlightRecorder {
+        /// The rings as an exportable dump, in the canonical order of
+        /// `FlightRecorder::merge`.
+        pub(crate) fn dump(&self) -> FlightDump {
+            FlightRecorder::merge(&[self], |_| 0)
+        }
+    }
 
     fn ev(n: u64) -> FlightEvent {
         FlightEvent::TailLeft {

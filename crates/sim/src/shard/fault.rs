@@ -354,7 +354,10 @@ impl Shard<'_> {
     /// correlates by GUID; the in-sim re-sweep models its outcome, not
     /// its numbering). Errors when the faults disconnected the fabric.
     fn degraded_topology(&self) -> Result<Topology, IbaError> {
-        let mut b = TopologyBuilder::new(self.topo.num_switches(), self.topo.ports_per_switch());
+        let mut b = TopologyBuilder::new(
+            self.topo.num_switches(),
+            self.topo.ports_per_switch().into(),
+        );
         for s in self.topo.switch_ids() {
             for (p, peer, pp) in self.topo.switch_neighbors(s) {
                 if peer.0 > s.0 && self.switches[s.index()].link_up(p.index()) {

@@ -1268,7 +1268,7 @@ mod tests {
     /// `topo` without the link `a`–`b`, ids and ports kept (the loop of
     /// `iba_experiments::faults::degraded`); an error when disconnected.
     fn without(topo: &Topology, a: SwitchId, b: SwitchId) -> Result<Topology, IbaError> {
-        let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch());
+        let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
         for s in topo.switch_ids() {
             for (p, peer, pp) in topo.switch_neighbors(s) {
                 if peer.0 > s.0 && (s, peer) != (a, b) {

@@ -22,12 +22,12 @@ pub struct StatsCollector {
     window_start: SimTime,
     window_end: SimTime,
     /// Packets generated (all time / inside window).
-    pub generated: u64,
+    pub(crate) generated: u64,
     generated_window: u64,
     /// Packets injected into the fabric (left the source queue).
-    pub injected: u64,
+    pub(crate) injected: u64,
     /// Packets delivered (all time).
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     delivered_bytes_window: u64,
     latency_sum_ns: u128,
     latency_max_ns: u64,
@@ -41,15 +41,15 @@ pub struct StatsCollector {
     adaptive_forwards: u64,
     max_host_queue: usize,
     /// Packets discarded at full source queues (finite-queue mode).
-    pub source_drops: u64,
+    pub(crate) source_drops: u64,
     /// Per (src, DLID, SL) flow order tracker.
     last_det_seq: OrderTracker,
     /// Number of deterministic packets delivered out of order.
-    pub order_violations: u64,
+    pub(crate) order_violations: u64,
     /// Number of deterministic packets delivered twice (the exact
     /// duplicate-of-latest case; an older duplicate is indistinguishable
     /// from an order violation and counts there).
-    pub duplicate_deliveries: u64,
+    pub(crate) duplicate_deliveries: u64,
     /// Fault events (link or switch down) applied to the fabric.
     pub faults: u64,
     first_fault_at: Option<SimTime>,
@@ -199,7 +199,7 @@ impl StatsCollector {
     }
 
     /// A packet was generated at a source host.
-    pub fn on_generated(&mut self, at: SimTime) {
+    pub(crate) fn on_generated(&mut self, at: SimTime) {
         self.generated += 1;
         if self.in_window(at) {
             self.generated_window += 1;
@@ -207,28 +207,28 @@ impl StatsCollector {
     }
 
     /// A packet was generated against a full source queue and dropped.
-    pub fn on_source_drop(&mut self) {
+    pub(crate) fn on_source_drop(&mut self) {
         self.source_drops += 1;
     }
 
     /// A packet left its source queue into the fabric.
-    pub fn on_injected(&mut self, queue_len: usize) {
+    pub(crate) fn on_injected(&mut self, queue_len: usize) {
         self.injected += 1;
         self.max_host_queue = self.max_host_queue.max(queue_len);
     }
 
     /// A switch forwarded a packet through an adaptive (minimal) option.
-    pub fn on_adaptive_forward(&mut self) {
+    pub(crate) fn on_adaptive_forward(&mut self) {
         self.adaptive_forwards += 1;
     }
 
     /// A switch forwarded a packet through its escape option.
-    pub fn on_escape_forward(&mut self) {
+    pub(crate) fn on_escape_forward(&mut self) {
         self.escape_forwards += 1;
     }
 
     /// A fault (link or switch down) took effect in the fabric.
-    pub fn on_fault(&mut self, at: SimTime) {
+    pub(crate) fn on_fault(&mut self, at: SimTime) {
         self.faults += 1;
         if self.first_fault_at.is_none() {
             self.first_fault_at = Some(at);
@@ -241,14 +241,14 @@ impl StatsCollector {
     /// (re)programming, a pure control-plane quantity independent of
     /// whatever traffic happens to be in flight. Every shard marks it,
     /// for the drops it sees after recovery.
-    pub fn on_recovery_installed(&mut self, at: SimTime) {
+    pub(crate) fn on_recovery_installed(&mut self, at: SimTime) {
         self.recovery_installed_at.get_or_insert(at);
     }
 
     /// An SM re-sweep completed: its tables were installed, or it was
     /// refused (degraded fabric disconnected, or tables that do not
     /// certify). Counted once fabric-wide.
-    pub fn on_resweep(&mut self, installed: bool) {
+    pub(crate) fn on_resweep(&mut self, installed: bool) {
         match installed {
             true => self.resweeps += 1,
             false => self.resweeps_failed += 1,
@@ -258,7 +258,7 @@ impl StatsCollector {
     /// A packet was lost in transit (dead link, dead switch, or CRC
     /// failure), attributed per cause so conservation totals stay
     /// decomposable.
-    pub fn on_transit_drop(&mut self, at: SimTime, cause: DropCause) {
+    pub(crate) fn on_transit_drop(&mut self, at: SimTime, cause: DropCause) {
         self.transit_drops += 1;
         match cause {
             DropCause::LinkDown => self.drops_link_down += 1,
@@ -275,7 +275,7 @@ impl StatsCollector {
 
     /// An escape-route certification (`check_escape_routes` over
     /// re-swept, reinstated or first-migrated tables) completed.
-    pub fn on_escape_certification(&mut self, ok: bool) {
+    pub(crate) fn on_escape_certification(&mut self, ok: bool) {
         self.escape_certifications += 1;
         if !ok {
             self.escape_cert_failures += 1;
@@ -283,7 +283,7 @@ impl StatsCollector {
     }
 
     /// A packet's tail reached its destination host.
-    pub fn on_delivered(&mut self, packet: &Packet, at: SimTime) {
+    pub(crate) fn on_delivered(&mut self, packet: &Packet, at: SimTime) {
         self.delivered += 1;
         if self.in_window(at) {
             self.delivered_bytes_window += packet.size_bytes as u64;
@@ -450,7 +450,7 @@ impl StatsCollector {
 /// observational FIB cache they counted. v3 and v4 files still parse
 /// via [`RunResult::from_json`] — the fields v4 added read back as
 /// `None`, the two v5 removed are ignored.
-pub const RUN_RESULT_SCHEMA_VERSION: u32 = 5;
+pub(crate) const RUN_RESULT_SCHEMA_VERSION: u32 = 5;
 
 /// Declares [`RunResult`] from one field list and derives from it
 /// everything that names the fields: equality over the simulated fields
@@ -560,7 +560,7 @@ run_result! {
     /// backends) compare equal exactly when they simulated the same thing.
     #[derive(Clone, Debug)]
     pub struct RunResult {
-        /// Field-set version ([`RUN_RESULT_SCHEMA_VERSION`]) — lets
+        /// Field-set version (`RUN_RESULT_SCHEMA_VERSION`) — lets
         /// consumers of `results/*.json` detect layout changes.
         pub schema_version: u32,
         /// Packets generated at sources.

@@ -101,15 +101,8 @@ pub enum StallCause {
 }
 
 impl StallCause {
-    /// Every cause, in schema order.
-    pub const ALL: [StallCause; 3] = [
-        StallCause::NoAdaptiveCredit,
-        StallCause::NoEscapeCredit,
-        StallCause::DeadPort,
-    ];
-
     /// The cause behind an option's verdict, if the verdict is a stall.
-    pub fn of(verdict: OptionVerdict) -> Option<StallCause> {
+    pub(crate) fn of(verdict: OptionVerdict) -> Option<StallCause> {
         match verdict {
             OptionVerdict::NoAdaptiveCredit => Some(StallCause::NoAdaptiveCredit),
             OptionVerdict::NoEscapeCredit => Some(StallCause::NoEscapeCredit),
@@ -202,21 +195,16 @@ impl TelemetrySample {
 
 /// Cause-tagged stall counters for one (switch, output port).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PortStalls {
+pub(crate) struct PortStalls {
     /// Adaptive options skipped for lack of adaptive-share credits.
-    pub no_adaptive_credit: u64,
+    pub(crate) no_adaptive_credit: u64,
     /// Escape options skipped for lack of total credits.
-    pub no_escape_credit: u64,
+    pub(crate) no_escape_credit: u64,
     /// Options skipped because the port's link is down.
-    pub dead_port: u64,
+    pub(crate) dead_port: u64,
 }
 
 impl PortStalls {
-    /// Total stalls of every cause.
-    pub fn total(&self) -> u64 {
-        self.no_adaptive_credit + self.no_escape_credit + self.dead_port
-    }
-
     #[inline]
     fn count(&mut self, cause: StallCause) {
         match cause {
@@ -227,7 +215,7 @@ impl PortStalls {
     }
 
     /// Tally of one cause.
-    pub fn by_cause(&self, cause: StallCause) -> u64 {
+    pub(crate) fn by_cause(&self, cause: StallCause) -> u64 {
         match cause {
             StallCause::NoAdaptiveCredit => self.no_adaptive_credit,
             StallCause::NoEscapeCredit => self.no_escape_credit,
@@ -246,10 +234,10 @@ pub struct SwitchTelemetry {
     /// Crossbar grants through the escape option.
     pub escape_forwards: u64,
     /// Stall counters per output port.
-    pub stalls: Vec<PortStalls>,
+    pub(crate) stalls: Vec<PortStalls>,
     /// Ready-to-grant wait in simulated nanoseconds, over every grant
     /// this switch made, in octave buckets (precision 0).
-    pub arb_wait_ns: LogHistogram,
+    pub(crate) arb_wait_ns: LogHistogram,
 }
 
 impl SwitchTelemetry {
@@ -264,7 +252,7 @@ impl SwitchTelemetry {
     }
 
     /// Stalls of `cause` summed over this switch's ports.
-    pub fn stalls_by_cause(&self, cause: StallCause) -> u64 {
+    pub(crate) fn stalls_by_cause(&self, cause: StallCause) -> u64 {
         self.stalls.iter().map(|p| p.by_cause(cause)).sum()
     }
 
@@ -588,7 +576,11 @@ mod tests {
 
     #[test]
     fn stall_cause_names_cover_all() {
-        for c in StallCause::ALL {
+        for c in [
+            StallCause::NoAdaptiveCredit,
+            StallCause::NoEscapeCredit,
+            StallCause::DeadPort,
+        ] {
             assert!(!c.name().is_empty());
         }
     }

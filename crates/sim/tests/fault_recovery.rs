@@ -32,7 +32,7 @@ fn removable_link(topo: &Topology) -> (SwitchId, SwitchId) {
 }
 
 fn still_connected_without(topo: &Topology, a: SwitchId, b: SwitchId) -> bool {
-    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch());
+    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
     for s in topo.switch_ids() {
         for (p, peer, pp) in topo.switch_neighbors(s) {
             if peer.0 > s.0 && !(s == a && peer == b) {

@@ -15,7 +15,7 @@
 //! up\*/down\* rebuilt from a secondary root, giving each destination a
 //! second, independently deadlock-free path a CA can migrate to.
 
-use iba_core::{HostId, IbaError, Lid, LidMap, PortIndex, SwitchId};
+use iba_core::{HostId, IbaError, Lid, LidMap, SwitchId};
 use iba_routing::{RoutingConfig, UpDownRouting};
 use iba_topology::Topology;
 
@@ -79,11 +79,6 @@ impl ApmPlan {
         self.primary_root
     }
 
-    /// First offset of the APM half.
-    pub fn apm_base_offset(&self) -> u16 {
-        self.apm_base_offset
-    }
-
     /// The primary (APM-inactive) DLID of `host` — its deterministic
     /// address in the adaptive half.
     pub fn primary_lid(&self, host: HostId) -> Result<Lid, IbaError> {
@@ -98,28 +93,6 @@ impl ApmPlan {
     /// Whether a LID belongs to the APM half.
     pub fn is_apm_lid(&self, lid: Lid) -> Result<bool, IbaError> {
         Ok(self.lid_map.offset_of(lid)? >= self.apm_base_offset)
-    }
-
-    /// The forwarding-table entry for `(switch, offset)` towards `host`:
-    /// what the subnet manager programs at address `base(host) + offset`.
-    ///
-    /// Adaptive-half offsets are the caller's business (escape/adaptive
-    /// options from [`iba_routing::FaRouting`]); APM-half offsets all get
-    /// the alternate up\*/down\* hop.
-    pub fn apm_entry(
-        &self,
-        topo: &Topology,
-        s: SwitchId,
-        host: HostId,
-    ) -> Result<PortIndex, IbaError> {
-        let t = topo.host_switch(host);
-        if t == s {
-            let (_, port) = topo.host_attachment(host);
-            return Ok(port);
-        }
-        self.alternate
-            .next_hop(s, t)
-            .ok_or_else(|| IbaError::RoutingFailed(format!("no alternate hop {s}→{t}")))
     }
 }
 
@@ -140,7 +113,8 @@ mod tests {
         let (_, _, plan) = setup(8, 1);
         // 2 adaptive-half addresses + 2 APM-half addresses → LMC 2.
         assert_eq!(plan.lid_map().lmc().bits(), 2);
-        assert_eq!(plan.apm_base_offset(), 2);
+        let alt = plan.alternate_lid(HostId(0)).unwrap();
+        assert_eq!(plan.lid_map().offset_of(alt).unwrap(), 2);
     }
 
     #[test]
@@ -172,23 +146,18 @@ mod tests {
     fn alternate_paths_reach_every_destination() {
         let (topo, _, plan) = setup(16, 4);
         for s in topo.switch_ids() {
-            for h in topo.host_ids() {
+            for t in topo.switch_ids() {
                 // Walk the alternate chain.
                 let mut cur = s;
                 let mut hops = 0;
-                loop {
-                    let port = plan.apm_entry(&topo, cur, h).unwrap();
+                while cur != t {
+                    let port = plan.alternate().next_hop(cur, t).unwrap();
                     match topo.endpoint(cur, port).unwrap().node {
-                        iba_core::NodeRef::Host(reached) => {
-                            assert_eq!(reached, h);
-                            break;
-                        }
-                        iba_core::NodeRef::Switch(next) => {
-                            cur = next;
-                            hops += 1;
-                            assert!(hops <= 2 * topo.num_switches());
-                        }
+                        iba_core::NodeRef::Switch(next) => cur = next,
+                        host => panic!("alternate hop {cur}→{t} reaches {host:?}"),
                     }
+                    hops += 1;
+                    assert!(hops <= 2 * topo.num_switches());
                 }
             }
         }
@@ -224,6 +193,7 @@ mod tests {
         let primary = UpDownRouting::build(&topo).unwrap();
         let plan = ApmPlan::build(&topo, &RoutingConfig::with_options(4), &primary).unwrap();
         assert_eq!(plan.lid_map().lmc().bits(), 3); // 4 + 4 addresses
-        assert_eq!(plan.apm_base_offset(), 4);
+        let alt = plan.alternate_lid(HostId(0)).unwrap();
+        assert_eq!(plan.lid_map().offset_of(alt).unwrap(), 4);
     }
 }

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 /// What discovery found behind one switch port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PortTarget {
+pub(crate) enum PortTarget {
     /// Link down / unwired.
     Down,
     /// A host with the given GUID.
@@ -32,9 +32,9 @@ pub struct DiscoveredSwitch {
     /// The switch's GUID.
     pub guid: u64,
     /// A shortest directed route from the SM to it.
-    pub route: DirectedRoute,
+    pub(crate) route: DirectedRoute,
     /// Per-port findings.
-    pub ports: Vec<PortTarget>,
+    pub(crate) ports: Vec<PortTarget>,
 }
 
 /// The reconstructed fabric.
@@ -43,7 +43,7 @@ pub struct DiscoveredFabric {
     /// Switches in discovery (BFS) order.
     pub switches: Vec<DiscoveredSwitch>,
     /// Host GUIDs in discovery order (their index becomes the HostId).
-    pub hosts: Vec<u64>,
+    pub(crate) hosts: Vec<u64>,
     /// SMPs used by the sweep.
     pub smps_used: u64,
 }
@@ -77,7 +77,7 @@ impl DiscoveredFabric {
         let ports = self
             .switches
             .first()
-            .map(|s| s.ports.len() as u8)
+            .map(|s| s.ports.len())
             .ok_or_else(|| IbaError::InvalidTopology("nothing discovered".into()))?;
         let index_of: HashMap<u64, usize> = self
             .switches
@@ -261,7 +261,7 @@ impl Discoverer {
     ///
     /// Protocol violations — an agent that *answers* with the wrong
     /// thing — still hard-error: those are bugs, not faults.
-    pub fn discover_robust(
+    pub(crate) fn discover_robust(
         &mut self,
         fabric: &mut ManagedFabric,
         sender: &mut ReliableSender,
@@ -411,9 +411,9 @@ impl Discoverer {
 
 /// What a loss-tolerant sweep produced.
 #[derive(Clone, Debug)]
-pub struct RobustDiscovery {
+pub(crate) struct RobustDiscovery {
     /// The reachable component, in BFS order.
-    pub fabric: DiscoveredFabric,
+    pub(crate) fabric: DiscoveredFabric,
     /// Partition report: destinations that exhausted every retry.
     pub unreachable: Vec<String>,
     /// `true` when the sweep budget ran out before the BFS finished.

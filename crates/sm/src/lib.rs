@@ -21,8 +21,8 @@
 //!   spec's 64-entry linear-forwarding-table blocks, from an
 //!   [`iba_routing::FaRouting`] path computation;
 //! * [`retry`] — reliable SMP delivery over the spec's best-effort
-//!   VL15: bounded retransmit with exponential backoff, per-sweep retry
-//!   budgets, and partition reporting when every retry is exhausted;
+//!   VL15: bounded retransmit, per-sweep retry budgets, and partition
+//!   reporting when every retry is exhausted;
 //! * [`apm`] — the §4.1 coexistence scheme: the LMC address range is
 //!   partitioned by a high bit into *adaptive routing options* and
 //!   *Automatic Path Migration* alternate paths, so both mechanisms use
@@ -44,9 +44,8 @@ pub mod retry;
 pub mod sm;
 
 pub use apm::ApmPlan;
-pub use discovery::{DiscoveredFabric, Discoverer, RobustDiscovery};
-pub use mad::{DirectedRoute, Smp, SmpAttribute, SmpMethod, SmpResponse};
-pub use managed::{ManagedFabric, ManagedSwitch};
-pub use program::{ProgramReport, Programmer, RobustProgram};
+pub use discovery::Discoverer;
+pub use managed::ManagedFabric;
+pub use program::Programmer;
 pub use retry::{ReliableSender, RetryPolicy, RetryStats, SendOutcome};
 pub use sm::{BringUp, Resweep, RobustBringUp, RobustResweep, SubnetManager, SweepReport};

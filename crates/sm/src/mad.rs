@@ -13,38 +13,33 @@ use iba_core::{Lid, PortIndex, ServiceLevel, VirtualLane};
 /// starting from the SM's attachment switch. An empty path addresses the
 /// attachment switch itself.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct DirectedRoute {
+pub(crate) struct DirectedRoute {
     /// Output ports, outermost hop first.
     pub hops: Vec<PortIndex>,
 }
 
 impl DirectedRoute {
     /// The empty route (the SM's own switch).
-    pub fn local() -> DirectedRoute {
+    pub(crate) fn local() -> DirectedRoute {
         DirectedRoute::default()
     }
 
     /// Extend the route by one hop.
-    pub fn then(&self, port: PortIndex) -> DirectedRoute {
+    pub(crate) fn then(&self, port: PortIndex) -> DirectedRoute {
         let mut hops = self.hops.clone();
         hops.push(port);
         DirectedRoute { hops }
     }
 
     /// Number of switch hops.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.hops.len()
-    }
-
-    /// Whether the route addresses the local switch.
-    pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
     }
 }
 
 /// SMP methods (the two the bring-up needs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SmpMethod {
+pub(crate) enum SmpMethod {
     /// `SubnGet` — read an attribute.
     Get,
     /// `SubnSet` — write an attribute.
@@ -53,7 +48,7 @@ pub enum SmpMethod {
 
 /// Management attributes, with their `Set` payloads inline.
 #[derive(Clone, Debug, PartialEq)]
-pub enum SmpAttribute {
+pub(crate) enum SmpAttribute {
     /// Node identity: kind, GUID, port count.
     NodeInfo,
     /// State of one port: what it is wired to (link sensing).
@@ -88,15 +83,15 @@ pub enum SmpAttribute {
 
 /// A subnet-management packet.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Smp {
+pub(crate) struct Smp {
     /// Method.
-    pub method: SmpMethod,
+    pub(crate) method: SmpMethod,
     /// Attribute (with payload for `Set`).
-    pub attribute: SmpAttribute,
+    pub(crate) attribute: SmpAttribute,
     /// Directed route from the SM's switch to the target.
-    pub route: DirectedRoute,
+    pub(crate) route: DirectedRoute,
     /// Transaction id (for bookkeeping and tests).
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// SL of the management packet (always 0 here; SMPs ride VL15 in the
     /// spec, outside the data VLs this model simulates).
     pub sl: ServiceLevel,
@@ -163,12 +158,12 @@ mod tests {
     #[test]
     fn directed_route_building() {
         let r = DirectedRoute::local();
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
         let r2 = r.then(PortIndex(3)).then(PortIndex(1));
         assert_eq!(r2.len(), 2);
         assert_eq!(r2.hops, vec![PortIndex(3), PortIndex(1)]);
         // `then` does not mutate the original.
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
     }
 
     #[test]

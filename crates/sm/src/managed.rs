@@ -3,7 +3,7 @@
 //! [`ManagedFabric`] wraps a [`Topology`] and gives every switch the
 //! state a subnet manager can see and change — GUID, management LID,
 //! linear forwarding table, SLtoVL table — reachable *only* through
-//! directed-route SMPs ([`ManagedFabric::send`]). The discovery and
+//! directed-route SMPs (`ManagedFabric::send`). The discovery and
 //! programming layers never touch the topology object directly; they
 //! must learn and configure everything through this interface, exactly
 //! like a real SM.
@@ -16,7 +16,7 @@ use iba_routing::{InterleavedForwardingTable, SlToVlTable};
 use iba_topology::Topology;
 
 /// Entries per linear-forwarding-table block (spec value).
-pub const LFT_BLOCK: usize = 64;
+pub(crate) const LFT_BLOCK: usize = 64;
 
 /// Capacity of an agent's LFT: the unicast LID space, `0..=0xBFFF`.
 /// An SMP addressing an entry past it is rejected.
@@ -33,7 +33,7 @@ pub struct ManagedSwitch {
     /// switch is an enhanced one; the SM cannot tell the difference —
     /// that is the point of §4.1). It holds entries up to the end of
     /// the highest block the SM has written an entry into; every entry
-    /// past that, up to [`LFT_LEN`], reads unprogrammed.
+    /// past that, up to `LFT_LEN`, reads unprogrammed.
     pub lft: InterleavedForwardingTable,
     /// The SLtoVL mapping table (§4.4).
     pub sl2vl: SlToVlTable,
@@ -121,7 +121,7 @@ impl<'a> ManagedFabric<'a> {
         })
     }
 
-    /// Arm random VL15 loss: every subsequent [`Self::send`] is dropped
+    /// Arm random VL15 loss: every subsequent `send` is dropped
     /// with probability `loss` (reported as [`SmpResponse::Timeout`]).
     /// The draw stream is derived from `seed`, so a sweep over a lossy
     /// fabric is reproducible. `loss = 0.0` disarms the hook and
@@ -158,30 +158,6 @@ impl<'a> ManagedFabric<'a> {
         Ok(())
     }
 
-    /// Fail the link between `a` and `b` *silently*: both ends still
-    /// report [`PortState::Up`], but no SMP crosses. This is the nasty
-    /// failure mode — the SM sees a trained link whose peer never
-    /// answers, and can only conclude partition after its retries are
-    /// exhausted.
-    pub fn fail_link_silent(&mut self, a: SwitchId, b: SwitchId) -> Result<(), iba_core::IbaError> {
-        let (pa, pb) = self.link_ports(a, b)?;
-        self.silent[a.index()][pa.index()] = true;
-        self.silent[b.index()][pb.index()] = true;
-        Ok(())
-    }
-
-    /// Undo [`Self::fail_link_silent`] for the link between `a` and `b`.
-    pub fn restore_link_silent(
-        &mut self,
-        a: SwitchId,
-        b: SwitchId,
-    ) -> Result<(), iba_core::IbaError> {
-        let (pa, pb) = self.link_ports(a, b)?;
-        self.silent[a.index()][pa.index()] = false;
-        self.silent[b.index()][pb.index()] = false;
-        Ok(())
-    }
-
     fn link_ports(
         &self,
         a: SwitchId,
@@ -199,11 +175,6 @@ impl<'a> ManagedFabric<'a> {
                 "no link {a}–{b} in the topology"
             ))),
         }
-    }
-
-    /// The switch the SM is attached to.
-    pub fn sm_switch(&self) -> SwitchId {
-        self.sm_switch
     }
 
     /// Read access to an agent (for verification in tests/reports).
@@ -241,7 +212,7 @@ impl<'a> ManagedFabric<'a> {
     }
 
     /// Transport and process one SMP, returning the response.
-    pub fn send(&mut self, smp: &Smp) -> SmpResponse {
+    pub(crate) fn send(&mut self, smp: &Smp) -> SmpResponse {
         self.smps_sent += 1;
         if self.smp_loss > 0.0 {
             if let Some(rng) = self.smp_rng.as_mut() {
@@ -340,6 +311,41 @@ mod tests {
     use iba_core::{PortIndex, ServiceLevel};
     use iba_topology::regular;
     use proptest::prelude::*;
+
+    impl ManagedFabric<'_> {
+        /// Fail the link between `a` and `b` *silently*: both ends still
+        /// report [`PortState::Up`], but no SMP crosses. This is the nasty
+        /// failure mode — the SM sees a trained link whose peer never
+        /// answers, and can only conclude partition after its retries are
+        /// exhausted.
+        pub(crate) fn fail_link_silent(
+            &mut self,
+            a: SwitchId,
+            b: SwitchId,
+        ) -> Result<(), iba_core::IbaError> {
+            let (pa, pb) = self.link_ports(a, b)?;
+            self.silent[a.index()][pa.index()] = true;
+            self.silent[b.index()][pb.index()] = true;
+            Ok(())
+        }
+
+        /// Undo [`Self::fail_link_silent`] for the link between `a` and `b`.
+        pub(crate) fn restore_link_silent(
+            &mut self,
+            a: SwitchId,
+            b: SwitchId,
+        ) -> Result<(), iba_core::IbaError> {
+            let (pa, pb) = self.link_ports(a, b)?;
+            self.silent[a.index()][pa.index()] = false;
+            self.silent[b.index()][pb.index()] = false;
+            Ok(())
+        }
+
+        /// The switch the SM is attached to.
+        pub(crate) fn sm_switch(&self) -> SwitchId {
+            self.sm_switch
+        }
+    }
 
     fn smp(method: SmpMethod, attribute: SmpAttribute, route: DirectedRoute) -> Smp {
         Smp {

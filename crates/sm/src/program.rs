@@ -84,11 +84,6 @@ impl Programmer {
         }
     }
 
-    /// Forget everything shadowed: the next pass uploads every block.
-    pub fn forget(&mut self) {
-        self.shadow.clear();
-    }
-
     /// Upload `routing`'s tables (computed on the *discovery-ordered*
     /// topology) onto the physical switches of `fabric`, then verify by
     /// reading every written block back. Every SMP is sent exactly once:
@@ -113,7 +108,7 @@ impl Programmer {
     /// sweep budget stops the pass and flags it partial. Agents that
     /// *answer* but reject a write still hard-error — that is a bug,
     /// not a fault.
-    pub fn program_robust<E: EscapeEngine>(
+    pub(crate) fn program_robust<E: EscapeEngine>(
         &mut self,
         fabric: &mut ManagedFabric,
         discovered: &DiscoveredFabric,
@@ -282,11 +277,11 @@ fn mgmt_lid_base(table_len: usize, switches: usize) -> Result<u16, IbaError> {
 
 /// What a loss-tolerant programming pass produced.
 #[derive(Clone, Debug)]
-pub struct RobustProgram {
+pub(crate) struct RobustProgram {
     /// The usual statistics, over the switches actually programmed.
     pub report: ProgramReport,
     /// Switches abandoned mid-upload (partition report entries).
-    pub skipped: Vec<String>,
+    pub(crate) skipped: Vec<String>,
     /// `true` when the sweep budget ran out before the pass finished.
     pub partial: bool,
 }
@@ -384,13 +379,6 @@ mod tests {
         assert_eq!(second.blocks_total, first.blocks_total);
         assert_eq!(second.sl2vl_rows_written, 0);
         assert_eq!(second.smps_used, 0);
-
-        // After forgetting, everything is uploaded again.
-        programmer.forget();
-        let third = programmer
-            .program(&mut fabric, &discovered, &routing)
-            .unwrap();
-        assert_eq!(third, first);
     }
 
     #[test]

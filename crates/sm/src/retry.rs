@@ -1,13 +1,13 @@
-//! Reliable SMP delivery: timeout, retransmit, exponential backoff.
+//! Reliable SMP delivery: timeout and bounded retransmit.
 //!
 //! VL15 is unacknowledged and unbuffered — the spec makes subnet
 //! management packets *best effort* and puts the reliability burden on
 //! the SM itself. This module is that burden: [`ReliableSender`] wraps
-//! [`ManagedFabric::send`] with a bounded retransmit loop. A lost SMP
+//! `ManagedFabric::send` with a bounded retransmit loop. A lost SMP
 //! (or a directed route that silently fell off the fabric — the SM
 //! cannot tell the difference, nothing answers either way) is retried
-//! up to [`RetryPolicy::max_attempts`] times, waiting an exponentially
-//! growing timeout between attempts. Two exhaustion levels exist:
+//! up to [`RetryPolicy::max_attempts`] times. Two exhaustion levels
+//! exist:
 //!
 //! * **per-SMP**: all attempts used → the destination is declared
 //!   [`SendOutcome::Unreachable`] and surfaced as a partition entry
@@ -22,28 +22,22 @@ use iba_core::{FlightEvent, IbaError};
 
 /// Cap on retransmit events kept for the flight recorder; past this the
 /// counters keep counting but the per-event log stops growing.
-pub const MAX_LOGGED_RETRANSMITS: usize = 256;
+pub(crate) const MAX_LOGGED_RETRANSMITS: usize = 256;
 
 /// Retry parameters of one management sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total transmission attempts per SMP (first send included).
     pub max_attempts: u32,
-    /// Response timeout before the first retransmit, in modeled ns.
-    pub base_timeout_ns: u64,
-    /// Timeout multiplier per further attempt (exponential backoff).
-    pub backoff: u32,
     /// Cumulative retransmits allowed across the whole sweep; once
     /// spent, the sweep stops and reports partial convergence.
-    pub sweep_budget: u64,
+    pub(crate) sweep_budget: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 8,
-            base_timeout_ns: 4_096,
-            backoff: 2,
             sweep_budget: 100_000,
         }
     }
@@ -65,12 +59,8 @@ pub(crate) fn send_once() -> RetryPolicy {
 pub struct RetryStats {
     /// SMPs re-sent after a timeout.
     pub retransmits: u64,
-    /// Attempts that ended in a timeout (lost SMP or dead route).
-    pub timeouts: u64,
-    /// Total modeled time spent waiting out timeouts, in ns.
-    pub backoff_wait_ns: u64,
     /// Whether the sweep's retransmit budget ran out.
-    pub budget_exhausted: bool,
+    pub(crate) budget_exhausted: bool,
 }
 
 /// What one reliable send concluded.
@@ -97,15 +87,10 @@ pub struct ReliableSender {
 
 impl ReliableSender {
     /// Build a sender; rejects degenerate policies.
-    pub fn new(policy: RetryPolicy) -> Result<ReliableSender, IbaError> {
+    pub(crate) fn new(policy: RetryPolicy) -> Result<ReliableSender, IbaError> {
         if policy.max_attempts == 0 {
             return Err(IbaError::InvalidConfig(
                 "retry policy needs at least one attempt".into(),
-            ));
-        }
-        if policy.backoff == 0 {
-            return Err(IbaError::InvalidConfig(
-                "retry backoff multiplier must be at least 1".into(),
             ));
         }
         Ok(ReliableSender {
@@ -121,28 +106,22 @@ impl ReliableSender {
     }
 
     /// Retransmit events logged so far (capped at
-    /// [`MAX_LOGGED_RETRANSMITS`]).
+    /// `MAX_LOGGED_RETRANSMITS`).
     pub fn events(&self) -> &[FlightEvent] {
         &self.events
     }
 
     /// Consume the sender, keeping the event log.
-    pub fn into_events(self) -> Vec<FlightEvent> {
+    pub(crate) fn into_events(self) -> Vec<FlightEvent> {
         self.events
     }
 
-    /// The timeout waited on attempt number `attempt` (1-based).
-    fn timeout_ns(&self, attempt: u32) -> u64 {
-        let factor = (self.policy.backoff as u64).saturating_pow(attempt.saturating_sub(1));
-        self.policy.base_timeout_ns.saturating_mul(factor)
-    }
-
-    /// Send `smp` reliably: retransmit on timeout with exponential
-    /// backoff until a response arrives, the per-SMP attempts run out,
-    /// or the sweep budget is spent. `BadRoute` walks are treated
+    /// Send `smp` reliably: retransmit on timeout until a response
+    /// arrives, the per-SMP attempts run out, or the sweep budget is
+    /// spent. `BadRoute` walks are treated
     /// exactly like timeouts — on the wire both look the same (no
     /// response ever comes back), so the SM must not distinguish them.
-    pub fn send(&mut self, fabric: &mut ManagedFabric, smp: &Smp) -> SendOutcome {
+    pub(crate) fn send(&mut self, fabric: &mut ManagedFabric, smp: &Smp) -> SendOutcome {
         for attempt in 1..=self.policy.max_attempts {
             if attempt > 1 {
                 if self.stats.retransmits >= self.policy.sweep_budget {
@@ -159,13 +138,7 @@ impl ReliableSender {
                 }
             }
             match fabric.send(smp) {
-                SmpResponse::Timeout | SmpResponse::BadRoute => {
-                    self.stats.timeouts += 1;
-                    self.stats.backoff_wait_ns = self
-                        .stats
-                        .backoff_wait_ns
-                        .saturating_add(self.timeout_ns(attempt));
-                }
+                SmpResponse::Timeout | SmpResponse::BadRoute => {}
                 resp => return SendOutcome::Delivered(resp),
             }
         }
@@ -205,23 +178,18 @@ mod tests {
     }
 
     #[test]
-    fn total_loss_backs_off_exponentially_then_declares_unreachable() {
+    fn total_loss_retries_then_declares_unreachable() {
         let topo = regular::ring(4, 1).unwrap();
         let mut fab = ManagedFabric::new(&topo, 2).unwrap();
         fab.set_smp_faults(1.0, 7).unwrap();
         let mut tx = ReliableSender::new(RetryPolicy {
             max_attempts: 4,
-            base_timeout_ns: 1_000,
-            backoff: 2,
             sweep_budget: 1_000,
         })
         .unwrap();
         let out = tx.send(&mut fab, &node_info(42));
         assert_eq!(out, SendOutcome::Unreachable);
-        assert_eq!(tx.stats.timeouts, 4);
         assert_eq!(tx.stats.retransmits, 3);
-        // 1000 + 2000 + 4000 + 8000: the wait doubles every attempt.
-        assert_eq!(tx.stats.backoff_wait_ns, 15_000);
         let attempts: Vec<u32> = tx
             .events()
             .iter()
@@ -243,8 +211,6 @@ mod tests {
         fab.set_smp_faults(1.0, 3).unwrap();
         let mut tx = ReliableSender::new(RetryPolicy {
             max_attempts: 8,
-            base_timeout_ns: 100,
-            backoff: 2,
             sweep_budget: 2,
         })
         .unwrap();
@@ -263,8 +229,6 @@ mod tests {
         let mut fab = ManagedFabric::new(&topo, 2).unwrap();
         let mut tx = ReliableSender::new(RetryPolicy {
             max_attempts: 3,
-            base_timeout_ns: 10,
-            backoff: 3,
             sweep_budget: 100,
         })
         .unwrap();
@@ -273,19 +237,12 @@ mod tests {
             ..node_info(9)
         };
         assert_eq!(tx.send(&mut fab, &smp), SendOutcome::Unreachable);
-        assert_eq!(tx.stats.timeouts, 3);
-        assert_eq!(tx.stats.backoff_wait_ns, 10 + 30 + 90);
     }
 
     #[test]
     fn degenerate_policies_are_rejected() {
         assert!(ReliableSender::new(RetryPolicy {
             max_attempts: 0,
-            ..RetryPolicy::default()
-        })
-        .is_err());
-        assert!(ReliableSender::new(RetryPolicy {
-            backoff: 0,
             ..RetryPolicy::default()
         })
         .is_err());

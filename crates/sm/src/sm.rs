@@ -40,7 +40,7 @@ impl SubnetManager {
 impl<E: EscapeEngine> SubnetManager<E> {
     /// A subnet manager deploying FA over the escape engine `E`, e.g.
     /// `SubnetManager::<OutflankRouting>::with_engine(cfg)` on a torus.
-    pub fn with_engine(routing_config: RoutingConfig) -> SubnetManager<E> {
+    pub(crate) fn with_engine(routing_config: RoutingConfig) -> SubnetManager<E> {
         SubnetManager {
             routing_config,
             _engine: PhantomData,
@@ -102,7 +102,7 @@ impl<E: EscapeEngine> SubnetManager<E> {
     /// programming: every SMP rides a retransmit loop, and the sweep
     /// verdict (including diff statistics) comes back as a
     /// [`SweepReport`].
-    pub fn resweep_after_link_failure_robust(
+    pub(crate) fn resweep_after_link_failure_robust(
         &self,
         fabric: &mut ManagedFabric,
         previous: &BringUp<E>,
@@ -116,7 +116,6 @@ impl<E: EscapeEngine> SubnetManager<E> {
         let prog = programmer.program_robust(fabric, &discovered, &routing, &mut sender)?;
         let partial = prog.partial;
         let converged = !partial && prog.skipped.is_empty();
-        let entries_recomputed = (routing.lid_map().table_len() * topology.num_switches()) as u64;
         let report = prog.report.clone();
         let stats = sender.stats;
         let resweep = converged.then(|| Resweep {
@@ -133,12 +132,9 @@ impl<E: EscapeEngine> SubnetManager<E> {
                 converged,
                 partial,
                 retransmits: stats.retransmits,
-                timeouts: stats.timeouts,
-                backoff_wait_ns: stats.backoff_wait_ns,
                 unreachable: prog.skipped,
                 blocks_total: report.blocks_total,
                 blocks_uploaded: report.blocks_written,
-                entries_recomputed,
                 events: sender.into_events(),
             },
         })
@@ -166,8 +162,8 @@ impl<E: EscapeEngine> SubnetManager<E> {
         Ok((discovered, topology, routing))
     }
 
-    /// The loss-tolerant pipeline: every SMP rides a retransmit loop
-    /// with exponential backoff, unreachable destinations become
+    /// The loss-tolerant pipeline: every SMP rides a bounded retransmit
+    /// loop, unreachable destinations become
     /// partition-report entries, and a spent retry budget yields a
     /// *partial* verdict instead of an error. Control-plane loss never
     /// hard-errors; only protocol violations (an agent answering with
@@ -195,13 +191,10 @@ impl<E: EscapeEngine> SubnetManager<E> {
         let mut bringup = None;
         let mut blocks_total = 0u64;
         let mut blocks_uploaded = 0u64;
-        let mut entries_recomputed = 0u64;
         if !partial && disc.fabric.switch_count() > 0 {
             let discovered = disc.fabric;
             let topology = discovered.to_topology()?;
             let routing = FaRouting::<E>::build_with_engine(&topology, self.routing_config)?;
-            // A full sweep recomputes every table entry from scratch.
-            entries_recomputed = (routing.lid_map().table_len() * topology.num_switches()) as u64;
             let prog = programmer.program_robust(fabric, &discovered, &routing, &mut sender)?;
             blocks_total = prog.report.blocks_total;
             blocks_uploaded = prog.report.blocks_written;
@@ -224,12 +217,9 @@ impl<E: EscapeEngine> SubnetManager<E> {
                 converged,
                 partial,
                 retransmits: stats.retransmits,
-                timeouts: stats.timeouts,
-                backoff_wait_ns: stats.backoff_wait_ns,
                 unreachable,
                 blocks_total,
                 blocks_uploaded,
-                entries_recomputed,
                 events: sender.into_events(),
             },
         })
@@ -260,10 +250,6 @@ pub struct SweepReport {
     pub partial: bool,
     /// SMPs retransmitted across the whole sweep.
     pub retransmits: u64,
-    /// Attempts that timed out.
-    pub timeouts: u64,
-    /// Modeled time spent waiting out timeouts, in ns.
-    pub backoff_wait_ns: u64,
     /// Partition report: destinations that exhausted every retry.
     pub unreachable: Vec<String>,
     /// Non-empty LFT blocks the computed tables contain.
@@ -271,9 +257,6 @@ pub struct SweepReport {
     /// LFT blocks actually uploaded (≤ `blocks_total`; strictly fewer
     /// when the programmer's dirty-block shadow filtered clean blocks).
     pub blocks_uploaded: u64,
-    /// Forwarding-table entries computed by the routing stage: the
-    /// full table size, on an initial sweep and on a re-sweep alike.
-    pub entries_recomputed: u64,
     /// Capped retransmit log, as flight-recorder events.
     pub events: Vec<FlightEvent>,
 }
@@ -289,7 +272,7 @@ pub struct Resweep<E: EscapeEngine = UpDownRouting> {
 pub struct RobustResweep<E: EscapeEngine = UpDownRouting> {
     /// `Some` when every switch was diff-programmed; `None` under a
     /// spent budget or unreachable switches.
-    pub resweep: Option<Resweep<E>>,
+    pub(crate) resweep: Option<Resweep<E>>,
     /// Retry counters, diff statistics and verdict.
     pub report: SweepReport,
 }
@@ -426,7 +409,6 @@ mod tests {
         );
         assert!(r.report.retransmits > 0, "loss must have been absorbed");
         assert!(r.report.blocks_uploaded < r.report.blocks_total);
-        assert!(r.report.entries_recomputed > 0);
         let r = r.resweep.unwrap();
 
         let mut twin = ManagedFabric::new(&physical, 2).unwrap();
@@ -587,7 +569,6 @@ mod tests {
         // total SMP count.
         assert!(up.report.retransmits > 0);
         assert!(up.report.retransmits < fabric.smps_sent / 2);
-        assert!(up.report.backoff_wait_ns > 0);
         assert!(!up.report.events.is_empty());
     }
 
@@ -604,8 +585,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.report.retransmits, b.report.retransmits);
-        assert_eq!(a.report.timeouts, b.report.timeouts);
-        assert_eq!(a.report.backoff_wait_ns, b.report.backoff_wait_ns);
         assert_eq!(a.bringup.unwrap().report, b.bringup.unwrap().report);
     }
 
@@ -652,7 +631,6 @@ mod tests {
         let sm = SubnetManager::new(RoutingConfig::two_options());
         let policy = RetryPolicy {
             max_attempts: 3,
-            base_timeout_ns: 256,
             ..RetryPolicy::default()
         };
         let up = sm.initialize_robust(&mut fabric, policy).unwrap();
@@ -680,7 +658,6 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 8,
             sweep_budget: 10,
-            ..RetryPolicy::default()
         };
         let up = sm.initialize_robust(&mut fabric, policy).unwrap();
         assert!(
@@ -700,7 +677,6 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 3,
             sweep_budget: 1_000,
-            ..RetryPolicy::default()
         };
         let up = sm.initialize_robust(&mut fabric, policy).unwrap();
         assert!(up.bringup.is_none());
@@ -738,15 +714,10 @@ mod tests {
             .unwrap();
         let (sweep, bringup) = (&up.report, up.bringup.as_ref().unwrap());
         assert!(sweep.converged && !sweep.partial);
-        // A first sweep uploads every non-empty block it computed, and
-        // recomputes every entry of every table.
+        // A first sweep uploads every non-empty block it computed.
         assert!(sweep.blocks_total > 0);
         assert_eq!(sweep.blocks_total, bringup.report.blocks_total);
         assert_eq!(sweep.blocks_uploaded, sweep.blocks_total);
-        assert_eq!(
-            sweep.entries_recomputed,
-            (bringup.routing.lid_map().table_len() * 8) as u64
-        );
         // The programming pass reached all eight switches and read back
         // what it wrote.
         assert_eq!(bringup.report.switches, 8);

@@ -33,7 +33,7 @@ fn removable_link(topo: &Topology) -> (SwitchId, PortIndex, SwitchId, PortIndex)
 /// Rebuild `topo` without the `a`–`b` link; errors when that would
 /// disconnect the fabric.
 fn degraded(topo: &Topology, a: SwitchId, b: SwitchId) -> Result<Topology, iba_core::IbaError> {
-    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch());
+    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
     for s in topo.switch_ids() {
         for (p, peer, pp) in topo.switch_neighbors(s) {
             if peer.0 > s.0 && !(s == a && peer == b) {

@@ -66,35 +66,6 @@ impl Curve {
             .max_by(|a, b| a.total_cmp(b))
     }
 
-    /// The point with the highest accepted traffic.
-    pub fn saturation_point(&self) -> Option<&CurvePoint> {
-        self.points
-            .iter()
-            .max_by(|a, b| a.accepted.total_cmp(&b.accepted))
-    }
-
-    /// Latency at the lowest measured load — an estimate of zero-load
-    /// latency.
-    pub fn base_latency_ns(&self) -> Option<f64> {
-        self.points.first().map(|p| p.avg_latency_ns)
-    }
-
-    /// Throughput *at the knee*: the highest accepted traffic among
-    /// points whose latency stays below `latency_factor ×` the base
-    /// (lowest-load) latency. For open-loop permutation traffic the
-    /// plain maximum keeps creeping long after latency has exploded;
-    /// the knee measure reflects the highest load the network sustains
-    /// while still *operating* (see EXPERIMENTS.md on bit-reversal).
-    pub fn throughput_at_knee(&self, latency_factor: f64) -> Option<f64> {
-        let base = self.base_latency_ns()?;
-        let limit = base * latency_factor;
-        self.points
-            .iter()
-            .filter(|p| p.avg_latency_ns.is_finite() && p.avg_latency_ns <= limit)
-            .map(|p| p.accepted)
-            .max_by(|a, b| a.total_cmp(b))
-    }
-
     /// Whether the network kept up at the lowest load (accepted ≈
     /// offered within `tol` relative error) — a sanity check for sweeps.
     pub fn low_load_accepts_offered(&self, tol: f64) -> bool {
@@ -144,12 +115,6 @@ mod tests {
     fn saturation_is_the_peak_accepted() {
         let c = typical();
         assert_eq!(c.saturation_throughput(), Some(0.0610));
-        assert_eq!(c.saturation_point().unwrap().offered, 0.08);
-    }
-
-    #[test]
-    fn base_latency_is_first_point() {
-        assert_eq!(typical().base_latency_ns(), Some(500.0));
     }
 
     #[test]
@@ -160,24 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn knee_throughput_stops_at_the_latency_blowup() {
-        let c = typical();
-        // With a 3x latency budget (base 500 → limit 1500 ns), only the
-        // first three points qualify (latencies 500/520/600); the best
-        // accepted among them is 0.0399.
-        assert_eq!(c.throughput_at_knee(3.0), Some(0.0399));
-        // A huge budget recovers the plain maximum.
-        assert_eq!(c.throughput_at_knee(1e9), c.saturation_throughput());
-        // A budget below 1.0 keeps only the base point.
-        assert_eq!(c.throughput_at_knee(1.0), Some(0.0100));
-        assert!(Curve::new().throughput_at_knee(3.0).is_none());
-    }
-
-    #[test]
     fn empty_curve_yields_none() {
         let c = Curve::new();
         assert!(c.saturation_throughput().is_none());
-        assert!(c.base_latency_ns().is_none());
         assert!(!c.low_load_accepts_offered(0.1));
         assert!(c.is_empty());
     }

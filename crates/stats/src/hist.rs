@@ -22,10 +22,10 @@ use iba_core::Json;
 
 /// Default precision: 5 sub-bucket bits, i.e. quantiles over-estimate
 /// by less than 2⁻⁵ ≈ 3.2 %.
-pub const DEFAULT_PRECISION: u32 = 5;
+pub(crate) const DEFAULT_PRECISION: u32 = 5;
 
 /// Largest supported precision (8 bits → 0.4 % error, ~14 600 buckets).
-pub const MAX_PRECISION: u32 = 8;
+pub(crate) const MAX_PRECISION: u32 = 8;
 
 /// A mergeable log-linear histogram over `u64` values (nanoseconds, in
 /// this repository) with bounded relative quantile error. See the
@@ -43,13 +43,13 @@ pub struct LogHistogram {
 }
 
 impl LogHistogram {
-    /// An empty histogram at [`DEFAULT_PRECISION`].
+    /// An empty histogram at `DEFAULT_PRECISION`.
     pub fn new() -> LogHistogram {
         LogHistogram::with_precision(DEFAULT_PRECISION)
     }
 
     /// An empty histogram with `precision` sub-bucket bits (clamped to
-    /// `0..=`[`MAX_PRECISION`]). Relative quantile error is below
+    /// `0..=``MAX_PRECISION`). Relative quantile error is below
     /// `2^-precision`.
     pub fn with_precision(precision: u32) -> LogHistogram {
         let p = precision.min(MAX_PRECISION);
@@ -123,11 +123,6 @@ impl LogHistogram {
     /// Exact largest recorded value (`None` when empty).
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean of the recorded values (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
     /// Approximate `q`-quantile (`0 < q <= 1`): the upper bound of the
@@ -241,7 +236,6 @@ mod tests {
         let h = LogHistogram::new();
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.min(), None);
-        assert_eq!(h.mean(), None);
         assert!(h.is_empty());
     }
 

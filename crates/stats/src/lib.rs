@@ -24,7 +24,7 @@ pub mod curve;
 pub mod hist;
 pub mod report;
 
-pub use agg::{MinMaxAvg, Timeseries, Welford};
+pub use agg::{MinMaxAvg, Timeseries};
 pub use curve::{Curve, CurvePoint};
 pub use hist::LogHistogram;
 pub use report::{csv_table, markdown_table, timeseries_table};

@@ -44,6 +44,10 @@ struct HostNode {
 /// so a fabric holds at most this many of each.
 const MAX_NODES: usize = u16::MAX as usize;
 
+/// Port numbers are 8-bit ([`PortIndex`]), so a switch has at most this
+/// many ports.
+const MAX_SWITCH_PORTS: usize = u8::MAX as usize;
+
 /// An immutable, validated subnet topology.
 #[derive(Clone, Debug)]
 pub struct Topology {
@@ -187,42 +191,6 @@ impl Topology {
             .all(|&d| d != u32::MAX)
     }
 
-    /// Render the subnet as a Graphviz DOT graph: switches as boxes
-    /// (optionally annotated by the caller via `label`), hosts as small
-    /// circles, links labelled with their port pair. Pipe into
-    /// `dot -Tsvg` / `neato -Tpng` to visualize a generated fabric.
-    pub fn to_dot(&self, label: impl Fn(SwitchId) -> String) -> String {
-        let mut out = String::from("graph subnet {\n  node [fontsize=10];\n");
-        for s in self.switch_ids() {
-            out.push_str(&format!(
-                "  sw{} [shape=box, style=filled, fillcolor=lightblue, label=\"{}\"];\n",
-                s.0,
-                label(s)
-            ));
-        }
-        for h in self.host_ids() {
-            out.push_str(&format!(
-                "  h{0} [shape=circle, width=0.25, fixedsize=true, label=\"{0}\"];\n",
-                h.0
-            ));
-        }
-        for s in self.switch_ids() {
-            for (p, peer, peer_port) in self.switch_neighbors(s) {
-                if s < peer {
-                    out.push_str(&format!(
-                        "  sw{} -- sw{} [label=\"{}:{}\", fontsize=8];\n",
-                        s.0, peer.0, p.0, peer_port.0
-                    ));
-                }
-            }
-            for (_, h) in self.attached_hosts(s) {
-                out.push_str(&format!("  sw{} -- h{};\n", s.0, h.0));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Re-check every structural invariant. [`TopologyBuilder::build`]
     /// already runs this; exposed so the generator tests can re-verify
     /// what they were handed.
@@ -313,7 +281,9 @@ impl Topology {
 
 /// Incremental builder for [`Topology`].
 pub struct TopologyBuilder {
-    ports_per_switch: u8,
+    /// The port count asked for; [`Self::build`] refuses one past
+    /// [`MAX_SWITCH_PORTS`], of which only the numbered ports exist.
+    ports_per_switch: usize,
     /// The switch count asked for; [`Self::build`] refuses one past
     /// [`MAX_NODES`], of which only the addressable switches exist.
     num_switches: usize,
@@ -323,15 +293,16 @@ pub struct TopologyBuilder {
 
 impl TopologyBuilder {
     /// A builder for `num_switches` switches of `ports_per_switch` ports
-    /// each, and no hosts yet. More switches than a [`SwitchId`] counts
-    /// make [`Self::build`] fail instead of wrapping onto switch 0.
-    pub fn new(num_switches: usize, ports_per_switch: u8) -> TopologyBuilder {
+    /// each, and no hosts yet. More switches than a [`SwitchId`] counts,
+    /// or more ports than a [`PortIndex`] numbers, make [`Self::build`]
+    /// fail instead of wrapping onto switch 0 or port 0.
+    pub fn new(num_switches: usize, ports_per_switch: usize) -> TopologyBuilder {
         TopologyBuilder {
             ports_per_switch,
             num_switches,
             switches: (0..num_switches.min(MAX_NODES + 1))
                 .map(|_| SwitchNode {
-                    ports: vec![None; ports_per_switch as usize],
+                    ports: vec![None; ports_per_switch.min(MAX_SWITCH_PORTS + 1)],
                 })
                 .collect(),
             hosts: Vec::new(),
@@ -347,21 +318,12 @@ impl TopologyBuilder {
     }
 
     /// Whether switches `a` and `b` are already linked.
-    pub fn linked(&self, a: SwitchId, b: SwitchId) -> bool {
+    pub(crate) fn linked(&self, a: SwitchId, b: SwitchId) -> bool {
         self.switches[a.index()]
             .ports
             .iter()
             .flatten()
             .any(|ep| ep.node == NodeRef::Switch(b))
-    }
-
-    /// Number of free ports left on `s`.
-    pub fn free_ports(&self, s: SwitchId) -> usize {
-        self.switches[s.index()]
-            .ports
-            .iter()
-            .filter(|p| p.is_none())
-            .count()
     }
 
     /// Wire a link between `a` and `b` on their lowest free ports.
@@ -396,7 +358,7 @@ impl TopologyBuilder {
             )));
         }
         for (s, p) in [(a, pa), (b, pb)] {
-            if p.index() >= self.ports_per_switch as usize {
+            if p.index() >= self.ports_per_switch {
                 return Err(IbaError::InvalidTopology(format!("{s} has no port {p}")));
             }
             if self.switches[s.index()].ports[p.index()].is_some() {
@@ -411,20 +373,6 @@ impl TopologyBuilder {
             node: NodeRef::Switch(a),
             port: pa,
         });
-        Ok(())
-    }
-
-    /// Disconnect the link between `a` and `b` (used by the irregular
-    /// generator's edge-swap repair).
-    pub fn disconnect(&mut self, a: SwitchId, b: SwitchId) -> Result<(), IbaError> {
-        let pa = self.switches[a.index()]
-            .ports
-            .iter()
-            .position(|ep| ep.map(|e| e.node) == Some(NodeRef::Switch(b)))
-            .ok_or_else(|| IbaError::InvalidTopology(format!("{a} and {b} not linked")))?;
-        let pb = self.switches[a.index()].ports[pa].unwrap().port;
-        self.switches[a.index()].ports[pa] = None;
-        self.switches[b.index()].ports[pb.index()] = None;
         Ok(())
     }
 
@@ -443,7 +391,7 @@ impl TopologyBuilder {
         switch: SwitchId,
         port: PortIndex,
     ) -> Result<HostId, IbaError> {
-        if port.index() >= self.ports_per_switch as usize {
+        if port.index() >= self.ports_per_switch {
             return Err(IbaError::InvalidTopology(format!(
                 "{switch} has no port {port}"
             )));
@@ -471,7 +419,7 @@ impl TopologyBuilder {
     }
 
     /// Attach `count` hosts to every switch (the paper attaches 4).
-    pub fn attach_hosts_everywhere(&mut self, count: usize) -> Result<(), IbaError> {
+    pub(crate) fn attach_hosts_everywhere(&mut self, count: usize) -> Result<(), IbaError> {
         for s in 0..self.switches.len() {
             for _ in 0..count {
                 self.attach_host(SwitchId(s as u16))?;
@@ -488,7 +436,14 @@ impl TopologyBuilder {
                 self.num_switches
             )));
         }
-        let ports = self.ports_per_switch as usize;
+        if self.ports_per_switch > MAX_SWITCH_PORTS {
+            return Err(IbaError::InvalidTopology(format!(
+                "too many ports per switch: {} asked for, a switch has at most \
+                 {MAX_SWITCH_PORTS} (8-bit port numbers)",
+                self.ports_per_switch
+            )));
+        }
+        let ports = self.ports_per_switch;
         let mut links = Vec::with_capacity(self.switches.len() * ports);
         let mut link_start = Vec::with_capacity(self.switches.len() + 1);
         for node in &self.switches {
@@ -500,7 +455,7 @@ impl TopologyBuilder {
         }
         link_start.push(links.len() as u32);
         let topo = Topology {
-            ports_per_switch: self.ports_per_switch,
+            ports_per_switch: self.ports_per_switch as u8,
             switches: self.switches,
             hosts: self.hosts,
             links,
@@ -655,16 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_reverses_connect() {
-        let mut b = TopologyBuilder::new(2, 4);
-        b.connect(SwitchId(0), SwitchId(1)).unwrap();
-        b.disconnect(SwitchId(0), SwitchId(1)).unwrap();
-        assert!(!b.linked(SwitchId(0), SwitchId(1)));
-        assert_eq!(b.free_ports(SwitchId(0)), 4);
-        assert!(b.disconnect(SwitchId(0), SwitchId(1)).is_err());
-    }
-
-    #[test]
     fn distances_on_a_path() {
         let mut b = TopologyBuilder::new(3, 4);
         b.connect(SwitchId(0), SwitchId(1)).unwrap();
@@ -675,21 +620,6 @@ mod tests {
         assert_eq!(d[0][1], 1);
         assert_eq!(d[2][2], 0);
         assert_eq!(t.distances_from(SwitchId(2))[0], 2);
-    }
-
-    #[test]
-    fn dot_export_contains_every_element() {
-        let t = two_switch_topo();
-        let dot = t.to_dot(|s| format!("{s}"));
-        assert!(dot.starts_with("graph subnet {"));
-        assert!(dot.trim_end().ends_with('}'));
-        // 2 switches, 4 hosts, 1 switch link, 4 host links.
-        assert_eq!(dot.matches("shape=box").count(), 2);
-        assert_eq!(dot.matches("shape=circle").count(), 4);
-        assert_eq!(dot.matches("sw0 -- sw1").count(), 1);
-        assert_eq!(dot.matches("-- h").count(), 4);
-        // Caller-provided labels are used.
-        assert!(dot.contains("label=\"sw1\""));
     }
 
     #[test]

@@ -57,12 +57,12 @@ impl IrregularConfig {
     }
 
     /// Total ports every switch needs.
-    pub fn ports_per_switch(&self) -> usize {
+    pub(crate) fn ports_per_switch(&self) -> usize {
         self.inter_switch_links + self.hosts_per_switch
     }
 
     /// Sanity-check the parameters.
-    pub fn validate(&self) -> Result<(), IbaError> {
+    pub(crate) fn validate(&self) -> Result<(), IbaError> {
         if self.switches < 2 {
             return Err(IbaError::InvalidConfig("need at least 2 switches".into()));
         }
@@ -98,24 +98,12 @@ impl IrregularConfig {
         repair_simple(&mut edges, self.switches, &mut rng)?;
         repair_connectivity(&mut edges, self.switches, &mut rng)?;
 
-        let mut builder = TopologyBuilder::new(self.switches, self.ports_per_switch() as u8);
+        let mut builder = TopologyBuilder::new(self.switches, self.ports_per_switch());
         for &(a, b) in &edges {
             builder.connect(SwitchId(a as u16), SwitchId(b as u16))?;
         }
         builder.attach_hosts_everywhere(self.hosts_per_switch)?;
         builder.build()
-    }
-
-    /// The ensemble of `count` topologies the paper averages over
-    /// (seeds `seed..seed+count`).
-    pub fn ensemble(&self, count: u64) -> impl Iterator<Item = Result<Topology, IbaError>> + '_ {
-        (0..count).map(move |i| {
-            IrregularConfig {
-                seed: self.seed.wrapping_add(i),
-                ..*self
-            }
-            .generate()
-        })
     }
 }
 
@@ -295,16 +283,6 @@ mod tests {
             na == nb
         });
         assert!(!same, "two seeds produced identical wiring");
-    }
-
-    #[test]
-    fn ensemble_yields_count_distinct_members() {
-        let cfg = IrregularConfig::paper(8, 100);
-        let topos: Vec<_> = cfg.ensemble(10).collect::<Result<_, _>>().unwrap();
-        assert_eq!(topos.len(), 10);
-        for t in &topos {
-            t.validate().unwrap();
-        }
     }
 
     #[test]

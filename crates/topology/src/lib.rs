@@ -23,8 +23,7 @@
 //!   dragonfly generator used by the routing-engine zoo;
 //! * [`metrics`] — diameter, average distance, link counts;
 //! * [`partition`] — deterministic fabric sharding for the parallel
-//!   simulation engine (balanced BFS regions, cross-shard link
-//!   enumeration, validated partition invariants).
+//!   simulation engine (balanced BFS regions).
 
 #![warn(missing_docs)]
 
@@ -35,8 +34,8 @@ pub mod partition;
 pub mod regular;
 pub mod spec;
 
-pub use graph::{Endpoint, Topology, TopologyBuilder};
+pub use graph::{Topology, TopologyBuilder};
 pub use irregular::IrregularConfig;
 pub use metrics::TopologyMetrics;
-pub use partition::{CrossLink, Partition};
+pub use partition::Partition;
 pub use spec::TopologySpec;

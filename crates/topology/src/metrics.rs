@@ -12,18 +12,18 @@ pub struct TopologyMetrics {
     /// Number of switches.
     pub switches: usize,
     /// Number of hosts.
-    pub hosts: usize,
+    pub(crate) hosts: usize,
     /// Number of undirected inter-switch links.
-    pub switch_links: usize,
+    pub(crate) switch_links: usize,
     /// Longest shortest path between any two switches.
     pub diameter: u32,
     /// Mean shortest-path length over ordered switch pairs (excluding
     /// self-pairs).
     pub avg_distance: f64,
     /// Minimum inter-switch degree.
-    pub min_degree: usize,
+    pub(crate) min_degree: usize,
     /// Maximum inter-switch degree.
-    pub max_degree: usize,
+    pub(crate) max_degree: usize,
 }
 
 impl TopologyMetrics {

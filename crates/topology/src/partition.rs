@@ -2,13 +2,10 @@
 //!
 //! A [`Partition`] assigns every switch (and, transitively, every host —
 //! a host always lives with its attached switch) to exactly one of `N`
-//! shards, and enumerates every inter-switch link whose endpoints land
-//! in different shards. The parallel engine in `iba-sim` gives each
-//! shard a private event queue and exchanges typed messages only across
-//! the enumerated cross-shard links, so the partition invariants — a
-//! true partition of the switches, each cross link registered exactly
-//! once — are load-bearing for simulation correctness, not just for
-//! balance. [`Partition::validate`] re-checks them against a topology.
+//! shards. The parallel engine in `iba-sim` gives each shard a private
+//! event queue and asks the partition who owns an entity, so a true
+//! partition of the switches is load-bearing for simulation
+//! correctness, not just for balance.
 //!
 //! [`Partition::contiguous`] is the default construction: deterministic
 //! BFS region growing from the lowest unassigned switch id, producing
@@ -19,31 +16,14 @@
 //! identically on any machine.
 
 use crate::graph::Topology;
-use iba_core::{HostId, IbaError, PortIndex, SwitchId};
+use iba_core::{HostId, IbaError, SwitchId};
 use std::collections::VecDeque;
 
-/// One inter-switch link crossing a shard boundary, recorded once with
-/// `a < b`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrossLink {
-    /// Lower-id endpoint switch.
-    pub a: SwitchId,
-    /// `a`'s port on the link.
-    pub pa: PortIndex,
-    /// Higher-id endpoint switch.
-    pub b: SwitchId,
-    /// `b`'s port on the link.
-    pub pb: PortIndex,
-}
-
-/// An assignment of every switch and host to exactly one shard, plus
-/// the cross-shard link set.
+/// An assignment of every switch and host to exactly one shard.
 #[derive(Clone, Debug)]
 pub struct Partition {
-    num_shards: usize,
     switch_shard: Vec<u16>,
     host_shard: Vec<u16>,
-    cross_links: Vec<CrossLink>,
 }
 
 impl Partition {
@@ -100,65 +80,14 @@ impl Partition {
             }
         }
         debug_assert_eq!(unassigned, 0);
-        Ok(Self::from_switch_assignment(topo, num_shards, shard))
-    }
-
-    /// Build a partition from an explicit switch→shard assignment
-    /// (hosts follow their attached switch; cross links are derived).
-    pub fn from_assignment(
-        topo: &Topology,
-        num_shards: usize,
-        assignment: Vec<u16>,
-    ) -> Result<Partition, IbaError> {
-        if assignment.len() != topo.num_switches() {
-            return Err(IbaError::InvalidTopology(format!(
-                "assignment covers {} switches, topology has {}",
-                assignment.len(),
-                topo.num_switches()
-            )));
-        }
-        if num_shards == 0 || assignment.iter().any(|&s| s as usize >= num_shards) {
-            return Err(IbaError::InvalidTopology(
-                "assignment names an out-of-range shard".into(),
-            ));
-        }
-        Ok(Self::from_switch_assignment(topo, num_shards, assignment))
-    }
-
-    fn from_switch_assignment(
-        topo: &Topology,
-        num_shards: usize,
-        switch_shard: Vec<u16>,
-    ) -> Partition {
         let host_shard = topo
             .host_ids()
-            .map(|h| switch_shard[topo.host_switch(h).index()])
+            .map(|h| shard[topo.host_switch(h).index()])
             .collect();
-        let mut cross_links = Vec::new();
-        for s in topo.switch_ids() {
-            for (p, peer, peer_port) in topo.switch_neighbors(s) {
-                if s < peer && switch_shard[s.index()] != switch_shard[peer.index()] {
-                    cross_links.push(CrossLink {
-                        a: s,
-                        pa: p,
-                        b: peer,
-                        pb: peer_port,
-                    });
-                }
-            }
-        }
-        Partition {
-            num_shards,
-            switch_shard,
+        Ok(Partition {
+            switch_shard: shard,
             host_shard,
-            cross_links,
-        }
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
+        })
     }
 
     /// The shard owning `switch`.
@@ -172,99 +101,6 @@ impl Partition {
     pub fn shard_of_host(&self, host: HostId) -> usize {
         self.host_shard[host.index()] as usize
     }
-
-    /// Switch ids owned by `shard`, ascending.
-    pub fn switches_in(&self, shard: usize) -> impl Iterator<Item = SwitchId> + '_ {
-        self.switch_shard
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &s)| s as usize == shard)
-            .map(|(i, _)| SwitchId(i as u16))
-    }
-
-    /// Host ids owned by `shard`, ascending.
-    pub fn hosts_in(&self, shard: usize) -> impl Iterator<Item = HostId> + '_ {
-        self.host_shard
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &s)| s as usize == shard)
-            .map(|(i, _)| HostId(i as u16))
-    }
-
-    /// Switch count per shard.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.num_shards];
-        for &s in &self.switch_shard {
-            sizes[s as usize] += 1;
-        }
-        sizes
-    }
-
-    /// Every inter-switch link whose endpoints are in different shards,
-    /// each exactly once with `a < b`, ascending by `(a, pa)`.
-    #[inline]
-    pub fn cross_links(&self) -> &[CrossLink] {
-        &self.cross_links
-    }
-
-    /// Whether the link out of `switch` through `port` (if an
-    /// inter-switch link) crosses a shard boundary.
-    pub fn is_cross_port(&self, topo: &Topology, switch: SwitchId, port: PortIndex) -> bool {
-        topo.endpoint(switch, port)
-            .and_then(|ep| ep.node.as_switch())
-            .is_some_and(|peer| self.shard_of_switch(peer) != self.shard_of_switch(switch))
-    }
-
-    /// Re-check the partition invariants against `topo`: the assignment
-    /// covers every switch and host with an in-range shard, hosts live
-    /// with their attached switch, every shard is non-empty, and the
-    /// cross-link set contains exactly the boundary-crossing
-    /// inter-switch links, each once, in canonical order.
-    pub fn validate(&self, topo: &Topology) -> Result<(), IbaError> {
-        let fail = |msg: String| Err(IbaError::InvalidTopology(msg));
-        if self.switch_shard.len() != topo.num_switches() {
-            return fail("partition does not cover every switch".into());
-        }
-        if self.host_shard.len() != topo.num_hosts() {
-            return fail("partition does not cover every host".into());
-        }
-        let mut seen = vec![false; self.num_shards];
-        for (i, &s) in self.switch_shard.iter().enumerate() {
-            if s as usize >= self.num_shards {
-                return fail(format!("sw{i} assigned to out-of-range shard {s}"));
-            }
-            seen[s as usize] = true;
-        }
-        if let Some(k) = seen.iter().position(|&s| !s) {
-            return fail(format!("shard {k} owns no switches"));
-        }
-        for h in topo.host_ids() {
-            if self.shard_of_host(h) != self.shard_of_switch(topo.host_switch(h)) {
-                return fail(format!("{h} not co-located with its switch"));
-            }
-        }
-        let mut expected = Vec::new();
-        for s in topo.switch_ids() {
-            for (p, peer, peer_port) in topo.switch_neighbors(s) {
-                if s < peer && self.shard_of_switch(s) != self.shard_of_switch(peer) {
-                    expected.push(CrossLink {
-                        a: s,
-                        pa: p,
-                        b: peer,
-                        pb: peer_port,
-                    });
-                }
-            }
-        }
-        if expected != self.cross_links {
-            return fail(format!(
-                "cross-link set mismatch: expected {} links, registered {}",
-                expected.len(),
-                self.cross_links.len()
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -273,6 +109,31 @@ mod tests {
     use crate::graph::TopologyBuilder;
     use crate::irregular::IrregularConfig;
     use proptest::prelude::*;
+
+    /// Check that `p` partitions `topo` into `num_shards` non-empty
+    /// shards with every host beside its switch, and return the switch
+    /// count per shard.
+    fn shard_sizes(p: &Partition, topo: &Topology, num_shards: usize) -> Vec<usize> {
+        assert_eq!(p.switch_shard.len(), topo.num_switches());
+        assert_eq!(p.host_shard.len(), topo.num_hosts());
+        let mut sizes = vec![0usize; num_shards];
+        for &s in &p.switch_shard {
+            sizes[s as usize] += 1;
+        }
+        assert!(sizes.iter().all(|&n| n > 0), "empty shard: {sizes:?}");
+        for h in topo.host_ids() {
+            assert_eq!(p.shard_of_host(h), p.shard_of_switch(topo.host_switch(h)));
+        }
+        sizes
+    }
+
+    /// Inter-switch links whose ends lie in different shards.
+    fn boundary_links(p: &Partition, topo: &Topology) -> usize {
+        topo.switch_ids()
+            .flat_map(|s| topo.switch_neighbors(s).map(move |(_, peer, _)| (s, peer)))
+            .filter(|&(s, peer)| s < peer && p.shard_of_switch(s) != p.shard_of_switch(peer))
+            .count()
+    }
 
     fn line_topo(n: usize) -> Topology {
         let mut b = TopologyBuilder::new(n, 6);
@@ -288,21 +149,18 @@ mod tests {
     fn one_shard_owns_everything() {
         let t = line_topo(5);
         let p = Partition::contiguous(&t, 1).unwrap();
-        p.validate(&t).unwrap();
-        assert_eq!(p.shard_sizes(), vec![5]);
-        assert!(p.cross_links().is_empty());
-        assert_eq!(p.switches_in(0).count(), 5);
-        assert_eq!(p.hosts_in(0).count(), 10);
+        assert_eq!(shard_sizes(&p, &t, 1), vec![5]);
+        assert_eq!(boundary_links(&p, &t), 0);
+        assert!(t.host_ids().all(|h| p.shard_of_host(h) == 0));
     }
 
     #[test]
     fn line_splits_into_contiguous_runs() {
         let t = line_topo(8);
         let p = Partition::contiguous(&t, 4).unwrap();
-        p.validate(&t).unwrap();
-        assert_eq!(p.shard_sizes(), vec![2, 2, 2, 2]);
+        assert_eq!(shard_sizes(&p, &t, 4), vec![2, 2, 2, 2]);
         // A 4-way split of a line has exactly 3 boundary links.
-        assert_eq!(p.cross_links().len(), 3);
+        assert_eq!(boundary_links(&p, &t), 3);
         // BFS from lowest ids keeps runs contiguous on a line.
         for i in 0..8u16 {
             assert_eq!(p.shard_of_switch(SwitchId(i)), (i / 2) as usize);
@@ -319,36 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_port_classification_matches_link_set() {
-        let t = line_topo(6);
-        let p = Partition::contiguous(&t, 3).unwrap();
-        let mut cross_ports = 0;
-        for s in t.switch_ids() {
-            for (port, _, _) in t.switch_neighbors(s) {
-                if p.is_cross_port(&t, s, port) {
-                    cross_ports += 1;
-                }
-            }
-        }
-        // Each undirected cross link is seen from both ends.
-        assert_eq!(cross_ports, p.cross_links().len() * 2);
-    }
-
-    #[test]
     fn rejects_degenerate_shard_counts() {
         let t = line_topo(3);
         assert!(Partition::contiguous(&t, 0).is_err());
         assert!(Partition::contiguous(&t, 4).is_err());
-    }
-
-    #[test]
-    fn from_assignment_validates_coverage() {
-        let t = line_topo(3);
-        assert!(Partition::from_assignment(&t, 2, vec![0, 1]).is_err());
-        assert!(Partition::from_assignment(&t, 2, vec![0, 1, 2]).is_err());
-        let p = Partition::from_assignment(&t, 2, vec![0, 1, 0]).unwrap();
-        p.validate(&t).unwrap();
-        assert_eq!(p.cross_links().len(), 2);
     }
 
     #[test]
@@ -357,15 +189,13 @@ mod tests {
         let a = Partition::contiguous(&t, 4).unwrap();
         let b = Partition::contiguous(&t, 4).unwrap();
         assert_eq!(a.switch_shard, b.switch_shard);
-        assert_eq!(a.cross_links, b.cross_links);
     }
 
     proptest! {
         /// Over random irregular topologies and shard counts, the
         /// contiguous partition is a true partition: every switch in
         /// exactly one in-range shard, every shard non-empty, sizes
-        /// balanced within one, hosts co-located, and every cross-shard
-        /// link registered exactly once (no lost or duplicated ports).
+        /// balanced within one, hosts co-located.
         #[test]
         fn prop_contiguous_is_a_true_partition(
             switches in 6usize..40,
@@ -377,23 +207,10 @@ mod tests {
                 .unwrap();
             let shards = shard_sel.min(switches);
             let p = Partition::contiguous(&topo, shards).unwrap();
-            p.validate(&topo).unwrap();
-            let sizes = p.shard_sizes();
+            let sizes = shard_sizes(&p, &topo, shards);
             prop_assert_eq!(sizes.iter().sum::<usize>(), switches);
             let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             prop_assert!(max - min <= 1, "unbalanced shards: {:?}", sizes);
-            // Every cross link appears exactly once, canonically ordered.
-            let links = p.cross_links();
-            for w in links.windows(2) {
-                prop_assert!((w[0].a, w[0].pa) < (w[1].a, w[1].pa));
-            }
-            for l in links {
-                prop_assert!(l.a < l.b);
-                prop_assert_ne!(
-                    p.shard_of_switch(l.a),
-                    p.shard_of_switch(l.b)
-                );
-            }
         }
     }
 }

@@ -17,7 +17,7 @@ pub fn ring(n: usize, hosts_per_switch: usize) -> Result<Topology, IbaError> {
         ));
     }
     let ports = 2 + hosts_per_switch;
-    let mut b = TopologyBuilder::new(n, ports as u8);
+    let mut b = TopologyBuilder::new(n, ports);
     for i in 0..n {
         b.connect(SwitchId(i as u16), SwitchId(((i + 1) % n) as u16))?;
     }
@@ -34,7 +34,7 @@ pub fn mesh2d(rows: usize, cols: usize, hosts_per_switch: usize) -> Result<Topol
     }
     let ports = 4 + hosts_per_switch;
     let id = |r: usize, c: usize| SwitchId((r * cols + c) as u16);
-    let mut b = TopologyBuilder::new(rows * cols, ports as u8);
+    let mut b = TopologyBuilder::new(rows * cols, ports);
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
@@ -59,7 +59,7 @@ pub fn torus2d(rows: usize, cols: usize, hosts_per_switch: usize) -> Result<Topo
     }
     let ports = 4 + hosts_per_switch;
     let id = |r: usize, c: usize| SwitchId((r * cols + c) as u16);
-    let mut b = TopologyBuilder::new(rows * cols, ports as u8);
+    let mut b = TopologyBuilder::new(rows * cols, ports);
     for r in 0..rows {
         for c in 0..cols {
             b.connect(id(r, c), id(r, (c + 1) % cols))?;
@@ -79,7 +79,7 @@ pub fn hypercube(dim: u32, hosts_per_switch: usize) -> Result<Topology, IbaError
     }
     let n = 1usize << dim;
     let ports = dim as usize + hosts_per_switch;
-    let mut b = TopologyBuilder::new(n, ports as u8);
+    let mut b = TopologyBuilder::new(n, ports);
     for i in 0..n {
         for bit in 0..dim {
             let j = i ^ (1 << bit);
@@ -100,10 +100,7 @@ pub fn complete(n: usize, hosts_per_switch: usize) -> Result<Topology, IbaError>
         ));
     }
     let ports = (n - 1) + hosts_per_switch;
-    if ports > u8::MAX as usize {
-        return Err(IbaError::InvalidConfig("too many ports per switch".into()));
-    }
-    let mut b = TopologyBuilder::new(n, ports as u8);
+    let mut b = TopologyBuilder::new(n, ports);
     for i in 0..n {
         for j in (i + 1)..n {
             b.connect(SwitchId(i as u16), SwitchId(j as u16))?;
@@ -122,7 +119,7 @@ pub fn chain(n: usize, hosts_per_switch: usize) -> Result<Topology, IbaError> {
         ));
     }
     let ports = 2 + hosts_per_switch;
-    let mut b = TopologyBuilder::new(n, ports as u8);
+    let mut b = TopologyBuilder::new(n, ports);
     for i in 0..n - 1 {
         b.connect(SwitchId(i as u16), SwitchId((i + 1) as u16))?;
     }

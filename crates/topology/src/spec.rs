@@ -5,8 +5,7 @@
 //! report ([`TopologySpec::name`]) — instead of calling one of the
 //! per-shape generator functions directly. [`TopologySpec`] is that
 //! name: one enum variant per generator, with
-//! [`TopologySpec::generate`] (or the [`Topology::generate`]
-//! convenience) dispatching to the existing generators in
+//! [`TopologySpec::generate`] dispatching to the existing generators in
 //! [`crate::irregular`] and [`crate::regular`], which remain the single
 //! source of wiring truth — the spec layer adds no wiring of its own
 //! except the [`TopologySpec::Dragonfly`] generator, which lives here.
@@ -174,33 +173,6 @@ impl TopologySpec {
             } => format!("dragonfly{groups}x{switches_per_group}"),
         }
     }
-
-    /// Total switch count of the generated fabric.
-    pub fn num_switches(&self) -> usize {
-        match *self {
-            TopologySpec::Irregular { switches, .. }
-            | TopologySpec::Ring { switches, .. }
-            | TopologySpec::Chain { switches, .. }
-            | TopologySpec::FullMesh { switches, .. } => switches,
-            TopologySpec::Mesh2D { rows, cols, .. } | TopologySpec::Torus2D { rows, cols, .. } => {
-                rows * cols
-            }
-            TopologySpec::Hypercube { dim, .. } => 1usize << dim,
-            TopologySpec::Dragonfly {
-                groups,
-                switches_per_group,
-                ..
-            } => groups * switches_per_group,
-        }
-    }
-}
-
-impl Topology {
-    /// Generate a fabric from a spec — convenience alias for
-    /// [`TopologySpec::generate`].
-    pub fn generate(spec: &TopologySpec, seed: u64) -> Result<Topology, IbaError> {
-        spec.generate(seed)
-    }
 }
 
 /// The canonical one-level dragonfly. Group `x`'s global slot for peer
@@ -228,12 +200,9 @@ fn dragonfly(
         )));
     }
     let ports = (a - 1) + h + hosts_per_switch;
-    if ports > u8::MAX as usize {
-        return Err(IbaError::InvalidConfig("too many ports per switch".into()));
-    }
     let n = groups * a;
     let id = |g: usize, s: usize| SwitchId((g * a + s) as u16);
-    let mut b = TopologyBuilder::new(n, ports as u8);
+    let mut b = TopologyBuilder::new(n, ports);
     // Intra-group complete graphs.
     for g in 0..groups {
         for i in 0..a {
@@ -332,10 +301,7 @@ mod tests {
         ];
         for (spec, name) in cases {
             assert_eq!(spec.name(), *name);
-            assert_eq!(
-                spec.generate(7).unwrap().num_switches(),
-                spec.num_switches()
-            );
+            spec.generate(7).unwrap();
         }
     }
 
@@ -367,6 +333,65 @@ mod tests {
         let d = t.switch_distances();
         let diam = d.iter().flatten().max().copied().unwrap();
         assert!(diam <= 3, "dragonfly diameter {diam}");
+    }
+
+    /// One spec per generator shape whose switches need `ports` ports.
+    fn shapes_with_ports(ports: usize) -> [TopologySpec; 8] {
+        [
+            TopologySpec::Irregular {
+                switches: 8,
+                inter_switch_links: 4,
+                hosts_per_switch: ports - 4,
+            },
+            TopologySpec::Ring {
+                switches: 3,
+                hosts_per_switch: ports - 2,
+            },
+            TopologySpec::Chain {
+                switches: 2,
+                hosts_per_switch: ports - 2,
+            },
+            TopologySpec::Mesh2D {
+                rows: 2,
+                cols: 2,
+                hosts_per_switch: ports - 4,
+            },
+            TopologySpec::Torus2D {
+                rows: 3,
+                cols: 3,
+                hosts_per_switch: ports - 4,
+            },
+            TopologySpec::Hypercube {
+                dim: 2,
+                hosts_per_switch: ports - 2,
+            },
+            TopologySpec::FullMesh {
+                switches: 2,
+                hosts_per_switch: ports - 1,
+            },
+            TopologySpec::Dragonfly {
+                groups: 2,
+                switches_per_group: 1,
+                global_links_per_switch: 1,
+                hosts_per_switch: ports - 1,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_shape_refuses_more_ports_than_a_port_number_holds() {
+        for spec in shapes_with_ports(256) {
+            let err = spec.generate(1).unwrap_err().to_string();
+            assert!(
+                err.contains("too many ports per switch"),
+                "{}: {err}",
+                spec.name()
+            );
+        }
+        for spec in shapes_with_ports(255) {
+            let topo = spec.generate(1).unwrap();
+            assert_eq!(topo.ports_per_switch(), 255, "{}", spec.name());
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The paper evaluates a fault-free steady state, but its whole premise —
 //! independently deadlock-free escape and APM-alternate path sets — only
 //! pays off when the fabric *breaks*. A [`FaultSchedule`] carries timed
-//! events, built programmatically or parsed from CSV exactly like
-//! [`TrafficScript`] (crate::TrafficScript); the simulator replays it
+//! events, built with the constructors below; the simulator replays it
 //! (`NetworkBuilder::faults`), dropping in-transit packets, masking dead
 //! ports out of the routing options, and optionally triggering an SM
 //! re-sweep or APM migration. Beyond the clean `LinkDown`/`LinkUp`
@@ -45,15 +44,6 @@ impl FaultKind {
 
     fn is_switch(self) -> bool {
         matches!(self, FaultKind::SwitchDown | FaultKind::SwitchUp)
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            FaultKind::LinkDown => "down",
-            FaultKind::LinkUp => "up",
-            FaultKind::SwitchDown => "switch_down",
-            FaultKind::SwitchUp => "switch_up",
-        }
     }
 }
 
@@ -261,69 +251,6 @@ impl FaultSchedule {
         FaultSchedule::new(Self::flapping_events(start, a, b, down_ns, up_ns, cycles))
     }
 
-    /// Parse from CSV lines of the form `time_ns,kind,switch_a,switch_b`
-    /// where `kind` is `down`/`up` (or `0`/`1`) for link events and
-    /// `switch_down`/`switch_up` for switch events (whose `switch_b`
-    /// field is ignored). Header lines and lines starting with `#` are
-    /// skipped.
-    pub fn from_csv(text: &str) -> Result<FaultSchedule, IbaError> {
-        let mut events = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') || line.starts_with("time") {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() < 4 {
-                return Err(IbaError::InvalidConfig(format!(
-                    "fault line {}: expected 4 fields, got {}",
-                    lineno + 1,
-                    fields.len()
-                )));
-            }
-            let parse = |s: &str, what: &str| -> Result<u64, IbaError> {
-                s.parse().map_err(|_| {
-                    IbaError::InvalidConfig(format!("fault line {}: bad {what} {s:?}", lineno + 1))
-                })
-            };
-            let kind = match fields[1] {
-                "down" | "0" => FaultKind::LinkDown,
-                "up" | "1" => FaultKind::LinkUp,
-                "switch_down" => FaultKind::SwitchDown,
-                "switch_up" => FaultKind::SwitchUp,
-                other => {
-                    return Err(IbaError::InvalidConfig(format!(
-                        "fault line {}: bad kind {other:?} \
-                         (want down/up/switch_down/switch_up)",
-                        lineno + 1
-                    )))
-                }
-            };
-            events.push(FaultEvent {
-                at: SimTime::from_ns(parse(fields[0], "time")?),
-                kind,
-                a: SwitchId(parse(fields[2], "switch_a")? as u16),
-                b: SwitchId(parse(fields[3], "switch_b")? as u16),
-            });
-        }
-        FaultSchedule::new(events)
-    }
-
-    /// Render as CSV (the `from_csv` format, with header).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_ns,kind,switch_a,switch_b\n");
-        for e in &self.events {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                e.at.as_ns(),
-                e.kind.name(),
-                e.a.0,
-                e.b.0
-            ));
-        }
-        out
-    }
-
     /// The events, time-ordered.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -337,16 +264,6 @@ impl FaultSchedule {
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Time of the first event, if any.
-    pub fn first_time(&self) -> Option<SimTime> {
-        self.events.first().map(|e| e.at)
-    }
-
-    /// Largest switch id referenced (for population validation).
-    pub fn max_switch(&self) -> Option<SwitchId> {
-        self.events.iter().flat_map(|e| [e.a, e.b]).max()
     }
 }
 
@@ -373,36 +290,7 @@ mod tests {
         .unwrap();
         let times: Vec<u64> = s.events().iter().map(|e| e.at.as_ns()).collect();
         assert_eq!(times, vec![100, 300]);
-        assert_eq!(s.first_time(), Some(SimTime::from_ns(100)));
-        assert_eq!(s.max_switch(), Some(SwitchId(1)));
         assert!(FaultSchedule::new(vec![ev(1, FaultKind::LinkDown, 2, 2)]).is_err());
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let s = FaultSchedule::new(vec![
-            ev(1000, FaultKind::LinkDown, 3, 7),
-            ev(5000, FaultKind::LinkUp, 3, 7),
-            ev(2000, FaultKind::SwitchDown, 4, 4),
-            ev(6000, FaultKind::SwitchUp, 4, 4),
-        ])
-        .unwrap();
-        let csv = s.to_csv();
-        assert!(csv.starts_with("time_ns,"));
-        let back = FaultSchedule::from_csv(&csv).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn csv_parsing_tolerates_comments_and_rejects_junk() {
-        let good = "# faults\ntime_ns,kind,switch_a,switch_b\n10, down, 0, 1\n20,1,1,0\n";
-        let s = FaultSchedule::from_csv(good).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.events()[0].kind, FaultKind::LinkDown);
-        assert_eq!(s.events()[1].kind, FaultKind::LinkUp);
-        assert!(FaultSchedule::from_csv("10,down,0\n").is_err()); // too few fields
-        assert!(FaultSchedule::from_csv("10,sideways,0,1\n").is_err()); // bad kind
-        assert!(FaultSchedule::from_csv("x,down,0,1\n").is_err()); // bad number
     }
 
     #[test]
@@ -414,13 +302,17 @@ mod tests {
     }
 
     #[test]
-    fn switch_events_canonicalize_and_parse() {
+    fn switch_events_canonicalize_and_pair() {
         let s = FaultSchedule::new(vec![ev(10, FaultKind::SwitchDown, 3, 9)]).unwrap();
         assert_eq!(s.events()[0].b, SwitchId(3), "b canonicalized to a");
-        assert_eq!(s.max_switch(), Some(SwitchId(3)));
-        let parsed = FaultSchedule::from_csv("5,switch_down,2,2\n9,switch_up,2,2\n").unwrap();
-        assert_eq!(parsed.events()[0].kind, FaultKind::SwitchDown);
-        assert_eq!(parsed.events()[1].kind, FaultKind::SwitchUp);
+        let paired = FaultSchedule::new(vec![
+            FaultEvent::switch_up(SimTime::from_ns(9), SwitchId(2)),
+            FaultEvent::switch_down(SimTime::from_ns(5), SwitchId(2)),
+        ])
+        .unwrap();
+        assert_eq!(paired.events()[0].kind, FaultKind::SwitchDown);
+        assert_eq!(paired.events()[1].kind, FaultKind::SwitchUp);
+        assert!(paired.events().iter().all(|e| e.a == e.b));
     }
 
     #[test]
@@ -524,63 +416,8 @@ mod tests {
         .unwrap();
     }
 
-    /// Build a valid schedule from proptest-chosen raw material:
-    /// `links` resources each get `windows` sequential down/up windows.
-    fn valid_schedule(links: &[(u16, u16)], windows: usize, base_gap: u64) -> FaultSchedule {
-        let mut events = Vec::new();
-        for (i, &(a, b)) in links.iter().enumerate() {
-            let mut t = 1_000 + i as u64; // distinct start per resource
-            for _ in 0..windows {
-                if a == b {
-                    events.push(FaultEvent::switch_down(SimTime::from_ns(t), SwitchId(a)));
-                    events.push(FaultEvent::switch_up(
-                        SimTime::from_ns(t + base_gap),
-                        SwitchId(a),
-                    ));
-                } else {
-                    events.push(FaultEvent::link_down(
-                        SimTime::from_ns(t),
-                        SwitchId(a),
-                        SwitchId(b),
-                    ));
-                    events.push(FaultEvent::link_up(
-                        SimTime::from_ns(t + base_gap),
-                        SwitchId(a),
-                        SwitchId(b),
-                    ));
-                }
-                t += 2 * base_gap + 1;
-            }
-        }
-        FaultSchedule::new(events).expect("constructed schedule is valid")
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn prop_csv_roundtrip(
-            windows in 1usize..4,
-            gap in 1u64..10_000,
-            raw in proptest::collection::vec((0u16..40, 0u16..40), 1..6),
-        ) {
-            // Distinct resources only: duplicate picks would create
-            // overlapping windows across loop iterations at our fixed
-            // start offsets; dedup instead of discarding the case.
-            let mut links: Vec<(u16, u16)> = raw
-                .into_iter()
-                .map(|(a, b)| if a <= b { (a, b) } else { (b, a) })
-                .collect();
-            links.sort_unstable();
-            links.dedup();
-            // Drop links touching a switch that also has a switch window.
-            let switches: Vec<u16> =
-                links.iter().filter(|(a, b)| a == b).map(|&(a, _)| a).collect();
-            links.retain(|&(a, b)| a == b || (!switches.contains(&a) && !switches.contains(&b)));
-            let s = valid_schedule(&links, windows, gap);
-            let back = FaultSchedule::from_csv(&s.to_csv()).unwrap();
-            prop_assert_eq!(back, s);
-        }
 
         #[test]
         fn prop_up_before_down_rejected(

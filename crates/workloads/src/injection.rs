@@ -81,7 +81,7 @@ impl WorkloadSpec {
     }
 
     /// Mean inter-arrival time in nanoseconds.
-    pub fn mean_interarrival_ns(&self) -> f64 {
+    pub(crate) fn mean_interarrival_ns(&self) -> f64 {
         self.packet_bytes as f64 / self.injection_rate
     }
 
@@ -168,7 +168,7 @@ impl HostGenerator {
 
     /// Like [`Self::new`], with `hosts_per_switch` consecutive hosts per
     /// switch so that deterministic permutations act on the switch index
-    /// (see [`DestinationSampler::with_groups`]).
+    /// (see `DestinationSampler::with_groups`).
     pub fn with_groups(
         host: HostId,
         num_hosts: usize,
@@ -191,16 +191,6 @@ impl HostGenerator {
             marking_rng: root.derive_indexed(StreamKind::Marking, host.0 as u64),
             sl_cursor: (host.0 % spec.service_levels as u16) as u8,
         })
-    }
-
-    /// The workload being generated.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
-    /// The generating host.
-    pub fn host(&self) -> HostId {
-        self.host
     }
 
     /// Nanoseconds until the next packet generation.

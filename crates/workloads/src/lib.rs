@@ -13,10 +13,10 @@
 //!   and ablations);
 //! * [`injection`] — open-loop injection processes (Poisson or periodic)
 //!   parameterized by a byte rate, plus the per-packet adaptive marking;
-//! * [`script`] — explicit trace-driven injection (CSV-parsable), for
-//!   replaying application communication patterns;
-//! * [`faults`] — timed link-down/link-up schedules (CSV-parsable) for
-//!   fault-injection and recovery experiments.
+//! * [`script`] — explicit trace-driven injection, for replaying
+//!   application communication patterns;
+//! * [`faults`] — timed link-down/link-up schedules for fault-injection
+//!   and recovery experiments.
 
 #![warn(missing_docs)]
 
@@ -26,6 +26,6 @@ pub mod patterns;
 pub mod script;
 
 pub use faults::{FaultEvent, FaultKind, FaultSchedule};
-pub use injection::{GeneratedPacket, HostGenerator, InjectionProcess, WorkloadSpec};
-pub use patterns::{DestinationSampler, TrafficPattern};
+pub use injection::{HostGenerator, InjectionProcess, WorkloadSpec};
+pub use patterns::TrafficPattern;
 pub use script::{PathSet, ScriptedPacket, TrafficScript};

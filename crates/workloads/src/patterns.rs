@@ -1,6 +1,6 @@
 //! Destination distributions.
 //!
-//! A [`TrafficPattern`] is a pure description; [`DestinationSampler`]
+//! A [`TrafficPattern`] is a pure description; `DestinationSampler`
 //! binds it to a host population and a random stream. Patterns never
 //! return the source itself as destination — self-addressed packets make
 //! no sense for the paper's metrics — so deterministic permutations remap
@@ -104,7 +104,7 @@ fn transpose(v: usize, bits: u32) -> usize {
 /// act on the raw host index (which spreads demand almost perfectly and
 /// exercises no congestion).
 #[derive(Clone, Debug)]
-pub struct DestinationSampler {
+pub(crate) struct DestinationSampler {
     pattern: TrafficPattern,
     num_hosts: usize,
     /// Hosts per switch for group-wise permutations (≥ 1).
@@ -119,18 +119,12 @@ pub struct DestinationSampler {
 }
 
 impl DestinationSampler {
-    /// Bind `pattern` to a population of `num_hosts` hosts (must be at
-    /// least 2), with permutations acting on the raw host index.
-    pub fn new(pattern: TrafficPattern, num_hosts: usize, seed_rng: &StreamRng) -> Self {
-        Self::with_groups(pattern, num_hosts, 1, seed_rng)
-    }
-
     /// Bind `pattern` with `group_size` hosts per switch: deterministic
     /// permutations act on the switch index, preserving the within-switch
     /// offset. Random choices (hot-spot host, permutation) come from the
     /// `Traffic` substream of `seed_rng`, so they are shared by all hosts
     /// of one simulation.
-    pub fn with_groups(
+    pub(crate) fn with_groups(
         pattern: TrafficPattern,
         num_hosts: usize,
         group_size: usize,
@@ -179,22 +173,12 @@ impl DestinationSampler {
         }
     }
 
-    /// The pattern being sampled.
-    pub fn pattern(&self) -> TrafficPattern {
-        self.pattern
-    }
-
     /// Replace the draw stream, keeping the pattern-level choices
     /// (hot-spot host, permutation). Used to give each host an
     /// independent stream while all hosts share the same hot spot.
-    pub fn with_draw_stream(mut self, rng: StreamRng) -> Self {
+    pub(crate) fn with_draw_stream(mut self, rng: StreamRng) -> Self {
         self.rng = rng;
         self
-    }
-
-    /// The hot-spot host, if the pattern has one.
-    pub fn hotspot(&self) -> Option<HostId> {
-        self.hotspot
     }
 
     fn uniform_excluding(&mut self, src: HostId) -> HostId {
@@ -224,7 +208,7 @@ impl DestinationSampler {
     }
 
     /// Draw the destination for a packet generated by `src`.
-    pub fn sample(&mut self, src: HostId) -> HostId {
+    pub(crate) fn sample(&mut self, src: HostId) -> HostId {
         match self.pattern {
             TrafficPattern::Uniform => self.uniform_excluding(src),
             TrafficPattern::BitReversal => self.apply_perm(src, reverse_bits),
@@ -252,7 +236,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn sampler(pattern: TrafficPattern, hosts: usize, seed: u64) -> DestinationSampler {
-        DestinationSampler::new(pattern, hosts, &StreamRng::from_seed(seed))
+        DestinationSampler::with_groups(pattern, hosts, 1, &StreamRng::from_seed(seed))
     }
 
     #[test]
@@ -295,7 +279,7 @@ mod tests {
     #[test]
     fn hotspot_receives_the_configured_fraction() {
         let mut s = sampler(TrafficPattern::hotspot_percent(20), 32, 4);
-        let hs = s.hotspot().unwrap();
+        let hs = s.hotspot.unwrap();
         let mut to_hs = 0;
         let n = 20_000;
         for i in 0..n {
@@ -319,7 +303,7 @@ mod tests {
     #[test]
     fn hotspot_host_does_not_send_to_itself() {
         let mut s = sampler(TrafficPattern::hotspot_percent(50), 8, 5);
-        let hs = s.hotspot().unwrap();
+        let hs = s.hotspot.unwrap();
         for _ in 0..1000 {
             assert_ne!(s.sample(hs), hs);
         }

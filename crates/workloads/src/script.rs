@@ -2,12 +2,12 @@
 //!
 //! Besides the paper's synthetic distributions, real studies replay
 //! application traces: an explicit list of `(time, source, destination,
-//! size, adaptive?)` injections. [`TrafficScript`] holds such a trace —
-//! built programmatically or parsed from CSV — and the simulator replays
-//! it exactly (`NetworkBuilder::script`), which is how MPI communication
-//! patterns (the paper's §2 motivation: "MPI-based parallel applications
-//! ... able to initiate many concurrent non-blocking message
-//! transmissions") can be driven through the fabric.
+//! size, adaptive?)` injections. [`TrafficScript`] holds such a trace,
+//! and the simulator replays it exactly (`NetworkBuilder::script`),
+//! which is how MPI communication patterns (the paper's §2 motivation:
+//! "MPI-based parallel applications ... able to initiate many concurrent
+//! non-blocking message transmissions") can be driven through the
+//! fabric.
 
 use iba_core::{HostId, IbaError, ServiceLevel, SimTime};
 
@@ -68,69 +68,6 @@ impl TrafficScript {
         Ok(TrafficScript { packets })
     }
 
-    /// Parse from CSV lines of the form
-    /// `time_ns,src,dst,size_bytes,adaptive[,sl[,alternate]]` (header
-    /// lines and lines starting with `#` are skipped; `adaptive` and
-    /// `alternate` are `0`/`1`).
-    pub fn from_csv(text: &str) -> Result<TrafficScript, IbaError> {
-        let mut packets = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') || line.starts_with("time") {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() < 5 {
-                return Err(IbaError::InvalidConfig(format!(
-                    "script line {}: expected at least 5 fields, got {}",
-                    lineno + 1,
-                    fields.len()
-                )));
-            }
-            let parse = |s: &str, what: &str| -> Result<u64, IbaError> {
-                s.parse().map_err(|_| {
-                    IbaError::InvalidConfig(format!("script line {}: bad {what} {s:?}", lineno + 1))
-                })
-            };
-            packets.push(ScriptedPacket {
-                at: SimTime::from_ns(parse(fields[0], "time")?),
-                src: HostId(parse(fields[1], "src")? as u16),
-                dst: HostId(parse(fields[2], "dst")? as u16),
-                size_bytes: parse(fields[3], "size")? as u32,
-                adaptive: parse(fields[4], "adaptive flag")? != 0,
-                sl: ServiceLevel(if fields.len() > 5 {
-                    parse(fields[5], "sl")? as u8
-                } else {
-                    0
-                }),
-                path_set: if fields.len() > 6 && parse(fields[6], "alternate flag")? != 0 {
-                    PathSet::Alternate
-                } else {
-                    PathSet::Primary
-                },
-            });
-        }
-        TrafficScript::new(packets)
-    }
-
-    /// Render as CSV (the `from_csv` format, with header).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_ns,src,dst,size_bytes,adaptive,sl,alternate\n");
-        for p in &self.packets {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                p.at.as_ns(),
-                p.src.0,
-                p.dst.0,
-                p.size_bytes,
-                u8::from(p.adaptive),
-                p.sl.0,
-                u8::from(p.path_set == PathSet::Alternate)
-            ));
-        }
-        out
-    }
-
     /// The injections, time-ordered.
     pub fn packets(&self) -> &[ScriptedPacket] {
         &self.packets
@@ -185,11 +122,6 @@ impl TrafficScript {
     pub fn max_host(&self) -> Option<HostId> {
         self.packets.iter().flat_map(|p| [p.src, p.dst]).max()
     }
-
-    /// Time of the last injection.
-    pub fn end_time(&self) -> SimTime {
-        self.packets.last().map(|p| p.at).unwrap_or(SimTime::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +145,6 @@ mod tests {
         let s = TrafficScript::new(vec![pkt(300, 0, 1), pkt(100, 1, 2), pkt(200, 2, 0)]).unwrap();
         let times: Vec<u64> = s.packets().iter().map(|p| p.at.as_ns()).collect();
         assert_eq!(times, vec![100, 200, 300]);
-        assert_eq!(s.end_time(), SimTime::from_ns(300));
         assert_eq!(s.max_host(), Some(HostId(2)));
         assert!(s.uses_adaptive());
         assert_eq!(s.max_packet_bytes(), 32);
@@ -221,37 +152,6 @@ mod tests {
         let mut zero = pkt(1, 0, 1);
         zero.size_bytes = 0;
         assert!(TrafficScript::new(vec![zero]).is_err());
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let s = TrafficScript::new(vec![pkt(100, 1, 2), {
-            let mut p = pkt(250, 2, 3);
-            p.adaptive = false;
-            p.size_bytes = 256;
-            p.sl = ServiceLevel(1);
-            p.path_set = PathSet::Alternate;
-            p
-        }])
-        .unwrap();
-        let csv = s.to_csv();
-        assert!(csv.starts_with("time_ns,"));
-        let back = TrafficScript::from_csv(&csv).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn csv_parsing_tolerates_comments_and_rejects_junk() {
-        let good =
-            "# a trace\ntime_ns,src,dst,size_bytes,adaptive,sl\n10, 0, 1, 32, 1\n20,1,0,64,0,2\n";
-        let s = TrafficScript::from_csv(good).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.packets()[0].sl, ServiceLevel(0)); // default SL
-        assert_eq!(s.packets()[1].sl, ServiceLevel(2));
-        assert!(!s.packets()[1].adaptive);
-        assert_eq!(s.packets()[0].path_set, PathSet::Primary);
-        assert!(TrafficScript::from_csv("10,0,1,32\n").is_err()); // too few fields
-        assert!(TrafficScript::from_csv("x,0,1,32,1\n").is_err()); // bad number
     }
 
     #[test]
