@@ -6,7 +6,8 @@ every named `pub` field declared outside the tests of a library crate under
 `crates/`, and checks that some other crate uses it. An item is used when
 its name appears, outside comments, in another crate's `src`, any
 integration test or example, the `iba` binary, the facade (`src/`,
-`tests/`, `examples/`) or `perfbench/src`. A type, trait or const is also
+`tests/`, `examples/`; not the facade's `pub use` re-exports, which name
+an item without using it) or `perfbench/src`. A type, trait or const is also
 used when the signature of a used item of its crate names it: rustc
 requires it to be as public as that signature (`private_interfaces`).
 
@@ -38,6 +39,9 @@ OWNER = re.compile(r"^(?:pub(?:\([a-z]+\))?\s+)?(?:struct|enum|trait)\s+([A-Za-z
 IMPL = re.compile(r"^impl(?:<.*?>)?\s+(?:[\w:<>, ]+\s+for\s+)?([A-Za-z_]\w*)")
 COMMENT = re.compile(r"(^|\s)//.*$")
 IDENT = re.compile(r"[A-Za-z_]\w*")
+# The facade's re-exports (its prelude) name items without using them.
+FACADE = ROOT / "src" / "lib.rs"
+REEXPORT = re.compile(r"\bpub use [^;]*;")
 # Kinds a signature can name, and so keep public.
 NAMEABLE = {"struct", "enum", "trait", "type", "const"}
 
@@ -99,7 +103,10 @@ def declarations(crate_src):
 
 
 def identifiers(path):
-    return set(IDENT.findall("\n".join(COMMENT.sub("", l) for l in path.read_text().splitlines())))
+    text = "\n".join(COMMENT.sub("", l) for l in path.read_text().splitlines())
+    if path == FACADE:
+        text = REEXPORT.sub("", text)
+    return set(IDENT.findall(text))
 
 
 def main():

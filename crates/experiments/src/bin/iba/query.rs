@@ -2,7 +2,7 @@
 
 use iba_core::PacketId;
 use iba_experiments::cli::{Args, Command, Flag};
-use iba_experiments::tracequery::{causal_chain, describe, slice, stall_summary, Filter};
+use iba_experiments::tracequery::{describe, slice, stall_summary, Filter};
 use iba_sim::FlightDump;
 
 pub const TRACE: Command = Command {
@@ -57,7 +57,7 @@ fn trace(args: &Args) -> Result<(), String> {
         }
         "chain" => {
             let packet: u64 = args.opt("packet")?.ok_or("chain needs --packet N")?;
-            let chain = causal_chain(&dump, PacketId(packet));
+            let chain = dump.events_for_packet(PacketId(packet));
             if chain.is_empty() {
                 return Err(format!("no events for pkt#{packet} in {path}"));
             }

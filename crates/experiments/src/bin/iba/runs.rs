@@ -4,12 +4,13 @@
 
 use crate::FIDELITY;
 use iba_campaign::write_atomic;
+use iba_core::OptionVerdict;
 use iba_experiments::cli::{Args, Command, Flag};
 use iba_experiments::flightrec::{perfetto_text, run_recorded, validate_perfetto, FlightRunSpec};
 use iba_experiments::metrics::{self, MetricsConfig};
 use iba_experiments::{faults, run_point, telemetry, tracequery, Fidelity};
 use iba_routing::{FaRouting, OptionDistribution, PathLengthStats, RoutingConfig};
-use iba_sim::{Network, RecorderOpts, RecoveryPolicy, SimConfig, StallCause, WatchdogOpts};
+use iba_sim::{Network, RecorderOpts, RecoveryPolicy, SimConfig, WatchdogOpts};
 use iba_stats::timeseries_table;
 use iba_topology::{IrregularConfig, TopologyMetrics};
 use iba_workloads::{InjectionProcess, TrafficPattern, WorkloadSpec};
@@ -330,8 +331,8 @@ fn telemetry_sweep(args: &Args) -> Result<(), String> {
             p.result.accepted_bytes_per_ns_per_switch,
             p.result.avg_latency_ns,
             p.result.escape_fraction() * 100.0,
-            p.report.total_stalls(StallCause::NoAdaptiveCredit),
-            p.report.total_stalls(StallCause::NoEscapeCredit),
+            p.report.total_stalls(OptionVerdict::NoAdaptiveCredit),
+            p.report.total_stalls(OptionVerdict::NoEscapeCredit),
             p.report
                 .arb_wait_quantile(0.99)
                 .map_or_else(|| "-".into(), |q| q.to_string()),
@@ -459,7 +460,7 @@ fn flightrec(args: &Args) -> Result<(), String> {
     );
     if let Some(packet) = dump.triggers.first().and_then(|t| t.packet) {
         println!("what the rings hold of {packet}, the first trigger's packet:");
-        for e in tracequery::causal_chain(&dump, packet) {
+        for e in dump.events_for_packet(packet) {
             println!("{e}");
         }
     }

@@ -15,7 +15,7 @@ use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{Network, RecoveryPolicy, SimConfig};
 use iba_sm::{ManagedFabric, SubnetManager};
 use iba_stats::MinMaxAvg;
-use iba_topology::{IrregularConfig, Topology, TopologyBuilder};
+use iba_topology::{IrregularConfig, Topology};
 use iba_workloads::{FaultEvent, FaultKind, FaultSchedule, WorkloadSpec};
 
 /// One (policy, fault-count) cell aggregated over seeds.
@@ -76,19 +76,7 @@ pub fn removable_links(
 
 /// Rebuild `topo` without the `dead` links; errors when disconnected.
 pub fn degraded(topo: &Topology, dead: &[(SwitchId, SwitchId)]) -> Result<Topology, IbaError> {
-    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
-    for s in topo.switch_ids() {
-        for (p, peer, pp) in topo.switch_neighbors(s) {
-            if peer.0 > s.0 && !dead.contains(&(s, peer)) {
-                bld.connect_ports(s, p, peer, pp)?;
-            }
-        }
-    }
-    for h in topo.host_ids() {
-        let (sw, port) = topo.host_attachment(h);
-        bld.attach_host_at(sw, port)?;
-    }
-    bld.build()
+    topo.without_links(|s, _, peer| dead.contains(&(s, peer)))
 }
 
 /// SMPs the real subnet manager spends re-sweeping the degraded fabric:

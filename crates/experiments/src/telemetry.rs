@@ -147,9 +147,9 @@ mod tests {
             "escape occupancy should spike past saturation: {lo_esc} -> {hi_esc}"
         );
         // Credit stalls mount past saturation too.
-        use iba_sim::StallCause;
-        let hi_stalls = high.report.total_stalls(StallCause::NoAdaptiveCredit);
-        let lo_stalls = low.report.total_stalls(StallCause::NoAdaptiveCredit);
+        use iba_core::OptionVerdict::NoAdaptiveCredit;
+        let hi_stalls = high.report.total_stalls(NoAdaptiveCredit);
+        let lo_stalls = low.report.total_stalls(NoAdaptiveCredit);
         assert!(
             hi_stalls > lo_stalls,
             "stalls should mount: {lo_stalls} -> {hi_stalls}"
@@ -163,7 +163,7 @@ mod tests {
         // has changed and it is refused again; tallied at every pass of
         // its switch these read 30 042 and 23 847 at 0.5. What the
         // verdicts are read off did not move: forwards, latency, waits.
-        use iba_sim::StallCause::{DeadPort, NoAdaptiveCredit, NoEscapeCredit};
+        use iba_core::OptionVerdict::{DeadPort, NoAdaptiveCredit, NoEscapeCredit};
         let points = run_sweep(8, 42, &[0.05, 0.2, 0.5], 1_000).unwrap();
         let row = |p: &TelemetryPoint| {
             (

@@ -2,9 +2,9 @@
 //!
 //! A [`iba_sim::FlightDump`] is a flat, seq-ordered list of stamped
 //! events. This module slices it by packet / switch / port / VL / time
-//! window, reconstructs a packet's causal chain across switches, and
-//! aggregates the top stall causes — everything the CLI prints, testable
-//! without a terminal.
+//! window and aggregates the top stall causes — everything the CLI
+//! prints, testable without a terminal. A packet's causal chain across
+//! switches is [`FlightDump::events_for_packet`].
 
 use iba_core::{FlightEvent, PacketId, StampedEvent};
 use iba_sim::FlightDump;
@@ -67,20 +67,6 @@ impl Filter {
 /// Events satisfying `filter`, in recording (seq) order.
 pub fn slice<'a>(dump: &'a FlightDump, filter: &Filter) -> Vec<&'a StampedEvent> {
     dump.events.iter().filter(|e| filter.matches(e)).collect()
-}
-
-/// A packet's causal chain: every event that mentions it, across all
-/// switches, in recording order — injection, per-hop arrival, blocks,
-/// the routing decision that resolved each block, tail departure, and
-/// the final delivery or drop.
-pub fn causal_chain(dump: &FlightDump, packet: PacketId) -> Vec<&StampedEvent> {
-    slice(
-        dump,
-        &Filter {
-            packet: Some(packet.0),
-            ..Filter::default()
-        },
-    )
 }
 
 /// Aggregated "why wasn't this packet moving" view of a dump.
@@ -323,12 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn causal_chain_spans_hosts_and_switches() {
+    fn a_packets_events_span_hosts_and_switches() {
         let dump = sample_dump();
-        let chain = causal_chain(&dump, PacketId(7));
+        let chain = dump.events_for_packet(PacketId(7));
         assert_eq!(chain.len(), 4);
         assert!(chain.windows(2).all(|w| w[0].seq < w[1].seq));
-        let chain9 = causal_chain(&dump, PacketId(9));
+        let chain9 = dump.events_for_packet(PacketId(9));
         assert_eq!(chain9.len(), 2);
         assert!(matches!(chain9[1].ev, FlightEvent::Dropped { .. }));
     }

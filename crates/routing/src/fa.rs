@@ -190,12 +190,6 @@ impl RouteCache {
         let (slot, stamp) = (self.slots[s.index() * self.stride + lid], self.stamp);
         (slot != NO_ROUTE).then_some(RouteId { slot, stamp })
     }
-
-    /// The cached decode of one table access, if programmed.
-    #[inline]
-    fn get(&self, s: SwitchId, dlid: Lid) -> Option<&Arc<RouteOptions>> {
-        self.id(s, dlid).map(|id| &self.pool[id.slot as usize])
-    }
 }
 
 /// Distinct decodes numbered in the order they were first seen.
@@ -775,21 +769,14 @@ impl FaTables {
     /// adaptive option: it is a legal escape hop that may simply be
     /// taken under the adaptive-queue credit rule.
     pub fn route(&self, s: SwitchId, dlid: Lid) -> Result<RouteOptions, IbaError> {
-        self.route_shared(s, dlid).map(|r| (*r).clone())
+        self.route_id(s, dlid)
+            .map(|id| self.route_by_id(id).clone())
     }
 
-    /// Like [`Self::route`], returning the precomputed shared decode —
-    /// the simulator's hot path (no allocation, no table walk).
-    pub fn route_shared(&self, s: SwitchId, dlid: Lid) -> Result<Arc<RouteOptions>, IbaError> {
-        self.route_cache
-            .get(s, dlid)
-            .cloned()
-            .ok_or(IbaError::UnknownLid(dlid.raw()))
-    }
-
-    /// The id of the shared decode [`Self::route_shared`] returns, good
-    /// for [`Self::route_by_id`] on these tables only — a holder must
-    /// resolve again when the tables it forwards on are swapped.
+    /// The id of the decode [`Self::route`] copies out, good for
+    /// [`Self::route_by_id`] on these tables only — the simulator's hot
+    /// path (no allocation, no table walk). A holder must resolve again
+    /// when the tables it forwards on are swapped.
     #[inline]
     pub fn route_id(&self, s: SwitchId, dlid: Lid) -> Result<RouteId, IbaError> {
         self.route_cache
@@ -1151,9 +1138,7 @@ mod tests {
         for s in topo.switch_ids() {
             for h in topo.host_ids() {
                 let dlid = fa.dlid(h, true).unwrap();
-                let shared = fa.route_shared(s, dlid).unwrap();
-                let direct = fa.decode(s, dlid).unwrap();
-                assert_eq!(*shared, direct);
+                assert_eq!(fa.route(s, dlid).unwrap(), fa.decode(s, dlid).unwrap());
             }
         }
     }
@@ -1414,8 +1399,21 @@ mod tests {
         let fa = FaRouting::build_with_apm(&topo, RoutingConfig::two_options()).unwrap();
         assert!(fa.has_apm());
         assert_eq!(fa.lid_map().lmc().bits(), 2); // 2 primary + 2 APM addresses
-        assert_ne!(fa.apm_alt_root(), Some(fa.escape().root()));
-        let mut first_hops_differ = 0;
+
+        // The alternate anchor is as far from the primary one as any
+        // switch is.
+        let dist = topo.distances_from(fa.escape().root());
+        let alt_root = fa.apm_alt_root().unwrap();
+        assert_ne!(alt_root, fa.escape().root());
+        assert_eq!(dist[alt_root.index()], *dist.iter().max().unwrap());
+        let (mut first_hops_differ, mut remote) = (0, 0);
+        for h in topo.host_ids() {
+            // The halves are disjoint ranges of the one host.
+            let (primary, alt) = (fa.dlid(h, false).unwrap(), fa.apm_dlid(h, false).unwrap());
+            assert_eq!(fa.lid_map().offset_of(primary).unwrap(), 0);
+            assert_eq!(fa.lid_map().offset_of(alt).unwrap(), 2);
+            assert_eq!(fa.lid_map().host_of(alt).unwrap(), h);
+        }
         for s in topo.switch_ids() {
             for h in topo.host_ids() {
                 let t = topo.host_switch(h);
@@ -1427,8 +1425,9 @@ mod tests {
                 assert!(alt.adaptive.is_empty());
                 if t == s {
                     assert_eq!(primary.escape, alt.escape, "local delivery");
-                } else if primary.escape != alt.escape {
-                    first_hops_differ += 1;
+                } else {
+                    remote += 1;
+                    first_hops_differ += usize::from(primary.escape != alt.escape);
                 }
                 // Adaptive requests offer minimal options in both halves.
                 let alt_ada = fa.route(s, fa.apm_dlid(h, true).unwrap()).unwrap();
@@ -1439,28 +1438,43 @@ mod tests {
                 }
             }
         }
-        assert!(first_hops_differ > 0, "alternate paths never diverged");
+        // Path independence, the point of APM: the two anchors give
+        // genuinely different trees.
+        assert!(
+            first_hops_differ * 5 > remote,
+            "alternate paths hardly diverge: {first_hops_differ} of {remote} first hops"
+        );
     }
 
     #[test]
     fn apm_alternate_escape_chains_terminate() {
-        let topo = IrregularConfig::paper(8, 22).generate().unwrap();
-        let fa = FaRouting::build_with_apm(&topo, RoutingConfig::two_options()).unwrap();
-        for s in topo.switch_ids() {
-            for h in topo.host_ids() {
-                let mut cur = s;
-                let mut hops = 0;
-                loop {
-                    let r = fa.route(cur, fa.apm_dlid(h, false).unwrap()).unwrap();
-                    match topo.endpoint(cur, r.escape).unwrap().node {
-                        iba_core::NodeRef::Host(reached) => {
-                            assert_eq!(reached, h);
-                            break;
-                        }
-                        iba_core::NodeRef::Switch(next) => {
-                            cur = next;
-                            hops += 1;
-                            assert!(hops <= 2 * topo.num_switches(), "APM chain loops");
+        // An irregular fabric, and a torus with four addresses a half:
+        // LMC 3, the APM half from offset 4.
+        for (topo, options) in [
+            (IrregularConfig::paper(8, 22).generate().unwrap(), 2),
+            (regular::torus2d(3, 3, 2).unwrap(), 4),
+        ] {
+            let fa =
+                FaRouting::build_with_apm(&topo, RoutingConfig::with_options(options)).unwrap();
+            assert_eq!(fa.lid_map().lmc().addresses_per_port(), 2 * options);
+            let alt = fa.apm_dlid(HostId(0), false).unwrap();
+            assert_eq!(fa.lid_map().offset_of(alt).unwrap(), options);
+            for s in topo.switch_ids() {
+                for h in topo.host_ids() {
+                    let mut cur = s;
+                    let mut hops = 0;
+                    loop {
+                        let r = fa.route(cur, fa.apm_dlid(h, false).unwrap()).unwrap();
+                        match topo.endpoint(cur, r.escape).unwrap().node {
+                            iba_core::NodeRef::Host(reached) => {
+                                assert_eq!(reached, h);
+                                break;
+                            }
+                            iba_core::NodeRef::Switch(next) => {
+                                cur = next;
+                                hops += 1;
+                                assert!(hops <= 2 * topo.num_switches(), "APM chain loops");
+                            }
                         }
                     }
                 }

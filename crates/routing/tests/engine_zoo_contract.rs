@@ -11,7 +11,7 @@ use iba_routing::{
     certify_engine, EscapeEngine, FaRouting, FullMeshRouting, OutflankRouting, RoutingConfig,
     UpDownRouting,
 };
-use iba_topology::{Topology, TopologyBuilder, TopologySpec};
+use iba_topology::{Topology, TopologySpec};
 use proptest::prelude::*;
 
 /// Certify the escape offset of fully built FA tables: the exact
@@ -147,7 +147,7 @@ fn fullmesh_certifies_at_scale() {
 }
 
 /// One table access decoded from the public table alone — the uncached
-/// statement of what `route_shared` must return: the interleaved group
+/// statement of what `route` must return: the interleaved group
 /// read at an adaptive-capable switch, the exact linear entry at a plain
 /// one, `None` where the escape entry is unprogrammed.
 fn decode_from_table<E: EscapeEngine>(
@@ -172,7 +172,7 @@ fn assert_cache_is_the_table<E: EscapeEngine>(topo: &Topology, fa: &FaRouting<E>
         for raw in 0..fa.lid_map().table_len() as u32 + 70 {
             let Ok(raw) = u16::try_from(raw) else { break };
             let cached = fa
-                .route_shared(s, Lid(raw))
+                .route(s, Lid(raw))
                 .map(|r| (r.escape, r.adaptive.to_vec()));
             match decode_from_table(fa, s, Lid(raw)) {
                 Some(decoded) => {
@@ -200,23 +200,6 @@ fn assert_cache_is_the_table<E: EscapeEngine>(topo: &Topology, fa: &FaRouting<E>
     );
 }
 
-/// `topo` without the wire between `a` and `b`, ids and port numbers kept.
-fn without_link(topo: &Topology, a: SwitchId, b: SwitchId) -> Option<Topology> {
-    let mut builder = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
-    for s in topo.switch_ids() {
-        for (p, peer, pp) in topo.switch_neighbors(s) {
-            if peer.0 > s.0 && (s, peer) != (a, b) {
-                builder.connect_ports(s, p, peer, pp).unwrap();
-            }
-        }
-    }
-    for h in topo.host_ids() {
-        let (sw, port) = topo.host_attachment(h);
-        builder.attach_host_at(sw, port).unwrap();
-    }
-    builder.build().ok() // a bridge removal disconnects: no topology
-}
-
 fn cache_is_the_table_on_every_build<E: EscapeEngine>(spec: TopologySpec) {
     let topo = spec.generate(3).unwrap();
     let mixed: Vec<bool> = (0..topo.num_switches()).map(|i| i % 3 != 1).collect();
@@ -237,7 +220,7 @@ fn cache_is_the_table_on_every_build<E: EscapeEngine>(spec: TopologySpec) {
         // accepts.
         let rebuilt = topo.switch_ids().find_map(|a| {
             (topo.switch_neighbors(a).filter(|&(_, b, _)| a.0 < b.0)).find_map(|(_, b, _)| {
-                let degraded = without_link(&topo, a, b)?;
+                let degraded = topo.without_links(|s, _, peer| (s, peer) == (a, b)).ok()?;
                 let rebuilt = plain.resweep(&degraded).ok()?;
                 Some((degraded, rebuilt, format!("rebuilt {a}-{b}")))
             })

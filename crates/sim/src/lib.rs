@@ -73,9 +73,8 @@ pub use iba_engine::QueueBackend;
 pub use network::{Network, NetworkBuilder};
 pub use perfetto::perfetto_trace;
 pub use profile::EngineProfile;
-pub use recorder::{FlightDump, FlightRecorder, RecorderOpts, Trigger, TriggerCause, WatchdogOpts};
+pub use recorder::{FlightDump, RecorderOpts, Trigger, TriggerCause, WatchdogOpts};
 pub use stats::{RunResult, StatsCollector};
 pub use telemetry::{
-    MemorySink, StallCause, TelemetryOpts, TelemetryReport, TelemetrySample,
-    TELEMETRY_SCHEMA_VERSION,
+    MemorySink, TelemetryOpts, TelemetryReport, TelemetrySample, TELEMETRY_SCHEMA_VERSION,
 };

@@ -191,7 +191,7 @@ impl<'a> NetworkBuilder<'a> {
     }
 
     /// Arm the flight recorder: bounded per-switch event rings, anomaly
-    /// triggers, and the stall watchdog (see [`crate::FlightRecorder`]).
+    /// triggers, and the stall watchdog (see [`crate::recorder`]).
     /// Retrieve the dump after the run through [`Network::flight_dump`].
     /// Rings that never fill (`capacity_per_switch: usize::MAX`) capture
     /// every packet's journey. A recorder that arms a trigger — the drop

@@ -157,7 +157,7 @@ mod tests {
             merged.report.switches[SW.index()].clone()
         };
         let stalls = |o: &Observers| at_sw(o).stalls;
-        assert_eq!(stalls(&o)[1].no_adaptive_credit, 1);
+        assert_eq!(stalls(&o)[1].of(NoAdaptiveCredit), 1);
         assert_eq!(
             stalls(&o)[3],
             PortStalls::default(),
@@ -175,7 +175,7 @@ mod tests {
         };
         o.event(SimTime::from_ns(20), SW, refused, false);
         let s = stalls(&o);
-        assert_eq!((s[1].dead_port, s[3].no_escape_credit), (1, 1));
+        assert_eq!((s[1].of(DeadPort), s[3].of(NoEscapeCredit)), (1, 1));
         assert_eq!(s[2], PortStalls::default());
         let report = at_sw(&o);
         assert_eq!((report.adaptive_forwards, report.escape_forwards), (1, 0));

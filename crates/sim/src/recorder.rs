@@ -1,6 +1,6 @@
 //! The fabric flight recorder.
 //!
-//! A [`FlightRecorder`] keeps a bounded ring of structured
+//! A `FlightRecorder` keeps a bounded ring of structured
 //! [`FlightEvent`]s per switch, cheap enough to leave on: recording is
 //! a couple of array writes, events are fixed-size values
 //! ([`iba_core::events`]), and the rings overwrite their oldest entries
@@ -208,7 +208,7 @@ impl Ring {
 /// the shard that owns it. So a switch's ring holds the same events at
 /// every shard count, and the network's dump takes it from the owning
 /// shard's recorder.
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     opts: RecorderOpts,
     rings: Vec<Ring>,
     frozen: bool,

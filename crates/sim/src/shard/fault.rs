@@ -319,7 +319,14 @@ impl Shard<'_> {
             self.routing = Cow::Borrowed(self.source.tables());
             counts && self.routing.certify_escape(self.topo, false).is_ok()
         } else {
-            let degraded = self.degraded_topology(); // errors when disconnected
+            // The fabric the live port masks describe, in *physical* id
+            // order so the LID space is unchanged and DLIDs of in-flight
+            // packets stay valid (the SMP-level SM pipeline discovers in
+            // BFS order and correlates by GUID; the in-sim re-sweep
+            // models its outcome, not its numbering). Errors when the
+            // faults disconnected the fabric.
+            let degraded =
+                (self.topo).without_links(|s, p, _| !self.switches[s.index()].link_up(p.index()));
             match degraded.map(|d| self.source.resweep_tables(&d)) {
                 Ok(Ok(tables)) => self.routing = Cow::Owned(tables),
                 refused => {
@@ -346,30 +353,6 @@ impl Shard<'_> {
                 self.wake(sw);
             }
         }
-    }
-
-    /// The fabric the live port masks describe, in *physical* id order
-    /// so the LID space is unchanged and DLIDs of in-flight packets stay
-    /// valid (the SMP-level SM pipeline discovers in BFS order and
-    /// correlates by GUID; the in-sim re-sweep models its outcome, not
-    /// its numbering). Errors when the faults disconnected the fabric.
-    fn degraded_topology(&self) -> Result<Topology, IbaError> {
-        let mut b = TopologyBuilder::new(
-            self.topo.num_switches(),
-            self.topo.ports_per_switch().into(),
-        );
-        for s in self.topo.switch_ids() {
-            for (p, peer, pp) in self.topo.switch_neighbors(s) {
-                if peer.0 > s.0 && self.switches[s.index()].link_up(p.index()) {
-                    b.connect_ports(s, p, peer, pp)?;
-                }
-            }
-        }
-        for h in self.topo.host_ids() {
-            let (sw, port) = self.topo.host_attachment(h);
-            b.attach_host_at(sw, port)?;
-        }
-        b.build()
     }
 
     /// Point every not-in-flight buffered packet — still inside its

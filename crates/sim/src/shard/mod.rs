@@ -47,7 +47,7 @@ use iba_engine::rng::{StreamKind, StreamRng};
 use iba_engine::shard::{KEY_COUNTER_BITS, KEY_ENTITY_BITS, KEY_MAX_CLASS, KEY_MAX_ENTITY};
 use iba_engine::{event_key, DesQueue};
 use iba_routing::{FaTables, SlToVlTable, TableSource};
-use iba_topology::{Partition, Topology, TopologyBuilder};
+use iba_topology::{Partition, Topology};
 use iba_workloads::{
     FaultKind, FaultSchedule, HostGenerator, PathSet, TrafficScript, WorkloadSpec,
 };
@@ -927,6 +927,7 @@ impl<'a> Shard<'a> {
 mod tests {
     use super::*;
     use iba_routing::FaRouting;
+    use iba_topology::TopologyBuilder;
 
     #[test]
     fn event_stays_one_cache_line() {
@@ -1099,7 +1100,7 @@ mod tests {
             });
             let telemetry = crate::telemetry::MemorySink::merge(&[o.telemetry.as_ref().unwrap()]);
             let stalls = telemetry.report.switches[1].stalls[1];
-            (blocked.collect(), stalls.no_escape_credit)
+            (blocked.collect(), stalls.of(OptionVerdict::NoEscapeCredit))
         }
     }
 
@@ -1265,24 +1266,6 @@ mod tests {
         assert_eq!(sh.grants_by(1_050 + ser), 3, "on the new tables as well");
     }
 
-    /// `topo` without the link `a`–`b`, ids and ports kept (the loop of
-    /// `iba_experiments::faults::degraded`); an error when disconnected.
-    fn without(topo: &Topology, a: SwitchId, b: SwitchId) -> Result<Topology, IbaError> {
-        let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
-        for s in topo.switch_ids() {
-            for (p, peer, pp) in topo.switch_neighbors(s) {
-                if peer.0 > s.0 && (s, peer) != (a, b) {
-                    bld.connect_ports(s, p, peer, pp)?;
-                }
-            }
-        }
-        for h in topo.host_ids() {
-            let (sw, port) = topo.host_attachment(h);
-            bld.attach_host_at(sw, port)?;
-        }
-        bld.build()
-    }
-
     #[test]
     fn a_resweep_installs_the_pinned_tables_the_sm_would_upload() {
         // Every link whose loss keeps the fabric connected, among them
@@ -1297,7 +1280,8 @@ mod tests {
             let root = rig.routing.escape().root();
             for a in rig.topo.switch_ids() {
                 for (_, b, _) in rig.topo.switch_neighbors(a).filter(|&(_, b, _)| a < b) {
-                    let Ok(degraded) = without(&rig.topo, a, b) else {
+                    let Ok(degraded) = rig.topo.without_links(|s, _, peer| (s, peer) == (a, b))
+                    else {
                         continue;
                     };
                     let down = FaultSchedule::single(SimTime::from_ns(100), a, b).unwrap();

@@ -112,7 +112,7 @@ impl OrderTracker {
         let (src, dlid, sl) = (src.index(), dlid.0 as usize, sl.0 as usize);
         debug_assert!(sl < 16, "an IBA service level is four bits");
         if src >= self.hosts || dlid >= self.lid_space {
-            self.restride(src, dlid);
+            self.out_of_stripe(src, dlid);
         }
         let idx = (sl * self.hosts + src) * self.lid_space + dlid;
         if idx >= self.last.len() {
@@ -125,26 +125,14 @@ impl OrderTracker {
         &mut self.last[idx]
     }
 
-    /// Widen the planes to hold `(src, dlid)`, keeping every watermark.
-    /// Only reachable when the collector was built with placeholder
-    /// dimensions (unit tests); the simulator passes the exact ones. An
-    /// index past a stripe must never land in the neighbouring stripe.
+    /// A flow past the dimensions the collector was built with: its
+    /// index would land in a neighbouring stripe, so refuse it loudly.
     #[cold]
-    fn restride(&mut self, src: usize, dlid: usize) {
-        let hosts = self.hosts.max(src + 1);
-        let lid_space = self.lid_space.max(dlid + 1);
-        let planes = self.last.len() / (self.hosts * self.lid_space);
-        let mut last = vec![0; planes * hosts * lid_space];
-        for (stripe, old) in self.last.chunks(self.lid_space).enumerate() {
-            let (plane, host) = (stripe / self.hosts, stripe % self.hosts);
-            let at = (plane * hosts + host) * lid_space;
-            last[at..at + self.lid_space].copy_from_slice(old);
-        }
-        *self = OrderTracker {
-            last,
-            hosts,
-            lid_space,
-        };
+    fn out_of_stripe(&self, src: usize, dlid: usize) -> ! {
+        panic!(
+            "in-order tracker holds {} sources x {} LIDs, delivery from source {src} to DLID {dlid}",
+            self.hosts, self.lid_space
+        );
     }
 }
 
@@ -1023,24 +1011,19 @@ mod tests {
     }
 
     #[test]
-    fn flows_outside_the_declared_dimensions_never_share_a_slot() {
-        let at = SimTime::from_ns(1500);
-        // DLID 24 of a 16-LID stripe must not be read as DLID 8 of the
-        // next source...
-        let mut c = collector();
-        c.on_delivered(&flow_packet(0, 24, 0, 5), at);
-        c.on_delivered(&flow_packet(1, 8, 0, 0), at);
-        assert_eq!((c.order_violations, c.duplicate_deliveries), (0, 0));
-        // ...nor source 4 of a 4-host plane as source 0 of the next
-        // service level; and widening keeps the watermarks it moves.
-        let mut c = collector();
-        c.on_delivered(&flow_packet(0, 8, 1, 5), at);
-        c.on_delivered(&flow_packet(3, 8, 0, 2), at);
-        c.on_delivered(&flow_packet(4, 8, 0, 0), at);
-        assert_eq!((c.order_violations, c.duplicate_deliveries), (0, 0));
-        c.on_delivered(&flow_packet(0, 8, 1, 5), at);
-        c.on_delivered(&flow_packet(3, 8, 0, 1), at);
-        assert_eq!((c.order_violations, c.duplicate_deliveries), (1, 1));
+    #[should_panic(expected = "4 sources x 16 LIDs, delivery from source 0 to DLID 24")]
+    fn a_dlid_past_the_stripe_is_refused() {
+        // DLID 24 of a 16-LID stripe would be read as DLID 8 of the next
+        // source.
+        collector().on_delivered(&flow_packet(0, 24, 0, 5), SimTime::from_ns(1500));
+    }
+
+    #[test]
+    #[should_panic(expected = "4 sources x 16 LIDs, delivery from source 4 to DLID 8")]
+    fn a_source_past_the_plane_is_refused() {
+        // Source 4 of a 4-host plane would be read as source 0 of the
+        // next service level.
+        collector().on_delivered(&flow_packet(4, 8, 0, 0), SimTime::from_ns(1500));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   boundary and aggregated over input ports ([`VlOccupancy`]);
 //! * **credit-stall counters** — each time a look of arbitration
 //!   rejects a route option, the rejection is tallied per (switch,
-//!   output port) under its cause ([`StallCause`]): adaptive share below
-//!   the packet size, escape (total) credits below the packet size, or
-//!   a dead port;
+//!   output port) under its verdict ([`OptionVerdict`]): adaptive share
+//!   below the packet size, escape (total) credits below the packet
+//!   size, or a dead port;
 //! * **forwarding counters** — adaptive- vs escape-option grants per
 //!   switch (the per-switch refinement of
 //!   [`crate::RunResult::escape_fraction`]);
@@ -80,43 +80,6 @@ impl Default for TelemetryOpts {
         TelemetryOpts {
             sample_every_ns: 1_000,
             max_samples: 1 << 16,
-        }
-    }
-}
-
-/// Why arbitration skipped an output option for a routed, ready packet.
-///
-/// Link-busy skips are deliberately *not* a stall cause: a streaming
-/// output is the link doing useful work, not starvation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StallCause {
-    /// An adaptive option's free adaptive share (`C_A = max(0, C −
-    /// C_max/2)`) was below the packet size.
-    NoAdaptiveCredit,
-    /// The escape option's total free credits were below the packet
-    /// size.
-    NoEscapeCredit,
-    /// The option's port is masked out by a link fault.
-    DeadPort,
-}
-
-impl StallCause {
-    /// The cause behind an option's verdict, if the verdict is a stall.
-    pub(crate) fn of(verdict: OptionVerdict) -> Option<StallCause> {
-        match verdict {
-            OptionVerdict::NoAdaptiveCredit => Some(StallCause::NoAdaptiveCredit),
-            OptionVerdict::NoEscapeCredit => Some(StallCause::NoEscapeCredit),
-            OptionVerdict::DeadPort => Some(StallCause::DeadPort),
-            _ => None,
-        }
-    }
-
-    /// Schema field name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StallCause::NoAdaptiveCredit => "no_adaptive_credit",
-            StallCause::NoEscapeCredit => "no_escape_credit",
-            StallCause::DeadPort => "dead_port",
         }
     }
 }
@@ -193,33 +156,33 @@ impl TelemetrySample {
     }
 }
 
-/// Cause-tagged stall counters for one (switch, output port).
+/// The option verdicts telemetry tallies as stalls, in the order it
+/// renders them. Link-busy skips are deliberately *not* stalls: a
+/// streaming output is the link doing useful work, not starvation.
+const STALLS: [OptionVerdict; 3] = [
+    OptionVerdict::NoAdaptiveCredit,
+    OptionVerdict::NoEscapeCredit,
+    OptionVerdict::DeadPort,
+];
+
+/// Stall counters for one (switch, output port), one per verdict of
+/// [`STALLS`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct PortStalls {
-    /// Adaptive options skipped for lack of adaptive-share credits.
-    pub(crate) no_adaptive_credit: u64,
-    /// Escape options skipped for lack of total credits.
-    pub(crate) no_escape_credit: u64,
-    /// Options skipped because the port's link is down.
-    pub(crate) dead_port: u64,
-}
+pub(crate) struct PortStalls([u64; STALLS.len()]);
 
 impl PortStalls {
-    #[inline]
-    fn count(&mut self, cause: StallCause) {
-        match cause {
-            StallCause::NoAdaptiveCredit => self.no_adaptive_credit += 1,
-            StallCause::NoEscapeCredit => self.no_escape_credit += 1,
-            StallCause::DeadPort => self.dead_port += 1,
-        }
+    /// Tally of `verdict`; zero for a verdict that is not a stall.
+    pub(crate) fn of(&self, verdict: OptionVerdict) -> u64 {
+        STALLS
+            .iter()
+            .position(|&v| v == verdict)
+            .map_or(0, |i| self.0[i])
     }
 
-    /// Tally of one cause.
-    pub(crate) fn by_cause(&self, cause: StallCause) -> u64 {
-        match cause {
-            StallCause::NoAdaptiveCredit => self.no_adaptive_credit,
-            StallCause::NoEscapeCredit => self.no_escape_credit,
-            StallCause::DeadPort => self.dead_port,
+    #[inline]
+    fn count(&mut self, verdict: OptionVerdict) {
+        if let Some(i) = STALLS.iter().position(|&v| v == verdict) {
+            self.0[i] += 1;
         }
     }
 }
@@ -251,11 +214,6 @@ impl SwitchTelemetry {
         }
     }
 
-    /// Stalls of `cause` summed over this switch's ports.
-    pub(crate) fn stalls_by_cause(&self, cause: StallCause) -> u64 {
-        self.stalls.iter().map(|p| p.by_cause(cause)).sum()
-    }
-
     /// Fold another accumulation of the *same* switch into this one —
     /// how the observer merge combines shard-local telemetry. Counters
     /// sum, per-port stalls sum positionally, histograms merge.
@@ -264,9 +222,9 @@ impl SwitchTelemetry {
         self.adaptive_forwards += other.adaptive_forwards;
         self.escape_forwards += other.escape_forwards;
         for (mine, theirs) in self.stalls.iter_mut().zip(other.stalls.iter()) {
-            mine.no_adaptive_credit += theirs.no_adaptive_credit;
-            mine.no_escape_credit += theirs.no_escape_credit;
-            mine.dead_port += theirs.dead_port;
+            for (m, t) in mine.0.iter_mut().zip(theirs.0) {
+                *m += t;
+            }
         }
         self.arb_wait_ns.merge(&other.arb_wait_ns);
     }
@@ -289,9 +247,13 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Stalls of `cause` summed over the whole fabric.
-    pub fn total_stalls(&self, cause: StallCause) -> u64 {
-        self.switches.iter().map(|s| s.stalls_by_cause(cause)).sum()
+    /// Options refused with `verdict`, summed over the whole fabric;
+    /// zero for a verdict that is not a stall (a granted or link-busy
+    /// option).
+    pub fn total_stalls(&self, verdict: OptionVerdict) -> u64 {
+        (self.switches.iter().flat_map(|s| &s.stalls))
+            .map(|p| p.of(verdict))
+            .sum()
     }
 
     /// Fabric-wide arbitration-wait quantile (merged over switches).
@@ -329,11 +291,7 @@ impl TelemetryReport {
                         (
                             "stalls",
                             Json::arr(s.stalls.iter().map(|p| {
-                                Json::obj([
-                                    ("no_adaptive_credit", Json::from(p.no_adaptive_credit)),
-                                    ("no_escape_credit", Json::from(p.no_escape_credit)),
-                                    ("dead_port", Json::from(p.dead_port)),
-                                ])
+                                Json::obj(STALLS.iter().zip(p.0).map(|(v, n)| (v.name(), n)))
                             })),
                         ),
                         ("arb_wait_ns", s.arb_wait_ns.to_json()),
@@ -443,9 +401,7 @@ impl TelemetryState {
         options: impl Iterator<Item = &'o OptionOutcome>,
     ) {
         for o in options {
-            if let Some(cause) = StallCause::of(o.verdict) {
-                self.switches[sw.index()].stalls[o.port.index()].count(cause);
-            }
+            self.switches[sw.index()].stalls[o.port.index()].count(o.verdict);
         }
     }
 
@@ -529,12 +485,12 @@ mod tests {
         let mut a = SwitchTelemetry::new(SwitchId(0), 2);
         a.adaptive_forwards = 10;
         a.escape_forwards = 2;
-        a.stalls[0].no_adaptive_credit = 5;
-        a.stalls[1].dead_port = 1;
+        a.stalls[0] = PortStalls([5, 0, 0]);
+        a.stalls[1] = PortStalls([0, 0, 1]);
         a.arb_wait_ns.record(100);
         let mut b = SwitchTelemetry::new(SwitchId(1), 2);
         b.escape_forwards = 3;
-        b.stalls[0].no_escape_credit = 7;
+        b.stalls[0] = PortStalls([0, 7, 0]);
         b.arb_wait_ns.record(1000);
         let report = TelemetryReport {
             schema_version: TELEMETRY_SCHEMA_VERSION,
@@ -543,16 +499,18 @@ mod tests {
             samples_dropped: 0,
             switches: vec![a, b],
         };
-        assert_eq!(report.total_stalls(StallCause::NoAdaptiveCredit), 5);
-        assert_eq!(report.total_stalls(StallCause::NoEscapeCredit), 7);
-        assert_eq!(report.total_stalls(StallCause::DeadPort), 1);
+        assert_eq!(report.total_stalls(OptionVerdict::NoAdaptiveCredit), 5);
+        assert_eq!(report.total_stalls(OptionVerdict::NoEscapeCredit), 7);
+        assert_eq!(report.total_stalls(OptionVerdict::DeadPort), 1);
+        assert_eq!(report.total_stalls(OptionVerdict::LinkBusy), 0);
         assert_eq!(report.total_forwards(), (10, 5));
         // Octave bucket [512, 1023], clamped to the exact maximum.
         assert_eq!(report.arb_wait_quantile(1.0), Some(1000));
         assert_eq!(report.arb_wait_quantile(0.5), Some(127));
         let json = report.to_json().to_string_compact();
         assert!(json.contains(r#""schema_version":3"#));
-        assert!(json.contains(r#""no_escape_credit":7"#));
+        assert!(json
+            .contains(r#""stalls":[{"no_adaptive_credit":0,"no_escape_credit":7,"dead_port":0},"#));
         assert!(json.contains(
             r#""arb_wait_ns":{"p":0,"count":1,"sum":1000,"min":1000,"max":1000,"buckets":[[10,1]]}"#
         ));
@@ -572,16 +530,5 @@ mod tests {
         }
         assert_eq!(st.samples.len(), 2);
         assert_eq!(st.samples_dropped, 2);
-    }
-
-    #[test]
-    fn stall_cause_names_cover_all() {
-        for c in [
-            StallCause::NoAdaptiveCredit,
-            StallCause::NoEscapeCredit,
-            StallCause::DeadPort,
-        ] {
-            assert!(!c.name().is_empty());
-        }
     }
 }

@@ -5,7 +5,7 @@
 use iba_core::{IbaError, PortIndex, SimTime, SwitchId};
 use iba_routing::{EscapeEngine, FaRouting, RoutingConfig, UpDownRouting};
 use iba_sim::{Network, QueueBackend, RecoveryPolicy, RunResult, SimConfig};
-use iba_topology::{IrregularConfig, Topology, TopologyBuilder};
+use iba_topology::{IrregularConfig, Topology};
 use iba_workloads::{FaultEvent, FaultSchedule, WorkloadSpec};
 
 #[test]
@@ -227,22 +227,6 @@ impl EscapeEngine for LoopEngine {
     }
 }
 
-fn connected_without(topo: &Topology, a: SwitchId, b: SwitchId) -> bool {
-    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
-    for s in topo.switch_ids() {
-        for (p, peer, pp) in topo.switch_neighbors(s) {
-            if peer.0 > s.0 && (s, peer) != (a, b) {
-                bld.connect_ports(s, p, peer, pp).unwrap();
-            }
-        }
-    }
-    for h in topo.host_ids() {
-        let (sw, port) = topo.host_attachment(h);
-        bld.attach_host_at(sw, port).unwrap();
-    }
-    bld.build().is_ok()
-}
-
 #[test]
 fn cyclic_escape_tables_fail_certification() {
     // The primaries loop and nobody certified them at bring-up; the
@@ -256,7 +240,7 @@ fn cyclic_escape_tables_fail_certification() {
     // as far as certifying its tables.
     let (a, b) = (topo.switch_ids())
         .flat_map(|a| topo.switch_neighbors(a).map(move |(_, b, _)| (a, b)))
-        .find(|&(a, b)| a < b && connected_without(&topo, a, b))
+        .find(|&(a, b)| a < b && topo.without_links(|s, _, peer| (s, peer) == (a, b)).is_ok())
         .expect("a removable link");
     let schedule = FaultSchedule::single(SimTime::from_us(20), a, b).unwrap();
     let mut net = Network::builder(&topo, &fa)

@@ -165,7 +165,7 @@ fn every_observer_set_leaves_a_saturated_fabric_alone() {
     let stalled = s.run(TELEMETRY, 1, QueueBackend::BinaryHeap);
     let report = stalled.telemetry.unwrap();
     assert!(stalled.result.delivered * 2 < stalled.result.generated);
-    assert!(report.total_stalls(iba_sim::StallCause::NoAdaptiveCredit) > 0);
-    assert!(report.total_stalls(iba_sim::StallCause::NoEscapeCredit) > 0);
+    assert!(report.total_stalls(iba_core::OptionVerdict::NoAdaptiveCredit) > 0);
+    assert!(report.total_stalls(iba_core::OptionVerdict::NoEscapeCredit) > 0);
     s.assert_armed_equals_bare(&SHARDS_BY_BACKEND);
 }

@@ -5,10 +5,10 @@
 //! `DesQueue` backends; and under correct credit flow control no single
 //! VL buffer's occupancy can ever exceed its capacity `C_max`.
 
-use iba_core::SimTime;
+use iba_core::{OptionVerdict, SimTime};
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{
-    Network, QueueBackend, SimConfig, StallCause, TelemetryOpts, TelemetryReport, TelemetrySample,
+    Network, QueueBackend, SimConfig, TelemetryOpts, TelemetryReport, TelemetrySample,
     TELEMETRY_SCHEMA_VERSION,
 };
 use iba_topology::IrregularConfig;
@@ -55,7 +55,7 @@ fn timeseries_identical_across_backends() {
     assert!(adaptive > 0, "no adaptive forwards recorded");
     assert!(escape > 0, "no escape forwards recorded");
     assert!(
-        heap_report.total_stalls(StallCause::NoAdaptiveCredit) > 0,
+        heap_report.total_stalls(OptionVerdict::NoAdaptiveCredit) > 0,
         "a saturated run should record adaptive-credit stalls"
     );
     assert!(

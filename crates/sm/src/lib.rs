@@ -22,20 +22,13 @@
 //!   [`iba_routing::FaRouting`] path computation;
 //! * [`retry`] — reliable SMP delivery over the spec's best-effort
 //!   VL15: bounded retransmit, per-sweep retry budgets, and partition
-//!   reporting when every retry is exhausted;
-//! * [`apm`] — the §4.1 coexistence scheme: the LMC address range is
-//!   partitioned by a high bit into *adaptive routing options* and
-//!   *Automatic Path Migration* alternate paths, so both mechanisms use
-//!   disjoint LIDs ("the subnet manager should guarantee that the APM
-//!   mechanism uses different LIDs from those used for adaptive
-//!   routing").
+//!   reporting when every retry is exhausted.
 //!
 //! The [`SubnetManager`] façade runs the whole
 //! pipeline: discover → assign LIDs → compute routes → program → verify.
 
 #![warn(missing_docs)]
 
-pub mod apm;
 pub mod discovery;
 pub mod mad;
 pub mod managed;
@@ -43,9 +36,8 @@ pub mod program;
 pub mod retry;
 pub mod sm;
 
-pub use apm::ApmPlan;
 pub use discovery::Discoverer;
 pub use managed::ManagedFabric;
 pub use program::Programmer;
-pub use retry::{ReliableSender, RetryPolicy, RetryStats, SendOutcome};
-pub use sm::{BringUp, Resweep, RobustBringUp, RobustResweep, SubnetManager, SweepReport};
+pub use retry::RetryPolicy;
+pub use sm::{BringUp, Resweep, RobustBringUp, SubnetManager, SweepReport};

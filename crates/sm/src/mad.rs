@@ -99,7 +99,7 @@ pub(crate) struct Smp {
 
 /// What kind of node answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     /// A switch with the given port count.
     Switch {
         /// Physical ports.
@@ -111,7 +111,7 @@ pub enum NodeKind {
 
 /// The remote end a `PortInfo` query reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PortState {
+pub(crate) enum PortState {
     /// Nothing connected.
     Down,
     /// Link trained; the remote GUID and port are readable through the
@@ -121,7 +121,7 @@ pub enum PortState {
 
 /// SMP responses.
 #[derive(Clone, Debug, PartialEq)]
-pub enum SmpResponse {
+pub(crate) enum SmpResponse {
     /// Answer to `Get(NodeInfo)`.
     NodeInfo {
         /// Node kind (and port count for switches).

@@ -122,7 +122,7 @@ impl<'a> ManagedFabric<'a> {
     }
 
     /// Arm random VL15 loss: every subsequent `send` is dropped
-    /// with probability `loss` (reported as [`SmpResponse::Timeout`]).
+    /// with probability `loss` (reported as `SmpResponse::Timeout`).
     /// The draw stream is derived from `seed`, so a sweep over a lossy
     /// fabric is reproducible. `loss = 0.0` disarms the hook and
     /// consumes no draws.
@@ -139,7 +139,7 @@ impl<'a> ManagedFabric<'a> {
     }
 
     /// Fail the physical link between switches `a` and `b`: SMPs can no
-    /// longer cross it and both ends report [`PortState::Down`] — exactly
+    /// longer cross it and both ends report `PortState::Down` — exactly
     /// what the SM observes after a cable pull. Agent state (LFTs,
     /// SLtoVL) is untouched; only a re-sweep reprograms it. Errors when
     /// the topology has no such link.

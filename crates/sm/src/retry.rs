@@ -2,7 +2,7 @@
 //!
 //! VL15 is unacknowledged and unbuffered — the spec makes subnet
 //! management packets *best effort* and puts the reliability burden on
-//! the SM itself. This module is that burden: [`ReliableSender`] wraps
+//! the SM itself. This module is that burden: `ReliableSender` wraps
 //! `ManagedFabric::send` with a bounded retransmit loop. A lost SMP
 //! (or a directed route that silently fell off the fabric — the SM
 //! cannot tell the difference, nothing answers either way) is retried
@@ -10,10 +10,10 @@
 //! exist:
 //!
 //! * **per-SMP**: all attempts used → the destination is declared
-//!   [`SendOutcome::Unreachable`] and surfaced as a partition entry
+//!   `SendOutcome::Unreachable` and surfaced as a partition entry
 //!   instead of being retried forever;
 //! * **per-sweep**: the cumulative retransmit budget ran out →
-//!   [`SendOutcome::BudgetExhausted`], and the sweep reports *partial*
+//!   `SendOutcome::BudgetExhausted`, and the sweep reports *partial*
 //!   convergence rather than silently wedging.
 
 use crate::mad::{Smp, SmpResponse};
@@ -56,16 +56,16 @@ pub(crate) fn send_once() -> RetryPolicy {
 
 /// Counters a retried sweep accumulates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetryStats {
+pub(crate) struct RetryStats {
     /// SMPs re-sent after a timeout.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Whether the sweep's retransmit budget ran out.
     pub(crate) budget_exhausted: bool,
 }
 
 /// What one reliable send concluded.
 #[derive(Clone, Debug, PartialEq)]
-pub enum SendOutcome {
+pub(crate) enum SendOutcome {
     /// A response arrived (possibly `Unsupported` — delivery says
     /// nothing about the agent liking the request).
     Delivered(SmpResponse),
@@ -78,10 +78,10 @@ pub enum SendOutcome {
 
 /// The reliable transport: policy + counters + capped retransmit log.
 #[derive(Debug)]
-pub struct ReliableSender {
+pub(crate) struct ReliableSender {
     policy: RetryPolicy,
-    /// Counters (public so sweep reports can fold them in).
-    pub stats: RetryStats,
+    /// Counters (sweep reports fold them in).
+    pub(crate) stats: RetryStats,
     events: Vec<FlightEvent>,
 }
 
@@ -98,17 +98,6 @@ impl ReliableSender {
             stats: RetryStats::default(),
             events: Vec::new(),
         })
-    }
-
-    /// The policy this sender runs.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// Retransmit events logged so far (capped at
-    /// `MAX_LOGGED_RETRANSMITS`).
-    pub fn events(&self) -> &[FlightEvent] {
-        &self.events
     }
 
     /// Consume the sender, keeping the event log.
@@ -174,7 +163,7 @@ mod tests {
             SendOutcome::Delivered(SmpResponse::NodeInfo { .. })
         ));
         assert_eq!(tx.stats, RetryStats::default());
-        assert!(tx.events().is_empty());
+        assert!(tx.events.is_empty());
     }
 
     #[test]
@@ -191,7 +180,7 @@ mod tests {
         assert_eq!(out, SendOutcome::Unreachable);
         assert_eq!(tx.stats.retransmits, 3);
         let attempts: Vec<u32> = tx
-            .events()
+            .events
             .iter()
             .map(|e| match e {
                 FlightEvent::SmpRetransmit { attempt, tid, .. } => {

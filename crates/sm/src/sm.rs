@@ -269,12 +269,12 @@ pub struct Resweep<E: EscapeEngine = UpDownRouting> {
 }
 
 /// The result of a loss-tolerant incremental re-sweep.
-pub struct RobustResweep<E: EscapeEngine = UpDownRouting> {
+pub(crate) struct RobustResweep<E: EscapeEngine = UpDownRouting> {
     /// `Some` when every switch was diff-programmed; `None` under a
     /// spent budget or unreachable switches.
     pub(crate) resweep: Option<Resweep<E>>,
     /// Retry counters, diff statistics and verdict.
-    pub report: SweepReport,
+    pub(crate) report: SweepReport,
 }
 
 /// The result of a loss-tolerant initialization: the bring-up when one

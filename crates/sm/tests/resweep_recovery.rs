@@ -11,7 +11,7 @@ use iba_core::{PortIndex, SwitchId};
 use iba_routing::{check_escape_routes, FaRouting, RoutingConfig};
 use iba_sm::sm::BringUp;
 use iba_sm::{ManagedFabric, Programmer, SubnetManager};
-use iba_topology::{IrregularConfig, Topology, TopologyBuilder};
+use iba_topology::{IrregularConfig, Topology};
 use std::collections::HashMap;
 
 /// First switch–switch link whose removal keeps the fabric connected,
@@ -22,30 +22,12 @@ fn removable_link(topo: &Topology) -> (SwitchId, PortIndex, SwitchId, PortIndex)
             if b.0 <= a.0 {
                 continue;
             }
-            if degraded(topo, a, b).is_ok() {
+            if topo.without_links(|s, _, peer| (s, peer) == (a, b)).is_ok() {
                 return (a, pa, b, pb);
             }
         }
     }
     panic!("topology has no removable link");
-}
-
-/// Rebuild `topo` without the `a`–`b` link; errors when that would
-/// disconnect the fabric.
-fn degraded(topo: &Topology, a: SwitchId, b: SwitchId) -> Result<Topology, iba_core::IbaError> {
-    let mut bld = TopologyBuilder::new(topo.num_switches(), topo.ports_per_switch().into());
-    for s in topo.switch_ids() {
-        for (p, peer, pp) in topo.switch_neighbors(s) {
-            if peer.0 > s.0 && !(s == a && peer == b) {
-                bld.connect_ports(s, p, peer, pp)?;
-            }
-        }
-    }
-    for h in topo.host_ids() {
-        let (sw, port) = topo.host_attachment(h);
-        bld.attach_host_at(sw, port)?;
-    }
-    bld.build()
 }
 
 /// Assert the re-swept, SMP-programmed tables route every pair without
@@ -154,7 +136,7 @@ fn removable_links(topo: &Topology) -> Vec<(SwitchId, PortIndex, SwitchId, PortI
     let mut links = Vec::new();
     for a in topo.switch_ids() {
         for (pa, b, pb) in topo.switch_neighbors(a) {
-            if b.0 > a.0 && degraded(topo, a, b).is_ok() {
+            if b.0 > a.0 && topo.without_links(|s, _, peer| (s, peer) == (a, b)).is_ok() {
                 links.push((a, pa, b, pb));
             }
         }

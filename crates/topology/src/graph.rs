@@ -191,6 +191,30 @@ impl Topology {
             .all(|&d| d != u32::MAX)
     }
 
+    /// This fabric without the switch-to-switch links `dead` names:
+    /// `dead(s, port, peer)` is asked once per link, of its end on the
+    /// lower switch id. Switch ids, port numbers and host attachments
+    /// stay as they are, so the LID space does too. An error when what
+    /// is left is disconnected.
+    pub fn without_links(
+        &self,
+        dead: impl Fn(SwitchId, PortIndex, SwitchId) -> bool,
+    ) -> Result<Topology, IbaError> {
+        let mut b = TopologyBuilder::new(self.num_switches(), self.ports_per_switch.into());
+        for s in self.switch_ids() {
+            for (p, peer, pp) in self.switch_neighbors(s) {
+                if peer.0 > s.0 && !dead(s, p, peer) {
+                    b.connect_ports(s, p, peer, pp)?;
+                }
+            }
+        }
+        for h in self.host_ids() {
+            let (sw, port) = self.host_attachment(h);
+            b.attach_host_at(sw, port)?;
+        }
+        b.build()
+    }
+
     /// Re-check every structural invariant. [`TopologyBuilder::build`]
     /// already runs this; exposed so the generator tests can re-verify
     /// what they were handed.
@@ -522,6 +546,45 @@ mod tests {
         let t = two_switch_topo();
         let hosts: Vec<_> = t.attached_hosts(SwitchId(0)).map(|(_, h)| h).collect();
         assert_eq!(hosts, vec![HostId(0), HostId(1)]);
+    }
+
+    #[test]
+    fn without_links_keeps_ids_ports_and_hosts() {
+        // A four-switch ring, two hosts per switch.
+        let mut b = TopologyBuilder::new(4, 4);
+        for s in 0..4 {
+            b.connect(SwitchId(s), SwitchId((s + 1) % 4)).unwrap();
+        }
+        b.attach_hosts_everywhere(2).unwrap();
+        let ring = b.build().unwrap();
+        let (a, b) = (SwitchId(0), SwitchId(3));
+        let open = ring
+            .without_links(|s, _, peer| (s, peer) == (a, b))
+            .unwrap();
+        assert_eq!(open.num_switch_links(), 3);
+        let gone = [
+            (a, ring.port_towards(a, b).unwrap()),
+            (b, ring.port_towards(b, a).unwrap()),
+        ];
+        for s in ring.switch_ids() {
+            for p in (0..4).map(PortIndex) {
+                let want = if gone.contains(&(s, p)) {
+                    None
+                } else {
+                    ring.endpoint(s, p)
+                };
+                assert_eq!(open.endpoint(s, p), want, "{s} port {p}");
+            }
+        }
+        for h in ring.host_ids() {
+            assert_eq!(open.host_attachment(h), ring.host_attachment(h));
+        }
+        // Every link of the open ring is a bridge.
+        let split = open.without_links(|s, _, _| s == SwitchId(1));
+        assert!(
+            matches!(split, Err(IbaError::InvalidTopology(_))),
+            "{split:?}"
+        );
     }
 
     #[test]

@@ -16,10 +16,10 @@ pub struct TopologyMetrics {
     /// Number of undirected inter-switch links.
     pub(crate) switch_links: usize,
     /// Longest shortest path between any two switches.
-    pub diameter: u32,
+    pub(crate) diameter: u32,
     /// Mean shortest-path length over ordered switch pairs (excluding
     /// self-pairs).
-    pub avg_distance: f64,
+    pub(crate) avg_distance: f64,
     /// Minimum inter-switch degree.
     pub(crate) min_degree: usize,
     /// Maximum inter-switch degree.

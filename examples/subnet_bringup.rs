@@ -13,7 +13,6 @@
 //! ```
 
 use iba_far::prelude::*;
-use iba_far::sm::ApmPlan;
 
 fn main() -> Result<(), IbaError> {
     // The physical fabric: unknown to the SM until it sweeps it.
@@ -39,19 +38,20 @@ fn main() -> Result<(), IbaError> {
 
     // APM coexistence (§4.1 footnote): double the LMC, program alternate
     // up*/down* paths in the upper half of every destination's range.
-    let apm = ApmPlan::build(&up.topology, up.routing.config(), up.routing.escape())?;
+    let apm = FaRouting::build_with_apm(&up.topology, *up.routing.config())?;
     let h = HostId(5);
     println!(
-        "APM plan        : LMC {} ({} addresses/port), primary root {}, alternate root {}",
+        "APM tables      : LMC {} ({} addresses/port), primary root {}, alternate root {}",
         apm.lid_map().lmc().bits(),
         apm.lid_map().lmc().addresses_per_port(),
-        apm.primary_root(),
-        apm.alternate().root()
+        apm.escape().root(),
+        apm.apm_alt_root()
+            .expect("APM tables carry an alternate root")
     );
     println!(
         "                  host {h}: primary DLID {}, APM alternate DLID {}",
-        apm.primary_lid(h)?,
-        apm.alternate_lid(h)?
+        apm.dlid(h, false)?,
+        apm.apm_dlid(h, false)?
     );
 
     // The programmed subnet carries traffic: simulate on the topology the

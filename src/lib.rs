@@ -45,7 +45,7 @@
 //! | [`topology`] | subnet graphs: random irregular + regular generators |
 //! | [`routing`] | up\*/down\*, minimal options, FA, interleaved forwarding tables, SLtoVL, Table-2 analysis |
 //! | [`sim`] | the RTL-level subnet simulator (split VL buffers, credits, VCT) |
-//! | [`sm`] | the subnet manager: directed-route discovery, MAD-based table programming, APM coexistence |
+//! | [`sm`] | the subnet manager: directed-route discovery, MAD-based table programming |
 //! | [`workloads`] | traffic patterns and injection processes |
 //! | [`stats`] | aggregation, curves, report formatting |
 //! | [`campaign`] | crash-safe campaign runner: supervised workers, fsync'd journal, resume |
@@ -82,14 +82,13 @@ pub mod prelude {
         PathLengthStats, RouteOptions, RoutingConfig, SlToVlTable, TableSource, UpDownRouting,
     };
     pub use iba_sim::{
-        perfetto_trace, EngineProfile, EscapeOrderPolicy, FlightDump, FlightRecorder, MemorySink,
-        Network, NetworkBuilder, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult,
-        SelectionPolicy, SimConfig, StallCause, TelemetryOpts, TelemetryReport, TelemetrySample,
-        Trigger, TriggerCause, WatchdogOpts,
+        perfetto_trace, EngineProfile, EscapeOrderPolicy, FlightDump, MemorySink, Network,
+        NetworkBuilder, QueueBackend, RecorderOpts, RecoveryPolicy, RunResult, SelectionPolicy,
+        SimConfig, TelemetryOpts, TelemetryReport, TelemetrySample, Trigger, TriggerCause,
+        WatchdogOpts,
     };
     pub use iba_sm::{
-        ApmPlan, ManagedFabric, Programmer, ReliableSender, Resweep, RetryPolicy, RetryStats,
-        RobustBringUp, RobustResweep, SendOutcome, SubnetManager, SweepReport,
+        ManagedFabric, Programmer, Resweep, RetryPolicy, RobustBringUp, SubnetManager, SweepReport,
     };
     pub use iba_stats::{Curve, CurvePoint, LogHistogram, MinMaxAvg};
     pub use iba_topology::{

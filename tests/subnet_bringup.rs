@@ -3,7 +3,6 @@
 //! complete §4.1 deployment story as one test.
 
 use iba_far::prelude::*;
-use iba_far::sm::ApmPlan;
 
 #[test]
 fn sm_bringup_then_traffic() {
@@ -69,14 +68,22 @@ fn apm_plan_coexists_with_sm_assignment() {
     let up = SubnetManager::new(RoutingConfig::two_options())
         .initialize(&mut fabric)
         .unwrap();
-    let plan = ApmPlan::build(&up.topology, up.routing.config(), up.routing.escape()).unwrap();
-    // The APM plan widens the LMC but keeps the primary deterministic
-    // address identical to the SM's assignment scheme semantics: both
-    // resolve to the same host.
+    // The §4.1 split on the topology the SM rebuilt: the LMC doubles and
+    // the upper half of every host's range addresses an alternate path
+    // set, rooted at the switch farthest from the primary root.
+    let apm = FaRouting::build_with_apm(&up.topology, *up.routing.config()).unwrap();
+    let lids = apm.lid_map();
+    let half = lids.lmc().addresses_per_port() / 2;
     for h in up.topology.host_ids() {
-        let primary = plan.primary_lid(h).unwrap();
-        assert_eq!(plan.lid_map().host_of(primary).unwrap(), h);
-        let alt = plan.alternate_lid(h).unwrap();
-        assert!(plan.is_apm_lid(alt).unwrap());
+        assert_eq!(lids.host_of(apm.dlid(h, false).unwrap()).unwrap(), h);
+        let alt = apm.apm_dlid(h, false).unwrap();
+        assert_eq!(lids.host_of(alt).unwrap(), h);
+        assert!(lids.offset_of(alt).unwrap() >= half);
     }
+    let (primary, alt_root) = (apm.escape().root(), apm.apm_alt_root().unwrap());
+    assert_eq!(primary, up.routing.escape().root());
+    assert_ne!(alt_root, primary);
+    let dist = up.topology.distances_from(primary);
+    assert_eq!(dist[alt_root.index()], *dist.iter().max().unwrap());
+    apm.certify_escape(&up.topology, true).unwrap();
 }
