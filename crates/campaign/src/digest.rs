@@ -27,14 +27,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// spec order*, which is exactly the resumed-equals-uninterrupted
 /// guarantee CI gates on.
 pub(crate) fn combine(digests: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for d in digests {
-        for b in d.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    let bytes: Vec<u8> = digests.into_iter().flat_map(u64::to_le_bytes).collect();
+    fnv1a64(&bytes)
 }
 
 /// Canonical hex rendering (`0x`-prefixed, zero-padded to 16 digits).

@@ -5,7 +5,9 @@
 //! written — and that torn final line is tolerated on replay. Every
 //! record carries an FNV-1a digest of its result document; replay
 //! recomputes and checks it, so silent corruption of a *complete* line
-//! is detected rather than resumed over.
+//! is detected rather than resumed over. Every record also carries its
+//! spec's params, so a resume under other parameters is refused rather
+//! than served results computed for the old ones.
 
 use crate::digest::fnv1a64;
 use crate::spec::RunSpec;
@@ -14,8 +16,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Journal format version.
-pub(crate) const JOURNAL_VERSION: u64 = 1;
+/// Journal format version: 2 adds each record's spec params.
+pub(crate) const JOURNAL_VERSION: u64 = 2;
 
 /// Terminal status of a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,6 +55,8 @@ pub struct RunRecord {
     pub spec_id: String,
     /// [`RunSpec::experiment`] kind.
     pub experiment: String,
+    /// [`RunSpec::params`] the run was executed with.
+    pub(crate) params: Json,
     /// Terminal status.
     pub status: RunStatus,
     /// Attempts spent (1 = first try succeeded).
@@ -73,6 +77,7 @@ impl RunRecord {
         RunRecord {
             spec_id: spec.id.clone(),
             experiment: spec.experiment.clone(),
+            params: spec.params.clone(),
             status: RunStatus::Ok,
             attempts,
             error: None,
@@ -86,6 +91,7 @@ impl RunRecord {
         RunRecord {
             spec_id: spec.id.clone(),
             experiment: spec.experiment.clone(),
+            params: spec.params.clone(),
             status: RunStatus::Poisoned,
             attempts,
             error: Some(error),
@@ -100,6 +106,7 @@ impl RunRecord {
             ("v", Json::from(JOURNAL_VERSION)),
             ("spec_id", Json::from(self.spec_id.as_str())),
             ("experiment", Json::from(self.experiment.as_str())),
+            ("params", self.params.clone()),
             ("status", Json::from(self.status.as_str())),
             ("attempts", Json::from(self.attempts as u64)),
             (
@@ -124,33 +131,27 @@ impl RunRecord {
             return Err(format!("unsupported journal version {version}"));
         }
         let field = |k: &str| j.get(k).ok_or_else(|| format!("record missing {k:?}"));
-        let spec_id = field("spec_id")?
-            .as_str()
-            .ok_or("spec_id not a string")?
-            .to_string();
-        let experiment = field("experiment")?
-            .as_str()
-            .ok_or("experiment not a string")?
-            .to_string();
+        let text = |k: &str| {
+            field(k)?
+                .as_str()
+                .ok_or_else(|| format!("{k} not a string"))
+        };
+        let spec_id = text("spec_id")?.to_string();
+        let experiment = text("experiment")?.to_string();
+        let params = field("params")?.clone();
         let status = field("status")?
             .as_str()
             .and_then(RunStatus::parse)
             .ok_or_else(|| format!("{spec_id}: invalid status"))?;
         let attempts = field("attempts")?
             .as_u64()
-            .ok_or_else(|| format!("{spec_id}: attempts not an integer"))?
-            as u32;
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| format!("{spec_id}: attempts not a 32-bit count"))?;
         let error = match field("error")? {
             Json::Null => None,
-            e => Some(
-                e.as_str()
-                    .ok_or_else(|| format!("{spec_id}: error not a string"))?
-                    .to_string(),
-            ),
+            _ => Some(text("error")?.to_string()),
         };
-        let digest_text = field("digest")?
-            .as_str()
-            .ok_or_else(|| format!("{spec_id}: digest not a string"))?;
+        let digest_text = text("digest")?;
         let digest = digest_text
             .strip_prefix("0x")
             .and_then(|h| u64::from_str_radix(h, 16).ok())
@@ -165,6 +166,7 @@ impl RunRecord {
         Ok(RunRecord {
             spec_id,
             experiment,
+            params,
             status,
             attempts,
             error,
@@ -182,25 +184,20 @@ pub struct Journal {
 impl Journal {
     /// Create a fresh journal, truncating any existing file.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Journal> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let file = File::create(path)?;
-        Ok(Journal { file })
+        Journal::open(path.as_ref(), OpenOptions::new().write(true).truncate(true))
     }
 
     /// Open an existing journal for appending (creating it if absent).
     pub(crate) fn append_to(path: impl AsRef<Path>) -> io::Result<Journal> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
+        Journal::open(path.as_ref(), OpenOptions::new().append(true))
+    }
+
+    /// Open `path` with `options`, creating it and its directory.
+    fn open(path: &Path, options: &mut OpenOptions) -> io::Result<Journal> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let file = options.create(true).open(path)?;
         Ok(Journal { file })
     }
 
@@ -229,10 +226,7 @@ pub struct Replay {
 }
 
 /// Truncate a journal to the valid prefix reported by [`replay`],
-/// discarding a torn final line so the next append starts on a fresh
-/// line instead of being glued onto the crash's partial record (which
-/// would turn a tolerated torn tail into hard interior corruption on
-/// the following replay).
+/// discarding a torn final line (see [`Replay::valid_len`]).
 pub(crate) fn truncate_torn_tail(path: impl AsRef<Path>, valid_len: u64) -> io::Result<()> {
     let file = OpenOptions::new().write(true).open(path)?;
     file.set_len(valid_len)?;
@@ -351,7 +345,7 @@ mod tests {
 
         // Simulate a crash mid-write: append half a record.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"v\":1,\"spec_id\":\"d\",\"st").unwrap();
+        f.write_all(b"{\"v\":2,\"spec_id\":\"d\",\"st").unwrap();
         drop(f);
         let rp = replay(&path).unwrap();
         assert_eq!(rp.records, recs, "torn tail must not hide complete records");
@@ -372,7 +366,7 @@ mod tests {
         j.append(&first).unwrap();
         drop(j);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"v\":1,\"spec_id\":\"b\",\"st").unwrap();
+        f.write_all(b"{\"v\":2,\"spec_id\":\"b\",\"st").unwrap();
         drop(f);
 
         // Resume protocol: replay, truncate the torn tail, append.

@@ -1,24 +1,26 @@
-//! The supervised multi-worker campaign runner.
+//! The supervised campaign runner.
 //!
-//! Workers pull specs off a shared queue in campaign order. Every
-//! attempt runs the executor on a *sacrificial* thread: a panic is
-//! caught (`catch_unwind`) and a hang is abandoned after the per-run
-//! wall-clock timeout — the worker simply stops waiting and the
-//! runaway thread can never block the sweep. Failures retry with
-//! bounded exponential backoff; once the attempt budget is spent the
-//! run is journalled as poisoned with its last failure, and the sweep
+//! The specs are shared out over the workers of
+//! [`iba_core::par::par_map_on`], in campaign order; one the journal
+//! already holds passes straight through. Every attempt runs
+//! the executor on a *sacrificial* thread ([`iba_core::par::isolated`]):
+//! a panic is caught and a hang is abandoned after the per-run
+//! wall-clock timeout — the worker simply stops waiting and the runaway
+//! thread can never block the sweep. Failures retry with bounded
+//! exponential backoff; once the attempt budget is spent the run is
+//! journalled as poisoned with its last failure, and the sweep
 //! continues. One fsync'd journal record per completed run means a
 //! crash (or SIGKILL) loses at most the in-flight runs, never the
 //! completed ones.
 
 use crate::journal::{replay, truncate_torn_tail, Journal, RunRecord, RunStatus};
 use crate::spec::{Campaign, RunSpec};
+use iba_core::par::{isolated, par_map_on};
 use iba_core::Json;
-use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The executor: interprets a [`RunSpec`] and returns its result
@@ -33,10 +35,6 @@ pub struct RunnerOpts {
     pub workers: usize,
     /// Attempts per run before it is recorded as poisoned (≥ 1).
     pub max_attempts: u32,
-    /// First retry delay; doubles per attempt.
-    pub backoff_base_ms: u64,
-    /// Retry-delay ceiling.
-    pub backoff_cap_ms: u64,
     /// Per-attempt wall-clock timeout.
     pub timeout_ms: u64,
     /// Stop dispatching after this many *new* journal records (test /
@@ -52,8 +50,6 @@ impl Default for RunnerOpts {
         RunnerOpts {
             workers: iba_core::par::default_workers(),
             max_attempts: 3,
-            backoff_base_ms: 100,
-            backoff_cap_ms: 5_000,
             timeout_ms: 600_000,
             halt_after: None,
             quiet: false,
@@ -98,65 +94,33 @@ impl CampaignOutcome {
     }
 }
 
+/// First retry delay; it doubles per attempt up to [`BACKOFF_CAP_MS`].
+const BACKOFF_BASE_MS: u64 = 100;
+/// Retry-delay ceiling.
+const BACKOFF_CAP_MS: u64 = 5_000;
+
 /// Exponential backoff with a ceiling: `base << (attempt-1)`, capped.
-fn backoff_ms(opts: &RunnerOpts, attempt: u32) -> u64 {
-    opts.backoff_base_ms
+fn backoff_ms(attempt: u32) -> u64 {
+    BACKOFF_BASE_MS
         .saturating_mul(1u64 << (attempt - 1).min(16))
-        .min(opts.backoff_cap_ms)
-}
-
-/// Render a panic payload for the journal.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    let text = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into());
-    format!("panicked: {text}")
-}
-
-/// One supervised attempt on a sacrificial thread.
-///
-/// Returns the executor's verdict, or an error string for a panic or a
-/// timeout. On timeout the sacrificial thread is *abandoned* (it holds
-/// only clones of the spec and executor, so nothing in the campaign
-/// waits on it).
-fn attempt(executor: &Executor, spec: &RunSpec, timeout: Duration) -> Result<Json, String> {
-    let (tx, rx) = mpsc::channel();
-    let ex = executor.clone();
-    let sp = spec.clone();
-    let spawned = std::thread::Builder::new()
-        .name(format!("campaign-run-{}", sp.id))
-        .spawn(move || {
-            // The campaign's workers are the parallel level: a sweep
-            // inside a run stays on this thread.
-            let _in_pool = iba_core::par::enter_pool();
-            let verdict = catch_unwind(AssertUnwindSafe(|| ex(&sp)));
-            let _ = tx.send(verdict);
-        });
-    if let Err(e) = spawned {
-        return Err(format!("failed to spawn run thread: {e}"));
-    }
-    match rx.recv_timeout(timeout) {
-        Ok(Ok(Ok(result))) => Ok(result),
-        Ok(Ok(Err(e))) => Err(e),
-        Ok(Err(payload)) => Err(panic_message(payload)),
-        Err(_) => Err(format!("timed out after {} ms", timeout.as_millis())),
-    }
+        .min(BACKOFF_CAP_MS)
 }
 
 /// Run one spec to a terminal record: retry with backoff until the
-/// attempt budget is spent, then poison.
+/// attempt budget is spent, then poison. Each attempt runs on an
+/// [`isolated`] thread holding only clones of the spec and executor.
 fn supervise(executor: &Executor, spec: &RunSpec, opts: &RunnerOpts) -> RunRecord {
     let timeout = Duration::from_millis(opts.timeout_ms.max(1));
     let mut last_error = String::new();
     for n in 1..=opts.max_attempts.max(1) {
-        match attempt(executor, spec, timeout) {
-            Ok(result) => return RunRecord::ok(spec, n, result),
-            Err(e) => last_error = e,
+        let (ex, sp) = (executor.clone(), spec.clone());
+        let name = format!("campaign-run-{}", spec.id);
+        match isolated(name, timeout, move || ex(&sp)) {
+            Ok(Ok(result)) => return RunRecord::ok(spec, n, result),
+            Ok(Err(e)) | Err(e) => last_error = e,
         }
         if n < opts.max_attempts {
-            std::thread::sleep(Duration::from_millis(backoff_ms(opts, n)));
+            std::thread::sleep(Duration::from_millis(backoff_ms(n)));
         }
     }
     RunRecord::poisoned(spec, opts.max_attempts.max(1), last_error)
@@ -165,7 +129,6 @@ fn supervise(executor: &Executor, spec: &RunSpec, opts: &RunnerOpts) -> RunRecor
 struct Progress {
     journal: Journal,
     done: usize,
-    new_records: Vec<RunRecord>,
     /// First journal-append failure, if any. Durability is gone at
     /// that point, so the campaign must end in an error — never be
     /// mistaken for a deliberate `halt_after` stop.
@@ -211,10 +174,21 @@ pub fn run_campaign(
             })?;
         }
         for rec in rp.records {
-            if !campaign.specs.iter().any(|s| s.id == rec.spec_id) {
+            let Some(spec) = campaign.specs.iter().find(|s| s.id == rec.spec_id) else {
                 return Err(format!(
                     "journal {} holds record for unknown spec {:?}; \
                      it belongs to a different campaign definition",
+                    journal_path.display(),
+                    rec.spec_id
+                ));
+            };
+            // Rendered, not `==`: a parsed `1.0` reads back as an integer.
+            let ran = rec.params.to_string_compact();
+            let asked = spec.params.to_string_compact();
+            if ran != asked {
+                return Err(format!(
+                    "journal {} ran spec {:?} with params {ran}, not {asked}; resume with \
+                     the interrupted sweep's flags or remove the journal to start over",
                     journal_path.display(),
                     rec.spec_id
                 ));
@@ -243,69 +217,49 @@ pub fn run_campaign(
     };
     let resumed = done.len();
 
-    let pending: VecDeque<RunSpec> = campaign
-        .specs
-        .iter()
-        .filter(|s| !done.contains_key(&s.id))
-        .cloned()
-        .collect();
-    let queue = Mutex::new(pending);
     let stop = AtomicBool::new(false);
     let progress = Mutex::new(Progress {
         journal,
         done: resumed,
-        new_records: Vec::new(),
         io_error: None,
     });
 
-    let workers = opts.workers.max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let executor = executor.clone();
-            let queue = &queue;
-            let stop = &stop;
-            let progress = &progress;
-            let name = campaign.name.as_str();
-            scope.spawn(move || loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Some(spec) = queue.lock().expect("queue lock poisoned").pop_front() else {
-                    break;
-                };
-                let record = supervise(&executor, &spec, opts);
-                let mut p = progress.lock().expect("progress lock poisoned");
-                // A journal-append failure means durability is gone —
-                // stop dispatching; completed records stay on disk and
-                // the campaign ends in an error (not a clean halt).
-                if let Err(e) = p.journal.append(&record) {
-                    eprintln!("campaign {name}: journal write failed: {e}; halting");
-                    if p.io_error.is_none() {
-                        p.io_error = Some(e.to_string());
-                    }
-                    stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-                p.done += 1;
-                let executed_now = p.new_records.len() + 1;
-                if !opts.quiet {
-                    let note = match record.status {
-                        RunStatus::Ok => "ok".to_string(),
-                        RunStatus::Poisoned => format!(
-                            "POISONED after {} attempts: {}",
-                            record.attempts,
-                            record.error.as_deref().unwrap_or("")
-                        ),
-                    };
-                    eprintln!("campaign {name}: [{}/{total}] {} {note}", p.done, spec.id);
-                }
-                p.new_records.push(record);
-                if opts.halt_after.is_some_and(|n| executed_now >= n) {
-                    stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-            });
+    let name = campaign.name.as_str();
+    // Spec order in, spec order out: a resumed record is passed through.
+    let records = par_map_on(opts.workers.max(1), &campaign.specs, |spec| {
+        if let Some(rec) = done.get(&spec.id) {
+            return Some(rec.clone());
         }
+        if stop.load(Ordering::SeqCst) {
+            return None;
+        }
+        let record = supervise(&executor, spec, opts);
+        let mut p = progress.lock().expect("progress lock poisoned");
+        // A journal-append failure means durability is gone — stop
+        // dispatching; completed records stay on disk and the campaign
+        // ends in an error (not a clean halt).
+        if let Err(e) = p.journal.append(&record) {
+            eprintln!("campaign {name}: journal write failed: {e}; halting");
+            p.io_error.get_or_insert_with(|| e.to_string());
+            stop.store(true, Ordering::SeqCst);
+            return None;
+        }
+        p.done += 1;
+        if !opts.quiet {
+            let note = match record.status {
+                RunStatus::Ok => "ok".to_string(),
+                RunStatus::Poisoned => format!(
+                    "POISONED after {} attempts: {}",
+                    record.attempts,
+                    record.error.as_deref().unwrap_or("")
+                ),
+            };
+            eprintln!("campaign {name}: [{}/{total}] {} {note}", p.done, spec.id);
+        }
+        if opts.halt_after.is_some_and(|n| p.done - resumed >= n) {
+            stop.store(true, Ordering::SeqCst);
+        }
+        Some(record)
     });
 
     let halted = stop.load(Ordering::SeqCst);
@@ -318,20 +272,11 @@ pub fn run_campaign(
             journal_path.display()
         ));
     }
-    for rec in progress.new_records {
-        done.insert(rec.spec_id.clone(), rec);
-    }
-    let executed = done.len() - resumed;
-    let records: Vec<RunRecord> = campaign
-        .specs
-        .iter()
-        .filter_map(|s| done.remove(&s.id))
-        .collect();
     Ok(CampaignOutcome {
-        records,
+        records: records.into_iter().flatten().collect(),
         total,
         resumed,
-        executed,
+        executed: progress.done - resumed,
         halted,
     })
 }
@@ -342,24 +287,12 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let opts = RunnerOpts {
-            backoff_base_ms: 100,
-            backoff_cap_ms: 1_000,
-            ..RunnerOpts::default()
-        };
-        assert_eq!(backoff_ms(&opts, 1), 100);
-        assert_eq!(backoff_ms(&opts, 2), 200);
-        assert_eq!(backoff_ms(&opts, 4), 800);
-        assert_eq!(backoff_ms(&opts, 5), 1_000);
-        assert_eq!(backoff_ms(&opts, 40), 1_000, "shift must not overflow");
-    }
-
-    #[test]
-    fn panic_messages_cover_both_payload_shapes() {
-        let p = catch_unwind(|| panic!("static str")).unwrap_err();
-        assert_eq!(panic_message(p), "panicked: static str");
-        let p = catch_unwind(|| panic!("{}", String::from("formatted"))).unwrap_err();
-        assert_eq!(panic_message(p), "panicked: formatted");
+        assert_eq!(backoff_ms(1), 100);
+        assert_eq!(backoff_ms(2), 200);
+        assert_eq!(backoff_ms(4), 800);
+        assert_eq!(backoff_ms(6), 3_200);
+        assert_eq!(backoff_ms(7), 5_000);
+        assert_eq!(backoff_ms(40), 5_000, "shift must not overflow");
     }
 
     /// Whether an 8-item, 4-worker map called here stays on this thread.

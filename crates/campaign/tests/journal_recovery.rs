@@ -121,3 +121,20 @@ fn truncation_sweep_is_exhaustive_for_a_small_journal() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+#[test]
+fn an_attempt_count_past_u32_is_a_corrupt_journal() {
+    let path = scratch();
+    let line = record(0, false).to_line();
+    std::fs::write(
+        &path,
+        line.replace("\"attempts\":1", "\"attempts\":4294967297"),
+    )
+    .unwrap();
+    let err = replay(&path).unwrap_err();
+    assert!(
+        err.contains("corrupt journal") && err.contains("attempts"),
+        "{err}"
+    );
+    std::fs::remove_file(&path).unwrap();
+}

@@ -68,8 +68,6 @@ fn quick_opts() -> RunnerOpts {
     RunnerOpts {
         workers: 3,
         max_attempts: 3,
-        backoff_base_ms: 1,
-        backoff_cap_ms: 4,
         timeout_ms: 200,
         halt_after: None,
         quiet: true,
@@ -222,7 +220,7 @@ fn interrupted_campaign_resumes_byte_identical_with_zero_reruns() {
     let executed_before: Vec<String> = counts.lock().unwrap().keys().cloned().collect();
     assert_eq!(executed_before.len(), 3);
     let mut f = OpenOptions::new().append(true).open(&journal).unwrap();
-    f.write_all(b"{\"v\":1,\"spec_id\":\"t/ok-3\",\"status\":\"o")
+    f.write_all(b"{\"v\":2,\"spec_id\":\"t/ok-3\",\"status\":\"o")
         .unwrap();
     drop(f);
 

@@ -1,5 +1,5 @@
-//! The ordered parallel map the paper sweeps and the routing builds run
-//! on.
+//! The ordered parallel map the paper sweeps, the routing builds and the
+//! campaign runner run on, and the one thread a sweep starts outside it.
 //!
 //! A sweep is a list of independent simulations whose costs differ by
 //! ~50× between an idle and a deeply saturated load point, so the
@@ -9,26 +9,27 @@
 //! the thread schedule. Waking a second core costs a call ≈ 0.2 ms
 //! (DESIGN.md §5): a caller sizes its items to outweigh that.
 //!
-//! One level only: a thread that is already a pool worker (here, or an
-//! attempt thread of `iba-campaign`'s runner, marked by [`enter_pool`])
-//! runs a nested call inline, so a campaign cell that sweeps a curve —
-//! or a sweep point that builds a routing — stays on its one thread.
+//! One level only: a thread that is already a pool worker (a worker of
+//! [`par_map`], or an [`isolated`] thread) runs a nested call inline, so
+//! a campaign cell that sweeps a curve — or a sweep point that builds a
+//! routing — stays on its one thread.
 
 use std::cell::Cell;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{mpsc, Mutex, OnceLock};
+use std::time::Duration;
 
 thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Restores the thread's "inside a pool" flag when dropped.
-pub struct PoolGuard(bool);
+struct PoolGuard(bool);
 
 /// Mark the current thread as a pool worker until the guard drops:
 /// every [`par_map`] and [`par_chunks_mut`] called on it runs inline.
-pub fn enter_pool() -> PoolGuard {
+fn enter_pool() -> PoolGuard {
     PoolGuard(IN_POOL.replace(true))
 }
 
@@ -63,8 +64,8 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     par_map_on(default_workers(), items, f)
 }
 
-/// [`par_map`] on at most `workers` threads. No result may depend on
-/// the count: it is public for the tests that hold callers to that.
+/// [`par_map`] on at most `workers` threads: what the campaign runner
+/// calls with its `--workers`. No result may depend on the count.
 pub fn par_map_on<T: Sync, R: Send>(
     workers: usize,
     items: &[T],
@@ -139,12 +140,42 @@ fn run<I, R: Send>(
     done.into_iter().map(|(_, r)| r).collect()
 }
 
+/// `f()` on a thread of its own named `name`, marked as a pool worker,
+/// waited on for at most `timeout`: a panic comes back as
+/// `Err("panicked: …")`, a timeout as `Err("timed out after N ms")` with
+/// the thread abandoned, still running — `f` owns all it touches. The
+/// campaign runner's attempts run here, so a cell cannot sink its sweep.
+pub fn isolated<R: Send + 'static>(
+    name: String,
+    timeout: Duration,
+    f: impl FnOnce() -> R + Send + 'static,
+) -> Result<R, String> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let _in_pool = enter_pool();
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        })
+        .map_err(|e| format!("failed to spawn run thread: {e}"))?;
+    match rx.recv_timeout(timeout) {
+        Ok(Ok(r)) => Ok(r),
+        Ok(Err(p)) => {
+            let text = p.downcast_ref::<&str>().copied();
+            let text = text.or_else(|| p.downcast_ref::<String>().map(String::as_str));
+            let text = text.unwrap_or("non-string panic payload");
+            Err(format!("panicked: {text}"))
+        }
+        Err(_) => Err(format!("timed out after {} ms", timeout.as_millis())),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Barrier;
     use std::thread::{self, ThreadId};
+    use std::time::Instant;
 
     /// A few hundred to a few thousand multiply-adds, by item.
     fn uneven(i: &u64) -> u64 {
@@ -267,5 +298,46 @@ mod tests {
                 .all(|&id| id == me)
         });
         assert_eq!(inline, [true, true]);
+    }
+
+    #[test]
+    fn isolated_returns_the_value() {
+        let v = [1u64, 2, 3];
+        let sum = isolated("sum".into(), Duration::from_secs(60), move || {
+            v.iter().sum()
+        });
+        assert_eq!(sum, Ok(6u64));
+    }
+
+    #[test]
+    fn panic_messages_cover_both_payload_shapes() {
+        let long = Duration::from_secs(60);
+        let err = isolated("str".into(), long, || -> u8 { panic!("static str") });
+        assert_eq!(err, Err("panicked: static str".to_string()));
+        let err = isolated("string".into(), long, || -> u8 {
+            panic!("{}", String::from("formatted"))
+        });
+        assert_eq!(err, Err("panicked: formatted".to_string()));
+    }
+
+    #[test]
+    fn a_hang_times_out_and_the_caller_goes_on() {
+        let timeout = Duration::from_millis(200);
+        let t0 = Instant::now();
+        let err = isolated("hang".into(), timeout, || loop {
+            thread::sleep(Duration::from_millis(20));
+        });
+        let waited = t0.elapsed();
+        assert_eq!(err, Err::<(), _>("timed out after 200 ms".to_string()));
+        assert!(waited >= timeout && waited < 2 * timeout, "{waited:?}");
+    }
+
+    #[test]
+    fn a_par_map_inside_an_isolated_thread_runs_inline() {
+        assert_eq!(
+            isolated("nested".into(), Duration::from_secs(60), runs_inline),
+            Ok(true)
+        );
+        assert!(!IN_POOL.get(), "the caller must not be marked as a worker");
     }
 }

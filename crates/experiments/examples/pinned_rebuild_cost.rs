@@ -1,6 +1,6 @@
 //! What the route stage of a re-sweep costs, and how often a rebuild
-//! that left the root to the engine would move it (EXPERIMENTS.md "One
-//! re-sweep (PR 26)" has the table).
+//! that left the root to the engine would move it (`results/perf/PR-26.md`,
+//! "One re-sweep", has the table).
 //!
 //! ```text
 //! cargo run --release -p iba-experiments --example pinned_rebuild_cost

@@ -14,8 +14,7 @@
 
 use crate::fidelity::Fidelity;
 use crate::harness::{build_ensemble, find_saturation, EnsembleMember};
-use iba_campaign::par_map;
-use iba_core::{Credits, IbaError};
+use iba_core::{par_map, Credits, IbaError};
 use iba_routing::RoutingConfig;
 use iba_sim::{EscapeOrderPolicy, SelectionPolicy, SimConfig};
 use iba_stats::{markdown_table, MinMaxAvg};

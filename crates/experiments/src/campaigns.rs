@@ -59,7 +59,6 @@ fn runner_opts(args: &Args) -> Result<(RunnerOpts, bool), String> {
         timeout_ms: args.get_or("timeout-ms", defaults.timeout_ms)?,
         halt_after: (halt_after > 0).then_some(halt_after),
         quiet: args.switch("quiet"),
-        ..defaults
     };
     Ok((opts, args.switch("resume")))
 }
@@ -252,28 +251,55 @@ pub fn chaos_executor() -> (Executor, Arc<ArtifactCache<ChaosArtifact>>) {
 /// of `engine_zoo::plan` (whose skip rules and stderr notes apply),
 /// ids like `zoo/torus4x4/outflank`; its executor; and the topology
 /// cache through which both engines of a pair sweep the identical
-/// generated fabric.
+/// generated fabric. A spec's params hold every value its point reads.
 pub fn zoo_campaign(
     cfg: &ZooConfig,
 ) -> Result<(Campaign, Executor, Arc<ArtifactCache<Topology>>), String> {
-    let grid = engine_zoo::plan(cfg);
     let mut campaign = Campaign::new("engine_zoo");
-    for (point, (spec, engine)) in grid.iter().enumerate() {
-        let id = format!("zoo/{}/{engine}", spec.name());
-        campaign.push(RunSpec::new(id, "zoo-point", Json::obj([("point", point)])));
+    for (family, size, engine) in engine_zoo::plan(cfg) {
+        let name = engine_zoo::topology(family, size, cfg.hosts_per_switch)?.name();
+        campaign.push(RunSpec::new(
+            format!("zoo/{name}/{engine}"),
+            "zoo-point",
+            Json::obj([
+                ("family", Json::from(family)),
+                ("size", Json::from(size)),
+                ("engine", Json::from(engine)),
+                ("hosts", Json::from(cfg.hosts_per_switch)),
+                ("adaptive", Json::from(cfg.adaptive_fraction)),
+                ("fidelity", Json::from(cfg.fidelity.name())),
+                ("seed", Json::from(cfg.seed)),
+            ]),
+        ));
     }
     campaign.validate()?;
     let cache: Arc<ArtifactCache<Topology>> = Arc::new(ArtifactCache::new());
     let shared = cache.clone();
-    let cfg = cfg.clone();
     let executor: Executor = Arc::new(move |spec: &RunSpec| {
-        let (topo_spec, engine) = &grid[spec.param_u64("point")? as usize];
+        let in_spec = |e: String| format!("{}: {e}", spec.id);
+        let cfg = ZooConfig {
+            sizes: Vec::new(),
+            hosts_per_switch: spec.param_u64("hosts")? as usize,
+            adaptive_fraction: spec
+                .params
+                .get("adaptive")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| in_spec("missing or non-numeric param \"adaptive\"".into()))?,
+            fidelity: spec
+                .param_str("fidelity")?
+                .parse()
+                .map_err(|e: &str| in_spec(e.into()))?,
+            seed: spec.param_u64("seed")?,
+        };
+        let size = spec.param_u64("size")? as usize;
+        let topo_spec = engine_zoo::topology(spec.param_str("family")?, size, cfg.hosts_per_switch)
+            .map_err(in_spec)?;
         let name = topo_spec.name();
         let topo = shared.get_or_build(&FabricKey::new(name.clone(), cfg.seed, 0), || {
             topo_spec.generate(cfg.seed).map_err(|e| e.to_string())
         })?;
-        let point = engine_zoo::run_engine_named(&topo, name, engine, &cfg)
-            .map_err(|e| format!("{}: {e}", spec.id))?;
+        let point = engine_zoo::run_engine_named(&topo, name, spec.param_str("engine")?, &cfg)
+            .map_err(|e| in_spec(e.to_string()))?;
         Ok(engine_zoo::point_json(&point))
     });
     Ok((campaign, executor, cache))
@@ -282,9 +308,10 @@ pub fn zoo_campaign(
 // ------------------------------------------------------------- recovery
 
 /// Recovery scaling as a campaign: one [`RunSpec`] per fabric size, ids
-/// like `recovery/n16`, and its executor, whose run recovers the twin
-/// fabrics of one size under both policies and yields the `(full,
-/// incremental)` pair of curve points as a two-element array.
+/// like `recovery/n16`, whose params hold the size, seed and per-SMP
+/// cost; and its executor, whose run recovers the twin fabrics of one
+/// size under both policies and yields the `(full, incremental)` pair of
+/// curve points as a two-element array.
 pub fn recovery_campaign(
     sizes: &[usize],
     seed: u64,
@@ -292,18 +319,24 @@ pub fn recovery_campaign(
 ) -> Result<(Campaign, Executor), String> {
     let mut campaign = Campaign::new("recovery_scaling");
     for &size in sizes {
-        let id = format!("recovery/n{size}");
         campaign.push(RunSpec::new(
-            id,
+            format!("recovery/n{size}"),
             "recovery-pair",
-            Json::obj([("size", size)]),
+            Json::obj([
+                ("size", Json::from(size)),
+                ("seed", Json::from(seed)),
+                ("per_smp_ns", Json::from(per_smp_ns)),
+            ]),
         ));
     }
     campaign.validate()?;
-    let executor: Executor = Arc::new(move |spec: &RunSpec| {
-        let size = spec.param_u64("size")? as usize;
-        let (full, inc) =
-            recovery::run_size(size, seed, per_smp_ns).map_err(|e| format!("{}: {e}", spec.id))?;
+    let executor: Executor = Arc::new(|spec: &RunSpec| {
+        let (full, inc) = recovery::run_size(
+            spec.param_u64("size")? as usize,
+            spec.param_u64("seed")?,
+            spec.param_u64("per_smp_ns")?,
+        )
+        .map_err(|e| format!("{}: {e}", spec.id))?;
         Ok(Json::arr([
             recovery::point_json(&full),
             recovery::point_json(&inc),

@@ -120,42 +120,52 @@ pub(crate) fn run_engine_named(
     }
 }
 
-/// The `(topology spec, engine)` grid of the zoo for `cfg`: per size the
-/// torus pair and, port budget permitting, the full-mesh pair. Tori need
-/// a `rows × cols ≥ 3` split, full meshes must fit the port budget;
-/// what is skipped is reported on stderr, never silently dropped.
-pub(crate) fn plan(cfg: &ZooConfig) -> Vec<(TopologySpec, &'static str)> {
+/// The `(family, size, engine)` grid of the zoo for `cfg`: per size the
+/// torus pair and, port budget permitting, the full-mesh pair, each two
+/// engines on one wired fabric. What [`topology`] refuses is reported on
+/// stderr, never silently dropped.
+pub(crate) fn plan(cfg: &ZooConfig) -> Vec<(&'static str, usize, &'static str)> {
+    let families = [
+        ("torus", ["updown", "outflank"]),
+        ("fullmesh", ["updown", "fullmesh"]),
+    ];
     let mut grid = Vec::new();
     for &size in &cfg.sizes {
-        match torus_dims(size) {
-            Some((rows, cols)) => {
-                let spec = TopologySpec::Torus2D {
-                    rows,
-                    cols,
-                    hosts_per_switch: cfg.hosts_per_switch,
-                };
-                grid.push((spec, "updown"));
-                grid.push((spec, "outflank"));
+        for (family, engines) in families {
+            match topology(family, size, cfg.hosts_per_switch) {
+                Ok(_) => grid.extend(engines.map(|engine| (family, size, engine))),
+                Err(skip) => eprintln!("engine_zoo: {skip}"),
             }
-            None => {
-                eprintln!("engine_zoo: {size} switches has no rows×cols ≥ 3 split; torus skipped")
-            }
-        }
-        if size - 1 + cfg.hosts_per_switch <= MAX_PORTS {
-            let spec = TopologySpec::FullMesh {
-                switches: size,
-                hosts_per_switch: cfg.hosts_per_switch,
-            };
-            grid.push((spec, "updown"));
-            grid.push((spec, "fullmesh"));
-        } else {
-            eprintln!(
-                "engine_zoo: K_{size} needs {} ports (> {MAX_PORTS}); full mesh skipped",
-                size - 1 + cfg.hosts_per_switch
-            );
         }
     }
     grid
+}
+
+/// The zoo's `family` fabric of `size` switches. Tori need a
+/// `rows × cols ≥ 3` split, full meshes must fit the port budget.
+pub(crate) fn topology(
+    family: &str,
+    size: usize,
+    hosts_per_switch: usize,
+) -> Result<TopologySpec, String> {
+    match family {
+        "torus" => torus_dims(size)
+            .map(|(rows, cols)| TopologySpec::Torus2D {
+                rows,
+                cols,
+                hosts_per_switch,
+            })
+            .ok_or_else(|| format!("{size} switches has no rows×cols ≥ 3 split; torus skipped")),
+        "fullmesh" if size - 1 + hosts_per_switch <= MAX_PORTS => Ok(TopologySpec::FullMesh {
+            switches: size,
+            hosts_per_switch,
+        }),
+        "fullmesh" => Err(format!(
+            "K_{size} needs {} ports (> {MAX_PORTS}); full mesh skipped",
+            size - 1 + hosts_per_switch
+        )),
+        other => Err(format!("unknown topology family {other:?}")),
+    }
 }
 
 /// Hard gates over rendered point cells (the shape the campaign runner
@@ -284,7 +294,8 @@ mod tests {
         };
         let points: Vec<ZooPoint> = plan(&cfg)
             .into_iter()
-            .map(|(spec, engine)| {
+            .map(|(family, size, engine)| {
+                let spec = topology(family, size, cfg.hosts_per_switch).unwrap();
                 let topo = spec.generate(cfg.seed).unwrap();
                 run_engine_named(&topo, spec.name(), engine, &cfg).unwrap()
             })

@@ -9,8 +9,7 @@
 //! subnet manager ([`iba_sm::SubnetManager`]) to count how many SMPs
 //! the re-sweep would cost on the wire.
 
-use iba_campaign::par_map;
-use iba_core::{IbaError, Json, SwitchId};
+use iba_core::{par_map, IbaError, Json, SwitchId};
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{Network, RecoveryPolicy, SimConfig};
 use iba_sm::{ManagedFabric, SubnetManager};

@@ -28,15 +28,23 @@ impl std::str::FromStr for Fidelity {
 
     /// The `--fidelity` flag's vocabulary.
     fn from_str(s: &str) -> Result<Fidelity, &'static str> {
-        match s {
-            "quick" => Ok(Fidelity::Quick),
-            "full" => Ok(Fidelity::Full),
-            _ => Err("expected quick or full"),
-        }
+        let presets = [Fidelity::Quick, Fidelity::Full];
+        presets
+            .into_iter()
+            .find(|f| f.name() == s)
+            .ok_or("expected quick or full")
     }
 }
 
 impl Fidelity {
+    /// The `--fidelity` flag's word for this preset.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Fidelity::Quick => "quick",
+            Fidelity::Full => "full",
+        }
+    }
+
     /// Topologies per configuration ("ten different topologies will be
     /// randomly generated for each network size").
     pub fn topologies(self) -> u64 {

@@ -10,8 +10,7 @@
 
 use crate::fidelity::Fidelity;
 use crate::harness::{build_ensemble, curve_point, EnsembleMember};
-use iba_campaign::par_map;
-use iba_core::IbaError;
+use iba_core::{par_map, IbaError};
 use iba_routing::RoutingConfig;
 use iba_stats::{markdown_table, Curve, CurvePoint};
 use iba_topology::IrregularConfig;

@@ -1,7 +1,6 @@
 //! Shared simulation harness: ensembles, sweeps and saturation search.
 
-use iba_campaign::par_map;
-use iba_core::IbaError;
+use iba_core::{par_map, IbaError};
 use iba_routing::{FaRouting, RoutingConfig, TableSource};
 use iba_sim::{Network, RunResult, SimConfig};
 use iba_stats::{Curve, CurvePoint};

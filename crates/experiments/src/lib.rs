@@ -25,14 +25,14 @@
 //!
 //! Simulations of different topologies and injection rates are
 //! independent, so each command shares them over the host's cores
-//! through [`iba_campaign::par_map`] — one parallel level per command,
+//! through [`iba_core::par_map`] — one parallel level per command,
 //! results in item order, so no output depends on the core count; each
 //! individual simulation stays single-threaded and deterministic in its
 //! seed.
 //!
 //! The chaos, engine-zoo and recovery-scaling commands additionally run
 //! under the crash-safe campaign runner ([`iba_campaign`], DESIGN.md
-//! §16): supervised workers, per-run panic isolation and timeouts,
+//! §16): the same pool's workers, per-run panic isolation and timeouts,
 //! retry with backoff, an fsync'd journal, and `--resume` for
 //! byte-identical recovery of an interrupted sweep. The campaign
 //! definitions and their one driver live in [`campaigns`].

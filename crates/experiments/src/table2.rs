@@ -4,8 +4,7 @@
 //! Static analysis over the topology ensemble: no simulation involved,
 //! so this experiment always runs at the paper's full ten topologies.
 
-use iba_campaign::par_map;
-use iba_core::IbaError;
+use iba_core::{par_map, IbaError};
 use iba_routing::{MinimalRouting, OptionDistribution, UpDownRouting};
 use iba_stats::markdown_table;
 use iba_topology::IrregularConfig;

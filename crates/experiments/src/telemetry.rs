@@ -16,8 +16,7 @@
 //! shares exhaust, credit stalls mount, and occupancy spills into the
 //! escape regions.
 
-use iba_campaign::par_map;
-use iba_core::{IbaError, Json, SimTime};
+use iba_core::{par_map, IbaError, Json, SimTime};
 use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{Network, RunResult, SimConfig, TelemetryOpts, TelemetryReport};
 use iba_stats::Timeseries;

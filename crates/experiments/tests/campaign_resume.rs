@@ -182,3 +182,33 @@ fn injected_failures_poison_without_sinking_the_sweep() {
     std::fs::remove_file(&journal).unwrap();
     std::fs::remove_file(&out).unwrap();
 }
+
+#[test]
+fn resume_under_another_seed_is_refused() {
+    // recovery/n8 is journalled at seed 8; the same ids at seed 9 must
+    // not be served the seed-8 cell.
+    let journal = scratch("reseeded.jsonl");
+    let (campaign, exec) = campaigns::recovery_campaign(&[8, 16], 8, 1_000).unwrap();
+    let halted = run_campaign(
+        &campaign,
+        exec,
+        &journal,
+        &RunnerOpts {
+            workers: 1,
+            halt_after: Some(1),
+            ..quick_opts()
+        },
+        false,
+    )
+    .unwrap();
+    assert!(halted.halted);
+    assert_eq!(halted.records[0].spec_id, "recovery/n8");
+
+    let (reseeded, exec) = campaigns::recovery_campaign(&[8, 16], 9, 1_000).unwrap();
+    let err = run_campaign(&reseeded, exec, &journal, &quick_opts(), true).unwrap_err();
+    assert!(
+        err.contains("\"recovery/n8\"") && err.contains("\"seed\":9"),
+        "{err}"
+    );
+    std::fs::remove_file(&journal).unwrap();
+}

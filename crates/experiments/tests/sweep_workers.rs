@@ -1,8 +1,8 @@
 //! The worker count of `par_map` is not observable in a result: each
 //! quick sweep point reads the same on one thread as on every core of
-//! this host (`iba_campaign::default_workers()` of them).
+//! this host (`iba_core::par::default_workers()` of them).
 
-use iba_campaign::par_map;
+use iba_core::par_map;
 use iba_experiments::{faults, table1, telemetry, Fidelity};
 use iba_sim::RecoveryPolicy;
 use iba_workloads::TrafficPattern;
