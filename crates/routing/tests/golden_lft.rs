@@ -39,6 +39,9 @@ const GOLDEN: &[(usize, u64, u16, Option<u16>, u64)] = &[
     (32, 7, 2, None, 0x406d20f7d4c38da4),
     (32, 7, 4, Some(5), 0x3972eb6435317fa0),
     (64, 11, 2, None, 0xbf92ece6983756c4),
+    // 256 switches are four pool items of the table compiler.
+    (128, 5, 2, None, 0x452abbd3630b50ab),
+    (256, 9, 2, None, 0x6b689f9f5f10aab9),
 ];
 
 #[test]
@@ -68,6 +71,50 @@ fn fa_over_updown_lfts_match_pre_refactor_bytes() {
     assert!(
         failures.is_empty(),
         "LFT digests diverged from the pre-refactor pin; actual values:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// The other three builders, pinned at 32 switches: APM's two path
+/// sets, a mixed fabric's plain switches and source-selected multipath.
+#[test]
+fn apm_mixed_and_multipath_lfts_match_pinned_bytes() {
+    let topo = TopologySpec::Irregular {
+        switches: 32,
+        inter_switch_links: 4,
+        hosts_per_switch: 4,
+    }
+    .generate(7)
+    .unwrap();
+    let config = RoutingConfig::two_options();
+    let caps: Vec<bool> = (0..32).map(|s| s % 3 != 1).collect();
+    let builds = [
+        (
+            "apm",
+            FaRouting::build_with_apm(&topo, config),
+            0x60ff072b477639ad,
+        ),
+        (
+            "mixed",
+            FaRouting::build_mixed(&topo, config, &caps),
+            0x32da89b215c4e39f,
+        ),
+        (
+            "multipath",
+            FaRouting::build_source_multipath(&topo, RoutingConfig::with_options(4)),
+            0x8b78d4510f5a2aff,
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (name, fa, expected) in builds {
+        let got = lft_digest(&topo, &fa.unwrap());
+        if got != expected {
+            failures.push(format!("    (\"{name}\", ..., {got:#018x}),"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "builder LFT digests diverged; actual values:\n{}",
         failures.join("\n")
     );
 }
