@@ -179,6 +179,45 @@ fn panics_hangs_and_flakes_are_contained() {
     std::fs::remove_file(&journal).unwrap();
 }
 
+/// A failing spec waits out its backoff without holding a worker: with
+/// one worker, a spec that fails once and is listed first lets the
+/// healthy spec behind it finish — and be journaled — before its retry.
+#[test]
+fn a_retry_waits_in_the_next_round_not_on_a_worker() {
+    let mut campaign = Campaign::new("rounds");
+    campaign.push(RunSpec::new(
+        "t/flaky",
+        "scripted",
+        Json::obj([
+            ("kind", Json::from("flaky")),
+            ("succeed_on", Json::from(2u64)),
+        ]),
+    ));
+    campaign.push(ok_spec(0));
+    let journal = scratch("rounds.jsonl");
+    let outcome = run_campaign(
+        &campaign,
+        scripted(Arc::new(Mutex::new(HashMap::new()))),
+        &journal,
+        &RunnerOpts {
+            workers: 1,
+            ..quick_opts()
+        },
+        false,
+    )
+    .unwrap();
+    let journaled: Vec<String> = (replay(&journal).unwrap().records.into_iter())
+        .map(|r| r.spec_id)
+        .collect();
+    assert_eq!(journaled, ["t/ok-0", "t/flaky"]);
+    let flaky = outcome.record_for("t/flaky").unwrap();
+    assert_eq!(flaky.status, RunStatus::Ok);
+    assert_eq!(flaky.attempts, 2);
+    let ids: Vec<&str> = outcome.records.iter().map(|r| r.spec_id.as_str()).collect();
+    assert_eq!(ids, ["t/flaky", "t/ok-0"], "records stay in campaign order");
+    std::fs::remove_file(&journal).unwrap();
+}
+
 #[test]
 fn interrupted_campaign_resumes_byte_identical_with_zero_reruns() {
     let mut campaign = Campaign::new("resume");

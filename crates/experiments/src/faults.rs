@@ -46,12 +46,16 @@ pub struct FaultCell {
 }
 
 /// Pick `count` distinct switch–switch links whose joint removal keeps
-/// the fabric connected (greedy, deterministic).
+/// the fabric connected (greedy, deterministic). Each candidate is tried
+/// by a search over the switch graph with the chosen links masked; no
+/// topology is built.
 pub fn removable_links(
     topo: &Topology,
     count: usize,
 ) -> Result<Vec<(SwitchId, SwitchId)>, IbaError> {
     let mut chosen: Vec<(SwitchId, SwitchId)> = Vec::new();
+    let mut reached = vec![false; topo.num_switches()];
+    let mut queue = Vec::with_capacity(topo.num_switches());
     'outer: while chosen.len() < count {
         for a in topo.switch_ids() {
             for (_, b, _) in topo.switch_neighbors(a) {
@@ -59,7 +63,7 @@ pub fn removable_links(
                     continue;
                 }
                 chosen.push((a, b));
-                if degraded(topo, &chosen).is_ok() {
+                if connected_without(topo, &chosen, &mut reached, &mut queue) {
                     continue 'outer;
                 }
                 chosen.pop();
@@ -71,6 +75,36 @@ pub fn removable_links(
         )));
     }
     Ok(chosen)
+}
+
+/// Whether every switch reaches switch 0 over the links of `topo` but
+/// the `dead` ones (each named lower switch id first).
+fn connected_without(
+    topo: &Topology,
+    dead: &[(SwitchId, SwitchId)],
+    reached: &mut [bool],
+    queue: &mut Vec<SwitchId>,
+) -> bool {
+    reached.fill(false);
+    queue.clear();
+    queue.push(SwitchId(0));
+    reached[0] = true;
+    let mut head = 0;
+    while let Some(&cur) = queue.get(head) {
+        head += 1;
+        for (_, peer, _) in topo.switch_neighbors(cur) {
+            let link = if cur.0 < peer.0 {
+                (cur, peer)
+            } else {
+                (peer, cur)
+            };
+            if !reached[peer.index()] && !dead.contains(&link) {
+                reached[peer.index()] = true;
+                queue.push(peer);
+            }
+        }
+    }
+    queue.len() == reached.len()
 }
 
 /// Rebuild `topo` without the `dead` links; errors when disconnected.
@@ -265,6 +299,58 @@ pub fn to_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The choice [`removable_links`] replaced: every candidate checked
+    /// by rebuilding the fabric without the chosen links.
+    fn removable_links_by_rebuilding(
+        topo: &Topology,
+        count: usize,
+    ) -> Result<Vec<(SwitchId, SwitchId)>, IbaError> {
+        let mut chosen: Vec<(SwitchId, SwitchId)> = Vec::new();
+        'outer: while chosen.len() < count {
+            for a in topo.switch_ids() {
+                for (_, b, _) in topo.switch_neighbors(a) {
+                    if b.0 <= a.0 || chosen.contains(&(a, b)) {
+                        continue;
+                    }
+                    chosen.push((a, b));
+                    if degraded(topo, &chosen).is_ok() {
+                        continue 'outer;
+                    }
+                    chosen.pop();
+                }
+            }
+            return Err(IbaError::InvalidTopology(format!(
+                "only {} of {count} requested link faults keep the fabric connected",
+                chosen.len()
+            )));
+        }
+        Ok(chosen)
+    }
+
+    #[test]
+    fn removable_links_choose_what_rebuilding_chose() {
+        for n in [8usize, 16, 32, 64, 128, 256] {
+            for seed in 0..20 {
+                let topo = IrregularConfig::paper(n, seed).generate().unwrap();
+                for count in [1, 8] {
+                    let (new, old) = (
+                        removable_links(&topo, count),
+                        removable_links_by_rebuilding(&topo, count),
+                    );
+                    assert_eq!(new, old, "{n} switches, seed {seed}, {count} links");
+                }
+            }
+        }
+        // A ring loses one link and no second one.
+        let ring = iba_topology::regular::ring(6, 1).unwrap();
+        assert_eq!(removable_links(&ring, 1).unwrap().len(), 1);
+        assert_eq!(
+            removable_links(&ring, 2),
+            removable_links_by_rebuilding(&ring, 2)
+        );
+        assert!(removable_links(&ring, 2).is_err());
+    }
 
     #[test]
     fn removable_links_keep_connectivity() {

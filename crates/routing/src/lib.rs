@@ -59,5 +59,5 @@ pub use fullmesh::FullMeshRouting;
 pub use minimal::MinimalRouting;
 pub use outflank::OutflankRouting;
 pub use sl2vl::SlToVlTable;
-pub use table::InterleavedForwardingTable;
+pub use table::{InterleavedForwardingTable, UNPROGRAMMED};
 pub use updown::UpDownRouting;

@@ -66,9 +66,10 @@ pub(crate) enum SmpAttribute {
     LinearForwardingTable {
         /// Block index: entries `block*64 .. block*64+63`.
         block: u32,
-        /// Entry payload for `Set` (`None` entries are skipped); ignored
+        /// Entry payload for `Set`, one port byte per entry
+        /// ([`iba_routing::UNPROGRAMMED`] entries are skipped); ignored
         /// for `Get`.
-        entries: Vec<Option<PortIndex>>,
+        entries: Vec<u8>,
     },
     /// One (input port, output port) row of the SLtoVL table.
     SlToVlMappingTable {
@@ -136,8 +137,9 @@ pub(crate) enum SmpResponse {
     },
     /// Answer to `Get(LinearForwardingTable)`.
     LftBlock {
-        /// The 64 entries of the block (`None` = unprogrammed).
-        entries: [Option<PortIndex>; crate::managed::LFT_BLOCK],
+        /// The 64 entries of the block, one port byte each
+        /// ([`iba_routing::UNPROGRAMMED`] = unprogrammed).
+        entries: [u8; crate::managed::LFT_BLOCK],
     },
     /// Generic success for `Set`.
     Ok,
@@ -172,7 +174,7 @@ mod tests {
             method: SmpMethod::Set,
             attribute: SmpAttribute::LinearForwardingTable {
                 block: 2,
-                entries: vec![Some(PortIndex(1)); 64],
+                entries: vec![1; 64],
             },
             route: DirectedRoute::local().then(PortIndex(0)),
             tid: 7,

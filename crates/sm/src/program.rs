@@ -13,7 +13,7 @@ use crate::mad::{DirectedRoute, Smp, SmpAttribute, SmpMethod, SmpResponse};
 use crate::managed::{ManagedFabric, LFT_BLOCK, LFT_LEN};
 use crate::retry::{send_once, ReliableSender, SendOutcome};
 use iba_core::{IbaError, Lid, PortIndex, ServiceLevel, SwitchId, VirtualLane};
-use iba_routing::{EscapeEngine, FaRouting};
+use iba_routing::{EscapeEngine, FaRouting, UNPROGRAMMED};
 use std::collections::HashMap;
 
 /// Outcome of a programming pass.
@@ -48,15 +48,15 @@ struct SwitchShadow {
     mgmt_lid: Option<Lid>,
 }
 
-/// Content hash of one LFT block, eight entries a step: each entry is
-/// its port byte, `None` the byte a table cannot hold (0xFF), so
+/// Content hash of one LFT block of port bytes, eight entries a step:
+/// [`UNPROGRAMMED`] is the byte a table cannot hold as a port, so
 /// clearing an entry dirties the block; a short last word keeps a
 /// leading 1 bit, so a block that shrank dirties it too. Every step is
 /// a bijection of the running hash, so blocks that differ in one word
 /// never collide.
-fn block_hash(entries: &[Option<PortIndex>]) -> u64 {
+fn block_hash(entries: &[u8]) -> u64 {
     entries.chunks(8).fold(0xcbf2_9ce4_8422_2325u64, |h, word| {
-        let packed = (word.iter()).fold(1u64, |w, e| w << 8 | e.map_or(0xFF, |p| p.0 as u64));
+        let packed = (word.iter()).fold(1u64, |w, &e| w << 8 | e as u64);
         let h = (h ^ packed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^ h >> 32
     })
@@ -160,12 +160,12 @@ impl Programmer {
             // Blocks are read straight from the interleaved modules:
             // no linear copy of the table, no `Vec` per dirty block.
             let table = routing.table(SwitchId(i as u16));
-            let mut read = [None; LFT_BLOCK];
+            let mut read = [UNPROGRAMMED; LFT_BLOCK];
             for block in 0..table.len().div_ceil(LFT_BLOCK) as u32 {
                 let base = block as usize * LFT_BLOCK;
                 let chunk = &mut read[..LFT_BLOCK.min(table.len() - base)];
                 table.read_block(base, chunk);
-                if chunk.iter().all(|e| e.is_none()) {
+                if chunk.iter().all(|&e| e == UNPROGRAMMED) {
                     continue; // nothing programmed in this block
                 }
                 blocks_total += 1;
@@ -195,10 +195,8 @@ impl Programmer {
                 let SmpResponse::LftBlock { entries: got } = resp else {
                     return Err(IbaError::InvalidConfig("LFT read-back failed".into()));
                 };
-                let matches = chunk
-                    .iter()
-                    .enumerate()
-                    .all(|(k, want)| want.is_none() || got.get(k) == Some(want));
+                let matches = (chunk.iter().zip(&got))
+                    .all(|(&want, &got)| want == UNPROGRAMMED || got == want);
                 if matches {
                     let b = block as usize;
                     if shadow.block_hashes.len() <= b {
@@ -303,14 +301,13 @@ mod tests {
     /// in its length alone hashes differently.
     #[test]
     fn block_hash_tells_apart_one_entry_a_clear_and_a_length() {
-        let p = |v: u8| Some(PortIndex(v));
-        let blocks: [&[Option<PortIndex>]; 6] = [
-            &[p(0), p(5)],
-            &[p(5)],
-            &[p(5), None],
-            &[p(5), p(0)],
-            &[p(0); 64],
-            &[p(0); 63],
+        let blocks: [&[u8]; 6] = [
+            &[0, 5],
+            &[5],
+            &[5, UNPROGRAMMED],
+            &[5, 0],
+            &[0; 64],
+            &[0; 63],
         ];
         for (i, a) in blocks.iter().enumerate() {
             for b in &blocks[i + 1..] {
