@@ -7,12 +7,9 @@
 //! ports — the raw material both for the forwarding tables (`fa`) and for
 //! the Table 2 analysis (`analysis`).
 
-use crate::columns::per_item;
+use crate::columns::{ones, words_per_item, WORD};
 use iba_core::{par_chunks_mut, IbaError, PortIndex, SwitchId};
 use iba_topology::Topology;
-
-/// Unreachable marker in the distance columns.
-const INF: u32 = u32::MAX;
 
 /// A set of ports of one switch, as a bit per port index — what a
 /// minimal-option cell *is*: iteration is ascending by port, membership
@@ -57,6 +54,8 @@ pub struct MinimalRouting {
     /// `options[t · n + s]`: ports of `s` on shortest paths to `t`.
     /// Empty for `s == t`.
     options: Vec<u128>,
+    /// The switch of minimum eccentricity, the lowest id among equals.
+    center: SwitchId,
 }
 
 impl MinimalRouting {
@@ -69,32 +68,42 @@ impl MinimalRouting {
                 "switch radix {ports} exceeds the {MASK_PORTS} ports an option mask holds"
             )));
         }
-        let mut minimal = MinimalRouting {
-            n,
-            // Zeroed pages cost nothing; `fill` writes every cell.
-            dist: vec![0; n * n],
-            options: vec![0; n * n],
-        };
-        if !minimal.fill(topo) {
-            return Err(IbaError::RoutingFailed("topology disconnected".into()));
-        }
-        Ok(minimal)
+        Self::sweep(n, |s| topo.switch_neighbors(s))
     }
 
-    /// Compute every destination's column on `topo`. `false` when some
-    /// switch cannot reach one of them.
-    fn fill(&mut self, topo: &Topology) -> bool {
-        let n = self.n;
-        let mut columns: Vec<_> = (self.dist.chunks_mut(n))
-            .zip(self.options.chunks_mut(n))
+    /// Sweep the switch graph `links` lists every switch's
+    /// `(port, peer, peer's port)` links of: every block of [`WORD`]
+    /// destinations, then the center from the eccentricities the
+    /// sweeps meet. Refused when some switch cannot reach another.
+    fn sweep<L>(n: usize, links: impl Fn(SwitchId) -> L + Sync) -> Result<MinimalRouting, IbaError>
+    where
+        L: Iterator<Item = (PortIndex, SwitchId, PortIndex)>,
+    {
+        let mut minimal = MinimalRouting {
+            n,
+            // Zeroed pages cost nothing; the sweeps write every cell.
+            dist: vec![0; n * n],
+            options: vec![0; n * n],
+            center: SwitchId(0),
+        };
+        let mut blocks: Vec<_> = (minimal.dist.chunks_mut(WORD * n))
+            .zip(minimal.options.chunks_mut(WORD * n))
             .enumerate()
             .collect();
-        let connected = par_chunks_mut(&mut columns, per_item(n), |columns| {
-            let mut queue = Vec::with_capacity(n);
-            let mut columns = columns.iter_mut();
-            columns.all(|(t, (dist, options))| fill_column(topo, *t, dist, options, &mut queue))
+        let items = par_chunks_mut(&mut blocks, words_per_item(n), |blocks| {
+            let mut sweep = Sweep::new(n);
+            let mut blocks = blocks.iter_mut();
+            let swept =
+                blocks.all(|(b, (dist, options))| sweep.run(&links, *b * WORD, dist, options));
+            swept.then_some(sweep.eccentricity)
         });
-        !connected.contains(&false)
+        let Some(items) = items.into_iter().collect::<Option<Vec<_>>>() else {
+            return Err(IbaError::RoutingFailed("topology disconnected".into()));
+        };
+        let eccentricity = |s: &usize| items.iter().map(|ecc| ecc[*s]).max();
+        // Of equal minima `min_by_key` returns the first.
+        minimal.center = SwitchId((0..n).min_by_key(eccentricity).unwrap_or(0) as u16);
+        Ok(minimal)
     }
 
     /// Shortest distance between two switches, in hops.
@@ -111,56 +120,208 @@ impl MinimalRouting {
 
     /// The switch of minimum eccentricity, the lowest id among equals:
     /// the up\*/down\* root rule ([`crate::UpDownRouting::build`]),
-    /// read off the distances already held. The graph is undirected, so
-    /// a switch's eccentricity is the maximum of its own column.
+    /// met while sweeping — the graph is undirected, so a switch's
+    /// eccentricity is the last level at which its reached set grew.
     pub(crate) fn center(&self) -> SwitchId {
-        let eccentricity = |t: &usize| self.dist[t * self.n..][..self.n].iter().max().copied();
-        // Of equal minima `min_by_key` returns the first.
-        SwitchId((0..self.n).min_by_key(eccentricity).unwrap_or(0) as u16)
+        self.center
     }
 }
 
-/// One BFS from destination `t` over the (undirected) switch graph fills
-/// both of its columns: a neighbor `peer` one hop farther than `cur` has
-/// its port back to `cur` on a shortest path. `false` when the BFS does
-/// not reach every switch.
-fn fill_column(
-    topo: &Topology,
-    t: usize,
-    dist: &mut [u32],
-    options: &mut [u128],
-    queue: &mut Vec<SwitchId>,
-) -> bool {
-    dist.fill(INF);
-    options.fill(0);
-    dist[t] = 0;
-    queue.clear();
-    queue.push(SwitchId(t as u16));
-    let mut head = 0;
-    while let Some(&cur) = queue.get(head) {
-        head += 1;
-        let farther = dist[cur.index()] + 1;
-        for (_, peer, back) in topo.switch_neighbors(cur) {
-            let d = &mut dist[peer.index()];
-            if *d == INF {
-                *d = farther;
-                queue.push(peer);
-            }
-            if *d == farther {
-                options[peer.index()] |= 1 << back.0;
-            }
+/// A word-parallel breadth-first sweep over the switch graph: each
+/// switch holds, as one word, the destinations of a block it has
+/// reached, and level `d` is one pass over the links. Reused across
+/// the blocks of one pool item.
+struct Sweep {
+    reached: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    /// Per switch, its distance to the farthest destination of the
+    /// blocks swept so far.
+    eccentricity: Vec<u32>,
+}
+
+impl Sweep {
+    fn new(n: usize) -> Sweep {
+        Sweep {
+            reached: vec![0; n],
+            frontier: vec![0; n],
+            next: vec![0; n],
+            eccentricity: vec![0; n],
         }
     }
-    queue.len() == dist.len()
+
+    /// Fill the columns of destinations `first..` — `dist.len() / n`
+    /// of them, at most a word — in both stores. The frontier of level
+    /// `d` at `s` is what its neighbors' level-`d − 1` frontiers bring
+    /// that `s` has not reached, and what one link brings is exactly
+    /// the destinations that link's port is a minimal option towards.
+    /// `false` when some switch does not reach every destination.
+    fn run<L>(
+        &mut self,
+        links: &impl Fn(SwitchId) -> L,
+        first: usize,
+        dist: &mut [u32],
+        options: &mut [u128],
+    ) -> bool
+    where
+        L: Iterator<Item = (PortIndex, SwitchId, PortIndex)>,
+    {
+        let n = self.reached.len();
+        let columns = dist.len() / n;
+        self.frontier.fill(0);
+        for j in 0..columns {
+            self.frontier[first + j] = 1 << j;
+            dist[j * n + first + j] = 0;
+        }
+        self.reached.copy_from_slice(&self.frontier);
+        for d in 1.. {
+            let mut grew = false;
+            for (s, next) in self.next.iter_mut().enumerate() {
+                let unreached = !self.reached[s];
+                let mut row = 0;
+                for (port, peer, _) in links(SwitchId(s as u16)) {
+                    let brought = self.frontier[peer.index()] & unreached;
+                    row |= brought;
+                    for j in ones(brought) {
+                        options[j * n + s] |= 1 << port.0;
+                    }
+                }
+                *next = row;
+                if row != 0 {
+                    grew = true;
+                    self.reached[s] |= row;
+                    self.eccentricity[s] = self.eccentricity[s].max(d);
+                    for j in ones(row) {
+                        dist[j * n + s] = d;
+                    }
+                }
+            }
+            if !grew {
+                break;
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+        let all = u64::MAX >> (WORD - columns);
+        self.reached.iter().all(|&reached| reached == all)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::reference_specs;
+    use crate::columns::{reference_specs, sweep_cases};
     use crate::updown::UpDownRouting;
     use iba_topology::{regular, IrregularConfig};
     use proptest::prelude::*;
+
+    /// Unreachable marker of the oracle's BFS.
+    const INF: u32 = u32::MAX;
+
+    impl MinimalRouting {
+        /// The per-destination build the word-parallel sweep replaced,
+        /// kept as its oracle: one BFS per destination column, then the
+        /// center scanned off all n² distances.
+        fn oracle(topo: &Topology) -> MinimalRouting {
+            let n = topo.num_switches();
+            let (mut dist, mut options) = (vec![0; n * n], vec![0; n * n]);
+            let mut queue = Vec::with_capacity(n);
+            let columns = dist.chunks_mut(n).zip(options.chunks_mut(n));
+            for (t, (dist, options)) in columns.enumerate() {
+                assert!(fill_column(topo, t, dist, options, &mut queue));
+            }
+            let eccentricity = |t: &usize| dist[t * n..][..n].iter().max().copied();
+            let center = SwitchId((0..n).min_by_key(eccentricity).unwrap_or(0) as u16);
+            MinimalRouting {
+                n,
+                dist,
+                options,
+                center,
+            }
+        }
+    }
+
+    /// One BFS from destination `t` over the (undirected) switch graph
+    /// fills both of its columns: a neighbor `peer` one hop farther than
+    /// `cur` has its port back to `cur` on a shortest path. `false` when
+    /// the BFS does not reach every switch.
+    fn fill_column(
+        topo: &Topology,
+        t: usize,
+        dist: &mut [u32],
+        options: &mut [u128],
+        queue: &mut Vec<SwitchId>,
+    ) -> bool {
+        dist.fill(INF);
+        options.fill(0);
+        dist[t] = 0;
+        queue.clear();
+        queue.push(SwitchId(t as u16));
+        let mut head = 0;
+        while let Some(&cur) = queue.get(head) {
+            head += 1;
+            let farther = dist[cur.index()] + 1;
+            for (_, peer, back) in topo.switch_neighbors(cur) {
+                let d = &mut dist[peer.index()];
+                if *d == INF {
+                    *d = farther;
+                    queue.push(peer);
+                }
+                if *d == farther {
+                    options[peer.index()] |= 1 << back.0;
+                }
+            }
+        }
+        queue.len() == dist.len()
+    }
+
+    fn assert_equals_its_oracle(topo: &Topology) {
+        let (swept, oracle) = (
+            MinimalRouting::build(topo).unwrap(),
+            MinimalRouting::oracle(topo),
+        );
+        let n = topo.num_switches();
+        assert!(swept.dist == oracle.dist, "{n} switches: distances");
+        assert!(swept.options == oracle.options, "{n} switches: options");
+        assert_eq!(swept.center, oracle.center, "{n} switches: center");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        /// The word-parallel sweep against the per-destination BFS on
+        /// every reference shape and on sizes either side of a word and
+        /// of a pool item.
+        #[test]
+        fn prop_the_sweep_equals_the_per_destination_oracle(seed in any::<u64>()) {
+            sweep_cases(seed).iter().for_each(assert_equals_its_oracle);
+        }
+    }
+
+    /// Sixteen items of one word each, shared over the pool.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "1 024 switches: release only")]
+    fn the_sweep_equals_the_oracle_at_1024_switches() {
+        for seed in [100, 101] {
+            assert_equals_its_oracle(&IrregularConfig::paper(1024, seed).generate().unwrap());
+        }
+    }
+
+    #[test]
+    fn a_disconnected_graph_is_refused() {
+        // A ring of 6 with the links across 2–3 and 5–0 hidden: two
+        // components of three.
+        let topo = regular::ring(6, 1).unwrap();
+        let cut = |s: SwitchId, peer: SwitchId| {
+            matches!((s.0.min(peer.0), s.0.max(peer.0)), (2, 3) | (0, 5))
+        };
+        let links = |s| {
+            topo.switch_neighbors(s)
+                .filter(move |&(_, peer, _)| !cut(s, peer))
+        };
+        assert!(matches!(
+            MinimalRouting::sweep(6, links),
+            Err(IbaError::RoutingFailed(m)) if m == "topology disconnected"
+        ));
+    }
 
     /// The nested-`Vec` build the flat one replaced, kept as its oracle:
     /// `(dist[s][t], options[t][s])`, options in neighbor (port) order.

@@ -29,7 +29,7 @@
 //! well-known behaviour the paper leans on in §5.2.1: up\*/down\* paths
 //! may be non-minimal and concentrate traffic near the root.
 
-use crate::columns::{per_item, HopColumns, NO_HOP};
+use crate::columns::{ones, words_per_item, HopColumns, WORD};
 use crate::engine::EscapeEngine;
 use crate::minimal::MinimalRouting;
 use iba_core::{par_chunks_mut, IbaError, PortIndex, SwitchId};
@@ -55,11 +55,13 @@ pub struct UpDownRouting {
     next_hop: HopColumns,
 }
 
-/// The switch graph as the up\*/down\* traversals walk it: per switch,
+/// The switch graph as the up\*/down\* sweeps walk it: per switch,
 /// the links that leave it upwards (towards the root), then those that
-/// leave it downwards, as `(local port, peer)`. Built once per build
-/// from the levels, so no inner loop looks a level up, skips a host
-/// port or tests a link it will not take.
+/// leave it downwards, as `(local port, peer)`, each part sorted by
+/// `(peer, port)` — the next-hop tie-break, so the first link that
+/// brings a destination is the one to take. Built once per build from
+/// the levels, so no inner loop looks a level up, skips a host port or
+/// tests a link it will not take.
 struct Oriented {
     links: Vec<(PortIndex, SwitchId)>,
     /// Switch `s` owns `links[first[s]..first[s + 1]]`, its down links
@@ -83,12 +85,14 @@ impl Oriented {
                 } else {
                     &mut adj.first_down
                 };
-                first.push(adj.links.len() as u32);
+                let start = adj.links.len();
+                first.push(start as u32);
                 adj.links.extend(
                     (topo.switch_neighbors(s))
                         .filter(|&(_, peer, _)| rt.is_up_move(s, peer) == up)
                         .map(|(port, peer, _)| (port, peer)),
                 );
+                adj.links[start..].sort_unstable_by_key(|&(port, peer)| (peer, port));
             }
         }
         adj.first.push(adj.links.len() as u32);
@@ -148,22 +152,20 @@ impl UpDownRouting {
         Ok(rt)
     }
 
-    /// Compute every destination's column over `adj`: both distance
-    /// layers, then the next hops that read them.
+    /// Sweep every block of [`WORD`] destinations over `adj`: both
+    /// distance layers and the next hops.
     fn fill(&mut self, adj: &Oriented) -> Result<(), IbaError> {
         let n = self.level.len();
-        let mut columns: Vec<_> = (self.down_dist.chunks_mut(n))
-            .zip(self.legal_dist.chunks_mut(n))
-            .zip(self.next_hop.columns_mut())
+        let mut blocks: Vec<_> = (self.down_dist.chunks_mut(WORD * n))
+            .zip(self.legal_dist.chunks_mut(WORD * n))
+            .zip(self.next_hop.columns_mut(WORD))
             .enumerate()
             .collect();
-        par_chunks_mut(&mut columns, per_item(n), |columns| {
-            let mut queue = Vec::with_capacity(2 * n);
-            columns
-                .iter_mut()
-                .try_for_each(|(t, ((down, legal), hops))| {
-                    fill_column(adj, *t, down, legal, hops, &mut queue)
-                })
+        par_chunks_mut(&mut blocks, words_per_item(n), |blocks| {
+            let mut sweep = Sweep::new(n);
+            (blocks.iter_mut()).try_for_each(|(b, ((down, legal), hops))| {
+                sweep.run(adj, *b * WORD, down, legal, hops)
+            })
         })
         .into_iter()
         .collect()
@@ -237,92 +239,133 @@ impl UpDownRouting {
     }
 }
 
-/// Fill destination `t`'s column of the three stores: a backward BFS
-/// from `t` over the 2-state layered graph, producing for every source
-/// `s` the shortest all-down distance and the shortest legal distance
-/// of paths `s → t`, then the deterministic next hop of every `s`.
+/// The word-parallel up\*/down\* sweep of one block of destinations:
+/// each switch holds, as one word, the destinations of the block at a
+/// given distance. Reused across the blocks of one pool item.
 ///
-/// Forward semantics of the layers: in state `CanUp` a packet may
-/// still take up moves (or switch to going down); in state `DownOnly`
-/// it may only take down moves. A forward edge `s →(up) n` connects
-/// `(s, CanUp) → (n, CanUp)`; a forward edge `s →(down) m` connects
-/// both `(s, CanUp)` and `(s, DownOnly)` to `(m, DownOnly)`. We BFS
-/// the reversed edges from `{(t, CanUp), (t, DownOnly)}`.
-fn fill_column(
-    adj: &Oriented,
-    t: usize,
-    down: &mut [u32],
-    legal: &mut [u32],
-    hops: &mut [u8],
-    queue: &mut Vec<(SwitchId, bool)>,
-) -> Result<(), IbaError> {
-    // legal[s] = distance of state (s, CanUp); down[s] = distance of
-    // state (s, DownOnly). Recurrences (forward semantics):
-    //   down[s]  = 1 + min over down-neighbors m of down[m]
-    //   legal[s] = min(1 + min over up-neighbors n of legal[n], down[s])
-    // solved by a multi-layer BFS over the reversed edges; every edge
-    // costs 1 so FIFO order yields shortest distances.
-    down.fill(INF);
-    legal.fill(INF);
-    down[t] = 0;
-    legal[t] = 0;
-    // Queue of (switch, is_down_only_state).
-    queue.clear();
-    queue.extend([(SwitchId(t as u16), false), (SwitchId(t as u16), true)]);
-    let mut head = 0;
-    while let Some(&(cur, down_only)) = queue.get(head) {
-        head += 1;
-        if down_only {
-            let d = down[cur.index()];
-            // Forward edges peer →(down) cur leave a switch above
-            // `cur`, from either layer: (peer, DownOnly) → (cur,
-            // DownOnly) and (peer, CanUp) → (cur, DownOnly).
-            for &(_, peer) in adj.above(cur.index()) {
-                if down[peer.index()] == INF {
-                    down[peer.index()] = d + 1;
-                    queue.push((peer, true));
-                }
-                if legal[peer.index()] == INF {
-                    legal[peer.index()] = d + 1;
-                    queue.push((peer, false));
-                }
-            }
-        } else {
-            let d = legal[cur.index()];
-            // Forward edge peer →(up) cur, from a switch below
-            // `cur`: (peer, CanUp) → (cur, CanUp).
-            for &(_, peer) in adj.below(cur.index()) {
-                if legal[peer.index()] == INF {
-                    legal[peer.index()] = d + 1;
-                    queue.push((peer, false));
-                }
-            }
+/// The recurrences are those of the 2-state layered graph — in state
+/// `CanUp` a packet may still take up moves, in `DownOnly` only down
+/// moves:
+///   `down[s]  = 1 + min over down-neighbors m of down[m]`
+///   `legal[s] = min(down[s], 1 + min over up-neighbors u of legal[u])`
+/// so the set at level `d` is what level `d − 1` of the right neighbors
+/// brings that `s` has not reached yet.
+struct Sweep {
+    /// `D_0, D_1, …`: `n` words per level, bit `j` of `s`'s word set
+    /// when `down[t_j][s]` is that level.
+    down_levels: Vec<u64>,
+    /// Everything `s` reaches all-down; the union of its `D_d`.
+    down_reached: Vec<u64>,
+    legal_reached: Vec<u64>,
+    /// `L_{d−1}` and `L_d`, the legal-distance frontiers.
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl Sweep {
+    fn new(n: usize) -> Sweep {
+        Sweep {
+            down_levels: Vec::new(),
+            down_reached: vec![0; n],
+            legal_reached: vec![0; n],
+            frontier: vec![0; n],
+            next: vec![0; n],
         }
     }
-    for s in 0..down.len() {
-        // Go down when the destination is reachable that way — the
-        // down neighbor on a shortest all-down path — else up, to
-        // the up neighbor minimizing the remaining legal distance.
-        let (dist, links) = if down[s] != INF {
-            (&*down, adj.below(s))
-        } else {
-            (&*legal, adj.above(s))
+
+    /// Fill the columns of destinations `first..` — `down.len() / n` of
+    /// them, at most a word — in the three stores.
+    fn run(
+        &mut self,
+        adj: &Oriented,
+        first: usize,
+        down: &mut [u32],
+        legal: &mut [u32],
+        hops: &mut [u8],
+    ) -> Result<(), IbaError> {
+        let n = self.frontier.len();
+        let columns = down.len() / n;
+        down.fill(INF);
+        self.frontier.fill(0);
+        for j in 0..columns {
+            self.frontier[first + j] = 1 << j;
+            down[j * n + first + j] = 0;
+            legal[j * n + first + j] = 0;
+        }
+        // Pass 1, all-down distances. Go down when you can: the hop is
+        // the first down link (by peer, then port) whose peer is one
+        // level nearer.
+        self.down_levels.clear();
+        self.down_levels.extend_from_slice(&self.frontier);
+        self.down_reached.copy_from_slice(&self.frontier);
+        for d in 1.. {
+            let nearer = self.down_levels.len() - n;
+            self.down_levels.resize(nearer + 2 * n, 0);
+            let (older, level) = self.down_levels.split_at_mut(nearer + n);
+            let nearer = &older[nearer..];
+            let mut grew = false;
+            for (s, word) in level.iter_mut().enumerate() {
+                let mut row = 0;
+                for &(port, peer) in adj.below(s) {
+                    let brought = nearer[peer.index()] & !self.down_reached[s] & !row;
+                    row |= brought;
+                    for j in ones(brought) {
+                        down[j * n + s] = d;
+                        hops[j * n + s] = port.0;
+                    }
+                }
+                self.down_reached[s] |= row;
+                *word = row;
+                grew |= row != 0;
+            }
+            if !grew {
+                self.down_levels.truncate(self.down_levels.len() - n);
+                break;
+            }
+        }
+        // Pass 2, legal distances. An up hop only where the final
+        // all-down set lacks the destination, even when an up path is
+        // shorter: the first up link whose peer is one level nearer.
+        let depth = self.down_levels.len() / n;
+        self.legal_reached.copy_from_slice(&self.frontier);
+        for d in 1.. {
+            let all_down = self.down_levels.get(d as usize * n..(d as usize + 1) * n);
+            let mut grew = false;
+            for (s, word) in self.next.iter_mut().enumerate() {
+                let reached = self.legal_reached[s];
+                let mut row = all_down.map_or(0, |all_down| all_down[s]) & !reached;
+                for &(port, peer) in adj.above(s) {
+                    let brought = self.frontier[peer.index()] & !reached & !row;
+                    row |= brought;
+                    for j in ones(brought & !self.down_reached[s]) {
+                        hops[j * n + s] = port.0;
+                    }
+                }
+                for j in ones(row) {
+                    legal[j * n + s] = d;
+                }
+                self.legal_reached[s] |= row;
+                *word = row;
+                grew |= row != 0;
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+            // A legal distance past the last all-down level is one up
+            // hop more than another switch's, so the levels run on
+            // without a gap from there.
+            if !grew && d as usize + 1 >= depth {
+                break;
+            }
+        }
+        let all = u64::MAX >> (WORD - columns);
+        let Some(s) = self.legal_reached.iter().position(|&r| r != all) else {
+            return Ok(());
         };
-        hops[s] = if s == t {
-            NO_HOP
-        } else {
-            (links.iter())
-                .filter(|&&(_, peer)| dist[peer.index()] != INF)
-                .map(|&(port, peer)| (dist[peer.index()], peer.0, port))
-                .min()
-                .map(|(_, _, port)| port.0)
-                .ok_or_else(|| {
-                    let (s, t) = (SwitchId(s as u16), SwitchId(t as u16));
-                    IbaError::RoutingFailed(format!("no legal next hop from {s} to {t}"))
-                })?
-        };
+        let t = first + (!self.legal_reached[s] & all).trailing_zeros() as usize;
+        let (s, t) = (SwitchId(s as u16), SwitchId(t as u16));
+        Err(IbaError::RoutingFailed(format!(
+            "no legal next hop from {s} to {t}"
+        )))
     }
-    Ok(())
 }
 
 impl EscapeEngine for UpDownRouting {
@@ -352,12 +395,34 @@ impl EscapeEngine for UpDownRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::reference_specs;
+    use crate::columns::{reference_specs, sweep_cases, NO_HOP};
     use iba_topology::{regular, IrregularConfig};
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
     impl UpDownRouting {
+        /// The per-destination build the word-parallel sweep replaced,
+        /// kept as its oracle: one backward BFS per destination column.
+        fn oracle(topo: &Topology, root: SwitchId) -> Result<UpDownRouting, IbaError> {
+            let n = topo.num_switches();
+            let mut rt = UpDownRouting {
+                root,
+                level: topo.distances_from(root),
+                down_dist: vec![0; n * n],
+                legal_dist: vec![0; n * n],
+                next_hop: HopColumns::new(n),
+            };
+            let adj = Oriented::new(topo, &rt);
+            let mut queue = Vec::with_capacity(2 * n);
+            let columns = (rt.down_dist.chunks_mut(n))
+                .zip(rt.legal_dist.chunks_mut(n))
+                .zip(rt.next_hop.columns_mut(1));
+            for (t, ((down, legal), hops)) in columns.enumerate() {
+                fill_column(&adj, t, down, legal, hops, &mut queue)?;
+            }
+            Ok(rt)
+        }
+
         /// The root election `MinimalRouting::center` replaced, kept as its
         /// oracle — minimum eccentricity (lowest id wins ties): switches
         /// are scanned in ascending id order and only a *strictly* smaller
@@ -381,6 +446,182 @@ mod tests {
             }
             Ok(best.expect("at least one switch").1)
         }
+    }
+
+    /// Fill destination `t`'s column of the three stores: a backward
+    /// BFS from `t` over the 2-state layered graph, producing for every
+    /// source `s` the shortest all-down distance and the shortest legal
+    /// distance of paths `s → t`, then the deterministic next hop of
+    /// every `s`.
+    ///
+    /// Forward semantics of the layers: in state `CanUp` a packet may
+    /// still take up moves (or switch to going down); in state
+    /// `DownOnly` it may only take down moves. A forward edge
+    /// `s →(up) n` connects `(s, CanUp) → (n, CanUp)`; a forward edge
+    /// `s →(down) m` connects both `(s, CanUp)` and `(s, DownOnly)` to
+    /// `(m, DownOnly)`. We BFS the reversed edges from
+    /// `{(t, CanUp), (t, DownOnly)}`; every edge costs 1 so FIFO order
+    /// yields shortest distances.
+    fn fill_column(
+        adj: &Oriented,
+        t: usize,
+        down: &mut [u32],
+        legal: &mut [u32],
+        hops: &mut [u8],
+        queue: &mut Vec<(SwitchId, bool)>,
+    ) -> Result<(), IbaError> {
+        down.fill(INF);
+        legal.fill(INF);
+        down[t] = 0;
+        legal[t] = 0;
+        // Queue of (switch, is_down_only_state).
+        queue.clear();
+        queue.extend([(SwitchId(t as u16), false), (SwitchId(t as u16), true)]);
+        let mut head = 0;
+        while let Some(&(cur, down_only)) = queue.get(head) {
+            head += 1;
+            if down_only {
+                let d = down[cur.index()];
+                // Forward edges peer →(down) cur leave a switch above
+                // `cur`, from either layer.
+                for &(_, peer) in adj.above(cur.index()) {
+                    if down[peer.index()] == INF {
+                        down[peer.index()] = d + 1;
+                        queue.push((peer, true));
+                    }
+                    if legal[peer.index()] == INF {
+                        legal[peer.index()] = d + 1;
+                        queue.push((peer, false));
+                    }
+                }
+            } else {
+                let d = legal[cur.index()];
+                // Forward edge peer →(up) cur, from a switch below `cur`.
+                for &(_, peer) in adj.below(cur.index()) {
+                    if legal[peer.index()] == INF {
+                        legal[peer.index()] = d + 1;
+                        queue.push((peer, false));
+                    }
+                }
+            }
+        }
+        for s in 0..down.len() {
+            // Go down when the destination is reachable that way — the
+            // down neighbor on a shortest all-down path — else up, to
+            // the up neighbor minimizing the remaining legal distance.
+            let (dist, links) = if down[s] != INF {
+                (&*down, adj.below(s))
+            } else {
+                (&*legal, adj.above(s))
+            };
+            hops[s] = if s == t {
+                NO_HOP
+            } else {
+                (links.iter())
+                    .filter(|&&(_, peer)| dist[peer.index()] != INF)
+                    .map(|&(port, peer)| (dist[peer.index()], peer.0, port))
+                    .min()
+                    .map(|(_, _, port)| port.0)
+                    .ok_or_else(|| {
+                        let (s, t) = (SwitchId(s as u16), SwitchId(t as u16));
+                        IbaError::RoutingFailed(format!("no legal next hop from {s} to {t}"))
+                    })?
+            };
+        }
+        Ok(())
+    }
+
+    /// The sweep's three stores, its levels and its root against the
+    /// per-destination oracle rooted at `root`.
+    fn assert_equals_its_oracle(topo: &Topology, rt: &UpDownRouting, root: SwitchId) {
+        let oracle = UpDownRouting::oracle(topo, root).unwrap();
+        let n = topo.num_switches();
+        assert_eq!(rt.root, oracle.root, "{n} switches: root");
+        assert_eq!(rt.level, oracle.level, "{n} switches: levels");
+        assert!(
+            rt.down_dist == oracle.down_dist,
+            "{n} switches, root {root}: down"
+        );
+        assert!(
+            rt.legal_dist == oracle.legal_dist,
+            "{n} switches, root {root}: legal"
+        );
+        for (s, t) in topo
+            .switch_ids()
+            .flat_map(|s| topo.switch_ids().map(move |t| (s, t)))
+        {
+            assert_eq!(
+                rt.next_hop(s, t),
+                oracle.next_hop(s, t),
+                "{s} → {t}, root {root}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        /// The word-parallel sweep against the per-destination BFS, at
+        /// the elected root (the oracle's own election), on every
+        /// reference shape and on sizes either side of a word and of a
+        /// pool item; and at every pinned root of a 16-switch fabric.
+        #[test]
+        fn prop_the_sweep_equals_the_per_destination_oracle(seed in any::<u64>()) {
+            for topo in sweep_cases(seed) {
+                let rt = UpDownRouting::build(&topo).unwrap();
+                assert_equals_its_oracle(&topo, &rt, UpDownRouting::select_root(&topo).unwrap());
+            }
+            let topo = IrregularConfig::paper(16, seed).generate().unwrap();
+            for root in topo.switch_ids() {
+                let rt = UpDownRouting::build_with_root(&topo, root).unwrap();
+                assert_equals_its_oracle(&topo, &rt, root);
+            }
+        }
+    }
+
+    /// Sixteen items of one word each, shared over the pool.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "1 024 switches: release only")]
+    fn the_sweep_equals_the_oracle_at_1024_switches() {
+        for seed in [100, 101] {
+            let topo = IrregularConfig::paper(1024, seed).generate().unwrap();
+            let rt = UpDownRouting::build(&topo).unwrap();
+            assert_equals_its_oracle(&topo, &rt, UpDownRouting::select_root(&topo).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_sweep_that_cannot_reach_a_destination_names_the_pair() {
+        // Levels from a connected ring, then the links between 2 and 3
+        // and between 5 and 0 dropped from the oriented graph: the
+        // first switch missing a destination is 0, and its first is 3.
+        let topo = regular::ring(6, 1).unwrap();
+        let rt = UpDownRouting::build_with_root(&topo, SwitchId(0)).unwrap();
+        let adj = Oriented::new(&topo, &rt);
+        let cut = |s: usize, peer: SwitchId| {
+            matches!((s.min(peer.index()), s.max(peer.index())), (2, 3) | (0, 5))
+        };
+        let mut split = Oriented {
+            links: Vec::new(),
+            first: Vec::new(),
+            first_down: Vec::new(),
+        };
+        for s in 0..6 {
+            for (first, links) in [
+                (&mut split.first, adj.above(s)),
+                (&mut split.first_down, adj.below(s)),
+            ] {
+                first.push(split.links.len() as u32);
+                split
+                    .links
+                    .extend(links.iter().filter(|&&(_, peer)| !cut(s, peer)));
+            }
+        }
+        split.first.push(split.links.len() as u32);
+        let mut store = (vec![0; 36], vec![0; 36], vec![NO_HOP; 36]);
+        let swept = Sweep::new(6).run(&split, 0, &mut store.0, &mut store.1, &mut store.2);
+        assert!(
+            matches!(swept, Err(IbaError::RoutingFailed(m)) if m == "no legal next hop from sw0 to sw3")
+        );
     }
 
     /// The nested-`Vec` build the flat one replaced, kept as its oracle:
