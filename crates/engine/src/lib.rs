@@ -19,8 +19,8 @@
 //!   collision-resistant substream derivation, so each host/component can
 //!   own an independent deterministic stream;
 //! * [`rng`] also carries the handful of distributions the workloads need
-//!   (exponential inter-arrival times for Poisson-like injection), built on
-//!   the sanctioned `rand` crate only;
+//!   (exponential inter-arrival times for Poisson-like injection) and the
+//!   generator itself — xoshiro256++, no external crate;
 //! * [`shard`] and [`barrier`] — the substrate of the sharded
 //!   conservative engine: canonical event-ordering keys,
 //!   lookahead-window arithmetic, and a reusable spin barrier for the

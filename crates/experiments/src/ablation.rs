@@ -1,25 +1,43 @@
-//! Ablations of the paper's design choices.
+//! Ablations of the paper's design choices: per ablation a list of
+//! variants, every one run the same way — build its ensemble, find
+//! each member's saturation throughput, fold them into one row.
 //!
-//! * [`options_sweep`] — §5.2.2's headline: "only two routing options are
+//! * `options` — §5.2.2's headline: "only two routing options are
 //!   enough to obtain roughly 90 % of the maximum throughput
 //!   improvement". Compares table fan-outs on high-connectivity networks.
-//! * [`selection_sweep`] — §4.3's choice of output-port selection:
+//! * `selection` — §4.3's choice of output-port selection:
 //!   credit-weighted vs random vs first-feasible.
-//! * [`order_sweep`] — §4.4's in-order guard: the paper's strict pointer
-//!   rule vs the refined deterministic-FIFO rule.
-//! * [`buffer_sweep`] — sensitivity to the VL buffer size (the one §5.1
+//! * `order` — §4.4's in-order guard: the paper's strict pointer rule vs
+//!   the refined deterministic-FIFO rule.
+//! * `buffer` — sensitivity to the VL buffer size (the one §5.1
 //!   parameter the surviving text does not specify).
-//! * [`escape_head_sweep`] — whether packets read from the escape head
-//!   may still take adaptive options.
+//! * `escapehead` — whether packets read from the escape head may still
+//!   take adaptive options.
+//! * `mixed` — §4.2's incremental deployment: the fraction of
+//!   adaptive-capable switches in a mixed fabric.
+//! * `source` — §1's motivation: source-selected multipath vs switch
+//!   adaptivity.
 
 use crate::fidelity::Fidelity;
-use crate::harness::{build_ensemble, find_saturation, EnsembleMember};
+use crate::harness::{find_saturation, EnsembleMember};
 use iba_core::{par_map, Credits, IbaError};
-use iba_routing::RoutingConfig;
+use iba_engine::rng::{StreamKind, StreamRng};
+use iba_routing::{FaRouting, RoutingConfig};
 use iba_sim::{EscapeOrderPolicy, SelectionPolicy, SimConfig};
 use iba_stats::{markdown_table, MinMaxAvg};
 use iba_topology::IrregularConfig;
 use iba_workloads::WorkloadSpec;
+
+/// The ablations in the order `iba ablation all` runs them.
+pub const NAMES: [&str; 7] = [
+    "options",
+    "selection",
+    "order",
+    "buffer",
+    "escapehead",
+    "mixed",
+    "source",
+];
 
 /// A labelled min/max/avg outcome.
 #[derive(Clone, Debug)]
@@ -30,274 +48,183 @@ pub struct AblationRow {
     pub saturation: MinMaxAvg,
 }
 
-fn ensemble_saturation(
-    ensemble: &[EnsembleMember],
-    spec: WorkloadSpec,
-    cfg: SimConfig,
-    grid: &[f64],
-) -> Result<MinMaxAvg, IbaError> {
-    let sats: Vec<f64> = par_map(ensemble, |m| {
-        find_saturation(&m.topology, &m.routing, spec, cfg, grid)
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    Ok(MinMaxAvg::from_samples(sats))
+/// How a variant's fabrics are routed.
+#[derive(Clone, Copy, Debug)]
+enum Tables {
+    /// FA tables with this many routing options (1: deterministic).
+    Fa(u16),
+    /// Plain switches; sources rotate the DLID over this many addresses.
+    SourceMultipath(u16),
+    /// Two-option FA on this fraction of the switches (the
+    /// adaptive-capable subset drawn per ensemble member).
+    Mixed(f64),
 }
 
-/// §5.2.2 — routing-option fan-out sweep on 6-link networks.
-///
-/// Returns one row per option count (1 = deterministic baseline), all at
-/// 100 % adaptive traffic (except the baseline).
-pub fn options_sweep(
-    size: usize,
-    option_counts: &[u16],
-    fidelity: Fidelity,
-    seed: u64,
-) -> Result<Vec<AblationRow>, IbaError> {
-    let grid = fidelity.offered_grid();
-    option_counts
-        .iter()
-        .map(|&options| {
-            let ensemble = build_ensemble(
-                IrregularConfig::paper_connected(size, seed),
-                fidelity.topologies(),
-                RoutingConfig::with_options(options),
-            )?;
-            let frac = if options >= 2 { 1.0 } else { 0.0 };
-            let sat = ensemble_saturation(
-                &ensemble,
-                WorkloadSpec::uniform32(0.01).with_adaptive_fraction(frac),
-                fidelity.sim_config(seed),
-                &grid,
-            )?;
-            Ok(AblationRow {
-                label: if options == 1 {
-                    "1 (deterministic)".into()
-                } else {
-                    format!("{options} ({} adaptive)", options - 1)
-                },
-                saturation: sat,
-            })
-        })
-        .collect()
+/// One row of an ablation.
+struct Variant {
+    label: String,
+    /// Inter-switch links per switch.
+    links: usize,
+    tables: Tables,
+    /// Share of packets marked adaptive.
+    adaptive: f64,
+    sim: SimConfig,
 }
 
-/// §4.3 — output-selection policy comparison (2 options, 4 links).
-pub fn selection_sweep(
-    size: usize,
-    fidelity: Fidelity,
-    seed: u64,
-) -> Result<Vec<AblationRow>, IbaError> {
-    let grid = fidelity.offered_grid();
-    let ensemble = build_ensemble(
-        IrregularConfig::paper(size, seed),
-        fidelity.topologies(),
-        RoutingConfig::two_options(),
-    )?;
-    [
-        ("credit-weighted", SelectionPolicy::CreditWeighted),
-        ("random", SelectionPolicy::RandomAdaptive),
-        ("first-feasible", SelectionPolicy::FirstFeasible),
-    ]
-    .iter()
-    .map(|(label, policy)| {
-        let mut cfg = fidelity.sim_config(seed);
-        cfg.selection = *policy;
-        let sat = ensemble_saturation(&ensemble, WorkloadSpec::uniform32(0.01), cfg, &grid)?;
-        Ok(AblationRow {
-            label: (*label).into(),
-            saturation: sat,
-        })
-    })
-    .collect()
-}
-
-/// §4.4 — in-order guard comparison at 50 % adaptive traffic (where
-/// deterministic and adaptive packets share buffers the most).
-pub fn order_sweep(
-    size: usize,
-    fidelity: Fidelity,
-    seed: u64,
-) -> Result<Vec<AblationRow>, IbaError> {
-    let grid = fidelity.offered_grid();
-    let ensemble = build_ensemble(
-        IrregularConfig::paper(size, seed),
-        fidelity.topologies(),
-        RoutingConfig::two_options(),
-    )?;
-    [
-        ("strict pointer (paper)", EscapeOrderPolicy::Strict),
-        ("deterministic FIFO", EscapeOrderPolicy::DeterministicFifo),
-    ]
-    .iter()
-    .map(|(label, policy)| {
-        let mut cfg = fidelity.sim_config(seed);
-        cfg.escape_order = *policy;
-        let sat = ensemble_saturation(
-            &ensemble,
-            WorkloadSpec::uniform32(0.01).with_adaptive_fraction(0.5),
-            cfg,
-            &grid,
-        )?;
-        Ok(AblationRow {
-            label: (*label).into(),
-            saturation: sat,
-        })
-    })
-    .collect()
-}
-
-/// VL buffer-size sensitivity (the unstated §5.1 parameter).
-pub fn buffer_sweep(
-    size: usize,
-    credits: &[u32],
-    fidelity: Fidelity,
-    seed: u64,
-) -> Result<Vec<AblationRow>, IbaError> {
-    let grid = fidelity.offered_grid();
-    let ensemble = build_ensemble(
-        IrregularConfig::paper(size, seed),
-        fidelity.topologies(),
-        RoutingConfig::two_options(),
-    )?;
-    credits
-        .iter()
-        .map(|&c| {
-            let mut cfg = fidelity.sim_config(seed);
-            cfg.vl_buffer_credits = Credits(c);
-            let sat = ensemble_saturation(&ensemble, WorkloadSpec::uniform32(0.01), cfg, &grid)?;
-            Ok(AblationRow {
-                label: format!("{c} credits ({} B)", c * 64),
-                saturation: sat,
-            })
-        })
-        .collect()
-}
-
-/// Whether escape-head reads may take adaptive options.
-pub fn escape_head_sweep(
-    size: usize,
-    fidelity: Fidelity,
-    seed: u64,
-) -> Result<Vec<AblationRow>, IbaError> {
-    let grid = fidelity.offered_grid();
-    let ensemble = build_ensemble(
-        IrregularConfig::paper(size, seed),
-        fidelity.topologies(),
-        RoutingConfig::two_options(),
-    )?;
-    [true, false]
-        .iter()
-        .map(|&allowed| {
-            let mut cfg = fidelity.sim_config(seed);
-            cfg.adaptive_from_escape_head = allowed;
-            let sat = ensemble_saturation(&ensemble, WorkloadSpec::uniform32(0.01), cfg, &grid)?;
-            Ok(AblationRow {
-                label: if allowed {
-                    "escape head may go adaptive".into()
-                } else {
-                    "escape head forced onto escape path".into()
-                },
-                saturation: sat,
-            })
-        })
-        .collect()
-}
-
-/// §1 motivation — source-selected multipath vs switch adaptivity: "by
-/// using alternative paths selected at the source node, the overall
-/// network performance is hardly improved". Compares deterministic
-/// (1 path), source multipath over 2/4 addresses (plain switches,
-/// sources rotate the DLID offset), and FA with 2 options.
-pub fn source_multipath_sweep(
-    size: usize,
-    fidelity: Fidelity,
-    seed: u64,
-) -> Result<Vec<AblationRow>, IbaError> {
-    use iba_routing::FaRouting;
-
-    let grid = fidelity.offered_grid();
-    let member_seeds: Vec<u64> = (0..fidelity.topologies()).collect();
-    let build_members = |mode: &str, options: u16| -> Result<Vec<EnsembleMember>, IbaError> {
-        par_map(&member_seeds, |&i| {
-            let config = IrregularConfig::paper(size, seed.wrapping_add(i));
-            let topology = config.generate()?;
-            let rc = RoutingConfig::with_options(options);
-            let routing = match mode {
-                "multipath" => FaRouting::build_source_multipath(&topology, rc)?,
-                _ => FaRouting::build(&topology, rc)?,
-            };
-            Ok(EnsembleMember { topology, routing })
-        })
-        .into_iter()
-        .collect()
-    };
-    let mut rows = Vec::new();
-    for (label, mode, options, fraction) in [
-        ("deterministic (1 path)", "fa", 2, 0.0),
-        ("source multipath x2", "multipath", 2, 0.0),
-        ("source multipath x4", "multipath", 4, 0.0),
-        ("FA, 2 options (switch adaptive)", "fa", 2, 1.0),
-    ] {
-        let members = build_members(mode, options)?;
-        let sat = ensemble_saturation(
-            &members,
-            WorkloadSpec::uniform32(0.01).with_adaptive_fraction(fraction),
-            fidelity.sim_config(seed),
-            &grid,
-        )?;
-        rows.push(AblationRow {
-            label: label.into(),
-            saturation: sat,
-        });
-    }
-    Ok(rows)
-}
-
-/// §4.2 — incremental deployment: sweep the fraction of adaptive-capable
-/// switches in a mixed fabric (capable subset chosen per ensemble seed).
-pub fn mixed_fabric_sweep(
-    size: usize,
-    fractions: &[f64],
-    fidelity: Fidelity,
-    seed: u64,
-) -> Result<Vec<AblationRow>, IbaError> {
-    use iba_engine::rng::{StreamKind, StreamRng};
-    use iba_routing::FaRouting;
-
-    let grid = fidelity.offered_grid();
-    let member_seeds: Vec<u64> = (0..fidelity.topologies()).collect();
-    fractions
-        .iter()
-        .map(|&fraction| {
-            // Rebuild the ensemble with per-member capability subsets.
-            let members: Vec<EnsembleMember> = par_map(&member_seeds, |&i| {
-                let config = IrregularConfig::paper(size, seed.wrapping_add(i));
-                let topology = config.generate()?;
-                let mut rng = StreamRng::from_seed(seed.wrapping_add(i))
-                    .derive(StreamKind::Custom(0x4D49_5845));
+impl Variant {
+    /// The variant's ensemble member on `size` switches seeded `seed`.
+    fn member(&self, size: usize, seed: u64) -> Result<EnsembleMember, IbaError> {
+        let config = IrregularConfig {
+            inter_switch_links: self.links,
+            ..IrregularConfig::paper(size, seed)
+        };
+        let topology = config.generate()?;
+        let routing = match self.tables {
+            Tables::Fa(x) => FaRouting::build(&topology, RoutingConfig::with_options(x))?,
+            Tables::SourceMultipath(x) => {
+                FaRouting::build_source_multipath(&topology, RoutingConfig::with_options(x))?
+            }
+            Tables::Mixed(fraction) => {
                 let mut caps: Vec<bool> = (0..size)
                     .map(|k| (k as f64) < fraction * size as f64)
                     .collect();
-                rng.shuffle(&mut caps);
-                let routing =
-                    FaRouting::build_mixed(&topology, RoutingConfig::two_options(), &caps)?;
-                Ok(EnsembleMember { topology, routing })
+                StreamRng::from_seed(seed)
+                    .derive(StreamKind::Custom(0x4D49_5845))
+                    .shuffle(&mut caps);
+                FaRouting::build_mixed(&topology, RoutingConfig::two_options(), &caps)?
+            }
+        };
+        Ok(EnsembleMember { topology, routing })
+    }
+}
+
+/// The title and the variants of ablation `name` on `size` switches,
+/// each simulated from `base` or from `base` with one knob turned.
+fn variants(name: &str, size: usize, base: SimConfig) -> Option<(String, Vec<Variant>)> {
+    use Tables::{Fa, Mixed, SourceMultipath};
+    let row = |label: String, links, tables, adaptive, sim| Variant {
+        label,
+        links,
+        tables,
+        adaptive,
+        sim,
+    };
+    let edit = |turn: &dyn Fn(&mut SimConfig)| {
+        let mut sim = base;
+        turn(&mut sim);
+        sim
+    };
+    Some(match name {
+        "options" => (
+            format!("routing options (§5.2.2), {size} switches, 6 links"),
+            [(1, 0.0), (2, 1.0), (4, 1.0)]
+                .map(|(x, adaptive)| {
+                    let label = match x {
+                        1 => "1 (deterministic)".into(),
+                        _ => format!("{x} ({} adaptive)", x - 1),
+                    };
+                    row(label, 6, Fa(x), adaptive, base)
+                })
+                .into(),
+        ),
+        "selection" => (
+            format!("output selection (§4.3), {size} switches"),
+            [
+                ("credit-weighted", SelectionPolicy::CreditWeighted),
+                ("random", SelectionPolicy::RandomAdaptive),
+                ("first-feasible", SelectionPolicy::FirstFeasible),
+            ]
+            .map(|(label, p)| row(label.into(), 4, Fa(2), 1.0, edit(&|s| s.selection = p)))
+            .into(),
+        ),
+        "order" => (
+            format!("in-order guard (§4.4), {size} switches, 50% adaptive"),
+            [
+                ("strict pointer (paper)", EscapeOrderPolicy::Strict),
+                ("deterministic FIFO", EscapeOrderPolicy::DeterministicFifo),
+            ]
+            .map(|(label, p)| row(label.into(), 4, Fa(2), 0.5, edit(&|s| s.escape_order = p)))
+            .into(),
+        ),
+        "buffer" => (
+            format!("VL buffer size, {size} switches"),
+            [8, 16, 32, 64]
+                .map(|c| {
+                    let sim = edit(&|s| s.vl_buffer_credits = Credits(c));
+                    row(format!("{c} credits ({} B)", c * 64), 4, Fa(2), 1.0, sim)
+                })
+                .into(),
+        ),
+        "escapehead" => (
+            format!("escape-head adaptivity, {size} switches"),
+            [
+                ("escape head may go adaptive", true),
+                ("escape head forced onto escape path", false),
+            ]
+            .map(|(label, may)| {
+                let sim = edit(&|s| s.adaptive_from_escape_head = may);
+                row(label.into(), 4, Fa(2), 1.0, sim)
             })
-            .into_iter()
-            .collect::<Result<_, IbaError>>()?;
-            let sat = ensemble_saturation(
-                &members,
-                WorkloadSpec::uniform32(0.01),
-                fidelity.sim_config(seed),
-                &grid,
-            )?;
+            .into(),
+        ),
+        "mixed" => (
+            format!("mixed fabric (§4.2), {size} switches, 100% adaptive traffic"),
+            [0.0, 0.25, 0.5, 0.75, 1.0]
+                .map(|f| {
+                    let label = format!("{:.0}% adaptive switches", f * 100.0);
+                    row(label, 4, Mixed(f), 1.0, base)
+                })
+                .into(),
+        ),
+        "source" => (
+            format!("source multipath vs switch adaptivity (§1), {size} switches"),
+            [
+                ("deterministic (1 path)", Fa(2), 0.0),
+                ("source multipath x2", SourceMultipath(2), 0.0),
+                ("source multipath x4", SourceMultipath(4), 0.0),
+                ("FA, 2 options (switch adaptive)", Fa(2), 1.0),
+            ]
+            .map(|(label, tables, adaptive)| row(label.into(), 4, tables, adaptive, base))
+            .into(),
+        ),
+        _ => return None,
+    })
+}
+
+/// Run ablation `name` (one of [`NAMES`]) on `size`-switch fabrics: its
+/// title and one row per variant, the saturation throughput of
+/// `fidelity.topologies()` members seeded from `seed`.
+pub fn run(
+    name: &str,
+    size: usize,
+    fidelity: Fidelity,
+    seed: u64,
+) -> Result<(String, Vec<AblationRow>), IbaError> {
+    let (title, variants) = variants(name, size, fidelity.sim_config(seed)).ok_or_else(|| {
+        IbaError::InvalidConfig(format!(
+            "unknown ablation {name:?} ({}|all)",
+            NAMES.join("|")
+        ))
+    })?;
+    let grid = fidelity.offered_grid();
+    let rows = (variants.into_iter())
+        .map(|v| {
+            let members = (0..fidelity.topologies())
+                .map(|i| v.member(size, seed.wrapping_add(i)))
+                .collect::<Result<Vec<_>, _>>()?;
+            let spec = WorkloadSpec::uniform32(0.01).with_adaptive_fraction(v.adaptive);
+            let sats = par_map(&members, |m| {
+                find_saturation(&m.topology, &m.routing, spec, v.sim, &grid)
+            });
             Ok(AblationRow {
-                label: format!("{:.0}% adaptive switches", fraction * 100.0),
-                saturation: sat,
+                label: v.label,
+                saturation: MinMaxAvg::from_samples(
+                    sats.into_iter().collect::<Result<Vec<_>, _>>()?,
+                ),
             })
         })
-        .collect()
+        .collect::<Result<_, IbaError>>()?;
+    Ok((title, rows))
 }
 
 /// Render ablation rows.
@@ -319,7 +246,8 @@ mod tests {
 
     #[test]
     fn options_sweep_shows_the_90_percent_effect_in_miniature() {
-        let rows = options_sweep(8, &[1, 2, 4], Fidelity::Quick, 3).unwrap();
+        let (title, rows) = run("options", 8, Fidelity::Quick, 3).unwrap();
+        assert!(title.starts_with("routing options"), "{title}");
         assert_eq!(rows.len(), 3);
         let base = rows[0].saturation.avg();
         let two = rows[1].saturation.avg();

@@ -229,54 +229,17 @@ pub const ABLATION: Command = Command {
     run: ablation,
 };
 
-/// The ablations in the order `all` runs them.
-const ABLATIONS: &str = "options|selection|order|buffer|escapehead|mixed|source";
-
 fn ablation(args: &Args) -> Result<(), String> {
     let which = args.positional.first().map_or("all", String::as_str);
     let fidelity = args.get_or("fidelity", Fidelity::Quick)?;
     let size = args.get_or("switches", 16usize)?;
     let seed = args.get_or("seed", 100u64)?;
-    let selected = if which == "all" {
-        ABLATIONS.split('|').collect()
-    } else {
-        vec![which]
+    let selected = match which {
+        "all" => &ablation::NAMES[..],
+        _ => std::slice::from_ref(&which),
     };
-    for name in selected {
-        let (title, rows) = match name {
-            "options" => (
-                format!("routing options (§5.2.2), {size} switches, 6 links"),
-                ablation::options_sweep(size, &[1, 2, 4], fidelity, seed),
-            ),
-            "selection" => (
-                format!("output selection (§4.3), {size} switches"),
-                ablation::selection_sweep(size, fidelity, seed),
-            ),
-            "order" => (
-                format!("in-order guard (§4.4), {size} switches, 50% adaptive"),
-                ablation::order_sweep(size, fidelity, seed),
-            ),
-            "buffer" => (
-                format!("VL buffer size, {size} switches"),
-                ablation::buffer_sweep(size, &[8, 16, 32, 64], fidelity, seed),
-            ),
-            "escapehead" => (
-                format!("escape-head adaptivity, {size} switches"),
-                ablation::escape_head_sweep(size, fidelity, seed),
-            ),
-            "mixed" => (
-                format!("mixed fabric (§4.2), {size} switches, 100% adaptive traffic"),
-                ablation::mixed_fabric_sweep(size, &[0.0, 0.25, 0.5, 0.75, 1.0], fidelity, seed),
-            ),
-            "source" => (
-                format!("source multipath vs switch adaptivity (§1), {size} switches"),
-                ablation::source_multipath_sweep(size, fidelity, seed),
-            ),
-            other => {
-                return Err(format!("unknown ablation {other:?} ({ABLATIONS}|all)"));
-            }
-        };
-        let rows = rows.map_err(|e| e.to_string())?;
+    for &name in selected {
+        let (title, rows) = ablation::run(name, size, fidelity, seed).map_err(|e| e.to_string())?;
         println!("{}", ablation::render(&title, &rows));
         if name == "options" {
             let sat: Vec<f64> = rows.iter().map(|r| r.saturation.avg()).collect();

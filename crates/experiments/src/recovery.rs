@@ -133,31 +133,21 @@ pub fn run_size(
     // discovery's LID assignment, previous up*/down* root): an unpinned
     // rebuild may elect a different root and produce legitimately
     // different, incomparable tables, which would make the byte-equality
-    // gate meaningless. The re-discovery sweep still runs on the twin so
-    // its SMPs count toward the full path's wire cost.
-    let mut degraded = up.discovered.clone();
-    let (pa_port, _, pb_port) = up
-        .topology
-        .switch_neighbors(a)
-        .find(|&(_, peer, _)| peer == b)
-        .ok_or_else(|| {
-            IbaError::RoutingFailed(format!(
-                "failed link {a:?}–{b:?} is absent from the previous topology"
-            ))
-        })?;
-    degraded.degrade_link(a, pa_port, b, pb_port)?;
-    degraded.recompute_routes()?;
-    let degraded_topo = degraded.to_topology()?;
+    // gate meaningless. The frame's graph and directed routes are the
+    // SM's own view of the degraded fabric. The re-discovery sweep still
+    // runs on the twin so its SMPs count toward the full path's wire cost.
+    let degraded = &resweep.bringup.discovered;
+    let degraded_topo = &resweep.bringup.topology;
     let pinned = RoutingConfig {
         root: Some(up.routing.escape().root()),
         ..RoutingConfig::two_options()
     };
-    let full_routing = FaRouting::build(&degraded_topo, pinned)?;
+    let full_routing = FaRouting::build(degraded_topo, pinned)?;
 
     twin.fail_link(pa, pb)?;
     let before = twin.smps_sent;
     Discoverer::new().discover(&mut twin)?;
-    let full_report = Programmer::new().program(&mut twin, &degraded, &full_routing)?;
+    let full_report = Programmer::new().program(&mut twin, degraded, &full_routing)?;
     let full_smps = twin.smps_sent - before;
 
     let lfts_match = fabrics_equal(&physical, &fabric, &twin);
@@ -169,7 +159,7 @@ pub fn run_size(
         blocks_uploaded: full_report.blocks_written,
         recovery_time_ns: full_smps * per_smp_ns,
         lfts_match,
-        escape_acyclic: full_routing.certify_escape(&degraded_topo, false).is_ok(),
+        escape_acyclic: full_routing.certify_escape(degraded_topo, false).is_ok(),
     };
     let incremental = RecoveryPoint {
         switches: size,

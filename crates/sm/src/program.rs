@@ -13,7 +13,7 @@ use crate::mad::{DirectedRoute, Smp, SmpAttribute, SmpMethod, SmpResponse};
 use crate::managed::{ManagedFabric, LFT_BLOCK, LFT_LEN};
 use crate::retry::{send_once, ReliableSender, SendOutcome};
 use iba_core::{IbaError, Lid, PortIndex, ServiceLevel, SwitchId, VirtualLane};
-use iba_routing::{EscapeEngine, FaRouting, UNPROGRAMMED};
+use iba_routing::{FaTables, UNPROGRAMMED};
 use std::collections::HashMap;
 
 /// Outcome of a programming pass.
@@ -84,18 +84,18 @@ impl Programmer {
         }
     }
 
-    /// Upload `routing`'s tables (computed on the *discovery-ordered*
-    /// topology) onto the physical switches of `fabric`, then verify by
-    /// reading every written block back. Every SMP is sent exactly once:
-    /// a switch that does not answer is a hard error here.
-    pub fn program<E: EscapeEngine>(
+    /// Upload `tables` (computed on the *discovery-ordered* topology)
+    /// onto the physical switches of `fabric`, then verify by reading
+    /// every written block back. Every SMP is sent exactly once: a
+    /// switch that does not answer is a hard error here.
+    pub fn program(
         &mut self,
         fabric: &mut ManagedFabric,
         discovered: &DiscoveredFabric,
-        routing: &FaRouting<E>,
+        tables: &FaTables,
     ) -> Result<ProgramReport, IbaError> {
         let mut once = ReliableSender::new(send_once())?;
-        let pass = self.program_robust(fabric, discovered, routing, &mut once)?;
+        let pass = self.program_robust(fabric, discovered, tables, &mut once)?;
         match pass.skipped.into_iter().next() {
             Some(lost) => Err(IbaError::InvalidConfig(lost)),
             None => Ok(pass.report),
@@ -108,14 +108,15 @@ impl Programmer {
     /// sweep budget stops the pass and flags it partial. Agents that
     /// *answer* but reject a write still hard-error — that is a bug,
     /// not a fault.
-    pub(crate) fn program_robust<E: EscapeEngine>(
+    pub(crate) fn program_robust(
         &mut self,
         fabric: &mut ManagedFabric,
         discovered: &DiscoveredFabric,
-        routing: &FaRouting<E>,
+        tables: &FaTables,
         sender: &mut ReliableSender,
     ) -> Result<RobustProgram, IbaError> {
-        let mgmt_base = mgmt_lid_base(routing.lid_map().table_len(), discovered.switches.len())?;
+        let mgmt_base = mgmt_lid_base(tables.lid_map().table_len(), discovered.switches.len())?;
+        let ports = discovered.ports_per_switch();
         let before = fabric.smps_sent;
         let mut blocks_total = 0u64;
         let mut blocks_written = 0u64;
@@ -159,7 +160,7 @@ impl Programmer {
             let shadow = self.shadow.entry(sw.guid).or_default();
             // Blocks are read straight from the interleaved modules:
             // no linear copy of the table, no `Vec` per dirty block.
-            let table = routing.table(SwitchId(i as u16));
+            let table = tables.table(SwitchId(i as u16));
             let mut read = [UNPROGRAMMED; LFT_BLOCK];
             for block in 0..table.len().div_ceil(LFT_BLOCK) as u32 {
                 let base = block as usize * LFT_BLOCK;
@@ -212,7 +213,6 @@ impl Programmer {
             // machinery in its spec role; the evaluation runs on VL0).
             // The grid never changes, so a shadowed switch skips it.
             if !shadow.sl2vl_done {
-                let ports = sw.ports.len() as u8;
                 smp.attribute = SmpAttribute::SlToVlMappingTable {
                     input: PortIndex(0),
                     output: PortIndex(0),
@@ -294,7 +294,7 @@ impl Default for Programmer {
 mod tests {
     use super::*;
     use crate::discovery::Discoverer;
-    use iba_routing::RoutingConfig;
+    use iba_routing::{FaRouting, RoutingConfig};
     use iba_topology::IrregularConfig;
 
     /// A block differing from another in one entry, in being cleared, or

@@ -72,7 +72,7 @@ impl<E: EscapeEngine> SubnetManager<E> {
 
     /// The incremental re-sweep: given the previous bring-up and a
     /// failed inter-switch link `(a, b)` (discovery-ordered ids), skip
-    /// rediscovery — degrade the recorded fabric in place, re-sweep the
+    /// rediscovery — drop the link from the recorded fabric, re-sweep the
     /// routing on it ([`FaRouting::resweep`]: root pinned, escape layer
     /// certified), and upload the diff through `programmer`'s
     /// dirty-block shadow. The resulting tables are byte-identical to a
@@ -140,23 +140,16 @@ impl<E: EscapeEngine> SubnetManager<E> {
         })
     }
 
-    /// The SMP-free half of a re-sweep: degrade the recorded fabric and
-    /// hand it to [`FaRouting::resweep`] — pinned, certified, refused on
-    /// failure.
+    /// The SMP-free half of a re-sweep: the recorded fabric without the
+    /// dead link ([`Topology::without_links`], routes by BFS), handed to
+    /// [`FaRouting::resweep`] — pinned, certified, refused on failure.
     fn resweep_tables(
         &self,
         previous: &BringUp<E>,
         a: SwitchId,
         b: SwitchId,
     ) -> Result<(DiscoveredFabric, Topology, FaRouting<E>), IbaError> {
-        let (pa, _, pb) = previous
-            .topology
-            .switch_neighbors(a)
-            .find(|&(_, peer, _)| peer == b)
-            .ok_or_else(|| IbaError::InvalidTopology(format!("no link between {a:?} and {b:?}")))?;
-        let mut discovered = previous.discovered.clone();
-        discovered.degrade_link(a, pa, b, pb)?;
-        discovered.recompute_routes()?;
+        let discovered = previous.discovered.without_link(a, b)?;
         let topology = discovered.to_topology()?;
         let routing = previous.routing.resweep(&topology)?;
         Ok((discovered, topology, routing))
@@ -185,14 +178,14 @@ impl<E: EscapeEngine> SubnetManager<E> {
         policy: RetryPolicy,
     ) -> Result<RobustBringUp<E>, IbaError> {
         let mut sender = ReliableSender::new(policy)?;
-        let disc = Discoverer::new().discover_robust(fabric, &mut sender)?;
+        let mut disc = Discoverer::new().discover_robust(fabric, &mut sender)?;
+        let found = disc.fabric()?;
         let mut unreachable = disc.unreachable;
         let mut partial = disc.partial;
         let mut bringup = None;
         let mut blocks_total = 0u64;
         let mut blocks_uploaded = 0u64;
-        if !partial && disc.fabric.switch_count() > 0 {
-            let discovered = disc.fabric;
+        if let Some(discovered) = found {
             let topology = discovered.to_topology()?;
             let routing = FaRouting::<E>::build_with_engine(&topology, self.routing_config)?;
             let prog = programmer.program_robust(fabric, &discovered, &routing, &mut sender)?;

@@ -76,15 +76,13 @@ fn incremental_resweep_is_byte_identical_and_uploads_strictly_less() {
     // discovery's LID assignment and the previous up*/down* root (an
     // unpinned rebuild may elect a different root and produce
     // legitimately different, incomparable tables).
-    let mut degraded = up.discovered.clone();
-    let (pa_port, _, pb_port) = up
+    // The graph is rebuilt here without the link; the directed routes
+    // the twin is programmed along are the SM's.
+    let degraded = &resweep.bringup.discovered;
+    let degraded_topo = up
         .topology
-        .switch_neighbors(a)
-        .find(|&(_, peer, _)| peer == b)
+        .without_links(|s, _, peer| (s, peer) == (a, b) || (s, peer) == (b, a))
         .unwrap();
-    degraded.degrade_link(a, pa_port, b, pb_port).unwrap();
-    degraded.recompute_routes().unwrap();
-    let degraded_topo = degraded.to_topology().unwrap();
     let pinned = RoutingConfig {
         root: Some(up.routing.escape().root()),
         ..RoutingConfig::two_options()
@@ -94,7 +92,7 @@ fn incremental_resweep_is_byte_identical_and_uploads_strictly_less() {
     let mut twin = ManagedFabric::new(&physical, 2).unwrap();
     twin.fail_link(pa, pb).unwrap();
     let full_report = Programmer::new()
-        .program(&mut twin, &degraded, &full_routing)
+        .program(&mut twin, degraded, &full_routing)
         .unwrap();
     assert!(full_report.verified);
     assert_eq!(full_report.blocks_written, full_report.blocks_total);
