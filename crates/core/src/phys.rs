@@ -65,7 +65,11 @@ impl PhysParams {
     /// (rounded up to a whole nanosecond).
     #[inline]
     pub fn serialization_ns(&self, bytes: u32) -> u64 {
-        (bytes as f64 / self.link_bytes_per_ns).ceil() as u64
+        // `ceil` as a truncation and one compare: baseline x86-64 has no
+        // rounding instruction, and the libm call sits on every hop.
+        let exact = bytes as f64 / self.link_bytes_per_ns;
+        let whole = exact as u64;
+        whole.saturating_add(u64::from((whole as f64) < exact))
     }
 
     /// Zero-load network latency of a `bytes`-byte packet crossing `hops`
@@ -97,6 +101,20 @@ mod tests {
         assert_eq!(p.serialization_ns(1), 4);
         assert_eq!(p.serialization_ns(32), 128);
         assert_eq!(p.serialization_ns(256), 1024);
+    }
+
+    #[test]
+    fn serialization_rounds_up_as_ceil_does() {
+        for rate in [0.25, 1.0, 3.0, 0.3, 1.0 / 3.0, 7.1, 1e-9, f64::MIN_POSITIVE] {
+            let p = PhysParams {
+                link_bytes_per_ns: rate,
+                ..PhysParams::paper_1x()
+            };
+            for bytes in (0..=4096).chain([u32::MAX - 1, u32::MAX]) {
+                let ceil = (bytes as f64 / rate).ceil() as u64;
+                assert_eq!(p.serialization_ns(bytes), ceil, "{bytes} B at {rate} B/ns");
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! themselves.
 //!
 //! The heap backend files keyed schedules into per-class FIFO lanes in
-//! front of its heap (see [`crate::queue`]); that changes what a
-//! schedule costs, never the order it pops in, and the calendar backend
-//! has no counterpart. [`DesQueue::schedule_paths`] counts the split.
+//! front of its heap, and ranks the lanes' fronts in a tournament tree
+//! whose root it compares with the heap's top (see [`crate::queue`]);
+//! that changes what a schedule and a pop cost, never the order events
+//! pop in, and the calendar backend has no counterpart.
+//! [`DesQueue::schedule_paths`] counts the split.
 //!
 //! [`QueueBackend`] is the configuration-facing selector (carried by
 //! `iba_sim::SimConfig`).

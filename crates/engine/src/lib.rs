@@ -6,9 +6,10 @@
 //! simulator; this crate is the substrate of our reimplementation:
 //!
 //! * [`queue::EventQueue`] — a time-ordered event queue (a binary heap,
-//!   with per-class FIFO lanes in front of it for keyed schedules) with
-//!   strict FIFO tie-breaking, so two runs with the same seed replay
-//!   the exact same event order;
+//!   with per-class FIFO lanes in front of it for keyed schedules and a
+//!   tournament tree over the lanes' fronts) with strict FIFO
+//!   tie-breaking, so two runs with the same seed replay the exact same
+//!   event order;
 //! * [`calendar::CalendarQueue`] — R. Brown's O(1) calendar queue with
 //!   the same interface and tie-breaking, property-tested equivalent and
 //!   benchmarked against the heap;

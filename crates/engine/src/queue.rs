@@ -33,8 +33,11 @@
 //! ingest, faults and the entities of one instant scheduling out of key
 //! order only change how many entries do. Every lane and
 //! the heap are sorted, so the earliest entry is the least of their
-//! heads, which are cached so that finding it touches no lane. Plain
-//! scheduling carries no class and uses the heap alone.
+//! fronts. The lanes' fronts sit, packed as `time << 64 | key`, at the
+//! leaves of a tournament tree whose root is the least of them: finding
+//! the earliest entry compares the root with the heap's top and nothing
+//! else, and a lane whose front changes replays its four matches up the
+//! tree. Plain scheduling carries no class and uses the heap alone.
 
 use crate::shard::KEY_CLASS_BITS;
 use iba_core::SimTime;
@@ -51,9 +54,10 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
+    /// `(time, ord)` [`pack`]ed.
     #[inline]
-    fn rank(&self) -> (SimTime, u64) {
-        (self.time, self.ord)
+    fn rank(&self) -> u128 {
+        pack(self.time, self.ord)
     }
 }
 
@@ -84,6 +88,15 @@ impl<E> Ord for Entry<E> {
 const LANES: usize = 1 << KEY_CLASS_BITS;
 /// The "lane" index of the heap in [`EventQueue::head`].
 const HEAP: usize = LANES;
+/// The tournament leaf of an empty lane: it loses every match. No entry
+/// packs to it short of one at `SimTime::MAX` with an all-ones key.
+const NO_FRONT: u128 = u128::MAX;
+
+/// `(time, rank)` as one integer that orders like the pair.
+#[inline]
+fn pack(time: SimTime, ord: u64) -> u128 {
+    u128::from(time.as_ns()) << 64 | u128::from(ord)
+}
 
 /// A deterministic discrete-event queue.
 ///
@@ -94,11 +107,11 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// The class lanes, each sorted by `(time, ord)`.
     lanes: [VecDeque<Entry<E>>; LANES],
-    /// `(time, ord)` of each lane's front; meaningful where `occupied`
-    /// has the lane's bit.
-    heads: [(SimTime, u64); LANES],
-    /// Bit `c` set while lane `c` is non-empty.
-    occupied: u16,
+    /// Tournament tree over the lanes' fronts: leaf `LANES + c` is lane
+    /// `c`'s front [`pack`]ed ([`NO_FRONT`] while the lane is empty), every
+    /// inner node `i` the least of nodes `2i` and `2i + 1`, so node 1 is
+    /// the least front of all. Node 0 is unused.
+    tree: [u128; 2 * LANES],
     len: usize,
     next_seq: u64,
     now: SimTime,
@@ -125,8 +138,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             lanes: std::array::from_fn(|_| VecDeque::new()),
-            heads: [(SimTime::ZERO, 0); LANES],
-            occupied: 0,
+            tree: [NO_FRONT; 2 * LANES],
             len: 0,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -219,33 +231,46 @@ impl<E> EventQueue<E> {
         };
         let c = (key >> (u64::BITS - KEY_CLASS_BITS)) as usize;
         let lane = &mut self.lanes[c];
-        if lane.back().is_some_and(|tail| tail.rank() > (at, key)) {
+        if lane.back().is_some_and(|tail| tail.rank() > pack(at, key)) {
             // Behind the lane's tail: the heap's.
             return self.push_heap(entry);
         }
-        if lane.is_empty() {
-            self.heads[c] = (at, key);
-            self.occupied |= 1 << c;
-        }
+        let was_empty = lane.is_empty();
         lane.push_back(entry);
+        if was_empty {
+            self.set_front(c, pack(at, key));
+        }
         self.len += 1;
         self.paths[0] += 1;
     }
 
-    /// `(time, ord)` of the earliest entry and where it sits: a lane
-    /// index, or [`HEAP`].
+    /// Lane `c`'s front is now `front`: replay its matches up the tree.
     #[inline]
-    fn head(&self) -> Option<((SimTime, u64), usize)> {
-        let mut best = self.heap.peek().map(|e| (e.rank(), HEAP));
-        let mut lanes = self.occupied;
-        while lanes != 0 {
-            let c = lanes.trailing_zeros() as usize;
-            lanes &= lanes - 1;
-            if best.is_none_or(|(rank, _)| self.heads[c] < rank) {
-                best = Some((self.heads[c], c));
-            }
+    fn set_front(&mut self, c: usize, front: u128) {
+        debug_assert!(front != NO_FRONT || self.lanes[c].is_empty());
+        let mut node = LANES + c;
+        let mut least = front;
+        self.tree[node] = least;
+        while node > 1 {
+            least = least.min(self.tree[node ^ 1]);
+            node >>= 1;
+            self.tree[node] = least;
         }
-        best
+    }
+
+    /// The earliest entry [`pack`]ed, and where it sits: a lane index —
+    /// the class field of a lane entry's key — or [`HEAP`].
+    #[inline]
+    fn head(&self) -> Option<(u128, usize)> {
+        let lanes = self.tree[1];
+        match self.heap.peek() {
+            Some(top) if top.rank() < lanes => Some((top.rank(), HEAP)),
+            _ if lanes != NO_FRONT => Some((
+                lanes,
+                (lanes as u64 >> (u64::BITS - KEY_CLASS_BITS)) as usize,
+            )),
+            _ => None,
+        }
     }
 
     /// Remove the front of `src` (as [`Self::head`] named it), advancing
@@ -257,10 +282,8 @@ impl<E> EventQueue<E> {
         } else {
             let lane = &mut self.lanes[src];
             let entry = lane.pop_front();
-            match lane.front() {
-                Some(next) => self.heads[src] = next.rank(),
-                None => self.occupied &= !(1 << src),
-            }
+            let next = lane.front().map_or(NO_FRONT, Entry::rank);
+            self.set_front(src, next);
             entry
         }
         .expect("head() named a non-empty source");
@@ -273,7 +296,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event, if any.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.head().map(|(rank, _)| rank.0)
+        self.head().map(|(rank, _)| SimTime((rank >> 64) as u64))
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -295,7 +318,7 @@ impl<E> EventQueue<E> {
         bound: (SimTime, u64),
     ) -> Option<(SimTime, u64, E)> {
         let (rank, src) = self.head()?;
-        if rank.0 > limit || rank >= bound {
+        if rank > pack(limit, u64::MAX) || rank >= pack(bound.0, bound.1) {
             return None;
         }
         let entry = self.take(src);

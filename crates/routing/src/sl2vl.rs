@@ -21,8 +21,9 @@ use iba_core::{IbaError, PortIndex, ServiceLevel, VirtualLane};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlToVlTable {
     ports: u8,
-    /// `map[in_port][out_port][sl]` → VL.
-    map: Vec<Vec<[u8; ServiceLevel::COUNT]>>,
+    /// `map[in_port * ports + out_port][sl]` → VL: one flat row per
+    /// port pair, so a lookup on the arbitration path is one load.
+    map: Vec<[u8; ServiceLevel::COUNT]>,
 }
 
 impl SlToVlTable {
@@ -40,7 +41,7 @@ impl SlToVlTable {
         }
         Ok(SlToVlTable {
             ports,
-            map: vec![vec![row; ports as usize]; ports as usize],
+            map: vec![row; ports as usize * ports as usize],
         })
     }
 
@@ -59,7 +60,8 @@ impl SlToVlTable {
                 "port out of range ({input}, {output})"
             )));
         }
-        let row = &mut self.map[input.index()][output.index()];
+        let at = self.row(input, output);
+        let row = &mut self.map[at];
         if vls.len() != row.len() {
             return Err(IbaError::InvalidConfig(format!(
                 "SLtoVL row of {} entries, not {}",
@@ -77,7 +79,13 @@ impl SlToVlTable {
     /// leaving through `output`, must use on the downstream link.
     #[inline]
     pub fn vl_for(&self, input: PortIndex, output: PortIndex, sl: ServiceLevel) -> VirtualLane {
-        VirtualLane(self.map[input.index()][output.index()][sl.index()])
+        VirtualLane(self.map[self.row(input, output)][sl.index()])
+    }
+
+    /// The row of the `(input, output)` pair in `map`.
+    #[inline]
+    fn row(&self, input: PortIndex, output: PortIndex) -> usize {
+        input.index() * self.ports as usize + output.index()
     }
 }
 
@@ -131,7 +139,8 @@ mod tests {
                 prop_assert_eq!(rowwise.set_row(input, output, &vls).is_ok(), fits);
                 if fits {
                     for (sl, vl) in vls.iter().enumerate() {
-                        entrywise.map[input.index()][output.index()][sl] = vl.0;
+                        let row = entrywise.row(input, output);
+                        entrywise.map[row][sl] = vl.0;
                     }
                 }
                 prop_assert_eq!(&rowwise.map, &entrywise.map);

@@ -32,12 +32,14 @@
 //! Residencies live in fixed *slots* (pre-sized to the buffer's credit
 //! capacity — a packet occupies at least one credit, so the slot array
 //! can never overflow under correct flow control) and the FIFO is a
-//! separate list of slot indices. A `SlotHandle` — slot index plus a
-//! generation counter — survives compaction, so a delayed `TxDone`
-//! addresses its residency directly instead of re-scanning the buffer
-//! for a packet id, and a handle left over from a
-//! departed residency is detected rather than mis-resolved. Compaction
-//! shifts only the small index list, not the buffered packets.
+//! separate list of slot indices, each beside its packet's credits and
+//! routing mode — all the two read points scan for. A `SlotHandle` —
+//! slot index plus a generation counter — survives compaction, so a
+//! delayed `TxDone` addresses its residency directly instead of
+//! re-scanning the buffer for a packet id, and a handle left over from
+//! a departed residency is detected rather than mis-resolved.
+//! Compaction shifts only the small index list, not the buffered
+//! packets.
 
 use iba_core::{Credits, InlineVec, Packet, RoutingMode, SimTime};
 use iba_routing::RouteId;
@@ -107,6 +109,16 @@ pub(crate) struct SlotHandle {
     gen: u32,
 }
 
+/// One FIFO position: the residency's slot, beside the two facts about
+/// its packet the read points scan for, so a scan reads the order list
+/// and no slot.
+#[derive(Clone, Copy, Debug)]
+struct Place {
+    slot: u32,
+    credits: u32,
+    deterministic: bool,
+}
+
 /// One fixed storage slot.
 #[derive(Debug)]
 struct Slot {
@@ -124,12 +136,14 @@ pub(crate) struct VlBuffer {
     /// Fixed slot storage; `order` holds the FIFO arrangement.
     slots: Vec<Slot>,
     /// FIFO order of occupied slots, head first.
-    order: Vec<u32>,
+    order: Vec<Place>,
     /// Stack of unoccupied slot indices.
     free_slots: Vec<u32>,
     occupied: Credits,
     /// Number of residencies currently streaming out.
     in_flight: u32,
+    /// Number of resident deterministic packets.
+    deterministic: u32,
 }
 
 impl VlBuffer {
@@ -154,6 +168,7 @@ impl VlBuffer {
             free_slots: (0..nslots as u32).rev().collect(),
             occupied: Credits::ZERO,
             in_flight: 0,
+            deterministic: 0,
         }
     }
 
@@ -211,6 +226,8 @@ impl VlBuffer {
             self.free()
         );
         self.occupied += credits;
+        let deterministic = packet.mode() == RoutingMode::Deterministic;
+        self.deterministic += u32::from(deterministic);
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
@@ -232,7 +249,11 @@ impl VlBuffer {
             ready_at,
             in_flight: false,
         });
-        self.order.push(slot);
+        self.order.push(Place {
+            slot,
+            credits: credits.count(),
+            deterministic,
+        });
         SlotHandle {
             slot,
             gen: entry.gen,
@@ -249,8 +270,8 @@ impl VlBuffer {
     /// In-flight residencies are skipped (their transfer was granted
     /// under the old tables, and nothing reads their route again).
     pub(crate) fn reroute_with(&mut self, mut f: impl FnMut(&Packet) -> RouteId) {
-        for &slot in &self.order {
-            let p = self.slots[slot as usize]
+        for place in &self.order {
+            let p = self.slots[place.slot as usize]
                 .packet
                 .as_mut()
                 .expect("order entry occupied");
@@ -287,15 +308,20 @@ impl VlBuffer {
     }
 
     /// Index of the escape-queue head: the first packet whose start
-    /// offset lies in the escape region.
+    /// offset lies in the escape region. Packets start below the
+    /// occupied credits, so there is none while they fit the adaptive
+    /// region.
     pub(crate) fn escape_head_index(&self) -> Option<usize> {
         let boundary = self.escape_boundary();
-        let mut offset = Credits::ZERO;
-        for (i, &s) in self.order.iter().enumerate() {
-            if offset >= boundary {
+        if self.occupied <= boundary {
+            return None;
+        }
+        let mut offset = 0;
+        for (i, place) in self.order.iter().enumerate() {
+            if offset >= boundary.count() {
                 return Some(i);
             }
-            offset += self.packet_in(s).packet.credits();
+            offset += place.credits;
         }
         None
     }
@@ -306,9 +332,10 @@ impl VlBuffer {
     /// paper's "first deterministic packet stored in the adaptive
     /// queue" pointer.
     fn first_deterministic_index(&self) -> Option<usize> {
-        self.order
-            .iter()
-            .position(|&s| self.packet_in(s).packet.mode() == RoutingMode::Deterministic)
+        if self.deterministic == 0 {
+            return None;
+        }
+        self.order.iter().position(|place| place.deterministic)
     }
 
     /// The candidates arbitration may read at `now`, in priority order:
@@ -340,6 +367,24 @@ impl VlBuffer {
         }
         let escape_head = self.escape_head_index();
         let first_det = self.first_deterministic_index();
+        if escape_head.is_none() && first_det.is_none_or(|fd| fd == 0) {
+            // Nothing past the head to offer, under either policy.
+            return out;
+        }
+        self.offer_escape(now, policy, escape_head, first_det, &mut out);
+        out
+    }
+
+    /// Append what the escape read point offers at `now` to `out`, given
+    /// the escape head and the first deterministic packet.
+    fn offer_escape(
+        &self,
+        now: SimTime,
+        policy: EscapeOrderPolicy,
+        escape_head: Option<usize>,
+        first_det: Option<usize>,
+        out: &mut Candidates,
+    ) {
         let push = |idx: Option<usize>, out: &mut Candidates| {
             if let Some(i) = idx {
                 if i != 0 && self.get(i).is_ready(now) && !out.iter().any(|&(j, _)| j == i) {
@@ -354,10 +399,8 @@ impl VlBuffer {
                 // of the escape queue — the escape read point serves the
                 // pointer target instead of the escape head.
                 match first_det {
-                    Some(fd) if escape_head.is_none_or(|e| fd < e) => {
-                        push(Some(fd), &mut out);
-                    }
-                    _ => push(escape_head, &mut out),
+                    Some(fd) if escape_head.is_none_or(|e| fd < e) => push(Some(fd), out),
+                    _ => push(escape_head, out),
                 }
             }
             EscapeOrderPolicy::DeterministicFifo => {
@@ -367,28 +410,27 @@ impl VlBuffer {
                 // deterministic packet. The pointer target is offered as a
                 // fallback candidate either way.
                 if let Some(e) = escape_head {
-                    let det = self.get(e).packet.mode() == RoutingMode::Deterministic;
-                    let overtakes = det && first_det.is_some_and(|fd| fd < e);
+                    let overtakes =
+                        self.order[e].deterministic && first_det.is_some_and(|fd| fd < e);
                     if !overtakes {
-                        push(Some(e), &mut out);
+                        push(Some(e), out);
                     }
                 }
                 if first_det.is_some_and(|fd| escape_head.is_none_or(|e| fd < e)) {
-                    push(first_det, &mut out);
+                    push(first_det, out);
                 }
             }
         }
-        out
     }
 
     /// Access a resident packet by FIFO position.
     pub(crate) fn get(&self, index: usize) -> &BufferedPacket {
-        self.packet_in(self.order[index])
+        self.packet_in(self.order[index].slot)
     }
 
     /// The stable handle of the residency at FIFO position `index`.
     pub(crate) fn handle_at(&self, index: usize) -> SlotHandle {
-        let slot = self.order[index];
+        let slot = self.order[index].slot;
         SlotHandle {
             slot,
             gen: self.slots[slot as usize].gen,
@@ -397,7 +439,7 @@ impl VlBuffer {
 
     /// Mark the packet at FIFO position `index` as streaming out.
     pub(crate) fn mark_in_flight(&mut self, index: usize) {
-        let slot = self.order[index] as usize;
+        let slot = self.order[index].slot as usize;
         let p = self.slots[slot]
             .packet
             .as_mut()
@@ -410,16 +452,21 @@ impl VlBuffer {
     /// Remove the residency at FIFO position `pos`; later packets shift
     /// towards the head (the RAM compacts — only the index list moves).
     fn remove_pos(&mut self, pos: usize) -> BufferedPacket {
-        let slot = self.order.remove(pos);
-        for i in pos..self.order.len() {
-            let s = self.order[i] as usize;
-            self.slots[s].order_pos = i as u32;
+        let slot = self.order[pos].slot;
+        // One pass moves each later entry up and restamps its position:
+        // a handful of words, where `Vec::remove` would call `memmove`.
+        for i in pos + 1..self.order.len() {
+            let place = self.order[i];
+            self.order[i - 1] = place;
+            self.slots[place.slot as usize].order_pos = (i - 1) as u32;
         }
+        self.order.pop();
         let entry = &mut self.slots[slot as usize];
         let p = entry.packet.take().expect("occupied slot");
         entry.gen = entry.gen.wrapping_add(1);
         self.free_slots.push(slot);
         self.occupied -= p.packet.credits();
+        self.deterministic -= u32::from(p.packet.mode() == RoutingMode::Deterministic);
         if p.in_flight {
             self.in_flight -= 1;
         }
@@ -459,7 +506,7 @@ mod tests {
         fn offset_of(&self, index: usize) -> Credits {
             self.order[..index]
                 .iter()
-                .map(|&s| self.packet_in(s).packet.credits())
+                .map(|place| self.packet_in(place.slot).packet.credits())
                 .sum()
         }
 
@@ -477,13 +524,51 @@ mod tests {
             let pos = self
                 .order
                 .iter()
-                .position(|&s| self.packet_in(s).packet.id == id)?;
+                .position(|place| self.packet_in(place.slot).packet.id == id)?;
             Some(self.remove_pos(pos))
         }
 
         /// Iterate over resident packets (head first).
         pub(crate) fn iter(&self) -> impl Iterator<Item = &BufferedPacket> {
-            self.order.iter().map(move |&s| self.packet_in(s))
+            self.order
+                .iter()
+                .map(move |place| self.packet_in(place.slot))
+        }
+
+        /// [`Self::escape_head_index`] as a full scan of the packets.
+        fn escape_head_by_scan(&self) -> Option<usize> {
+            let boundary = self.escape_boundary();
+            let mut offset = Credits::ZERO;
+            for (i, p) in self.iter().enumerate() {
+                if offset >= boundary {
+                    return Some(i);
+                }
+                offset += p.packet.credits();
+            }
+            None
+        }
+
+        /// [`Self::first_deterministic_index`] as a full scan of the
+        /// packets.
+        fn first_deterministic_by_scan(&self) -> Option<usize> {
+            self.iter()
+                .position(|p| p.packet.mode() == RoutingMode::Deterministic)
+        }
+
+        /// [`Self::candidates`] on the two scans, without shortcuts.
+        fn candidates_by_scan(&self, now: SimTime, policy: EscapeOrderPolicy) -> Candidates {
+            let mut out = Candidates::new();
+            if !self.order.is_empty() && self.get(0).is_ready(now) {
+                out.push((0, ReadPoint::AdaptiveHead));
+            }
+            if self.order.len() > 1 {
+                let (escape_head, first_det) = (
+                    self.escape_head_by_scan(),
+                    self.first_deterministic_by_scan(),
+                );
+                self.offer_escape(now, policy, escape_head, first_det, &mut out);
+            }
+            out
         }
     }
 
@@ -785,6 +870,58 @@ mod tests {
                         cands.len() >= 2,
                         "mask {det_mask:03b} {policy:?}: escape port starved: {cands:?}"
                     );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The read points kept without rescans equal the full scans, and
+        /// so do the candidates, after every step of a random life of a
+        /// buffer: pushes of 32 B and 256 B packets in both routing modes
+        /// (each ready at a random time), grants and departures in any
+        /// order, on 8 and 16 credits, under both policies.
+        #[test]
+        fn prop_read_points_match_the_scans(
+            big in 0u8..2,
+            ops in proptest::collection::vec((0u8..4, 0usize..16, 0u64..400), 1..120),
+        ) {
+            let mut buf = VlBuffer::new(Credits(if big == 1 { 16 } else { 8 }));
+            let mut handles: Vec<SlotHandle> = Vec::new();
+            for (step, &(kind, pick, t)) in ops.iter().enumerate() {
+                match kind {
+                    0 | 1 => {
+                        let size = if pick % 3 == 0 { 256 } else { 32 };
+                        let p = pkt(step as u64, pick % 2 == 0, size);
+                        if buf.can_accept(p.credits()) {
+                            handles.push(buf.push(p, route(), SimTime::from_ns(t)));
+                        }
+                    }
+                    2 if !buf.is_empty() => {
+                        let i = pick % buf.len();
+                        if !buf.get(i).in_flight {
+                            buf.mark_in_flight(i);
+                        }
+                    }
+                    _ if !handles.is_empty() => {
+                        let h = handles.remove(pick % handles.len());
+                        proptest::prop_assert!(buf.remove_at(h).is_some());
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(buf.escape_head_index(), buf.escape_head_by_scan());
+                proptest::prop_assert_eq!(
+                    buf.first_deterministic_index(),
+                    buf.first_deterministic_by_scan()
+                );
+                for policy in [EscapeOrderPolicy::Strict, EscapeOrderPolicy::DeterministicFifo] {
+                    for now in [0, t, 400] {
+                        let now = SimTime::from_ns(now);
+                        proptest::prop_assert_eq!(
+                            buf.candidates(now, policy),
+                            buf.candidates_by_scan(now, policy)
+                        );
+                    }
                 }
             }
         }

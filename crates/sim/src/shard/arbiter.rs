@@ -200,13 +200,13 @@ impl Shard<'_> {
         let st = &self.switches[sw.index()];
         // Grants remove nothing, so the occupied set holds for the pass.
         let sweep = st.occupied_inputs & !st.blocked;
-        self.inputs_visited += u64::from(sweep.count_ones());
         self.empty_passes += u64::from(sweep == 0);
         let mut progress = false;
         for mut inputs in round_robin_split(sweep, st.rr_cursor) {
             while inputs != 0 {
                 let ip = inputs.trailing_zeros() as usize;
                 inputs &= inputs - 1;
+                self.inputs_visited += 1;
                 if self.switches[sw.index()].inputs[ip].read_busy_until > now {
                     self.switches[sw.index()].blocked |= 1 << ip;
                     continue;
@@ -231,7 +231,7 @@ impl Shard<'_> {
         }
         let nports = self.topo.ports_per_switch() as usize;
         let st = &mut self.switches[sw.index()];
-        st.rr_cursor = (st.rr_cursor + 1 + usize::from(progress)) % nports;
+        st.rr_cursor = wrap(st.rr_cursor + 1 + usize::from(progress), nports);
     }
 
     /// Find one forwardable candidate in input port `ip`'s buffers, or
@@ -248,16 +248,17 @@ impl Shard<'_> {
         let nvls = self.config.data_vls as usize;
         let start = self.switches[sw.index()].inputs[ip].vl_cursor;
         let verdicts = wants_verdicts(&self.observers);
+        let adaptive_switch = self.routing.switch_adaptive(sw);
         let mut examined = 0;
         for k in 0..nvls {
-            let vl = (start + k) % nvls;
+            let vl = wrap(start + k, nvls);
             let cands = {
                 let buf = &self.switches[sw.index()].inputs[ip].vls[vl];
                 if buf.has_in_flight() {
                     continue;
                 }
                 let mut cands = buf.candidates(now, self.config.escape_order);
-                if !self.routing.switch_adaptive(sw) {
+                if !adaptive_switch {
                     // A plain deterministic IBA switch (§4.2 mixed
                     // fabrics) has a single FIFO read point: no escape
                     // head, no pointer redirection.
@@ -295,7 +296,7 @@ impl Shard<'_> {
                             }
                         });
                         // Advance the VL cursor past the served lane.
-                        self.switches[sw.index()].inputs[ip].vl_cursor = (vl + 1) % nvls;
+                        self.switches[sw.index()].inputs[ip].vl_cursor = wrap(vl + 1, nvls);
                         return Ok(d);
                     }
                     Err(outputs) => examined |= outputs,

@@ -136,6 +136,16 @@ pub(crate) fn check_key_capacity(switches: usize, hosts: usize) -> Result<(), Ib
 /// [`Shard::due_min`] of an empty due set.
 const NONE_DUE: u32 = u32::MAX;
 
+/// `i` taken modulo `n` for an `i` below `3n`: a round-robin cursor
+/// stepped by at most two, without a division.
+#[inline]
+fn wrap(mut i: usize, n: usize) -> usize {
+    while i >= n {
+        i -= n;
+    }
+    i
+}
+
 /// `occupied` split at the round-robin `cursor`: the set bits of the
 /// first mask, then of the second, each in ascending order, are
 /// `(cursor + k) % nports` for `k = 0, 1, …` without the empty inputs.
@@ -887,7 +897,11 @@ impl<'a> Shard<'a> {
         while pos > 0 && (self.ready[pos - 1].0, self.ready[pos - 1].1) > (at, sw) {
             pos -= 1;
         }
-        self.ready.insert(pos, (at, sw, port.0));
+        if pos == self.ready.len() {
+            self.ready.push_back((at, sw, port.0));
+        } else {
+            self.ready.insert(pos, (at, sw, port.0));
+        }
     }
 
     /// The earliest pending wake-up.
